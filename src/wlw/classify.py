@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,8 +28,6 @@ from .integrate import (
     integrate,
 )
 from .model import FirstIntegralValue, InitialConditions, Params, canonicalize, is_equilibrium
-
-TWO_PI = 2.0 * math.pi
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
 # equal when they differ by less than this times x0.
@@ -155,7 +153,12 @@ def catenoid_asymptote(m: FirstIntegralValue, a: float) -> Optional[float]:
     return math.sqrt(-mval) * total
 
 
-def _default_controls(params: Params, ic: InitialConditions) -> IntegrationControls:
+def default_controls(params: Params, ic: InitialConditions) -> IntegrationControls:
+    """Classification budgets; the arclength scales with the homothety size.
+
+    rescale(lam) maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class, so
+    the arclength budget grows with max(x0, |a/b|).
+    """
     scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
     return IntegrationControls(max_arclength=200.0 * scale,
                                max_full_turns=3,
@@ -174,8 +177,8 @@ def _capture_window(traj: Trajectory, params: Params) -> Optional[tuple[float, f
     if params.a <= 0.0 or params.b <= 0.0:
         return None
     x_star = params.a / params.b
-    dist_theta = np.abs(np.remainder(traj.theta - 1.5 * math.pi, TWO_PI))
-    dist_theta = np.minimum(dist_theta, TWO_PI - dist_theta)
+    dist_theta = np.abs(np.remainder(traj.theta - 1.5 * math.pi, math.tau))
+    dist_theta = np.minimum(dist_theta, math.tau - dist_theta)
     inside = (dist_theta < CAPTURE_BAND) & (np.abs(traj.x - x_star) < CAPTURE_BAND)
     if not inside.any():
         return None
@@ -233,12 +236,13 @@ def classify_surface(params: Params, ic: InitialConditions,
     """Classify the rotational surface generated from (a, b, x0, theta0).
 
     Inputs with b < 0 are reduced to b > 0 by the orientation reflection and
-    the report is translated back (canonicalized_b marks this).  Raises
-    Inconclusive when the integration budget ends before any criterion fires.
+    the report is translated back (canonicalized_b marks this).  controls
+    defaults to default_controls(params, ic).  Raises Inconclusive when the
+    integration budget ends before any criterion fires.
     """
     cparams, cic, reflected = canonicalize(params, ic)
     if controls is None:
-        controls = _default_controls(cparams, cic)
+        controls = default_controls(cparams, cic)
     report = _classify_canonical(cparams, cic, controls)
     if not reflected:
         return report
@@ -280,20 +284,13 @@ def _classify_canonical(params: Params, ic: InitialConditions,
         # The a < 0 sphere is the lone axis-meeting member of its family;
         # neighboring trajectories whip around the pole at a distance set by
         # the integration noise, so the axis threshold must sit above it.
-        controls = IntegrationControls(
-            rel_tol=controls.rel_tol, abs_tol=controls.abs_tol,
-            max_arclength=controls.max_arclength, max_steps=controls.max_steps,
-            axis_epsilon=max(controls.axis_epsilon, 1e-4 * ic.x0),
-            event_refine_tol=controls.event_refine_tol, x_blowup=controls.x_blowup,
-            max_full_turns=controls.max_full_turns,
-            max_vertical_tangents=controls.max_vertical_tangents,
-            two_sided=controls.two_sided, equilibrium_tol=controls.equilibrium_tol)
+        controls = replace(controls, axis_epsilon=max(controls.axis_epsilon, 1e-4 * ic.x0))
 
     traj = integrate(params, ic, controls)
     pole_z = _pole_heights(traj)
     captured = _capture_window(traj, params)
     winding = [e for e in traj.events_of(EventKind.FULL_TURN)
-               if abs(round((e.state.theta - ic.theta0) / TWO_PI)) >= 1]
+               if abs(round((e.state.theta - ic.theta0) / math.tau)) >= 1]
 
     if sphere_radius is not None and pole_z is not None:
         return _report(SurfaceClass(SurfaceTag.SPHERE, radius=float(traj.x.max())),
@@ -340,7 +337,9 @@ def _classify_canonical(params: Params, ic: InitialConditions,
                        self_intersections=len(loops), theta_range=traj.theta_range())
 
     span = traj.theta.max() - traj.theta.min()
-    if a < 0.0 and span < TWO_PI:
+    truncated = {traj.termination, traj.termination_backward} & {
+        Termination.MAX_STEPS, Termination.STEP_FAILURE}
+    if a < 0.0 and span < math.tau and not truncated:
         return _report(SurfaceClass(SurfaceTag.UNDULOID), traj, params, ic,
                        self_intersections=0, theta_range=traj.theta_range())
 
@@ -371,11 +370,7 @@ def _classify_pure_linear(params: Params, ic: InitialConditions,
     m = -(sin_t0 * sin_t0) * ic.x0 ** (-2.0 * a)
     x_extreme = (-m) ** (-1.0 / (2.0 * a))
     scale = max(ic.x0, x_extreme, 1.0)
-    run = IntegrationControls(max_arclength=min(40.0 * scale, controls.max_arclength),
-                              max_vertical_tangents=controls.max_vertical_tangents,
-                              rel_tol=controls.rel_tol, abs_tol=controls.abs_tol,
-                              axis_epsilon=controls.axis_epsilon,
-                              event_refine_tol=controls.event_refine_tol)
+    run = replace(controls, max_arclength=min(40.0 * scale, controls.max_arclength))
     traj = integrate(params, ic, run)
 
     if a == 1.0:

@@ -9,18 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import output
-from .classify import classify_surface, nodoid_threshold, special_solutions
+from .classify import SurfaceTag, classify_surface, default_controls, special_solutions
 from .errors import Inconclusive, InvalidParameter, NearSingular, NoFullTurn, WlwError
 from .integrate import (
     EventKind,
@@ -100,12 +98,11 @@ class SweepSpec:
                         yield (ia, ib, ix, it), (a, b, x0, t0)
 
 
-def _controls_from_args(args, **overrides) -> IntegrationControls:
-    kw = dict(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    if args.max_arclength is not None:
-        kw["max_arclength"] = args.max_arclength
-    kw.update(overrides)
-    return IntegrationControls(**kw)
+def _controls_from_args(args, base: IntegrationControls) -> IntegrationControls:
+    """base with only the tolerance and budget flags the user gave applied."""
+    given = {name: getattr(args, name) for name in ("rel_tol", "abs_tol", "max_arclength")
+             if getattr(args, name) is not None}
+    return replace(base, **given)
 
 
 def _add_common_flags(p: argparse.ArgumentParser, with_ic: bool = True) -> None:
@@ -115,8 +112,10 @@ def _add_common_flags(p: argparse.ArgumentParser, with_ic: bool = True) -> None:
         p.add_argument("--x0", type=float, required=True, help="initial radius, > 0")
         p.add_argument("--theta0", type=parse_angle, default=0.0,
                        help="initial tangent angle in radians; accepts pi/2, 3pi/2, ...")
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--rel-tol", type=float, default=None,
+                   help="relative step tolerance (default from IntegrationControls)")
+    p.add_argument("--abs-tol", type=float, default=None,
+                   help="absolute step tolerance (default from IntegrationControls)")
     p.add_argument("--max-arclength", type=float, default=None)
     p.add_argument("-o", "--out", type=Path, default=Path("."), help="output directory")
 
@@ -124,8 +123,7 @@ def _add_common_flags(p: argparse.ArgumentParser, with_ic: bool = True) -> None:
 def cmd_integrate(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    controls = _controls_from_args(args)
-    traj = integrate(params, ic, controls)
+    traj = integrate(params, ic, _controls_from_args(args, IntegrationControls()))
     crossings = find_self_intersections(traj)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "trajectory.csv"
@@ -151,10 +149,7 @@ def cmd_integrate(args) -> int:
 def cmd_classify(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    controls = None
-    if args.max_arclength is not None or args.rel_tol != 1e-10 or args.abs_tol != 1e-12:
-        controls = _controls_from_args(args, max_full_turns=3, max_vertical_tangents=12)
-    report = classify_surface(params, ic, controls)
+    report = classify_surface(params, ic, _controls_from_args(args, default_controls(params, ic)))
     doc = output.report_to_dict(report)
     print(json.dumps(doc, indent=2))
     if args.out != Path("."):
@@ -212,19 +207,15 @@ def cmd_mesh(args) -> int:
     report = classify_surface(params, ic)
     spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
 
+    controls = _controls_from_args(args, IntegrationControls())
+    window = None
     if report.period is not None:
-        controls = _controls_from_args(args, max_full_turns=args.periods + 1,
-                                       max_arclength=(args.periods + 1.5) * report.period * 4.0)
-        traj = integrate(params, ic, controls)
+        controls = replace(controls, max_full_turns=args.periods + 1,
+                           max_arclength=(args.periods + 1.5) * report.period * 4.0)
         window = (0.0, args.periods * report.period)
-    else:
-        span = args.max_arclength
-        if span is None and report.surface.tag.value == "Cylinder":
-            span = 4.0 * ic.x0
-        controls = _controls_from_args(args) if span is None \
-            else _controls_from_args(args, max_arclength=span)
-        traj = integrate(params, ic, controls)
-        window = None
+    elif args.max_arclength is None and report.surface.tag is SurfaceTag.CYLINDER:
+        controls = replace(controls, max_arclength=4.0 * ic.x0)
+    traj = integrate(params, ic, controls)
     args.out.mkdir(parents=True, exist_ok=True)
     obj_path = args.out / "surface.obj"
     output.write_obj_mesh(traj, obj_path, spec, window)
@@ -249,20 +240,16 @@ def _sweep_cell(a, b, x0, t0):
         return {"error": type(exc).__name__, "message": str(exc)}, f"Error:{type(exc).__name__}"
 
 
-def run_sweep(spec: SweepSpec, max_workers: Optional[int] = None) -> Path:
+def run_sweep(spec: SweepSpec) -> Path:
     """Classify every grid cell; per-cell reports plus a summary CSV.
 
-    Cells run concurrently (WLW_THREADS caps the pool) but the summary is
-    assembled in grid order, so output is independent of the worker count.
+    Cells are classified one after another and the summary rows follow grid
+    order.
     """
-    if max_workers is None:
-        max_workers = int(os.environ.get("WLW_THREADS", "0")) or min(os.cpu_count() or 1, 8)
     spec.output_dir.mkdir(parents=True, exist_ok=True)
-    cells = list(spec.cells())
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda c: _sweep_cell(*c[1]), cells))
     rows = ["a,b,x0,theta0,class"]
-    for (idx, (a, b, x0, t0)), (doc, label) in zip(cells, results):
+    for idx, (a, b, x0, t0) in spec.cells():
+        doc, label = _sweep_cell(a, b, x0, t0)
         name = "report_a{}_b{}_x{}_t{}.json".format(*idx)
         with open(spec.output_dir / name, "w", newline="\n") as fh:
             json.dump(doc, fh, indent=2)
@@ -294,8 +281,7 @@ def cmd_check(args) -> int:
     mirror symmetry at vertical tangents, translation periodicity."""
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    controls = _controls_from_args(args, max_full_turns=3, max_vertical_tangents=12)
-    traj = integrate(params, ic, controls)
+    traj = integrate(params, ic, _controls_from_args(args, default_controls(params, ic)))
     checks: dict[str, dict] = {}
 
     try:

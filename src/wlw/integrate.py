@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import RK45
@@ -27,8 +27,6 @@ from .errors import (
     VerificationFailed,
 )
 from .model import AXIS_EPSILON, EQUILIBRIUM_TOL, InitialConditions, Params, ProfileState, is_equilibrium
-
-TWO_PI = 2.0 * math.pi
 
 # Consecutive accepted steps that must sit at a phase rest point before the
 # run is cut short as an equilibrium.
@@ -197,7 +195,7 @@ class Trajectory:
         """Largest |k| over recorded full-turn events (0 when none)."""
         turns = 0
         for e in self.events_of(EventKind.FULL_TURN):
-            k = round((e.state.theta - self.ic.theta0) / TWO_PI)
+            k = round((e.state.theta - self.ic.theta0) / math.tau)
             turns = max(turns, abs(int(k)))
         return turns
 
@@ -317,7 +315,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
                     cut_s, cut_term = s_star, Termination.EVENT_BUDGET
                     break
             else:  # FULL_TURN candidate; k = 0 re-crossings are not events
-                k = round((st.theta - theta0) / TWO_PI)
+                k = round((st.theta - theta0) / math.tau)
                 if k != 0 and k not in seen_turns:
                     seen_turns.add(k)
                     run.events.append(EventRecord(kind, s_star, st))
@@ -431,12 +429,12 @@ def detect_period(traj: Trajectory) -> tuple[float, float]:
     periodicity does not hold to 1e-6.
     """
     turns = [e for e in traj.events_of(EventKind.FULL_TURN)
-             if e.s > 0.0 and abs(round((e.state.theta - traj.ic.theta0) / TWO_PI)) == 1]
+             if e.s > 0.0 and abs(round((e.state.theta - traj.ic.theta0) / math.tau)) == 1]
     if not turns:
         raise NoFullTurn("theta range does not span a full turn forward in s")
     first = min(turns, key=lambda e: e.s)
     T = first.s
-    k = round((first.state.theta - traj.ic.theta0) / TWO_PI)
+    k = round((first.state.theta - traj.ic.theta0) / math.tau)
 
     x0, _, _ = traj.eval(0.0)
     xT, zT, _ = traj.eval(T)
@@ -452,7 +450,7 @@ def detect_period(traj: Trajectory) -> tuple[float, float]:
     shifted = traj.eval(probes + T)
     residual = (np.abs(shifted[0] - base[0])
                 + np.abs(shifted[1] - base[1] - z_shift)
-                + np.abs(shifted[2] - base[2] - k * TWO_PI))
+                + np.abs(shifted[2] - base[2] - k * math.tau))
     worst = float(residual.max())
     if worst > 1e-6:
         raise VerificationFailed(f"translation residual {worst:.3e} exceeds 1e-6")
@@ -572,8 +570,3 @@ def _refine_crossing(traj: Trajectory, sa_lo, sa_hi, sb_lo, sb_hi,
         if abs(dsa) < tol and abs(dsb) < tol:
             return float(sa), float(sb)
     return float(sa), float(sb)
-
-
-def intersections_as_events(traj: Trajectory,
-                            records: Iterable[IntersectionRecord]) -> list[EventRecord]:
-    return [EventRecord(EventKind.SELF_INTERSECTION, r.s_a, traj.state(r.s_a)) for r in records]

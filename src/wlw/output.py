@@ -285,9 +285,7 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
     phis = [2.0 * math.pi * j / spec.n_revolve for j in range(spec.n_revolve)]
 
     lines = [f"# surface of revolution: {n_prof} x {spec.n_revolve} vertices"]
-    for _, x, z, theta in pts:
-        st = math.sin(theta)
-        ct = math.cos(theta)
+    for _, x, z, _ in pts:
         for phi in phis:
             lines.append(f"v {fnum(x * math.cos(phi))} {fnum(x * math.sin(phi))} {fnum(z)}")
     for _, x, z, theta in pts:

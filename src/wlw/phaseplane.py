@@ -24,8 +24,6 @@ from .errors import DegenerateEigenvalue, InvalidParameter, NoBracket
 from .integrate import EventKind, IntegrationControls, Termination, integrate
 from .model import InitialConditions, Params
 
-TWO_PI = 2.0 * math.pi
-
 
 class SingularityKind(str, enum.Enum):
     UNSTABLE_NODE = "UnstableNode"
@@ -50,7 +48,7 @@ class PortraitSpec:
 
     x_max: float
     theta_min: float = 0.0
-    theta_max: float = TWO_PI
+    theta_max: float = math.tau
     n_theta: int = 24
     n_x: int = 13
     orbit_seeds: Optional[Sequence[tuple[float, float]]] = None
@@ -157,8 +155,7 @@ def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
         raise InvalidParameter(f"bad bracket {bracket}")
     if controls is None:
         scale = max(x_hi, params.a / params.b, 1.0)
-        controls = IntegrationControls(rel_tol=1e-10, abs_tol=1e-12,
-                                       max_arclength=80.0 * scale,
+        controls = IntegrationControls(max_arclength=80.0 * scale,
                                        max_full_turns=1, two_sided=False)
     lo_unbounded = _shot_is_unbounded(params, theta0, x_lo, controls)
     hi_unbounded = _shot_is_unbounded(params, theta0, x_hi, controls)

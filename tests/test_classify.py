@@ -11,7 +11,7 @@ from wlw.classify import (
     special_solutions,
 )
 from wlw.errors import Inconclusive, InvalidParameter, WrongSignRegime
-from wlw.integrate import EventKind, IntegrationControls, integrate
+from wlw.integrate import EventKind, IntegrationControls, Termination, integrate
 from wlw.model import (
     FirstIntegralValue,
     InitialConditions,
@@ -269,6 +269,18 @@ class TestReportMechanics:
         with pytest.raises(Inconclusive) as info:
             classify_surface(Params(3, 1), InitialConditions(1.0, 0.0), controls)
         assert "termination" in info.value.diagnostics
+
+    def test_truncated_run_is_not_unduloid(self):
+        # The a < 0 Unduloid fallback must not fire on a run cut by max_steps.
+        controls = IntegrationControls(max_steps=5, max_full_turns=3)
+        with pytest.raises(Inconclusive) as info:
+            classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2), controls)
+        assert info.value.diagnostics["termination"] == Termination.MAX_STEPS.value
+
+    def test_pure_linear_honours_caller_controls(self):
+        report = classify_surface(Params(1, 0), InitialConditions(2.0, PI / 2),
+                                  IntegrationControls(max_steps=5))
+        assert report.termination == Termination.MAX_STEPS
 
     def test_embeddedness_counts(self):
         und = classify_surface(Params(-2, 1), InitialConditions(1.0, PI / 2))

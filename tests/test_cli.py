@@ -1,0 +1,76 @@
+import json
+
+import pytest
+
+from wlw.cli import EXIT_FAILURE, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
+
+
+def run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr()
+
+
+def run_json(capsys, argv):
+    code, captured = run(capsys, argv)
+    return code, json.loads(captured.out)
+
+
+NODOID = ["classify", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2"]
+
+
+def test_classify_nodoid_exits_ok(capsys):
+    code, doc = run_json(capsys, NODOID)
+    assert code == EXIT_OK
+    assert doc["class"] == "Nodoid"
+
+
+@pytest.mark.parametrize("extra", [[], ["--rel-tol", "1e-11"]])
+def test_classify_rescaled_nodoid_keeps_scaled_budget(capsys, extra):
+    # The benchmark nodoid rescaled by 50: the arclength budget must scale
+    # with x0 whether or not a tolerance flag is given.
+    code, doc = run_json(capsys, ["classify", "-a", "-2", "-b", "0.02", "--x0", "200",
+                                  "--theta0", "pi/2", *extra])
+    assert code == EXIT_OK
+    assert doc["class"] == "Nodoid"
+
+
+def test_no_bracket_exits_failure(capsys, tmp_path):
+    code, doc = run_json(capsys, ["phase", "-a", "3", "-b", "1", "--separatrix",
+                                  "--bracket", "0.1:0.2", "-o", str(tmp_path)])
+    assert code == EXIT_FAILURE
+    assert doc == {"error": "NoBracket", "message": doc["message"]}
+
+
+def test_invalid_parameter_exits_invalid(capsys):
+    code, doc = run_json(capsys, ["classify", "-a", "0", "-b", "1", "--x0", "1"])
+    assert code == EXIT_INVALID
+    assert set(doc) == {"error", "message"}
+    assert doc["error"] == "InvalidParameter"
+
+
+def test_missing_required_flag_exits_invalid(capsys):
+    code, captured = run(capsys, ["classify", "-a", "1", "-b", "1"])
+    assert code == EXIT_INVALID
+    assert "--x0" in captured.err
+
+
+def test_tiny_budget_exits_inconclusive(capsys):
+    code, doc = run_json(capsys, ["classify", "-a", "3", "-b", "1", "--x0", "1",
+                                  "--theta0", "0", "--max-arclength", "0.5"])
+    assert code == EXIT_INCONCLUSIVE
+    assert set(doc) == {"error", "message", "diagnostics"}
+    assert doc["error"] == "Inconclusive"
+    assert doc["diagnostics"]["termination"] == "MaxArclength"
+
+
+def test_sweep_summary_follows_grid_order(capsys, tmp_path):
+    # Descending ranges, so that grid order differs from sorted order.
+    code, doc = run_json(capsys, ["sweep", "-a=-1:-2:2", "-b", "1", "--x0", "4:0.5:2",
+                                  "--theta0-list", "pi/2", "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    assert doc["cells"] == 4
+    rows = (tmp_path / "summary.csv").read_text().splitlines()
+    assert rows[0] == "a,b,x0,theta0,class"
+    cells = [tuple(float(v) for v in row.split(",")[:3]) for row in rows[1:]]
+    assert cells == [(-1.0, 1.0, 4.0), (-1.0, 1.0, 0.5), (-2.0, 1.0, 4.0), (-2.0, 1.0, 0.5)]
+    assert len(list(tmp_path.glob("report_*.json"))) == 4
