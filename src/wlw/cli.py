@@ -105,18 +105,20 @@ def _controls_from_args(args, base: IntegrationControls) -> IntegrationControls:
     return replace(base, **given)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, with_ic: bool = True) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, integrates: bool = True) -> None:
+    """-a, -b and -o; commands that integrate one orbit also get the initial
+    conditions and the tolerance and budget flags."""
     p.add_argument("-a", type=float, required=True, help="coefficient a (dimensionless)")
     p.add_argument("-b", type=float, required=True, help="coefficient b (1/length)")
-    if with_ic:
+    if integrates:
         p.add_argument("--x0", type=float, required=True, help="initial radius, > 0")
         p.add_argument("--theta0", type=parse_angle, default=0.0,
                        help="initial tangent angle in radians; accepts pi/2, 3pi/2, ...")
-    p.add_argument("--rel-tol", type=float, default=None,
-                   help="relative step tolerance (default from IntegrationControls)")
-    p.add_argument("--abs-tol", type=float, default=None,
-                   help="absolute step tolerance (default from IntegrationControls)")
-    p.add_argument("--max-arclength", type=float, default=None)
+        p.add_argument("--rel-tol", type=float, default=None,
+                       help="relative step tolerance (default from IntegrationControls)")
+        p.add_argument("--abs-tol", type=float, default=None,
+                       help="absolute step tolerance (default from IntegrationControls)")
+        p.add_argument("--max-arclength", type=float, default=None)
     p.add_argument("-o", "--out", type=Path, default=Path("."), help="output directory")
 
 
@@ -204,7 +206,7 @@ def cmd_phase(args) -> int:
 def cmd_mesh(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    report = classify_surface(params, ic)
+    report = classify_surface(params, ic, _controls_from_args(args, default_controls(params, ic)))
     spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
 
     controls = _controls_from_args(args, IntegrationControls())
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("phase", help="phase portrait and critical points")
-    _add_common_flags(p, with_ic=False)
+    _add_common_flags(p, integrates=False)
     p.add_argument("--x-max", type=float, default=None)
     p.add_argument("--theta0", type=parse_angle, default=0.0,
                    help="shooting angle for --separatrix")

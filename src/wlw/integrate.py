@@ -1,11 +1,20 @@
 """Adaptive integration of the profile ODE with event detection.
 
-The stepper is an embedded Runge-Kutta 5(4) pair with dense output (scipy's
-RK45), driven manually so that every accepted step is scanned for events,
-the step size is clamped near the rotation axis, and termination reasons are
-tracked per direction.  Trajectories are immutable and carry their dense
-interpolants, so downstream probing (symmetry checks, period verification,
-resampling for output) does not re-integrate.
+The stepper is the Dormand-Prince 5(4) embedded pair with Shampine's
+4th-order continuous extension (Hairer, Norsett and Wanner, *Solving
+Ordinary Differential Equations I*, sections II.4-II.6), written out for the
+three scalar components (x, z, theta) on floats and ``math``.  Its
+step-size controller mirrors the Dormand-Prince solver of scipy.integrate -
+the same tableau and error weights, the RMS error norm, the safety factor
+and the step-factor bounds, the initial-step heuristic and the 10-ulp
+minimum step - so results carry over from that solver to rounding.  Every
+accepted step is scanned for events, the step size is clamped near the
+rotation axis, and termination reasons are tracked per direction.
+
+Trajectories are immutable and carry their dense interpolants packed into
+one coefficient array, so downstream probing (symmetry checks, period
+verification, resampling for output) neither re-integrates nor loops over
+steps.
 """
 
 from __future__ import annotations
@@ -13,10 +22,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import RK45
 from scipy.optimize import brentq
 
 from .errors import (
@@ -31,6 +39,36 @@ from .model import AXIS_EPSILON, EQUILIBRIUM_TOL, InitialConditions, Params, Pro
 # Consecutive accepted steps that must sit at a phase rest point before the
 # run is cut short as an equilibrium.
 _EQUILIBRIUM_HOLD_STEPS = 100
+
+# Dormand-Prince 5(4) coefficients (HNW Table II.5.5).  The profile ODE is
+# autonomous, so the nodes c_i are not needed.  Stage 2 carries zero weight in
+# the solution, the error estimate and the dense output.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# 5th- minus 4th-order weights; stage 7 is f(y_new) (first same as last).
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
+                                -22 / 525, 1 / 40)
+# Continuous extension y(s0 + u h) = y0 + h K^T P (u, u^2, u^3, u^4); rows are
+# stages 1, 3, 4, 5, 6, 7 (Shampine's optimal c6, as in scipy).
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5
+_SQRT3 = 3 ** 0.5
+# Tolerances below this are raised to it, as scipy does.
+_MIN_REL_TOL = 100 * np.finfo(float).eps
 
 
 class EventKind(str, enum.Enum):
@@ -94,22 +132,41 @@ class IntersectionRecord:
     z: float
 
 
-class _ConstantSegment:
-    """Dense output of a rest-point solution: x, theta frozen, z linear."""
+class _Dense(NamedTuple):
+    """Packed piecewise-quartic interpolant, one row per step, sorted by lo.
 
-    def __init__(self, lo: float, hi: float, x0: float, theta0: float):
-        self.lo, self.hi = lo, hi
-        self._x0, self._theta0 = x0, theta0
-        self._dz = math.sin(theta0)
+    On [lo[i], lo[i] + |h|] the state is y0[i] + u (c0 + u (c1 + u (c2 + u c3)))
+    with u = (s - s0[i]) / h[i] and c_p = c[i, :, p].
+    """
 
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        shape = s.shape
-        out = np.empty((3,) + shape)
-        out[0] = self._x0
-        out[1] = self._dz * s
-        out[2] = self._theta0
-        return out if shape else out[:, ()]
+    lo: np.ndarray   # (n,) lower end of each step
+    s0: np.ndarray   # (n,) start of each step (its upper end when integrating backward)
+    h: np.ndarray    # (n,) signed step
+    y0: np.ndarray   # (n, 3) state at s0
+    c: np.ndarray    # (n, 3, 4) h times the power coefficients
+
+
+def _pack(s0: np.ndarray, s1: np.ndarray, y0: np.ndarray, K: np.ndarray) -> _Dense:
+    """Interpolants of the steps s0 -> s1 from their stages K, shape (n, 6, 3).
+
+    The stage sum runs in a fixed order, so a step's coefficients come out
+    the same bits whether it is packed alone or with others.
+    """
+    h = s1 - s0
+    Q = sum(K[:, k, :, None] * _P[k] for k in range(len(_P)))
+    return _Dense(np.minimum(s0, s1), s0, h, y0, h[:, None, None] * Q)
+
+
+def _interpolant(s0: float, s1: float, y0: tuple, K: tuple):
+    """(x, z, theta)(s) on the step s0 -> s1, with Trajectory.eval's arithmetic."""
+    d = _pack(np.array([s0]), np.array([s1]), None, np.array(K).reshape(1, 6, 3))
+    h, c = float(d.h[0]), d.c[0].tolist()
+
+    def at(s):
+        u = (s - s0) / h
+        return tuple(y + u * (cp[0] + u * (cp[1] + u * (cp[2] + u * cp[3])))
+                     for y, cp in zip(y0, c))
+    return at
 
 
 class Trajectory:
@@ -123,8 +180,7 @@ class Trajectory:
     def __init__(self, params: Params, ic: InitialConditions, controls: IntegrationControls,
                  s: np.ndarray, x: np.ndarray, z: np.ndarray, theta: np.ndarray,
                  events: Sequence[EventRecord], termination: Termination,
-                 termination_backward: Optional[Termination],
-                 segments: Sequence[tuple]):
+                 termination_backward: Optional[Termination], dense: _Dense):
         self.params = params
         self.ic = ic
         self.controls = controls
@@ -135,8 +191,7 @@ class Trajectory:
         self.events = tuple(sorted(events, key=lambda e: e.s))
         self.termination = termination
         self.termination_backward = termination_backward
-        self._segments = list(segments)
-        self._seg_lo = np.array([seg[0] for seg in self._segments])
+        self._dense = dense
         if np.any(np.diff(s) <= 0.0):
             raise VerificationFailed("trajectory samples are not strictly increasing in s")
         dtheta = np.abs(np.diff(theta))
@@ -163,12 +218,11 @@ class Trajectory:
             raise InvalidParameter(
                 f"s outside integrated span [{lo}, {hi}]: [{s_arr.min()}, {s_arr.max()}]")
         s_clip = np.clip(s_arr, lo, hi)
-        idx = np.searchsorted(self._seg_lo, s_clip, side="right") - 1
-        idx = np.clip(idx, 0, len(self._segments) - 1)
-        out = np.empty((3, s_clip.size))
-        for k in np.unique(idx):
-            mask = idx == k
-            out[:, mask] = np.asarray(self._segments[k][2](s_clip[mask]))
+        d = self._dense
+        i = np.clip(np.searchsorted(d.lo, s_clip, side="right") - 1, 0, len(d.lo) - 1)
+        u = ((s_clip - d.s0[i]) / d.h[i])[:, None]
+        c = d.c[i]
+        out = (d.y0[i] + u * (c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3])))).T
         if np.isscalar(s) or np.asarray(s).ndim == 0:
             return out[:, 0]
         return out
@@ -200,165 +254,252 @@ class Trajectory:
         return turns
 
 
-def _rhs_factory(params: Params) -> Callable:
-    a, b = params.a, params.b
-
-    def f(s, y):
-        x = y[0]
-        theta = y[2]
-        if x <= 0.0:
-            # Internal stage strayed past the axis; poison the step so the
-            # controller rejects it and retries smaller.
-            return np.array([math.nan, math.nan, math.nan])
-        return np.array([math.cos(theta), math.sin(theta), a * math.sin(theta) / x + b])
-
-    return f
-
-
 @dataclass
 class _DirectionRun:
     s: list = field(default_factory=list)
     y: list = field(default_factory=list)
-    segments: list = field(default_factory=list)
+    # One row per accepted step: its end s and its stages 1, 3-7, flattened.
+    steps: list = field(default_factory=list)
     events: list = field(default_factory=list)
     termination: Termination = Termination.MAX_ARCLENGTH
 
 
-def _refine_root(gfun, seg, s_lo, s_hi, tol):
+def _refine_root(g, at, s_lo, s_hi, tol):
     s_lo, s_hi = min(s_lo, s_hi), max(s_lo, s_hi)
-    g_lo, g_hi = gfun(seg(s_lo)), gfun(seg(s_hi))
+    g_lo, g_hi = g(at(s_lo)), g(at(s_hi))
     if g_lo == 0.0:
         return s_lo
     if g_hi == 0.0:
         return s_hi
-    return brentq(lambda s: gfun(seg(s)), s_lo, s_hi, xtol=tol)
+    return brentq(lambda s: g(at(s)), s_lo, s_hi, xtol=tol)
+
+
+def _initial_step(a, b, y0, f0, direction, span, rtol, atol) -> float:
+    """scipy's select_initial_step (HNW II.4) for the profile ODE."""
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = math.sqrt(sum((v / sc) ** 2 for v, sc in zip(y0, scale))) / _SQRT3
+    d1 = math.sqrt(sum((v / sc) ** 2 for v, sc in zip(f0, scale))) / _SQRT3
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    x1 = y0[0] + h0 * direction * f0[0]
+    t1 = y0[2] + h0 * direction * f0[2]
+    if x1 > 0.0:
+        f1 = (math.cos(t1), math.sin(t1), a * math.sin(t1) / x1 + b)
+    else:
+        f1 = (math.nan,) * 3
+    d2 = math.sqrt(sum(((u - v) / sc) ** 2 for u, v, sc in zip(f1, f0, scale))) / _SQRT3 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span)
 
 
 def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationControls,
                    direction: int) -> _DirectionRun:
-    run = _DirectionRun()
-    y0 = np.array([ic.x0, 0.0, ic.theta0])
-    run.s.append(0.0)
-    run.y.append(y0.copy())
-
-    f = _rhs_factory(params)
-    solver = RK45(f, 0.0, y0, t_bound=direction * controls.max_arclength,
-                  rtol=controls.rel_tol, atol=controls.abs_tol)
-    theta0 = ic.theta0
+    cos, sin, sqrt, nextafter, nan = math.cos, math.sin, math.sqrt, math.nextafter, math.nan
     a, b = params.a, params.b
+    theta0 = ic.theta0
+    rtol, atol = max(controls.rel_tol, _MIN_REL_TOL), controls.abs_tol
+    axis_epsilon = controls.axis_epsilon
+    min_clamp = 4.0 * axis_epsilon
+    s_bound = direction * controls.max_arclength
+    towards = direction * math.inf
+    tol = controls.event_refine_tol
 
-    g_axis = lambda y: y[0] - controls.axis_epsilon
-    g_blow = lambda y: y[0] - controls.x_blowup
-    g_vert = lambda y: math.cos(y[2])
-    g_turn = lambda y: math.sin(0.5 * (y[2] - theta0))
+    # The event functions of a state (x, z, theta), and for each the kind it
+    # reports and the crossing that counts: -1 falling through zero, +1
+    # rising, 0 either way.  A crossing's root is refined on the step's
+    # interpolant.  Full turns with k = 0 are re-crossings, not events.
+    def g(y):
+        return (y[0] - axis_epsilon, y[0] - controls.x_blowup, cos(y[2]),
+                sin(0.5 * (y[2] - theta0)))
 
-    prev_axis, prev_blow = g_axis(y0), g_blow(y0)
-    prev_vert, prev_turn = g_vert(y0), g_turn(y0)
+    table = ((EventKind.AXIS_APPROACH, -1), (EventKind.BLOWUP, +1),
+             (EventKind.VERTICAL_TANGENT, 0), (EventKind.FULL_TURN, 0))
+
+    run = _DirectionRun()
+    t, x, z, th = 0.0, ic.x0, 0.0, theta0
+    run.s.append(t)
+    run.y.append((x, z, th))
+    k1x, k1z = cos(th), sin(th)
+    k1t = a * k1z / x + b
+    h_abs = _initial_step(a, b, (x, z, th), (k1x, k1z, k1t), direction,
+                          controls.max_arclength, rtol, atol)
+    prev = g((x, z, th))
     n_vert = 0
     seen_turns: set[int] = set()
     hold_count = 0
     hold_start = None
     nsteps = 0
 
-    while solver.status == "running":
+    while True:
         if nsteps >= controls.max_steps:
             run.termination = Termination.MAX_STEPS
             return run
         # Keep internal stages strictly off the axis.
-        solver.max_step = max(0.8 * solver.y[0], 4.0 * controls.axis_epsilon)
-        solver.step()
+        max_step = max(0.8 * x, min_clamp)
+        min_step = 10 * abs(nextafter(t, towards) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                run.termination = Termination.STEP_FAILURE
+                return run
+            t_new = t + h_abs * direction
+            if direction * (t_new - s_bound) > 0:
+                t_new = s_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            # Stages 2-6; x <= 0 means a stage strayed past the axis, and the
+            # NaN it poisons the step with makes the controller retry smaller.
+            xs = x + h * (_A21 * k1x)
+            ts = th + h * (_A21 * k1t)
+            if xs > 0.0:
+                k2x, k2z = cos(ts), sin(ts)
+                k2t = a * k2z / xs + b
+            else:
+                k2x = k2z = k2t = nan
+            xs = x + h * (_A31 * k1x + _A32 * k2x)
+            ts = th + h * (_A31 * k1t + _A32 * k2t)
+            if xs > 0.0:
+                k3x, k3z = cos(ts), sin(ts)
+                k3t = a * k3z / xs + b
+            else:
+                k3x = k3z = k3t = nan
+            xs = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
+            ts = th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t)
+            if xs > 0.0:
+                k4x, k4z = cos(ts), sin(ts)
+                k4t = a * k4z / xs + b
+            else:
+                k4x = k4z = k4t = nan
+            xs = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
+            ts = th + h * (_A51 * k1t + _A52 * k2t + _A53 * k3t + _A54 * k4t)
+            if xs > 0.0:
+                k5x, k5z = cos(ts), sin(ts)
+                k5t = a * k5z / xs + b
+            else:
+                k5x = k5z = k5t = nan
+            xs = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
+            ts = th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t + _A64 * k4t + _A65 * k5t)
+            if xs > 0.0:
+                k6x, k6z = cos(ts), sin(ts)
+                k6t = a * k6z / xs + b
+            else:
+                k6x = k6z = k6t = nan
+            xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+            zn = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
+            tn = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t + _B6 * k6t)
+            if xn > 0.0:
+                k7x, k7z = cos(tn), sin(tn)
+                k7t = a * k7z / xn + b
+            else:
+                k7x = k7z = k7t = nan
+
+            ex = (h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
+                  / (atol + max(abs(x), abs(xn)) * rtol))
+            ez = (h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
+                  / (atol + max(abs(z), abs(zn)) * rtol))
+            et = (h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t + _E7 * k7t)
+                  / (atol + max(abs(th), abs(tn)) * rtol))
+            error_norm = sqrt(ex * ex + ez * ez + et * et) / _SQRT3
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
         nsteps += 1
-        if solver.status == "failed":
-            run.termination = Termination.STEP_FAILURE
-            return run
+        stages = (k1x, k1z, k1t, k3x, k3z, k3t, k4x, k4z, k4t,
+                  k5x, k5z, k5t, k6x, k6z, k6t, k7x, k7z, k7t)
+        run.steps.append((t_new,) + stages)
+        y_new = (xn, zn, tn)
 
-        seg = solver.dense_output()
-        s_old, s_new = seg.t_old, seg.t
-        y_new = solver.y
-        run.segments.append((min(s_old, s_new), max(s_old, s_new), seg))
-
-        # --- event scan on this step, in time order -------------------
-        v_axis, v_blow = g_axis(y_new), g_blow(y_new)
-        v_vert, v_turn = g_vert(y_new), g_turn(y_new)
-        candidates = []
-        if prev_axis > 0.0 >= v_axis:
-            candidates.append((_refine_root(g_axis, seg, s_old, s_new,
-                                            controls.event_refine_tol), EventKind.AXIS_APPROACH))
-        if prev_blow < 0.0 <= v_blow:
-            candidates.append((_refine_root(g_blow, seg, s_old, s_new,
-                                            controls.event_refine_tol), EventKind.BLOWUP))
-        if prev_vert * v_vert < 0.0 or v_vert == 0.0:
-            candidates.append((_refine_root(g_vert, seg, s_old, s_new,
-                                            controls.event_refine_tol), EventKind.VERTICAL_TANGENT))
-        if prev_turn * v_turn < 0.0 or v_turn == 0.0:
-            candidates.append((_refine_root(g_turn, seg, s_old, s_new,
-                                            controls.event_refine_tol), EventKind.FULL_TURN))
-        candidates.sort(key=lambda c: direction * c[0])
-
-        cut_s = None
-        cut_term = None
-        for s_star, kind in candidates:
-            st = _state_at(seg, s_star)
-            if kind == EventKind.AXIS_APPROACH:
-                run.events.append(EventRecord(kind, s_star, st))
-                cut_s, cut_term = s_star, Termination.AXIS_REACHED
-                break
-            if kind == EventKind.BLOWUP:
-                run.events.append(EventRecord(kind, s_star, st))
-                cut_s, cut_term = s_star, Termination.EVENT_BUDGET
-                break
-            if kind == EventKind.VERTICAL_TANGENT:
-                run.events.append(EventRecord(kind, s_star, st))
-                n_vert += 1
-                if (controls.max_vertical_tangents is not None
-                        and n_vert >= controls.max_vertical_tangents):
-                    cut_s, cut_term = s_star, Termination.EVENT_BUDGET
+        # --- event scan on this step, in s order ---------------------
+        cur = g(y_new)
+        hits = [i for i, (p, c, (_, d)) in enumerate(zip(prev, cur, table))
+                if (p * c < 0.0 or c == 0.0) and (d == 0 or d * p < 0.0)]
+        if hits:
+            at = _interpolant(t, t_new, (x, z, th), stages)
+            candidates = sorted(
+                ((_refine_root(lambda y, i=i: g(y)[i], at, t, t_new, tol), table[i][0])
+                 for i in hits), key=lambda c: direction * c[0])
+            cut_s = cut_term = None
+            for s_star, kind in candidates:
+                # Events that coincide with a cut to within the refinement
+                # tolerance are recorded whichever of them rounded first.
+                if cut_s is not None and abs(s_star - cut_s) > tol:
                     break
-            else:  # FULL_TURN candidate; k = 0 re-crossings are not events
+                st = ProfileState(s_star, *at(s_star))
                 k = round((st.theta - theta0) / math.tau)
-                if k != 0 and k not in seen_turns:
+                if kind is EventKind.FULL_TURN:
+                    if k == 0 or k in seen_turns:
+                        continue
                     seen_turns.add(k)
-                    run.events.append(EventRecord(kind, s_star, st))
-                    if (controls.max_full_turns is not None
-                            and abs(k) >= controls.max_full_turns):
+                run.events.append(EventRecord(kind, s_star, st))
+                if cut_s is not None:
+                    continue
+                if kind is EventKind.AXIS_APPROACH:
+                    cut_s, cut_term = s_star, Termination.AXIS_REACHED
+                elif kind is EventKind.BLOWUP:
+                    cut_s, cut_term = s_star, Termination.EVENT_BUDGET
+                elif kind is EventKind.VERTICAL_TANGENT:
+                    n_vert += 1
+                    if (controls.max_vertical_tangents is not None
+                            and n_vert >= controls.max_vertical_tangents):
                         cut_s, cut_term = s_star, Termination.EVENT_BUDGET
-                        break
+                elif (controls.max_full_turns is not None
+                        and abs(k) >= controls.max_full_turns):
+                    cut_s, cut_term = s_star, Termination.EVENT_BUDGET
+            if cut_s is not None:
+                if (cut_s - t) * direction > 0.0:
+                    run.s.append(cut_s)
+                    run.y.append(at(cut_s))
+                run.termination = cut_term
+                return run
 
-        if cut_s is not None:
-            if (cut_s - run.s[-1]) * direction > 0.0:
-                run.s.append(cut_s)
-                run.y.append(np.asarray(seg(cut_s)))
-            run.termination = cut_term
-            return run
-
-        # --- equilibrium hold ----------------------------------------
-        theta_dot = a * math.sin(y_new[2]) / y_new[0] + b
-        if abs(math.cos(y_new[2])) < controls.equilibrium_tol and abs(theta_dot) < controls.equilibrium_tol:
+        # --- equilibrium hold: k7 = f(y_new) ---------------------------
+        if abs(k7x) < controls.equilibrium_tol and abs(k7t) < controls.equilibrium_tol:
             if hold_count == 0:
-                hold_start = s_new
+                hold_start = t_new
             hold_count += 1
             if hold_count >= _EQUILIBRIUM_HOLD_STEPS:
-                run.s.append(s_new)
-                run.y.append(y_new.copy())
+                run.s.append(t_new)
+                run.y.append(y_new)
                 run.events.append(EventRecord(EventKind.EQUILIBRIUM_HOLD, hold_start,
-                                              _state_at(seg, s_new)))
+                                              ProfileState(t_new, *y_new)))
                 run.termination = Termination.EQUILIBRIUM_DETECTED
                 return run
         else:
             hold_count = 0
             hold_start = None
 
-        run.s.append(s_new)
-        run.y.append(y_new.copy())
-        prev_axis, prev_blow, prev_vert, prev_turn = v_axis, v_blow, v_vert, v_turn
+        run.s.append(t_new)
+        run.y.append(y_new)
+        prev = cur
+        t, x, z, th = t_new, xn, zn, tn
+        k1x, k1z, k1t = k7x, k7z, k7t
+        if direction * (t - s_bound) >= 0:
+            run.termination = Termination.MAX_ARCLENGTH
+            return run
 
-    run.termination = Termination.MAX_ARCLENGTH
-    return run
 
-
-def _state_at(seg, s: float) -> ProfileState:
-    x, z, theta = np.asarray(seg(s))
-    return ProfileState(float(s), float(x), float(z), float(theta))
+def _packed_run(run: _DirectionRun) -> _Dense:
+    """The run's step interpolants, in the order the steps were taken."""
+    n = len(run.steps)
+    steps = np.array(run.steps, dtype=float).reshape(n, 19)
+    return _pack(np.array(run.s[:n], dtype=float), steps[:, 0],
+                 np.array(run.y[:n], dtype=float).reshape(n, 3), steps[:, 1:].reshape(n, 6, 3))
 
 
 def _equilibrium_trajectory(params: Params, ic: InitialConditions,
@@ -368,13 +509,19 @@ def _equilibrium_trajectory(params: Params, ic: InitialConditions,
     s = np.linspace(lo, span, 513 if controls.two_sided else 257)
     x = np.full_like(s, ic.x0)
     theta = np.full_like(s, ic.theta0)
-    z = math.sin(ic.theta0) * s
-    seg = _ConstantSegment(lo, span, ic.x0, ic.theta0)
+    dz = math.sin(ic.theta0)
+    z = dz * s
+    # One constant segment based at s = 0 with unit "step": x and theta
+    # frozen, z = sin(theta0) s.
+    c = np.zeros((1, 3, 4))
+    c[0, 1, 0] = dz
+    dense = _Dense(np.array([lo]), np.zeros(1), np.ones(1),
+                   np.array([[ic.x0, 0.0, ic.theta0]]), c)
     ev = EventRecord(EventKind.EQUILIBRIUM_HOLD, 0.0, ProfileState(0.0, ic.x0, 0.0, ic.theta0))
     return Trajectory(params, ic, controls, s, x, z, theta, [ev],
                       Termination.EQUILIBRIUM_DETECTED,
                       Termination.EQUILIBRIUM_DETECTED if controls.two_sided else None,
-                      [(lo, span, seg)])
+                      dense)
 
 
 def integrate(params: Params, ic: InitialConditions,
@@ -384,9 +531,9 @@ def integrate(params: Params, ic: InitialConditions,
     Runs forward on s in [0, max_arclength] and, when controls.two_sided is
     set, backward as well; the two runs are merged into a single trajectory
     with s increasing.  Sign-change events (axis approach, vertical tangents,
-    full turns, blowup) are refined by root bracketing on the dense output to
-    event_refine_tol.  Rest-point initial data short-circuits to an exact
-    vertical-line trajectory.
+    full turns, blowup) are refined by root bracketing on the step's dense
+    output to event_refine_tol.  Rest-point initial data short-circuits to an
+    exact vertical-line trajectory.
     """
     if not (ic.x0 > controls.axis_epsilon):
         raise NonPositiveRadius(
@@ -395,28 +542,22 @@ def integrate(params: Params, ic: InitialConditions,
         return _equilibrium_trajectory(params, ic, controls)
 
     fwd = _run_direction(params, ic, controls, +1)
+    dense = _packed_run(fwd)
+    s_all = np.array(fwd.s)
+    y_all = np.array(fwd.y)
+    events = list(fwd.events)
+    term_b = None
     if controls.two_sided:
         bwd = _run_direction(params, ic, controls, -1)
-    else:
-        bwd = None
-
-    if bwd is not None and len(bwd.s) > 1:
-        s_b = np.array(bwd.s[1:])[::-1]
-        y_b = np.array(bwd.y[1:])[::-1]
-        s_all = np.concatenate([s_b, np.array(fwd.s)])
-        y_all = np.vstack([y_b, np.array(fwd.y)])
-        segments = sorted(bwd.segments + fwd.segments, key=lambda t: t[0])
-        events = bwd.events + fwd.events
         term_b = bwd.termination
-    else:
-        s_all = np.array(fwd.s)
-        y_all = np.array(fwd.y)
-        segments = sorted(fwd.segments, key=lambda t: t[0])
-        events = list(fwd.events)
-        term_b = bwd.termination if bwd is not None else None
+        events = bwd.events + events
+        s_all = np.concatenate([np.array(bwd.s[:0:-1]), s_all])
+        y_all = np.vstack([np.array(bwd.y[:0:-1]).reshape(-1, 3), y_all])
+        back = _packed_run(bwd)
+        dense = _Dense(*(np.concatenate([b[::-1], f]) for b, f in zip(back, dense)))
 
     return Trajectory(params, ic, controls, s_all, y_all[:, 0], y_all[:, 1], y_all[:, 2],
-                      events, fwd.termination, term_b, segments)
+                      events, fwd.termination, term_b, dense)
 
 
 def detect_period(traj: Trajectory) -> tuple[float, float]:
@@ -489,34 +630,9 @@ def find_self_intersections(traj: Trajectory, window: Optional[tuple[float, floa
     """
     pts = traj.resample(n_samples, window)
     s_grid = pts[:, 0]
-    P = pts[:, 1:3]
-    A, B = P[:-1], P[1:]
-    n = len(A)
-    lo = np.minimum(A, B)
-    hi = np.maximum(A, B)
-
-    hits: list[tuple[int, int]] = []
-    block = 256
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        # Only pairs (i, j) with j >= i + 2 are candidates.
-        j0 = i0 + 2
-        if j0 >= n:
-            break
-        overlap = ((lo[i0:i1, None, 0] <= hi[None, j0:, 0])
-                   & (hi[i0:i1, None, 0] >= lo[None, j0:, 0])
-                   & (lo[i0:i1, None, 1] <= hi[None, j0:, 1])
-                   & (hi[i0:i1, None, 1] >= lo[None, j0:, 1]))
-        for di, dj in zip(*np.nonzero(overlap)):
-            i, j = i0 + di, j0 + dj
-            if j - i < 2:
-                continue
-            if _segments_cross(A[i], B[i], A[j], B[j]):
-                hits.append((i, j))
-
     records: list[IntersectionRecord] = []
     ds = s_grid[1] - s_grid[0]
-    for i, j in hits:
+    for i, j in _crossing_segments(pts[:, 1:3]):
         ref = _refine_crossing(traj, s_grid[i], s_grid[i + 1], s_grid[j], s_grid[j + 1])
         if ref is None:
             continue
@@ -531,16 +647,57 @@ def find_self_intersections(traj: Trajectory, window: Optional[tuple[float, floa
     return records
 
 
-def _segments_cross(p1, p2, p3, p4) -> bool:
+def _crossing_segments(P: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs (i, j), j >= i + 2, of crossing segments of the polyline P, sorted.
+
+    Segments P[i]P[i+1] and P[j]P[j+1] cross when their boxes overlap and
+    each one's end points lie strictly on opposite sides of the other's line.
+    """
+    A, B = P[:-1], P[1:]
+    i, j = _overlapping_boxes(np.minimum(A, B), np.maximum(A, B))
+    p1, p2, p3, p4 = A[i], B[i], A[j], B[j]
     d1 = _cross2(p4 - p3, p1 - p3)
     d2 = _cross2(p4 - p3, p2 - p3)
     d3 = _cross2(p2 - p1, p3 - p1)
     d4 = _cross2(p2 - p1, p4 - p1)
-    return (d1 * d2 < 0.0) and (d3 * d4 < 0.0)
+    cross = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    return list(zip(i[cross].tolist(), j[cross].tolist()))
 
 
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
+def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), j >= i + 2, of boxes [lo, hi] that overlap, sorted by (i, j).
+
+    Runs of 8 consecutive boxes are bounded first, and only the boxes of
+    overlapping runs are compared, 128 run pairs (8192 box pairs) at a time
+    to bound the memory.
+    """
+    run, batch = 8, 128
+    n = len(lo)
+    starts = np.arange(0, n, run)
+    run_lo, run_hi = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+    ri, rj = np.nonzero(np.triu(_boxes_overlap(run_lo[:, None], run_hi[:, None],
+                                               run_lo[None], run_hi[None])))
+    offsets = np.arange(run)
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
+    for k in range(0, len(ri), batch):
+        i = (ri[k:k + batch, None, None] * run + offsets[:, None]).repeat(run, axis=2).ravel()
+        j = (rj[k:k + batch, None, None] * run + offsets).repeat(run, axis=1).ravel()
+        keep = (j < n) & (j - i >= 2)
+        i, j = i[keep], j[keep]
+        keep = _boxes_overlap(lo[i], hi[i], lo[j], hi[j])
+        found.append((i[keep], j[keep]))
+    i, j = (np.concatenate(v) for v in zip(*found))
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def _boxes_overlap(lo1, hi1, lo2, hi2) -> np.ndarray:
+    return ((lo1[..., 0] <= hi2[..., 0]) & (hi1[..., 0] >= lo2[..., 0])
+            & (lo1[..., 1] <= hi2[..., 1]) & (hi1[..., 1] >= lo2[..., 1]))
+
+
+def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def _refine_crossing(traj: Trajectory, sa_lo, sa_hi, sb_lo, sb_hi,

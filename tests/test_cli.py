@@ -74,3 +74,18 @@ def test_sweep_summary_follows_grid_order(capsys, tmp_path):
     cells = [tuple(float(v) for v in row.split(",")[:3]) for row in rows[1:]]
     assert cells == [(-1.0, 1.0, 4.0), (-1.0, 1.0, 0.5), (-2.0, 1.0, 4.0), (-2.0, 1.0, 0.5)]
     assert len(list(tmp_path.glob("report_*.json"))) == 4
+
+
+def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):
+    code, doc = run_json(capsys, ["mesh", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "0",
+                                  "--max-arclength", "0.5", "-o", str(tmp_path)])
+    assert code == EXIT_INCONCLUSIVE
+    assert doc["error"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol", "--max-arclength"])
+def test_phase_rejects_integration_flags(capsys, tmp_path, flag):
+    code, captured = run(capsys, ["phase", "-a", "3", "-b", "1", flag, "1e-4",
+                                  "-o", str(tmp_path)])
+    assert code == EXIT_INVALID
+    assert flag in captured.err

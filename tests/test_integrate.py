@@ -3,12 +3,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45, OdeSolution
 
+from wlw.classify import default_controls
 from wlw.errors import InvalidParameter, NoFullTurn, NonPositiveRadius, NotVertical
 from wlw.integrate import (
     EventKind,
     IntegrationControls,
     Termination,
+    _crossing_segments,
     check_horizontal_symmetry,
     detect_period,
     find_self_intersections,
@@ -43,6 +46,15 @@ class TestEquilibrium:
         assert kinds == {EventKind.EQUILIBRIUM_HOLD}
         # z grows like arclength: the vertical line
         np.testing.assert_allclose(traj.z, traj.s * math.sin(PI / 2), rtol=0, atol=0)
+
+    def test_rest_point_evaluates_to_vertical_line(self):
+        theta0 = 1.5 * PI
+        traj = integrate(Params(3, 1), InitialConditions(3.0, theta0))
+        s = np.linspace(traj.s_min, traj.s_max, 101)
+        x, z, theta = traj.eval(s)
+        assert np.all(x == 3.0)
+        assert np.all(theta == theta0)
+        np.testing.assert_allclose(z, math.sin(theta0) * s, rtol=0, atol=1e-12)
 
     def test_positive_a_cylinder(self):
         traj = integrate(Params(3, 1), InitialConditions(3.0, 1.5 * PI))
@@ -174,6 +186,72 @@ class TestTrajectoryInvariants:
             vesicle_traj.eval(vesicle_traj.s_max + 1.0)
 
 
+def _scipy_reference(traj):
+    """scipy's RK45 driven with the same controls and axis clamp over traj's span."""
+    a, b, c = traj.params.a, traj.params.b, traj.controls
+
+    def f(s, y):
+        if y[0] <= 0.0:
+            return np.full(3, np.nan)
+        return np.array([math.cos(y[2]), math.sin(y[2]), a * math.sin(y[2]) / y[0] + b])
+
+    sols = {}
+    for direction, end in ((1, traj.s_max), (-1, traj.s_min)):
+        if direction * end <= 0.0:
+            continue
+        solver = RK45(f, 0.0, np.array([traj.ic.x0, 0.0, traj.ic.theta0]),
+                      t_bound=direction * c.max_arclength, rtol=c.rel_tol, atol=c.abs_tol)
+        ts, pieces = [0.0], []
+        while solver.status == "running" and direction * solver.t < direction * end:
+            solver.max_step = max(0.8 * solver.y[0], 4.0 * c.axis_epsilon)
+            solver.step()
+            ts.append(solver.t)
+            pieces.append(solver.dense_output())
+        sols[direction] = OdeSolution(ts, pieces)
+
+    def evaluate(s):
+        out = np.empty((3, s.size))
+        for direction, sol in sols.items():
+            mask = s >= 0.0 if direction > 0 else s < 0.0
+            out[:, mask] = sol(s[mask])
+        return out
+    return evaluate
+
+
+ORBITS = ["nodoid_traj", "unduloid_traj", "vesicle_traj", "antinodoid_traj", "circle_traj",
+          "exp_traj"]
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize("orbit", ORBITS)
+    def test_agrees_with_scipy_rk45(self, orbit, request):
+        # Step grids drift apart by rounding, so compare dense solutions.
+        traj = request.getfixturevalue(orbit)
+        s = np.linspace(traj.s_min, traj.s_max, 1000)
+        np.testing.assert_allclose(traj.eval(s), _scipy_reference(traj)(s), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("orbit", ORBITS)
+    def test_reproduces_stored_samples(self, orbit, request):
+        traj = request.getfixturevalue(orbit)
+        x, z, theta = traj.eval(traj.s)
+        for got, want in ((x, traj.x), (z, traj.z), (theta, traj.theta)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestCoincidentEvents:
+    def test_every_full_turn_of_the_nodoid_is_a_vertical_tangent(self):
+        # At theta0 = pi/2 each full turn sits on a vertical tangent; the
+        # tangent is kept even where the turn budget cuts the run.
+        params, ic = Params(-2, 1), InitialConditions(4.0, PI / 2)
+        controls = default_controls(params, ic)
+        traj = integrate(params, ic, controls)
+        tangents = np.array([e.s for e in traj.events_of(EventKind.VERTICAL_TANGENT)])
+        turns = traj.events_of(EventKind.FULL_TURN)
+        assert {e.s > 0.0 for e in turns} == {True, False}
+        for e in turns:
+            assert np.abs(tangents - e.s).min() <= controls.event_refine_tol
+
+
 class TestDeterminism:
     def test_bitwise_repeatable_across_threads(self):
         params, ic = Params(-2, 1), InitialConditions(4.0, PI / 2)
@@ -229,3 +307,32 @@ class TestSelfIntersections:
 
     def test_unduloid_is_embedded(self, unduloid_traj):
         assert find_self_intersections(unduloid_traj) == []
+
+    @pytest.mark.parametrize("polyline", ["nodoid", "random_walk"])
+    def test_crossing_segments_match_pairwise_loop(self, nodoid_traj, polyline):
+        if polyline == "nodoid":
+            P = nodoid_traj.resample(301, window=(0.0, 20.0))[:, 1:3]
+        else:
+            P = np.random.default_rng(0).standard_normal((301, 2)).cumsum(axis=0)
+        assert _crossing_segments(P) == _crossing_segments_loop(P)
+
+
+def _crossing_segments_loop(P):
+    """Pairwise reference: box overlap, then the orientation test per pair."""
+    def cross2(u, v):
+        return float(u[0] * v[1] - u[1] * v[0])
+
+    hits = []
+    for i in range(len(P) - 1):
+        p1, p2 = P[i], P[i + 1]
+        for j in range(i + 2, len(P) - 1):
+            p3, p4 = P[j], P[j + 1]
+            if (min(p1[0], p2[0]) > max(p3[0], p4[0]) or max(p1[0], p2[0]) < min(p3[0], p4[0])
+                    or min(p1[1], p2[1]) > max(p3[1], p4[1])
+                    or max(p1[1], p2[1]) < min(p3[1], p4[1])):
+                continue
+            d1, d2 = cross2(p4 - p3, p1 - p3), cross2(p4 - p3, p2 - p3)
+            d3, d4 = cross2(p2 - p1, p3 - p1), cross2(p2 - p1, p4 - p1)
+            if d1 * d2 < 0.0 and d3 * d4 < 0.0:
+                hits.append((i, j))
+    return hits
