@@ -63,11 +63,14 @@ def parse_angle(text: str) -> float:
 def parse_range(text: str) -> list[float]:
     """'lo:hi:n' inclusive grids, or a single value."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise InvalidParameter(f"range must be 'lo:hi:count', got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        if len(parts) == 1:
+            return [float(parts[0])]
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise InvalidParameter(f"cannot parse range {text!r}") from exc
     if n < 1:
         raise InvalidParameter(f"range count must be >= 1, got {n}")
     if n == 1:

@@ -706,8 +706,7 @@ def _refine_crossing(traj: Trajectory, sa_lo, sa_hi, sb_lo, sb_hi,
     sb = 0.5 * (sb_lo + sb_hi)
     tol = traj.controls.event_refine_tol
     for _ in range(max_iter):
-        xa, za, tha = traj.eval(sa)
-        xb, zb, thb = traj.eval(sb)
+        (xa, xb), (za, zb), (tha, thb) = traj.eval([sa, sb])
         fx, fz = xa - xb, za - zb
         if abs(fx) + abs(fz) < 1e-13:
             return float(sa), float(sb)

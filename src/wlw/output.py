@@ -42,23 +42,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    with open(path, "r", newline="\n") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
-    data = np.array(rows) if rows else np.empty((0, len(header)))
-    return {name: data[:, i] for i, name in enumerate(header)}
-
-
-def rewrite_trajectory_csv(columns: dict[str, np.ndarray], path) -> None:
-    names = list(columns)
-    lines = [",".join(names)]
-    for row in zip(*(columns[n] for n in names)):
-        lines.append(",".join(fnum(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def events_to_dict(traj: Trajectory,
                    intersections: Optional[Sequence[IntersectionRecord]] = None) -> dict:
     events = [{
@@ -307,20 +290,3 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
             lines.append(f"f {a_}//{a_} {d_}//{d_} {c_}//{c_}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_obj_mesh(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertices, normals and triangle index array (0-based) from an OBJ file."""
-    verts, norms, faces = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "v":
-                verts.append([float(t) for t in tok[1:4]])
-            elif tok[0] == "vn":
-                norms.append([float(t) for t in tok[1:4]])
-            elif tok[0] == "f":
-                faces.append([int(t.split("/")[0]) - 1 for t in tok[1:4]])
-    return np.array(verts), np.array(norms), np.array(faces, dtype=int)

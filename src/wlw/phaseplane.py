@@ -1,4 +1,4 @@
-"""Equilibria, linearization and shooting for the autonomous tangent flow.
+"""Equilibria, linearization, shooting and portraits for the tangent flow.
 
 Multiplying the (theta, x) projection of the profile ODE by x removes the
 axis pole and gives the polynomial vector field
@@ -7,7 +7,9 @@ axis pole and gives the polynomial vector field
 
 on [0, 2*pi] x {x >= 0}.  Its rest points organize the whole classification:
 two on the axis, and (for b != 0) one interior point at x = |a|/b that is a
-saddle for a > 0 and a center for a < 0.
+saddle for a > 0 and a center for a < 0.  Since V is the profile field times
+x, its orbits with x > 0 are the (theta, x) projections of profile curves, and
+portraits draw them with the profile integrator.
 """
 
 from __future__ import annotations
@@ -18,11 +20,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DegenerateEigenvalue, InvalidParameter, NoBracket
-from .integrate import EventKind, IntegrationControls, Termination, integrate
+from .integrate import EventKind, IntegrationControls, integrate
 from .model import InitialConditions, Params
+
+
+# Arclength budget of a portrait orbit in seed radii: about 40 in the time
+# sigma of V (ds = x dsigma), so cycles around the a < 0 center close but are
+# not redrawn many times.
+_ORBIT_SPAN = 40.0
 
 
 class SingularityKind(str, enum.Enum):
@@ -52,7 +59,6 @@ class PortraitSpec:
     n_theta: int = 24
     n_x: int = 13
     orbit_seeds: Optional[Sequence[tuple[float, float]]] = None
-    orbit_span: float = 40.0
 
     def __post_init__(self):
         if not (self.x_max > 0.0 and self.theta_max > self.theta_min):
@@ -173,30 +179,28 @@ def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
     return 0.5 * (x_lo + x_hi)
 
 
-def integrate_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec,
-                    rtol: float = 1e-10, atol: float = 1e-12,
-                    s_span: Optional[float] = None) -> np.ndarray:
-    """One integral curve of the autonomous field, clipped to the portrait box."""
-    a, b = params.a, params.b
+def integrate_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -> np.ndarray:
+    """(theta, x) samples of the profile curve through seed = (theta, x).
 
-    def f(s, y):
-        return [a * math.sin(y[0]) + b * y[1], y[1] * math.cos(y[0])]
-
-    span = s_span if s_span is not None else spec.orbit_span
+    The curve is integrated both ways, and each side is kept out to its first
+    sample outside the box theta in [theta_min, theta_max] +/- 5 % of the
+    range, x <= 1.05*x_max.  A side ends sooner where the profile reaches the
+    axis (x = axis_epsilon), turns its tangent once around, or runs
+    _ORBIT_SPAN seed radii.
+    """
+    theta_seed, x_seed = seed
+    x_top = 1.05 * spec.x_max
+    controls = IntegrationControls(max_arclength=_ORBIT_SPAN * x_seed, x_blowup=x_top,
+                                   max_full_turns=1)
+    traj = integrate(params, InitialConditions(x_seed, theta_seed), controls)
     margin = 0.05 * (spec.theta_max - spec.theta_min)
-
-    def leave_box(s, y):
-        return min(y[0] - (spec.theta_min - margin), (spec.theta_max + margin) - y[0],
-                   (1.05 * spec.x_max) - y[1])
-    leave_box.terminal = True
-
-    pieces = []
-    for sign in (1.0, -1.0):
-        sol = solve_ivp(f, (0.0, sign * span), list(seed), rtol=rtol, atol=atol,
-                        events=[leave_box], max_step=span / 50.0)
-        arc = sol.y.T
-        pieces.append(arc[::-1] if sign < 0 else arc)
-    return np.vstack([pieces[1], pieces[0][1:]])
+    outside = np.flatnonzero((traj.theta < spec.theta_min - margin)
+                             | (traj.theta > spec.theta_max + margin) | (traj.x > x_top))
+    i_seed = int(np.searchsorted(traj.s, 0.0))
+    before, after = outside[outside < i_seed], outside[outside > i_seed]
+    lo = before[-1] if before.size else 0
+    hi = after[0] + 1 if after.size else len(traj.s)
+    return np.column_stack([traj.theta[lo:hi], traj.x[lo:hi]])
 
 
 def phase_portrait(params: Params, spec: PortraitSpec) -> PhasePortrait:

@@ -11,10 +11,10 @@ finite differences of samples), the closed-form critical-curve
 parametrizations, and the obstruction integral that rules out closed
 extremals for mu = 0.
 
-Powers of a negative base arise only when a profile crosses theta' = mu;
-they are taken in the odd real continuation sign(u)*|u|^q (exact whenever the
-exponent is an integer or has an odd-denominator rational form, as in the
-a < 0 family).
+Powers of a negative base arise where theta' < mu, as on the a < 0 family;
+they are taken in the real continuation (-1)^floor(q) * |u|^q, which is exact
+for integer q and keeps u^q = u * u^(q-1) and d/du u^q = q * u^(q-1) for
+every q, the identities the Euler-Lagrange terms are derived with.
 """
 
 from __future__ import annotations
@@ -101,11 +101,16 @@ def inverse_exponent_map(ep: EnergyParams) -> Params:
 
 
 def real_power(u, q: float):
-    """u**q extended to negative bases by the odd continuation sign(u)*|u|**q."""
+    """u**q extended to negative bases by (-1)**floor(q) * |u|**q.
+
+    This is u**q for integer q, and for every q it satisfies
+    d/du u**q = q * u**(q-1) and u**q = u * u**(q-1) on both signs of u.
+    """
     u = np.asarray(u, dtype=float)
     if abs(q - round(q)) < 1e-12:
         return np.power(u, round(q))
-    return np.where(u >= 0.0, np.power(np.abs(u), q), -np.power(np.abs(u), q))
+    sign = -1.0 if math.floor(q) % 2 else 1.0
+    return np.where(u >= 0.0, 1.0, sign) * np.power(np.abs(u), q)
 
 
 def theta_derivatives(traj: Trajectory, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

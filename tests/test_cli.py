@@ -48,6 +48,15 @@ def test_invalid_parameter_exits_invalid(capsys):
     assert doc["error"] == "InvalidParameter"
 
 
+@pytest.mark.parametrize("a", ["abc", "1:2:2.5"])
+def test_unparsable_sweep_range_exits_invalid(capsys, tmp_path, a):
+    code, doc = run_json(capsys, ["sweep", "-a", a, "-b", "1", "--x0", "1",
+                                  "-o", str(tmp_path)])
+    assert code == EXIT_INVALID
+    assert doc["error"] == "InvalidParameter"
+    assert a in doc["message"]
+
+
 def test_missing_required_flag_exits_invalid(capsys):
     code, captured = run(capsys, ["classify", "-a", "1", "-b", "1"])
     assert code == EXIT_INVALID

@@ -14,10 +14,7 @@ from wlw.output import (
     events_to_dict,
     fnum,
     load_report_schema,
-    read_obj_mesh,
-    read_trajectory_csv,
     report_to_dict,
-    rewrite_trajectory_csv,
     write_events_json,
     write_obj_mesh,
     write_phase_svg,
@@ -28,6 +25,40 @@ from wlw.output import (
 from wlw.phaseplane import PortraitSpec, critical_points, phase_portrait
 
 PI = math.pi
+
+
+def read_trajectory_csv(path) -> dict[str, np.ndarray]:
+    with open(path, "r", newline="\n") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
+    data = np.array(rows) if rows else np.empty((0, len(header)))
+    return {name: data[:, i] for i, name in enumerate(header)}
+
+
+def rewrite_trajectory_csv(columns: dict[str, np.ndarray], path) -> None:
+    names = list(columns)
+    lines = [",".join(names)]
+    for row in zip(*(columns[n] for n in names)):
+        lines.append(",".join(fnum(v) for v in row))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_obj_mesh(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices, normals and triangle index array (0-based) from an OBJ file."""
+    verts, norms, faces = [], [], []
+    with open(path) as fh:
+        for line in fh:
+            tok = line.split()
+            if not tok:
+                continue
+            if tok[0] == "v":
+                verts.append([float(t) for t in tok[1:4]])
+            elif tok[0] == "vn":
+                norms.append([float(t) for t in tok[1:4]])
+            elif tok[0] == "f":
+                faces.append([int(t.split("/")[0]) - 1 for t in tok[1:4]])
+    return np.array(verts), np.array(norms), np.array(faces, dtype=int)
 
 
 class TestCsv:

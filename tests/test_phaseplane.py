@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.spatial import cKDTree
 
-from wlw.errors import DegenerateEigenvalue, InvalidParameter, NoBracket
+from wlw.errors import DegenerateEigenvalue, InvalidParameter, NoBracket, NonPositiveRadius
 from wlw.integrate import EventKind, IntegrationControls, integrate
-from wlw.model import InitialConditions, Params, rescale
+from wlw.model import AXIS_EPSILON, InitialConditions, Params, rescale
 from wlw.phaseplane import (
     PortraitSpec,
     SingularityKind,
@@ -14,6 +15,7 @@ from wlw.phaseplane import (
     classify_singularity,
     critical_points,
     find_separatrix,
+    integrate_orbit,
     linearize,
     phase_portrait,
 )
@@ -165,6 +167,60 @@ class TestSeparatrix:
         assert xbar2 == pytest.approx(15.588, abs=0.05)
 
 
+def _box(spec):
+    margin = 0.05 * (spec.theta_max - spec.theta_min)
+    return spec.theta_min - margin, spec.theta_max + margin, 1.05 * spec.x_max
+
+
+def _in_box(points, spec):
+    lo, hi, top = _box(spec)
+    return (points[:, 0] >= lo) & (points[:, 0] <= hi) & (points[:, 1] <= top)
+
+
+def _reference_arcs(params, seed, spec, span=100.0):
+    """solve_ivp orbits of V from seed, forward then backward in its own time.
+
+    Each is a (solution, time of its first box exit or None) pair; it runs on
+    to twice the box so that the first exit lies inside it.
+    """
+    lo, hi, top = _box(spec)
+    a, b = params.a, params.b
+
+    def f(t, y):
+        return [a * math.sin(y[0]) + b * y[1], y[1] * math.cos(y[0])]
+
+    def leave_box(t, y):
+        return min(y[0] - lo, hi - y[0], top - y[1])
+
+    def leave_twice_the_box(t, y):
+        return min(y[0] - 2.0 * lo, 2.0 * hi - y[0], 2.0 * top - y[1])
+    leave_twice_the_box.terminal = True
+
+    arcs = []
+    for sign in (1.0, -1.0):
+        sol = solve_ivp(f, (0.0, sign * span), list(seed), rtol=1e-10, atol=1e-12,
+                        events=[leave_box, leave_twice_the_box], dense_output=True)
+        exits = sol.t_events[0]
+        arcs.append((sol, exits[0] if exits.size else None))
+    return arcs
+
+
+def _project(params, points, sol):
+    """Foot times and distances of points on a reference arc: the nearest
+    sample, then Gauss-Newton steps along the field on the dense output."""
+    t_end = sol.t[-1]
+    ts = np.linspace(0.0, t_end, int(abs(t_end) / 0.01) + 2)
+    _, j = cKDTree(sol.sol(ts).T).query(points)
+    t = ts[j]
+    for _ in range(4):
+        y = sol.sol(t)
+        v = np.array(autonomous_rhs(params, y[0], y[1]))
+        vv = (v * v).sum(axis=0)
+        step = ((points.T - y) * v).sum(axis=0) / np.where(vv > 1e-20, vv, np.inf)
+        t = np.clip(t + step, min(0.0, t_end), max(0.0, t_end))
+    return t, np.hypot(*(points.T - sol.sol(t)))
+
+
 class TestPortrait:
     def test_grid_in_box_and_boundary_tangency(self):
         spec = PortraitSpec(x_max=4.0, n_theta=9, n_x=5, orbit_seeds=[(0.0, 1.0)])
@@ -207,6 +263,41 @@ class TestPortrait:
         window = rising & (th_prof >= lo) & (th_prof <= hi)
         x_interp = np.interp(th_prof[window], th_orb, x_orb)
         np.testing.assert_allclose(x_interp, x_prof[window], atol=1e-6)
+
+    @pytest.mark.parametrize("a", [2.0, -2.0])
+    def test_orbits_match_reference_and_stop_at_first_box_exit(self, a):
+        # Each portrait orbit is the profile curve through its seed; it must
+        # trace the orbit of V itself, and each side must end at its first
+        # box exit unless the profile run was cut short first.
+        params, spec = Params(a, 1), PortraitSpec(x_max=5.0)
+        portrait = phase_portrait(params, spec)
+        seeds = [(t0, x) for t0 in (0.0, 0.5 * PI, PI, 1.5 * PI)
+                 for x in np.linspace(5.0 / 6.0, 25.0 / 6.0, 3)]
+        assert len(portrait.orbits) == len(seeds)
+        top = _box(spec)[2]
+        for seed, orbit in zip(seeds, portrait.orbits):
+            inside = _in_box(orbit, spec)
+            assert inside[1:-1].all()
+            arcs = _reference_arcs(params, seed, spec)
+            dist = np.min([_project(params, orbit[inside], sol)[1] for sol, _ in arcs], axis=0)
+            assert dist.max() < 1e-6, (seed, dist.max())
+            for ends, (sol, t_exit) in ((orbit[-2:], arcs[0]), (orbit[1::-1], arcs[1])):
+                if not _in_box(ends[1:], spec)[0]:
+                    # the last step crosses the reference's first exit
+                    t, d = _project(params, ends, sol)
+                    assert d.max() < 1e-6 and t_exit is not None
+                    assert abs(t[0]) < abs(t_exit) <= abs(t[1]) + 1e-9, (seed, t, t_exit)
+                    continue
+                end = ends[1]
+                at_axis = end[1] <= AXIS_EPSILON * (1.0 + 1e-6)
+                at_top = abs(end[1] - top) <= 1e-9 * top
+                full_turn = abs(abs(end[0] - seed[0]) - 2.0 * PI) < 1e-9
+                closed = t_exit is None
+                assert at_axis or at_top or full_turn or closed, (seed, end)
+
+    def test_seed_on_the_axis_is_rejected(self):
+        with pytest.raises(NonPositiveRadius):
+            integrate_orbit(Params(2, 1), (0.5 * PI, AXIS_EPSILON), PortraitSpec(x_max=5.0))
 
     def test_cycle_closure_around_center(self):
         # a < 0: orbits near (pi/2, -a/b) are closed cycles

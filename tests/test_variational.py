@@ -97,6 +97,21 @@ class TestThetaDerivatives:
         np.testing.assert_allclose(tppp, fd3, atol=1e-3)
 
 
+class TestRealPower:
+    @pytest.mark.parametrize("q", [2.0 / 3.0, -1.0 / 3.0, -4.0 / 3.0, 1.5, -2.5, 0.3, 3.0])
+    def test_power_rules_hold_for_negative_base(self, q):
+        u = np.linspace(-2.0, -0.5, 7)
+        h = 1e-6
+        fd = (real_power(u + h, q) - real_power(u - h, q)) / (2.0 * h)
+        np.testing.assert_allclose(fd, q * real_power(u, q - 1.0), rtol=1e-8)
+        np.testing.assert_allclose(real_power(u, q), u * real_power(u, q - 1.0), rtol=1e-14)
+
+    def test_integer_exponents_are_exact(self):
+        u = np.array([-8.0, -0.5, 3.0])
+        np.testing.assert_array_equal(real_power(u, 3.0), u**3)
+        np.testing.assert_array_equal(real_power(u, -2.0), u**-2.0)
+
+
 class TestEulerLagrangeResiduals:
     def test_power_residual_vanishes_on_trajectory(self, vesicle_traj):
         ep = exponent_map(Params(3, 1))
@@ -116,6 +131,20 @@ class TestEulerLagrangeResiduals:
                                              axis_epsilon=1e-3))
         with pytest.raises(NearSingular):
             el_residual_power(traj, exponent_map(Params(-2, 1)))
+
+    @pytest.mark.parametrize("a,b,x0,theta0", [
+        (-2.0, 0.0, 1.0, PI / 2),
+        (-1.0, 0.0, 1.0, PI / 2),
+        (-2.0, 1.0, 0.5, PI / 2),
+        (-2.37, 0.8, 0.7, PI / 2),
+    ])
+    def test_power_residual_vanishes_for_negative_a(self, a, b, x0, theta0):
+        # theta' - mu < 0 along these profiles, so every power has a negative base
+        params = Params(a, b)
+        traj = integrate(params, InitialConditions(x0, theta0),
+                         IntegrationControls(max_arclength=20.0))
+        prof = el_residual_power(traj, exponent_map(params))
+        assert prof.max_relative < 1e-6
 
     def test_exp_residual_vanishes(self, exp_traj):
         prof = el_residual_exp(exp_traj, ExpEnergyParams(nu=1.0))
