@@ -5,6 +5,21 @@ recognized algebraically, the pure linear case b = 0 is settled by the sign
 of a, and everything else is read off one integration - axis hits with pole
 ordering, bounded tangent oscillation, full tangent turns with translation
 periodicity, or asymptotic capture by the interior saddle.
+
+How far that integration runs is decided by the first integral H of
+levelset.py.  An orbit whose radius turns at two finite radii x_lo > 0 and
+x_hi < inf, at both of which the tangent turns transversally, is periodic:
+it runs forward only, over PERIODS_READ + 0.1 periods T from the quadrature,
+which covers everything the report reads.  That cut run is dropped, and the
+given controls are run both ways instead, when it is truncated or when its
+winding disagrees with the level set's: ends of opposite sign predict a full
+turn within PERIOD_AGREEMENT of T, ends of one sign predict none.  Every
+other orbit - axis-reaching or unbounded, with a tangential end near the
+rest-point radius |a/b| (the separatrix and its neighbours), with a failed
+quadrature, or with a level set that floats cannot resolve (x0^(-a)
+overflowing, or a near 1) - runs both ways to the given budgets.  A winding
+orbit is a Nodoid when its z shift per period has the sign of sin(theta) at
+x_hi, and an Antinodoid otherwise.
 """
 
 from __future__ import annotations
@@ -12,11 +27,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad
 
+from . import levelset
 from .errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
 from .integrate import (
     EventKind,
@@ -34,7 +50,20 @@ from .model import FirstIntegralValue, InitialConditions, Params, canonicalize, 
 POLE_ORDER_TOL = 1e-5
 
 # Saddle-capture band in theta (around 3*pi/2 mod 2*pi) and in x (around a/b).
+# A turning radius within this relative distance of the rest-point radius
+# |a/b| counts as tangential: such orbits run the full budgets.
 CAPTURE_BAND = 1e-3
+
+# Periods of a periodic orbit that the report reads: _count_loops_per_period
+# collects crossings over this many, and detect_period checks the translation
+# over the first two.  A cut run spans a tenth of a period more.
+PERIODS_READ = 2.1
+
+# A cut run of a winding orbit must make its first full turn within this
+# relative distance of the quadrature period.  On the sweep grids of the
+# benchmark's seeds 0-3 they agree to 5.7e-9 at the default tolerances (the
+# quadrature agrees with a run at rel_tol 1e-13 to 7.2e-12).
+PERIOD_AGREEMENT = 1e-6
 
 
 class SurfaceTag(str, enum.Enum):
@@ -157,7 +186,11 @@ def default_controls(params: Params, ic: InitialConditions) -> IntegrationContro
     """Classification budgets; the arclength scales with the homothety size.
 
     rescale(lam) maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class, so
-    the arclength budget grows with max(x0, |a/b|).
+    the arclength budget grows with max(x0, |a/b|).  classify_surface narrows
+    these for a periodic orbit with transversal turning radii: forward only,
+    and at most PERIODS_READ + 0.1 quadrature periods of arclength.  It falls
+    back to them unchanged when that cut run is truncated or its winding
+    disagrees with the level set's.
     """
     scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
     return IntegrationControls(max_arclength=200.0 * scale,
@@ -207,28 +240,97 @@ def _monotone_theta(traj: Trajectory) -> bool:
     return bool(np.all(d >= -tol) or np.all(d <= tol))
 
 
-def _count_loops_per_period(traj: Trajectory, period: float) -> tuple[int, Optional[bool]]:
-    """Loops per period and whether they curl toward the axis.
+def _count_loops_per_period(traj: Trajectory, period: float) -> int:
+    """Loops per period.
 
-    Crossings are collected over two periods and attributed to the period
-    containing their first parameter, so pairs straddling a period boundary
-    are not lost.  A loop curls toward the axis when the arc between its
-    crossing parameters carries the innermost radius of the trajectory.
+    Crossings are collected over PERIODS_READ periods and attributed to the
+    period containing their first parameter, so pairs straddling a period
+    boundary are not lost.
     """
     lo = max(0.0, traj.s_min)
-    hi = min(lo + 2.1 * period, traj.s_max)
+    hi = min(lo + PERIODS_READ * period, traj.s_max)
     records = find_self_intersections(traj, window=(lo, hi))
-    in_first = [r for r in records if lo <= r.s_a < lo + period]
     if not records:
-        return 0, None
-    toward_votes = []
-    for r in records:
-        arc = traj.eval(np.linspace(r.s_a, r.s_b, 101))[0]
-        inner_gap = arc.min() - traj.x.min()
-        outer_gap = traj.x.max() - arc.max()
-        toward_votes.append(inner_gap < outer_gap)
-    toward = sum(toward_votes) > len(toward_votes) / 2
-    return max(len(in_first), 1), toward
+        return 0
+    return max(sum(1 for r in records if lo <= r.s_a < lo + period), 1)
+
+
+class _Level(NamedTuple):
+    """The level of H through the initial state and its turning radii.
+
+    sin_lo and sin_hi are f_H = +-1 at x_lo and x_hi, and nan at an end on
+    the axis (0.0) or at infinity.
+    """
+    h: float
+    x_lo: float
+    x_hi: float
+    sin_lo: float
+    sin_hi: float
+
+
+def _level_set(params: Params, ic: InitialConditions) -> Optional[_Level]:
+    """The level set of the orbit, or None where floats cannot resolve it.
+
+    x0^(-a) in H, and x^a in f_H at far turning radii, can leave the float
+    range at extreme x0, a or b, and near a = 1 the two terms of f_H cancel;
+    classify then runs the given controls and reads the report off the
+    trajectory alone.
+    """
+    def sin_at(x):
+        if not 0.0 < x < math.inf:
+            return math.nan
+        return math.copysign(1.0, levelset.f_H(params, h, x))
+
+    try:
+        h = levelset.H(params, ic.x0, ic.theta0)
+        x_lo, x_hi = levelset.turning_radii(params, h, ic.x0, ic.theta0)
+        return _Level(h, x_lo, x_hi, sin_at(x_lo), sin_at(x_hi))
+    except ArithmeticError:
+        return None
+
+
+def _transversal(params: Params, x_end: float, sin_end: float) -> bool:
+    # f_H'(x) = a f_H(x)/x + b, and f_H = +-1 at a turning radius.
+    return abs(sin_end * params.a + params.b * x_end) > CAPTURE_BAND * abs(params.a)
+
+
+def _integrate_cut(params: Params, ic: InitialConditions, controls: IntegrationControls,
+                   level: _Level) -> Optional[Trajectory]:
+    """The forward run over PERIODS_READ + 0.1 periods of a periodic orbit.
+
+    None when the orbit does not qualify or the cut run cannot be trusted
+    (see the module docstring); the caller then runs the given controls.
+    """
+    h, x_lo, x_hi, sin_lo, sin_hi = level
+    if not (0.0 < x_lo and x_hi < math.inf
+            and _transversal(params, x_lo, sin_lo) and _transversal(params, x_hi, sin_hi)):
+        return None
+    try:
+        T = levelset.period(params, h, x_lo, x_hi)
+    except (QuadratureFailure, ArithmeticError):
+        return None
+    run = replace(controls, two_sided=False,
+                  max_arclength=min(controls.max_arclength, (PERIODS_READ + 0.1) * T))
+    traj = integrate(params, ic, run)
+    if traj.termination in (Termination.MAX_STEPS, Termination.STEP_FAILURE):
+        return None
+    turns = [e.s for e in traj.events_of(EventKind.FULL_TURN)
+             if abs(round((e.state.theta - ic.theta0) / math.tau)) == 1]
+    winds = sin_lo * sin_hi < 0.0
+    if winds != bool(turns) or (winds and abs(turns[0] - T) > PERIOD_AGREEMENT * T):
+        return None
+    return traj
+
+
+def _sin_at_outer_turn(traj: Trajectory, level: Optional[_Level]) -> float:
+    """sin(theta) = +-1 where the radius of a winding orbit turns outward.
+
+    From the level set when it has a finite x_hi, else from the outermost
+    sample, where the tangent is vertical to within a step.
+    """
+    if level is not None and level.x_hi < math.inf:
+        return level.sin_hi
+    return math.sin(traj.theta[np.argmax(traj.x)])
 
 
 def classify_surface(params: Params, ic: InitialConditions,
@@ -286,7 +388,12 @@ def _classify_canonical(params: Params, ic: InitialConditions,
         # the integration noise, so the axis threshold must sit above it.
         controls = replace(controls, axis_epsilon=max(controls.axis_epsilon, 1e-4 * ic.x0))
 
-    traj = integrate(params, ic, controls)
+    level = _level_set(params, ic)
+    traj = None
+    if level is not None and sphere_radius is None:
+        traj = _integrate_cut(params, ic, controls, level)
+    if traj is None:
+        traj = integrate(params, ic, controls)
     pole_z = _pole_heights(traj)
     captured = _capture_window(traj, params)
     winding = [e for e in traj.events_of(EventKind.FULL_TURN)
@@ -308,13 +415,14 @@ def _classify_canonical(params: Params, ic: InitialConditions,
 
     if winding:
         period, z_shift = detect_period(traj)
-        n_loops, toward_axis = _count_loops_per_period(traj, period)
-        if toward_axis is None:
-            toward_axis = a < 0.0
+        # The loops curl toward the axis when the curve rises per period in
+        # the direction it points at its outer turning radius.
+        toward_axis = z_shift * _sin_at_outer_turn(traj, level) > 0.0
         tag = SurfaceTag.NODOID if toward_axis else SurfaceTag.ANTINODOID
         return _report(SurfaceClass(tag), traj, params, ic,
                        period=period, z_shift=z_shift,
-                       self_intersections=n_loops, theta_range=None)
+                       self_intersections=_count_loops_per_period(traj, period),
+                       theta_range=None)
 
     if pole_z is not None:
         if _monotone_theta(traj):
@@ -341,7 +449,9 @@ def _classify_canonical(params: Params, ic: InitialConditions,
         Termination.MAX_STEPS, Termination.STEP_FAILURE}
     if a < 0.0 and span < math.tau and not truncated:
         return _report(SurfaceClass(SurfaceTag.UNDULOID), traj, params, ic,
-                       self_intersections=0, theta_range=traj.theta_range())
+                       self_intersections=0,
+                       theta_range=_unduloid_theta_range(params, ic, level)
+                       or traj.theta_range())
 
     raise Inconclusive(
         "no classification criterion fired before the integration budget ended",
@@ -384,6 +494,21 @@ def _classify_pure_linear(params: Params, ic: InitialConditions,
     tag = SurfaceTag.CATENOID_ENTIRE if a >= -1.0 else SurfaceTag.CATENOID_BOUNDED
     return _report(SurfaceClass(tag), traj, params, ic,
                    self_intersections=0, theta_range=traj.theta_range())
+
+
+def _unduloid_theta_range(params: Params, ic: InitialConditions,
+                          level: Optional[_Level]) -> Optional[tuple[float, float]]:
+    """[arcsin f_min, pi - arcsin f_min] about the pi/2 + 2 pi k nearest theta0.
+
+    sin(theta) = 1 at both turning radii of an unduloid.  None without a
+    level set, and when x_lo = 0, the H = 0 level of the sphere, which
+    reaches the axis.
+    """
+    if level is None or level.x_lo == 0.0:
+        return None
+    low = math.asin(levelset.f_min(params, level.h, level.x_lo, level.x_hi))
+    shift = math.tau * round((ic.theta0 - 0.5 * math.pi) / math.tau)
+    return low + shift, math.pi - low + shift
 
 
 def _sphere_radius_if_match(params: Params, ic: InitialConditions) -> Optional[float]:

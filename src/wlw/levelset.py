@@ -1,0 +1,206 @@
+"""The first integral of the profile ODE for every b, and what it gives.
+
+Along a profile curve d(sin theta)/ds = cos(theta) theta', so sin(theta) as a
+function of x solves the linear ODE du/dx = a u/x + b.  Hence
+
+    H = x^(-a) (sin(theta) - b x / (1 - a))    for a != 1,
+    H = sin(theta) / x - b ln x                for a = 1
+
+is constant, and sin(theta) = f_H(x) along the whole orbit, with
+f_H(x) = H x^a + b x / (1 - a), resp. x (H + b ln x).  At b = 0, -H^2 is the
+constant m of model.first_integral_m.
+
+The radius of an orbit stays in the component of {x > 0 : |f_H(x)| <= 1}
+that contains x0.  Its finite ends are the turning radii, where the tangent
+is vertical; an end at 0 means the orbit reaches the axis, at infinity that
+it is unbounded.  Between two finite ends |cos theta| = sqrt(1 - f_H^2), so
+one period of the (x, theta) motion has arclength T = 2 int dx/sqrt(1 - f^2)
+and rises by dz = 2 int f/sqrt(1 - f^2) dx over the component.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from .errors import QuadratureFailure
+from .model import Params
+
+# brentq's absolute tolerance on a turning radius, relative to the radius.
+_RADIUS_RTOL = 1e-15
+# Relative accuracy asked of the period and shift quadratures.
+_QUAD_RTOL = 1e-12
+# |ln x| below which exp(ln x) is a normal float.
+_LOG_FLOAT_RANGE = 708.0
+
+
+def H(params: Params, x: float, theta: float) -> float:
+    """The first integral at the state (x, theta)."""
+    a, b = params.a, params.b
+    if a == 1.0:
+        return math.sin(theta) / x - b * math.log(x)
+    return x ** (-a) * (math.sin(theta) - b * x / (1.0 - a))
+
+
+def f_H(params: Params, h: float, x: float) -> float:
+    """sin(theta) on the level H = h at radius x."""
+    a, b = params.a, params.b
+    if a == 1.0:
+        return x * (h + b * math.log(x))
+    return h * x ** a + b * x / (1.0 - a)
+
+
+def _critical_radius(params: Params, h: float) -> Optional[float]:
+    """The one x > 0 with f_H'(x) = 0, or None; f_H is monotone on either side.
+
+    None also when that radius lies outside the float range, since f_H is
+    then monotone over every float x > 0.
+    """
+    a, b = params.a, params.b
+    if a == 1.0:
+        if b == 0.0:
+            return None
+        # f' = h + b (ln x + 1)
+        log_xc = -h / b - 1.0
+    else:
+        # f' = a h x^(a-1) + b / (1 - a)
+        q = -b / ((1.0 - a) * a * h) if h != 0.0 else 0.0
+        if not q > 0.0:
+            return None
+        log_xc = math.log(q) / (a - 1.0)
+    return math.exp(log_xc) if abs(log_xc) < _LOG_FLOAT_RANGE else None
+
+
+def _unbounded(params: Params, h: float, outward: bool) -> bool:
+    """Whether |f_H| grows without bound as x -> inf (outward) or x -> 0."""
+    a, b = params.a, params.b
+    if a == 1.0:
+        # x (h + b ln x): b ln x dominates far out, and x ln x -> 0 at the axis.
+        return outward and (b != 0.0 or h != 0.0)
+    powers = [p for p, c in ((a, h), (1.0, b)) if c != 0.0]
+    return bool(powers) and (max(powers) > 0.0 if outward else min(powers) < 0.0)
+
+
+def _end(params: Params, h: float, x0: float, sin0: float, outward: bool) -> float:
+    """The first radius beyond x0 (outward or toward the axis) with |f_H| = 1.
+
+    Returns math.inf or 0.0 when |f_H| stays below 1 all the way to the end
+    of the float range.  f_H is monotone on either side of its critical
+    radius, so the search stops at that radius, then steps by factors of 2
+    where |f_H| grows without bound, and brackets the end with one brentq.
+    sin0 is f_H(x0), so x0 itself is the end when sin0 = +-1 and |f_H|
+    grows past it.
+    """
+    def f(x):
+        return f_H(params, h, x)
+
+    def stops():
+        xc = _critical_radius(params, h)
+        x = x0
+        if xc is not None and (xc > x0) == outward:
+            x = xc
+            yield x
+        if _unbounded(params, h, outward):
+            while True:
+                x = 2.0 * x if outward else 0.5 * x
+                if not 0.0 < x < math.inf:
+                    return
+                yield x
+
+    start, f_start = x0, sin0
+    for stop in stops():
+        f_stop = f(stop)
+        if abs(f_stop) > 1.0:
+            level = math.copysign(1.0, f_stop)
+            if (f_start - level) * (f_stop - level) >= 0.0:
+                return start    # the end is start to rounding
+            lo, hi = min(start, stop), max(start, stop)
+            try:
+                return brentq(lambda x: f(x) - level, lo, hi, xtol=_RADIUS_RTOL * lo)
+            except (ValueError, RuntimeError) as e:
+                # Rounding lost the sign change (near a = 1, H x^a cancels
+                # against b x/(1 - a)), or brentq did not converge.
+                raise FloatingPointError(f"no turning radius resolved in [{lo}, {hi}]") from e
+        start, f_start = stop, f_stop
+    return math.inf if outward else 0.0
+
+
+def turning_radii(params: Params, h: float, x0: float, theta0: float) -> tuple[float, float]:
+    """(x_lo, x_hi): the component of |f_H| <= 1 through x0.
+
+    x_lo = 0.0 when the orbit reaches the axis and x_hi = math.inf when it is
+    unbounded.  x0 is itself an end when cos(theta0) = 0, on the side where
+    |f_H| grows past 1; at a rest point both ends are x0 to rounding.
+    Raises ArithmeticError where floats cannot resolve the radii: an
+    OverflowError or ZeroDivisionError of x^a, or a FloatingPointError when
+    rounding loses the bracket.
+    """
+    sin0 = math.sin(theta0)
+    return (_end(params, h, x0, sin0, outward=False),
+            _end(params, h, x0, sin0, outward=True))
+
+
+def f_min(params: Params, h: float, x_lo: float, x_hi: float) -> float:
+    """The least sin(theta) on the bounded component [x_lo, x_hi]."""
+    xc = _critical_radius(params, h)
+    inside = [xc] if xc is not None and x_lo < xc < x_hi else []
+    return min(f_H(params, h, x) for x in [x_lo, x_hi] + inside)
+
+
+def _rise(params: Params, h: float, x_end: float, d: float) -> float:
+    """f_H(x_end + d) - f_H(x_end), without cancellation for small d."""
+    a, b = params.a, params.b
+    if a == 1.0:
+        return d * (h + b * math.log(x_end + d)) + b * x_end * math.log1p(d / x_end)
+    return h * x_end ** a * math.expm1(a * math.log1p(d / x_end)) + b * d / (1.0 - a)
+
+
+def _half_integral(params: Params, h: float, x_lo: float, x_hi: float,
+                   weighted: bool, epsabs: float) -> float:
+    """int dx/sqrt(1 - f^2), or int f/sqrt(1 - f^2) dx when weighted, on [x_lo, x_hi].
+
+    With x = c - r cos(phi) the integrand stays bounded at ends where
+    f_H' != 0; 1 - f^2 is taken from the rise of f_H over the nearer end,
+    where f_H = +-1, so it keeps its relative accuracy there.  Raises
+    QuadratureFailure when quad reports failure or a non-finite value.
+    """
+    r = 0.5 * (x_hi - x_lo)
+    ends = [(x_lo, math.copysign(1.0, f_H(params, h, x_lo))),
+            (x_hi, math.copysign(1.0, f_H(params, h, x_hi)))]
+
+    def integrand(phi):
+        if phi < 0.5 * math.pi:
+            (x_end, level), d = ends[0], 2.0 * r * math.sin(0.5 * phi) ** 2
+        else:
+            (x_end, level), d = ends[1], -2.0 * r * math.cos(0.5 * phi) ** 2
+        rise = _rise(params, h, x_end, d)
+        q = -level * rise * (2.0 + level * rise)     # 1 - f^2 with f = level + rise
+        w = r * math.sin(phi) / math.sqrt(q) if q > 0.0 else math.nan
+        return (level + rise) * w if weighted else w
+
+    res = quad(integrand, 0.0, math.pi, limit=200, full_output=1,
+               epsabs=epsabs, epsrel=_QUAD_RTOL)
+    if len(res) > 3 or not math.isfinite(res[0]):
+        raise QuadratureFailure(f"period quadrature failed on [{x_lo}, {x_hi}]")
+    return res[0]
+
+
+def period(params: Params, h: float, x_lo: float, x_hi: float) -> float:
+    """The arclength T of one period of an orbit turning at x_lo and x_hi.
+
+    T = 2 int dx/sqrt(1 - f^2) over [x_lo, x_hi]; f_H' != 0 at both ends.
+    """
+    return 2.0 * _half_integral(params, h, x_lo, x_hi, weighted=False, epsabs=0.0)
+
+
+def period_and_shift(params: Params, h: float, x_lo: float, x_hi: float) -> tuple[float, float]:
+    """(T, dz): the period and dz = 2 int f/sqrt(1 - f^2) dx, its rise in z.
+
+    dz is accurate to _QUAD_RTOL * T.
+    """
+    T = period(params, h, x_lo, x_hi)
+    return T, 2.0 * _half_integral(params, h, x_lo, x_hi, weighted=True,
+                                   epsabs=0.5 * _QUAD_RTOL * T)

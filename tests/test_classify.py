@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wlw import classify, levelset
 from wlw.classify import (
     SurfaceTag,
     catenoid_asymptote,
@@ -22,6 +23,10 @@ from wlw.model import (
 from wlw.phaseplane import find_separatrix
 
 PI = math.pi
+
+# classify's periodic inputs and the conftest nodoid, antinodoid and unduloid.
+PERIODIC = [(-2, 1, 4.0, PI / 2), (-2, -1, 4.0, 1.5 * PI), (3, 1, 6.0, 0.0),
+            (3, 1, 4.0, 1.5 * PI), (-2, 1, 0.5, PI / 2)]
 
 
 def tags(params, theta0, x0_values):
@@ -287,3 +292,111 @@ class TestReportMechanics:
         nod = classify_surface(Params(-2, 1), InitialConditions(3.5, PI / 2))
         assert und.self_intersections == 0
         assert nod.self_intersections >= 1
+
+
+def spy_integrate(monkeypatch) -> list:
+    """Record the controls of every integrate call classify makes."""
+    runs, real = [], classify.integrate
+
+    def spy(params, ic, controls):
+        runs.append(controls)
+        return real(params, ic, controls)
+    monkeypatch.setattr(classify, "integrate", spy)
+    return runs
+
+
+class TestPeriodicSpan:
+    @pytest.mark.parametrize("a,b,x0,theta0", PERIODIC)
+    def test_cut_run_matches_the_two_sided_run(self, monkeypatch, a, b, x0, theta0):
+        params, ic = Params(a, b), InitialConditions(x0, theta0)
+        cut = classify_surface(params, ic)
+        monkeypatch.setattr(classify, "_integrate_cut", lambda *args: None)
+        full = classify_surface(params, ic)
+        assert (cut.termination, full.termination) == (Termination.MAX_ARCLENGTH,
+                                                       Termination.EVENT_BUDGET)
+        assert cut.surface == full.surface
+        assert cut.self_intersections == full.self_intersections
+        assert cut.theta_range == full.theta_range
+        for got, want in ((cut.period, full.period), (cut.z_shift, full.z_shift)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == pytest.approx(want, rel=1e-9)
+
+    def test_cut_run_is_forward_only_and_short(self, monkeypatch):
+        runs = spy_integrate(monkeypatch)
+        r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
+        assert [c.two_sided for c in runs] == [False]
+        assert runs[0].max_arclength == pytest.approx(2.2 * r.period, rel=1e-6)
+
+    def test_separatrix_runs_both_ways(self, monkeypatch):
+        xbar = find_separatrix(Params(3, 1), 0.0, (4.0, 7.0), rel_width=1e-13)
+        runs = spy_integrate(monkeypatch)
+        r = classify_surface(Params(3, 1), InitialConditions(xbar, 0.0))
+        assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID
+        assert [c.two_sided for c in runs] == [True]
+
+    def test_wrong_quadrature_period_falls_back(self, monkeypatch):
+        real = levelset.period
+
+        def off_by_a_percent(*args):
+            return 1.01 * real(*args)
+        monkeypatch.setattr(levelset, "period", off_by_a_percent)
+        runs = spy_integrate(monkeypatch)
+        r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
+        assert r.surface.tag == SurfaceTag.NODOID
+        assert [c.two_sided for c in runs] == [False, True]
+        assert r.termination == Termination.EVENT_BUDGET
+
+    @pytest.mark.parametrize("b,x0,pole", [(0.001, 1.0, 1.000693498577178),
+                                           (1.0, 0.001, 0.0010006934985062755)])
+    def test_level_set_beyond_the_floats_keeps_the_ovaloid(self, b, x0, pole):
+        # The a = 1 critical radius exp(-H/b - 1) is not a float here.
+        r = classify_surface(Params(1, b), InitialConditions(x0, 1.5 * PI))
+        assert r.surface.tag == SurfaceTag.OVALOID
+        assert r.termination == Termination.AXIS_REACHED
+        assert max(r.pole_z) == pytest.approx(pole, rel=1e-9)
+
+    @pytest.mark.parametrize("a,b,x0,theta0,tag", [
+        (-2, 1, 4.0, PI / 2, SurfaceTag.NODOID),
+        (3, 1, 6.0, 0.0, SurfaceTag.ANTINODOID),
+        (-2, 1, 0.5, PI / 2, SurfaceTag.UNDULOID),
+    ])
+    def test_overflowing_level_set_runs_the_given_controls(self, monkeypatch,
+                                                           a, b, x0, theta0, tag):
+        # Only the trajectory is left to read the Nodoid sign and the
+        # Unduloid theta_range from.
+        def overflow(*args):
+            raise OverflowError("math range error")
+        monkeypatch.setattr(levelset, "H", overflow)
+        runs = spy_integrate(monkeypatch)
+        params, ic = Params(a, b), InitialConditions(x0, theta0)
+        r = classify_surface(params, ic)
+        assert r.surface.tag == tag
+        assert [c.two_sided for c in runs] == [True]
+        if tag == SurfaceTag.UNDULOID:
+            traj = integrate(params, ic, classify.default_controls(params, ic))
+            assert r.theta_range == traj.theta_range()
+
+    def test_unduloid_theta_range_is_closed_form(self):
+        params, ic = Params(-2, 1), InitialConditions(0.5, PI / 2)
+        lo, hi = classify_surface(params, ic).theta_range
+        traj = integrate(params, ic, classify.default_controls(params, ic))
+        theta = traj.eval(np.linspace(traj.s_min, traj.s_max, 40001))[2]
+        assert lo - 1e-9 <= theta.min() and theta.max() <= hi + 1e-9
+        assert (theta.min(), theta.max()) == pytest.approx((lo, hi), abs=1e-4)
+        mirrored = classify_surface(Params(-2, -1), InitialConditions(0.5, 1.5 * PI))
+        assert mirrored.theta_range == pytest.approx((lo + PI, hi + PI), abs=1e-12)
+
+    def test_nodoid_grid_follows_the_threshold_rule(self):
+        # Beyond x_sph = (1 - a)/b every a < 0 winding profile is a Nodoid.
+        # Overlapping neighbour loops made the old crossing vote say
+        # Antinodoid on 41 of these 96 cells.
+        wrong = []
+        for a in np.arange(-3.0, 0.0, 0.25):
+            for b in (0.5, 1.0):
+                for k in (1.2, 1.6, 2.0, 3.0):
+                    x0 = k * (1.0 - a) / b
+                    tag = classify_surface(Params(a, b), InitialConditions(x0, PI / 2)).surface.tag
+                    if tag != SurfaceTag.NODOID:
+                        wrong.append((a, b, k, tag.value))
+        assert wrong == []

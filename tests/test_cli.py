@@ -82,6 +82,8 @@ def test_sweep_summary_follows_grid_order(capsys, tmp_path):
     assert rows[0] == "a,b,x0,theta0,class"
     cells = [tuple(float(v) for v in row.split(",")[:3]) for row in rows[1:]]
     assert cells == [(-1.0, 1.0, 4.0), (-1.0, 1.0, 0.5), (-2.0, 1.0, 4.0), (-2.0, 1.0, 0.5)]
+    # x0 = 4 lies beyond x_sph = (1 - a)/b = 2 for a = -1: a Nodoid.
+    assert rows[1].split(",")[4] == "Nodoid"
     assert len(list(tmp_path.glob("report_*.json"))) == 4
 
 
