@@ -11,6 +11,7 @@ import json
 import math
 import re
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -243,14 +244,17 @@ def _sweep_cell(a, b, x0, t0):
                 "diagnostics": exc.diagnostics}, "Inconclusive"
     except WlwError as exc:
         return {"error": type(exc).__name__, "message": str(exc)}, f"Error:{type(exc).__name__}"
+    except Exception as exc:  # a defect on one cell must not abort the grid
+        return ({"error": type(exc).__name__, "message": str(exc),
+                 "traceback": traceback.format_exc()}, f"Error:{type(exc).__name__}")
 
 
 def run_sweep(spec: SweepSpec) -> Path:
     """Classify every grid cell; per-cell reports plus a summary CSV.
 
     Cells are classified one after another and the summary rows follow grid
-    order.
-    """
+    order.  A cell that raises is labelled Error:<Type>, its report holds the
+    message (and the traceback of an error that is not a WlwError)."""
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     rows = ["a,b,x0,theta0,class"]
     for idx, (a, b, x0, t0) in spec.cells():

@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from .errors import (
     InvalidParameter,
@@ -62,6 +63,7 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
+_P_ROWS = _P.tolist()
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -158,9 +160,16 @@ def _pack(s0: np.ndarray, s1: np.ndarray, y0: np.ndarray, K: np.ndarray) -> _Den
 
 
 def _interpolant(s0: float, s1: float, y0: tuple, K: tuple):
-    """(x, z, theta)(s) on the step s0 -> s1, with Trajectory.eval's arithmetic."""
-    d = _pack(np.array([s0]), np.array([s1]), None, np.array(K).reshape(1, 6, 3))
-    h, c = float(d.h[0]), d.c[0].tolist()
+    """(x, z, theta)(s) on the step s0 -> s1 from its 18 flattened stages K.
+
+    Summed on floats in _pack's order and evaluated as Trajectory.eval does,
+    so it gives the same bits as the step's packed row."""
+    h, c = s1 - s0, []
+    for j in range(3):
+        q = [0.0] * 4
+        for r, row in enumerate(_P_ROWS):
+            q = [qp + K[3 * r + j] * pp for qp, pp in zip(q, row)]
+        c.append([h * qp for qp in q])
 
     def at(s):
         u = (s - s0) / h
@@ -306,17 +315,17 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     s_bound = direction * controls.max_arclength
     towards = direction * math.inf
     tol = controls.event_refine_tol
+    x_blowup = controls.x_blowup
 
-    # The event functions of a state (x, z, theta), and for each the kind it
-    # reports and the crossing that counts: -1 falling through zero, +1
-    # rising, 0 either way.  A crossing's root is refined on the step's
-    # interpolant.  Full turns with k = 0 are re-crossings, not events.
+    # The event functions of a state (x, z, theta), one per kind.  The axis
+    # counts falling through zero, the blowup rising, the others either way.
+    # A crossing's root is refined on the step's interpolant.  Full turns
+    # with k = 0 are re-crossings, not events.
     def g(y):
-        return (y[0] - axis_epsilon, y[0] - controls.x_blowup, cos(y[2]),
-                sin(0.5 * (y[2] - theta0)))
+        return (y[0] - axis_epsilon, y[0] - x_blowup, cos(y[2]), sin(0.5 * (y[2] - theta0)))
 
-    table = ((EventKind.AXIS_APPROACH, -1), (EventKind.BLOWUP, +1),
-             (EventKind.VERTICAL_TANGENT, 0), (EventKind.FULL_TURN, 0))
+    kinds = (EventKind.AXIS_APPROACH, EventKind.BLOWUP, EventKind.VERTICAL_TANGENT,
+             EventKind.FULL_TURN)
 
     run = _DirectionRun()
     t, x, z, th = 0.0, ic.x0, 0.0, theta0
@@ -326,7 +335,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     k1t = a * k1z / x + b
     h_abs = _initial_step(a, b, (x, z, th), (k1x, k1z, k1t), direction,
                           controls.max_arclength, rtol, atol)
-    prev = g((x, z, th))
+    pa, pb, pv, pt = g((x, z, th))
     n_vert = 0
     seen_turns: set[int] = set()
     hold_count = 0
@@ -426,14 +435,15 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
         y_new = (xn, zn, tn)
 
         # --- event scan on this step, in s order ---------------------
-        cur = g(y_new)
-        hits = [i for i, (p, c, (_, d)) in enumerate(zip(prev, cur, table))
-                if (p * c < 0.0 or c == 0.0) and (d == 0 or d * p < 0.0)]
-        if hits:
+        # g(y_new), with k7x = cos(tn): an accepted step has xn > 0.
+        ca, cb, cv, ct = xn - axis_epsilon, xn - x_blowup, k7x, sin(0.5 * (tn - theta0))
+        crossed = (ca <= 0.0 < pa, pb < 0.0 <= cb, cv == 0.0 or pv * cv < 0.0,
+                   ct == 0.0 or pt * ct < 0.0)
+        if True in crossed:
             at = _interpolant(t, t_new, (x, z, th), stages)
             candidates = sorted(
-                ((_refine_root(lambda y, i=i: g(y)[i], at, t, t_new, tol), table[i][0])
-                 for i in hits), key=lambda c: direction * c[0])
+                ((_refine_root(lambda y, i=i: g(y)[i], at, t, t_new, tol), kinds[i])
+                 for i, hit in enumerate(crossed) if hit), key=lambda c: direction * c[0])
             cut_s = cut_term = None
             for s_star, kind in candidates:
                 # Events that coincide with a cut to within the refinement
@@ -486,7 +496,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
 
         run.s.append(t_new)
         run.y.append(y_new)
-        prev = cur
+        pa, pb, pv, pt = ca, cb, cv, ct
         t, x, z, th = t_new, xn, zn, tn
         k1x, k1z, k1t = k7x, k7z, k7t
         if direction * (t - s_bound) >= 0:
@@ -623,10 +633,11 @@ def find_self_intersections(traj: Trajectory, window: Optional[tuple[float, floa
                             n_samples: int = 2048) -> list[IntersectionRecord]:
     """Transversal self-crossings of the profile polyline, Newton-refined.
 
-    The curve is resampled uniformly in s, candidate segment pairs are found
-    by bounding-box overlap, confirmed by an orientation test, and each hit
-    is polished on the dense interpolant using the analytic tangent
-    (cos theta, sin theta).
+    The curve is resampled uniformly in s; a k-d tree over the segment
+    midpoints gives the candidate pairs, an orientation test confirms each
+    crossing, and each hit is polished on the dense interpolant using the
+    analytic tangent (cos theta, sin theta).  A non-finite resampled point
+    raises VerificationFailed.
     """
     pts = traj.resample(n_samples, window)
     s_grid = pts[:, 0]
@@ -652,9 +663,21 @@ def _crossing_segments(P: np.ndarray) -> list[tuple[int, int]]:
 
     Segments P[i]P[i+1] and P[j]P[j+1] cross when their boxes overlap and
     each one's end points lie strictly on opposite sides of the other's line.
+    A segment is the diagonal of its box, so boxes that overlap have
+    midpoints at most (L_i + L_j) / 2 apart, no more than the longest segment:
+    only midpoints within that reach, padded by 1e-9 of the longest segment
+    or coordinate against rounding, are tested.
     """
+    if not np.isfinite(P).all():
+        raise VerificationFailed("polyline has a non-finite point")
     A, B = P[:-1], P[1:]
-    i, j = _overlapping_boxes(np.minimum(A, B), np.maximum(A, B))
+    lo, hi = np.minimum(A, B), np.maximum(A, B)
+    longest = float(np.hypot(*(B - A).T).max(initial=0.0))
+    reach = longest + 1e-9 * max(longest, float(np.abs(P).max(initial=0.0)))
+    i, j = cKDTree(0.5 * (A + B)).query_pairs(reach, output_type="ndarray").T
+    keep = (j - i >= 2) & (lo[i] <= hi[j]).all(axis=1) & (lo[j] <= hi[i]).all(axis=1)
+    order = np.lexsort((j[keep], i[keep]))
+    i, j = i[keep][order], j[keep][order]
     p1, p2, p3, p4 = A[i], B[i], A[j], B[j]
     d1 = _cross2(p4 - p3, p1 - p3)
     d2 = _cross2(p4 - p3, p2 - p3)
@@ -662,38 +685,6 @@ def _crossing_segments(P: np.ndarray) -> list[tuple[int, int]]:
     d4 = _cross2(p2 - p1, p4 - p1)
     cross = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
     return list(zip(i[cross].tolist(), j[cross].tolist()))
-
-
-def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j), j >= i + 2, of boxes [lo, hi] that overlap, sorted by (i, j).
-
-    Runs of 8 consecutive boxes are bounded first, and only the boxes of
-    overlapping runs are compared, 128 run pairs (8192 box pairs) at a time
-    to bound the memory.
-    """
-    run, batch = 8, 128
-    n = len(lo)
-    starts = np.arange(0, n, run)
-    run_lo, run_hi = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
-    ri, rj = np.nonzero(np.triu(_boxes_overlap(run_lo[:, None], run_hi[:, None],
-                                               run_lo[None], run_hi[None])))
-    offsets = np.arange(run)
-    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
-    for k in range(0, len(ri), batch):
-        i = (ri[k:k + batch, None, None] * run + offsets[:, None]).repeat(run, axis=2).ravel()
-        j = (rj[k:k + batch, None, None] * run + offsets).repeat(run, axis=1).ravel()
-        keep = (j < n) & (j - i >= 2)
-        i, j = i[keep], j[keep]
-        keep = _boxes_overlap(lo[i], hi[i], lo[j], hi[j])
-        found.append((i[keep], j[keep]))
-    i, j = (np.concatenate(v) for v in zip(*found))
-    order = np.lexsort((j, i))
-    return i[order], j[order]
-
-
-def _boxes_overlap(lo1, hi1, lo2, hi2) -> np.ndarray:
-    return ((lo1[..., 0] <= hi2[..., 0]) & (hi1[..., 0] >= lo2[..., 0])
-            & (lo1[..., 1] <= hi2[..., 1]) & (hi1[..., 1] >= lo2[..., 1]))
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:

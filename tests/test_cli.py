@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wlw import cli
 from wlw.cli import EXIT_FAILURE, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
 
 
@@ -85,6 +86,28 @@ def test_sweep_summary_follows_grid_order(capsys, tmp_path):
     # x0 = 4 lies beyond x_sph = (1 - a)/b = 2 for a = -1: a Nodoid.
     assert rows[1].split(",")[4] == "Nodoid"
     assert len(list(tmp_path.glob("report_*.json"))) == 4
+
+
+def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
+    classify_surface = cli.classify_surface
+
+    def fail_on_one_cell(params, ic):
+        if (params.a, ic.x0) == (-2.0, 4.0):
+            raise RuntimeError("defect on one cell")
+        return classify_surface(params, ic)
+
+    monkeypatch.setattr(cli, "classify_surface", fail_on_one_cell)
+    code, doc = run_json(capsys, ["sweep", "-a=-1:-2:2", "-b", "1", "--x0", "4:0.5:2",
+                                  "--theta0-list", "pi/2", "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = [row.split(",") for row in (tmp_path / "summary.csv").read_text().splitlines()[1:]]
+    assert [tuple(float(v) for v in row[:3]) for row in rows] == [
+        (-1.0, 1.0, 4.0), (-1.0, 1.0, 0.5), (-2.0, 1.0, 4.0), (-2.0, 1.0, 0.5)]
+    assert [row[4] for row in rows] == ["Nodoid", "Unduloid", "Error:RuntimeError", "Unduloid"]
+    report = json.loads((tmp_path / "report_a1_b0_x0_t0.json").read_text())
+    assert report["error"] == "RuntimeError"
+    assert report["message"] == "defect on one cell"
+    assert "RuntimeError: defect on one cell" in report["traceback"]
 
 
 def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):

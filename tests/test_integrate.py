@@ -6,12 +6,22 @@ import pytest
 from scipy.integrate import RK45, OdeSolution
 
 from wlw.classify import default_controls
-from wlw.errors import InvalidParameter, NoFullTurn, NonPositiveRadius, NotVertical
+from wlw.errors import (
+    InvalidParameter,
+    NoFullTurn,
+    NonPositiveRadius,
+    NotVertical,
+    VerificationFailed,
+)
 from wlw.integrate import (
     EventKind,
     IntegrationControls,
     Termination,
+    Trajectory,
     _crossing_segments,
+    _Dense,
+    _interpolant,
+    _run_direction,
     check_horizontal_symmetry,
     detect_period,
     find_self_intersections,
@@ -237,6 +247,31 @@ class TestDenseOutput:
         for got, want in ((x, traj.x), (z, traj.z), (theta, traj.theta)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_event_interpolant_is_the_packed_row(self, nodoid_traj):
+        # Events are refined on a one-step interpolant; its values must be the
+        # bits Trajectory.eval gives on that step's packed row.
+        traj, d = nodoid_traj, nodoid_traj._dense
+        checked = 0
+        for direction in (1, -1):
+            run = _run_direction(traj.params, traj.ic, traj.controls, direction)
+            for s0, y0, (s1, *K) in zip(run.s, run.y, run.steps):
+                lo, hi = min(s0, s1), max(s0, s1)
+                if not any(lo <= e.s <= hi for e in traj.events):
+                    continue
+                row = np.flatnonzero((d.s0 == s0) & (d.h == s1 - s0))
+                assert row.size == 1
+                # The row alone, so that eval uses it at both step ends too.
+                alone = Trajectory(traj.params, traj.ic, traj.controls, np.array([lo, hi]),
+                                   np.zeros(2), np.zeros(2), np.zeros(2), [],
+                                   traj.termination, None, _Dense(*(f[row] for f in d)))
+                at = _interpolant(s0, s1, y0, tuple(K))
+                for s in np.linspace(lo, hi, 5).tolist():
+                    assert at(s) == tuple(alone.eval(s))
+                    if lo < s < hi and traj.s_min <= s <= traj.s_max:
+                        assert at(s) == tuple(traj.eval(s))
+                checked += 1
+        assert checked >= 8
+
 
 class TestCoincidentEvents:
     def test_every_full_turn_of_the_nodoid_is_a_vertical_tangent(self):
@@ -308,31 +343,63 @@ class TestSelfIntersections:
     def test_unduloid_is_embedded(self, unduloid_traj):
         assert find_self_intersections(unduloid_traj) == []
 
-    @pytest.mark.parametrize("polyline", ["nodoid", "random_walk"])
-    def test_crossing_segments_match_pairwise_loop(self, nodoid_traj, polyline):
-        if polyline == "nodoid":
-            P = nodoid_traj.resample(301, window=(0.0, 20.0))[:, 1:3]
-        else:
-            P = np.random.default_rng(0).standard_normal((301, 2)).cumsum(axis=0)
+    @pytest.mark.parametrize("polyline", [
+        "nodoid", "random_walk", "nodoid_traj", "antinodoid_traj", "vesicle_traj",
+        "short_and_long_steps", "repeated_points", "one_point_repeated", "one_segment",
+        "two_segments"])
+    def test_crossing_segments_match_pairwise_loop(self, polyline, request):
+        P = _polyline(polyline, request)
         assert _crossing_segments(P) == _crossing_segments_loop(P)
+
+    def test_short_segments_cross_long_ones(self, request):
+        P = _polyline("short_and_long_steps", request)
+        length = np.hypot(*np.diff(P, axis=0).T)
+        short, long = length < 0.01, length > 0.5
+        assert any(short[i] and long[j] or short[j] and long[i] for i, j in _crossing_segments(P))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_polyline_raises(self, nodoid_traj, bad):
+        P = nodoid_traj.resample(301, window=(0.0, 20.0))[:, 1:3]
+        P[150, 1] = bad
+        with pytest.raises(VerificationFailed):
+            _crossing_segments(P)
+
+
+def _polyline(name, request):
+    rng = np.random.default_rng(0)
+    nodoid = request.getfixturevalue("nodoid_traj").resample(301, window=(0.0, 20.0))[:, 1:3]
+    if name == "nodoid":
+        return nodoid
+    if name == "random_walk":
+        return rng.standard_normal((301, 2)).cumsum(axis=0)
+    if name.endswith("_traj"):
+        return request.getfixturevalue(name).resample(2048)[:, 1:3]
+    if name == "short_and_long_steps":
+        # Step lengths spread log-uniformly over 1e-3..1, in random directions.
+        length, angle = 10.0 ** rng.uniform(-3.0, 0.0, 600), rng.uniform(0.0, 2 * PI, 600)
+        steps = np.column_stack([length * np.cos(angle), length * np.sin(angle)])
+        return np.vstack([np.zeros((1, 2)), steps.cumsum(axis=0)])
+    if name == "repeated_points":
+        return np.repeat(nodoid, rng.integers(1, 4, len(nodoid)), axis=0)
+    if name == "one_point_repeated":
+        return np.ones((5, 2))
+    return np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]])[:3 if name == "two_segments" else 2]
 
 
 def _crossing_segments_loop(P):
-    """Pairwise reference: box overlap, then the orientation test per pair."""
+    """Pairwise reference: for each segment and every later one but its
+    neighbour, box overlap and then the orientation test."""
     def cross2(u, v):
-        return float(u[0] * v[1] - u[1] * v[0])
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
     hits = []
-    for i in range(len(P) - 1):
+    for i in range(len(P) - 3):
         p1, p2 = P[i], P[i + 1]
-        for j in range(i + 2, len(P) - 1):
-            p3, p4 = P[j], P[j + 1]
-            if (min(p1[0], p2[0]) > max(p3[0], p4[0]) or max(p1[0], p2[0]) < min(p3[0], p4[0])
-                    or min(p1[1], p2[1]) > max(p3[1], p4[1])
-                    or max(p1[1], p2[1]) < min(p3[1], p4[1])):
-                continue
-            d1, d2 = cross2(p4 - p3, p1 - p3), cross2(p4 - p3, p2 - p3)
-            d3, d4 = cross2(p2 - p1, p3 - p1), cross2(p2 - p1, p4 - p1)
-            if d1 * d2 < 0.0 and d3 * d4 < 0.0:
-                hits.append((i, j))
+        p3, p4 = P[i + 2:-1], P[i + 3:]
+        overlap = ((np.minimum(p1, p2) <= np.maximum(p3, p4))
+                   & (np.maximum(p1, p2) >= np.minimum(p3, p4))).all(axis=1)
+        d1, d2 = cross2(p4 - p3, p1 - p3), cross2(p4 - p3, p2 - p3)
+        d3, d4 = cross2(p2 - p1, p3 - p1), cross2(p2 - p1, p4 - p1)
+        cross = overlap & (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+        hits += [(i, i + 2 + int(k)) for k in np.flatnonzero(cross)]
     return hits
