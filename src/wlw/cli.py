@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 internal failure, 2 invalid input, 3 inconclusive
 classification.  Errors are reported as machine-readable JSON on stdout.
+
+sweep classifies its grid cells in forked worker processes, one per CPU this
+process may run on; its files are the same byte for byte for any worker count.
 """
 
 from __future__ import annotations
@@ -9,9 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import traceback
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -249,26 +254,76 @@ def _sweep_cell(a, b, x0, t0):
                  "traceback": traceback.format_exc()}, f"Error:{type(exc).__name__}")
 
 
-def run_sweep(spec: SweepSpec) -> Path:
-    """Classify every grid cell; per-cell reports plus a summary CSV.
+# A grid with fewer cells than this is classified in the calling process.
+# On a 2-vCPU host, starting and stopping a 2-worker pool costs 20-40 ms,
+# against 4-6 ms for the average cell.  On grids of 5-8 ms cells, 8 cells
+# were slower pooled, 12 about even and 16 about 25 % faster.
+MIN_POOLED_CELLS = 16
 
-    Cells are classified one after another and the summary rows follow grid
-    order.  A cell that raises is labelled Error:<Type>, its report holds the
-    message (and the traceback of an error that is not a WlwError)."""
+
+def _sweep_workers(n_cells: int) -> int:
+    """Worker processes for a grid of n_cells: one per CPU this process may
+    run on, at most one per cell, or 1 (classify in this process) when there
+    is one CPU, fork is not available, or the grid is too small to pay for
+    the pool."""
+    if n_cells < MIN_POOLED_CELLS or not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_cells)
+
+
+def _classify_grid(spec: SweepSpec) -> tuple[Path, Counter]:
+    """run_sweep, also returning how many cells got each summary label."""
     spec.output_dir.mkdir(parents=True, exist_ok=True)
+    cells = list(spec.cells())
+    columns = list(zip(*(values for _, values in cells)))   # a, b, x0, theta0 lists
     rows = ["a,b,x0,theta0,class"]
-    for idx, (a, b, x0, t0) in spec.cells():
-        doc, label = _sweep_cell(a, b, x0, t0)
-        name = "report_a{}_b{}_x{}_t{}.json".format(*idx)
-        with open(spec.output_dir / name, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        rows.append(",".join([output.fnum(a), output.fnum(b), output.fnum(x0),
-                              output.fnum(t0), label]))
+    labels: Counter = Counter()
+    workers = _sweep_workers(len(cells))
+    if workers > 1:
+        # fork, not spawn: a spawned worker imports numpy, scipy and wlw
+        # afresh, which takes longer than a whole 84-cell grid.  The executor
+        # forks all its workers before it starts its own thread.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        # One cell per task: cell costs on one grid range from 0.06 ms to
+        # 35 ms, and a larger chunk can leave a worker idle.
+        results = pool.map(_sweep_cell, *columns, chunksize=1)
+    else:
+        pool = None
+        results = map(_sweep_cell, *columns)
+    try:
+        for (idx, (a, b, x0, t0)), (doc, label) in zip(cells, results):
+            name = "report_a{}_b{}_x{}_t{}.json".format(*idx)
+            with open(spec.output_dir / name, "w", newline="\n") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+            rows.append(",".join([output.fnum(a), output.fnum(b), output.fnum(x0),
+                                  output.fnum(t0), label]))
+            labels[label] += 1
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     summary = spec.output_dir / "summary.csv"
     with open(summary, "w", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
-    return summary
+    return summary, labels
+
+
+def run_sweep(spec: SweepSpec) -> Path:
+    """Classify every grid cell; per-cell reports plus a summary CSV.
+
+    A grid of MIN_POOLED_CELLS or more is classified in a pool of forked
+    worker processes, one per CPU (see _sweep_workers).  This process writes
+    every file in grid order, so the files do not depend on the worker count
+    and the summary rows follow grid order.  A cell that raises is
+    labelled Error:<Type>, its report holds the message (and the traceback of
+    an error that is not a WlwError).  Returns the summary path."""
+    return _classify_grid(spec)[0]
 
 
 def cmd_sweep(args) -> int:
@@ -279,9 +334,9 @@ def cmd_sweep(args) -> int:
         theta0_values=[parse_angle(t) for t in args.theta0_list.split(",") if t.strip()],
         output_dir=args.out,
     )
-    summary = run_sweep(spec)
-    n = sum(1 for _ in spec.cells())
-    print(json.dumps({"cells": n, "summary": str(summary)}, indent=2))
+    summary, labels = _classify_grid(spec)
+    print(json.dumps({"cells": sum(labels.values()), "summary": str(summary),
+                      "labels": dict(sorted(labels.items()))}, indent=2))
     return EXIT_OK
 
 
@@ -371,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int, default=1)
     p.set_defaults(func=cmd_mesh)
 
-    p = sub.add_parser("sweep", help="classify a parameter grid")
+    p = sub.add_parser("sweep", help="classify a parameter grid in a worker process per "
+                                      "CPU; print the cell count and a tally of labels")
     p.add_argument("-a", required=True, help="value or lo:hi:count")
     p.add_argument("-b", required=True, help="value or lo:hi:count")
     p.add_argument("--x0", required=True, help="value or lo:hi:count")

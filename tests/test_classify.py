@@ -19,6 +19,8 @@ from wlw.model import (
     Params,
     ProfileState,
     first_integral_m,
+    reflect_b,
+    rescale,
 )
 from wlw.phaseplane import find_separatrix
 
@@ -400,3 +402,35 @@ class TestPeriodicSpan:
                     if tag != SurfaceTag.NODOID:
                         wrong.append((a, b, k, tag.value))
         assert wrong == []
+
+
+# The benchmark's classify inputs that need no set-up bisection.
+SYMMETRY_CASES = [
+    ("Plane", 2.0, 0.0, 1.0, 0.0),
+    ("Sphere", 1.0, 0.0, 1.0, PI / 4),
+    ("Cylinder", -2.0, 1.0, 2.0, PI / 2),
+    ("Ovaloid", 3.0, 1.0, 1.0, 1.5 * PI),
+    ("CatenoidEntire", -1.0, 0.0, 1.0, PI / 2),
+    ("CatenoidBounded", -2.0, 0.0, 1.0, PI / 2),
+    ("Vesicle", 3.0, 1.0, 1.0, 0.0),
+    ("ImmersedSpheroid", 3.0, 1.0, 3.0, 0.0),
+    ("Antinodoid", 3.0, 1.0, 6.0, 0.0),
+    ("Unduloid", -2.0, 1.0, 0.5, PI / 2),
+    ("Nodoid", -2.0, 1.0, 4.0, PI / 2),
+    ("Nodoid", -2.0, -1.0, 4.0, PI / 2 + PI),
+]
+
+
+class TestSymmetryInvariance:
+    @pytest.mark.parametrize("lam", [0.5, 4.0])
+    @pytest.mark.parametrize("case", SYMMETRY_CASES, ids=lambda c: f"{c[0]}-b{c[2]:g}")
+    def test_rescale_keeps_the_class(self, case, lam):
+        tag, a, b, x0, theta0 = case
+        params, ic = rescale(lam, Params(a, b), InitialConditions(x0, theta0))
+        assert classify_surface(params, ic).surface.tag.value == tag
+
+    @pytest.mark.parametrize("case", SYMMETRY_CASES, ids=lambda c: f"{c[0]}-b{c[2]:g}")
+    def test_reflect_b_keeps_the_class(self, case):
+        tag, a, b, x0, theta0 = case
+        params, ic = reflect_b(Params(a, b), InitialConditions(x0, theta0))
+        assert classify_surface(params, ic).surface.tag.value == tag

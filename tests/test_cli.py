@@ -1,4 +1,6 @@
 import json
+import math
+import os
 
 import pytest
 
@@ -88,15 +90,51 @@ def test_sweep_summary_follows_grid_order(capsys, tmp_path):
     assert len(list(tmp_path.glob("report_*.json"))) == 4
 
 
+def test_sweep_prints_a_label_tally(capsys, tmp_path):
+    code, doc = run_json(capsys, ["sweep", "-a=-2:0:2", "-b", "1", "--x0", "4:0.5:2",
+                                  "--theta0-list", "pi/2", "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    assert doc["cells"] == 4
+    assert doc["labels"] == {"Error:InvalidParameter": 2, "Nodoid": 1, "Unduloid": 1}
+
+
+def test_sweep_pools_only_a_grid_that_pays_for_it():
+    assert cli._sweep_workers(cli.MIN_POOLED_CELLS - 1) == 1
+    assert cli._sweep_workers(cli.MIN_POOLED_CELLS) == min(len(os.sched_getaffinity(0)),
+                                                          cli.MIN_POOLED_CELLS)
+
+
+def test_sweep_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # Several classes and an a = 0 cell, which is Error:InvalidParameter.
+    grid = ([-2.0, 0.0, 3.0], [1.0], [0.5, 4.0], [math.pi / 2, 0.0])
+    files = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_sweep_workers", lambda n_cells: workers)
+        out = tmp_path / f"workers{workers}"
+        cli.run_sweep(cli.SweepSpec(*grid, output_dir=out))
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert files[0] == files[1]
+    assert len(files[0]) == 13
+    rows = [row.split(",") for row in files[0]["summary.csv"].decode().splitlines()[1:]]
+    spec = cli.SweepSpec(*grid, output_dir=tmp_path)
+    assert [tuple(float(v) for v in row[:4]) for row in rows] == [
+        values for _, values in spec.cells()]
+    labels = {row[4] for row in rows}
+    assert "Error:InvalidParameter" in labels
+    assert len(labels - {"Error:InvalidParameter"}) >= 3
+
+
 def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
     classify_surface = cli.classify_surface
 
     def fail_on_one_cell(params, ic):
         if (params.a, ic.x0) == (-2.0, 4.0):
-            raise RuntimeError("defect on one cell")
+            raise RuntimeError(f"defect on one cell in process {os.getpid()}")
         return classify_surface(params, ic)
 
     monkeypatch.setattr(cli, "classify_surface", fail_on_one_cell)
+    # Two workers, so that the cell raises inside a forked worker.
+    monkeypatch.setattr(cli, "_sweep_workers", lambda n_cells: 2)
     code, doc = run_json(capsys, ["sweep", "-a=-1:-2:2", "-b", "1", "--x0", "4:0.5:2",
                                   "--theta0-list", "pi/2", "-o", str(tmp_path)])
     assert code == EXIT_OK
@@ -106,8 +144,9 @@ def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
     assert [row[4] for row in rows] == ["Nodoid", "Unduloid", "Error:RuntimeError", "Unduloid"]
     report = json.loads((tmp_path / "report_a1_b0_x0_t0.json").read_text())
     assert report["error"] == "RuntimeError"
-    assert report["message"] == "defect on one cell"
-    assert "RuntimeError: defect on one cell" in report["traceback"]
+    assert report["message"].startswith("defect on one cell in process ")
+    assert report["message"] != f"defect on one cell in process {os.getpid()}"
+    assert f"RuntimeError: {report['message']}" in report["traceback"]
 
 
 def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):
