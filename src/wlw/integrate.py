@@ -320,7 +320,9 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     # The event functions of a state (x, z, theta), one per kind.  The axis
     # counts falling through zero, the blowup rising, the others either way.
     # A crossing's root is refined on the step's interpolant.  Full turns
-    # with k = 0 are re-crossings, not events.
+    # with k = 0 are re-crossings, not events.  A strict sign change is the
+    # whole test: cos of a double is never 0.0, and sin(0.5 * (theta -
+    # theta0)) is 0.0 only at theta = theta0, a k = 0 re-crossing.
     def g(y):
         return (y[0] - axis_epsilon, y[0] - x_blowup, cos(y[2]), sin(0.5 * (y[2] - theta0)))
 
@@ -437,8 +439,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
         # --- event scan on this step, in s order ---------------------
         # g(y_new), with k7x = cos(tn): an accepted step has xn > 0.
         ca, cb, cv, ct = xn - axis_epsilon, xn - x_blowup, k7x, sin(0.5 * (tn - theta0))
-        crossed = (ca <= 0.0 < pa, pb < 0.0 <= cb, cv == 0.0 or pv * cv < 0.0,
-                   ct == 0.0 or pt * ct < 0.0)
+        crossed = (ca <= 0.0 < pa, pb < 0.0 <= cb, pv * cv < 0.0, pt * ct < 0.0)
         if True in crossed:
             at = _interpolant(t, t_new, (x, z, th), stages)
             candidates = sorted(

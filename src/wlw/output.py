@@ -1,9 +1,11 @@
 """File emitters: trajectory CSV, report/event JSON, SVG plots, OBJ meshes.
 
 Everything written here is byte-deterministic for identical inputs: floats
-in CSV and JSON use the shortest round-trip decimal (repr), SVG coordinates
-use a fixed six-decimal format, and no timestamps or environment data are
-embedded.
+in CSV, JSON and OBJ use the shortest round-trip decimal (repr), SVG
+coordinates use a fixed six-decimal format, and no timestamps or environment
+data are embedded.  The CSV and OBJ writers format whole blocks through
+%-templates filled with Python floats, never numpy scalars, whose repr
+differs under numpy 2.
 """
 
 from __future__ import annotations
@@ -31,15 +33,17 @@ def fnum(v: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per accepted integration step: s, x, z, theta, kappa1, kappa2."""
-    lines = [CSV_HEADER]
+    """One row per accepted integration step: s, x, z, theta, kappa1, kappa2.
+
+    sin(theta) is math.sin per sample; the array divide, multiply and add
+    round as the scalar ones do, so every float is the one a per-row loop
+    would print."""
     a, b = traj.params.a, traj.params.b
-    for s, x, z, theta in zip(traj.s, traj.x, traj.z, traj.theta):
-        k2 = math.sin(theta) / x
-        k1 = a * k2 + b
-        lines.append(",".join(fnum(v) for v in (s, x, z, theta, k1, k2)))
+    k2 = np.array([math.sin(t) for t in traj.theta.tolist()]) / traj.x
+    rows = np.column_stack((traj.s, traj.x, traj.z, traj.theta, a * k2 + b, k2))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        fh.write("%r,%r,%r,%r,%r,%r\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def events_to_dict(traj: Trajectory,
@@ -256,6 +260,12 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
     The profile is resampled to n_profile points on the window, revolved at
     n_revolve angles (seam closed by index wrap-around), and written with
     per-vertex analytic normals and coherent winding.
+
+    Floats are the shortest round-trip repr.  Each ring of vertices, of
+    normals and of faces is filled into one template and written as it is
+    made.  The ring coordinates are numpy outer products of math.sin and
+    math.cos values, which round as scalar products do, so every float is
+    the one a per-vertex loop would print.
     """
     lo = window[0] if window else traj.s_min
     hi = window[1] if window else traj.s_max
@@ -264,29 +274,35 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
     if int(usable.sum()) < 16:
         raise DegenerateProfile(f"only {int(usable.sum())} usable profile samples")
     pts = pts[usable]
-    n_prof = len(pts)
-    phis = [2.0 * math.pi * j / spec.n_revolve for j in range(spec.n_revolve)]
+    n_prof, n_rev = len(pts), spec.n_revolve
+    phis = [2.0 * math.pi * j / n_rev for j in range(n_rev)]
+    cos_phi = np.array([math.cos(phi) for phi in phis])
+    sin_phi = np.array([math.sin(phi) for phi in phis])
 
-    lines = [f"# surface of revolution: {n_prof} x {spec.n_revolve} vertices"]
-    for _, x, z, _ in pts:
-        for phi in phis:
-            lines.append(f"v {fnum(x * math.cos(phi))} {fnum(x * math.sin(phi))} {fnum(z)}")
-    for _, x, z, theta in pts:
-        st, ct = math.sin(theta), math.cos(theta)
-        for phi in phis:
-            lines.append(f"vn {fnum(st * math.cos(phi))} {fnum(st * math.sin(phi))} {fnum(-ct)}")
+    def rings(r: np.ndarray) -> np.ndarray:
+        """Row i is r_i cos phi_0, r_i sin phi_0, r_i cos phi_1, ..."""
+        return np.stack((np.multiply.outer(r, cos_phi), np.multiply.outer(r, sin_phi)),
+                        axis=2).reshape(len(r), 2 * n_rev)
 
-    def vid(i: int, j: int) -> int:
-        return i * spec.n_revolve + (j % spec.n_revolve) + 1
+    thetas = pts[:, 3].tolist()
+    sin_theta = np.array([math.sin(t) for t in thetas])
+    neg_cos_theta = [-math.cos(t) for t in thetas]
 
-    # winding chosen so face normals agree with the emitted vertex normals
-    for i in range(n_prof - 1):
-        for j in range(spec.n_revolve):
-            a_ = vid(i, j)
-            b_ = vid(i + 1, j)
-            c_ = vid(i + 1, j + 1)
-            d_ = vid(i, j + 1)
-            lines.append(f"f {a_}//{a_} {c_}//{c_} {b_}//{b_}")
-            lines.append(f"f {a_}//{a_} {d_}//{d_} {c_}//{c_}")
+    # winding chosen so face normals agree with the emitted vertex normals:
+    # faces (a, c, b) and (a, d, c) on the quad a = (i, j), b = (i + 1, j),
+    # c = (i + 1, j + 1), d = (i, j + 1).  quad holds ring 0's 0-based
+    # vertex indices; ring i adds i * n_rev.
+    j = np.arange(n_rev)
+    j1 = (j + 1) % n_rev
+    quad = np.stack((j, n_rev + j1, n_rev + j, j, j1, n_rev + j1), axis=1).ravel()
+    refs = np.array([f"{k}//{k}" for k in range(1, n_prof * n_rev + 1)], dtype=object)
+
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# surface of revolution: {n_prof} x {n_rev} vertices\n")
+        fh.writelines(("v %r %r " + repr(z) + "\n") * n_rev % tuple(row.tolist())
+                      for row, z in zip(rings(pts[:, 1]), pts[:, 2].tolist()))
+        fh.writelines(("vn %r %r " + repr(nz) + "\n") * n_rev % tuple(row.tolist())
+                      for row, nz in zip(rings(sin_theta), neg_cos_theta))
+        face_ring = "f %s %s %s\nf %s %s %s\n" * n_rev
+        fh.writelines(face_ring % tuple(refs[quad + i * n_rev].tolist())
+                      for i in range(n_prof - 1))

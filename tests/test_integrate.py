@@ -1,3 +1,4 @@
+import importlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -285,6 +286,25 @@ class TestCoincidentEvents:
         assert {e.s > 0.0 for e in turns} == {True, False}
         for e in turns:
             assert np.abs(tangents - e.s).min() <= controls.event_refine_tol
+
+
+class TestEventScan:
+    def test_plane_builds_an_interpolant_only_for_its_axis_approach(self, monkeypatch):
+        # On the plane theta stays exactly at theta0, so sin(0.5 (theta -
+        # theta0)) is 0.0 on every step: a k = 0 re-crossing, never a sign
+        # change.  Only the backward run's axis approach needs an interpolant.
+        module = importlib.import_module("wlw.integrate")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _interpolant(*args)
+
+        monkeypatch.setattr(module, "_interpolant", counting)
+        params, ic = Params(2, 0), InitialConditions(1, 0)
+        traj = integrate(params, ic, default_controls(params, ic))
+        assert len(calls) == 1
+        assert [e.kind for e in traj.events] == [EventKind.AXIS_APPROACH]
 
 
 class TestDeterminism:

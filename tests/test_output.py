@@ -61,6 +61,96 @@ def read_obj_mesh(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(verts), np.array(norms), np.array(faces, dtype=int)
 
 
+def _write_trajectory_csv_loop(traj, path) -> None:
+    """Reference: the per-row CSV writer the block writer must match byte for byte."""
+    lines = ["s,x,z,theta,kappa1,kappa2"]
+    a, b = traj.params.a, traj.params.b
+    for s, x, z, theta in zip(traj.s, traj.x, traj.z, traj.theta):
+        k2 = math.sin(theta) / x
+        k1 = a * k2 + b
+        lines.append(",".join(fnum(v) for v in (s, x, z, theta, k1, k2)))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_obj_mesh_loop(traj, path, spec=MeshSpec(), window=None) -> None:
+    """Reference: the per-vertex OBJ writer the block writer must match byte for byte."""
+    lo = window[0] if window else traj.s_min
+    hi = window[1] if window else traj.s_max
+    pts = traj.resample(spec.n_profile, (lo, hi))
+    pts = pts[pts[:, 1] > 0.0]
+    n_prof = len(pts)
+    phis = [2.0 * math.pi * j / spec.n_revolve for j in range(spec.n_revolve)]
+
+    lines = [f"# surface of revolution: {n_prof} x {spec.n_revolve} vertices"]
+    for _, x, z, _ in pts:
+        for phi in phis:
+            lines.append(f"v {fnum(x * math.cos(phi))} {fnum(x * math.sin(phi))} {fnum(z)}")
+    for _, x, z, theta in pts:
+        st, ct = math.sin(theta), math.cos(theta)
+        for phi in phis:
+            lines.append(f"vn {fnum(st * math.cos(phi))} {fnum(st * math.sin(phi))} {fnum(-ct)}")
+
+    def vid(i: int, j: int) -> int:
+        return i * spec.n_revolve + (j % spec.n_revolve) + 1
+
+    for i in range(n_prof - 1):
+        for j in range(spec.n_revolve):
+            a_, b_, c_, d_ = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            lines.append(f"f {a_}//{a_} {c_}//{c_} {b_}//{b_}")
+            lines.append(f"f {a_}//{a_} {d_}//{d_} {c_}//{c_}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestBlockWritersMatchLoops:
+    """The block-formatting emitters write the same bytes as per-line loops."""
+
+    @pytest.mark.parametrize("name", ["nodoid_traj", "antinodoid_traj"])
+    def test_csv(self, name, request, tmp_path):
+        traj = request.getfixturevalue(name)
+        write_trajectory_csv(traj, tmp_path / "block.csv")
+        _write_trajectory_csv_loop(traj, tmp_path / "loop.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def test_csv_negative_s_and_exponent_reprs(self, vesicle_traj, tmp_path):
+        write_trajectory_csv(vesicle_traj, tmp_path / "block.csv")
+        _write_trajectory_csv_loop(vesicle_traj, tmp_path / "loop.csv")
+        text = (tmp_path / "block.csv").read_text()
+        assert vesicle_traj.s[0] < 0.0 and "\n-" in text
+        assert "e-" in text
+        assert text == (tmp_path / "loop.csv").read_text()
+
+    @pytest.mark.parametrize("name,spec", [
+        ("vesicle_traj", MeshSpec()),
+        ("nodoid_traj", MeshSpec()),
+        ("vesicle_traj", MeshSpec(n_profile=40, n_revolve=8)),
+        ("nodoid_traj", MeshSpec(n_profile=50, n_revolve=128)),
+        ("antinodoid_traj", MeshSpec(n_profile=33, n_revolve=13)),
+    ])
+    def test_obj(self, name, spec, request, tmp_path):
+        traj = request.getfixturevalue(name)
+        write_obj_mesh(traj, tmp_path / "block.obj", spec)
+        _write_obj_mesh_loop(traj, tmp_path / "loop.obj", spec)
+        assert (tmp_path / "block.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
+
+    def test_obj_two_period_window(self, nodoid_traj, tmp_path):
+        T, _ = detect_period(nodoid_traj)
+        spec, window = MeshSpec(n_profile=128, n_revolve=16), (0.0, 2.0 * T)
+        write_obj_mesh(nodoid_traj, tmp_path / "block.obj", spec, window=window)
+        _write_obj_mesh_loop(nodoid_traj, tmp_path / "loop.obj", spec, window=window)
+        assert (tmp_path / "block.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
+
+    def test_obj_negative_zero(self, antinodoid_traj, tmp_path):
+        # theta0 = 3pi/2: sin(theta) < 0, so sin(theta) * sin(0) is -0.0
+        spec = MeshSpec(n_profile=16, n_revolve=8)
+        write_obj_mesh(antinodoid_traj, tmp_path / "block.obj", spec)
+        _write_obj_mesh_loop(antinodoid_traj, tmp_path / "loop.obj", spec)
+        text = (tmp_path / "block.obj").read_text()
+        assert " -0.0 " in text
+        assert text == (tmp_path / "loop.obj").read_text()
+
+
 class TestCsv:
     def test_round_trip_is_byte_identical(self, vesicle_traj, tmp_path):
         p1 = tmp_path / "t.csv"
