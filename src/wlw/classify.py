@@ -1,31 +1,31 @@
-"""Surface taxonomy from integrated profile curves.
+"""Surface taxonomy from the first integral and integrated profile curves.
 
 The decision tree follows the geometry: exact rest points and circles are
 recognized algebraically, the pure linear case b = 0 is settled by the sign
-of a, and everything else is read off one integration - axis hits with pole
-ordering, bounded tangent oscillation, full tangent turns with translation
-periodicity, or asymptotic capture by the interior saddle.
+of a, periodic orbits are read off their level set, and everything else is
+read off one integration - axis hits with pole ordering, bounded tangent
+oscillation, full tangent turns with translation periodicity, or asymptotic
+capture by the interior saddle.
 
-How far that integration runs is decided by the first integral H of
-levelset.py.  An orbit whose radius turns at two finite radii x_lo > 0 and
-x_hi < inf, at both of which the tangent turns transversally, is periodic:
-it runs forward only, over PERIODS_READ + 0.1 periods T from the quadrature,
-which covers everything the report reads.  That cut run is dropped, and the
-given controls are run both ways instead, when it is truncated or when its
-winding disagrees with the level set's: ends of opposite sign predict a full
-turn within PERIOD_AGREEMENT of T, ends of one sign predict none.  Every
-other orbit - axis-reaching or unbounded, with a tangential end near the
+The level set of the first integral H (levelset.py) decides which.  An orbit
+whose radius turns at two finite radii x_lo > 0 and x_hi < inf, at both of
+which the tangent turns transversally, is periodic, and its report needs no
+run: it is an Unduloid when sin(theta) has one sign at both turning radii,
+and otherwise winds.  A winding orbit is a Nodoid when its rise dz per
+period has the sign of sin(theta) at x_hi, and an Antinodoid otherwise; its
+period, dz and self-crossings per period come from quadratures (see
+levelset.self_crossings).  Every other orbit runs both ways to the given
+budgets: axis-reaching or unbounded, with a tangential end near the
 rest-point radius |a/b| (the separatrix and its neighbours), with a failed
-quadrature, or with a level set that floats cannot resolve (x0^(-a)
-overflowing, or a near 1) - runs both ways to the given budgets.  A winding
-orbit is a Nodoid when its z shift per period has the sign of sin(theta) at
-x_hi, and an Antinodoid otherwise.
+quadrature, or with a level set that floats cannot resolve to the run's
+rel_tol (x0^(-a) overflowing, or a near 1).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -54,16 +54,9 @@ POLE_ORDER_TOL = 1e-5
 # |a/b| counts as tangential: such orbits run the full budgets.
 CAPTURE_BAND = 1e-3
 
-# Periods of a periodic orbit that the report reads: _count_loops_per_period
-# collects crossings over this many, and detect_period checks the translation
-# over the first two.  A cut run spans a tenth of a period more.
+# Periods of an integrated winding orbit over which _count_loops_per_period
+# collects crossings.
 PERIODS_READ = 2.1
-
-# A cut run of a winding orbit must make its first full turn within this
-# relative distance of the quadrature period.  On the sweep grids of the
-# benchmark's seeds 0-3 they agree to 5.7e-9 at the default tolerances (the
-# quadrature agrees with a run at rel_tol 1e-13 to 7.2e-12).
-PERIOD_AGREEMENT = 1e-6
 
 
 class SurfaceTag(str, enum.Enum):
@@ -113,7 +106,7 @@ class ClassificationReport:
     canonicalized_b: bool
     params: Params
     ic: InitialConditions
-    termination: Termination
+    termination: Optional[Termination]          # None when no run was made
 
 
 def special_solutions(params: Params) -> list[SurfaceClass]:
@@ -186,11 +179,7 @@ def default_controls(params: Params, ic: InitialConditions) -> IntegrationContro
     """Classification budgets; the arclength scales with the homothety size.
 
     rescale(lam) maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class, so
-    the arclength budget grows with max(x0, |a/b|).  classify_surface narrows
-    these for a periodic orbit with transversal turning radii: forward only,
-    and at most PERIODS_READ + 0.1 quadrature periods of arclength.  It falls
-    back to them unchanged when that cut run is truncated or its winding
-    disagrees with the level set's.
+    the arclength budget grows with max(x0, |a/b|).
     """
     scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
     return IntegrationControls(max_arclength=200.0 * scale,
@@ -241,7 +230,7 @@ def _monotone_theta(traj: Trajectory) -> bool:
 
 
 def _count_loops_per_period(traj: Trajectory, period: float) -> int:
-    """Loops per period.
+    """Loops per period of an integrated winding orbit.
 
     Crossings are collected over PERIODS_READ periods and attributed to the
     period containing their first parameter, so pairs straddling a period
@@ -294,32 +283,37 @@ def _transversal(params: Params, x_end: float, sin_end: float) -> bool:
     return abs(sin_end * params.a + params.b * x_end) > CAPTURE_BAND * abs(params.a)
 
 
-def _integrate_cut(params: Params, ic: InitialConditions, controls: IntegrationControls,
-                   level: _Level) -> Optional[Trajectory]:
-    """The forward run over PERIODS_READ + 0.1 periods of a periodic orbit.
+def _level_set_report(params: Params, ic: InitialConditions, controls: IntegrationControls,
+                      level: _Level) -> Optional[ClassificationReport]:
+    """The report of a periodic orbit, read off its level set without a run.
 
-    None when the orbit does not qualify or the cut run cannot be trusted
-    (see the module docstring); the caller then runs the given controls.
+    None when the orbit does not qualify or its level set cannot be trusted
+    (see the module docstring); the caller then integrates.  f_H sums terms
+    of size levelset.term_size, so rounding costs it that times eps: the
+    level set is used only where this stays within controls.rel_tol, the
+    accuracy a run would give.
     """
     h, x_lo, x_hi, sin_lo, sin_hi = level
     if not (0.0 < x_lo and x_hi < math.inf
             and _transversal(params, x_lo, sin_lo) and _transversal(params, x_hi, sin_hi)):
         return None
     try:
-        T = levelset.period(params, h, x_lo, x_hi)
+        if sys.float_info.epsilon * max(levelset.term_size(params, h, x_lo),
+                                        levelset.term_size(params, h, x_hi)) > controls.rel_tol:
+            return None
+        if sin_lo * sin_hi > 0.0:
+            return _report(SurfaceClass(SurfaceTag.UNDULOID), None, params, ic,
+                           self_intersections=0,
+                           theta_range=_unduloid_theta_range(params, ic, level))
+        T, dz = levelset.period_and_shift(params, h, x_lo, x_hi)
+        crossings = levelset.self_crossings(params, h, x_lo, x_hi, T, dz)
     except (QuadratureFailure, ArithmeticError):
         return None
-    run = replace(controls, two_sided=False,
-                  max_arclength=min(controls.max_arclength, (PERIODS_READ + 0.1) * T))
-    traj = integrate(params, ic, run)
-    if traj.termination in (Termination.MAX_STEPS, Termination.STEP_FAILURE):
-        return None
-    turns = [e.s for e in traj.events_of(EventKind.FULL_TURN)
-             if abs(round((e.state.theta - ic.theta0) / math.tau)) == 1]
-    winds = sin_lo * sin_hi < 0.0
-    if winds != bool(turns) or (winds and abs(turns[0] - T) > PERIOD_AGREEMENT * T):
-        return None
-    return traj
+    # The loops curl toward the axis when the curve rises per period in the
+    # direction it points at its outer turning radius.
+    tag = SurfaceTag.NODOID if dz * sin_hi > 0.0 else SurfaceTag.ANTINODOID
+    return _report(SurfaceClass(tag), None, params, ic, period=T, z_shift=dz,
+                   self_intersections=crossings, theta_range=None)
 
 
 def _sin_at_outer_turn(traj: Trajectory, level: Optional[_Level]) -> float:
@@ -339,7 +333,10 @@ def classify_surface(params: Params, ic: InitialConditions,
 
     Inputs with b < 0 are reduced to b > 0 by the orientation reflection and
     the report is translated back (canonicalized_b marks this).  controls
-    defaults to default_controls(params, ic).  Raises Inconclusive when the
+    defaults to default_controls(params, ic) and bounds only the reports of
+    integrated orbits: a periodic orbit is read off its level set without a
+    run (termination None), and of the controls only rel_tol, the accuracy
+    asked of that level set, applies to it.  Raises Inconclusive when the
     integration budget ends before any criterion fires.
     """
     cparams, cic, reflected = canonicalize(params, ic)
@@ -389,11 +386,11 @@ def _classify_canonical(params: Params, ic: InitialConditions,
         controls = replace(controls, axis_epsilon=max(controls.axis_epsilon, 1e-4 * ic.x0))
 
     level = _level_set(params, ic)
-    traj = None
     if level is not None and sphere_radius is None:
-        traj = _integrate_cut(params, ic, controls, level)
-    if traj is None:
-        traj = integrate(params, ic, controls)
+        report = _level_set_report(params, ic, controls, level)
+        if report is not None:
+            return report
+    traj = integrate(params, ic, controls)
     pole_z = _pole_heights(traj)
     captured = _capture_window(traj, params)
     winding = [e for e in traj.events_of(EventKind.FULL_TURN)
@@ -540,11 +537,13 @@ def _pole_heights(traj: Trajectory) -> Optional[tuple[float, float]]:
     return float(traj.z[0]), float(traj.z[-1])
 
 
-def _report(surface: SurfaceClass, traj: Trajectory, params: Params, ic: InitialConditions,
+def _report(surface: SurfaceClass, traj: Optional[Trajectory], params: Params,
+            ic: InitialConditions,
             pole_z=None, period=None, z_shift=None, self_intersections=0,
             asymptotic_radius=None, theta_range=None) -> ClassificationReport:
     return ClassificationReport(
         surface=surface, pole_z=pole_z, period=period, z_shift=z_shift,
         self_intersections=self_intersections, asymptotic_radius=asymptotic_radius,
         theta_range=theta_range, canonicalized_b=False, params=params, ic=ic,
-        termination=traj.termination)
+        termination=None if traj is None else traj.termination)
+

@@ -16,6 +16,13 @@ is vertical; an end at 0 means the orbit reaches the axis, at infinity that
 it is unbounded.  Between two finite ends |cos theta| = sqrt(1 - f_H^2), so
 one period of the (x, theta) motion has arclength T = 2 int dx/sqrt(1 - f^2)
 and rises by dz = 2 int f/sqrt(1 - f^2) dx over the component.
+
+At a vertical tangent the profile is mirror-symmetric, so every branch of a
+periodic profile is z = k dz + Z(x) or z = (k + 1) dz - Z(x), with
+Z(x) = int_{x_lo}^x f/sqrt(1 - f^2) dx.  Two branches of one kind are
+translates and never cross; a rising and a falling branch cross where
+2 Z(x)/dz is an integer.  That gives the self-crossings per period of the
+whole curve in closed form (self_crossings).
 """
 
 from __future__ import annotations
@@ -158,14 +165,28 @@ def _rise(params: Params, h: float, x_end: float, d: float) -> float:
     return h * x_end ** a * math.expm1(a * math.log1p(d / x_end)) + b * d / (1.0 - a)
 
 
+def term_size(params: Params, h: float, x: float) -> float:
+    """The sum of the magnitudes of the terms f_H adds up at x.
+
+    f_H(x) is of size at most 1 on an orbit, so rounding leaves it an
+    absolute error of about eps times this; near a = 1 the two terms cancel
+    and this grows like 1/|1 - a|.
+    """
+    a, b = params.a, params.b
+    if a == 1.0:
+        return x * (abs(h) + abs(b * math.log(x)))
+    return abs(h) * x ** a + abs(b * x / (1.0 - a))
+
+
 def _half_integral(params: Params, h: float, x_lo: float, x_hi: float,
-                   weighted: bool, epsabs: float) -> float:
+                   weighted: bool, epsabs: float, phi_end: float = math.pi) -> float:
     """int dx/sqrt(1 - f^2), or int f/sqrt(1 - f^2) dx when weighted, on [x_lo, x_hi].
 
     With x = c - r cos(phi) the integrand stays bounded at ends where
     f_H' != 0; 1 - f^2 is taken from the rise of f_H over the nearer end,
-    where f_H = +-1, so it keeps its relative accuracy there.  Raises
-    QuadratureFailure when quad reports failure or a non-finite value.
+    where f_H = +-1, so it keeps its relative accuracy there.  phi_end < pi
+    stops the integral at x = c - r cos(phi_end).  Raises QuadratureFailure
+    when quad reports failure or a non-finite value.
     """
     r = 0.5 * (x_hi - x_lo)
     ends = [(x_lo, math.copysign(1.0, f_H(params, h, x_lo))),
@@ -181,7 +202,7 @@ def _half_integral(params: Params, h: float, x_lo: float, x_hi: float,
         w = r * math.sin(phi) / math.sqrt(q) if q > 0.0 else math.nan
         return (level + rise) * w if weighted else w
 
-    res = quad(integrand, 0.0, math.pi, limit=200, full_output=1,
+    res = quad(integrand, 0.0, phi_end, limit=200, full_output=1,
                epsabs=epsabs, epsrel=_QUAD_RTOL)
     if len(res) > 3 or not math.isfinite(res[0]):
         raise QuadratureFailure(f"period quadrature failed on [{x_lo}, {x_hi}]")
@@ -204,3 +225,32 @@ def period_and_shift(params: Params, h: float, x_lo: float, x_hi: float) -> tupl
     T = period(params, h, x_lo, x_hi)
     return T, 2.0 * _half_integral(params, h, x_lo, x_hi, weighted=True,
                                    epsabs=0.5 * _QUAD_RTOL * T)
+
+
+def _integers_between(p: float, q: float) -> int:
+    """How many integers lie strictly between p and q, in either order."""
+    lo, hi = min(p, q), max(p, q)
+    return max(math.ceil(hi) - math.floor(lo) - 1, 0)
+
+
+def self_crossings(params: Params, h: float, x_lo: float, x_hi: float,
+                   T: float, dz: float) -> int:
+    """The self-crossings per period of a winding orbit, over the whole curve.
+
+    f_H runs from -+1 to +-1 over [x_lo, x_hi] and has one zero x_z there,
+    where Z turns; so the count is the number of integers strictly inside
+    the range of 2 Z/dz on each side of x_z: (0, r) and (r, 1), with
+    r = 2 Z(x_z)/dz.  (T, dz) are period_and_shift's; Z(x_z) is one more
+    quadrature, accurate to _QUAD_RTOL * T.  Raises ArithmeticError when
+    dz = 0 or the zero is lost to rounding.
+    """
+    try:
+        x_z = brentq(lambda x: f_H(params, h, x), x_lo, x_hi, xtol=_RADIUS_RTOL * x_lo)
+    except (ValueError, RuntimeError) as e:
+        raise FloatingPointError(f"no zero of f_H resolved in [{x_lo}, {x_hi}]") from e
+    c, r = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    phi_z = math.acos(min(1.0, max(-1.0, (c - x_z) / r)))
+    z_z = _half_integral(params, h, x_lo, x_hi, weighted=True,
+                         epsabs=0.5 * _QUAD_RTOL * T, phi_end=phi_z)
+    ratio = 2.0 * z_z / dz
+    return _integers_between(0.0, ratio) + _integers_between(ratio, 1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,20 @@ from wlw.classify import (
     nodoid_threshold,
     special_solutions,
 )
-from wlw.errors import Inconclusive, InvalidParameter, WrongSignRegime
-from wlw.integrate import EventKind, IntegrationControls, Termination, integrate
+from wlw.errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
+from wlw.integrate import (
+    IntegrationControls,
+    Termination,
+    detect_period,
+    find_self_intersections,
+    integrate,
+)
 from wlw.model import (
     FirstIntegralValue,
     InitialConditions,
     Params,
     ProfileState,
+    canonicalize,
     first_integral_m,
     reflect_b,
     rescale,
@@ -277,8 +285,9 @@ class TestReportMechanics:
             classify_surface(Params(3, 1), InitialConditions(1.0, 0.0), controls)
         assert "termination" in info.value.diagnostics
 
-    def test_truncated_run_is_not_unduloid(self):
+    def test_truncated_run_is_not_unduloid(self, monkeypatch):
         # The a < 0 Unduloid fallback must not fire on a run cut by max_steps.
+        monkeypatch.setattr(classify, "_level_set", lambda *args: None)
         controls = IntegrationControls(max_steps=5, max_full_turns=3)
         with pytest.raises(Inconclusive) as info:
             classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2), controls)
@@ -307,28 +316,70 @@ def spy_integrate(monkeypatch) -> list:
     return runs
 
 
+# The seed-0 sweep grid's cells that are read off the level set: every a < 0
+# cell but two spheres and a cylinder, and two a = 1 antinodoids.
+ON_THRESHOLD = [(-3, 1, 4.0, PI / 2), (-1, 0.5, 4.0, PI / 2), (-2, 0.5, 4.0, PI / 2)]
+GRID_PERIODIC = [(a, b, x0, theta0)
+                 for a in (-3, -2, -1) for b in (0.5, 1) for x0 in (0.5, 1.5, 4.0)
+                 for theta0 in (PI / 2, 0.0) if (a, b, x0, theta0) not in ON_THRESHOLD]
+GRID_PERIODIC += [(1, 1, 4.0, PI / 2), (1, 1, 4.0, 0.0)]
+WITNESSED = PERIODIC + [case for case in GRID_PERIODIC if case not in PERIODIC]
+
+
+def case_id(case):
+    return "{:g},{:g},{:g},{:.4f}".format(*case)
+
+
+def integrated(monkeypatch, params, ic, controls=None):
+    """classify_surface's report with the level set turned off, so it integrates."""
+    with monkeypatch.context() as m:
+        m.setattr(classify, "_level_set", lambda *args: None)
+        return classify_surface(params, ic, controls)
+
+
+def polyline_crossings(params, ic, period, z_shift, x_hi):
+    """Crossings per period of a long run's polyline.
+
+    The run spans 3 x_hi/|z_shift| + 6 periods, so that a loop meets every
+    neighbour it can reach; the crossings counted are those whose earlier
+    point falls in the middle period.
+    """
+    n = math.ceil(3.0 * x_hi / abs(z_shift)) + 6
+    traj = integrate(params, ic, IntegrationControls(max_arclength=n * period, two_sided=False))
+    first = n // 2 * period
+    return sum(1 for r in find_self_intersections(traj, n_samples=512 * n)
+               if first <= r.s_a < first + period)
+
+
 class TestPeriodicSpan:
-    @pytest.mark.parametrize("a,b,x0,theta0", PERIODIC)
-    def test_cut_run_matches_the_two_sided_run(self, monkeypatch, a, b, x0, theta0):
+    @pytest.mark.parametrize("case", WITNESSED, ids=case_id)
+    def test_level_set_report_matches_the_integration(self, monkeypatch, case):
+        a, b, x0, theta0 = case
         params, ic = Params(a, b), InitialConditions(x0, theta0)
-        cut = classify_surface(params, ic)
-        monkeypatch.setattr(classify, "_integrate_cut", lambda *args: None)
-        full = classify_surface(params, ic)
-        assert (cut.termination, full.termination) == (Termination.MAX_ARCLENGTH,
-                                                       Termination.EVENT_BUDGET)
-        assert cut.surface == full.surface
-        assert cut.self_intersections == full.self_intersections
-        assert cut.theta_range == full.theta_range
-        for got, want in ((cut.period, full.period), (cut.z_shift, full.z_shift)):
+        report = classify_surface(params, ic)
+        tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        witness = integrated(monkeypatch, params, ic, tight)
+        assert (report.termination, witness.termination) == (None, Termination.EVENT_BUDGET)
+        assert report.surface == witness.surface
+        for got, want in ((report.period, witness.period), (report.z_shift, witness.z_shift)):
             assert (got is None) == (want is None)
             if want is not None:
-                assert got == pytest.approx(want, rel=1e-9)
+                assert got == pytest.approx(want, rel=1e-8)
+        if report.period is None:
+            assert report.self_intersections == witness.self_intersections == 0
+            return
+        cparams, cic, _ = canonicalize(params, ic)
+        h = levelset.H(cparams, cic.x0, cic.theta0)
+        x_hi = levelset.turning_radii(cparams, h, cic.x0, cic.theta0)[1]
+        assert report.self_intersections == polyline_crossings(
+            cparams, cic, report.period, report.z_shift, x_hi)
 
-    def test_cut_run_is_forward_only_and_short(self, monkeypatch):
+    def test_periodic_orbit_runs_nothing(self, monkeypatch):
         runs = spy_integrate(monkeypatch)
-        r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
-        assert [c.two_sided for c in runs] == [False]
-        assert runs[0].max_arclength == pytest.approx(2.2 * r.period, rel=1e-6)
+        r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2),
+                             IntegrationControls(max_arclength=0.5))
+        assert runs == []
+        assert r.surface.tag == SurfaceTag.NODOID and r.termination is None
 
     def test_separatrix_runs_both_ways(self, monkeypatch):
         xbar = find_separatrix(Params(3, 1), 0.0, (4.0, 7.0), rel_width=1e-13)
@@ -337,17 +388,35 @@ class TestPeriodicSpan:
         assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID
         assert [c.two_sided for c in runs] == [True]
 
-    def test_wrong_quadrature_period_falls_back(self, monkeypatch):
-        real = levelset.period
-
-        def off_by_a_percent(*args):
-            return 1.01 * real(*args)
-        monkeypatch.setattr(levelset, "period", off_by_a_percent)
+    def test_failed_quadrature_falls_back(self, monkeypatch):
+        def fail(*args):
+            raise QuadratureFailure("period quadrature failed")
+        monkeypatch.setattr(levelset, "period_and_shift", fail)
         runs = spy_integrate(monkeypatch)
         r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
         assert r.surface.tag == SurfaceTag.NODOID
-        assert [c.two_sided for c in runs] == [False, True]
+        assert [c.two_sided for c in runs] == [True]
         assert r.termination == Termination.EVENT_BUDGET
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12, 1e-14])
+    def test_level_set_that_lost_digits_is_not_used(self, monkeypatch, delta):
+        # Near a = 1 the two terms of f_H cancel: here f_H(x0) - sin(theta0)
+        # reaches 6.8e-3 at delta = 1e-14.  These orbits are integrated.
+        params, ic = Params(1.0 + delta, 1.0), InitialConditions(3.0, 4.0)
+        r = classify_surface(params, ic)
+        assert r == integrated(monkeypatch, params, ic)
+        assert r.surface.tag == SurfaceTag.ANTINODOID
+        assert r.termination == Termination.EVENT_BUDGET
+        assert r.period == pytest.approx(6.880748200448, rel=1e-10)
+
+    def test_level_set_near_a_one_agrees_with_the_integration(self, monkeypatch):
+        # At a = 1 + 1e-4 the cancellation costs f_H less than rel_tol.
+        params, ic = Params(1.0001, 1.0), InitialConditions(3.0, 4.0)
+        r = classify_surface(params, ic)
+        witness = integrated(monkeypatch, params, ic)
+        assert r.termination is None and r.surface == witness.surface
+        assert r.period == pytest.approx(witness.period, rel=1e-8)
+        assert r.z_shift == pytest.approx(witness.z_shift, rel=1e-8)
 
     @pytest.mark.parametrize("b,x0,pole", [(0.001, 1.0, 1.000693498577178),
                                            (1.0, 0.001, 0.0010006934985062755)])
@@ -402,6 +471,53 @@ class TestPeriodicSpan:
                     if tag != SurfaceTag.NODOID:
                         wrong.append((a, b, k, tag.value))
         assert wrong == []
+
+
+class NoRun(Exception):
+    pass
+
+
+class TestLevelSetOracles:
+    def test_nodoid_exactly_when_a_is_negative(self, monkeypatch):
+        # Inputs that are not read off the level set stop at their first run.
+        def refuse(*args):
+            raise NoRun
+        monkeypatch.setattr(classify, "integrate", refuse)
+        rng = np.random.default_rng(7)
+        n = 10_000
+        a = rng.uniform(-4.0, 4.0, n)
+        x0 = np.exp(rng.uniform(math.log(0.05), math.log(20.0), n))
+        theta0 = rng.uniform(0.0, 2 * PI, n)
+        seen, wrong = {}, []
+        for case in zip(a.tolist(), x0.tolist(), theta0.tolist()):
+            try:
+                tag = classify_surface(Params(case[0], 1.0), InitialConditions(*case[1:])).surface.tag
+            except NoRun:
+                continue
+            seen[tag] = seen.get(tag, 0) + 1
+            if tag != SurfaceTag.UNDULOID and (tag == SurfaceTag.NODOID) != (case[0] < 0.0):
+                wrong.append(case)
+        assert wrong == []
+        assert min(seen.get(t, 0) for t in (SurfaceTag.NODOID, SurfaceTag.ANTINODOID)) > 1000
+
+    def test_circle_limit_as_a_goes_to_zero(self):
+        # At a = 0 the profile is a circle of curvature b: T -> 2 pi/b and
+        # dz -> 0 linearly in a, so a loop overlaps about 1/|a| neighbours.
+        def scaled(a):
+            r = classify_surface(Params(a, 1.0), InitialConditions(3.0, PI / 2))
+            assert r.surface.tag == SurfaceTag.NODOID
+            return np.array([(r.period - 2 * PI) / a, r.z_shift / a,
+                             r.self_intersections * abs(a)])
+        assert scaled(-1e-3) == pytest.approx(scaled(-1e-4), rel=5e-3)
+
+    def test_nodoid_that_failed_detect_period(self):
+        # The integration path's detect_period raised VerificationFailed here.
+        params, ic = Params(-3, 0.5), InitialConditions(0.5, 0.0)
+        r = classify_surface(params, ic)
+        assert r.surface.tag == SurfaceTag.NODOID
+        traj = integrate(params, ic, IntegrationControls(
+            rel_tol=1e-13, abs_tol=1e-15, max_arclength=3.0 * r.period, two_sided=False))
+        assert r.period == pytest.approx(detect_period(traj)[0], rel=1e-8)
 
 
 # The benchmark's classify inputs that need no set-up bisection.

@@ -37,6 +37,27 @@ def test_classify_rescaled_nodoid_keeps_scaled_budget(capsys, extra):
     assert doc["class"] == "Nodoid"
 
 
+def test_periodic_class_reports_whatever_the_budget(capsys):
+    # A periodic orbit is read off its level set, so no run budget binds it.
+    code, doc = run_json(capsys, NODOID + ["--max-arclength", "0.5"])
+    assert code == EXIT_OK
+    assert (doc["class"], doc["termination"]) == ("Nodoid", None)
+
+
+def test_mesh_integrates_a_periodic_profile_once(capsys, tmp_path, monkeypatch):
+    calls, integrate = [], cli.integrate
+
+    def spy(*args):
+        calls.append(args)
+        return integrate(*args)
+    monkeypatch.setattr(cli, "integrate", spy)
+    monkeypatch.setattr("wlw.classify.integrate", spy)
+    code, doc = run_json(capsys, ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2",
+                                  "--periods", "2", "-o", str(tmp_path)])
+    assert code == EXIT_OK and doc["class"] == "Nodoid"
+    assert len(calls) == 1
+
+
 def test_no_bracket_exits_failure(capsys, tmp_path):
     code, doc = run_json(capsys, ["phase", "-a", "3", "-b", "1", "--separatrix",
                                   "--bracket", "0.1:0.2", "-o", str(tmp_path)])
