@@ -297,14 +297,13 @@ def _level_set_report(params: Params, ic: InitialConditions, controls: Integrati
     if not (0.0 < x_lo and x_hi < math.inf
             and _transversal(params, x_lo, sin_lo) and _transversal(params, x_hi, sin_hi)):
         return None
+    if sys.float_info.epsilon * max(levelset.term_size(params, h, x_lo),
+                                    levelset.term_size(params, h, x_hi)) > controls.rel_tol:
+        return None
+    if sin_lo * sin_hi > 0.0:
+        return _report(SurfaceClass(SurfaceTag.UNDULOID), None, params, ic,
+                       self_intersections=0, theta_range=_unduloid_theta_range(params, ic, level))
     try:
-        if sys.float_info.epsilon * max(levelset.term_size(params, h, x_lo),
-                                        levelset.term_size(params, h, x_hi)) > controls.rel_tol:
-            return None
-        if sin_lo * sin_hi > 0.0:
-            return _report(SurfaceClass(SurfaceTag.UNDULOID), None, params, ic,
-                           self_intersections=0,
-                           theta_range=_unduloid_theta_range(params, ic, level))
         T, dz = levelset.period_and_shift(params, h, x_lo, x_hi)
         crossings = levelset.self_crossings(params, h, x_lo, x_hi, T, dz)
     except (QuadratureFailure, ArithmeticError):
