@@ -195,32 +195,28 @@ def _capture_hold_needed(a: float) -> float:
 
 
 def _capture_window(traj: Trajectory, params: Params) -> Optional[tuple[float, float]]:
-    """Longest samples window held inside the saddle band; None if too short."""
+    """The stretch of curve between the saddle captures nearest s = 0.
+
+    A capture is a run of samples held inside the saddle band for at least
+    _capture_hold_needed; None when there is none.  The window runs from
+    the start of the nearest capture behind s = 0 to the end of the nearest
+    one ahead of it, or to s_min or s_max on a side without one, so it
+    leaves out the numerical divergence after each capture.
+    """
     if params.a <= 0.0 or params.b <= 0.0:
         return None
     x_star = params.a / params.b
     dist_theta = np.abs(np.remainder(traj.theta - 1.5 * math.pi, math.tau))
     dist_theta = np.minimum(dist_theta, math.tau - dist_theta)
     inside = (dist_theta < CAPTURE_BAND) & (np.abs(traj.x - x_star) < CAPTURE_BAND)
-    if not inside.any():
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
+    stays = [(traj.s[i], traj.s[j - 1]) for i, j in zip(edges[::2], edges[1::2])
+             if traj.s[j - 1] - traj.s[i] >= _capture_hold_needed(params.a)]
+    if not stays:
         return None
-    best = None
-    start = None
-    for i, flag in enumerate(inside):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            span = traj.s[i - 1] - traj.s[start]
-            if best is None or span > best[1] - best[0]:
-                best = (traj.s[start], traj.s[i - 1])
-            start = None
-    if start is not None:
-        span = traj.s[-1] - traj.s[start]
-        if best is None or span > best[1] - best[0]:
-            best = (traj.s[start], traj.s[-1])
-    if best is not None and best[1] - best[0] >= _capture_hold_needed(params.a):
-        return best
-    return None
+    lo = max((s0 for s0, _ in stays if s0 < 0.0), default=traj.s_min)
+    hi = min((s1 for _, s1 in stays if s1 > 0.0), default=traj.s_max)
+    return lo, hi
 
 
 def _monotone_theta(traj: Trajectory) -> bool:
@@ -402,8 +398,8 @@ def _classify_canonical(params: Params, ic: InitialConditions,
 
     if captured is not None and not _ends_on_axis_both(traj):
         # Count crossings of the curve proper, not of the post-capture
-        # numerical divergence: the window ends inside the capture band.
-        loops = find_self_intersections(traj, window=(traj.s_min, captured[1]))
+        # numerical divergence: the window ends inside the capture bands.
+        loops = find_self_intersections(traj, window=captured)
         return _report(SurfaceClass(SurfaceTag.CYLINDRICAL_ANTINODOID), traj, params, ic,
                        self_intersections=len(loops),
                        asymptotic_radius=a / b,

@@ -180,7 +180,7 @@ def cmd_phase(args) -> int:
     separatrix = None
     if args.separatrix:
         if params.b == 0.0:
-            raise InvalidParameter("separatrix shooting requires b != 0")
+            raise InvalidParameter("the separatrix requires b != 0")
         if args.bracket is not None:
             lo, hi = args.bracket
         else:
@@ -413,10 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, integrates=False)
     p.add_argument("--x-max", type=float, default=None)
     p.add_argument("--theta0", type=parse_angle, default=0.0,
-                   help="shooting angle for --separatrix")
+                   help="initial angle for --separatrix")
     p.add_argument("--separatrix", action="store_true")
     p.add_argument("--bracket", type=lambda s: tuple(float(t) for t in s.split(":")),
-                   default=None, help="shooting bracket lo:hi")
+                   default=None, help="radii lo:hi to search for --separatrix")
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("mesh", help="export a revolved OBJ mesh")

@@ -38,7 +38,7 @@ class NotVertical(WlwError):
 
 
 class NoBracket(WlwError):
-    """Shooting bracket endpoints classify identically."""
+    """A root-finding bracket holds no sign change."""
 
 
 class DegenerateEigenvalue(WlwError):

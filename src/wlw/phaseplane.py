@@ -1,4 +1,4 @@
-"""Equilibria, linearization, shooting and portraits for the tangent flow.
+"""Equilibria, linearization, the separatrix and portraits for the tangent flow.
 
 Multiplying the (theta, x) projection of the profile ODE by x removes the
 axis pole and gives the polynomial vector field
@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
+from . import levelset
 from .errors import DegenerateEigenvalue, InvalidParameter, NoBracket
-from .integrate import EventKind, IntegrationControls, integrate
+from .integrate import IntegrationControls, integrate
 from .model import InitialConditions, Params
 
 
@@ -30,6 +32,9 @@ from .model import InitialConditions, Params
 # sigma of V (ds = x dsigma), so cycles around the a < 0 center close but are
 # not redrawn many times.
 _ORBIT_SPAN = 40.0
+
+# The least relative tolerance brentq accepts.
+_MIN_RTOL = 4.0 * np.finfo(float).eps
 
 
 class SingularityKind(str, enum.Enum):
@@ -138,45 +143,35 @@ def critical_points(params: Params) -> list[CriticalPoint]:
     return pts
 
 
-def _shot_is_unbounded(params: Params, theta0: float, x0: float,
-                       controls: IntegrationControls) -> bool:
-    traj = integrate(params, InitialConditions(x0, theta0), controls)
-    return len(traj.events_of(EventKind.FULL_TURN)) > 0
-
-
 def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
-                    controls: Optional[IntegrationControls] = None,
-                    rel_width: float = 1e-6, max_iter: int = 60) -> float:
-    """Locate the initial radius whose orbit runs into the interior saddle.
+                    rel_width: float = _MIN_RTOL) -> float:
+    """The radius in bracket from which the orbit at angle theta0 runs into the saddle.
 
-    Requires a > 0 and b > 0 so that the saddle exists.  Shots are classified
-    as unbounded when the tangent completes a full turn and bounded otherwise
-    (the bounded side ends on the axis); bisection on x0 runs until the
-    bracket width drops below rel_width times the midpoint.
+    Requires a > 0 and b > 0 so that the saddle (3*pi/2, a/b) exists.  Both
+    of its branches lie on the saddle's level of the first integral, so the
+    radius is a root of H(x, theta0) - H(a/b, 3*pi/2).  It is sought where
+    H(., theta0) decreases, x >= -a*sin(theta0)/b: there the root is on the
+    stable branch, with axis-reaching orbits below it and winding ones above.
+    The unstable branch's root lies on the other side.  rel_width is
+    brentq's relative tolerance, at least 4 eps.  Raises NoBracket when the
+    difference keeps its sign on the searched part of the bracket.
     """
-    if not (params.a > 0.0 and params.b > 0.0):
-        raise InvalidParameter("separatrix shooting requires a > 0 and b > 0")
-    x_lo, x_hi = bracket
-    if not (0.0 < x_lo < x_hi):
+    a, b = params.a, params.b
+    if not (a > 0.0 and b > 0.0):
+        raise InvalidParameter("the separatrix requires a > 0 and b > 0")
+    lo, hi = bracket
+    if not (0.0 < lo < hi):
         raise InvalidParameter(f"bad bracket {bracket}")
-    if controls is None:
-        scale = max(x_hi, params.a / params.b, 1.0)
-        controls = IntegrationControls(max_arclength=80.0 * scale,
-                                       max_full_turns=1, two_sided=False)
-    lo_unbounded = _shot_is_unbounded(params, theta0, x_lo, controls)
-    hi_unbounded = _shot_is_unbounded(params, theta0, x_hi, controls)
-    if lo_unbounded == hi_unbounded:
-        raise NoBracket(
-            f"both endpoints classify as {'unbounded' if lo_unbounded else 'bounded'}")
-    for _ in range(max_iter):
-        mid = 0.5 * (x_lo + x_hi)
-        if x_hi - x_lo < rel_width * mid:
-            return mid
-        if _shot_is_unbounded(params, theta0, mid, controls) == hi_unbounded:
-            x_hi = mid
-        else:
-            x_lo = mid
-    return 0.5 * (x_lo + x_hi)
+    h_saddle = levelset.H(params, a / b, 1.5 * math.pi)
+
+    def g(x):
+        return levelset.H(params, x, theta0) - h_saddle
+
+    lo = max(lo, -a * math.sin(theta0) / b)
+    if lo > hi or g(lo) * g(hi) > 0.0:
+        raise NoBracket(f"H - H_saddle keeps its sign on [{lo}, {hi}]")
+    rtol = max(rel_width, _MIN_RTOL)
+    return brentq(g, lo, hi, xtol=rtol * lo, rtol=rtol)
 
 
 def integrate_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -> np.ndarray:

@@ -187,6 +187,15 @@ class TestPositiveAFamily:
         assert r.asymptotic_radius == pytest.approx(3.0)
         assert r.self_intersections == 1
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-10, 1e-9])
+    def test_cylindrical_antinodoid_loops_near_separatrix(self, delta):
+        # the count stops at the captures nearest s = 0 on both sides, so
+        # neither side's post-capture divergence adds or hides a crossing
+        x0 = math.sqrt(27.0) * (1.0 + delta)
+        r = classify_surface(Params(3, 1), InitialConditions(x0, 0.0))
+        assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID
+        assert r.self_intersections == 1
+
 
 class TestPureLinear:
     def test_plane_when_tangent_horizontal(self):

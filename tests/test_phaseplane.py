@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
+from wlw import phaseplane
 from wlw.errors import DegenerateEigenvalue, InvalidParameter, NoBracket, NonPositiveRadius
 from wlw.integrate import EventKind, IntegrationControls, integrate
 from wlw.model import AXIS_EPSILON, InitialConditions, Params, rescale
@@ -148,7 +149,33 @@ class TestSeparatrix:
 
     def test_theta0_3pi2_threshold_is_cylinder_radius(self):
         xbar = find_separatrix(Params(3, 1), 1.5 * PI, (1.0, 6.0))
-        assert xbar == pytest.approx(3.0, abs=1e-5)
+        assert xbar == 3.0
+
+    @pytest.mark.parametrize("a, b, expect", [
+        (3.0, 1.0, math.sqrt(27.0)),
+        (2.0, 1.0, 4.0),
+        (1.0, 1.0, math.e),
+        (0.5, 1.0, 2.0),
+        (3.0, 1.0 / 3.0, 9.0 * math.sqrt(3.0)),
+    ])
+    def test_theta0_zero_closed_form(self, a, b, expect):
+        # H(x, 0) = H(a/b, 3 pi/2) solves to x = a^(a/(a-1))/b, and e/b at a = 1
+        xbar = find_separatrix(Params(a, b), 0.0, (0.5 * expect, 2.0 * expect))
+        assert xbar == pytest.approx(expect, rel=1e-14)
+
+    def test_same_root_either_side_of_saddle_angle(self):
+        params = Params(3, 1)
+        above = find_separatrix(params, 1.5 * PI + 0.2, (1.0, 6.0))
+        below = find_separatrix(params, 1.5 * PI - 0.2, (1.0, 6.0))
+        assert above == pytest.approx(below, rel=1e-14)
+        assert above == pytest.approx(3.3394894205, rel=1e-10)
+
+    def test_integrates_nothing(self, monkeypatch):
+        calls, real = [], phaseplane.integrate
+        monkeypatch.setattr(phaseplane, "integrate",
+                            lambda *args: calls.append(args) or real(*args))
+        find_separatrix(Params(3, 1), 0.0, (4.0, 7.0))
+        assert calls == []
 
     def test_requires_saddle_regime(self):
         with pytest.raises(InvalidParameter):
@@ -163,7 +190,7 @@ class TestSeparatrix:
         xbar = find_separatrix(Params(3, 1), 0.0, (4.0, 7.0))
         p2, _ = rescale(3.0, Params(3, 1), InitialConditions(1.0, 0.0))
         xbar2 = find_separatrix(p2, 0.0, (3 * 4.0, 3 * 7.0))
-        assert xbar2 == pytest.approx(3.0 * xbar, rel=3e-6)
+        assert xbar2 == pytest.approx(3.0 * xbar, rel=1e-13)
         assert xbar2 == pytest.approx(15.588, abs=0.05)
 
 
