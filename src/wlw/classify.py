@@ -2,21 +2,33 @@
 
 The decision tree follows the geometry: exact rest points and circles are
 recognized algebraically, the pure linear case b = 0 is settled by the sign
-of a, periodic orbits are read off their level set, and everything else is
+of a, bounded orbits are read off their level set, and everything else is
 read off one integration - axis hits with pole ordering, bounded tangent
 oscillation, full tangent turns with translation periodicity, or asymptotic
 capture by the interior saddle.
 
-The level set of the first integral H (levelset.py) decides which.  An orbit
-whose radius turns at two finite radii x_lo > 0 and x_hi < inf, at both of
-which the tangent turns transversally, is periodic, and its report needs no
-run: it is an Unduloid when sin(theta) has one sign at both turning radii,
-and otherwise winds.  A winding orbit is a Nodoid when its rise dz per
-period has the sign of sin(theta) at x_hi, and an Antinodoid otherwise; its
-period, dz and self-crossings per period come from quadratures (see
-levelset.self_crossings).  Every other orbit runs both ways to the given
-budgets: axis-reaching or unbounded, with a tangential end near the
-rest-point radius |a/b| (the separatrix and its neighbours), with a failed
+The a < 0 round sphere, the lone axis-meeting orbit of its family (the level
+H = 0), is returned in closed form: radius (1 - a)/b, poles at
+R (cos(theta0) -+ 1).  Otherwise the level set of the first integral H
+(levelset.py) decides, and every report it gives has termination None:
+
+* An orbit whose radius turns at two finite radii x_lo > 0 and x_hi < inf,
+  at both of which the tangent turns transversally, is periodic.  It is an
+  Unduloid when sin(theta) has one sign at both turning radii, and
+  otherwise winds.  A winding orbit is a Nodoid when its rise dz per period
+  has the sign of sin(theta) at x_hi, and an Antinodoid otherwise; its
+  period, dz and self-crossings per period come from quadratures (see
+  levelset.self_crossings).
+* An a > 0 orbit with x_lo = 0 and a finite, transversal x_hi that passes
+  the saddle outside the capture band runs from the axis to x_hi and back.
+  Its pole heights, the crossing of its two branches and its theta range
+  come from quadratures and arcsin f_H (see levelset.axis_rise and
+  axis_crossings); the tag is Ovaloid when theta' keeps one sign, else
+  PinchedSpheroid, Vesicle or ImmersedSpheroid by the pole gap.
+
+Every other orbit runs both ways to the given budgets: unbounded, with a
+tangential end near the rest-point radius |a/b| or, from the axis, a pass
+by the saddle there (the separatrix and its neighbours), with a failed
 quadrature, or with a level set that floats cannot resolve to the run's
 rel_tol (x0^(-a) overflowing, or a near 1).
 """
@@ -51,7 +63,8 @@ POLE_ORDER_TOL = 1e-5
 
 # Saddle-capture band in theta (around 3*pi/2 mod 2*pi) and in x (around a/b).
 # A turning radius within this relative distance of the rest-point radius
-# |a/b| counts as tangential: such orbits run the full budgets.
+# |a/b| counts as tangential, as does the critical radius of an axis orbit:
+# such orbits run the full budgets.
 CAPTURE_BAND = 1e-3
 
 # Periods of an integrated winding orbit over which _count_loops_per_period
@@ -220,6 +233,11 @@ def _capture_window(traj: Trajectory, params: Params) -> Optional[tuple[float, f
 
 
 def _monotone_theta(traj: Trajectory) -> bool:
+    """Whether theta keeps one direction over the samples of a run.
+
+    Only the integration fallback uses it; an orbit read off its level set
+    compares theta' at the axis and at x_hi instead.
+    """
     d = np.diff(traj.theta)
     tol = 1e-10
     return bool(np.all(d >= -tol) or np.all(d <= tol))
@@ -281,7 +299,8 @@ def _transversal(params: Params, x_end: float, sin_end: float) -> bool:
 
 def _level_set_report(params: Params, ic: InitialConditions, controls: IntegrationControls,
                       level: _Level) -> Optional[ClassificationReport]:
-    """The report of a periodic orbit, read off its level set without a run.
+    """The report of a periodic or an axis-to-axis orbit, read off its level
+    set without a run.
 
     None when the orbit does not qualify or its level set cannot be trusted
     (see the module docstring); the caller then integrates.  f_H sums terms
@@ -290,15 +309,18 @@ def _level_set_report(params: Params, ic: InitialConditions, controls: Integrati
     accuracy a run would give.
     """
     h, x_lo, x_hi, sin_lo, sin_hi = level
-    if not (0.0 < x_lo and x_hi < math.inf
-            and _transversal(params, x_lo, sin_lo) and _transversal(params, x_hi, sin_hi)):
+    on_axis = x_lo == 0.0 and params.a > 0.0 and not _grazes_saddle(params, h, x_hi)
+    if not (x_hi < math.inf and _transversal(params, x_hi, sin_hi)
+            and (on_axis or (0.0 < x_lo and _transversal(params, x_lo, sin_lo)))):
         return None
-    if sys.float_info.epsilon * max(levelset.term_size(params, h, x_lo),
-                                    levelset.term_size(params, h, x_hi)) > controls.rel_tol:
+    if sys.float_info.epsilon * max(levelset.term_size(params, h, x)
+                                    for x in (x_lo, x_hi) if x > 0.0) > controls.rel_tol:
         return None
+    if on_axis:
+        return _axis_report(params, ic, level)
     if sin_lo * sin_hi > 0.0:
         return _report(SurfaceClass(SurfaceTag.UNDULOID), None, params, ic,
-                       self_intersections=0, theta_range=_unduloid_theta_range(params, ic, level))
+                       self_intersections=0, theta_range=_level_theta_range(params, ic, level))
     try:
         T, dz = levelset.period_and_shift(params, h, x_lo, x_hi)
         crossings = levelset.self_crossings(params, h, x_lo, x_hi, T, dz)
@@ -309,6 +331,58 @@ def _level_set_report(params: Params, ic: InitialConditions, controls: Integrati
     tag = SurfaceTag.NODOID if dz * sin_hi > 0.0 else SurfaceTag.ANTINODOID
     return _report(SurfaceClass(tag), None, params, ic, period=T, z_shift=dz,
                    self_intersections=crossings, theta_range=None)
+
+
+def _grazes_saddle(params: Params, h: float, x_hi: float) -> bool:
+    """Whether an a > 0 axis orbit passes the saddle within CAPTURE_BAND.
+
+    f_H' = a f_H/x + b vanishes at the critical radius xc, where
+    f_H = -b xc/a; that is -1, the saddle's level, only at xc = a/b.  An
+    orbit through there, such as the separatrix from the axis, has a double
+    root of 1 - f^2 inside (0, x_hi), which no quadrature resolves, so it
+    counts as tangential, as a turning radius at a/b does.
+    """
+    xc = levelset._critical_radius(params, h)
+    return xc is not None and xc < x_hi and not _transversal(params, xc, -1.0)
+
+
+def _axis_report(params: Params, ic: InitialConditions,
+                 level: _Level) -> Optional[ClassificationReport]:
+    """The report of an a > 0 orbit from the axis out to x_hi and back.
+
+    Its pole gap is 2 Z(x_hi) (levelset.axis_rise), and the branch through
+    x0 is picked by the sign of cos(theta0): x grows from the backward pole
+    to x_hi.  The tags keep the order of the integrated criteria: Ovaloid
+    when theta' = f_H' keeps one sign, which, f_H' being monotone, holds
+    when its limit on the axis has the sign of f_H'(x_hi); then
+    PinchedSpheroid when the gap is within POLE_ORDER_TOL * x0 of 0, which
+    counts its pinch on the axis as one crossing; then Vesicle or
+    ImmersedSpheroid by the sign of the gap.  None when a quadrature fails.
+    """
+    h, _, x_hi, _, sin_hi = level
+    a, b = params.a, params.b
+    ovaloid = levelset.axis_slope(params, h) * (a * sin_hi + b * x_hi) > 0.0
+    try:
+        z_hi = levelset.axis_rise(params, h, x_hi)
+        z0 = z_hi if ic.x0 == x_hi else levelset.axis_rise(params, h, x_hi, ic.x0)
+        gap = 2.0 * z_hi
+        pinched = abs(gap) < POLE_ORDER_TOL * ic.x0
+        crossings = (0 if ovaloid else 1 if pinched
+                     else levelset.axis_crossings(params, h, x_hi, z_hi))
+    except (QuadratureFailure, ArithmeticError):
+        return None
+    pole_z = (-z0, gap - z0) if math.cos(ic.theta0) > 0.0 else (z0 - gap, z0)
+    if ovaloid:
+        tag = SurfaceTag.OVALOID
+    elif pinched:
+        tag = SurfaceTag.PINCHED_SPHEROID
+    elif gap > 0.0:
+        tag = SurfaceTag.VESICLE
+    else:
+        tag = SurfaceTag.IMMERSED_SPHEROID
+    return _report(SurfaceClass(tag), None, params, ic, pole_z=pole_z,
+                   self_intersections=crossings,
+                   theta_range=_level_theta_range(params, ic, level))
 
 
 def _sin_at_outer_turn(traj: Trajectory, level: Optional[_Level]) -> float:
@@ -329,10 +403,14 @@ def classify_surface(params: Params, ic: InitialConditions,
     Inputs with b < 0 are reduced to b > 0 by the orientation reflection and
     the report is translated back (canonicalized_b marks this).  controls
     defaults to default_controls(params, ic) and bounds only the reports of
-    integrated orbits: a periodic orbit is read off its level set without a
-    run (termination None), and of the controls only rel_tol, the accuracy
-    asked of that level set, applies to it.  Raises Inconclusive when the
-    integration budget ends before any criterion fires.
+    integrated orbits.  The a < 0 sphere is returned in closed form, and the
+    periodic classes (Unduloid, Nodoid, Antinodoid) and the axis-to-axis
+    ones (Ovaloid, Vesicle, PinchedSpheroid, ImmersedSpheroid) are read off
+    their level set without a run: termination is None, and of the
+    controls only rel_tol, the accuracy asked of that level set, applies.
+    From the level set come period, z_shift, pole_z, self_intersections and
+    theta_range.  Raises Inconclusive when the integration budget ends
+    before any criterion fires.
     """
     cparams, cic, reflected = canonicalize(params, ic)
     if controls is None:
@@ -375,13 +453,10 @@ def _classify_canonical(params: Params, ic: InitialConditions,
 
     sphere_radius = _sphere_radius_if_match(params, ic)
     if sphere_radius is not None:
-        # The a < 0 sphere is the lone axis-meeting member of its family;
-        # neighboring trajectories whip around the pole at a distance set by
-        # the integration noise, so the axis threshold must sit above it.
-        controls = replace(controls, axis_epsilon=max(controls.axis_epsilon, 1e-4 * ic.x0))
+        return _sphere_report(params, ic, sphere_radius)
 
     level = _level_set(params, ic)
-    if level is not None and sphere_radius is None:
+    if level is not None:
         report = _level_set_report(params, ic, controls, level)
         if report is not None:
             return report
@@ -390,11 +465,6 @@ def _classify_canonical(params: Params, ic: InitialConditions,
     captured = _capture_window(traj, params)
     winding = [e for e in traj.events_of(EventKind.FULL_TURN)
                if abs(round((e.state.theta - ic.theta0) / math.tau)) >= 1]
-
-    if sphere_radius is not None and pole_z is not None:
-        return _report(SurfaceClass(SurfaceTag.SPHERE, radius=float(traj.x.max())),
-                       traj, params, ic, pole_z=pole_z, self_intersections=0,
-                       theta_range=traj.theta_range())
 
     if captured is not None and not _ends_on_axis_both(traj):
         # Count crossings of the curve proper, not of the post-capture
@@ -442,7 +512,7 @@ def _classify_canonical(params: Params, ic: InitialConditions,
     if a < 0.0 and span < math.tau and not truncated:
         return _report(SurfaceClass(SurfaceTag.UNDULOID), traj, params, ic,
                        self_intersections=0,
-                       theta_range=_unduloid_theta_range(params, ic, level)
+                       theta_range=_level_theta_range(params, ic, level)
                        or traj.theta_range())
 
     raise Inconclusive(
@@ -488,19 +558,40 @@ def _classify_pure_linear(params: Params, ic: InitialConditions,
                    self_intersections=0, theta_range=traj.theta_range())
 
 
-def _unduloid_theta_range(params: Params, ic: InitialConditions,
-                          level: Optional[_Level]) -> Optional[tuple[float, float]]:
-    """[arcsin f_min, pi - arcsin f_min] about the pi/2 + 2 pi k nearest theta0.
+def _level_theta_range(params: Params, ic: InitialConditions,
+                       level: Optional[_Level]) -> Optional[tuple[float, float]]:
+    """theta's range over an orbit that turns at x_hi, from its level set.
 
-    sin(theta) = 1 at both turning radii of an unduloid.  None without a
-    level set, and when x_lo = 0, the H = 0 level of the sphere, which
-    reaches the axis.
+    theta = arcsin f_H(x) on the branch where cos(theta) > 0 and
+    s pi - arcsin f_H(x) on the other, s = sin(theta) = +-1 at x_hi; the two
+    meet there.  With low = arcsin of the least s f_H on the orbit, the
+    range is [low, pi - low] for s = 1 and its mirror [low - pi, -low] for
+    s = -1, about the s pi/2 + 2 pi k nearest theta0.  An unduloid has
+    s = 1 at both turning radii.  None without a level set.
     """
-    if level is None or level.x_lo == 0.0:
+    if level is None:
         return None
-    low = math.asin(levelset.f_min(params, level.h, level.x_lo, level.x_hi))
-    shift = math.tau * round((ic.theta0 - 0.5 * math.pi) / math.tau)
-    return low + shift, math.pi - low + shift
+    s = level.sin_hi
+    low = math.asin(levelset.f_min(params, level.h, level.x_lo, level.x_hi, s))
+    shift = math.tau * round((ic.theta0 - s * 0.5 * math.pi) / math.tau)
+    if s > 0.0:
+        return low + shift, math.pi - low + shift
+    return low - math.pi + shift, -low + shift
+
+
+def _sphere_report(params: Params, ic: InitialConditions, radius: float) -> ClassificationReport:
+    """The a < 0 round sphere through (x0, theta0), in closed form.
+
+    theta' = 1/radius along it, so x = radius sin(theta) and
+    z = radius (cos(theta0) - cos(theta)), with z = 0 at theta0.  With
+    alpha = theta0 mod 2 pi in (0, pi), the poles lie at theta0 - alpha
+    behind and theta0 - alpha + pi ahead.
+    """
+    start = ic.theta0 - ic.theta0 % math.tau
+    c = math.cos(ic.theta0)
+    return _report(SurfaceClass(SurfaceTag.SPHERE, radius=radius), None, params, ic,
+                   pole_z=(radius * (c - 1.0), radius * (c + 1.0)), self_intersections=0,
+                   theta_range=(start, start + math.pi))
 
 
 def _sphere_radius_if_match(params: Params, ic: InitialConditions) -> Optional[float]:
@@ -517,7 +608,7 @@ def _sphere_radius_if_match(params: Params, ic: InitialConditions) -> Optional[f
         return None
     target = kappa * ic.x0
     if abs(math.sin(ic.theta0) - target) <= 1e-9 * max(1.0, abs(target)):
-        return 1.0 / abs(kappa)
+        return abs((1.0 - params.a) / params.b)
     return None
 
 
@@ -527,6 +618,12 @@ def _ends_on_axis_both(traj: Trajectory) -> bool:
 
 
 def _pole_heights(traj: Trajectory) -> Optional[tuple[float, float]]:
+    """z at the backward and forward ends of a run that reaches the axis both
+    ways, else None.
+
+    Only the integration fallback and the b = 0 profiles use it; an orbit
+    read off its level set takes its poles from levelset.axis_rise.
+    """
     if not _ends_on_axis_both(traj):
         return None
     return float(traj.z[0]), float(traj.z[-1])

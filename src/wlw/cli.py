@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 internal failure, 2 invalid input, 3 inconclusive
 classification.  Errors are reported as machine-readable JSON on stdout.
 
-sweep classifies its grid cells in forked worker processes, one per CPU this
-process may run on; its files are the same byte for byte for any worker count.
+sweep classifies a grid of MIN_POOLED_CELLS or more cells in forked worker
+processes, one per CPU this process may run on, and a smaller one in this
+process; its files are the same byte for byte for any worker count.
 """
 
 from __future__ import annotations
@@ -256,9 +257,10 @@ def _sweep_cell(a, b, x0, t0):
 
 # A grid with fewer cells than this is classified in the calling process.
 # On a 2-vCPU host, starting and stopping a 2-worker pool costs 20-40 ms,
-# against 4-6 ms for the average cell.  On grids of 5-8 ms cells, 8 cells
-# were slower pooled, 12 about even and 16 about 25 % faster.
-MIN_POOLED_CELLS = 16
+# against about 1 ms for the average cell, since most classes are read off
+# the level set.  Serial won on grids of 8 to 98 cells, 112 cells was about
+# even, and the pool won by 3-16 % at 126 cells and by 1.1-1.4x at 1,000.
+MIN_POOLED_CELLS = 120
 
 
 def _sweep_workers(n_cells: int) -> int:

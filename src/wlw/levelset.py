@@ -23,6 +23,12 @@ Z(x) = int_{x_lo}^x f/sqrt(1 - f^2) dx.  Two branches of one kind are
 translates and never cross; a rising and a falling branch cross where
 2 Z(x)/dz is an integer.  That gives the self-crossings per period of the
 whole curve in closed form (self_crossings).
+
+For a > 0, f_H(0) = 0, and an orbit whose component reaches the axis runs
+from the axis out to x_hi and back: it closes.  With Z(x) = int_0^x
+f/sqrt(1 - f^2) dx its branches are z = z_pole + Z(x) and
+z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart (axis_rise), and
+the branches cross where Z(x) = Z(x_hi) (axis_crossings).
 """
 
 from __future__ import annotations
@@ -150,15 +156,23 @@ def turning_radii(params: Params, h: float, x0: float, theta0: float) -> tuple[f
             _end(params, h, x0, sin0, outward=True))
 
 
-def f_min(params: Params, h: float, x_lo: float, x_hi: float) -> float:
-    """The least sin(theta) on the bounded component [x_lo, x_hi]."""
+def f_min(params: Params, h: float, x_lo: float, x_hi: float, sign: float = 1.0) -> float:
+    """The least sign * sin(theta) on the bounded component [x_lo, x_hi].
+
+    sin(theta) = 0 on the axis, where an x_lo = 0 orbit (a > 0) starts.
+    """
     xc = _critical_radius(params, h)
     inside = [xc] if xc is not None and x_lo < xc < x_hi else []
-    return min(f_H(params, h, x) for x in [x_lo, x_hi] + inside)
+    return min(sign * f_H(params, h, x) if x > 0.0 else 0.0 for x in [x_lo, x_hi] + inside)
 
 
 def _rise(params: Params, h: float, x_end: float, d: float) -> float:
-    """f_H(x_end + d) - f_H(x_end), without cancellation for small d."""
+    """f_H(x_end + d) - f_H(x_end), without cancellation for small d.
+
+    On the axis, x_end = 0, this is f_H(d): f_H(0) = 0 when a > 0.
+    """
+    if x_end == 0.0:
+        return f_H(params, h, d)
     a, b = params.a, params.b
     if a == 1.0:
         return d * (h + b * math.log(x_end + d)) + b * x_end * math.log1p(d / x_end)
@@ -182,15 +196,16 @@ def _half_integral(params: Params, h: float, x_lo: float, x_hi: float,
                    weighted: bool, epsabs: float, phi_end: float = math.pi) -> float:
     """int dx/sqrt(1 - f^2), or int f/sqrt(1 - f^2) dx when weighted, on [x_lo, x_hi].
 
-    With x = c - r cos(phi) the integrand stays bounded at ends where
-    f_H' != 0; 1 - f^2 is taken from the rise of f_H over the nearer end,
-    where f_H = +-1, so it keeps its relative accuracy there.  phi_end < pi
-    stops the integral at x = c - r cos(phi_end).  Raises QuadratureFailure
-    when quad reports failure or a non-finite value.
+    With x = c - r cos(phi) the integrand stays bounded at turning radii
+    where f_H' != 0; 1 - f^2 is taken from the rise of f_H over the nearer
+    end, where f_H = +-1, so it keeps its relative accuracy there.  x_lo = 0
+    is the axis of an a > 0 orbit, where f_H = 0 and 1 - f^2 is taken as it
+    is.  phi_end < pi stops the integral at x = c - r cos(phi_end).  Raises
+    QuadratureFailure when quad reports failure or a non-finite value.
     """
     r = 0.5 * (x_hi - x_lo)
-    ends = [(x_lo, math.copysign(1.0, f_H(params, h, x_lo))),
-            (x_hi, math.copysign(1.0, f_H(params, h, x_hi)))]
+    ends = [(x, 0.0 if x == 0.0 else math.copysign(1.0, f_H(params, h, x)))
+            for x in (x_lo, x_hi)]
 
     def integrand(phi):
         if phi < 0.5 * math.pi:
@@ -198,7 +213,8 @@ def _half_integral(params: Params, h: float, x_lo: float, x_hi: float,
         else:
             (x_end, level), d = ends[1], -2.0 * r * math.cos(0.5 * phi) ** 2
         rise = _rise(params, h, x_end, d)
-        q = -level * rise * (2.0 + level * rise)     # 1 - f^2 with f = level + rise
+        # 1 - f^2 with f = level + rise
+        q = 1.0 - rise * rise if level == 0.0 else -level * rise * (2.0 + level * rise)
         w = r * math.sin(phi) / math.sqrt(q) if q > 0.0 else math.nan
         return (level + rise) * w if weighted else w
 
@@ -244,13 +260,67 @@ def self_crossings(params: Params, h: float, x_lo: float, x_hi: float,
     quadrature, accurate to _QUAD_RTOL * T.  Raises ArithmeticError when
     dz = 0 or the zero is lost to rounding.
     """
-    try:
-        x_z = brentq(lambda x: f_H(params, h, x), x_lo, x_hi, xtol=_RADIUS_RTOL * x_lo)
-    except (ValueError, RuntimeError) as e:
-        raise FloatingPointError(f"no zero of f_H resolved in [{x_lo}, {x_hi}]") from e
-    c, r = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
-    phi_z = math.acos(min(1.0, max(-1.0, (c - x_z) / r)))
+    x_z = _zero(params, h, x_lo, x_hi)
     z_z = _half_integral(params, h, x_lo, x_hi, weighted=True,
-                         epsabs=0.5 * _QUAD_RTOL * T, phi_end=phi_z)
+                         epsabs=0.5 * _QUAD_RTOL * T, phi_end=_phi(x_lo, x_hi, x_z))
     ratio = 2.0 * z_z / dz
     return _integers_between(0.0, ratio) + _integers_between(ratio, 1.0)
+
+
+def axis_slope(params: Params, h: float) -> float:
+    """The limit of f_H'(x) = theta' as x -> 0+, for a > 0; it may be +-inf.
+
+    f_H' = a h x^(a - 1) + b/(1 - a), resp. h + b + b ln x at a = 1, is
+    monotone in x, so its sign on (0, x_hi] changes at most once.
+    """
+    a, b = params.a, params.b
+    if a == 1.0:
+        return math.copysign(math.inf, -b)
+    if a < 1.0 and h != 0.0:
+        return math.copysign(math.inf, h)
+    return b / (1.0 - a)
+
+
+def axis_rise(params: Params, h: float, x_hi: float, x: Optional[float] = None) -> float:
+    """Z(x) = int_0^x f/sqrt(1 - f^2) dx on an a > 0 orbit from the axis to x_hi.
+
+    Z(x_hi) when x is None.  The profile's branches are z = z_pole + Z(x)
+    and z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart.
+    Accurate to _QUAD_RTOL * x_hi, which is at most _QUAD_RTOL times the
+    arclength from the axis to x_hi.
+    """
+    phi_end = math.pi if x is None else _phi(0.0, x_hi, x)
+    return _half_integral(params, h, 0.0, x_hi, weighted=True,
+                          epsabs=_QUAD_RTOL * x_hi, phi_end=phi_end)
+
+
+def axis_crossings(params: Params, h: float, x_hi: float, z_hi: float) -> int:
+    """The self-crossings of an a > 0 axis-to-axis profile, Z(x_hi) = z_hi.
+
+    The two branches meet where Z(x) = z_hi for x in (0, x_hi).  f_H = 0 on
+    the axis and +-1 at x_hi; when theta' changes sign on the way, f_H
+    first runs the other way, past its critical radius, and has one zero
+    x_z, where Z turns.  Z is monotone on (0, x_z) and on (x_z, x_hi), so
+    the branches meet once when z_hi lies strictly between 0 and Z(x_z),
+    and otherwise nowhere.  Raises ArithmeticError when f_H has no zero
+    past its critical radius, which holds when theta' keeps one sign.
+    """
+    xc = _critical_radius(params, h)
+    if xc is None or not 0.0 < xc < x_hi:
+        raise FloatingPointError(f"f_H has no critical radius in (0, {x_hi})")
+    z_z = axis_rise(params, h, x_hi, _zero(params, h, xc, x_hi))
+    return int(min(0.0, z_z) < z_hi < max(0.0, z_z))
+
+
+def _zero(params: Params, h: float, lo: float, hi: float) -> float:
+    """The zero of f_H in [lo, hi], where f_H changes sign."""
+    try:
+        return brentq(lambda x: f_H(params, h, x), lo, hi, xtol=_RADIUS_RTOL * lo)
+    except (ValueError, RuntimeError) as e:
+        raise FloatingPointError(f"no zero of f_H resolved in [{lo}, {hi}]") from e
+
+
+def _phi(x_lo: float, x_hi: float, x: float) -> float:
+    """The phi of _half_integral's x = c - r cos(phi) on [x_lo, x_hi]."""
+    c, r = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    return math.acos(min(1.0, max(-1.0, (c - x) / r)))

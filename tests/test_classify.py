@@ -1,5 +1,8 @@
+import itertools
 import math
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +122,41 @@ class TestThresholds:
             above = classify_surface(Params(-2, 1), InitialConditions(x_sph + delta, PI / 2))
             assert below.surface.tag == SurfaceTag.UNDULOID
             assert above.surface.tag == SurfaceTag.NODOID
+
+    @pytest.mark.parametrize("a", [-3.0, -2.0, -0.5])
+    def test_sphere_threshold_is_closed_form(self, a):
+        # x_sph = (1 - a)/b: Unduloid just inside, the closed-form sphere on
+        # it, and Nodoid just beyond.
+        params = Params(a, 1.0)
+        x_sph = nodoid_threshold(params)[1]
+        got = tags(params, PI / 2, [x_sph * (1.0 - 1e-3), x_sph, x_sph * (1.0 + 1e-3)])
+        assert got == [SurfaceTag.UNDULOID, SurfaceTag.SPHERE, SurfaceTag.NODOID]
+        r = classify_surface(params, InitialConditions(x_sph, PI / 2))
+        assert r.surface.radius == 1.0 - a
+        assert r.pole_z == pytest.approx((-x_sph, x_sph), abs=1e-15)
+        assert r.theta_range == (0.0, PI) and r.termination is None
+
+    @pytest.mark.parametrize("a", [-3.0, -2.0, -0.5])
+    def test_cylinder_threshold_at_one_part_in_a_thousand(self, a):
+        params = Params(a, 1.0)
+        x_cyl = nodoid_threshold(params)[0]
+        got = tags(params, PI / 2, [x_cyl * (1.0 - 1e-3), x_cyl, x_cyl * (1.0 + 1e-3)])
+        assert got == [SurfaceTag.UNDULOID, SurfaceTag.CYLINDER, SurfaceTag.UNDULOID]
+
+    def test_sphere_runs_nothing(self, monkeypatch):
+        # Sphere poles and theta range for theta0 off pi/2 and off [0, 2 pi):
+        # z = R (cos(theta0) - cos(theta)) from theta = 2 pi k to 2 pi k + pi.
+        runs = spy_integrate(monkeypatch)
+        theta0 = 4 * PI + PI / 6
+        params, ic = Params(-2, 1), InitialConditions(3.0 * math.sin(theta0), theta0)
+        r = classify_surface(params, ic)
+        assert runs == []
+        assert (r.surface.tag, r.surface.radius) == (SurfaceTag.SPHERE, 3.0)
+        c = math.cos(theta0)
+        assert r.pole_z == pytest.approx((3.0 * (c - 1.0), 3.0 * (c + 1.0)), abs=1e-14)
+        assert r.theta_range == pytest.approx((4 * PI, 5 * PI), abs=1e-14)
+        mirrored = classify_surface(Params(-2, -1), InitialConditions(ic.x0, theta0 + PI))
+        assert mirrored.pole_z == pytest.approx(r.pole_z[::-1], abs=1e-14)
 
     def test_cylinder_threshold_is_isolated(self):
         x_cyl, _ = nodoid_threshold(Params(-2, 1))
@@ -289,9 +327,11 @@ class TestReportMechanics:
         assert mirrored.period == pytest.approx(direct.period, rel=1e-10)
 
     def test_inconclusive_on_tiny_budget(self):
+        # The separatrix passes through the saddle, so it is integrated and
+        # the budget binds it.
         controls = IntegrationControls(max_arclength=0.5, max_full_turns=3)
         with pytest.raises(Inconclusive) as info:
-            classify_surface(Params(3, 1), InitialConditions(1.0, 0.0), controls)
+            classify_surface(Params(3, 1), InitialConditions(math.sqrt(27.0), 0.0), controls)
         assert "termination" in info.value.diagnostics
 
     def test_truncated_run_is_not_unduloid(self, monkeypatch):
@@ -391,7 +431,12 @@ class TestPeriodicSpan:
         assert r.surface.tag == SurfaceTag.NODOID and r.termination is None
 
     def test_separatrix_runs_both_ways(self, monkeypatch):
+        # Its level set runs from the axis to x_hi = 6 through the saddle at
+        # a/b = 3, so no quadrature is tried on it.
+        def refuse(*args):
+            raise NoRun
         xbar = find_separatrix(Params(3, 1), 0.0, (4.0, 7.0), rel_width=1e-13)
+        monkeypatch.setattr(levelset, "axis_rise", refuse)
         runs = spy_integrate(monkeypatch)
         r = classify_surface(Params(3, 1), InitialConditions(xbar, 0.0))
         assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID
@@ -430,10 +475,11 @@ class TestPeriodicSpan:
     @pytest.mark.parametrize("b,x0,pole", [(0.001, 1.0, 1.000693498577178),
                                            (1.0, 0.001, 0.0010006934985062755)])
     def test_level_set_beyond_the_floats_keeps_the_ovaloid(self, b, x0, pole):
-        # The a = 1 critical radius exp(-H/b - 1) is not a float here.
+        # The a = 1 critical radius exp(-H/b - 1) is not a float here; the
+        # orbit runs from the axis to x_hi = x0 and is read off its level set.
         r = classify_surface(Params(1, b), InitialConditions(x0, 1.5 * PI))
         assert r.surface.tag == SurfaceTag.OVALOID
-        assert r.termination == Termination.AXIS_REACHED
+        assert r.termination is None
         assert max(r.pole_z) == pytest.approx(pole, rel=1e-9)
 
     @pytest.mark.parametrize("a,b,x0,theta0,tag", [
@@ -527,6 +573,116 @@ class TestLevelSetOracles:
         traj = integrate(params, ic, IntegrationControls(
             rel_tol=1e-13, abs_tol=1e-15, max_arclength=3.0 * r.period, two_sided=False))
         assert r.period == pytest.approx(detect_period(traj)[0], rel=1e-8)
+
+
+AXIS_TAGS = {SurfaceTag.OVALOID, SurfaceTag.VESICLE, SurfaceTag.PINCHED_SPHEROID,
+             SurfaceTag.IMMERSED_SPHEROID}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def benchmark_cells(monkeypatch, source):
+    """The (a, b, x0, theta0) inputs of the benchmark's sweep grids at one seed,
+    or of its classify cases."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    if source == "classify":
+        return [case[1:] for case in workloads.classify_cases(0)]
+    grids = workloads.sweep_grids(int(source.removeprefix("sweep")))
+    return sorted({cell for grid in grids for cell in itertools.product(*grid)})
+
+
+def random_axis_draws(n, seed=0):
+    """n random a > 0 inputs whose report is read off an axis-to-axis level set.
+
+    |a| log-uniform in [0.05, 5], |b| in [0.1, 3] with a random sign, x0 in
+    [0.1, 10], theta0 uniform in [0, 2 pi).
+    """
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        a = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+        b = math.exp(rng.uniform(math.log(0.1), math.log(3.0))) * rng.choice((-1.0, 1.0))
+        x0 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        theta0 = rng.uniform(0.0, 2 * PI)
+        report = classify_surface(Params(a, b), InitialConditions(x0, theta0))
+        if report.termination is None and report.surface.tag in AXIS_TAGS:
+            out.append((a, b, x0, theta0))
+    return out
+
+
+def witness_run(monkeypatch, params, ic, controls):
+    """classify_surface's report with the level set turned off, and its run."""
+    runs = []
+
+    def keep(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+    with monkeypatch.context() as m:
+        m.setattr(classify, "_level_set", lambda *args: None)
+        m.setattr(classify, "integrate", keep)
+        return classify_surface(params, ic, controls), runs[0]
+
+
+def theta_extremes(traj):
+    """theta's least and greatest value on a run, from its dense output about
+    the extreme samples."""
+    out = []
+    for i, pick in ((int(np.argmin(traj.theta)), np.min), (int(np.argmax(traj.theta)), np.max)):
+        s = np.linspace(traj.s[max(i - 1, 0)], traj.s[min(i + 1, traj.s.size - 1)], 2001)
+        out.append(float(pick(traj.eval(s)[2])))
+    return tuple(out)
+
+
+def axis_witness_mismatch(monkeypatch, params, ic, report):
+    """How an axis-to-axis level-set report disagrees with a two-sided run at
+    rel_tol 1e-13, or None.
+
+    The run stops at x = axis_epsilon, short of the poles, where theta still
+    differs from its axis value by about H axis_epsilon^a: 3e-5 at a = 0.57
+    and 0.38 at a = 0.05.  So its pole heights and theta range are compared
+    with the level set's over the stretch [axis_epsilon, x_hi] it covers.
+    """
+    tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+    witness, traj = witness_run(monkeypatch, params, ic, tight)
+    level = classify._level_set(params, ic)
+    eps = tight.axis_epsilon
+    z_eps = levelset.axis_rise(params, level.h, level.x_hi, eps)
+    poles = (report.pole_z[0] + z_eps, report.pole_z[1] - z_eps)
+    lo, hi = classify._level_theta_range(params, ic, level._replace(x_lo=eps))
+    why = []
+    if witness.surface != report.surface:
+        why.append(f"tag {witness.surface}")
+    if witness.self_intersections != report.self_intersections:
+        why.append(f"crossings {witness.self_intersections} != {report.self_intersections}")
+    if witness.pole_z is None or max(abs(p - q) for p, q in zip(witness.pole_z, poles)) > 1e-8 * ic.x0:
+        why.append(f"pole_z {witness.pole_z} != {poles}")
+    t_lo, t_hi = theta_extremes(traj)
+    r_lo, r_hi = report.theta_range
+    if max(abs(t_lo - lo), abs(t_hi - hi)) > 1e-6 or not r_lo - 1e-6 <= t_lo <= t_hi <= r_hi + 1e-6:
+        why.append(f"theta_range {(t_lo, t_hi)} != {(lo, hi)} within {report.theta_range}")
+    return why or None
+
+
+class TestAxisToAxis:
+    @pytest.mark.parametrize("source,least", [("sweep0", 33), ("sweep1", 98), ("sweep2", 95),
+                                              ("sweep3", 96), ("classify", 4), ("random", 200)])
+    def test_level_set_report_matches_the_integration(self, monkeypatch, source, least):
+        cells = (random_axis_draws(200) if source == "random"
+                 else benchmark_cells(monkeypatch, source))
+        checked, wrong = 0, []
+        for a, b, x0, theta0 in cells:
+            if a == 0.0:
+                continue
+            params, ic, _ = canonicalize(Params(a, b), InitialConditions(x0, theta0))
+            report = classify_surface(params, ic)
+            if report.surface.tag not in AXIS_TAGS:
+                continue
+            assert report.termination is None
+            checked += 1
+            why = axis_witness_mismatch(monkeypatch, params, ic, report)
+            if why is not None:
+                wrong.append(((a, b, x0, theta0), why))
+        assert wrong == []
+        assert checked >= least
 
 
 # The benchmark's classify inputs that need no set-up bisection.

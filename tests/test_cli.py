@@ -45,6 +45,8 @@ def test_periodic_class_reports_whatever_the_budget(capsys):
 
 
 def test_mesh_integrates_a_periodic_profile_once(capsys, tmp_path, monkeypatch):
+    # Periodic and axis-to-axis classes are read off the level set, so the
+    # mesh's own run is the only one.
     calls, integrate = [], cli.integrate
 
     def spy(*args):
@@ -52,10 +54,14 @@ def test_mesh_integrates_a_periodic_profile_once(capsys, tmp_path, monkeypatch):
         return integrate(*args)
     monkeypatch.setattr(cli, "integrate", spy)
     monkeypatch.setattr("wlw.classify.integrate", spy)
-    code, doc = run_json(capsys, ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2",
-                                  "--periods", "2", "-o", str(tmp_path)])
-    assert code == EXIT_OK and doc["class"] == "Nodoid"
-    assert len(calls) == 1
+    for flags, tag in [
+        (["-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2", "--periods", "2"], "Nodoid"),
+        (["-a", "3", "-b", "1", "--x0", "1", "--theta0", "0"], "Vesicle"),
+    ]:
+        calls.clear()
+        code, doc = run_json(capsys, ["mesh", *flags, "-o", str(tmp_path / tag)])
+        assert code == EXIT_OK and doc["class"] == tag
+        assert len(calls) == 1
 
 
 def test_no_bracket_exits_failure(capsys, tmp_path):
@@ -87,9 +93,13 @@ def test_missing_required_flag_exits_invalid(capsys):
     assert "--x0" in captured.err
 
 
+# The separatrix of (3, 1) at theta0 = 0, sqrt(27): integrated, so the
+# budget flags bind it.
+SEPARATRIX = ["-a", "3", "-b", "1", "--x0", "5.196152422706632", "--theta0", "0"]
+
+
 def test_tiny_budget_exits_inconclusive(capsys):
-    code, doc = run_json(capsys, ["classify", "-a", "3", "-b", "1", "--x0", "1",
-                                  "--theta0", "0", "--max-arclength", "0.5"])
+    code, doc = run_json(capsys, ["classify", *SEPARATRIX, "--max-arclength", "0.5"])
     assert code == EXIT_INCONCLUSIVE
     assert set(doc) == {"error", "message", "diagnostics"}
     assert doc["error"] == "Inconclusive"
@@ -171,8 +181,8 @@ def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
 
 
 def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):
-    code, doc = run_json(capsys, ["mesh", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "0",
-                                  "--max-arclength", "0.5", "-o", str(tmp_path)])
+    code, doc = run_json(capsys, ["mesh", *SEPARATRIX, "--max-arclength", "0.5",
+                                  "-o", str(tmp_path)])
     assert code == EXIT_INCONCLUSIVE
     assert doc["error"] == "Inconclusive"
 
