@@ -7,9 +7,9 @@ read off one integration - axis hits with pole ordering, bounded tangent
 oscillation, full tangent turns with translation periodicity, or asymptotic
 capture by the interior saddle.
 
-The a < 0 round sphere, the lone axis-meeting orbit of its family (the level
-H = 0), is returned in closed form: radius (1 - a)/b, poles at
-R (cos(theta0) -+ 1).  Otherwise the level set of the first integral H
+The a < 0 round sphere sin(theta) = b x/(1 - a), the lone axis-meeting orbit
+of its family, is returned in closed form: radius (1 - a)/b, poles at
+R (cos(theta0) -+ 1).  Otherwise the level set of the first integral
 (levelset.py) decides, and every report it gives has termination None:
 
 * An orbit whose radius turns at two finite radii x_lo > 0 and x_hi < inf,
@@ -30,7 +30,7 @@ Every other orbit runs both ways to the given budgets: unbounded, with a
 tangential end near the rest-point radius |a/b| or, from the axis, a pass
 by the saddle there (the separatrix and its neighbours), with a failed
 quadrature, or with a level set that floats cannot resolve to the run's
-rel_tol (x0^(-a) overflowing, or a near 1).
+rel_tol ((x/x0)^a overflowing at a far turning radius).
 """
 
 from __future__ import annotations
@@ -259,12 +259,12 @@ def _count_loops_per_period(traj: Trajectory, period: float) -> int:
 
 
 class _Level(NamedTuple):
-    """The level of H through the initial state and its turning radii.
+    """The level of the first integral anchored at the initial state, and its turning radii.
 
     sin_lo and sin_hi are f_H = +-1 at x_lo and x_hi, and nan at an end on
     the axis (0.0) or at infinity.
     """
-    h: float
+    anchor: levelset.Anchor
     x_lo: float
     x_hi: float
     sin_lo: float
@@ -274,20 +274,19 @@ class _Level(NamedTuple):
 def _level_set(params: Params, ic: InitialConditions) -> Optional[_Level]:
     """The level set of the orbit, or None where floats cannot resolve it.
 
-    x0^(-a) in H, and x^a in f_H at far turning radii, can leave the float
-    range at extreme x0, a or b, and near a = 1 the two terms of f_H cancel;
-    classify then runs the given controls and reads the report off the
-    trajectory alone.
+    (x/x0)^a in f_H can leave the float range at far turning radii, for
+    extreme x0, a or b; classify then runs the given controls and reads the
+    report off the trajectory alone.
     """
     def sin_at(x):
         if not 0.0 < x < math.inf:
             return math.nan
-        return math.copysign(1.0, levelset.f_H(params, h, x))
+        return math.copysign(1.0, levelset.f_H(params, anchor, x))
 
     try:
-        h = levelset.H(params, ic.x0, ic.theta0)
-        x_lo, x_hi = levelset.turning_radii(params, h, ic.x0, ic.theta0)
-        return _Level(h, x_lo, x_hi, sin_at(x_lo), sin_at(x_hi))
+        anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
+        x_lo, x_hi = levelset.turning_radii(params, anchor)
+        return _Level(anchor, x_lo, x_hi, sin_at(x_lo), sin_at(x_hi))
     except ArithmeticError:
         return None
 
@@ -308,12 +307,12 @@ def _level_set_report(params: Params, ic: InitialConditions, controls: Integrati
     level set is used only where this stays within controls.rel_tol, the
     accuracy a run would give.
     """
-    h, x_lo, x_hi, sin_lo, sin_hi = level
-    on_axis = x_lo == 0.0 and params.a > 0.0 and not _grazes_saddle(params, h, x_hi)
+    anchor, x_lo, x_hi, sin_lo, sin_hi = level
+    on_axis = x_lo == 0.0 and params.a > 0.0 and not _grazes_saddle(params, anchor, x_hi)
     if not (x_hi < math.inf and _transversal(params, x_hi, sin_hi)
             and (on_axis or (0.0 < x_lo and _transversal(params, x_lo, sin_lo)))):
         return None
-    if sys.float_info.epsilon * max(levelset.term_size(params, h, x)
+    if sys.float_info.epsilon * max(levelset.term_size(params, anchor, x)
                                     for x in (x_lo, x_hi) if x > 0.0) > controls.rel_tol:
         return None
     if on_axis:
@@ -322,8 +321,8 @@ def _level_set_report(params: Params, ic: InitialConditions, controls: Integrati
         return _report(SurfaceClass(SurfaceTag.UNDULOID), None, params, ic,
                        self_intersections=0, theta_range=_level_theta_range(params, ic, level))
     try:
-        T, dz = levelset.period_and_shift(params, h, x_lo, x_hi)
-        crossings = levelset.self_crossings(params, h, x_lo, x_hi, T, dz)
+        T, dz = levelset.period_and_shift(params, anchor, x_lo, x_hi)
+        crossings = levelset.self_crossings(params, anchor, x_lo, x_hi, T, dz)
     except (QuadratureFailure, ArithmeticError):
         return None
     # The loops curl toward the axis when the curve rises per period in the
@@ -333,7 +332,7 @@ def _level_set_report(params: Params, ic: InitialConditions, controls: Integrati
                    self_intersections=crossings, theta_range=None)
 
 
-def _grazes_saddle(params: Params, h: float, x_hi: float) -> bool:
+def _grazes_saddle(params: Params, anchor: levelset.Anchor, x_hi: float) -> bool:
     """Whether an a > 0 axis orbit passes the saddle within CAPTURE_BAND.
 
     f_H' = a f_H/x + b vanishes at the critical radius xc, where
@@ -342,7 +341,7 @@ def _grazes_saddle(params: Params, h: float, x_hi: float) -> bool:
     root of 1 - f^2 inside (0, x_hi), which no quadrature resolves, so it
     counts as tangential, as a turning radius at a/b does.
     """
-    xc = levelset._critical_radius(params, h)
+    xc = levelset._critical_radius(params, anchor)
     return xc is not None and xc < x_hi and not _transversal(params, xc, -1.0)
 
 
@@ -359,16 +358,16 @@ def _axis_report(params: Params, ic: InitialConditions,
     counts its pinch on the axis as one crossing; then Vesicle or
     ImmersedSpheroid by the sign of the gap.  None when a quadrature fails.
     """
-    h, _, x_hi, _, sin_hi = level
+    anchor, _, x_hi, _, sin_hi = level
     a, b = params.a, params.b
-    ovaloid = levelset.axis_slope(params, h) * (a * sin_hi + b * x_hi) > 0.0
+    ovaloid = levelset.axis_slope(params, anchor) * (a * sin_hi + b * x_hi) > 0.0
     try:
-        z_hi = levelset.axis_rise(params, h, x_hi)
-        z0 = z_hi if ic.x0 == x_hi else levelset.axis_rise(params, h, x_hi, ic.x0)
+        z_hi = levelset.axis_rise(params, anchor, x_hi)
+        z0 = z_hi if ic.x0 == x_hi else levelset.axis_rise(params, anchor, x_hi, ic.x0)
         gap = 2.0 * z_hi
         pinched = abs(gap) < POLE_ORDER_TOL * ic.x0
         crossings = (0 if ovaloid else 1 if pinched
-                     else levelset.axis_crossings(params, h, x_hi, z_hi))
+                     else levelset.axis_crossings(params, anchor, x_hi, z_hi))
     except (QuadratureFailure, ArithmeticError):
         return None
     pole_z = (-z0, gap - z0) if math.cos(ic.theta0) > 0.0 else (z0 - gap, z0)
@@ -545,14 +544,13 @@ def _classify_pure_linear(params: Params, ic: InitialConditions,
     run = replace(controls, max_arclength=min(40.0 * scale, controls.max_arclength))
     traj = integrate(params, ic, run)
 
-    if a == 1.0:
-        return _report(SurfaceClass(SurfaceTag.SPHERE, radius=ic.x0 / abs(sin_t0)),
-                       traj, params, ic, pole_z=_pole_heights(traj),
-                       self_intersections=0, theta_range=traj.theta_range())
     if a > 0.0:
-        return _report(SurfaceClass(SurfaceTag.OVALOID), traj, params, ic,
-                       pole_z=_pole_heights(traj), self_intersections=0,
-                       theta_range=traj.theta_range())
+        surface = (SurfaceClass(SurfaceTag.SPHERE, radius=ic.x0 / abs(sin_t0)) if a == 1.0
+                   else SurfaceClass(SurfaceTag.OVALOID))
+        return _report(surface, traj, params, ic, pole_z=_pole_heights(traj),
+                       self_intersections=0,
+                       theta_range=_level_theta_range(params, ic, _level_set(params, ic))
+                       or traj.theta_range())
     tag = SurfaceTag.CATENOID_ENTIRE if a >= -1.0 else SurfaceTag.CATENOID_BOUNDED
     return _report(SurfaceClass(tag), traj, params, ic,
                    self_intersections=0, theta_range=traj.theta_range())
@@ -572,7 +570,7 @@ def _level_theta_range(params: Params, ic: InitialConditions,
     if level is None:
         return None
     s = level.sin_hi
-    low = math.asin(levelset.f_min(params, level.h, level.x_lo, level.x_hi, s))
+    low = math.asin(levelset.f_min(params, level.anchor, level.x_lo, level.x_hi, s))
     shift = math.tau * round((ic.theta0 - s * 0.5 * math.pi) / math.tau)
     if s > 0.0:
         return low + shift, math.pi - low + shift

@@ -148,11 +148,11 @@ def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
     """The radius in bracket from which the orbit at angle theta0 runs into the saddle.
 
     Requires a > 0 and b > 0 so that the saddle (3*pi/2, a/b) exists.  Both
-    of its branches lie on the saddle's level of the first integral, so the
-    radius is a root of H(x, theta0) - H(a/b, 3*pi/2).  It is sought where
-    H(., theta0) decreases, x >= -a*sin(theta0)/b: there the root is on the
-    stable branch, with axis-reaching orbits below it and winding ones above.
-    The unstable branch's root lies on the other side.  rel_width is
+    of its branches lie on the level of the first integral anchored at the
+    saddle, (a/b, -1), so the radius is a root of sin(theta0) - f_H(x).  It
+    is sought where f_H' > 0, x >= -a*sin(theta0)/b: there the root is on
+    the stable branch, with axis-reaching orbits below it and winding ones
+    above.  The unstable branch's root lies on the other side.  rel_width is
     brentq's relative tolerance, at least 4 eps.  Raises NoBracket when the
     difference keeps its sign on the searched part of the bracket.
     """
@@ -162,14 +162,14 @@ def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise InvalidParameter(f"bad bracket {bracket}")
-    h_saddle = levelset.H(params, a / b, 1.5 * math.pi)
+    saddle, sin0 = levelset.Anchor(a / b, -1.0), math.sin(theta0)
 
     def g(x):
-        return levelset.H(params, x, theta0) - h_saddle
+        return sin0 - levelset.f_H(params, saddle, x)
 
-    lo = max(lo, -a * math.sin(theta0) / b)
+    lo = max(lo, -a * sin0 / b)
     if lo > hi or g(lo) * g(hi) > 0.0:
-        raise NoBracket(f"H - H_saddle keeps its sign on [{lo}, {hi}]")
+        raise NoBracket(f"sin(theta0) - f_H keeps its sign on [{lo}, {hi}]")
     rtol = max(rel_width, _MIN_RTOL)
     return brentq(g, lo, hi, xtol=rtol * lo, rtol=rtol)
 

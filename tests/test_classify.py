@@ -258,6 +258,14 @@ class TestPureLinear:
         r = classify_surface(Params(a, 0), InitialConditions(1.0, PI / 2))
         assert r.surface.tag == tag
 
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0])
+    def test_theta_range_runs_from_pole_to_pole(self, a):
+        # sin(theta) = s0 (x/x0)^a vanishes only on the axis, which a run
+        # stops short of, at axis_epsilon: 0.159 short at a = 0.1.
+        for theta0 in (PI / 2, 0.75 * PI):
+            r = classify_surface(Params(a, 0), InitialConditions(1.0, theta0))
+            assert r.theta_range == pytest.approx((0.0, PI), abs=1e-15)
+
     def test_ovaloid_hits_axis_on_both_sides(self):
         r = classify_surface(Params(2, 0), InitialConditions(1.0, PI / 2))
         assert r.pole_z is not None
@@ -418,8 +426,7 @@ class TestPeriodicSpan:
             assert report.self_intersections == witness.self_intersections == 0
             return
         cparams, cic, _ = canonicalize(params, ic)
-        h = levelset.H(cparams, cic.x0, cic.theta0)
-        x_hi = levelset.turning_radii(cparams, h, cic.x0, cic.theta0)[1]
+        x_hi = levelset.turning_radii(cparams, levelset.Anchor(cic.x0, math.sin(cic.theta0)))[1]
         assert report.self_intersections == polyline_crossings(
             cparams, cic, report.period, report.z_shift, x_hi)
 
@@ -452,19 +459,20 @@ class TestPeriodicSpan:
         assert [c.two_sided for c in runs] == [True]
         assert r.termination == Termination.EVENT_BUDGET
 
-    @pytest.mark.parametrize("delta", [1e-10, 1e-12, 1e-14])
-    def test_level_set_that_lost_digits_is_not_used(self, monkeypatch, delta):
-        # Near a = 1 the two terms of f_H cancel: here f_H(x0) - sin(theta0)
-        # reaches 6.8e-3 at delta = 1e-14.  These orbits are integrated.
+    @pytest.mark.parametrize("delta", [1e-4, -1e-4, 1e-10, -1e-10, 1e-12, -1e-12, 1e-14, -1e-14])
+    def test_level_set_near_a_one_matches_a_tight_run(self, monkeypatch, delta):
+        # Anchored at (x0, sin(theta0)), f_H keeps its digits as a -> 1.
         params, ic = Params(1.0 + delta, 1.0), InitialConditions(3.0, 4.0)
         r = classify_surface(params, ic)
-        assert r == integrated(monkeypatch, params, ic)
-        assert r.surface.tag == SurfaceTag.ANTINODOID
-        assert r.termination == Termination.EVENT_BUDGET
-        assert r.period == pytest.approx(6.880748200448, rel=1e-10)
+        tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        witness = integrated(monkeypatch, params, ic, tight)
+        assert r.termination is None
+        assert r.surface == witness.surface
+        assert r.period == pytest.approx(witness.period, rel=1e-8)
+        assert r.z_shift == pytest.approx(witness.z_shift, rel=1e-8)
 
     def test_level_set_near_a_one_agrees_with_the_integration(self, monkeypatch):
-        # At a = 1 + 1e-4 the cancellation costs f_H less than rel_tol.
+        # At a = 1 + 1e-4 the level set also agrees with a run at default controls.
         params, ic = Params(1.0001, 1.0), InitialConditions(3.0, 4.0)
         r = classify_surface(params, ic)
         witness = integrated(monkeypatch, params, ic)
@@ -493,7 +501,7 @@ class TestPeriodicSpan:
         # Unduloid theta_range from.
         def overflow(*args):
             raise OverflowError("math range error")
-        monkeypatch.setattr(levelset, "H", overflow)
+        monkeypatch.setattr(levelset, "Anchor", overflow)
         runs = spy_integrate(monkeypatch)
         params, ic = Params(a, b), InitialConditions(x0, theta0)
         r = classify_surface(params, ic)
@@ -645,7 +653,7 @@ def axis_witness_mismatch(monkeypatch, params, ic, report):
     witness, traj = witness_run(monkeypatch, params, ic, tight)
     level = classify._level_set(params, ic)
     eps = tight.axis_epsilon
-    z_eps = levelset.axis_rise(params, level.h, level.x_hi, eps)
+    z_eps = levelset.axis_rise(params, level.anchor, level.x_hi, eps)
     poles = (report.pole_z[0] + z_eps, report.pole_z[1] - z_eps)
     lo, hi = classify._level_theta_range(params, ic, level._replace(x_lo=eps))
     why = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wlw.integrate import IntegrationControls, detect_period, integrate
-from wlw.levelset import H, f_H, f_min, period_and_shift, turning_radii
+from wlw.levelset import Anchor, f_H, f_min, period_and_shift, turning_radii
 from wlw.model import InitialConditions, Params, ProfileState, first_integral_m
 
 PI = math.pi
@@ -15,14 +15,13 @@ ORBITS = ["nodoid_traj", "unduloid_traj", "vesicle_traj", "antinodoid_traj",
 
 def residual(traj) -> float:
     """Largest |sin(theta) - f_H(x)| over the samples off the axis."""
-    h = H(traj.params, traj.ic.x0, traj.ic.theta0)
-    return max(abs(math.sin(t) - f_H(traj.params, h, x))
+    anchor = Anchor(traj.ic.x0, math.sin(traj.ic.theta0))
+    return max(abs(math.sin(t) - f_H(traj.params, anchor, x))
                for x, t in zip(traj.x, traj.theta) if x > 0.05)
 
 
 def radii(a, b, x0, theta0):
-    params = Params(a, b)
-    return turning_radii(params, H(params, x0, theta0), x0, theta0)
+    return turning_radii(Params(a, b), Anchor(x0, math.sin(theta0)))
 
 
 @pytest.mark.parametrize("name", ORBITS)
@@ -40,9 +39,12 @@ def test_sin_theta_follows_the_level_on_random_orbits(a_abs, a_sign, b, x0, thet
 
 
 def test_b_zero_level_is_the_pure_linear_first_integral():
+    # At b = 0, sin(theta)^2 = -m x^(2a) along the orbit.
     params, state = Params(-2, 0), ProfileState(0.0, 1.5, 0.0, 0.7)
-    h = H(params, state.x, state.theta)
-    assert -h * h == pytest.approx(first_integral_m(params, state).m, rel=1e-14)
+    m = first_integral_m(params, state).m
+    anchor = Anchor(state.x, math.sin(state.theta))
+    for x in (0.3, 1.5, 2.0, 7.0):
+        assert f_H(params, anchor, x) ** 2 == pytest.approx(-m * x ** (2 * params.a), rel=1e-14)
 
 
 def test_turning_radii_of_the_nodoid():
@@ -56,17 +58,25 @@ def test_turning_radii_of_the_nodoid():
 @pytest.mark.parametrize("a,b,x0,theta0", [
     (-2, 1, 0.5, PI / 2),     # unduloid: sin(theta) = 1 at both ends
     (3, 1, 6.0, 0.0),         # antinodoid
-    (1, 1, 3.0, 0.0),         # a = 1: f_H = x (H + b ln x)
+    (1, 1, 3.0, 0.0),         # a = 1: f_H = x (s_r/x_r + b ln(x/x_r))
 ])
 def test_turning_radii_are_where_the_tangent_is_vertical(a, b, x0, theta0):
-    params = Params(a, b)
-    h = H(params, x0, theta0)
-    x_lo, x_hi = turning_radii(params, h, x0, theta0)
+    params, anchor = Params(a, b), Anchor(x0, math.sin(theta0))
+    x_lo, x_hi = turning_radii(params, anchor)
     assert 0.0 < x_lo < x0 < x_hi < math.inf or x0 in (x_lo, x_hi)
     for x in (x_lo, x_hi):
-        assert abs(f_H(params, h, x)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(f_H(params, anchor, x)) == pytest.approx(1.0, abs=1e-12)
     inside = np.linspace(x_lo, x_hi, 101)[1:-1]
-    assert all(abs(f_H(params, h, x)) < 1.0 for x in inside)
+    assert all(abs(f_H(params, anchor, x)) < 1.0 for x in inside)
+
+
+@pytest.mark.parametrize("delta", [1e-10, -1e-10, 1e-12, -1e-12, 1e-14, -1e-14])
+def test_turning_radii_near_a_one_tend_to_the_a_one_radii(delta):
+    # The radii move with a at 0.064 |delta| relative here, so they must lie
+    # within |delta| of the a = 1 radii, to 1e-12.
+    limit = radii(1.0, 1.0, 3.0, 4.0)
+    assert limit == pytest.approx((2.6455821970935807, 4.762818043886613), rel=1e-15)
+    assert radii(1.0 + delta, 1.0, 3.0, 4.0) == pytest.approx(limit, rel=1e-12 + abs(delta))
 
 
 def test_axis_reaching_and_rest_point_components():
@@ -77,38 +87,52 @@ def test_axis_reaching_and_rest_point_components():
 
 
 def test_critical_radius_beyond_the_floats():
-    # At a = 1 the critical radius is exp(-H/b - 1): exp(999) and exp(992) here.
+    # At a = 1 the critical radius is x_r exp(-s_r/(b x_r) - 1): exp(999) and
+    # 0.001 exp(999) here.
     assert radii(1, 0.001, 1.0, 1.5 * PI) == (0.0, 1.0)
     assert radii(1, 1, 0.001, 1.5 * PI) == (0.0, 0.001)
 
 
 @pytest.mark.parametrize("a,b,x0,theta0", [
-    # x0^(-a) overflows
-    (662.58, 0.0014, 2.4e7, PI),
-    # near a = 1, H x^a cancels against b x/(1 - a) and the bracket is lost
-    (1.0000000000020937, 11042.487111159327, 58.264499797382626, 1.5 * PI),
+    # (x/x0)^a overflows at the first step by a factor of 2 from x0
+    (-1100, 1, 1.0, 0.5),
+    (1100, 1, 1.0, 0.5),
 ])
 def test_unresolvable_radii_raise_arithmetic_errors(a, b, x0, theta0):
     with pytest.raises(ArithmeticError):
         radii(a, b, x0, theta0)
 
 
+@pytest.mark.parametrize("a,b,x0,theta0", [
+    # x0^(-a) overflowed in the scalar first integral
+    (662.58, 0.0014, 2.4e7, PI),
+    # near a = 1 the scalar form's two terms cancelled and lost the bracket
+    (1.0000000000020937, 11042.487111159327, 58.264499797382626, 1.5 * PI),
+])
+def test_radii_once_lost_to_rounding_are_resolved(a, b, x0, theta0):
+    # brentq places a radius to 1e-15 relative, which moves f_H by
+    # x f_H' = a f_H + b x times that.
+    params, anchor = Params(a, b), Anchor(x0, math.sin(theta0))
+    for x in turning_radii(params, anchor):
+        assert 0.0 < x < math.inf
+        assert abs(f_H(params, anchor, x)) == pytest.approx(1.0, abs=4e-15 * abs(a + b * x))
+
+
 @pytest.mark.parametrize("name", ["nodoid_traj", "antinodoid_traj"])
 def test_quadrature_matches_detect_period(request, name):
     traj = request.getfixturevalue(name)
     params, ic = traj.params, traj.ic
-    h = H(params, ic.x0, ic.theta0)
-    T, dz = period_and_shift(params, h, *turning_radii(params, h, ic.x0, ic.theta0))
+    anchor = Anchor(ic.x0, math.sin(ic.theta0))
+    T, dz = period_and_shift(params, anchor, *turning_radii(params, anchor))
     T_ode, dz_ode = detect_period(traj)
     assert T == pytest.approx(T_ode, rel=1e-9)
     assert dz == pytest.approx(dz_ode, rel=1e-9)
 
 
 def test_f_min_is_the_least_sine_on_the_component():
-    params = Params(-2, 1)
-    h = H(params, 0.5, PI / 2)
-    x_lo, x_hi = turning_radii(params, h, 0.5, PI / 2)
+    params, anchor = Params(-2, 1), Anchor(0.5, 1.0)
+    x_lo, x_hi = turning_radii(params, anchor)
     grid = np.linspace(x_lo, x_hi, 20001)
-    least = min(f_H(params, h, x) for x in grid)
-    assert f_min(params, h, x_lo, x_hi) == pytest.approx(least, abs=1e-8)
-    assert f_min(params, h, x_lo, x_hi) <= least
+    least = min(f_H(params, anchor, x) for x in grid)
+    assert f_min(params, anchor, x_lo, x_hi) == pytest.approx(least, abs=1e-8)
+    assert f_min(params, anchor, x_lo, x_hi) <= least
