@@ -1,23 +1,28 @@
 """Surface taxonomy from the first integral and integrated profile curves.
 
-The decision tree follows the geometry: exact rest points and circles are
-recognized algebraically, the pure linear case b = 0 is settled by the sign
-of a, bounded orbits are read off their level set, and everything else is
-read off one integration - axis hits with pole ordering, bounded tangent
-oscillation, full tangent turns with translation periodicity, or asymptotic
-capture by the interior saddle.
+The decision tree follows the geometry.  Most inputs are decided on the
+level set of the first integral (levelset.py) or in closed form; every such
+report has termination None, and of the controls only rel_tol, the accuracy
+asked of a level set, applies (and equilibrium_tol, the cylinder test):
 
-The a < 0 round sphere sin(theta) = b x/(1 - a), the lone axis-meeting orbit
-of its family, is returned in closed form: radius (1 - a)/b, poles at
-R (cos(theta0) -+ 1).  Otherwise the level set of the first integral
-(levelset.py) decides, and every report it gives has termination None:
-
-* An orbit whose radius turns at two finite radii x_lo > 0 and x_hi < inf,
-  at both of which the tangent turns transversally, is periodic.  It is an
-  Unduloid when sin(theta) has one sign at both turning radii, and
-  otherwise winds.  A winding orbit is a Nodoid when its rise dz per period
-  has the sign of sin(theta) at x_hi, and an Antinodoid otherwise; its
-  period, dz and self-crossings per period come from quadratures (see
+* The rest point x0 = |a/b|, theta0 on the vertical: the Cylinder.
+* b = 0, where sin(theta) = sin(theta0) (x/x0)^a: the Plane when
+  sin(theta0) = 0, the round sphere of radius x0/|sin(theta0)| at a = 1,
+  an Ovaloid from the axis to x_hi and back for other a > 0, with its poles
+  from levelset.axis_rise, and for a < 0 a catenoid about its neck,
+  CatenoidEntire for a >= -1 and CatenoidBounded below.
+* The a < 0 round sphere sin(theta) = b x/(1 - a), the lone axis-meeting
+  orbit of its family: radius (1 - a)/b, poles at R (cos(theta0) -+ 1).
+* A state on the level of the a > 0 saddle (3 pi/2, a/b), to rounding
+  (SADDLE_LEVEL_ULPS): the CylindricalAntinodoid, asymptotic to the
+  cylinder x = a/b, with its crossings and theta range in closed form
+  (see _separatrix_report).
+* An orbit whose radius turns at two finite radii x_lo > 0 and x_hi < inf
+  is periodic.  It is an Unduloid when sin(theta) has one sign at both
+  turning radii, and otherwise winds.  A winding orbit, whose turning
+  radii must be transversal, is a Nodoid when its rise dz per period has
+  the sign of sin(theta) at x_hi, and an Antinodoid otherwise; its period,
+  dz and self-crossings per period come from quadratures (see
   levelset.self_crossings).
 * An a > 0 orbit with x_lo = 0 and a finite, transversal x_hi that passes
   the saddle outside the capture band runs from the axis to x_hi and back.
@@ -26,11 +31,14 @@ R (cos(theta0) -+ 1).  Otherwise the level set of the first integral
   axis_crossings); the tag is Ovaloid when theta' keeps one sign, else
   PinchedSpheroid, Vesicle or ImmersedSpheroid by the pole gap.
 
-Every other orbit runs both ways to the given budgets: unbounded, with a
-tangential end near the rest-point radius |a/b| or, from the axis, a pass
-by the saddle there (the separatrix and its neighbours), with a failed
-quadrature, or with a level set that floats cannot resolve to the run's
-rel_tol ((x/x0)^a overflowing at a far turning radius).
+Every other orbit runs both ways to the given budgets and is read off the
+run - axis hits with pole ordering, bounded tangent oscillation, full
+tangent turns with translation periodicity, or asymptotic capture by the
+interior saddle.  These are the neighbours of the separatrix (a tangential
+end near the rest-point radius |a/b| or, from the axis, a pass by the
+saddle there), orbits with a failed quadrature, and levels that floats
+cannot resolve to the run's rel_tol ((x/x0)^a overflowing at a far turning
+radius).
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -56,6 +64,7 @@ from .integrate import (
     integrate,
 )
 from .model import FirstIntegralValue, InitialConditions, Params, canonicalize, is_equilibrium
+from .phaseplane import MIN_RTOL
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
 # equal when they differ by less than this times x0.
@@ -66,6 +75,15 @@ POLE_ORDER_TOL = 1e-5
 # |a/b| counts as tangential, as does the critical radius of an axis orbit:
 # such orbits run the full budgets.
 CAPTURE_BAND = 1e-3
+
+# Rounding allowance, in eps, of the test that a state lies on the saddle's
+# level: |sin(theta0) - f_H(x0)| <= k eps (term_size(x0) + x0 |f_H'(x0)|).
+# find_separatrix's brentq stops once half its bracket is below
+# (xtol + rtol x)/2 <= MIN_RTOL x and returns the end with the smaller
+# residual, so its roots lie within MIN_RTOL x0 = 4 eps x0 of the level's,
+# which moves f_H by that times |f_H'(x0)|; f_H's own rounding gets the same
+# 4 eps per unit of the terms it sums.
+SADDLE_LEVEL_ULPS = MIN_RTOL / sys.float_info.epsilon
 
 # Periods of an integrated winding orbit over which _count_loops_per_period
 # collects crossings.
@@ -308,18 +326,22 @@ def _level_set_report(params: Params, ic: InitialConditions, controls: Integrati
     accuracy a run would give.
     """
     anchor, x_lo, x_hi, sin_lo, sin_hi = level
-    on_axis = x_lo == 0.0 and params.a > 0.0 and not _grazes_saddle(params, anchor, x_hi)
-    if not (x_hi < math.inf and _transversal(params, x_hi, sin_hi)
-            and (on_axis or (0.0 < x_lo and _transversal(params, x_lo, sin_lo)))):
+    if not x_hi < math.inf:
         return None
     if sys.float_info.epsilon * max(levelset.term_size(params, anchor, x)
                                     for x in (x_lo, x_hi) if x > 0.0) > controls.rel_tol:
         return None
-    if on_axis:
-        return _axis_report(params, ic, level)
-    if sin_lo * sin_hi > 0.0:
+    if 0.0 < x_lo and sin_lo * sin_hi > 0.0:
+        # An Unduloid's report needs no quadrature, so its turning radii may
+        # be tangential, as next to the a < 0 centre.
         return _report(SurfaceClass(SurfaceTag.UNDULOID), None, params, ic,
                        self_intersections=0, theta_range=_level_theta_range(params, ic, level))
+    on_axis = x_lo == 0.0 and params.a > 0.0 and not _grazes_saddle(params, anchor, x_hi)
+    if not (_transversal(params, x_hi, sin_hi)
+            and (on_axis or (0.0 < x_lo and _transversal(params, x_lo, sin_lo)))):
+        return None
+    if on_axis:
+        return _axis_report(params, ic, level)
     try:
         T, dz = levelset.period_and_shift(params, anchor, x_lo, x_hi)
         crossings = levelset.self_crossings(params, anchor, x_lo, x_hi, T, dz)
@@ -349,9 +371,8 @@ def _axis_report(params: Params, ic: InitialConditions,
                  level: _Level) -> Optional[ClassificationReport]:
     """The report of an a > 0 orbit from the axis out to x_hi and back.
 
-    Its pole gap is 2 Z(x_hi) (levelset.axis_rise), and the branch through
-    x0 is picked by the sign of cos(theta0): x grows from the backward pole
-    to x_hi.  The tags keep the order of the integrated criteria: Ovaloid
+    Its poles come from _axis_poles, 2 Z(x_hi) apart.  The tags keep the
+    order of the integrated criteria: Ovaloid
     when theta' = f_H' keeps one sign, which, f_H' being monotone, holds
     when its limit on the axis has the sign of f_H'(x_hi); then
     PinchedSpheroid when the gap is within POLE_ORDER_TOL * x0 of 0, which
@@ -362,15 +383,13 @@ def _axis_report(params: Params, ic: InitialConditions,
     a, b = params.a, params.b
     ovaloid = levelset.axis_slope(params, anchor) * (a * sin_hi + b * x_hi) > 0.0
     try:
-        z_hi = levelset.axis_rise(params, anchor, x_hi)
-        z0 = z_hi if ic.x0 == x_hi else levelset.axis_rise(params, anchor, x_hi, ic.x0)
+        pole_z, z_hi = _axis_poles(params, ic, level)
         gap = 2.0 * z_hi
         pinched = abs(gap) < POLE_ORDER_TOL * ic.x0
         crossings = (0 if ovaloid else 1 if pinched
                      else levelset.axis_crossings(params, anchor, x_hi, z_hi))
     except (QuadratureFailure, ArithmeticError):
         return None
-    pole_z = (-z0, gap - z0) if math.cos(ic.theta0) > 0.0 else (z0 - gap, z0)
     if ovaloid:
         tag = SurfaceTag.OVALOID
     elif pinched:
@@ -382,6 +401,80 @@ def _axis_report(params: Params, ic: InitialConditions,
     return _report(SurfaceClass(tag), None, params, ic, pole_z=pole_z,
                    self_intersections=crossings,
                    theta_range=_level_theta_range(params, ic, level))
+
+
+def _axis_poles(params: Params, ic: InitialConditions,
+                level: _Level) -> tuple[tuple[float, float], float]:
+    """(pole_z, Z(x_hi)) of an a > 0 orbit from the axis out to x_hi and back.
+
+    The poles lie 2 Z(x_hi) apart (levelset.axis_rise), and the branch
+    through x0 is picked by the sign of cos(theta0): x grows from the
+    backward pole to x_hi.  Raises QuadratureFailure or ArithmeticError
+    when a quadrature fails.
+    """
+    anchor, x_hi = level.anchor, level.x_hi
+    z_hi = levelset.axis_rise(params, anchor, x_hi)
+    z0 = z_hi if ic.x0 == x_hi else levelset.axis_rise(params, anchor, x_hi, ic.x0)
+    gap = 2.0 * z_hi
+    pole_z = (-z0, gap - z0) if math.cos(ic.theta0) > 0.0 else (z0 - gap, z0)
+    return pole_z, z_hi
+
+
+def _on_saddle_level(params: Params, ic: InitialConditions) -> bool:
+    """Whether (x0, theta0) lies on the level of the a > 0 saddle (3 pi/2, a/b).
+
+    That level is anchored at the saddle, (a/b, -1), and the state lies on
+    it when sin(theta0) and f_H(x0) agree to within SADDLE_LEVEL_ULPS eps
+    times term_size(x0) + x0 |f_H'(x0)|: f_H's rounding, and its change
+    when x0 moves by as many eps relative.  The saddle itself (x0 = a/b) is
+    left to the equilibrium test and the run.
+    """
+    a, b = params.a, params.b
+    x0 = ic.x0
+    if not (a > 0.0 and b > 0.0) or x0 == a / b:
+        return False
+    try:
+        saddle = levelset.Anchor(a / b, -1.0)
+        f = levelset.f_H(params, saddle, x0)
+        size = levelset.term_size(params, saddle, x0)
+    except ArithmeticError:
+        return False
+    slope = a * f / x0 + b
+    return (abs(math.sin(ic.theta0) - f)
+            <= SADDLE_LEVEL_ULPS * sys.float_info.epsilon * (size + x0 * abs(slope)))
+
+
+def _separatrix_report(params: Params, ic: InitialConditions) -> ClassificationReport:
+    """The CylindricalAntinodoid through a state on the saddle's level, in closed form.
+
+    On that level f_H' = a f_H/x + b vanishes only at x* = a/b, where
+    f_H = -1: f_H falls monotonically from 0 on the axis to -1 at x* and
+    rises beyond it to +1 at x_hi.  Both pieces are asymptotic to the
+    cylinder x = x*, since 1 - f^2 has a double root there.
+
+    Beyond x* the orbit leaves the saddle at theta = -pi/2, turns at x_hi
+    (theta = pi/2) and returns at 3 pi/2, so theta's range is
+    (-pi/2, 3 pi/2) + 2 pi k.  Its branches are z = z_hi -+ Z(x) with
+    Z(x) = int_x^x_hi f/sqrt(1 - f^2) dx, and they cross where Z = 0.  Z > 0
+    on [x_z, x_hi), where f > 0, and on (x*, x_z), where f < 0, Z falls
+    monotonically from Z(x_z) > 0 to -inf, since f/sqrt(1 - f^2) ~
+    -1/(f''(x*)^(1/2) (x - x*)) next to x*, with f''(x*) = b^2/a > 0: the
+    branches cross exactly once.
+
+    Inside x* the orbit runs from the axis, at theta = 0 or pi, into the
+    saddle at -pi/2 or 3 pi/2; |f_H| < 1 on (0, x*), so x is monotone along
+    it and it does not cross itself.  Its range is [-pi/2, 0] + 2 pi k when
+    cos(theta0) > 0 and [pi, 3 pi/2] + 2 pi k otherwise.
+    """
+    x_star = params.a / params.b
+    if ic.x0 > x_star:
+        crossings, theta_range = 1, _arcsin_range(ic.theta0, 1.0, -0.5 * math.pi)
+    else:
+        lo, hi = (-0.5 * math.pi, 0.0) if math.cos(ic.theta0) > 0.0 else (math.pi, 1.5 * math.pi)
+        crossings, theta_range = 0, _turns_about(ic.theta0, lo, hi)
+    return _report(SurfaceClass(SurfaceTag.CYLINDRICAL_ANTINODOID), None, params, ic,
+                   self_intersections=crossings, asymptotic_radius=x_star,
+                   theta_range=theta_range)
 
 
 def _sin_at_outer_turn(traj: Trajectory, level: Optional[_Level]) -> float:
@@ -402,12 +495,15 @@ def classify_surface(params: Params, ic: InitialConditions,
     Inputs with b < 0 are reduced to b > 0 by the orientation reflection and
     the report is translated back (canonicalized_b marks this).  controls
     defaults to default_controls(params, ic) and bounds only the reports of
-    integrated orbits.  The a < 0 sphere is returned in closed form, and the
-    periodic classes (Unduloid, Nodoid, Antinodoid) and the axis-to-axis
-    ones (Ovaloid, Vesicle, PinchedSpheroid, ImmersedSpheroid) are read off
-    their level set without a run: termination is None, and of the
-    controls only rel_tol, the accuracy asked of that level set, applies.
-    From the level set come period, z_shift, pole_z, self_intersections and
+    integrated orbits.  The Cylinder, the b = 0 family (Plane, Sphere,
+    Ovaloid, CatenoidEntire, CatenoidBounded), the a < 0 sphere and the
+    CylindricalAntinodoid on the saddle's level are returned in closed form,
+    and the periodic classes (Unduloid, Nodoid, Antinodoid) and the
+    axis-to-axis ones (Ovaloid, Vesicle, PinchedSpheroid, ImmersedSpheroid)
+    are read off their level set, all without a run: termination is None,
+    and of the controls only rel_tol, the accuracy asked of a level set,
+    applies, beside equilibrium_tol, which tells the cylinder.  From the
+    level set come period, z_shift, pole_z, self_intersections and
     theta_range.  Raises Inconclusive when the integration budget ends
     before any criterion fires.
     """
@@ -436,29 +532,21 @@ def classify_surface(params: Params, ic: InitialConditions,
 def _classify_canonical(params: Params, ic: InitialConditions,
                         controls: IntegrationControls) -> ClassificationReport:
     a, b = params.a, params.b
-
+    level, sphere_radius = None, _sphere_radius_if_match(params, ic)
     if b == 0.0:
-        return _classify_pure_linear(params, ic, controls)
-
-    if is_equilibrium(params, ic, controls.equilibrium_tol):
-        traj = integrate(params, ic, controls)
-        return ClassificationReport(
-            surface=SurfaceClass(SurfaceTag.CYLINDER, radius=ic.x0),
-            pole_z=None, period=None, z_shift=None, self_intersections=0,
-            asymptotic_radius=ic.x0,
-            theta_range=(ic.theta0, ic.theta0),
-            canonicalized_b=False, params=params, ic=ic,
-            termination=traj.termination)
-
-    sphere_radius = _sphere_radius_if_match(params, ic)
-    if sphere_radius is not None:
-        return _sphere_report(params, ic, sphere_radius)
-
-    level = _level_set(params, ic)
-    if level is not None:
-        report = _level_set_report(params, ic, controls, level)
-        if report is not None:
-            return report
+        report = _pure_linear_report(params, ic)
+    elif is_equilibrium(params, ic, controls.equilibrium_tol):
+        report = _report(SurfaceClass(SurfaceTag.CYLINDER, radius=ic.x0), None, params, ic,
+                         asymptotic_radius=ic.x0, theta_range=(ic.theta0, ic.theta0))
+    elif sphere_radius is not None:
+        report = _sphere_report(params, ic, sphere_radius)
+    elif _on_saddle_level(params, ic):
+        report = _separatrix_report(params, ic)
+    else:
+        level = _level_set(params, ic)
+        report = None if level is None else _level_set_report(params, ic, controls, level)
+    if report is not None:
+        return report
     traj = integrate(params, ic, controls)
     pole_z = _pole_heights(traj)
     captured = _capture_window(traj, params)
@@ -526,70 +614,91 @@ def _classify_canonical(params: Params, ic: InitialConditions,
         })
 
 
-def _classify_pure_linear(params: Params, ic: InitialConditions,
-                          controls: IntegrationControls) -> ClassificationReport:
+def _pure_linear_report(params: Params, ic: InitialConditions) -> Optional[ClassificationReport]:
+    """A b = 0 report from its first integral sin(theta) = s0 (x/x0)^a, s0 = sin(theta0).
+
+    theta' = a sin(theta)/x keeps one sign, and sin(theta) is 0 only
+    on the axis (a > 0) or at infinity (a < 0), so theta's range is
+    (0, pi) + 2 pi k when s0 > 0 and (-pi, 0) + 2 pi k when s0 < 0.  The
+    Plane when s0 = 0 (to 1e-12); at a = 1 the round sphere of radius
+    x0/|s0|; for other a > 0 an Ovaloid from the axis out to
+    x_hi = x0 |s0|^(-1/a) and back, with its poles from levelset.axis_rise;
+    for a < 0 a catenoid whose two branches leave the neck
+    x0 |s0|^(-1/a) for infinity, CatenoidEntire for a >= -1 and
+    CatenoidBounded below (see catenoid_asymptote).  None when the
+    Ovaloid's level set or quadrature fails; the caller then integrates.
+    """
     a = params.a
-    sin_t0 = math.sin(ic.theta0)
-
-    if abs(sin_t0) < 1e-12:
-        traj = integrate(params, ic, controls)
-        return _report(SurfaceClass(SurfaceTag.PLANE), traj, params, ic,
-                       self_intersections=0, theta_range=traj.theta_range())
-
-    # Bound the needed arclength by the extreme radius from the first
-    # integral: x'^2 = 1 + m x^(2a) pins max x (a > 0) or the neck (a < 0).
-    m = -(sin_t0 * sin_t0) * ic.x0 ** (-2.0 * a)
-    x_extreme = (-m) ** (-1.0 / (2.0 * a))
-    scale = max(ic.x0, x_extreme, 1.0)
-    run = replace(controls, max_arclength=min(40.0 * scale, controls.max_arclength))
-    traj = integrate(params, ic, run)
-
-    if a > 0.0:
-        surface = (SurfaceClass(SurfaceTag.SPHERE, radius=ic.x0 / abs(sin_t0)) if a == 1.0
-                   else SurfaceClass(SurfaceTag.OVALOID))
-        return _report(surface, traj, params, ic, pole_z=_pole_heights(traj),
-                       self_intersections=0,
-                       theta_range=_level_theta_range(params, ic, _level_set(params, ic))
-                       or traj.theta_range())
-    tag = SurfaceTag.CATENOID_ENTIRE if a >= -1.0 else SurfaceTag.CATENOID_BOUNDED
-    return _report(SurfaceClass(tag), traj, params, ic,
-                   self_intersections=0, theta_range=traj.theta_range())
+    s0 = math.sin(ic.theta0)
+    if abs(s0) < 1e-12:
+        return _report(SurfaceClass(SurfaceTag.PLANE), None, params, ic,
+                       theta_range=(ic.theta0, ic.theta0))
+    if a == 1.0:
+        return _sphere_report(params, ic, ic.x0 / abs(s0))
+    theta_range = _arcsin_range(ic.theta0, math.copysign(1.0, s0), 0.0)
+    if a < 0.0:
+        tag = SurfaceTag.CATENOID_ENTIRE if a >= -1.0 else SurfaceTag.CATENOID_BOUNDED
+        return _report(SurfaceClass(tag), None, params, ic, theta_range=theta_range)
+    level = _level_set(params, ic)
+    if level is None:
+        return None
+    try:
+        pole_z, _ = _axis_poles(params, ic, level)
+    except (QuadratureFailure, ArithmeticError):
+        return None
+    return _report(SurfaceClass(SurfaceTag.OVALOID), None, params, ic, pole_z=pole_z,
+                   theta_range=theta_range)
 
 
 def _level_theta_range(params: Params, ic: InitialConditions,
                        level: Optional[_Level]) -> Optional[tuple[float, float]]:
     """theta's range over an orbit that turns at x_hi, from its level set.
 
-    theta = arcsin f_H(x) on the branch where cos(theta) > 0 and
-    s pi - arcsin f_H(x) on the other, s = sin(theta) = +-1 at x_hi; the two
-    meet there.  With low = arcsin of the least s f_H on the orbit, the
-    range is [low, pi - low] for s = 1 and its mirror [low - pi, -low] for
-    s = -1, about the s pi/2 + 2 pi k nearest theta0.  An unduloid has
-    s = 1 at both turning radii.  None without a level set.
+    s = sin(theta) = +-1 at x_hi, and low is the arcsin of the least s f_H
+    on the orbit (see _arcsin_range).  An unduloid has s = 1 at both turning
+    radii.  None without a level set.
     """
     if level is None:
         return None
     s = level.sin_hi
     low = math.asin(levelset.f_min(params, level.anchor, level.x_lo, level.x_hi, s))
-    shift = math.tau * round((ic.theta0 - s * 0.5 * math.pi) / math.tau)
+    return _arcsin_range(ic.theta0, s, low)
+
+
+def _arcsin_range(theta0: float, s: float, low: float) -> tuple[float, float]:
+    """theta's range over an orbit with s sin(theta) >= sin(low), s = +-1 where it turns.
+
+    theta = arcsin f_H(x) on the branch where cos(theta) > 0 and
+    s pi - arcsin f_H(x) on the other, which meet where sin(theta) = s.  So
+    the range is [low, pi - low] for s = 1 and its mirror [low - pi, -low]
+    for s = -1, about the s pi/2 + 2 pi k nearest theta0.
+    """
     if s > 0.0:
-        return low + shift, math.pi - low + shift
-    return low - math.pi + shift, -low + shift
+        return _turns_about(theta0, low, math.pi - low)
+    return _turns_about(theta0, low - math.pi, -low)
+
+
+def _turns_about(theta0: float, lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) + 2 pi k, with k the turn that brings their midpoint nearest theta0."""
+    shift = math.tau * round((theta0 - 0.5 * (lo + hi)) / math.tau)
+    return lo + shift, hi + shift
 
 
 def _sphere_report(params: Params, ic: InitialConditions, radius: float) -> ClassificationReport:
-    """The a < 0 round sphere through (x0, theta0), in closed form.
+    """The round sphere through (x0, theta0), in closed form: the a < 0
+    sphere, or any with a = 1, b = 0.
 
-    theta' = 1/radius along it, so x = radius sin(theta) and
-    z = radius (cos(theta0) - cos(theta)), with z = 0 at theta0.  With
-    alpha = theta0 mod 2 pi in (0, pi), the poles lie at theta0 - alpha
-    behind and theta0 - alpha + pi ahead.
+    theta' = s/radius along it, s = sign(sin(theta0)), so
+    x = s radius sin(theta) and z = s radius (cos(theta0) - cos(theta)),
+    with z = 0 at theta0.  theta runs over (0, pi) + 2 pi k for s = 1 and
+    over (-pi, 0) + 2 pi k for s = -1; the backward pole lies where
+    cos(theta) = 1 and the forward one where cos(theta) = -1.
     """
-    start = ic.theta0 - ic.theta0 % math.tau
+    s = math.copysign(1.0, math.sin(ic.theta0))
     c = math.cos(ic.theta0)
     return _report(SurfaceClass(SurfaceTag.SPHERE, radius=radius), None, params, ic,
-                   pole_z=(radius * (c - 1.0), radius * (c + 1.0)), self_intersections=0,
-                   theta_range=(start, start + math.pi))
+                   pole_z=(s * radius * (c - 1.0), s * radius * (c + 1.0)),
+                   self_intersections=0, theta_range=_arcsin_range(ic.theta0, s, 0.0))
 
 
 def _sphere_radius_if_match(params: Params, ic: InitialConditions) -> Optional[float]:
@@ -619,8 +728,8 @@ def _pole_heights(traj: Trajectory) -> Optional[tuple[float, float]]:
     """z at the backward and forward ends of a run that reaches the axis both
     ways, else None.
 
-    Only the integration fallback and the b = 0 profiles use it; an orbit
-    read off its level set takes its poles from levelset.axis_rise.
+    Only the integration fallback uses it; an orbit read off its level set
+    takes its poles from levelset.axis_rise.
     """
     if not _ends_on_axis_both(traj):
         return None

@@ -34,7 +34,7 @@ from .model import InitialConditions, Params
 _ORBIT_SPAN = 40.0
 
 # The least relative tolerance brentq accepts.
-_MIN_RTOL = 4.0 * np.finfo(float).eps
+MIN_RTOL = 4.0 * np.finfo(float).eps
 
 
 class SingularityKind(str, enum.Enum):
@@ -144,7 +144,7 @@ def critical_points(params: Params) -> list[CriticalPoint]:
 
 
 def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
-                    rel_width: float = _MIN_RTOL) -> float:
+                    rel_width: float = MIN_RTOL) -> float:
     """The radius in bracket from which the orbit at angle theta0 runs into the saddle.
 
     Requires a > 0 and b > 0 so that the saddle (3*pi/2, a/b) exists.  Both
@@ -170,7 +170,7 @@ def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
     lo = max(lo, -a * sin0 / b)
     if lo > hi or g(lo) * g(hi) > 0.0:
         raise NoBracket(f"sin(theta0) - f_H keeps its sign on [{lo}, {hi}]")
-    rtol = max(rel_width, _MIN_RTOL)
+    rtol = max(rel_width, MIN_RTOL)
     return brentq(g, lo, hi, xtol=rtol * lo, rtol=rtol)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from wlw import classify, levelset
 from wlw.classify import (
@@ -33,9 +34,14 @@ from wlw.model import (
     reflect_b,
     rescale,
 )
-from wlw.phaseplane import find_separatrix
+from wlw.phaseplane import MIN_RTOL, find_separatrix
 
 PI = math.pi
+
+# sqrt(27) (1 - 1e-4): next to the (3, 1) separatrix at theta0 = 0, on the
+# side of the orbits that reach the axis.  It passes the saddle within the
+# capture band, so it is integrated: an ImmersedSpheroid.
+AXIS_SIDE_NEIGHBOUR = 5.195632807464362
 
 # classify's periodic inputs and the conftest nodoid, antinodoid and unduloid.
 PERIODIC = [(-2, 1, 4.0, PI / 2), (-2, -1, 4.0, 1.5 * PI), (3, 1, 6.0, 0.0),
@@ -335,11 +341,12 @@ class TestReportMechanics:
         assert mirrored.period == pytest.approx(direct.period, rel=1e-10)
 
     def test_inconclusive_on_tiny_budget(self):
-        # The separatrix passes through the saddle, so it is integrated and
-        # the budget binds it.
+        # This neighbour of the separatrix, sqrt(27) (1 - 1e-4), passes the
+        # saddle on its way from the axis, so it is integrated and the budget
+        # binds it.
         controls = IntegrationControls(max_arclength=0.5, max_full_turns=3)
         with pytest.raises(Inconclusive) as info:
-            classify_surface(Params(3, 1), InitialConditions(math.sqrt(27.0), 0.0), controls)
+            classify_surface(Params(3, 1), InitialConditions(AXIS_SIDE_NEIGHBOUR, 0.0), controls)
         assert "termination" in info.value.diagnostics
 
     def test_truncated_run_is_not_unduloid(self, monkeypatch):
@@ -350,10 +357,15 @@ class TestReportMechanics:
             classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2), controls)
         assert info.value.diagnostics["termination"] == Termination.MAX_STEPS.value
 
-    def test_pure_linear_honours_caller_controls(self):
-        report = classify_surface(Params(1, 0), InitialConditions(2.0, PI / 2),
-                                  IntegrationControls(max_steps=5))
-        assert report.termination == Termination.MAX_STEPS
+    def test_pure_linear_report_ignores_the_controls(self):
+        # b = 0 is read off its first integral, so no budget binds it.
+        for a, theta0 in [(1, PI / 2), (2, 0.0), (2, 2.0), (-0.5, 2.0), (-2, PI / 4)]:
+            params, ic = Params(a, 0), InitialConditions(2.0, theta0)
+            reports = [classify_surface(params, ic, controls) for controls in
+                       (None, IntegrationControls(max_steps=5),
+                        IntegrationControls(max_arclength=0.01, rel_tol=1e-4, max_full_turns=0))]
+            assert reports[0].termination is None
+            assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_embeddedness_counts(self):
         und = classify_surface(Params(-2, 1), InitialConditions(1.0, PI / 2))
@@ -437,17 +449,16 @@ class TestPeriodicSpan:
         assert runs == []
         assert r.surface.tag == SurfaceTag.NODOID and r.termination is None
 
-    def test_separatrix_runs_both_ways(self, monkeypatch):
-        # Its level set runs from the axis to x_hi = 6 through the saddle at
-        # a/b = 3, so no quadrature is tried on it.
-        def refuse(*args):
-            raise NoRun
+    def test_separatrix_runs_nothing(self, monkeypatch):
+        # Its state lies on the saddle's level of the first integral, so it
+        # is a CylindricalAntinodoid in closed form, whatever the budget.
         xbar = find_separatrix(Params(3, 1), 0.0, (4.0, 7.0), rel_width=1e-13)
-        monkeypatch.setattr(levelset, "axis_rise", refuse)
         runs = spy_integrate(monkeypatch)
-        r = classify_surface(Params(3, 1), InitialConditions(xbar, 0.0))
-        assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID
-        assert [c.two_sided for c in runs] == [True]
+        r = classify_surface(Params(3, 1), InitialConditions(xbar, 0.0),
+                             IntegrationControls(max_arclength=0.5))
+        assert runs == []
+        assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID and r.termination is None
+        assert (r.asymptotic_radius, r.self_intersections) == (3.0, 1)
 
     def test_failed_quadrature_falls_back(self, monkeypatch):
         def fail(*args):
@@ -723,3 +734,138 @@ class TestSymmetryInvariance:
         tag, a, b, x0, theta0 = case
         params, ic = reflect_b(Params(a, b), InitialConditions(x0, theta0))
         assert classify_surface(params, ic).surface.tag.value == tag
+
+
+def separatrix_cases():
+    """(a, b, x0, theta0) on the saddle's level: the winding-side roots of
+    find_separatrix for 15 values of a and four theta0, plus the root it
+    finds for (3, 1) at 3 pi/2 + 0.2."""
+    cases = [(float(a), 1.0, find_separatrix(Params(float(a), 1.0), theta0, (1e-3, 1e3)), theta0)
+             for a in np.geomspace(0.05, 30.0, 15) for theta0 in (0.0, 1.0, PI / 2, PI)]
+    theta0 = 1.5 * PI + 0.2
+    return cases + [(3.0, 1.0, find_separatrix(Params(3, 1), theta0, (1.0, 6.0)), theta0)]
+
+
+def axis_side_root(a, theta0):
+    """The radius below a/b (b = 1) where the orbit from the axis into the
+    saddle has angle theta0, to find_separatrix's tolerance."""
+    params, saddle = Params(a, 1.0), levelset.Anchor(a, -1.0)
+    lo = 1e-3 * a
+    return brentq(lambda x: math.sin(theta0) - levelset.f_H(params, saddle, x), lo, a,
+                  xtol=MIN_RTOL * lo, rtol=MIN_RTOL)
+
+
+class TestSaddleLevel:
+    def test_separatrices_are_read_off_the_level_set(self, monkeypatch):
+        runs = spy_integrate(monkeypatch)
+        for a, b, x0, theta0 in separatrix_cases():
+            r = classify_surface(Params(a, b), InitialConditions(x0, theta0))
+            assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID, (a, theta0)
+            assert r.termination is None and r.pole_z is None
+            assert r.asymptotic_radius == a / b
+            assert x0 > a / b and r.self_intersections == 1
+            lo, hi = r.theta_range
+            assert hi - lo == pytest.approx(2 * PI) and lo < theta0 < hi
+            assert lo % (2 * PI) == pytest.approx(1.5 * PI)
+        assert runs == []
+
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_axis_side_of_the_separatrix(self, monkeypatch, a):
+        # From the axis into the saddle: one branch, so no crossing, and
+        # theta runs from the axis value 0 or pi to the saddle's -pi/2 or 3 pi/2.
+        runs = spy_integrate(monkeypatch)
+        for theta0, want in ((4.0, (PI, 1.5 * PI)), (5.5, (1.5 * PI, 2 * PI)),
+                             (5.5 - 2 * PI, (-0.5 * PI, 0.0)),
+                             (1.5 * PI + 0.2, (1.5 * PI, 2 * PI))):
+            x0 = axis_side_root(a, theta0)
+            r = classify_surface(Params(a, 1.0), InitialConditions(x0, theta0))
+            assert (r.surface.tag, r.self_intersections) == (SurfaceTag.CYLINDRICAL_ANTINODOID, 0)
+            assert r.asymptotic_radius == a and r.termination is None
+            assert r.theta_range == pytest.approx(want, abs=1e-15)
+        assert runs == []
+
+    @pytest.mark.parametrize("a,x0", [(3.0, math.sqrt(27.0)), (2.0, 4.0)])
+    def test_crossing_count_matches_the_run(self, monkeypatch, a, x0):
+        # The run counts the crossings between the saddle captures nearest s = 0.
+        params, ic = Params(a, 1.0), InitialConditions(x0, 0.0)
+        r = classify_surface(params, ic)
+        monkeypatch.setattr(classify, "_on_saddle_level", lambda *args: False)
+        witness = classify_surface(params, ic)
+        assert witness.termination is not None
+        assert r.surface == witness.surface
+        assert r.self_intersections == witness.self_intersections == 1
+
+    def test_reflected_separatrix(self):
+        xbar = math.sqrt(27.0)
+        direct = classify_surface(Params(3, 1), InitialConditions(xbar, 0.0))
+        mirrored = classify_surface(Params(3, -1), InitialConditions(xbar, PI))
+        assert mirrored.canonicalized_b and mirrored.surface == direct.surface
+        lo, hi = direct.theta_range
+        assert mirrored.theta_range == pytest.approx((lo + PI, hi + PI), abs=1e-15)
+        assert mirrored.self_intersections == direct.self_intersections == 1
+
+    def test_neighbours_are_left_to_the_run(self):
+        # 1e-12 off the level is some 1500 times the gate's allowance.
+        for a, b, x0, theta0 in separatrix_cases():
+            for delta in (1e-12, -1e-12):
+                ic = InitialConditions(x0 * (1.0 + delta), theta0)
+                assert not classify._on_saddle_level(Params(a, b), ic), (a, theta0, delta)
+
+
+class TestPureLinearClosedForm:
+    @pytest.mark.parametrize("a,tag", [(0.3, SurfaceTag.OVALOID), (2.0, SurfaceTag.OVALOID),
+                                       (1.0, SurfaceTag.SPHERE),
+                                       (-0.3, SurfaceTag.CATENOID_ENTIRE),
+                                       (-2.0, SurfaceTag.CATENOID_BOUNDED)])
+    def test_report_runs_nothing_and_matches_a_tight_run(self, monkeypatch, a, tag):
+        for theta0 in (PI / 4, PI / 2, 2.0, 4.0):
+            params, ic = Params(a, 0.0), InitialConditions(1.5, theta0)
+            runs = spy_integrate(monkeypatch)
+            r = classify_surface(params, ic)
+            assert runs == [] and r.termination is None
+            assert r.surface.tag == tag and r.self_intersections == 0
+            s = math.copysign(1.0, math.sin(theta0))
+            lo, hi = r.theta_range
+            assert (hi - lo, lo % (2 * PI)) == pytest.approx((PI, 0.0 if s > 0 else PI), abs=1e-15)
+            assert lo < theta0 < hi
+            if a < 0.0:
+                assert r.pole_z is None
+                continue
+            tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+            traj = integrate(params, ic, tight)
+            assert traj.termination == traj.termination_backward == Termination.AXIS_REACHED
+            assert r.pole_z == pytest.approx((traj.z[0], traj.z[-1]), rel=1e-8, abs=1e-12)
+
+    def test_sphere_poles_in_closed_form(self):
+        # R = x0/|sin(theta0)|; for sin(theta0) < 0 the circle turns clockwise.
+        for theta0 in (PI / 4, 4.0, 4.0 + 2 * PI):
+            r = classify_surface(Params(1, 0), InitialConditions(1.5, theta0))
+            s, c = math.copysign(1.0, math.sin(theta0)), math.cos(theta0)
+            radius = 1.5 / abs(math.sin(theta0))
+            assert r.surface.radius == radius
+            assert r.pole_z == pytest.approx((s * radius * (c - 1), s * radius * (c + 1)),
+                                             abs=1e-14)
+
+
+class TestNearCentre:
+    @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-8])
+    def test_unduloid_matches_a_tight_run(self, monkeypatch, delta):
+        params, ic = Params(-2, 1), InitialConditions(2.0 * (1.0 + delta), PI / 2)
+        runs = spy_integrate(monkeypatch)
+        r = classify_surface(params, ic)
+        assert runs == [] and r.termination is None
+        tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        witness, traj = witness_run(monkeypatch, params, ic, tight)
+        assert r.surface == witness.surface == classify.SurfaceClass(SurfaceTag.UNDULOID)
+        assert r.self_intersections == witness.self_intersections == 0
+        t_lo, t_hi = theta_extremes(traj)
+        lo, hi = r.theta_range
+        assert (t_lo, t_hi) == pytest.approx((lo, hi), abs=1e-6)
+
+    def test_cylinder_runs_nothing(self, monkeypatch):
+        runs = spy_integrate(monkeypatch)
+        r = classify_surface(Params(-2, 0.5), InitialConditions(4.0, PI / 2),
+                             IntegrationControls(max_arclength=0.5))
+        assert runs == []
+        assert (r.surface.tag, r.surface.radius) == (SurfaceTag.CYLINDER, 4.0)
+        assert (r.termination, r.theta_range, r.asymptotic_radius) == (None, (PI / 2, PI / 2), 4.0)

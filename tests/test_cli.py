@@ -93,13 +93,14 @@ def test_missing_required_flag_exits_invalid(capsys):
     assert "--x0" in captured.err
 
 
-# The separatrix of (3, 1) at theta0 = 0, sqrt(27): integrated, so the
-# budget flags bind it.
-SEPARATRIX = ["-a", "3", "-b", "1", "--x0", "5.196152422706632", "--theta0", "0"]
+# Next to the separatrix of (3, 1) at theta0 = 0, sqrt(27) (1 - 1e-4), on the
+# side of the orbits that reach the axis: it passes the saddle, so it is
+# integrated and the budget flags bind it.
+NEAR_SEPARATRIX = ["-a", "3", "-b", "1", "--x0", "5.195632807464362", "--theta0", "0"]
 
 
 def test_tiny_budget_exits_inconclusive(capsys):
-    code, doc = run_json(capsys, ["classify", *SEPARATRIX, "--max-arclength", "0.5"])
+    code, doc = run_json(capsys, ["classify", *NEAR_SEPARATRIX, "--max-arclength", "0.5"])
     assert code == EXIT_INCONCLUSIVE
     assert set(doc) == {"error", "message", "diagnostics"}
     assert doc["error"] == "Inconclusive"
@@ -181,7 +182,7 @@ def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
 
 
 def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):
-    code, doc = run_json(capsys, ["mesh", *SEPARATRIX, "--max-arclength", "0.5",
+    code, doc = run_json(capsys, ["mesh", *NEAR_SEPARATRIX, "--max-arclength", "0.5",
                                   "-o", str(tmp_path)])
     assert code == EXIT_INCONCLUSIVE
     assert doc["error"] == "Inconclusive"
