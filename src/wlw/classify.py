@@ -9,7 +9,7 @@ asked of a level set, applies (and equilibrium_tol, the cylinder test):
 * b = 0, where sin(theta) = sin(theta0) (x/x0)^a: the Plane when
   sin(theta0) = 0, the round sphere of radius x0/|sin(theta0)| at a = 1,
   an Ovaloid from the axis to x_hi and back for other a > 0, with its poles
-  from levelset.axis_rise, and for a < 0 a catenoid about its neck,
+  from levelset.axis_rises, and for a < 0 a catenoid about its neck,
   CatenoidEntire for a >= -1 and CatenoidBounded below.
 * The a < 0 round sphere sin(theta) = b x/(1 - a), the lone axis-meeting
   orbit of its family: radius (1 - a)/b, poles at R (cos(theta0) -+ 1).
@@ -23,12 +23,12 @@ asked of a level set, applies (and equilibrium_tol, the cylinder test):
   radii must be transversal, is a Nodoid when its rise dz per period has
   the sign of sin(theta) at x_hi, and an Antinodoid otherwise; its period,
   dz and self-crossings per period come from quadratures (see
-  levelset.self_crossings).
+  levelset.winding).
 * An a > 0 orbit with x_lo = 0 and a finite, transversal x_hi that passes
   the saddle outside the capture band runs from the axis to x_hi and back.
   Its pole heights, the crossing of its two branches and its theta range
-  come from quadratures and arcsin f_H (see levelset.axis_rise and
-  axis_crossings); the tag is Ovaloid when theta' keeps one sign, else
+  come from quadratures and arcsin f_H (see levelset.axis_rises and
+  axis_zero); the tag is Ovaloid when theta' keeps one sign, else
   PinchedSpheroid, Vesicle or ImmersedSpheroid by the pole gap.
 
 Every other orbit runs both ways to the given budgets and is read off the
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import levelset
 from .errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
@@ -64,7 +63,7 @@ from .integrate import (
     integrate,
 )
 from .model import FirstIntegralValue, InitialConditions, Params, canonicalize, is_equilibrium
-from .phaseplane import MIN_RTOL
+from .numerics import MIN_RTOL, quad
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
 # equal when they differ by less than this times x0.
@@ -195,14 +194,17 @@ def catenoid_asymptote(m: FirstIntegralValue, a: float) -> Optional[float]:
         t = x_min + u * u
         return 2.0 * u / math.sqrt(mval + t**q)
 
-    def far(t):
-        return 1.0 / math.sqrt(mval + t**q)
+    # Beyond t0 = 2 x_min, t = t0 v^(-p) with p = 4/(q - 2) maps [t0, inf)
+    # onto (0, 1] and the integrand 1/sqrt(m + t^q) onto
+    # p t0^(1 - q/2) v / sqrt(1 - 2^(-q) v^(p q)), using x_min^q = -m.
+    p = 4.0 / (q - 2.0)
+    scale, tail = p * (2.0 * x_min) ** (1.0 - 0.5 * q), 2.0 ** -q
 
-    i1, e1 = quad(near, 0.0, math.sqrt(x_min), epsabs=1e-12, epsrel=1e-12, limit=400)
-    i2, e2 = quad(far, 2.0 * x_min, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
-    total = i1 + i2
-    if not math.isfinite(total) or (e1 + e2) > 1e-7 * max(1.0, abs(total)):
-        raise QuadratureFailure(f"asymptote quadrature error {e1 + e2:.2e} too large")
+    def far(v):
+        return scale * v / math.sqrt(1.0 - tail * v ** (p * q))
+
+    total = (quad(near, 0.0, math.sqrt(x_min), epsabs=1e-12, epsrel=1e-12, limit=400)
+             + quad(far, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=400))
     return math.sqrt(-mval) * total
 
 
@@ -343,8 +345,7 @@ def _level_set_report(params: Params, ic: InitialConditions, controls: Integrati
     if on_axis:
         return _axis_report(params, ic, level)
     try:
-        T, dz = levelset.period_and_shift(params, anchor, x_lo, x_hi)
-        crossings = levelset.self_crossings(params, anchor, x_lo, x_hi, T, dz)
+        T, dz, crossings = levelset.winding(params, anchor, x_lo, x_hi)
     except (QuadratureFailure, ArithmeticError):
         return None
     # The loops curl toward the axis when the curve rises per period in the
@@ -377,47 +378,53 @@ def _axis_report(params: Params, ic: InitialConditions,
     when its limit on the axis has the sign of f_H'(x_hi); then
     PinchedSpheroid when the gap is within POLE_ORDER_TOL * x0 of 0, which
     counts its pinch on the axis as one crossing; then Vesicle or
-    ImmersedSpheroid by the sign of the gap.  None when a quadrature fails.
+    ImmersedSpheroid by the sign of the gap, with the crossings from the
+    zero of f_H (levelset.axis_zero).  None when the quadrature fails or
+    rounding loses that zero.
     """
     anchor, _, x_hi, _, sin_hi = level
     a, b = params.a, params.b
     ovaloid = levelset.axis_slope(params, anchor) * (a * sin_hi + b * x_hi) > 0.0
     try:
-        pole_z, z_hi = _axis_poles(params, ic, level)
-        gap = 2.0 * z_hi
-        pinched = abs(gap) < POLE_ORDER_TOL * ic.x0
-        crossings = (0 if ovaloid else 1 if pinched
-                     else levelset.axis_crossings(params, anchor, x_hi, z_hi))
+        x_z = None if ovaloid else levelset.axis_zero(params, anchor, x_hi)
+    except ArithmeticError:
+        x_z = None      # needed only when the poles are apart
+    try:
+        pole_z, z_hi, z_z = _axis_poles(params, ic, level, x_z)
     except (QuadratureFailure, ArithmeticError):
         return None
+    gap = 2.0 * z_hi
+    pinched = abs(gap) < POLE_ORDER_TOL * ic.x0
     if ovaloid:
-        tag = SurfaceTag.OVALOID
+        tag, crossings = SurfaceTag.OVALOID, 0
     elif pinched:
-        tag = SurfaceTag.PINCHED_SPHEROID
-    elif gap > 0.0:
-        tag = SurfaceTag.VESICLE
+        tag, crossings = SurfaceTag.PINCHED_SPHEROID, 1
+    elif z_z is None:
+        return None
     else:
-        tag = SurfaceTag.IMMERSED_SPHEROID
+        tag = SurfaceTag.VESICLE if gap > 0.0 else SurfaceTag.IMMERSED_SPHEROID
+        # the branches meet once when Z(x_hi) lies between 0 and Z(x_z)
+        crossings = int(min(0.0, z_z) < z_hi < max(0.0, z_z))
     return _report(SurfaceClass(tag), None, params, ic, pole_z=pole_z,
                    self_intersections=crossings,
                    theta_range=_level_theta_range(params, ic, level))
 
 
-def _axis_poles(params: Params, ic: InitialConditions,
-                level: _Level) -> tuple[tuple[float, float], float]:
-    """(pole_z, Z(x_hi)) of an a > 0 orbit from the axis out to x_hi and back.
+def _axis_poles(params: Params, ic: InitialConditions, level: _Level,
+                x_z: Optional[float] = None) -> tuple[tuple[float, float], float, Optional[float]]:
+    """(pole_z, Z(x_hi), Z(x_z)) of an a > 0 orbit from the axis out to x_hi
+    and back, from one quadrature; Z(x_z) is None without x_z.
 
-    The poles lie 2 Z(x_hi) apart (levelset.axis_rise), and the branch
+    The poles lie 2 Z(x_hi) apart (levelset.axis_rises), and the branch
     through x0 is picked by the sign of cos(theta0): x grows from the
     backward pole to x_hi.  Raises QuadratureFailure or ArithmeticError
-    when a quadrature fails.
+    when the quadrature fails.
     """
-    anchor, x_hi = level.anchor, level.x_hi
-    z_hi = levelset.axis_rise(params, anchor, x_hi)
-    z0 = z_hi if ic.x0 == x_hi else levelset.axis_rise(params, anchor, x_hi, ic.x0)
+    xs = [ic.x0, level.x_hi] + ([] if x_z is None else [x_z])
+    z0, z_hi, *z_z = levelset.axis_rises(params, level.anchor, level.x_hi, xs)
     gap = 2.0 * z_hi
     pole_z = (-z0, gap - z0) if math.cos(ic.theta0) > 0.0 else (z0 - gap, z0)
-    return pole_z, z_hi
+    return pole_z, z_hi, z_z[0] if z_z else None
 
 
 def _on_saddle_level(params: Params, ic: InitialConditions) -> bool:
@@ -622,11 +629,12 @@ def _pure_linear_report(params: Params, ic: InitialConditions) -> Optional[Class
     (0, pi) + 2 pi k when s0 > 0 and (-pi, 0) + 2 pi k when s0 < 0.  The
     Plane when s0 = 0 (to 1e-12); at a = 1 the round sphere of radius
     x0/|s0|; for other a > 0 an Ovaloid from the axis out to
-    x_hi = x0 |s0|^(-1/a) and back, with its poles from levelset.axis_rise;
+    x_hi = x0 |s0|^(-1/a) and back, with its poles from levelset.axis_rises;
     for a < 0 a catenoid whose two branches leave the neck
     x0 |s0|^(-1/a) for infinity, CatenoidEntire for a >= -1 and
-    CatenoidBounded below (see catenoid_asymptote).  None when the
-    Ovaloid's level set or quadrature fails; the caller then integrates.
+    CatenoidBounded below (see catenoid_asymptote).  Where x_hi lies
+    beyond the float range the Ovaloid has no pole_z.  None when its
+    quadrature fails; the caller then integrates.
     """
     a = params.a
     s0 = math.sin(ic.theta0)
@@ -640,12 +648,12 @@ def _pure_linear_report(params: Params, ic: InitialConditions) -> Optional[Class
         tag = SurfaceTag.CATENOID_ENTIRE if a >= -1.0 else SurfaceTag.CATENOID_BOUNDED
         return _report(SurfaceClass(tag), None, params, ic, theta_range=theta_range)
     level = _level_set(params, ic)
-    if level is None:
-        return None
-    try:
-        pole_z, _ = _axis_poles(params, ic, level)
-    except (QuadratureFailure, ArithmeticError):
-        return None
+    pole_z = None
+    if level is not None and level.x_hi < math.inf:
+        try:
+            pole_z, _, _ = _axis_poles(params, ic, level)
+        except (QuadratureFailure, ArithmeticError):
+            return None
     return _report(SurfaceClass(SurfaceTag.OVALOID), None, params, ic, pole_z=pole_z,
                    theta_range=theta_range)
 
@@ -729,7 +737,7 @@ def _pole_heights(traj: Trajectory) -> Optional[tuple[float, float]]:
     ways, else None.
 
     Only the integration fallback uses it; an orbit read off its level set
-    takes its poles from levelset.axis_rise.
+    takes its poles from levelset.axis_rises.
     """
     if not _ends_on_axis_both(traj):
         return None

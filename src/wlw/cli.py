@@ -286,9 +286,9 @@ def _classify_grid(spec: SweepSpec) -> tuple[Path, Counter]:
     labels: Counter = Counter()
     workers = _sweep_workers(len(cells))
     if workers > 1:
-        # fork, not spawn: a spawned worker imports numpy, scipy and wlw
-        # afresh, which takes longer than a whole 84-cell grid.  The executor
-        # forks all its workers before it starts its own thread.
+        # fork, not spawn: a spawned worker imports numpy and wlw afresh,
+        # which takes longer than a whole 84-cell grid.  The executor forks
+        # all its workers before it starts its own thread.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .errors import (
     InvalidParameter,
@@ -36,6 +34,7 @@ from .errors import (
     VerificationFailed,
 )
 from .model import AXIS_EPSILON, EQUILIBRIUM_TOL, InitialConditions, Params, ProfileState, is_equilibrium
+from .numerics import brentq
 
 # Consecutive accepted steps that must sit at a phase rest point before the
 # run is cut short as an equilibrium.
@@ -634,7 +633,7 @@ def find_self_intersections(traj: Trajectory, window: Optional[tuple[float, floa
                             n_samples: int = 2048) -> list[IntersectionRecord]:
     """Transversal self-crossings of the profile polyline, Newton-refined.
 
-    The curve is resampled uniformly in s; a k-d tree over the segment
+    The curve is resampled uniformly in s; a grid over the segment
     midpoints gives the candidate pairs, an orientation test confirms each
     crossing, and each hit is polished on the dense interpolant using the
     analytic tangent (cos theta, sin theta).  A non-finite resampled point
@@ -667,15 +666,17 @@ def _crossing_segments(P: np.ndarray) -> list[tuple[int, int]]:
     A segment is the diagonal of its box, so boxes that overlap have
     midpoints at most (L_i + L_j) / 2 apart, no more than the longest segment:
     only midpoints within that reach, padded by 1e-9 of the longest segment
-    or coordinate against rounding, are tested.
+    or coordinate against rounding, are tested (_near_pairs).
     """
     if not np.isfinite(P).all():
         raise VerificationFailed("polyline has a non-finite point")
     A, B = P[:-1], P[1:]
     lo, hi = np.minimum(A, B), np.maximum(A, B)
     longest = float(np.hypot(*(B - A).T).max(initial=0.0))
+    if longest == 0.0:
+        return []       # no segment has a side
     reach = longest + 1e-9 * max(longest, float(np.abs(P).max(initial=0.0)))
-    i, j = cKDTree(0.5 * (A + B)).query_pairs(reach, output_type="ndarray").T
+    i, j = _near_pairs(0.5 * (A + B), reach)
     keep = (j - i >= 2) & (lo[i] <= hi[j]).all(axis=1) & (lo[j] <= hi[i]).all(axis=1)
     order = np.lexsort((j[keep], i[keep]))
     i, j = i[keep][order], j[keep][order]
@@ -686,6 +687,33 @@ def _crossing_segments(P: np.ndarray) -> list[tuple[int, int]]:
     d4 = _cross2(p2 - p1, p4 - p1)
     cross = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
     return list(zip(i[cross].tolist(), j[cross].tolist()))
+
+
+def _near_pairs(M: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of the points M in the same or adjacent cells
+    of a square grid of side reach: every pair within reach, and some more.
+
+    A cell (u, v) has the key u w + v, with v shifted by one and w two more
+    than the rows, so the three cells (u', v - 1 .. v + 1) of a neighbouring
+    column u' hold one run of the sorted keys.
+    """
+    cell = np.floor((M - M.min(axis=0)) / reach).astype(np.int64)
+    width = int(cell[:, 1].max()) + 3
+    key = cell[:, 0] * width + cell[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    rows = np.arange(len(M))
+    pairs_i, pairs_j = [], []
+    for du in (-1, 0, 1):
+        column = key + du * width
+        start = np.searchsorted(keys, column - 1, "left")
+        count = np.searchsorted(keys, column + 1, "right") - start
+        first = np.repeat(start - np.cumsum(count) + count, count)
+        j = order[first + np.arange(first.size)]
+        i = np.repeat(rows, count)
+        pairs_i.append(i[i < j])
+        pairs_j.append(j[i < j])
+    return np.concatenate(pairs_i), np.concatenate(pairs_j)
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -25,13 +25,13 @@ periodic profile is z = k dz + Z(x) or z = (k + 1) dz - Z(x), with
 Z(x) = int_{x_lo}^x f/sqrt(1 - f^2) dx.  Two branches of one kind are
 translates and never cross; a rising and a falling branch cross where
 2 Z(x)/dz is an integer.  That gives the self-crossings per period of the
-whole curve in closed form (self_crossings).
+whole curve in closed form (winding).
 
 For a > 0, f_H(0) = 0, and an orbit whose component reaches the axis runs
 from the axis out to x_hi and back: it closes.  With Z(x) = int_0^x
 f/sqrt(1 - f^2) dx its branches are z = z_pole + Z(x) and
-z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart (axis_rise), and
-the branches cross where Z(x) = Z(x_hi) (axis_crossings).
+z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart (axis_rises), and
+the branches cross where Z(x) = Z(x_hi) (axis_zero).
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
-from .errors import QuadratureFailure
 from .model import Params
+from .numerics import brentq, cumulative_quad
 
 # brentq's absolute tolerance on a turning radius, relative to the radius.
 _RADIUS_RTOL = 1e-15
@@ -169,15 +166,6 @@ def f_min(params: Params, anchor: Anchor, x_lo: float, x_hi: float, sign: float 
     return min(sign * f_H(params, anchor, x) if x > 0.0 else 0.0 for x in [x_lo, x_hi] + inside)
 
 
-def _rise(params: Params, end: Anchor, d: float) -> float:
-    """f_H(x + d) - s on the level through end = (x, s), without cancellation."""
-    a, b = params.a, params.b
-    x, s = end
-    mu = math.log1p(d / x)
-    y = (a - 1.0) * mu
-    return s * math.expm1(a * mu) + b * (x + d) * (math.expm1(y) / (a - 1.0) if y != 0.0 else mu)
-
-
 def term_size(params: Params, anchor: Anchor, x: float) -> float:
     """The sum of the magnitudes of the terms f_H adds up at x.
 
@@ -193,75 +181,79 @@ def term_size(params: Params, anchor: Anchor, x: float) -> float:
     return abs(s_r) * ratio ** a + abs(b * x * (math.expm1(y) / (a - 1.0) if y != 0.0 else lam))
 
 
-def _half_integral(params: Params, anchor: Anchor, x_lo: float, x_hi: float,
-                   weighted: bool, epsabs: float, phi_end: float = math.pi) -> float:
-    """int dx/sqrt(1 - f^2), or int f/sqrt(1 - f^2) dx when weighted, on [x_lo, x_hi].
+def _half_integrals(params: Params, anchor: Anchor, x_lo: float, x_hi: float, stops,
+                    epsabs: float, with_length: bool = False) -> list:
+    """int f/sqrt(1 - f^2) dx from x_lo to x = c - r cos(phi) for each phi in stops,
+    from one quadrature; with_length makes each a pair, int dx/sqrt(1 - f^2) first.
 
     With x = c - r cos(phi) the integrand stays bounded at turning radii
-    where f_H' != 0; 1 - f^2 is taken from the rise of f_H over the nearer
-    end, re-anchored there at f_H = +-1, so it keeps its relative accuracy.
-    x_lo = 0 is the axis of an a > 0 orbit, where f_H = 0 and 1 - f^2 is
-    taken as it is.  phi_end < pi stops the integral at
-    x = c - r cos(phi_end).  Raises QuadratureFailure when quad reports
-    failure or a non-finite value.
+    where f_H' != 0, and phi = pi is x_hi; 1 - f^2 is taken from the rise of
+    f_H over the nearer end, re-anchored there at f_H = +-1, so it keeps its
+    relative accuracy.  x_lo = 0 is the axis of an a > 0 orbit, where
+    f_H = 0 and 1 - f^2 is taken as it is.  The quadrature meets epsabs or
+    _QUAD_RTOL times the largest integral to the farthest stop.  Raises
+    QuadratureFailure when it misses that or meets a non-finite value.
     """
+    a, b = params.a, params.b
     r = 0.5 * (x_hi - x_lo)
     ends = [Anchor(x, 0.0 if x == 0.0 else math.copysign(1.0, f_H(params, anchor, x)))
             for x in (x_lo, x_hi)]
 
     def integrand(phi):
         if phi < 0.5 * math.pi:
-            end, d = ends[0], 2.0 * r * math.sin(0.5 * phi) ** 2
+            (x, level), d = ends[0], 2.0 * r * math.sin(0.5 * phi) ** 2
         else:
-            end, d = ends[1], -2.0 * r * math.cos(0.5 * phi) ** 2
-        level = end.s
-        rise = f_H(params, ends[1], d) if level == 0.0 else _rise(params, end, d)
+            (x, level), d = ends[1], -2.0 * r * math.cos(0.5 * phi) ** 2
+        if level == 0.0:
+            rise = f_H(params, ends[1], d)
+        else:
+            # f_H(x + d) - level on the level through the end (x, level),
+            # without cancellation
+            mu = math.log1p(d / x)
+            y = (a - 1.0) * mu
+            rise = (level * math.expm1(a * mu)
+                    + b * (x + d) * (math.expm1(y) / (a - 1.0) if y != 0.0 else mu))
         q = 1.0 - level * level - rise * (2.0 * level + rise)    # 1 - f^2, f = level + rise
         w = r * math.sin(phi) / math.sqrt(q) if q > 0.0 else math.nan
-        return (level + rise) * w if weighted else w
+        return (w, (level + rise) * w) if with_length else (level + rise) * w
 
-    res = quad(integrand, 0.0, phi_end, limit=200, full_output=1,
-               epsabs=epsabs, epsrel=_QUAD_RTOL)
-    if len(res) > 3 or not math.isfinite(res[0]):
-        raise QuadratureFailure(f"period quadrature failed on [{x_lo}, {x_hi}]")
-    return res[0]
+    return cumulative_quad(integrand, 0.0, stops, epsabs=epsabs, epsrel=_QUAD_RTOL)
 
 
-def period_and_shift(params: Params, anchor: Anchor, x_lo: float,
-                     x_hi: float) -> tuple[float, float]:
-    """(T, dz) of an orbit turning at x_lo and x_hi, where f_H' != 0.
+class Winding(NamedTuple):
+    """A periodic orbit's arclength and rise in z per period, and its
+    self-crossings per period over the whole curve."""
+    period: float
+    shift: float
+    crossings: int
+
+
+def winding(params: Params, anchor: Anchor, x_lo: float, x_hi: float) -> Winding:
+    """The period, shift and self-crossings of an orbit turning at x_lo and
+    x_hi, where f_H' != 0 and f_H changes sign, from one quadrature.
 
     T = 2 int dx/sqrt(1 - f^2) over [x_lo, x_hi] is the arclength of one
-    period and dz = 2 int f/sqrt(1 - f^2) dx its rise in z, accurate to
-    _QUAD_RTOL * T.
+    period and dz = 2 int f/sqrt(1 - f^2) dx its rise in z.  f_H runs from
+    -+1 to +-1 over [x_lo, x_hi] and has one zero x_z there, where Z turns;
+    so the crossings are the integers strictly inside the range of 2 Z/dz
+    on each side of x_z: (0, r) and (r, 1), with r = 2 Z(x_z)/dz.  T, dz
+    and Z(x_z) are accurate to _QUAD_RTOL * T.  Raises QuadratureFailure
+    when the quadrature fails, and ArithmeticError when dz = 0 or the zero
+    is lost to rounding.
     """
-    T = 2.0 * _half_integral(params, anchor, x_lo, x_hi, weighted=False, epsabs=0.0)
-    return T, 2.0 * _half_integral(params, anchor, x_lo, x_hi, weighted=True,
-                                   epsabs=0.5 * _QUAD_RTOL * T)
+    x_z = _zero(params, anchor, x_lo, x_hi)
+    (_, z_z), (half_T, half_dz) = _half_integrals(
+        params, anchor, x_lo, x_hi, (_phi(x_lo, x_hi, x_z), math.pi), epsabs=0.0,
+        with_length=True)
+    ratio = z_z / half_dz
+    return Winding(2.0 * half_T, 2.0 * half_dz,
+                   _integers_between(0.0, ratio) + _integers_between(ratio, 1.0))
 
 
 def _integers_between(p: float, q: float) -> int:
     """How many integers lie strictly between p and q, in either order."""
     lo, hi = min(p, q), max(p, q)
     return max(math.ceil(hi) - math.floor(lo) - 1, 0)
-
-
-def self_crossings(params: Params, anchor: Anchor, x_lo: float, x_hi: float,
-                   T: float, dz: float) -> int:
-    """The self-crossings per period of a winding orbit, over the whole curve.
-
-    f_H runs from -+1 to +-1 over [x_lo, x_hi] and has one zero x_z there,
-    where Z turns; so the count is the number of integers strictly inside
-    the range of 2 Z/dz on each side of x_z: (0, r) and (r, 1), with
-    r = 2 Z(x_z)/dz.  (T, dz) are period_and_shift's; Z(x_z) is one more
-    quadrature, accurate to _QUAD_RTOL * T.  Raises ArithmeticError when
-    dz = 0 or the zero is lost to rounding.
-    """
-    x_z = _zero(params, anchor, x_lo, x_hi)
-    z_z = _half_integral(params, anchor, x_lo, x_hi, weighted=True,
-                         epsabs=0.5 * _QUAD_RTOL * T, phi_end=_phi(x_lo, x_hi, x_z))
-    ratio = 2.0 * z_z / dz
-    return _integers_between(0.0, ratio) + _integers_between(ratio, 1.0)
 
 
 def axis_slope(params: Params, anchor: Anchor) -> float:
@@ -280,35 +272,34 @@ def axis_slope(params: Params, anchor: Anchor) -> float:
     return b / (1.0 - a)
 
 
-def axis_rise(params: Params, anchor: Anchor, x_hi: float, x: Optional[float] = None) -> float:
-    """Z(x) = int_0^x f/sqrt(1 - f^2) dx on an a > 0 orbit from the axis to x_hi.
+def axis_rises(params: Params, anchor: Anchor, x_hi: float, xs) -> list[float]:
+    """Z(x) = int_0^x f/sqrt(1 - f^2) dx for each x in xs, on an a > 0 orbit
+    from the axis to x_hi, from one quadrature.
 
-    Z(x_hi) when x is None.  The profile's branches are z = z_pole + Z(x)
-    and z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart.
-    Accurate to _QUAD_RTOL * x_hi, which is at most _QUAD_RTOL times the
-    arclength from the axis to x_hi.
+    The profile's branches are z = z_pole + Z(x) and
+    z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart.  Accurate
+    to _QUAD_RTOL times x_hi or the largest |Z| to the farthest x; x_hi is
+    at most the arclength from the axis to x_hi.
     """
-    phi_end = math.pi if x is None else _phi(0.0, x_hi, x)
-    return _half_integral(params, anchor, 0.0, x_hi, weighted=True,
-                          epsabs=_QUAD_RTOL * x_hi, phi_end=phi_end)
+    return _half_integrals(params, anchor, 0.0, x_hi, [_phi(0.0, x_hi, x) for x in xs],
+                           epsabs=_QUAD_RTOL * x_hi)
 
 
-def axis_crossings(params: Params, anchor: Anchor, x_hi: float, z_hi: float) -> int:
-    """The self-crossings of an a > 0 axis-to-axis profile, Z(x_hi) = z_hi.
+def axis_zero(params: Params, anchor: Anchor, x_hi: float) -> float:
+    """The zero x_z of f_H on an a > 0 axis-to-axis orbit whose theta' changes sign.
 
-    The two branches meet where Z(x) = z_hi for x in (0, x_hi).  f_H = 0 on
-    the axis and +-1 at x_hi; when theta' changes sign on the way, f_H
-    first runs the other way, past its critical radius, and has one zero
-    x_z, where Z turns.  Z is monotone on (0, x_z) and on (x_z, x_hi), so
-    the branches meet once when z_hi lies strictly between 0 and Z(x_z),
-    and otherwise nowhere.  Raises ArithmeticError when f_H has no zero
-    past its critical radius, which holds when theta' keeps one sign.
+    f_H = 0 on the axis and +-1 at x_hi; when theta' changes sign on the
+    way, f_H first runs the other way, past its critical radius, and has
+    one zero x_z, where Z turns.  Z is monotone on (0, x_z) and on
+    (x_z, x_hi), so the two branches meet once when Z(x_hi) lies strictly
+    between 0 and Z(x_z), and otherwise nowhere.  Raises ArithmeticError
+    when f_H has no zero past its critical radius, which holds when theta'
+    keeps one sign.
     """
     xc = _critical_radius(params, anchor)
     if xc is None or not 0.0 < xc < x_hi:
         raise FloatingPointError(f"f_H has no critical radius in (0, {x_hi})")
-    z_z = axis_rise(params, anchor, x_hi, _zero(params, anchor, xc, x_hi))
-    return int(min(0.0, z_z) < z_hi < max(0.0, z_z))
+    return _zero(params, anchor, xc, x_hi)
 
 
 def _zero(params: Params, anchor: Anchor, lo: float, hi: float) -> float:

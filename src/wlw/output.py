@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -263,9 +264,11 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
 
     Floats are the shortest round-trip repr.  Each ring of vertices, of
     normals and of faces is filled into one template and written as it is
-    made.  The ring coordinates are numpy outer products of math.sin and
-    math.cos values, which round as scalar products do, so every float is
-    the one a per-vertex loop would print.
+    made.  A ring's coordinates are r cos phi_j and r sin phi_j, and
+    |r c| = |r| |c| exactly, so each ring formats |r| u once for each
+    distinct u among the |cos phi_j| and |sin phi_j| and puts a '-' in front
+    where the sign bit of r c is set, as for -0.0: every string is the
+    repr a per-vertex loop would print.
     """
     lo = window[0] if window else traj.s_min
     hi = window[1] if window else traj.s_max
@@ -276,17 +279,17 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
     pts = pts[usable]
     n_prof, n_rev = len(pts), spec.n_revolve
     phis = [2.0 * math.pi * j / n_rev for j in range(n_rev)]
-    cos_phi = np.array([math.cos(phi) for phi in phis])
-    sin_phi = np.array([math.sin(phi) for phi in phis])
+    trig = np.array([f(phi) for phi in phis for f in (math.cos, math.sin)])
+    units, slot = np.unique(np.abs(trig), return_inverse=True)
+    # Ring strings are the reprs of |r| u followed by the same with '-':
+    # gather[neg_r] picks the x and y strings of every vertex in order.
+    flip = np.signbit(trig)
+    gather = [itemgetter(*(slot + len(units) * (flip ^ neg_r)).tolist()) for neg_r in (False, True)]
+    units = units.tolist()
 
-    def rings(r: np.ndarray) -> np.ndarray:
-        """Row i is r_i cos phi_0, r_i sin phi_0, r_i cos phi_1, ..."""
-        return np.stack((np.multiply.outer(r, cos_phi), np.multiply.outer(r, sin_phi)),
-                        axis=2).reshape(len(r), 2 * n_rev)
-
-    thetas = pts[:, 3].tolist()
-    sin_theta = np.array([math.sin(t) for t in thetas])
-    neg_cos_theta = [-math.cos(t) for t in thetas]
+    def ring(r: float) -> tuple:
+        reprs = [repr(abs(r) * u) for u in units]
+        return gather[math.copysign(1.0, r) < 0.0](reprs + ["-" + t for t in reprs])
 
     # winding chosen so face normals agree with the emitted vertex normals:
     # faces (a, c, b) and (a, d, c) on the quad a = (i, j), b = (i + 1, j),
@@ -299,10 +302,10 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
 
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# surface of revolution: {n_prof} x {n_rev} vertices\n")
-        fh.writelines(("v %r %r " + repr(z) + "\n") * n_rev % tuple(row.tolist())
-                      for row, z in zip(rings(pts[:, 1]), pts[:, 2].tolist()))
-        fh.writelines(("vn %r %r " + repr(nz) + "\n") * n_rev % tuple(row.tolist())
-                      for row, nz in zip(rings(sin_theta), neg_cos_theta))
+        fh.writelines(("v %s %s " + repr(z) + "\n") * n_rev % ring(x)
+                      for x, z in zip(pts[:, 1].tolist(), pts[:, 2].tolist()))
+        fh.writelines(("vn %s %s " + repr(-math.cos(t)) + "\n") * n_rev % ring(math.sin(t))
+                      for t in pts[:, 3].tolist())
         face_ring = "f %s %s %s\nf %s %s %s\n" * n_rev
         fh.writelines(face_ring % tuple(refs[quad + i * n_rev].tolist())
                       for i in range(n_prof - 1))

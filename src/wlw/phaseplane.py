@@ -20,21 +20,18 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import levelset
 from .errors import DegenerateEigenvalue, InvalidParameter, NoBracket
 from .integrate import IntegrationControls, integrate
 from .model import InitialConditions, Params
+from .numerics import MIN_RTOL, brentq
 
 
 # Arclength budget of a portrait orbit in seed radii: about 40 in the time
 # sigma of V (ds = x dsigma), so cycles around the a < 0 center close but are
 # not redrawn many times.
 _ORBIT_SPAN = 40.0
-
-# The least relative tolerance brentq accepts.
-MIN_RTOL = 4.0 * np.finfo(float).eps
 
 
 class SingularityKind(str, enum.Enum):

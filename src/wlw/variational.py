@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
 
 from .errors import (
     DivergentIntegrand,
@@ -32,12 +31,14 @@ from .errors import (
     NearSingular,
     NoPeriod,
     NotApplicable,
+    QuadratureFailure,
     SignChange,
     Unsupported,
 )
 from .integrate import Trajectory, detect_period
 from .errors import NoFullTurn
 from .model import Params
+from .numerics import cumulative_simpson, quad
 
 # Points with |theta' - mu| at or below this are outside the power-energy
 # domain and are excluded from residual evaluation.
@@ -231,10 +232,10 @@ def functional_value(traj: Trajectory, ep: EnergyParams,
     vals = np.array([integrand(float(t)) for t in probe])
     if not np.all(np.isfinite(vals)):
         raise DivergentIntegrand("energy integrand is not finite on the span")
-    value, err = quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
-    if not math.isfinite(value):
-        raise DivergentIntegrand("energy integral did not converge")
-    return value
+    try:
+        return quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
+    except QuadratureFailure as exc:
+        raise DivergentIntegrand("energy integral did not converge") from exc
 
 
 def _profile_arrays(theta_prime, s_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +263,7 @@ def critical_curve_power(theta_prime, s_grid, ep: PowerEnergyParams,
     p = ep.p
     x = d.d * p * real_power(u, p - 1.0)
     integrand = real_power(u, p - 1.0) * ((p - 1.0) * tp + ep.mu)
-    z = d.d * cumulative_simpson(integrand, x=s, initial=0.0)
+    z = d.d * cumulative_simpson(integrand, s)
     return x, z
 
 
@@ -277,7 +278,7 @@ def critical_curve_exp(theta_prime, s_grid, ep: ExpEnergyParams,
         raise NotApplicable("constant curvature: the closed-form parametrization degenerates")
     e = np.exp(ep.nu * tp)
     x = d.d * ep.nu * e
-    z = d.d * cumulative_simpson((ep.nu * tp - 1.0) * e, x=s, initial=0.0)
+    z = d.d * cumulative_simpson((ep.nu * tp - 1.0) * e, s)
     return x, z
 
 
@@ -311,7 +312,7 @@ def closure_integral(source: Union[Trajectory, Callable], ep: PowerEnergyParams,
             tp = float(np.asarray(theta_prime(s)))
             return float(real_power(tp - mu, p - 1.0) * ((p - 1.0) * tp - mu))
 
-    value, err = quad(integrand, 0.0, float(period), epsabs=1e-10, epsrel=1e-10, limit=400)
-    if not math.isfinite(value):
-        raise DivergentIntegrand("closure integrand is not finite over the period")
-    return value
+    try:
+        return quad(integrand, 0.0, float(period), epsabs=1e-10, epsrel=1e-10, limit=400)
+    except QuadratureFailure as exc:
+        raise DivergentIntegrand("closure integral did not converge over the period") from exc

@@ -463,7 +463,7 @@ class TestPeriodicSpan:
     def test_failed_quadrature_falls_back(self, monkeypatch):
         def fail(*args):
             raise QuadratureFailure("period quadrature failed")
-        monkeypatch.setattr(levelset, "period_and_shift", fail)
+        monkeypatch.setattr(levelset, "winding", fail)
         runs = spy_integrate(monkeypatch)
         r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
         assert r.surface.tag == SurfaceTag.NODOID
@@ -664,7 +664,7 @@ def axis_witness_mismatch(monkeypatch, params, ic, report):
     witness, traj = witness_run(monkeypatch, params, ic, tight)
     level = classify._level_set(params, ic)
     eps = tight.axis_epsilon
-    z_eps = levelset.axis_rise(params, level.anchor, level.x_hi, eps)
+    z_eps, = levelset.axis_rises(params, level.anchor, level.x_hi, [eps])
     poles = (report.pole_z[0] + z_eps, report.pole_z[1] - z_eps)
     lo, hi = classify._level_theta_range(params, ic, level._replace(x_lo=eps))
     why = []
@@ -813,6 +813,16 @@ class TestSaddleLevel:
 
 
 class TestPureLinearClosedForm:
+    @pytest.mark.parametrize("a,theta0", [(1e-4, 0.5), (0.01, 1e-6), (0.01, 1e-11)])
+    def test_ovaloid_beyond_the_float_range_runs_nothing(self, monkeypatch, a, theta0):
+        # x_hi = x0 |sin(theta0)|^(-1/a) overflows, but theta' = a sin(theta)/x
+        # keeps one sign, so the first integral alone says Ovaloid.
+        runs = spy_integrate(monkeypatch)
+        r = classify_surface(Params(a, 0.0), InitialConditions(1.0, theta0))
+        assert runs == [] and r.termination is None
+        assert r.surface.tag == SurfaceTag.OVALOID and r.pole_z is None
+        assert r.theta_range == (0.0, PI) and r.self_intersections == 0
+
     @pytest.mark.parametrize("a,tag", [(0.3, SurfaceTag.OVALOID), (2.0, SurfaceTag.OVALOID),
                                        (1.0, SurfaceTag.SPHERE),
                                        (-0.3, SurfaceTag.CATENOID_ENTIRE),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wlw.integrate import IntegrationControls, detect_period, integrate
-from wlw.levelset import Anchor, f_H, f_min, period_and_shift, turning_radii
+from wlw.levelset import Anchor, f_H, f_min, turning_radii, winding
 from wlw.model import InitialConditions, Params, ProfileState, first_integral_m
 
 PI = math.pi
@@ -123,7 +123,7 @@ def test_quadrature_matches_detect_period(request, name):
     traj = request.getfixturevalue(name)
     params, ic = traj.params, traj.ic
     anchor = Anchor(ic.x0, math.sin(ic.theta0))
-    T, dz = period_and_shift(params, anchor, *turning_radii(params, anchor))
+    T, dz, _ = winding(params, anchor, *turning_radii(params, anchor))
     T_ode, dz_ode = detect_period(traj)
     assert T == pytest.approx(T_ode, rel=1e-9)
     assert dz == pytest.approx(dz_ode, rel=1e-9)

@@ -141,6 +141,18 @@ class TestBlockWritersMatchLoops:
         _write_obj_mesh_loop(nodoid_traj, tmp_path / "loop.obj", spec, window=window)
         assert (tmp_path / "block.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
 
+    @pytest.mark.parametrize("n_revolve", [8, 48, 128])
+    @pytest.mark.parametrize("name", ["nodoid_traj", "antinodoid_traj"])
+    def test_obj_rings_of_both_signs(self, name, n_revolve, request, tmp_path):
+        # Winding profiles: sin(theta), the normals' ring radius, takes both signs.
+        traj = request.getfixturevalue(name)
+        spec = MeshSpec(n_profile=64, n_revolve=n_revolve)
+        sin_theta = np.sin(traj.resample(spec.n_profile)[:, 3])
+        assert sin_theta.min() < 0.0 < sin_theta.max()
+        write_obj_mesh(traj, tmp_path / "block.obj", spec)
+        _write_obj_mesh_loop(traj, tmp_path / "loop.obj", spec)
+        assert (tmp_path / "block.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
+
     def test_obj_negative_zero(self, antinodoid_traj, tmp_path):
         # theta0 = 3pi/2: sin(theta) < 0, so sin(theta) * sin(0) is -0.0
         spec = MeshSpec(n_profile=16, n_revolve=8)

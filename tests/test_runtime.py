@@ -1,0 +1,42 @@
+"""The package runs on numpy alone: no command imports scipy."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Blocks scipy, runs each command through wlw.cli.main and reports any
+# scipy module that got loaded.
+SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+import wlw.cli
+
+commands = [
+    ["classify", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2"],
+    ["classify", "-a", "-2", "-b", "0", "--x0", "1", "--theta0", "pi/2"],
+    ["sweep", "-a=-2:3:3", "-b", "1", "--x0", "0.5:4:2", "--theta0-list", "pi/2,0",
+     "-o", out + "/sweep"],
+    ["integrate", "-a", "-2", "-b", "1", "--x0", "0.5", "--theta0", "pi/2",
+     "--max-arclength", "40", "--svg", "-o", out + "/integrate"],
+    ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2", "-o", out + "/mesh"],
+    ["check", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "0", "-o", out + "/check"],
+    ["phase", "-a", "3", "-b", "1", "--separatrix", "-o", out + "/phase"],
+]
+for cmd in commands:
+    code = wlw.cli.main(cmd)
+    if code != 0:
+        sys.exit(f"{cmd[0]} exited {code}")
+loaded = sorted(m for m, v in sys.modules.items() if m.split(".")[0] == "scipy" and v is not None)
+if loaded:
+    sys.exit(f"scipy modules loaded: {loaded}")
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
