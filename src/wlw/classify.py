@@ -1,7 +1,7 @@
-"""Surface taxonomy from the first integral and integrated profile curves.
+"""Surface taxonomy from the first integral, without integrating the ODE.
 
-The decision tree follows the geometry.  Most inputs are decided on the
-level set of the first integral (levelset.py) or in closed form; every such
+The decision tree follows the geometry.  Every input is decided on the
+level set of the first integral (levelset.py) or in closed form, so every
 report has termination None, and of the controls only rel_tol, the accuracy
 asked of a level set, applies (and equilibrium_tol, the cylinder test):
 
@@ -19,26 +19,24 @@ asked of a level set, applies (and equilibrium_tol, the cylinder test):
   (see _separatrix_report).
 * An orbit whose radius turns at two finite radii x_lo > 0 and x_hi < inf
   is periodic.  It is an Unduloid when sin(theta) has one sign at both
-  turning radii, and otherwise winds.  A winding orbit, whose turning
-  radii must be transversal, is a Nodoid when its rise dz per period has
-  the sign of sin(theta) at x_hi, and an Antinodoid otherwise; its period,
-  dz and self-crossings per period come from quadratures (see
-  levelset.winding).
-* An a > 0 orbit with x_lo = 0 and a finite, transversal x_hi that passes
-  the saddle outside the capture band runs from the axis to x_hi and back.
-  Its pole heights, the crossing of its two branches and its theta range
-  come from quadratures and arcsin f_H (see levelset.axis_rises and
-  axis_zero); the tag is Ovaloid when theta' keeps one sign, else
-  PinchedSpheroid, Vesicle or ImmersedSpheroid by the pole gap.
+  turning radii, and otherwise winds.  A winding orbit is a Nodoid when
+  its rise dz per period has the sign of sin(theta) at x_hi, and an
+  Antinodoid otherwise; its period, dz and self-crossings per period come
+  from quadratures (see levelset.winding).  Next to the separatrix a
+  turning radius lies near the saddle radius a/b, where theta' is near 0;
+  the quadrature resolves that end, so these neighbours are Antinodoids.
+* An a > 0 orbit with x_lo = 0 and a finite x_hi runs from the axis to
+  x_hi and back.  Its pole heights, the crossing of its two branches and
+  its theta range come from quadratures and arcsin f_H (see
+  levelset.axis_rises and axis_zero); the tag is Ovaloid when theta' keeps
+  one sign, else PinchedSpheroid, Vesicle or ImmersedSpheroid by the pole
+  gap.  An orbit from the axis that passes next to the saddle, inside the
+  separatrix, is one of the latter.
 
-Every other orbit runs both ways to the given budgets and is read off the
-run - axis hits with pole ordering, bounded tangent oscillation, full
-tangent turns with translation periodicity, or asymptotic capture by the
-interior saddle.  These are the neighbours of the separatrix (a tangential
-end near the rest-point radius |a/b| or, from the axis, a pass by the
-saddle there), orbits with a failed quadrature, and levels that floats
-cannot resolve to the run's rel_tol ((x/x0)^a overflowing at a far turning
-radius).
+Where floats cannot resolve the level set - a turning radius outside the
+float range, rounding of f_H beyond rel_tol on both end anchors (see
+levelset.split), or a failed quadrature - classify_surface raises
+Inconclusive with the reason, x_lo, x_hi and term_size as diagnostics.
 """
 
 from __future__ import annotations
@@ -49,31 +47,15 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from . import levelset
 from .errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
-from .integrate import (
-    EventKind,
-    IntegrationControls,
-    Termination,
-    Trajectory,
-    detect_period,
-    find_self_intersections,
-    integrate,
-)
+from .integrate import IntegrationControls, Termination
 from .model import FirstIntegralValue, InitialConditions, Params, canonicalize, is_equilibrium
 from .numerics import MIN_RTOL, quad
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
 # equal when they differ by less than this times x0.
 POLE_ORDER_TOL = 1e-5
-
-# Saddle-capture band in theta (around 3*pi/2 mod 2*pi) and in x (around a/b).
-# A turning radius within this relative distance of the rest-point radius
-# |a/b| counts as tangential, as does the critical radius of an axis orbit:
-# such orbits run the full budgets.
-CAPTURE_BAND = 1e-3
 
 # Rounding allowance, in eps, of the test that a state lies on the saddle's
 # level: |sin(theta0) - f_H(x0)| <= k eps (term_size(x0) + x0 |f_H'(x0)|).
@@ -83,11 +65,6 @@ CAPTURE_BAND = 1e-3
 # which moves f_H by that times |f_H'(x0)|; f_H's own rounding gets the same
 # 4 eps per unit of the terms it sums.
 SADDLE_LEVEL_ULPS = MIN_RTOL / sys.float_info.epsilon
-
-# Periods of an integrated winding orbit over which _count_loops_per_period
-# collects crossings.
-PERIODS_READ = 2.1
-
 
 class SurfaceTag(str, enum.Enum):
     PLANE = "Plane"
@@ -136,7 +113,7 @@ class ClassificationReport:
     canonicalized_b: bool
     params: Params
     ic: InitialConditions
-    termination: Optional[Termination]          # None when no run was made
+    termination: Optional[Termination]          # always None: classify makes no run
 
 
 def special_solutions(params: Params) -> list[SurfaceClass]:
@@ -208,76 +185,6 @@ def catenoid_asymptote(m: FirstIntegralValue, a: float) -> Optional[float]:
     return math.sqrt(-mval) * total
 
 
-def default_controls(params: Params, ic: InitialConditions) -> IntegrationControls:
-    """Classification budgets; the arclength scales with the homothety size.
-
-    rescale(lam) maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class, so
-    the arclength budget grows with max(x0, |a/b|).
-    """
-    scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
-    return IntegrationControls(max_arclength=200.0 * scale,
-                               max_full_turns=3,
-                               max_vertical_tangents=12)
-
-
-def _capture_hold_needed(a: float) -> float:
-    # The saddle's eigenvalues are +-sqrt(a): residence inside the capture
-    # band is limited to about 2*ln(band/eps)/sqrt(a) in double precision,
-    # so the required hold must shrink with a.
-    return min(50.0, 16.0 / math.sqrt(a))
-
-
-def _capture_window(traj: Trajectory, params: Params) -> Optional[tuple[float, float]]:
-    """The stretch of curve between the saddle captures nearest s = 0.
-
-    A capture is a run of samples held inside the saddle band for at least
-    _capture_hold_needed; None when there is none.  The window runs from
-    the start of the nearest capture behind s = 0 to the end of the nearest
-    one ahead of it, or to s_min or s_max on a side without one, so it
-    leaves out the numerical divergence after each capture.
-    """
-    if params.a <= 0.0 or params.b <= 0.0:
-        return None
-    x_star = params.a / params.b
-    dist_theta = np.abs(np.remainder(traj.theta - 1.5 * math.pi, math.tau))
-    dist_theta = np.minimum(dist_theta, math.tau - dist_theta)
-    inside = (dist_theta < CAPTURE_BAND) & (np.abs(traj.x - x_star) < CAPTURE_BAND)
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
-    stays = [(traj.s[i], traj.s[j - 1]) for i, j in zip(edges[::2], edges[1::2])
-             if traj.s[j - 1] - traj.s[i] >= _capture_hold_needed(params.a)]
-    if not stays:
-        return None
-    lo = max((s0 for s0, _ in stays if s0 < 0.0), default=traj.s_min)
-    hi = min((s1 for _, s1 in stays if s1 > 0.0), default=traj.s_max)
-    return lo, hi
-
-
-def _monotone_theta(traj: Trajectory) -> bool:
-    """Whether theta keeps one direction over the samples of a run.
-
-    Only the integration fallback uses it; an orbit read off its level set
-    compares theta' at the axis and at x_hi instead.
-    """
-    d = np.diff(traj.theta)
-    tol = 1e-10
-    return bool(np.all(d >= -tol) or np.all(d <= tol))
-
-
-def _count_loops_per_period(traj: Trajectory, period: float) -> int:
-    """Loops per period of an integrated winding orbit.
-
-    Crossings are collected over PERIODS_READ periods and attributed to the
-    period containing their first parameter, so pairs straddling a period
-    boundary are not lost.
-    """
-    lo = max(0.0, traj.s_min)
-    hi = min(lo + PERIODS_READ * period, traj.s_max)
-    records = find_self_intersections(traj, window=(lo, hi))
-    if not records:
-        return 0
-    return max(sum(1 for r in records if lo <= r.s_a < lo + period), 1)
-
-
 class _Level(NamedTuple):
     """The level of the first integral anchored at the initial state, and its turning radii.
 
@@ -291,96 +198,88 @@ class _Level(NamedTuple):
     sin_hi: float
 
 
-def _level_set(params: Params, ic: InitialConditions) -> Optional[_Level]:
-    """The level set of the orbit, or None where floats cannot resolve it.
-
-    (x/x0)^a in f_H can leave the float range at far turning radii, for
-    extreme x0, a or b; classify then runs the given controls and reads the
-    report off the trajectory alone.
-    """
+def _level_set(params: Params, ic: InitialConditions) -> _Level:
+    """The level set of the orbit.  Raises ArithmeticError where floats
+    cannot resolve its turning radii: (x/x0)^a in f_H overflowing, or
+    rounding losing the bracket of a radius, for extreme x0, a or b."""
     def sin_at(x):
         if not 0.0 < x < math.inf:
             return math.nan
         return math.copysign(1.0, levelset.f_H(params, anchor, x))
 
-    try:
-        anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
-        x_lo, x_hi = levelset.turning_radii(params, anchor)
-        return _Level(anchor, x_lo, x_hi, sin_at(x_lo), sin_at(x_hi))
-    except ArithmeticError:
-        return None
+    anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
+    x_lo, x_hi = levelset.turning_radii(params, anchor)
+    return _Level(anchor, x_lo, x_hi, sin_at(x_lo), sin_at(x_hi))
 
 
-def _transversal(params: Params, x_end: float, sin_end: float) -> bool:
-    # f_H'(x) = a f_H(x)/x + b, and f_H = +-1 at a turning radius.
-    return abs(sin_end * params.a + params.b * x_end) > CAPTURE_BAND * abs(params.a)
+def _unresolved(reason: str, level: Optional[_Level] = None,
+                size: Optional[float] = None) -> Inconclusive:
+    """The Inconclusive of a level set that floats cannot resolve, with the
+    reason, the turning radii and the term_size of f_H as diagnostics."""
+    def finite(v):
+        return v if v is not None and math.isfinite(v) else None
+    return Inconclusive(f"the level set cannot be resolved in floats: {reason}", diagnostics={
+        "reason": reason,
+        "x_lo": None if level is None else finite(level.x_lo),
+        "x_hi": None if level is None else finite(level.x_hi),
+        "term_size": finite(size),
+    })
 
 
-def _level_set_report(params: Params, ic: InitialConditions, controls: IntegrationControls,
-                      level: _Level) -> Optional[ClassificationReport]:
-    """The report of a periodic or an axis-to-axis orbit, read off its level
-    set without a run.
+def _level_set_report(params: Params, ic: InitialConditions,
+                      controls: IntegrationControls) -> ClassificationReport:
+    """The report of a periodic or an axis-to-axis orbit, read off its level set.
 
-    None when the orbit does not qualify or its level set cannot be trusted
-    (see the module docstring); the caller then integrates.  f_H sums terms
-    of size levelset.term_size, so rounding costs it that times eps: the
-    level set is used only where this stays within controls.rel_tol, the
-    accuracy a run would give.
+    f_H sums terms of size levelset.term_size, so rounding costs it that
+    times eps: the level set is used only where this stays within
+    controls.rel_tol on the end anchors that levelset.split picks, and
+    Inconclusive is raised otherwise, as where a turning radius lies outside
+    the float range or a quadrature fails.
     """
+    try:
+        level = _level_set(params, ic)
+    except ArithmeticError as e:
+        raise _unresolved(f"floats cannot resolve the turning radii ({e})") from e
     anchor, x_lo, x_hi, sin_lo, sin_hi = level
     if not x_hi < math.inf:
-        return None
-    if sys.float_info.epsilon * max(levelset.term_size(params, anchor, x)
-                                    for x in (x_lo, x_hi) if x > 0.0) > controls.rel_tol:
-        return None
+        raise _unresolved("the outer turning radius lies beyond the float range", level)
+    if not (0.0 < x_lo or params.a > 0.0):
+        raise _unresolved("the inner turning radius lies below the float range", level)
+    max_size = controls.rel_tol / sys.float_info.epsilon
+    cut, size = levelset.split(params, levelset.Anchor(x_lo, sin_lo),
+                               levelset.Anchor(x_hi, sin_hi), max_size)
+    if size > max_size:
+        raise _unresolved("rounding of f_H exceeds rel_tol on both end anchors", level, size)
     if 0.0 < x_lo and sin_lo * sin_hi > 0.0:
-        # An Unduloid's report needs no quadrature, so its turning radii may
-        # be tangential, as next to the a < 0 centre.
-        return _report(SurfaceClass(SurfaceTag.UNDULOID), None, params, ic,
+        # An Unduloid's report needs no quadrature.
+        return _report(SurfaceClass(SurfaceTag.UNDULOID), params, ic,
                        self_intersections=0, theta_range=_level_theta_range(params, ic, level))
-    on_axis = x_lo == 0.0 and params.a > 0.0 and not _grazes_saddle(params, anchor, x_hi)
-    if not (_transversal(params, x_hi, sin_hi)
-            and (on_axis or (0.0 < x_lo and _transversal(params, x_lo, sin_lo)))):
-        return None
-    if on_axis:
-        return _axis_report(params, ic, level)
     try:
-        T, dz, crossings = levelset.winding(params, anchor, x_lo, x_hi)
-    except (QuadratureFailure, ArithmeticError):
-        return None
+        if x_lo == 0.0:
+            return _axis_report(params, ic, level)
+        T, dz, crossings = levelset.winding(params, anchor, x_lo, x_hi, cut)
+    except QuadratureFailure as e:
+        raise _unresolved(f"the quadrature failed ({e})", level, size) from e
+    except ArithmeticError as e:
+        raise _unresolved(f"rounding lost a root of f_H ({e})", level, size) from e
     # The loops curl toward the axis when the curve rises per period in the
     # direction it points at its outer turning radius.
     tag = SurfaceTag.NODOID if dz * sin_hi > 0.0 else SurfaceTag.ANTINODOID
-    return _report(SurfaceClass(tag), None, params, ic, period=T, z_shift=dz,
+    return _report(SurfaceClass(tag), params, ic, period=T, z_shift=dz,
                    self_intersections=crossings, theta_range=None)
 
 
-def _grazes_saddle(params: Params, anchor: levelset.Anchor, x_hi: float) -> bool:
-    """Whether an a > 0 axis orbit passes the saddle within CAPTURE_BAND.
-
-    f_H' = a f_H/x + b vanishes at the critical radius xc, where
-    f_H = -b xc/a; that is -1, the saddle's level, only at xc = a/b.  An
-    orbit through there, such as the separatrix from the axis, has a double
-    root of 1 - f^2 inside (0, x_hi), which no quadrature resolves, so it
-    counts as tangential, as a turning radius at a/b does.
-    """
-    xc = levelset._critical_radius(params, anchor)
-    return xc is not None and xc < x_hi and not _transversal(params, xc, -1.0)
-
-
-def _axis_report(params: Params, ic: InitialConditions,
-                 level: _Level) -> Optional[ClassificationReport]:
+def _axis_report(params: Params, ic: InitialConditions, level: _Level) -> ClassificationReport:
     """The report of an a > 0 orbit from the axis out to x_hi and back.
 
-    Its poles come from _axis_poles, 2 Z(x_hi) apart.  The tags keep the
-    order of the integrated criteria: Ovaloid
+    Its poles come from _axis_poles, 2 Z(x_hi) apart.  The tag is Ovaloid
     when theta' = f_H' keeps one sign, which, f_H' being monotone, holds
     when its limit on the axis has the sign of f_H'(x_hi); then
     PinchedSpheroid when the gap is within POLE_ORDER_TOL * x0 of 0, which
     counts its pinch on the axis as one crossing; then Vesicle or
     ImmersedSpheroid by the sign of the gap, with the crossings from the
-    zero of f_H (levelset.axis_zero).  None when the quadrature fails or
-    rounding loses that zero.
+    zero of f_H (levelset.axis_zero).  Raises QuadratureFailure when the
+    quadrature fails, and ArithmeticError when rounding loses that zero.
     """
     anchor, _, x_hi, _, sin_hi = level
     a, b = params.a, params.b
@@ -389,10 +288,7 @@ def _axis_report(params: Params, ic: InitialConditions,
         x_z = None if ovaloid else levelset.axis_zero(params, anchor, x_hi)
     except ArithmeticError:
         x_z = None      # needed only when the poles are apart
-    try:
-        pole_z, z_hi, z_z = _axis_poles(params, ic, level, x_z)
-    except (QuadratureFailure, ArithmeticError):
-        return None
+    pole_z, z_hi, z_z = _axis_poles(params, ic, level, x_z)
     gap = 2.0 * z_hi
     pinched = abs(gap) < POLE_ORDER_TOL * ic.x0
     if ovaloid:
@@ -400,12 +296,12 @@ def _axis_report(params: Params, ic: InitialConditions,
     elif pinched:
         tag, crossings = SurfaceTag.PINCHED_SPHEROID, 1
     elif z_z is None:
-        return None
+        raise FloatingPointError("rounding lost the zero of f_H")
     else:
         tag = SurfaceTag.VESICLE if gap > 0.0 else SurfaceTag.IMMERSED_SPHEROID
         # the branches meet once when Z(x_hi) lies between 0 and Z(x_z)
         crossings = int(min(0.0, z_z) < z_hi < max(0.0, z_z))
-    return _report(SurfaceClass(tag), None, params, ic, pole_z=pole_z,
+    return _report(SurfaceClass(tag), params, ic, pole_z=pole_z,
                    self_intersections=crossings,
                    theta_range=_level_theta_range(params, ic, level))
 
@@ -434,7 +330,7 @@ def _on_saddle_level(params: Params, ic: InitialConditions) -> bool:
     it when sin(theta0) and f_H(x0) agree to within SADDLE_LEVEL_ULPS eps
     times term_size(x0) + x0 |f_H'(x0)|: f_H's rounding, and its change
     when x0 moves by as many eps relative.  The saddle itself (x0 = a/b) is
-    left to the equilibrium test and the run.
+    left to the equilibrium test and the level set.
     """
     a, b = params.a, params.b
     x0 = ic.x0
@@ -479,20 +375,9 @@ def _separatrix_report(params: Params, ic: InitialConditions) -> ClassificationR
     else:
         lo, hi = (-0.5 * math.pi, 0.0) if math.cos(ic.theta0) > 0.0 else (math.pi, 1.5 * math.pi)
         crossings, theta_range = 0, _turns_about(ic.theta0, lo, hi)
-    return _report(SurfaceClass(SurfaceTag.CYLINDRICAL_ANTINODOID), None, params, ic,
+    return _report(SurfaceClass(SurfaceTag.CYLINDRICAL_ANTINODOID), params, ic,
                    self_intersections=crossings, asymptotic_radius=x_star,
                    theta_range=theta_range)
-
-
-def _sin_at_outer_turn(traj: Trajectory, level: Optional[_Level]) -> float:
-    """sin(theta) = +-1 where the radius of a winding orbit turns outward.
-
-    From the level set when it has a finite x_hi, else from the outermost
-    sample, where the tangent is vertical to within a step.
-    """
-    if level is not None and level.x_hi < math.inf:
-        return level.sin_hi
-    return math.sin(traj.theta[np.argmax(traj.x)])
 
 
 def classify_surface(params: Params, ic: InitialConditions,
@@ -500,24 +385,23 @@ def classify_surface(params: Params, ic: InitialConditions,
     """Classify the rotational surface generated from (a, b, x0, theta0).
 
     Inputs with b < 0 are reduced to b > 0 by the orientation reflection and
-    the report is translated back (canonicalized_b marks this).  controls
-    defaults to default_controls(params, ic) and bounds only the reports of
-    integrated orbits.  The Cylinder, the b = 0 family (Plane, Sphere,
-    Ovaloid, CatenoidEntire, CatenoidBounded), the a < 0 sphere and the
-    CylindricalAntinodoid on the saddle's level are returned in closed form,
-    and the periodic classes (Unduloid, Nodoid, Antinodoid) and the
+    the report is translated back (canonicalized_b marks this).  No orbit is
+    integrated: the Cylinder, the b = 0 family (Plane, Sphere, Ovaloid,
+    CatenoidEntire, CatenoidBounded), the a < 0 sphere and the
+    CylindricalAntinodoid on the saddle's level are returned in closed
+    form, and the periodic classes (Unduloid, Nodoid, Antinodoid) and the
     axis-to-axis ones (Ovaloid, Vesicle, PinchedSpheroid, ImmersedSpheroid)
-    are read off their level set, all without a run: termination is None,
-    and of the controls only rel_tol, the accuracy asked of a level set,
-    applies, beside equilibrium_tol, which tells the cylinder.  From the
-    level set come period, z_shift, pole_z, self_intersections and
-    theta_range.  Raises Inconclusive when the integration budget ends
-    before any criterion fires.
+    are read off their level set, with period, z_shift, pole_z,
+    self_intersections and theta_range.  termination is always None.
+    controls, IntegrationControls() by default, supplies only rel_tol, the
+    accuracy asked of a level set, and equilibrium_tol, which tells the
+    cylinder; its budgets and abs_tol are not used.  Raises Inconclusive,
+    with the reason, x_lo, x_hi and term_size as diagnostics, where floats
+    cannot resolve the level set: a turning radius outside the float range,
+    rounding of f_H beyond rel_tol, or a failed quadrature.
     """
     cparams, cic, reflected = canonicalize(params, ic)
-    if controls is None:
-        controls = default_controls(cparams, cic)
-    report = _classify_canonical(cparams, cic, controls)
+    report = _classify_canonical(cparams, cic, controls or IntegrationControls())
     if not reflected:
         return report
     return ClassificationReport(
@@ -538,90 +422,20 @@ def classify_surface(params: Params, ic: InitialConditions,
 
 def _classify_canonical(params: Params, ic: InitialConditions,
                         controls: IntegrationControls) -> ClassificationReport:
-    a, b = params.a, params.b
-    level, sphere_radius = None, _sphere_radius_if_match(params, ic)
-    if b == 0.0:
-        report = _pure_linear_report(params, ic)
-    elif is_equilibrium(params, ic, controls.equilibrium_tol):
-        report = _report(SurfaceClass(SurfaceTag.CYLINDER, radius=ic.x0), None, params, ic,
-                         asymptotic_radius=ic.x0, theta_range=(ic.theta0, ic.theta0))
-    elif sphere_radius is not None:
-        report = _sphere_report(params, ic, sphere_radius)
-    elif _on_saddle_level(params, ic):
-        report = _separatrix_report(params, ic)
-    else:
-        level = _level_set(params, ic)
-        report = None if level is None else _level_set_report(params, ic, controls, level)
-    if report is not None:
-        return report
-    traj = integrate(params, ic, controls)
-    pole_z = _pole_heights(traj)
-    captured = _capture_window(traj, params)
-    winding = [e for e in traj.events_of(EventKind.FULL_TURN)
-               if abs(round((e.state.theta - ic.theta0) / math.tau)) >= 1]
-
-    if captured is not None and not _ends_on_axis_both(traj):
-        # Count crossings of the curve proper, not of the post-capture
-        # numerical divergence: the window ends inside the capture bands.
-        loops = find_self_intersections(traj, window=captured)
-        return _report(SurfaceClass(SurfaceTag.CYLINDRICAL_ANTINODOID), traj, params, ic,
-                       self_intersections=len(loops),
-                       asymptotic_radius=a / b,
-                       theta_range=traj.theta_range())
-
-    if winding:
-        period, z_shift = detect_period(traj)
-        # The loops curl toward the axis when the curve rises per period in
-        # the direction it points at its outer turning radius.
-        toward_axis = z_shift * _sin_at_outer_turn(traj, level) > 0.0
-        tag = SurfaceTag.NODOID if toward_axis else SurfaceTag.ANTINODOID
-        return _report(SurfaceClass(tag), traj, params, ic,
-                       period=period, z_shift=z_shift,
-                       self_intersections=_count_loops_per_period(traj, period),
-                       theta_range=None)
-
-    if pole_z is not None:
-        if _monotone_theta(traj):
-            if a < 0.0:
-                return _report(SurfaceClass(SurfaceTag.SPHERE, radius=float(traj.x.max())),
-                               traj, params, ic, pole_z=pole_z, self_intersections=0,
-                               theta_range=traj.theta_range())
-            return _report(SurfaceClass(SurfaceTag.OVALOID), traj, params, ic,
-                           pole_z=pole_z, self_intersections=0,
-                           theta_range=traj.theta_range())
-        z1, z2 = pole_z
-        if abs(z2 - z1) < POLE_ORDER_TOL * ic.x0:
-            tag = SurfaceTag.PINCHED_SPHEROID
-        elif z2 > z1:
-            tag = SurfaceTag.VESICLE
-        else:
-            tag = SurfaceTag.IMMERSED_SPHEROID
-        loops = find_self_intersections(traj)
-        return _report(SurfaceClass(tag), traj, params, ic, pole_z=pole_z,
-                       self_intersections=len(loops), theta_range=traj.theta_range())
-
-    span = traj.theta.max() - traj.theta.min()
-    truncated = {traj.termination, traj.termination_backward} & {
-        Termination.MAX_STEPS, Termination.STEP_FAILURE}
-    if a < 0.0 and span < math.tau and not truncated:
-        return _report(SurfaceClass(SurfaceTag.UNDULOID), traj, params, ic,
-                       self_intersections=0,
-                       theta_range=_level_theta_range(params, ic, level)
-                       or traj.theta_range())
-
-    raise Inconclusive(
-        "no classification criterion fired before the integration budget ended",
-        diagnostics={
-            "termination": traj.termination.value,
-            "termination_backward":
-                traj.termination_backward.value if traj.termination_backward else None,
-            "theta_span": span,
-            "s_max": traj.s_max,
-            "events": [e.kind.value for e in traj.events],
-        })
+    if params.b == 0.0:
+        return _pure_linear_report(params, ic)
+    if is_equilibrium(params, ic, controls.equilibrium_tol):
+        return _report(SurfaceClass(SurfaceTag.CYLINDER, radius=ic.x0), params, ic,
+                       asymptotic_radius=ic.x0, theta_range=(ic.theta0, ic.theta0))
+    sphere_radius = _sphere_radius_if_match(params, ic)
+    if sphere_radius is not None:
+        return _sphere_report(params, ic, sphere_radius)
+    if _on_saddle_level(params, ic):
+        return _separatrix_report(params, ic)
+    return _level_set_report(params, ic, controls)
 
 
-def _pure_linear_report(params: Params, ic: InitialConditions) -> Optional[ClassificationReport]:
+def _pure_linear_report(params: Params, ic: InitialConditions) -> ClassificationReport:
     """A b = 0 report from its first integral sin(theta) = s0 (x/x0)^a, s0 = sin(theta0).
 
     theta' = a sin(theta)/x keeps one sign, and sin(theta) is 0 only
@@ -633,41 +447,42 @@ def _pure_linear_report(params: Params, ic: InitialConditions) -> Optional[Class
     for a < 0 a catenoid whose two branches leave the neck
     x0 |s0|^(-1/a) for infinity, CatenoidEntire for a >= -1 and
     CatenoidBounded below (see catenoid_asymptote).  Where x_hi lies
-    beyond the float range the Ovaloid has no pole_z.  None when its
-    quadrature fails; the caller then integrates.
+    beyond the float range the Ovaloid has no pole_z.  Raises Inconclusive
+    when its quadrature fails.
     """
     a = params.a
     s0 = math.sin(ic.theta0)
     if abs(s0) < 1e-12:
-        return _report(SurfaceClass(SurfaceTag.PLANE), None, params, ic,
+        return _report(SurfaceClass(SurfaceTag.PLANE), params, ic,
                        theta_range=(ic.theta0, ic.theta0))
     if a == 1.0:
         return _sphere_report(params, ic, ic.x0 / abs(s0))
     theta_range = _arcsin_range(ic.theta0, math.copysign(1.0, s0), 0.0)
     if a < 0.0:
         tag = SurfaceTag.CATENOID_ENTIRE if a >= -1.0 else SurfaceTag.CATENOID_BOUNDED
-        return _report(SurfaceClass(tag), None, params, ic, theta_range=theta_range)
-    level = _level_set(params, ic)
+        return _report(SurfaceClass(tag), params, ic, theta_range=theta_range)
+    try:
+        level = _level_set(params, ic)
+    except ArithmeticError:
+        level = None    # x_hi lies beyond the float range
     pole_z = None
     if level is not None and level.x_hi < math.inf:
         try:
             pole_z, _, _ = _axis_poles(params, ic, level)
-        except (QuadratureFailure, ArithmeticError):
-            return None
-    return _report(SurfaceClass(SurfaceTag.OVALOID), None, params, ic, pole_z=pole_z,
+        except (QuadratureFailure, ArithmeticError) as e:
+            raise _unresolved(f"the quadrature failed ({e})", level) from e
+    return _report(SurfaceClass(SurfaceTag.OVALOID), params, ic, pole_z=pole_z,
                    theta_range=theta_range)
 
 
 def _level_theta_range(params: Params, ic: InitialConditions,
-                       level: Optional[_Level]) -> Optional[tuple[float, float]]:
+                       level: _Level) -> tuple[float, float]:
     """theta's range over an orbit that turns at x_hi, from its level set.
 
     s = sin(theta) = +-1 at x_hi, and low is the arcsin of the least s f_H
     on the orbit (see _arcsin_range).  An unduloid has s = 1 at both turning
-    radii.  None without a level set.
+    radii.
     """
-    if level is None:
-        return None
     s = level.sin_hi
     low = math.asin(levelset.f_min(params, level.anchor, level.x_lo, level.x_hi, s))
     return _arcsin_range(ic.theta0, s, low)
@@ -704,7 +519,7 @@ def _sphere_report(params: Params, ic: InitialConditions, radius: float) -> Clas
     """
     s = math.copysign(1.0, math.sin(ic.theta0))
     c = math.cos(ic.theta0)
-    return _report(SurfaceClass(SurfaceTag.SPHERE, radius=radius), None, params, ic,
+    return _report(SurfaceClass(SurfaceTag.SPHERE, radius=radius), params, ic,
                    pole_z=(s * radius * (c - 1.0), s * radius * (c + 1.0)),
                    self_intersections=0, theta_range=_arcsin_range(ic.theta0, s, 0.0))
 
@@ -727,30 +542,11 @@ def _sphere_radius_if_match(params: Params, ic: InitialConditions) -> Optional[f
     return None
 
 
-def _ends_on_axis_both(traj: Trajectory) -> bool:
-    return (traj.termination == Termination.AXIS_REACHED
-            and traj.termination_backward == Termination.AXIS_REACHED)
-
-
-def _pole_heights(traj: Trajectory) -> Optional[tuple[float, float]]:
-    """z at the backward and forward ends of a run that reaches the axis both
-    ways, else None.
-
-    Only the integration fallback uses it; an orbit read off its level set
-    takes its poles from levelset.axis_rises.
-    """
-    if not _ends_on_axis_both(traj):
-        return None
-    return float(traj.z[0]), float(traj.z[-1])
-
-
-def _report(surface: SurfaceClass, traj: Optional[Trajectory], params: Params,
-            ic: InitialConditions,
+def _report(surface: SurfaceClass, params: Params, ic: InitialConditions,
             pole_z=None, period=None, z_shift=None, self_intersections=0,
             asymptotic_radius=None, theta_range=None) -> ClassificationReport:
     return ClassificationReport(
         surface=surface, pole_z=pole_z, period=period, z_shift=z_shift,
         self_intersections=self_intersections, asymptotic_radius=asymptotic_radius,
         theta_range=theta_range, canonicalized_b=False, params=params, ic=ic,
-        termination=None if traj is None else traj.termination)
-
+        termination=None)

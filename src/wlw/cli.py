@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import output
-from .classify import SurfaceTag, classify_surface, default_controls, special_solutions
+from .classify import SurfaceTag, classify_surface, special_solutions
 from .errors import Inconclusive, InvalidParameter, NearSingular, NoFullTurn, WlwError
 from .integrate import (
     EventKind,
@@ -115,20 +115,27 @@ def _controls_from_args(args, base: IntegrationControls) -> IntegrationControls:
     return replace(base, **given)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, integrates: bool = True) -> None:
-    """-a, -b and -o; commands that integrate one orbit also get the initial
-    conditions and the tolerance and budget flags."""
+def _add_common_flags(p: argparse.ArgumentParser, integrates: bool = True,
+                      runs: bool = True) -> None:
+    """-a, -b and -o; commands that take one orbit also get the initial
+    conditions and the tolerance and budget flags, which only rel_tol
+    serves when the command makes no run (runs=False: classify)."""
     p.add_argument("-a", type=float, required=True, help="coefficient a (dimensionless)")
     p.add_argument("-b", type=float, required=True, help="coefficient b (1/length)")
     if integrates:
         p.add_argument("--x0", type=float, required=True, help="initial radius, > 0")
         p.add_argument("--theta0", type=parse_angle, default=0.0,
                        help="initial tangent angle in radians; accepts pi/2, 3pi/2, ...")
+        unused = "; classify integrates nothing, so it has no effect" if not runs else ""
         p.add_argument("--rel-tol", type=float, default=None,
-                       help="relative step tolerance (default from IntegrationControls)")
+                       help="relative step tolerance (default from IntegrationControls)" if runs
+                       else "accuracy asked of the first integral's level set: eps times the "
+                            "terms f_H sums must stay within it (default from "
+                            "IntegrationControls)")
         p.add_argument("--abs-tol", type=float, default=None,
-                       help="absolute step tolerance (default from IntegrationControls)")
-        p.add_argument("--max-arclength", type=float, default=None)
+                       help=f"absolute step tolerance (default from IntegrationControls){unused}")
+        p.add_argument("--max-arclength", type=float, default=None,
+                       help=f"arclength budget of a run{unused}")
     p.add_argument("-o", "--out", type=Path, default=Path("."), help="output directory")
 
 
@@ -161,7 +168,7 @@ def cmd_integrate(args) -> int:
 def cmd_classify(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    report = classify_surface(params, ic, _controls_from_args(args, default_controls(params, ic)))
+    report = classify_surface(params, ic, _controls_from_args(args, IntegrationControls()))
     doc = output.report_to_dict(report)
     print(json.dumps(doc, indent=2))
     if args.out != Path("."):
@@ -216,10 +223,9 @@ def cmd_phase(args) -> int:
 def cmd_mesh(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    report = classify_surface(params, ic, _controls_from_args(args, default_controls(params, ic)))
-    spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
-
     controls = _controls_from_args(args, IntegrationControls())
+    report = classify_surface(params, ic, controls)
+    spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
     window = None
     if report.period is not None:
         controls = replace(controls, max_full_turns=args.periods + 1,
@@ -342,6 +348,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def default_controls(params: Params, ic: InitialConditions) -> IntegrationControls:
+    """check's budgets; the arclength scales with the homothety size.
+
+    rescale(lam) maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class, so
+    the arclength budget grows with max(x0, |a/b|).
+    """
+    scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
+    return IntegrationControls(max_arclength=200.0 * scale,
+                               max_full_turns=3,
+                               max_vertical_tangents=12)
+
+
 def cmd_check(args) -> int:
     """Consistency checks on one trajectory: EL residual, first integral,
     mirror symmetry at vertical tangents, translation periodicity."""
@@ -408,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("classify", help="classify the surface for one initial condition")
-    _add_common_flags(p)
+    _add_common_flags(p, runs=False)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("phase", help="phase portrait and critical points")

@@ -82,7 +82,7 @@ class DegenerateProfile(WlwError):
 
 
 class Inconclusive(WlwError):
-    """Integration budget exhausted before any classification criterion fired."""
+    """No classification: floats cannot resolve the orbit's level set; diagnostics say why."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -250,9 +250,6 @@ class Trajectory:
         vals = self.eval(grid)
         return np.column_stack([grid, vals[0], vals[1], vals[2]])
 
-    def theta_range(self) -> tuple[float, float]:
-        return float(self.theta.min()), float(self.theta.max())
-
     def winding_turns(self) -> int:
         """Largest |k| over recorded full-turn events (0 when none)."""
         turns = 0

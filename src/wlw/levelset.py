@@ -48,6 +48,14 @@ _RADIUS_RTOL = 1e-15
 _QUAD_RTOL = 1e-12
 # |ln x| below which exp(ln x) is a normal float.
 _LOG_FLOAT_RANGE = 708.0
+# log2 of the largest factor by which a step of _end may grow (x/x_r)^a.
+_POWER_STEP = 512.0
+# Bisection steps of split's cut between the end anchors, in phi on [0, pi].
+_SPLIT_STEPS = 40
+# The phi next to each turning radius that its own anchor serves whatever
+# split's cut: there 1 - f^2 vanishes with the rise from the end, which no
+# other anchor gives exactly.
+_END_PHI = math.pi / 64.0
 
 
 class Anchor(NamedTuple):
@@ -106,12 +114,16 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
 
     Returns math.inf or 0.0 when |f_H| stays below 1 all the way to the end
     of the float range.  f_H is monotone on either side of its critical
-    radius, so the search stops at that radius, then steps by factors of 2
-    where |f_H| grows without bound, and brackets the end with one brentq.
-    The anchor itself is the end when its s = +-1 and |f_H| grows past it.
+    radius, so the search stops at that radius, then, where |f_H| grows
+    without bound, steps by factors of 2, or of 2^(_POWER_STEP/|a|) where
+    that is less, so that (x/x_r)^a grows by at most 2^_POWER_STEP a step
+    and stays finite, and brackets the end with one brentq.  The anchor
+    itself is the end when its s = +-1 and |f_H| grows past it.
     """
     def f(x):
         return f_H(params, anchor, x)
+
+    step = 2.0 ** min(1.0, _POWER_STEP / abs(params.a)) if params.a != 0.0 else 2.0
 
     def stops():
         xc = _critical_radius(params, anchor)
@@ -121,7 +133,7 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
             yield x
         if _unbounded(params, anchor, outward):
             while True:
-                x = 2.0 * x if outward else 0.5 * x
+                x = x * step if outward else x / step
                 if not 0.0 < x / anchor.x < math.inf:
                     return
                 yield x
@@ -181,43 +193,115 @@ def term_size(params: Params, anchor: Anchor, x: float) -> float:
     return abs(s_r) * ratio ** a + abs(b * x * (math.expm1(y) / (a - 1.0) if y != 0.0 else lam))
 
 
+def _x(x_lo: float, x_hi: float, phi: float) -> float:
+    """The radius x = c - r cos(phi) of _half_integrals on [x_lo, x_hi]."""
+    return 0.5 * (x_lo + x_hi) - 0.5 * (x_hi - x_lo) * math.cos(phi)
+
+
+def _size(params: Params, anchor: Anchor, x: float) -> float:
+    """term_size, or math.inf where (x/x_r)^a overflows."""
+    try:
+        return term_size(params, anchor, x)
+    except OverflowError:
+        return math.inf
+
+
+def split(params: Params, lo: Anchor, hi: Anchor, max_size: float) -> tuple[float, float]:
+    """(phi, size): where _half_integrals hands a level from the anchor at its
+    lower turning radius lo to the one at its upper turning radius hi, each
+    with s = +-1, and the larger term_size of the two there.
+
+    Each end anchor sums terms that grow away from it, so f_H's rounding
+    error on its side is about eps times its term_size at the cut.  The cut
+    is phi = pi/2 when both are at most max_size there, and otherwise where
+    the two are equal, which makes the larger of them least: next to the
+    a < 0 sphere's level and on extreme levels one end anchor cancels far
+    from its end.  The cut stays _END_PHI from either end.  An orbit from
+    the axis (lo.x = 0) has no lower anchor; its upper one serves the whole
+    range and the cut stays at pi/2.
+    """
+    def sizes(phi):
+        x = _x(lo.x, hi.x, phi)
+        return _size(params, lo, x) if lo.x > 0.0 else 0.0, _size(params, hi, x)
+
+    phi = 0.5 * math.pi
+    size_lo, size_hi = sizes(phi)
+    if lo.x > 0.0 and max(size_lo, size_hi) > max_size:
+        below, above = _END_PHI, math.pi - _END_PHI
+        for _ in range(_SPLIT_STEPS):
+            if size_lo < size_hi:
+                below = phi
+            else:
+                above = phi
+            phi = 0.5 * (below + above)
+            size_lo, size_hi = sizes(phi)
+    return phi, max(size_lo, size_hi)
+
+
 def _half_integrals(params: Params, anchor: Anchor, x_lo: float, x_hi: float, stops,
-                    epsabs: float, with_length: bool = False) -> list:
+                    epsabs: float, with_length: bool = False, cut: float = 0.5 * math.pi) -> list:
     """int f/sqrt(1 - f^2) dx from x_lo to x = c - r cos(phi) for each phi in stops,
     from one quadrature; with_length makes each a pair, int dx/sqrt(1 - f^2) first.
 
     With x = c - r cos(phi) the integrand stays bounded at turning radii
-    where f_H' != 0, and phi = pi is x_hi; 1 - f^2 is taken from the rise of
-    f_H over the nearer end, re-anchored there at f_H = +-1, so it keeps its
-    relative accuracy.  x_lo = 0 is the axis of an a > 0 orbit, where
-    f_H = 0 and 1 - f^2 is taken as it is.  The quadrature meets epsabs or
-    _QUAD_RTOL times the largest integral to the farthest stop.  Raises
-    QuadratureFailure when it misses that or meets a non-finite value.
+    where f_H' != 0, and phi = pi is x_hi.  1 - f^2 is taken as
+    g - u (2 l + u), g = (1 - l)(1 + l), with f = l + u on the level
+    re-anchored at a state (x_r, l) near x and the rise u = f_H(x) - l from
+    x_r without cancellation: at the lower end's turning radius for
+    phi < cut and at the upper end's beyond it (see split), where l = +-1
+    and g = 0.  x_lo = 0 is the axis of an a > 0 orbit, where f_H = 0 and
+    1 - f^2 is taken as it is, on the upper end's anchor.  Such an orbit
+    turns back toward the axis where its critical radius x_c lies inside
+    (0, x_hi), and next to the separatrix 1 - f^2 has a near-double root
+    there.  So the range is then cut at phi(x_c), and from midway between
+    the axis and x_c to midway between x_c and x_hi the level is anchored at
+    (x_c, f_H(x_c)): 1 - f^2 is the gap g at x_c, to f_H's rounding there,
+    plus a rise that is second order in x - x_c.  (A winding orbit has no
+    critical radius inside, since f_H runs monotonically from -+1 to +-1.)
+    The quadrature meets epsabs or _QUAD_RTOL times the largest integral to
+    the farthest stop.  Raises QuadratureFailure when it misses that or
+    meets a non-finite value.
     """
     a, b = params.a, params.b
     r = 0.5 * (x_hi - x_lo)
-    ends = [Anchor(x, 0.0 if x == 0.0 else math.copysign(1.0, f_H(params, anchor, x)))
-            for x in (x_lo, x_hi)]
+    # (x_r, l, g) per anchor: the ends, where f_H = +-1 exactly, and the
+    # axis as (0, 0, 1)
+    s_lo, s_hi = (0.0 if x == 0.0 else math.copysign(1.0, f_H(params, anchor, x))
+                  for x in (x_lo, x_hi))
+    lo, hi = (x_lo, s_lo, 1.0 if x_lo == 0.0 else 0.0), (x_hi, s_hi, 0.0)
+    upper = Anchor(x_hi, s_hi)
+    xc = _critical_radius(params, anchor) if x_lo == 0.0 else None
+    if xc is not None and xc < x_hi:
+        phi_c = _phi(x_lo, x_hi, xc)
+        f_c = f_H(params, upper, xc)
+        mid = (xc, f_c, (1.0 - f_c) * (1.0 + f_c))
+        first, last, knots = 0.5 * phi_c, 0.5 * (phi_c + math.pi), [phi_c]
+    else:
+        mid, phi_c, first, last, knots = None, None, cut, cut, []
 
     def integrand(phi):
-        if phi < 0.5 * math.pi:
-            (x, level), d = ends[0], 2.0 * r * math.sin(0.5 * phi) ** 2
+        if phi < first:
+            (x, level, gap), d = lo, 2.0 * r * math.sin(0.5 * phi) ** 2
+        elif phi >= last:
+            (x, level, gap), d = hi, -2.0 * r * math.cos(0.5 * phi) ** 2
         else:
-            (x, level), d = ends[1], -2.0 * r * math.cos(0.5 * phi) ** 2
-        if level == 0.0:
-            rise = f_H(params, ends[1], d)
+            x, level, gap = mid
+            d = 2.0 * r * math.sin(0.5 * (phi + phi_c)) * math.sin(0.5 * (phi - phi_c))
+        if x == 0.0:
+            rise = f_H(params, upper, d)
         else:
-            # f_H(x + d) - level on the level through the end (x, level),
-            # without cancellation
+            # f_H(x + d) - level on the level through (x, level), without
+            # cancellation
             mu = math.log1p(d / x)
             y = (a - 1.0) * mu
             rise = (level * math.expm1(a * mu)
                     + b * (x + d) * (math.expm1(y) / (a - 1.0) if y != 0.0 else mu))
-        q = 1.0 - level * level - rise * (2.0 * level + rise)    # 1 - f^2, f = level + rise
+        q = gap - rise * (2.0 * level + rise)    # 1 - f^2, f = level + rise
         w = r * math.sin(phi) / math.sqrt(q) if q > 0.0 else math.nan
         return (w, (level + rise) * w) if with_length else (level + rise) * w
 
-    return cumulative_quad(integrand, 0.0, stops, epsabs=epsabs, epsrel=_QUAD_RTOL)
+    values = cumulative_quad(integrand, 0.0, [*stops, *knots], epsabs=epsabs, epsrel=_QUAD_RTOL)
+    return values[:len(values) - len(knots)]
 
 
 class Winding(NamedTuple):
@@ -228,9 +312,16 @@ class Winding(NamedTuple):
     crossings: int
 
 
-def winding(params: Params, anchor: Anchor, x_lo: float, x_hi: float) -> Winding:
+def winding(params: Params, anchor: Anchor, x_lo: float, x_hi: float,
+            cut: float = 0.5 * math.pi) -> Winding:
     """The period, shift and self-crossings of an orbit turning at x_lo and
-    x_hi, where f_H' != 0 and f_H changes sign, from one quadrature.
+    x_hi, where f_H changes sign, from one quadrature whose end anchors
+    meet at cut (see split).
+
+    A turning radius next to the saddle radius a/b, where f_H' is near 0,
+    makes the integrand a plateau of height about (r/f_H')^(1/2) there, with
+    r = (x_hi - x_lo)/2; the quadrature bisects down to it, so T grows like
+    ln(1/delta) as the orbit nears the separatrix.
 
     T = 2 int dx/sqrt(1 - f^2) over [x_lo, x_hi] is the arclength of one
     period and dz = 2 int f/sqrt(1 - f^2) dx its rise in z.  f_H runs from
@@ -244,7 +335,7 @@ def winding(params: Params, anchor: Anchor, x_lo: float, x_hi: float) -> Winding
     x_z = _zero(params, anchor, x_lo, x_hi)
     (_, z_z), (half_T, half_dz) = _half_integrals(
         params, anchor, x_lo, x_hi, (_phi(x_lo, x_hi, x_z), math.pi), epsabs=0.0,
-        with_length=True)
+        with_length=True, cut=cut)
     ratio = z_z / half_dz
     return Winding(2.0 * half_T, 2.0 * half_dz,
                    _integers_between(0.0, ratio) + _integers_between(ratio, 1.0))

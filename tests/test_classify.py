@@ -1,15 +1,18 @@
+import importlib
 import itertools
 import math
 import random
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from wlw import classify, levelset
+from wlw import classify, cli, levelset
 from wlw.classify import (
+    SurfaceClass,
     SurfaceTag,
     catenoid_asymptote,
     classify_surface,
@@ -18,8 +21,10 @@ from wlw.classify import (
 )
 from wlw.errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
 from wlw.integrate import (
+    EventKind,
     IntegrationControls,
     Termination,
+    Trajectory,
     detect_period,
     find_self_intersections,
     integrate,
@@ -34,14 +39,14 @@ from wlw.model import (
     reflect_b,
     rescale,
 )
-from wlw.phaseplane import MIN_RTOL, find_separatrix
+from wlw.phaseplane import MIN_RTOL, find_separatrix, linearize
 
 PI = math.pi
+INTEGRATE = importlib.import_module("wlw.integrate")
 
-# sqrt(27) (1 - 1e-4): next to the (3, 1) separatrix at theta0 = 0, on the
-# side of the orbits that reach the axis.  It passes the saddle within the
-# capture band, so it is integrated: an ImmersedSpheroid.
-AXIS_SIDE_NEIGHBOUR = 5.195632807464362
+# sin(theta) = -1 at this orbit's inner turning radius, about 1e-602, which
+# lies below the float range: classify cannot resolve its level set.
+BELOW_THE_FLOATS = (Params(-5e-4, 1e-3), InitialConditions(1.0, 5.7607))
 
 # classify's periodic inputs and the conftest nodoid, antinodoid and unduloid.
 PERIODIC = [(-2, 1, 4.0, PI / 2), (-2, -1, 4.0, 1.5 * PI), (3, 1, 6.0, 0.0),
@@ -128,6 +133,21 @@ class TestThresholds:
             above = classify_surface(Params(-2, 1), InitialConditions(x_sph + delta, PI / 2))
             assert below.surface.tag == SurfaceTag.UNDULOID
             assert above.surface.tag == SurfaceTag.NODOID
+
+    @pytest.mark.parametrize("a", [-0.3, -3.0, -30.0])
+    def test_sphere_neighbours_follow_the_threshold_rule(self, monkeypatch, a):
+        # Next to the sphere's level f_H sums terms some 1/delta times its
+        # size at one end of the orbit; the level is read off the end
+        # anchors, so no neighbour is refused or run.
+        runs = spy_integrate(monkeypatch)
+        for theta0 in (1.0, PI / 2):
+            x_sph = (1.0 - a) * math.sin(theta0)
+            for k in range(3, 9):
+                for sign, tag in ((-1.0, SurfaceTag.UNDULOID), (1.0, SurfaceTag.NODOID)):
+                    ic = InitialConditions(x_sph * (1.0 + sign * 10.0 ** -k), theta0)
+                    r = classify_surface(Params(a, 1.0), ic)
+                    assert (r.surface.tag, r.termination) == (tag, None), (theta0, k, sign)
+        assert runs == []
 
     @pytest.mark.parametrize("a", [-3.0, -2.0, -0.5])
     def test_sphere_threshold_is_closed_form(self, a):
@@ -233,12 +253,41 @@ class TestPositiveAFamily:
 
     @pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-10, 1e-9])
     def test_cylindrical_antinodoid_loops_near_separatrix(self, delta):
-        # the count stops at the captures nearest s = 0 on both sides, so
-        # neither side's post-capture divergence adds or hides a crossing
+        # Only the separatrix itself is asymptotic to the cylinder: beyond it
+        # the orbit turns at a radius next to a/b and winds, inside it the
+        # orbit passes the saddle and returns to the axis.
         x0 = math.sqrt(27.0) * (1.0 + delta)
         r = classify_surface(Params(3, 1), InitialConditions(x0, 0.0))
-        assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID
-        assert r.self_intersections == 1
+        want = {0.0: SurfaceTag.CYLINDRICAL_ANTINODOID, 1.0: SurfaceTag.ANTINODOID,
+                -1.0: SurfaceTag.IMMERSED_SPHEROID}[math.copysign(1.0, delta) if delta else 0.0]
+        assert (r.surface.tag, r.termination) == (want, None)
+        assert r.self_intersections % 2 == 1
+
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_period_and_pole_gap_grow_at_the_saddle_rate(self, monkeypatch, a):
+        # An orbit 1 + delta from the separatrix lingers by the saddle for
+        # ln(1/delta)/lam of arclength on each pass, lam = sqrt(a)/x* being
+        # the saddle's eigenvalue per unit of arclength (ds = x* dsigma).  A
+        # winding neighbour passes once per period, an axis neighbour twice
+        # between its poles.
+        params = Params(a, 1.0)
+        x_star = a / params.b
+        lam = max(np.linalg.eigvals(linearize(params, (1.5 * PI, x_star))).real) / x_star
+        per_decade = math.log(10.0) / lam
+        assert per_decade == pytest.approx(math.sqrt(a) / params.b * math.log(10.0), rel=1e-14)
+        xbar = find_separatrix(params, 0.0, (1e-3, 1e3))
+        runs = spy_integrate(monkeypatch)
+        periods, gaps = [], []
+        for k in range(6, 11):
+            winding = classify_surface(params, InitialConditions(xbar * (1.0 + 10.0 ** -k), 0.0))
+            axis = classify_surface(params, InitialConditions(xbar * (1.0 - 10.0 ** -k), 0.0))
+            assert (winding.surface.tag, axis.surface.tag) == (SurfaceTag.ANTINODOID,
+                                                               SurfaceTag.IMMERSED_SPHEROID)
+            periods.append(winding.period)
+            gaps.append(axis.pole_z[0] - axis.pole_z[1])
+        assert runs == []
+        assert np.diff(periods) == pytest.approx(per_decade, rel=1e-5)
+        assert np.diff(gaps) == pytest.approx(2.0 * per_decade, rel=1e-5)
 
 
 class TestPureLinear:
@@ -341,21 +390,27 @@ class TestReportMechanics:
         assert mirrored.period == pytest.approx(direct.period, rel=1e-10)
 
     def test_inconclusive_on_tiny_budget(self):
-        # This neighbour of the separatrix, sqrt(27) (1 - 1e-4), passes the
-        # saddle on its way from the axis, so it is integrated and the budget
-        # binds it.
+        # No budget makes this orbit's inner turning radius a float, so it
+        # stays Inconclusive, with the level's diagnostics.
         controls = IntegrationControls(max_arclength=0.5, max_full_turns=3)
         with pytest.raises(Inconclusive) as info:
-            classify_surface(Params(3, 1), InitialConditions(AXIS_SIDE_NEIGHBOUR, 0.0), controls)
-        assert "termination" in info.value.diagnostics
+            classify_surface(*BELOW_THE_FLOATS, controls)
+        assert set(info.value.diagnostics) == {"reason", "x_lo", "x_hi", "term_size"}
+        assert "turning radii" in info.value.diagnostics["reason"]
 
-    def test_truncated_run_is_not_unduloid(self, monkeypatch):
-        # The a < 0 Unduloid fallback must not fire on a run cut by max_steps.
-        monkeypatch.setattr(classify, "_level_set", lambda *args: None)
+    def test_unresolved_radii_are_inconclusive(self, monkeypatch):
+        # Where rounding loses a turning radius, no run stands in for it.
+        def lost(*args):
+            raise FloatingPointError("no turning radius resolved")
+        monkeypatch.setattr(levelset, "turning_radii", lost)
+        runs = spy_integrate(monkeypatch)
         controls = IntegrationControls(max_steps=5, max_full_turns=3)
         with pytest.raises(Inconclusive) as info:
             classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2), controls)
-        assert info.value.diagnostics["termination"] == Termination.MAX_STEPS.value
+        assert runs == []
+        assert info.value.diagnostics == {
+            "reason": "floats cannot resolve the turning radii (no turning radius resolved)",
+            "x_lo": None, "x_hi": None, "term_size": None}
 
     def test_pure_linear_report_ignores_the_controls(self):
         # b = 0 is read off its first integral, so no budget binds it.
@@ -375,13 +430,13 @@ class TestReportMechanics:
 
 
 def spy_integrate(monkeypatch) -> list:
-    """Record the controls of every integrate call classify makes."""
-    runs, real = [], classify.integrate
+    """Record the controls of every run of the stepper, one per direction."""
+    runs, real = [], INTEGRATE._run_direction
 
-    def spy(params, ic, controls):
+    def spy(params, ic, controls, direction):
         runs.append(controls)
-        return real(params, ic, controls)
-    monkeypatch.setattr(classify, "integrate", spy)
+        return real(params, ic, controls, direction)
+    monkeypatch.setattr(INTEGRATE, "_run_direction", spy)
     return runs
 
 
@@ -399,11 +454,61 @@ def case_id(case):
     return "{:g},{:g},{:g},{:.4f}".format(*case)
 
 
-def integrated(monkeypatch, params, ic, controls=None):
-    """classify_surface's report with the level set turned off, so it integrates."""
-    with monkeypatch.context() as m:
-        m.setattr(classify, "_level_set", lambda *args: None)
-        return classify_surface(params, ic, controls)
+class Witness(NamedTuple):
+    """The class of an orbit read off a two-sided run alone."""
+    surface: SurfaceClass
+    period: Optional[float]
+    z_shift: Optional[float]
+    pole_z: Optional[tuple[float, float]]
+    self_intersections: int
+    termination: Termination
+    traj: Trajectory
+
+
+# Periods of a winding run over which its crossings are collected.
+PERIODS_READ = 2.1
+
+
+def run_witness(params, ic, controls=None) -> Witness:
+    """The class of a two-sided run at controls (check's by default), the
+    witness that level-set reports are tested against.
+
+    A run whose tangent turns fully winds: its period and shift come from
+    detect_period, it is a Nodoid when it rises per period in the direction
+    it points where its radius is greatest, else an Antinodoid, and its
+    crossings per period are those of a PERIODS_READ-period window whose
+    earlier point falls in the first period.  A run that reaches the axis
+    both ways is an Ovaloid when theta is monotone, else a PinchedSpheroid,
+    Vesicle or ImmersedSpheroid by its pole gap, with the crossings of the
+    whole run.  An a < 0 run that does neither is an Unduloid.
+    """
+    traj = integrate(params, ic, controls or cli.default_controls(params, ic))
+    witness = dict(period=None, z_shift=None, pole_z=None, self_intersections=0,
+                   termination=traj.termination, traj=traj)
+    if any(abs(round((e.state.theta - ic.theta0) / (2 * PI))) >= 1
+           for e in traj.events_of(EventKind.FULL_TURN)):
+        period, z_shift = detect_period(traj)
+        toward_axis = z_shift * math.sin(traj.theta[np.argmax(traj.x)]) > 0.0
+        lo = max(0.0, traj.s_min)
+        loops = find_self_intersections(
+            traj, window=(lo, min(lo + PERIODS_READ * period, traj.s_max)))
+        crossings = max(sum(1 for r in loops if lo <= r.s_a < lo + period), 1) if loops else 0
+        tag = SurfaceTag.NODOID if toward_axis else SurfaceTag.ANTINODOID
+        return Witness(SurfaceClass(tag), **{**witness, "period": period, "z_shift": z_shift,
+                                             "self_intersections": crossings})
+    if traj.termination == traj.termination_backward == Termination.AXIS_REACHED:
+        z1, z2 = float(traj.z[0]), float(traj.z[-1])
+        d = np.diff(traj.theta)
+        if np.all(d >= -1e-10) or np.all(d <= 1e-10):
+            tag, crossings = SurfaceTag.OVALOID, 0
+        else:
+            tag = (SurfaceTag.PINCHED_SPHEROID if abs(z2 - z1) < classify.POLE_ORDER_TOL * ic.x0
+                   else SurfaceTag.VESICLE if z2 > z1 else SurfaceTag.IMMERSED_SPHEROID)
+            crossings = len(find_self_intersections(traj))
+        return Witness(SurfaceClass(tag), **{**witness, "pole_z": (z1, z2),
+                                             "self_intersections": crossings})
+    assert params.a < 0.0, "the run neither winds nor reaches the axis both ways"
+    return Witness(SurfaceClass(SurfaceTag.UNDULOID), **witness)
 
 
 def polyline_crossings(params, ic, period, z_shift, x_hi):
@@ -422,12 +527,12 @@ def polyline_crossings(params, ic, period, z_shift, x_hi):
 
 class TestPeriodicSpan:
     @pytest.mark.parametrize("case", WITNESSED, ids=case_id)
-    def test_level_set_report_matches_the_integration(self, monkeypatch, case):
+    def test_level_set_report_matches_the_integration(self, case):
         a, b, x0, theta0 = case
         params, ic = Params(a, b), InitialConditions(x0, theta0)
         report = classify_surface(params, ic)
-        tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
-        witness = integrated(monkeypatch, params, ic, tight)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        witness = run_witness(params, ic, tight)
         assert (report.termination, witness.termination) == (None, Termination.EVENT_BUDGET)
         assert report.surface == witness.surface
         for got, want in ((report.period, witness.period), (report.z_shift, witness.z_shift)):
@@ -460,33 +565,38 @@ class TestPeriodicSpan:
         assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID and r.termination is None
         assert (r.asymptotic_radius, r.self_intersections) == (3.0, 1)
 
-    def test_failed_quadrature_falls_back(self, monkeypatch):
+    def test_failed_quadrature_is_inconclusive(self, monkeypatch):
         def fail(*args):
             raise QuadratureFailure("period quadrature failed")
         monkeypatch.setattr(levelset, "winding", fail)
         runs = spy_integrate(monkeypatch)
-        r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
-        assert r.surface.tag == SurfaceTag.NODOID
-        assert [c.two_sided for c in runs] == [True]
-        assert r.termination == Termination.EVENT_BUDGET
+        params, ic = Params(-2, 1), InitialConditions(4.0, PI / 2)
+        with pytest.raises(Inconclusive) as info:
+            classify_surface(params, ic)
+        assert runs == []
+        diagnostics = info.value.diagnostics
+        assert diagnostics["reason"] == "the quadrature failed (period quadrature failed)"
+        x_lo, x_hi = levelset.turning_radii(params, levelset.Anchor(4.0, 1.0))
+        assert (diagnostics["x_lo"], diagnostics["x_hi"]) == (x_lo, x_hi)
+        assert 1.0 <= diagnostics["term_size"] < 10.0
 
     @pytest.mark.parametrize("delta", [1e-4, -1e-4, 1e-10, -1e-10, 1e-12, -1e-12, 1e-14, -1e-14])
-    def test_level_set_near_a_one_matches_a_tight_run(self, monkeypatch, delta):
+    def test_level_set_near_a_one_matches_a_tight_run(self, delta):
         # Anchored at (x0, sin(theta0)), f_H keeps its digits as a -> 1.
         params, ic = Params(1.0 + delta, 1.0), InitialConditions(3.0, 4.0)
         r = classify_surface(params, ic)
-        tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
-        witness = integrated(monkeypatch, params, ic, tight)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        witness = run_witness(params, ic, tight)
         assert r.termination is None
         assert r.surface == witness.surface
         assert r.period == pytest.approx(witness.period, rel=1e-8)
         assert r.z_shift == pytest.approx(witness.z_shift, rel=1e-8)
 
-    def test_level_set_near_a_one_agrees_with_the_integration(self, monkeypatch):
+    def test_level_set_near_a_one_agrees_with_the_integration(self):
         # At a = 1 + 1e-4 the level set also agrees with a run at default controls.
         params, ic = Params(1.0001, 1.0), InitialConditions(3.0, 4.0)
         r = classify_surface(params, ic)
-        witness = integrated(monkeypatch, params, ic)
+        witness = run_witness(params, ic)
         assert r.termination is None and r.surface == witness.surface
         assert r.period == pytest.approx(witness.period, rel=1e-8)
         assert r.z_shift == pytest.approx(witness.z_shift, rel=1e-8)
@@ -506,26 +616,24 @@ class TestPeriodicSpan:
         (3, 1, 6.0, 0.0, SurfaceTag.ANTINODOID),
         (-2, 1, 0.5, PI / 2, SurfaceTag.UNDULOID),
     ])
-    def test_overflowing_level_set_runs_the_given_controls(self, monkeypatch,
-                                                           a, b, x0, theta0, tag):
-        # Only the trajectory is left to read the Nodoid sign and the
-        # Unduloid theta_range from.
+    def test_overflowing_level_set_is_inconclusive(self, monkeypatch, a, b, x0, theta0, tag):
+        # No run stands in for a level set that overflows, whatever its class.
+        assert classify_surface(Params(a, b), InitialConditions(x0, theta0)).surface.tag == tag
+
         def overflow(*args):
             raise OverflowError("math range error")
         monkeypatch.setattr(levelset, "Anchor", overflow)
         runs = spy_integrate(monkeypatch)
-        params, ic = Params(a, b), InitialConditions(x0, theta0)
-        r = classify_surface(params, ic)
-        assert r.surface.tag == tag
-        assert [c.two_sided for c in runs] == [True]
-        if tag == SurfaceTag.UNDULOID:
-            traj = integrate(params, ic, classify.default_controls(params, ic))
-            assert r.theta_range == traj.theta_range()
+        with pytest.raises(Inconclusive) as info:
+            classify_surface(Params(a, b), InitialConditions(x0, theta0))
+        assert runs == []
+        assert info.value.diagnostics["reason"] == (
+            "floats cannot resolve the turning radii (math range error)")
 
     def test_unduloid_theta_range_is_closed_form(self):
         params, ic = Params(-2, 1), InitialConditions(0.5, PI / 2)
         lo, hi = classify_surface(params, ic).theta_range
-        traj = integrate(params, ic, classify.default_controls(params, ic))
+        traj = integrate(params, ic, cli.default_controls(params, ic))
         theta = traj.eval(np.linspace(traj.s_min, traj.s_max, 40001))[2]
         assert lo - 1e-9 <= theta.min() and theta.max() <= hi + 1e-9
         assert (theta.min(), theta.max()) == pytest.approx((lo, hi), abs=1e-4)
@@ -556,7 +664,7 @@ class TestLevelSetOracles:
         # Inputs that are not read off the level set stop at their first run.
         def refuse(*args):
             raise NoRun
-        monkeypatch.setattr(classify, "integrate", refuse)
+        monkeypatch.setattr(INTEGRATE, "_run_direction", refuse)
         rng = np.random.default_rng(7)
         n = 10_000
         a = rng.uniform(-4.0, 4.0, n)
@@ -573,6 +681,23 @@ class TestLevelSetOracles:
                 wrong.append(case)
         assert wrong == []
         assert min(seen.get(t, 0) for t in (SurfaceTag.NODOID, SurfaceTag.ANTINODOID)) > 1000
+
+    def test_extreme_level_is_read_off_its_end_anchors(self, monkeypatch):
+        # Anchored at x_hi, f_H sums terms 2e13 times its size at x(pi/2), so
+        # levelset.split hands the level to the x_lo anchor for all but the
+        # last _END_PHI; its reference is a 50-digit quadrature of the same
+        # integrals.  A run at rel_tol 1e-13 misses x(T) = x0 by 2.9 here.
+        params = Params(-218.89030969559963, 15.444113812318664)
+        ic = InitialConditions(10.677482104432686, 0.40232139186544674)
+        runs = spy_integrate(monkeypatch)
+        r = classify_surface(params, ic)
+        assert runs == [] and (r.surface.tag, r.termination) == (SurfaceTag.NODOID, None)
+        assert (r.period, r.z_shift) == pytest.approx((20.711651724643287, 18.697733645531916),
+                                                      rel=1e-12)
+        x_lo, x_hi = levelset.turning_radii(params, levelset.Anchor(ic.x0, math.sin(ic.theta0)))
+        cut, size = levelset.split(params, levelset.Anchor(x_lo, -1.0), levelset.Anchor(x_hi, 1.0),
+                                   1e-10 / np.finfo(float).eps)
+        assert cut > 0.9 * PI and size < 2.0
 
     def test_circle_limit_as_a_goes_to_zero(self):
         # At a = 0 the profile is a circle of curvature b: T -> 2 pi/b and
@@ -628,19 +753,6 @@ def random_axis_draws(n, seed=0):
     return out
 
 
-def witness_run(monkeypatch, params, ic, controls):
-    """classify_surface's report with the level set turned off, and its run."""
-    runs = []
-
-    def keep(*args):
-        runs.append(integrate(*args))
-        return runs[-1]
-    with monkeypatch.context() as m:
-        m.setattr(classify, "_level_set", lambda *args: None)
-        m.setattr(classify, "integrate", keep)
-        return classify_surface(params, ic, controls), runs[0]
-
-
 def theta_extremes(traj):
     """theta's least and greatest value on a run, from its dense output about
     the extreme samples."""
@@ -651,7 +763,7 @@ def theta_extremes(traj):
     return tuple(out)
 
 
-def axis_witness_mismatch(monkeypatch, params, ic, report):
+def axis_witness_mismatch(params, ic, report):
     """How an axis-to-axis level-set report disagrees with a two-sided run at
     rel_tol 1e-13, or None.
 
@@ -660,8 +772,9 @@ def axis_witness_mismatch(monkeypatch, params, ic, report):
     and 0.38 at a = 0.05.  So its pole heights and theta range are compared
     with the level set's over the stretch [axis_epsilon, x_hi] it covers.
     """
-    tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
-    witness, traj = witness_run(monkeypatch, params, ic, tight)
+    tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+    witness = run_witness(params, ic, tight)
+    traj = witness.traj
     level = classify._level_set(params, ic)
     eps = tight.axis_epsilon
     z_eps, = levelset.axis_rises(params, level.anchor, level.x_hi, [eps])
@@ -697,7 +810,7 @@ class TestAxisToAxis:
                 continue
             assert report.termination is None
             checked += 1
-            why = axis_witness_mismatch(monkeypatch, params, ic, report)
+            why = axis_witness_mismatch(params, ic, report)
             if why is not None:
                 wrong.append(((a, b, x0, theta0), why))
         assert wrong == []
@@ -746,6 +859,33 @@ def separatrix_cases():
     return cases + [(3.0, 1.0, find_separatrix(Params(3, 1), theta0, (1.0, 6.0)), theta0)]
 
 
+# Half-width of the saddle band, in theta about 3 pi/2 mod 2 pi and in x about a/b.
+CAPTURE_BAND = 1e-3
+
+
+def saddle_captures(traj, params):
+    """The stretch of a run between its saddle captures nearest s = 0, or None.
+
+    A capture is a run of samples inside the saddle band for at least
+    min(50, 16/sqrt(a)): the saddle repels at sqrt(a) per unit sigma, so in
+    doubles a run leaves the band after about 2 ln(band/eps)/sqrt(a).  The
+    stretch ends on a side without a capture at the end of the run, and
+    leaves out the run's divergence after each capture.
+    """
+    x_star = params.a / params.b
+    dist = np.abs(np.remainder(traj.theta - 1.5 * PI, 2 * PI))
+    inside = (np.minimum(dist, 2 * PI - dist) < CAPTURE_BAND) & (
+        np.abs(traj.x - x_star) < CAPTURE_BAND)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
+    hold = min(50.0, 16.0 / math.sqrt(params.a))
+    stays = [(traj.s[i], traj.s[j - 1]) for i, j in zip(edges[::2], edges[1::2])
+             if traj.s[j - 1] - traj.s[i] >= hold]
+    if not stays:
+        return None
+    return (max((s0 for s0, _ in stays if s0 < 0.0), default=traj.s_min),
+            min((s1 for _, s1 in stays if s1 > 0.0), default=traj.s_max))
+
+
 def axis_side_root(a, theta0):
     """The radius below a/b (b = 1) where the orbit from the axis into the
     saddle has angle theta0, to find_separatrix's tolerance."""
@@ -785,15 +925,15 @@ class TestSaddleLevel:
         assert runs == []
 
     @pytest.mark.parametrize("a,x0", [(3.0, math.sqrt(27.0)), (2.0, 4.0)])
-    def test_crossing_count_matches_the_run(self, monkeypatch, a, x0):
+    def test_crossing_count_matches_the_run(self, a, x0):
         # The run counts the crossings between the saddle captures nearest s = 0.
         params, ic = Params(a, 1.0), InitialConditions(x0, 0.0)
         r = classify_surface(params, ic)
-        monkeypatch.setattr(classify, "_on_saddle_level", lambda *args: False)
-        witness = classify_surface(params, ic)
-        assert witness.termination is not None
-        assert r.surface == witness.surface
-        assert r.self_intersections == witness.self_intersections == 1
+        traj = integrate(params, ic, cli.default_controls(params, ic))
+        window = saddle_captures(traj, params)
+        assert window is not None and window[0] < 0.0 < window[1]
+        assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID
+        assert r.self_intersections == len(find_self_intersections(traj, window=window)) == 1
 
     def test_reflected_separatrix(self):
         xbar = math.sqrt(27.0)
@@ -805,7 +945,8 @@ class TestSaddleLevel:
         assert mirrored.self_intersections == direct.self_intersections == 1
 
     def test_neighbours_are_left_to_the_run(self):
-        # 1e-12 off the level is some 1500 times the gate's allowance.
+        # 1e-12 off the level is some 1500 times the gate's allowance, so
+        # these neighbours are read off their own level sets.
         for a, b, x0, theta0 in separatrix_cases():
             for delta in (1e-12, -1e-12):
                 ic = InitialConditions(x0 * (1.0 + delta), theta0)
@@ -841,7 +982,7 @@ class TestPureLinearClosedForm:
             if a < 0.0:
                 assert r.pole_z is None
                 continue
-            tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+            tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
             traj = integrate(params, ic, tight)
             assert traj.termination == traj.termination_backward == Termination.AXIS_REACHED
             assert r.pole_z == pytest.approx((traj.z[0], traj.z[-1]), rel=1e-8, abs=1e-12)
@@ -864,8 +1005,9 @@ class TestNearCentre:
         runs = spy_integrate(monkeypatch)
         r = classify_surface(params, ic)
         assert runs == [] and r.termination is None
-        tight = replace(classify.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
-        witness, traj = witness_run(monkeypatch, params, ic, tight)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        witness = run_witness(params, ic, tight)
+        traj = witness.traj
         assert r.surface == witness.surface == classify.SurfaceClass(SurfaceTag.UNDULOID)
         assert r.self_intersections == witness.self_intersections == 0
         t_lo, t_hi = theta_extremes(traj)

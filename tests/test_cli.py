@@ -53,7 +53,6 @@ def test_mesh_integrates_a_periodic_profile_once(capsys, tmp_path, monkeypatch):
         calls.append(args)
         return integrate(*args)
     monkeypatch.setattr(cli, "integrate", spy)
-    monkeypatch.setattr("wlw.classify.integrate", spy)
     for flags, tag in [
         (["-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2", "--periods", "2"], "Nodoid"),
         (["-a", "3", "-b", "1", "--x0", "1", "--theta0", "0"], "Vesicle"),
@@ -93,18 +92,18 @@ def test_missing_required_flag_exits_invalid(capsys):
     assert "--x0" in captured.err
 
 
-# Next to the separatrix of (3, 1) at theta0 = 0, sqrt(27) (1 - 1e-4), on the
-# side of the orbits that reach the axis: it passes the saddle, so it is
-# integrated and the budget flags bind it.
-NEAR_SEPARATRIX = ["-a", "3", "-b", "1", "--x0", "5.195632807464362", "--theta0", "0"]
+# sin(theta) = -1 at this orbit's inner turning radius, about 1e-602, below
+# the float range, so its level set cannot be resolved, whatever the flags.
+BELOW_THE_FLOATS = ["-a=-5e-4", "-b", "1e-3", "--x0", "1", "--theta0", "5.7607"]
 
 
 def test_tiny_budget_exits_inconclusive(capsys):
-    code, doc = run_json(capsys, ["classify", *NEAR_SEPARATRIX, "--max-arclength", "0.5"])
+    code, doc = run_json(capsys, ["classify", *BELOW_THE_FLOATS, "--max-arclength", "0.5"])
     assert code == EXIT_INCONCLUSIVE
     assert set(doc) == {"error", "message", "diagnostics"}
     assert doc["error"] == "Inconclusive"
-    assert doc["diagnostics"]["termination"] == "MaxArclength"
+    assert set(doc["diagnostics"]) == {"reason", "x_lo", "x_hi", "term_size"}
+    assert "turning radii" in doc["diagnostics"]["reason"]
 
 
 def test_sweep_summary_follows_grid_order(capsys, tmp_path):
@@ -182,7 +181,7 @@ def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
 
 
 def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):
-    code, doc = run_json(capsys, ["mesh", *NEAR_SEPARATRIX, "--max-arclength", "0.5",
+    code, doc = run_json(capsys, ["mesh", *BELOW_THE_FLOATS, "--max-arclength", "0.5",
                                   "-o", str(tmp_path)])
     assert code == EXIT_INCONCLUSIVE
     assert doc["error"] == "Inconclusive"

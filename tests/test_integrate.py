@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45, OdeSolution
 
-from wlw.classify import default_controls
+from wlw.cli import default_controls
 from wlw.errors import (
     InvalidParameter,
     NoFullTurn,

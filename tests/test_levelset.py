@@ -94,13 +94,29 @@ def test_critical_radius_beyond_the_floats():
 
 
 @pytest.mark.parametrize("a,b,x0,theta0", [
-    # (x/x0)^a overflows at the first step by a factor of 2 from x0
-    (-1100, 1, 1.0, 0.5),
-    (1100, 1, 1.0, 0.5),
+    # Toward the axis |f_H| stays below 1 until expm1((a - 1) ln(x/x0))
+    # overflows, next to the end of the float range: the inner radius lies
+    # below it.
+    (-1e-3, 0.5, 2.0, 1.0),
+    (-5e-4, 1e-3, 1.0, 5.7607),
 ])
 def test_unresolvable_radii_raise_arithmetic_errors(a, b, x0, theta0):
     with pytest.raises(ArithmeticError):
         radii(a, b, x0, theta0)
+
+
+@pytest.mark.parametrize("a,b,x0,theta0", [
+    # a step by a factor of 2 from x0 would overflow (x/x0)^a
+    (-1100, 1, 1.0, 0.5),
+    (1100, 1, 1.0, 0.5),
+])
+def test_radii_past_a_power_overflow_are_resolved(a, b, x0, theta0):
+    params, anchor = Params(a, b), Anchor(x0, math.sin(theta0))
+    x_lo, x_hi = turning_radii(params, anchor)
+    assert x_lo < x0 < x_hi < math.inf and (x_lo > 0.0) == (a < 0.0)
+    for x in (x_lo, x_hi):
+        if x > 0.0:
+            assert abs(f_H(params, anchor, x)) == pytest.approx(1.0, abs=4e-15 * abs(a + b * x))
 
 
 @pytest.mark.parametrize("a,b,x0,theta0", [
