@@ -21,11 +21,9 @@ from .integrate import (
     integrate,
 )
 from .model import (
-    FirstIntegralValue,
     InitialConditions,
     Params,
     ProfileState,
-    first_integral_m,
     principal_curvatures,
     reflect_b,
     rescale,
@@ -63,8 +61,8 @@ __all__ = [
     "classify_surface", "nodoid_threshold", "special_solutions",
     "EventKind", "EventRecord", "IntegrationControls", "Termination", "Trajectory",
     "check_horizontal_symmetry", "detect_period", "find_self_intersections", "integrate",
-    "FirstIntegralValue", "InitialConditions", "Params", "ProfileState",
-    "first_integral_m", "principal_curvatures", "reflect_b", "rescale", "rhs",
+    "InitialConditions", "Params", "ProfileState",
+    "principal_curvatures", "reflect_b", "rescale", "rhs",
     "CriticalPoint", "PhasePortrait", "PortraitSpec", "SingularityKind",
     "classify_singularity", "critical_points", "find_separatrix", "linearize",
     "phase_portrait",

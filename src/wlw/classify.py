@@ -2,8 +2,8 @@
 
 The decision tree follows the geometry.  Every input is decided on the
 level set of the first integral (levelset.py) or in closed form, so every
-report has termination None, and of the controls only rel_tol, the accuracy
-asked of a level set, applies (and equilibrium_tol, the cylinder test):
+report has termination None, and the one setting is rel_tol, the accuracy
+asked of a level set:
 
 * The rest point x0 = |a/b|, theta0 on the vertical: the Cylinder.
 * b = 0, where sin(theta) = sin(theta0) (x/x0)^a: the Plane when
@@ -49,8 +49,8 @@ from typing import NamedTuple, Optional
 
 from . import levelset
 from .errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
-from .integrate import IntegrationControls, Termination
-from .model import FirstIntegralValue, InitialConditions, Params, canonicalize, is_equilibrium
+from .integrate import Termination
+from .model import REL_TOL, InitialConditions, Params, canonicalize, is_equilibrium
 from .numerics import MIN_RTOL, quad
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
@@ -149,31 +149,40 @@ def nodoid_threshold(params: Params) -> tuple[float, float]:
     return -params.a / params.b, (1.0 - params.a) / params.b
 
 
-def catenoid_asymptote(m: FirstIntegralValue, a: float) -> Optional[float]:
-    """Height asymptote z1 of the b = 0, a < -1 catenoid-type profile.
+def catenoid_asymptote(params: Params, ic: InitialConditions) -> Optional[float]:
+    """Height asymptote z1 of the b = 0, a < -1 catenoid-type profile through (x0, theta0).
 
-    z as a graph over the radius satisfies z'(x) = sqrt(-m)/sqrt(m + x^(-2a)),
-    so z1 = sqrt(-m) * integral over [x_min, inf) with x_min the neck radius
-    (-m)^(-1/(2a)).  For -1 <= a < 0 the integral diverges and None is
-    returned (the graph covers the whole axis).
+    Its first integral sin(theta) = sin(theta0) (x/x0)^a gives the neck
+    x_min = x0 |sin(theta0)|^(-1/a), where the tangent is vertical, and
+    |sin(theta)| = (x/x_min)^a.  z as a graph over the radius then
+    satisfies z'(x) = x_min^(q/2)/sqrt(x^q - x_min^q) with q = -2a, and z1
+    is its integral over [x_min, inf).  For -1 <= a < 0 the integral
+    diverges and None is returned (the graph covers the whole axis).
+    Raises InvalidParameter for b != 0 or sin(theta0) = 0 (a line).
     """
+    a = params.a
+    s0 = math.sin(ic.theta0)
+    if params.b != 0.0:
+        raise InvalidParameter(f"the catenoid asymptote requires b = 0, got b={params.b}")
+    if s0 == 0.0:
+        raise InvalidParameter("sin(theta0) = 0: the profile is a line")
     if a >= 0.0:
         raise WrongSignRegime(f"asymptote applies to a < 0, got a={a}")
     if -1.0 <= a < 0.0:
         return None
-    mval = m.m
-    x_min = (-mval) ** (-1.0 / (2.0 * a))
+    x_min = ic.x0 * abs(s0) ** (-1.0 / a)
     q = -2.0 * a  # > 2
+    neck = x_min ** q
 
     # Near the neck the integrand has an inverse-sqrt singularity; the
     # substitution t = x_min + u^2 makes it regular.
     def near(u):
         t = x_min + u * u
-        return 2.0 * u / math.sqrt(mval + t**q)
+        return 2.0 * u / math.sqrt(t**q - neck)
 
     # Beyond t0 = 2 x_min, t = t0 v^(-p) with p = 4/(q - 2) maps [t0, inf)
-    # onto (0, 1] and the integrand 1/sqrt(m + t^q) onto
-    # p t0^(1 - q/2) v / sqrt(1 - 2^(-q) v^(p q)), using x_min^q = -m.
+    # onto (0, 1] and the integrand 1/sqrt(t^q - x_min^q) onto
+    # p t0^(1 - q/2) v / sqrt(1 - 2^(-q) v^(p q)).
     p = 4.0 / (q - 2.0)
     scale, tail = p * (2.0 * x_min) ** (1.0 - 0.5 * q), 2.0 ** -q
 
@@ -182,7 +191,7 @@ def catenoid_asymptote(m: FirstIntegralValue, a: float) -> Optional[float]:
 
     total = (quad(near, 0.0, math.sqrt(x_min), epsabs=1e-12, epsrel=1e-12, limit=400)
              + quad(far, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=400))
-    return math.sqrt(-mval) * total
+    return math.sqrt(neck) * total
 
 
 class _Level(NamedTuple):
@@ -227,12 +236,12 @@ def _unresolved(reason: str, level: Optional[_Level] = None,
 
 
 def _level_set_report(params: Params, ic: InitialConditions,
-                      controls: IntegrationControls) -> ClassificationReport:
+                      rel_tol: float) -> ClassificationReport:
     """The report of a periodic or an axis-to-axis orbit, read off its level set.
 
     f_H sums terms of size levelset.term_size, so rounding costs it that
     times eps: the level set is used only where this stays within
-    controls.rel_tol on the end anchors that levelset.split picks, and
+    rel_tol on the end anchors that levelset.split picks, and
     Inconclusive is raised otherwise, as where a turning radius lies outside
     the float range or a quadrature fails.
     """
@@ -245,7 +254,7 @@ def _level_set_report(params: Params, ic: InitialConditions,
         raise _unresolved("the outer turning radius lies beyond the float range", level)
     if not (0.0 < x_lo or params.a > 0.0):
         raise _unresolved("the inner turning radius lies below the float range", level)
-    max_size = controls.rel_tol / sys.float_info.epsilon
+    max_size = rel_tol / sys.float_info.epsilon
     cut, size = levelset.split(params, levelset.Anchor(x_lo, sin_lo),
                                levelset.Anchor(x_hi, sin_hi), max_size)
     if size > max_size:
@@ -381,7 +390,7 @@ def _separatrix_report(params: Params, ic: InitialConditions) -> ClassificationR
 
 
 def classify_surface(params: Params, ic: InitialConditions,
-                     controls: Optional[IntegrationControls] = None) -> ClassificationReport:
+                     rel_tol: float = REL_TOL) -> ClassificationReport:
     """Classify the rotational surface generated from (a, b, x0, theta0).
 
     Inputs with b < 0 are reduced to b > 0 by the orientation reflection and
@@ -393,15 +402,17 @@ def classify_surface(params: Params, ic: InitialConditions,
     axis-to-axis ones (Ovaloid, Vesicle, PinchedSpheroid, ImmersedSpheroid)
     are read off their level set, with period, z_shift, pole_z,
     self_intersections and theta_range.  termination is always None.
-    controls, IntegrationControls() by default, supplies only rel_tol, the
-    accuracy asked of a level set, and equilibrium_tol, which tells the
-    cylinder; its budgets and abs_tol are not used.  Raises Inconclusive,
-    with the reason, x_lo, x_hi and term_size as diagnostics, where floats
-    cannot resolve the level set: a turning radius outside the float range,
-    rounding of f_H beyond rel_tol, or a failed quadrature.
+    rel_tol is the accuracy asked of a level set: eps times the terms f_H
+    sums must stay within it.  Raises InvalidParameter unless rel_tol > 0,
+    and Inconclusive, with the reason, x_lo, x_hi and term_size as
+    diagnostics, where floats cannot resolve the level set: a turning
+    radius outside the float range, rounding of f_H beyond rel_tol, or a
+    failed quadrature.
     """
+    if not rel_tol > 0.0:
+        raise InvalidParameter("rel_tol must be > 0")
     cparams, cic, reflected = canonicalize(params, ic)
-    report = _classify_canonical(cparams, cic, controls or IntegrationControls())
+    report = _classify_canonical(cparams, cic, rel_tol)
     if not reflected:
         return report
     return ClassificationReport(
@@ -421,10 +432,10 @@ def classify_surface(params: Params, ic: InitialConditions,
 
 
 def _classify_canonical(params: Params, ic: InitialConditions,
-                        controls: IntegrationControls) -> ClassificationReport:
+                        rel_tol: float) -> ClassificationReport:
     if params.b == 0.0:
         return _pure_linear_report(params, ic)
-    if is_equilibrium(params, ic, controls.equilibrium_tol):
+    if is_equilibrium(params, ic):
         return _report(SurfaceClass(SurfaceTag.CYLINDER, radius=ic.x0), params, ic,
                        asymptotic_radius=ic.x0, theta_range=(ic.theta0, ic.theta0))
     sphere_radius = _sphere_radius_if_match(params, ic)
@@ -432,7 +443,7 @@ def _classify_canonical(params: Params, ic: InitialConditions,
         return _sphere_report(params, ic, sphere_radius)
     if _on_saddle_level(params, ic):
         return _separatrix_report(params, ic)
-    return _level_set_report(params, ic, controls)
+    return _level_set_report(params, ic, rel_tol)
 
 
 def _pure_linear_report(params: Params, ic: InitialConditions) -> ClassificationReport:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import output
+from . import levelset, output
 from .classify import SurfaceTag, classify_surface, special_solutions
 from .errors import Inconclusive, InvalidParameter, NearSingular, NoFullTurn, WlwError
 from .integrate import (
@@ -35,7 +35,7 @@ from .integrate import (
     find_self_intersections,
     integrate,
 )
-from .model import InitialConditions, Params, ProfileState, first_integral_m
+from .model import REL_TOL, InitialConditions, Params
 from .phaseplane import PortraitSpec, critical_points, find_separatrix, phase_portrait
 from .variational import (
     ExpEnergyParams,
@@ -109,34 +109,34 @@ class SweepSpec:
 
 
 def _controls_from_args(args, base: IntegrationControls) -> IntegrationControls:
-    """base with only the tolerance and budget flags the user gave applied."""
-    given = {name: getattr(args, name) for name in ("rel_tol", "abs_tol", "max_arclength")
+    """base with --rel-tol and the budget flags the user gave applied."""
+    given = {name: getattr(args, name) for name in ("abs_tol", "max_arclength")
              if getattr(args, name) is not None}
-    return replace(base, **given)
+    return replace(base, rel_tol=args.rel_tol, **given)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, integrates: bool = True,
-                      runs: bool = True) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, orbit: bool = True) -> None:
     """-a, -b and -o; commands that take one orbit also get the initial
-    conditions and the tolerance and budget flags, which only rel_tol
-    serves when the command makes no run (runs=False: classify)."""
+    conditions and --rel-tol."""
     p.add_argument("-a", type=float, required=True, help="coefficient a (dimensionless)")
     p.add_argument("-b", type=float, required=True, help="coefficient b (1/length)")
-    if integrates:
+    if orbit:
         p.add_argument("--x0", type=float, required=True, help="initial radius, > 0")
         p.add_argument("--theta0", type=parse_angle, default=0.0,
                        help="initial tangent angle in radians; accepts pi/2, 3pi/2, ...")
-        unused = "; classify integrates nothing, so it has no effect" if not runs else ""
-        p.add_argument("--rel-tol", type=float, default=None,
-                       help="relative step tolerance (default from IntegrationControls)" if runs
-                       else "accuracy asked of the first integral's level set: eps times the "
-                            "terms f_H sums must stay within it (default from "
-                            "IntegrationControls)")
-        p.add_argument("--abs-tol", type=float, default=None,
-                       help=f"absolute step tolerance (default from IntegrationControls){unused}")
-        p.add_argument("--max-arclength", type=float, default=None,
-                       help=f"arclength budget of a run{unused}")
+        p.add_argument("--rel-tol", type=float, default=REL_TOL,
+                       help="relative tolerance of a run's steps, and the accuracy asked of "
+                            "the first integral's level set in classifying: eps times the "
+                            "terms f_H sums must stay within it (default %(default)g)")
     p.add_argument("-o", "--out", type=Path, default=Path("."), help="output directory")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of commands that integrate an orbit: its abs_tol and arclength budget."""
+    p.add_argument("--abs-tol", type=float, default=None,
+                   help="absolute step tolerance (default from IntegrationControls)")
+    p.add_argument("--max-arclength", type=float, default=None,
+                   help="arclength budget of a run")
 
 
 def cmd_integrate(args) -> int:
@@ -168,7 +168,7 @@ def cmd_integrate(args) -> int:
 def cmd_classify(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    report = classify_surface(params, ic, _controls_from_args(args, IntegrationControls()))
+    report = classify_surface(params, ic, args.rel_tol)
     doc = output.report_to_dict(report)
     print(json.dumps(doc, indent=2))
     if args.out != Path("."):
@@ -224,7 +224,7 @@ def cmd_mesh(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     controls = _controls_from_args(args, IntegrationControls())
-    report = classify_surface(params, ic, controls)
+    report = classify_surface(params, ic, controls.rel_tol)
     spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
     window = None
     if report.period is not None:
@@ -386,16 +386,11 @@ def cmd_check(args) -> int:
     except NearSingular as exc:
         checks["euler_lagrange"] = {"benign": str(exc), "pass": True}
 
-    if params.b == 0.0:
-        probes = np.linspace(traj.s_min, traj.s_max, 33)
-        ms = []
-        for s in probes:
-            x, z, th = traj.eval(float(s))
-            if abs(math.sin(th)) > 1e-8:
-                ms.append(first_integral_m(params, ProfileState(float(s), float(x),
-                                                                float(z), float(th))).m)
-        drift = (max(ms) - min(ms)) / abs(np.median(ms)) if ms else 0.0
-        checks["first_integral"] = {"relative_drift": drift, "pass": bool(drift < 1e-6)}
+    x, _, theta = traj.eval(np.linspace(traj.s_min, traj.s_max, 33))
+    anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
+    worst = max(abs(math.sin(t) - levelset.f_H(params, anchor, xv))
+                for xv, t in zip(x.tolist(), theta.tolist()))
+    checks["first_integral"] = {"max_residual": worst, "pass": bool(worst < 1e-6)}
 
     tangents = traj.events_of(EventKind.VERTICAL_TANGENT)
     if tangents:
@@ -422,15 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="integrate a profile curve, write CSV + events")
     _add_common_flags(p)
+    _add_run_flags(p)
     p.add_argument("--svg", action="store_true", help="also write a profile plot")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("classify", help="classify the surface for one initial condition")
-    _add_common_flags(p, runs=False)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("phase", help="phase portrait and critical points")
-    _add_common_flags(p, integrates=False)
+    _add_common_flags(p, orbit=False)
     p.add_argument("--x-max", type=float, default=None)
     p.add_argument("--theta0", type=parse_angle, default=0.0,
                    help="initial angle for --separatrix")
@@ -441,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh", help="export a revolved OBJ mesh")
     _add_common_flags(p)
+    _add_run_flags(p)
     p.add_argument("--n-profile", type=int, default=96)
     p.add_argument("--n-revolve", type=int, default=48)
     p.add_argument("--periods", type=int, default=1)
@@ -457,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify invariants on one trajectory")
     _add_common_flags(p)
+    _add_run_flags(p)
     p.add_argument("--p-override", type=float, default=None)
     p.add_argument("--nu-override", type=float, default=None)
     p.set_defaults(func=cmd_check)

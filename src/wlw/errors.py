@@ -17,14 +17,6 @@ class NonPositiveScale(InvalidParameter):
     """A homothety factor must be strictly positive."""
 
 
-class NotPureLinear(WlwError):
-    """Operation requires b = 0 (pure linear curvature relation)."""
-
-
-class DegenerateLine(WlwError):
-    """sin(theta) = 0: the first integral degenerates (m = 0, a line)."""
-
-
 class NoFullTurn(WlwError):
     """Trajectory's tangent angle never spans a full turn."""
 

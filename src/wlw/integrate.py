@@ -33,12 +33,23 @@ from .errors import (
     NotVertical,
     VerificationFailed,
 )
-from .model import AXIS_EPSILON, EQUILIBRIUM_TOL, InitialConditions, Params, ProfileState, is_equilibrium
+from .model import (
+    AXIS_EPSILON,
+    EQUILIBRIUM_TOL,
+    REL_TOL,
+    InitialConditions,
+    Params,
+    ProfileState,
+    is_equilibrium,
+)
 from .numerics import brentq
 
 # Consecutive accepted steps that must sit at a phase rest point before the
 # run is cut short as an equilibrium.
 _EQUILIBRIUM_HOLD_STEPS = 100
+
+# Arclength accuracy of an event's location and of a self-crossing.
+EVENT_REFINE_TOL = 1e-12
 
 # Dormand-Prince 5(4) coefficients (HNW Table II.5.5).  The profile ODE is
 # autonomous, so the nodes c_i are not needed.  Stage 2 carries zero weight in
@@ -95,21 +106,18 @@ class Termination(str, enum.Enum):
 class IntegrationControls:
     """Tolerances, budgets and event-detection knobs for one integration."""
 
-    rel_tol: float = 1e-10
+    rel_tol: float = REL_TOL
     abs_tol: float = 1e-12
     max_arclength: float = 200.0
     max_steps: int = 200_000
     axis_epsilon: float = AXIS_EPSILON
-    event_refine_tol: float = 1e-12
     x_blowup: float = 1e9
     max_full_turns: Optional[int] = None
     max_vertical_tangents: Optional[int] = None
     two_sided: bool = True
-    equilibrium_tol: float = EQUILIBRIUM_TOL
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_arclength", "axis_epsilon",
-                     "event_refine_tol", "x_blowup", "equilibrium_tol"):
+        for name in ("rel_tol", "abs_tol", "max_arclength", "axis_epsilon", "x_blowup"):
             if not (getattr(self, name) > 0.0):
                 raise InvalidParameter(f"{name} must be > 0")
         if self.max_steps <= 0:
@@ -250,14 +258,6 @@ class Trajectory:
         vals = self.eval(grid)
         return np.column_stack([grid, vals[0], vals[1], vals[2]])
 
-    def winding_turns(self) -> int:
-        """Largest |k| over recorded full-turn events (0 when none)."""
-        turns = 0
-        for e in self.events_of(EventKind.FULL_TURN):
-            k = round((e.state.theta - self.ic.theta0) / math.tau)
-            turns = max(turns, abs(int(k)))
-        return turns
-
 
 @dataclass
 class _DirectionRun:
@@ -310,7 +310,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     min_clamp = 4.0 * axis_epsilon
     s_bound = direction * controls.max_arclength
     towards = direction * math.inf
-    tol = controls.event_refine_tol
+    tol = EVENT_REFINE_TOL
     x_blowup = controls.x_blowup
 
     # The event functions of a state (x, z, theta), one per kind.  The axis
@@ -476,7 +476,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
                 return run
 
         # --- equilibrium hold: k7 = f(y_new) ---------------------------
-        if abs(k7x) < controls.equilibrium_tol and abs(k7t) < controls.equilibrium_tol:
+        if abs(k7x) < EQUILIBRIUM_TOL and abs(k7t) < EQUILIBRIUM_TOL:
             if hold_count == 0:
                 hold_start = t_new
             hold_count += 1
@@ -539,13 +539,13 @@ def integrate(params: Params, ic: InitialConditions,
     set, backward as well; the two runs are merged into a single trajectory
     with s increasing.  Sign-change events (axis approach, vertical tangents,
     full turns, blowup) are refined by root bracketing on the step's dense
-    output to event_refine_tol.  Rest-point initial data short-circuits to an
+    output to EVENT_REFINE_TOL.  Rest-point initial data short-circuits to an
     exact vertical-line trajectory.
     """
     if not (ic.x0 > controls.axis_epsilon):
         raise NonPositiveRadius(
             f"x0 must exceed axis_epsilon={controls.axis_epsilon}, got {ic.x0}")
-    if is_equilibrium(params, ic, controls.equilibrium_tol):
+    if is_equilibrium(params, ic):
         return _equilibrium_trajectory(params, ic, controls)
 
     fwd = _run_direction(params, ic, controls, +1)
@@ -721,7 +721,7 @@ def _refine_crossing(traj: Trajectory, sa_lo, sa_hi, sb_lo, sb_hi,
                      max_iter: int = 30) -> Optional[tuple[float, float]]:
     sa = 0.5 * (sa_lo + sa_hi)
     sb = 0.5 * (sb_lo + sb_hi)
-    tol = traj.controls.event_refine_tol
+    tol = EVENT_REFINE_TOL
     for _ in range(max_iter):
         (xa, xb), (za, zb), (tha, thb) = traj.eval([sa, sb])
         fx, fz = xa - xb, za - zb

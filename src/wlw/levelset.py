@@ -10,8 +10,8 @@ with E(y) = expm1(y)/y and E(0) = 1, and sin(theta) = f_H(x) along the whole
 orbit.  A level of the first integral is carried as such an anchor, not as
 a scalar H, so this one expression serves every b and every a: a = 1, where
 it is x (s_r/x_r + b lam), and a near 1, where the terms of a scalar form
-such as x^(-a) (sin(theta) - b x/(1 - a)) cancel.  At b = 0,
--(s_r x_r^(-a))^2 is the constant m of model.first_integral_m.
+such as x^(-a) (sin(theta) - b x/(1 - a)) cancel.  At b = 0 it is
+s_r (x/x_r)^a, which conserves sin(theta)^2 x^(-2a) along the orbit.
 
 The radius of an orbit stays in the component of {x > 0 : |f_H(x)| <= 1}
 that contains x0.  Its finite ends are the turning radii, where the tangent
@@ -65,13 +65,22 @@ class Anchor(NamedTuple):
 
 
 def f_H(params: Params, anchor: Anchor, x: float) -> float:
-    """sin(theta) at radius x on the level through anchor."""
+    """sin(theta) at radius x on the level through anchor.
+
+    Where expm1(y) overflows, x expm1(y) is taken as x_r (x/x_r)^a - x,
+    which is finite.
+    """
     a, b = params.a, params.b
     x_r, s_r = anchor
     ratio = x / x_r
     lam = math.log(ratio)
     y = (a - 1.0) * lam     # lam E(y) = expm1(y)/(a - 1), and lam at y = 0
-    return s_r * ratio ** a + b * x * (math.expm1(y) / (a - 1.0) if y != 0.0 else lam)
+    power = ratio ** a
+    try:
+        rise = math.expm1(y) / (a - 1.0) if y != 0.0 else lam
+    except OverflowError:
+        return s_r * power + b * (x_r * power - x) / (a - 1.0)
+    return s_r * power + b * x * rise
 
 
 def _critical_radius(params: Params, anchor: Anchor) -> Optional[float]:
@@ -190,7 +199,12 @@ def term_size(params: Params, anchor: Anchor, x: float) -> float:
     ratio = x / x_r
     lam = math.log(ratio)
     y = (a - 1.0) * lam
-    return abs(s_r) * ratio ** a + abs(b * x * (math.expm1(y) / (a - 1.0) if y != 0.0 else lam))
+    power = ratio ** a
+    try:
+        rise = math.expm1(y) / (a - 1.0) if y != 0.0 else lam
+    except OverflowError:     # as in f_H
+        return abs(s_r) * power + abs(b * (x_r * power - x) / (a - 1.0))
+    return abs(s_r) * power + abs(b * x * rise)
 
 
 def _x(x_lo: float, x_hi: float, phi: float) -> float:

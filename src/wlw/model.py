@@ -15,19 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateLine,
-    InvalidParameter,
-    NonPositiveRadius,
-    NonPositiveScale,
-    NotPureLinear,
-)
+from .errors import InvalidParameter, NonPositiveRadius, NonPositiveScale
 
 # Radius below which a trajectory counts as having reached the rotation axis.
 AXIS_EPSILON = 1e-8
 
 # Tolerance for recognizing a phase-plane rest point (vertical-line solution).
 EQUILIBRIUM_TOL = 1e-12
+
+# Relative accuracy asked by default of a run's steps and of a level set of
+# the first integral.
+REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,17 +70,6 @@ class InitialConditions:
             raise InvalidParameter(f"theta0 must be finite, got {self.theta0}")
 
 
-@dataclass(frozen=True)
-class FirstIntegralValue:
-    """Conserved constant m of the b = 0 relation x'^2 = 1 + m*x^(2a)."""
-
-    m: float
-
-    def __post_init__(self):
-        if not (self.m < 0.0):
-            raise InvalidParameter(f"m must be negative for non-line profiles, got {self.m}")
-
-
 def rhs(params: Params, state: ProfileState) -> tuple[float, float, float]:
     """Right-hand side (x', z', theta') of the profile ODE at one state."""
     if state.x <= 0.0:
@@ -125,30 +112,15 @@ def rescale(lam: float, params: Params, ic: InitialConditions) -> tuple[Params, 
     return Params(params.a, params.b / lam), InitialConditions(lam * ic.x0, ic.theta0)
 
 
-def first_integral_m(params: Params, state: ProfileState) -> FirstIntegralValue:
-    """Conserved m = -sin(theta)^2 / x^(2a) of the b = 0 system.
-
-    Raises NotPureLinear when b != 0 and DegenerateLine when sin(theta) = 0
-    exactly (the m = 0 case is a straight horizontal line, not admissible).
-    """
-    if params.b != 0.0:
-        raise NotPureLinear(f"first integral requires b = 0, got b={params.b}")
-    if state.x <= 0.0:
-        raise NonPositiveRadius(f"x must be > 0, got {state.x}")
-    sin_t = math.sin(state.theta)
-    if sin_t == 0.0:
-        raise DegenerateLine("sin(theta) = 0: m = 0 is excluded")
-    return FirstIntegralValue(-(sin_t * sin_t) * state.x ** (-2.0 * params.a))
-
-
-def is_equilibrium(params: Params, ic: InitialConditions, tol: float = EQUILIBRIUM_TOL) -> bool:
+def is_equilibrium(params: Params, ic: InitialConditions) -> bool:
     """True when the initial condition is a rest point of the phase flow.
 
-    Rest points have cos(theta0) = 0 and a*sin(theta0)/x0 + b = 0; the
-    solution is then the vertical line x = x0 (a circular cylinder).
+    Rest points have cos(theta0) = 0 and a*sin(theta0)/x0 + b = 0, to
+    EQUILIBRIUM_TOL; the solution is then the vertical line x = x0 (a
+    circular cylinder).
     """
     theta_dot = params.a * math.sin(ic.theta0) / ic.x0 + params.b
-    return abs(math.cos(ic.theta0)) < tol and abs(theta_dot) < tol
+    return abs(math.cos(ic.theta0)) < EQUILIBRIUM_TOL and abs(theta_dot) < EQUILIBRIUM_TOL
 
 
 def canonicalize(params: Params, ic: InitialConditions) -> tuple[Params, InitialConditions, bool]:

@@ -30,12 +30,9 @@ from wlw.integrate import (
     integrate,
 )
 from wlw.model import (
-    FirstIntegralValue,
     InitialConditions,
     Params,
-    ProfileState,
     canonicalize,
-    first_integral_m,
     reflect_b,
     rescale,
 )
@@ -354,17 +351,22 @@ class TestPureLinear:
 
 class TestCatenoidAsymptote:
     def test_entire_range_returns_none(self):
-        assert catenoid_asymptote(FirstIntegralValue(-1.0), -1.0) is None
-        assert catenoid_asymptote(FirstIntegralValue(-0.5), -0.3) is None
+        assert catenoid_asymptote(Params(-1.0, 0.0), InitialConditions(1.0, PI / 2)) is None
+        assert catenoid_asymptote(Params(-0.3, 0.0), InitialConditions(2.0, 0.7)) is None
 
     def test_wrong_regime(self):
         with pytest.raises(WrongSignRegime):
-            catenoid_asymptote(FirstIntegralValue(-1.0), 2.0)
+            catenoid_asymptote(Params(2.0, 0.0), InitialConditions(1.0, PI / 2))
+
+    def test_requires_b_zero_and_a_curve(self):
+        with pytest.raises(InvalidParameter):
+            catenoid_asymptote(Params(-2.0, 1.0), InitialConditions(1.0, PI / 2))
+        with pytest.raises(InvalidParameter):
+            catenoid_asymptote(Params(-2.0, 0.0), InitialConditions(1.0, 0.0))
 
     def test_quadrature_agrees_with_ode(self):
         # follow the profile far out and compare the height limit
-        m = first_integral_m(Params(-2, 0), ProfileState(0.0, 1.0, 0.0, PI / 2))
-        z1 = catenoid_asymptote(m, -2.0)
+        z1 = catenoid_asymptote(Params(-2, 0), InitialConditions(1.0, PI / 2))
         traj = integrate(Params(-2, 0), InitialConditions(1.0, PI / 2),
                          IntegrationControls(max_arclength=2e4, x_blowup=1e4,
                                              two_sided=False, max_steps=500_000))
@@ -373,11 +375,14 @@ class TestCatenoidAsymptote:
         assert z_far == pytest.approx(z1, abs=2e-4)
 
     def test_homothety_scaling(self):
-        # under x -> lam x the constant maps to m * lam^(-2a)
+        # under x -> lam x the neck and the asymptote scale by lam; a state
+        # off the neck gives the same neck x0 |sin(theta0)|^(-1/a)
         a, lam = -2.0, 2.0
-        z1 = catenoid_asymptote(FirstIntegralValue(-1.0), a)
-        z1_scaled = catenoid_asymptote(FirstIntegralValue(-1.0 * lam ** (-2 * a)), a)
+        z1 = catenoid_asymptote(Params(a, 0.0), InitialConditions(1.0, PI / 2))
+        z1_scaled = catenoid_asymptote(Params(a, 0.0), InitialConditions(lam, PI / 2))
         assert z1_scaled == pytest.approx(lam * z1, rel=1e-9)
+        neck = InitialConditions(2.0 ** 0.25, PI / 4)   # x_min = x0 sin(theta0)^(1/2) = 1
+        assert catenoid_asymptote(Params(a, 0.0), neck) == pytest.approx(z1, rel=1e-9)
 
 
 class TestReportMechanics:
@@ -390,13 +395,13 @@ class TestReportMechanics:
         assert mirrored.period == pytest.approx(direct.period, rel=1e-10)
 
     def test_inconclusive_on_tiny_budget(self):
-        # No budget makes this orbit's inner turning radius a float, so it
-        # stays Inconclusive, with the level's diagnostics.
-        controls = IntegrationControls(max_arclength=0.5, max_full_turns=3)
+        # This orbit's inner turning radius is not a float, so it stays
+        # Inconclusive, with the level's diagnostics: x_lo = 0.0 and x_hi.
         with pytest.raises(Inconclusive) as info:
-            classify_surface(*BELOW_THE_FLOATS, controls)
-        assert set(info.value.diagnostics) == {"reason", "x_lo", "x_hi", "term_size"}
-        assert "turning radii" in info.value.diagnostics["reason"]
+            classify_surface(*BELOW_THE_FLOATS)
+        assert info.value.diagnostics == {
+            "reason": "the inner turning radius lies below the float range",
+            "x_lo": 0.0, "x_hi": 1498.959082627963, "term_size": None}
 
     def test_unresolved_radii_are_inconclusive(self, monkeypatch):
         # Where rounding loses a turning radius, no run stands in for it.
@@ -404,23 +409,21 @@ class TestReportMechanics:
             raise FloatingPointError("no turning radius resolved")
         monkeypatch.setattr(levelset, "turning_radii", lost)
         runs = spy_integrate(monkeypatch)
-        controls = IntegrationControls(max_steps=5, max_full_turns=3)
         with pytest.raises(Inconclusive) as info:
-            classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2), controls)
+            classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
         assert runs == []
         assert info.value.diagnostics == {
             "reason": "floats cannot resolve the turning radii (no turning radius resolved)",
             "x_lo": None, "x_hi": None, "term_size": None}
 
     def test_pure_linear_report_ignores_the_controls(self):
-        # b = 0 is read off its first integral, so no budget binds it.
+        # b = 0 is read off its first integral in closed form, so rel_tol
+        # does not bind it.
         for a, theta0 in [(1, PI / 2), (2, 0.0), (2, 2.0), (-0.5, 2.0), (-2, PI / 4)]:
             params, ic = Params(a, 0), InitialConditions(2.0, theta0)
-            reports = [classify_surface(params, ic, controls) for controls in
-                       (None, IntegrationControls(max_steps=5),
-                        IntegrationControls(max_arclength=0.01, rel_tol=1e-4, max_full_turns=0))]
+            reports = [classify_surface(params, ic), classify_surface(params, ic, rel_tol=1e-4)]
             assert reports[0].termination is None
-            assert reports[1] == reports[0] and reports[2] == reports[0]
+            assert reports[1] == reports[0]
 
     def test_embeddedness_counts(self):
         und = classify_surface(Params(-2, 1), InitialConditions(1.0, PI / 2))
@@ -549,18 +552,16 @@ class TestPeriodicSpan:
 
     def test_periodic_orbit_runs_nothing(self, monkeypatch):
         runs = spy_integrate(monkeypatch)
-        r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2),
-                             IntegrationControls(max_arclength=0.5))
+        r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
         assert runs == []
         assert r.surface.tag == SurfaceTag.NODOID and r.termination is None
 
     def test_separatrix_runs_nothing(self, monkeypatch):
         # Its state lies on the saddle's level of the first integral, so it
-        # is a CylindricalAntinodoid in closed form, whatever the budget.
+        # is a CylindricalAntinodoid in closed form.
         xbar = find_separatrix(Params(3, 1), 0.0, (4.0, 7.0), rel_width=1e-13)
         runs = spy_integrate(monkeypatch)
-        r = classify_surface(Params(3, 1), InitialConditions(xbar, 0.0),
-                             IntegrationControls(max_arclength=0.5))
+        r = classify_surface(Params(3, 1), InitialConditions(xbar, 0.0))
         assert runs == []
         assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID and r.termination is None
         assert (r.asymptotic_radius, r.self_intersections) == (3.0, 1)
@@ -1016,8 +1017,7 @@ class TestNearCentre:
 
     def test_cylinder_runs_nothing(self, monkeypatch):
         runs = spy_integrate(monkeypatch)
-        r = classify_surface(Params(-2, 0.5), InitialConditions(4.0, PI / 2),
-                             IntegrationControls(max_arclength=0.5))
+        r = classify_surface(Params(-2, 0.5), InitialConditions(4.0, PI / 2))
         assert runs == []
         assert (r.surface.tag, r.surface.radius) == (SurfaceTag.CYLINDER, 4.0)
         assert (r.termination, r.theta_range, r.asymptotic_radius) == (None, (PI / 2, PI / 2), 4.0)

@@ -39,7 +39,7 @@ def test_classify_rescaled_nodoid_keeps_scaled_budget(capsys, extra):
 
 def test_periodic_class_reports_whatever_the_budget(capsys):
     # A periodic orbit is read off its level set, so no run budget binds it.
-    code, doc = run_json(capsys, NODOID + ["--max-arclength", "0.5"])
+    code, doc = run_json(capsys, NODOID)
     assert code == EXIT_OK
     assert (doc["class"], doc["termination"]) == ("Nodoid", None)
 
@@ -98,12 +98,12 @@ BELOW_THE_FLOATS = ["-a=-5e-4", "-b", "1e-3", "--x0", "1", "--theta0", "5.7607"]
 
 
 def test_tiny_budget_exits_inconclusive(capsys):
-    code, doc = run_json(capsys, ["classify", *BELOW_THE_FLOATS, "--max-arclength", "0.5"])
+    code, doc = run_json(capsys, ["classify", *BELOW_THE_FLOATS])
     assert code == EXIT_INCONCLUSIVE
     assert set(doc) == {"error", "message", "diagnostics"}
     assert doc["error"] == "Inconclusive"
-    assert set(doc["diagnostics"]) == {"reason", "x_lo", "x_hi", "term_size"}
-    assert "turning radii" in doc["diagnostics"]["reason"]
+    assert doc["diagnostics"] == {"reason": "the inner turning radius lies below the float range",
+                                  "x_lo": 0.0, "x_hi": 1498.959082627963, "term_size": None}
 
 
 def test_sweep_summary_follows_grid_order(capsys, tmp_path):
@@ -187,9 +187,54 @@ def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):
     assert doc["error"] == "Inconclusive"
 
 
-@pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol", "--max-arclength"])
-def test_phase_rejects_integration_flags(capsys, tmp_path, flag):
-    code, captured = run(capsys, ["phase", "-a", "3", "-b", "1", flag, "1e-4",
-                                  "-o", str(tmp_path)])
+PHASE = ["phase", "-a", "3", "-b", "1"]
+CLASSIFY = ["classify", "-a", "3", "-b", "1", "--x0", "1"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(PHASE, "--rel-tol", id="--rel-tol"),
+    pytest.param(PHASE, "--abs-tol", id="--abs-tol"),
+    pytest.param(PHASE, "--max-arclength", id="--max-arclength"),
+    # classify runs nothing, so it takes no run tolerance or budget
+    pytest.param(CLASSIFY, "--abs-tol", id="classify---abs-tol"),
+    pytest.param(CLASSIFY, "--max-arclength", id="classify---max-arclength"),
+])
+def test_phase_rejects_integration_flags(capsys, tmp_path, command, flag):
+    code, captured = run(capsys, [*command, flag, "1e-4", "-o", str(tmp_path)])
     assert code == EXIT_INVALID
     assert flag in captured.err
+
+
+def test_classify_rejects_a_zero_rel_tol(capsys):
+    code, doc = run_json(capsys, [*CLASSIFY, "--rel-tol", "0"])
+    assert code == EXIT_INVALID
+    assert doc == {"error": "InvalidParameter", "message": "rel_tol must be > 0"}
+
+
+@pytest.mark.parametrize("flags", [
+    ["-a", "3", "-b", "1", "--x0", "1", "--theta0", "0"],
+    ["-a=-2", "-b", "0", "--x0", "1", "--theta0", "pi/2"],
+    # b = 0 with sin(theta) passing near 0, where the relative drift of
+    # sin(theta)^2 x^(-2a) reaches 2.3e-6; sin(theta) - f_H(x) stays small.
+    ["-a=-2.7306265397312766", "-b", "0", "--x0", "1.2679057680477201",
+     "--theta0", "5.405360098830371"],
+])
+def test_check_follows_the_first_integral(capsys, flags):
+    code, doc = run_json(capsys, ["check", *flags])
+    assert code == EXIT_OK and doc["pass"] is True
+    first_integral = doc["checks"]["first_integral"]
+    assert set(first_integral) == {"max_residual", "pass"}
+    assert first_integral["pass"] is True and first_integral["max_residual"] < 1e-6
+
+
+def test_check_reports_run_drift_from_the_first_integral(capsys):
+    # A b != 0 run that drifts off its level by 6e-6 at the default rel_tol;
+    # at rel_tol 1e-12 it stays within 1e-7.
+    flags = ["check", "-a=-2.888327587966785", "-b=-1.1075061834383728",
+             "--x0", "0.06801736210820271", "--theta0", "1.6822075535049197"]
+    code, doc = run_json(capsys, flags)
+    assert code == EXIT_FAILURE and doc["pass"] is False
+    assert doc["checks"]["first_integral"]["pass"] is False
+    code, doc = run_json(capsys, flags + ["--rel-tol", "1e-12"])
+    assert code == EXIT_OK and doc["checks"]["first_integral"]["pass"] is True
+    assert doc["checks"]["first_integral"]["max_residual"] < 1e-7

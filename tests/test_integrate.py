@@ -15,6 +15,7 @@ from wlw.errors import (
     VerificationFailed,
 )
 from wlw.integrate import (
+    EVENT_REFINE_TOL,
     EventKind,
     IntegrationControls,
     Termination,
@@ -285,7 +286,7 @@ class TestCoincidentEvents:
         turns = traj.events_of(EventKind.FULL_TURN)
         assert {e.s > 0.0 for e in turns} == {True, False}
         for e in turns:
-            assert np.abs(tangents - e.s).min() <= controls.event_refine_tol
+            assert np.abs(tangents - e.s).min() <= EVENT_REFINE_TOL
 
 
 class TestEventScan:
@@ -335,7 +336,6 @@ class TestBudgets:
 
     def test_turn_budget(self, nodoid_traj):
         assert nodoid_traj.termination == Termination.EVENT_BUDGET
-        assert nodoid_traj.winding_turns() == 3
 
     def test_one_sided(self):
         traj = integrate(Params(-2, 1), InitialConditions(0.5, PI / 2),

@@ -4,20 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wlw.errors import (
-    DegenerateLine,
-    InvalidParameter,
-    NonPositiveRadius,
-    NonPositiveScale,
-    NotPureLinear,
-)
+from wlw.errors import InvalidParameter, NonPositiveRadius, NonPositiveScale
+from wlw.levelset import Anchor, f_H
 from wlw.model import (
-    FirstIntegralValue,
     InitialConditions,
     Params,
     ProfileState,
     canonicalize,
-    first_integral_m,
     is_equilibrium,
     principal_curvatures,
     reflect_b,
@@ -48,12 +41,6 @@ class TestParams:
             InitialConditions(0.0, 0.0)
         with pytest.raises(NonPositiveRadius):
             InitialConditions(-1.0, 0.0)
-
-    def test_first_integral_value_negative(self):
-        with pytest.raises(InvalidParameter):
-            FirstIntegralValue(0.0)
-        with pytest.raises(InvalidParameter):
-            FirstIntegralValue(1.0)
 
 
 class TestRhs:
@@ -159,24 +146,22 @@ class TestRescale:
 
 class TestFirstIntegral:
     def test_vertical_tangent_value(self):
-        # cos(theta) = 0 gives m = -x^(-2a) directly
+        # At b = 0 the level through a vertical tangent (x_v, pi/2) conserves
+        # sin(theta)^2 x^(-2a) = x_v^(-2a).
         for a, x_v in [(-2.0, 1.5), (2.0, 0.7), (-0.5, 3.0)]:
-            m = first_integral_m(Params(a, 0), state(x_v, PI / 2)).m
-            assert m == pytest.approx(-x_v ** (-2 * a), rel=1e-14)
+            params, anchor = Params(a, 0), Anchor(x_v, 1.0)
+            for r in (1.0, 1.25, 2.0):     # on the orbit, |sin(theta)| <= 1
+                x = x_v * r ** -math.copysign(1.0, a)
+                m = f_H(params, anchor, x) ** 2 * x ** (-2 * a)
+                assert m == pytest.approx(x_v ** (-2 * a), rel=1e-14)
 
     def test_unit_circle_gives_minus_one(self):
-        # a=1 sphere of radius 1: x = sin(s), theta = s
+        # a=1 sphere of radius 1: x = sin(s), theta = s, so sin(theta)^2 x^(-2) = 1
+        anchor = Anchor(math.sin(0.3), math.sin(0.3))
         for s in [0.3, 0.7, 1.2]:
-            m = first_integral_m(Params(1, 0), state(math.sin(s), s)).m
-            assert m == pytest.approx(-1.0, rel=1e-13)
-
-    def test_requires_b_zero(self):
-        with pytest.raises(NotPureLinear):
-            first_integral_m(Params(1, 1), state(1.0, PI / 2))
-
-    def test_degenerate_line(self):
-        with pytest.raises(DegenerateLine):
-            first_integral_m(Params(2, 0), state(1.0, 0.0))
+            x = math.sin(s)
+            assert f_H(Params(1, 0), anchor, x) == pytest.approx(math.sin(s), rel=1e-14)
+            assert f_H(Params(1, 0), anchor, x) ** 2 * x ** -2 == pytest.approx(1.0, rel=1e-13)
 
 
 class TestEquilibrium:
