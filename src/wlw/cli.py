@@ -182,8 +182,7 @@ def cmd_phase(args) -> int:
     x_max = args.x_max
     if x_max is None:
         x_max = 2.5 * abs(params.a / params.b) if params.b != 0.0 else 5.0
-    spec = PortraitSpec(x_max=x_max)
-    portrait = phase_portrait(params, spec)
+    portrait = phase_portrait(params, PortraitSpec(x_max=x_max))
     points = critical_points(params)
     separatrix = None
     if args.separatrix:

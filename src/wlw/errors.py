@@ -74,7 +74,7 @@ class DegenerateProfile(WlwError):
 
 
 class Inconclusive(WlwError):
-    """No classification: floats cannot resolve the orbit's level set; diagnostics say why."""
+    """No class or portrait: floats cannot resolve an orbit's level set; diagnostics say why."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

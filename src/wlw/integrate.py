@@ -51,6 +51,9 @@ _EQUILIBRIUM_HOLD_STEPS = 100
 # Arclength accuracy of an event's location and of a self-crossing.
 EVENT_REFINE_TOL = 1e-12
 
+# Radius at which a run ends with a Blowup event.
+X_BLOWUP = 1e9
+
 # Dormand-Prince 5(4) coefficients (HNW Table II.5.5).  The profile ODE is
 # autonomous, so the nodes c_i are not needed.  Stage 2 carries zero weight in
 # the solution, the error estimate and the dense output.
@@ -111,13 +114,12 @@ class IntegrationControls:
     max_arclength: float = 200.0
     max_steps: int = 200_000
     axis_epsilon: float = AXIS_EPSILON
-    x_blowup: float = 1e9
     max_full_turns: Optional[int] = None
     max_vertical_tangents: Optional[int] = None
     two_sided: bool = True
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_arclength", "axis_epsilon", "x_blowup"):
+        for name in ("rel_tol", "abs_tol", "max_arclength", "axis_epsilon"):
             if not (getattr(self, name) > 0.0):
                 raise InvalidParameter(f"{name} must be > 0")
         if self.max_steps <= 0:
@@ -311,7 +313,6 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     s_bound = direction * controls.max_arclength
     towards = direction * math.inf
     tol = EVENT_REFINE_TOL
-    x_blowup = controls.x_blowup
 
     # The event functions of a state (x, z, theta), one per kind.  The axis
     # counts falling through zero, the blowup rising, the others either way.
@@ -320,7 +321,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     # whole test: cos of a double is never 0.0, and sin(0.5 * (theta -
     # theta0)) is 0.0 only at theta = theta0, a k = 0 re-crossing.
     def g(y):
-        return (y[0] - axis_epsilon, y[0] - x_blowup, cos(y[2]), sin(0.5 * (y[2] - theta0)))
+        return (y[0] - axis_epsilon, y[0] - X_BLOWUP, cos(y[2]), sin(0.5 * (y[2] - theta0)))
 
     kinds = (EventKind.AXIS_APPROACH, EventKind.BLOWUP, EventKind.VERTICAL_TANGENT,
              EventKind.FULL_TURN)
@@ -434,7 +435,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
 
         # --- event scan on this step, in s order ---------------------
         # g(y_new), with k7x = cos(tn): an accepted step has xn > 0.
-        ca, cb, cv, ct = xn - axis_epsilon, xn - x_blowup, k7x, sin(0.5 * (tn - theta0))
+        ca, cb, cv, ct = xn - axis_epsilon, xn - X_BLOWUP, k7x, sin(0.5 * (tn - theta0))
         crossed = (ca <= 0.0 < pa, pb < 0.0 <= cb, pv * cv < 0.0, pt * ct < 0.0)
         if True in crossed:
             at = _interpolant(t, t_new, (x, z, th), stages)

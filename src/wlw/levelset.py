@@ -68,14 +68,14 @@ def f_H(params: Params, anchor: Anchor, x: float) -> float:
     """sin(theta) at radius x on the level through anchor.
 
     Where expm1(y) overflows, x expm1(y) is taken as x_r (x/x_r)^a - x,
-    which is finite.
+    which is finite.  At b = 0, s_r = 0 it is 0, also where (x/x_r)^a overflows.
     """
     a, b = params.a, params.b
     x_r, s_r = anchor
     ratio = x / x_r
     lam = math.log(ratio)
     y = (a - 1.0) * lam     # lam E(y) = expm1(y)/(a - 1), and lam at y = 0
-    power = ratio ** a
+    power = ratio ** a if s_r or b else 0.0     # it only multiplies s_r and b
     try:
         rise = math.expm1(y) / (a - 1.0) if y != 0.0 else lam
     except OverflowError:

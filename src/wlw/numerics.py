@@ -85,7 +85,8 @@ def brentq(f, a: float, b: float, xtol: float = _XTOL, rtol: float = MIN_RTOL,
                 # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                divisor = dblk * dpre * (fblk - fpre)   # 0 by underflow: scipy bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / divisor if divisor else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

@@ -23,7 +23,7 @@ from .classify import ClassificationReport
 from .errors import DegenerateProfile, InvalidParameter
 from .integrate import EventRecord, IntersectionRecord, Trajectory
 from .model import principal_curvatures
-from .phaseplane import CriticalPoint, PhasePortrait
+from .phaseplane import BOX_TOP, CriticalPoint, PhasePortrait
 
 CSV_HEADER = "s,x,z,theta,kappa1,kappa2"
 
@@ -196,7 +196,7 @@ def write_phase_svg(portrait: PhasePortrait, points: Sequence[CriticalPoint], pa
     """
     grid = portrait.grid
     tlim = (float(grid[:, 0].min()), float(grid[:, 0].max()))
-    xlim = (0.0, float(grid[:, 1].max()) * 1.02 + 1e-9)
+    xlim = (0.0, float(grid[:, 1].max()) * BOX_TOP)
     fr = _Frame(tlim, xlim, width, height, equal=False)
 
     mags = np.hypot(grid[:, 2], grid[:, 3])
@@ -213,12 +213,7 @@ def write_phase_svg(portrait: PhasePortrait, points: Sequence[CriticalPoint], pa
         body.append(f'<line class="arrow" x1="{_f(u0)}" y1="{_f(v0)}" '
                     f'x2="{_f(u1)}" y2="{_f(v1)}"/>')
     for orbit in portrait.orbits:
-        inside = (orbit[:, 1] >= -1e-9) & (orbit[:, 1] <= xlim[1]) \
-            & (orbit[:, 0] >= tlim[0] - 1e-9) & (orbit[:, 0] <= tlim[1] + 1e-9)
-        arc = orbit[inside]
-        if len(arc) < 2:
-            continue
-        pts = " ".join(f"{_f(u)},{_f(v)}" for u, v in (fr.map(t, xx) for t, xx in arc))
+        pts = " ".join(f"{_f(u)},{_f(v)}" for u, v in (fr.map(t, xx) for t, xx in orbit))
         body.append(f'<polyline class="orbit" points="{pts}"/>')
     for cp in points:
         u, v = fr.map(cp.theta, cp.x)

@@ -9,7 +9,7 @@ on [0, 2*pi] x {x >= 0}.  Its rest points organize the whole classification:
 two on the axis, and (for b != 0) one interior point at x = |a|/b that is a
 saddle for a > 0 and a center for a < 0.  Since V is the profile field times
 x, its orbits with x > 0 are the (theta, x) projections of profile curves, and
-portraits draw them with the profile integrator.
+portraits draw them off their levels of the first integral (levelset).
 """
 
 from __future__ import annotations
@@ -17,21 +17,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
 from . import levelset
-from .errors import DegenerateEigenvalue, InvalidParameter, NoBracket
-from .integrate import IntegrationControls, integrate
+from .errors import DegenerateEigenvalue, Inconclusive, InvalidParameter, NoBracket
 from .model import InitialConditions, Params
 from .numerics import MIN_RTOL, brentq
 
 
-# Arclength budget of a portrait orbit in seed radii: about 40 in the time
-# sigma of V (ds = x dsigma), so cycles around the a < 0 center close but are
-# not redrawn many times.
-_ORBIT_SPAN = 40.0
+# Radius samples of each branch of a portrait orbit, and the top of the
+# portrait box, where the orbits end, in units of x_max.
+_ORBIT_SAMPLES = 129
+BOX_TOP = 1.05
 
 
 class SingularityKind(str, enum.Enum):
@@ -60,7 +58,6 @@ class PortraitSpec:
     theta_max: float = math.tau
     n_theta: int = 24
     n_x: int = 13
-    orbit_seeds: Optional[Sequence[tuple[float, float]]] = None
 
     def __post_init__(self):
         if not (self.x_max > 0.0 and self.theta_max > self.theta_min):
@@ -72,7 +69,7 @@ class PortraitSpec:
 @dataclass(frozen=True)
 class PhasePortrait:
     grid: np.ndarray                      # rows (theta, x, dtheta, dx)
-    orbits: list = field(default_factory=list)  # each an (n, 2) array of (theta, x)
+    orbits: list = field(default_factory=list)  # (n, 2) (theta, x) arrays, see level_orbit
 
 
 def autonomous_rhs(params: Params, theta, x):
@@ -171,41 +168,47 @@ def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
     return brentq(g, lo, hi, xtol=rtol * lo, rtol=rtol)
 
 
-def integrate_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -> np.ndarray:
-    """(theta, x) samples of the profile curve through seed = (theta, x).
-
-    The curve is integrated both ways, and each side is kept out to its first
-    sample outside the box theta in [theta_min, theta_max] +/- 5 % of the
-    range, x <= 1.05*x_max.  A side ends sooner where the profile reaches the
-    axis (x = axis_epsilon), turns its tangent once around, or runs
-    _ORBIT_SPAN seed radii.
+def level_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -> list:
+    """(theta, x) polylines of the orbit of V through seed = (theta, x > 0): the
+    branches arcsin f_H and pi - arcsin f_H, + 2 pi k, of its level on
+    [x_lo, x_hi] = levelset.turning_radii.  They meet at a turning radius;
+    where neither end is one (x_lo = 0, x_hi = inf), only the seed's, by the
+    sign of cos(theta), is its orbit.  x = c - r cos(phi) is dense at the
+    turning radii, where dtheta/dx = inf.  Each run of 2 or more samples in
+    the box [theta_min, theta_max] x (0, BOX_TOP x_max] is a polyline.  Raises
+    Inconclusive where floats cannot resolve the level.
     """
-    theta_seed, x_seed = seed
-    x_top = 1.05 * spec.x_max
-    controls = IntegrationControls(max_arclength=_ORBIT_SPAN * x_seed, x_blowup=x_top,
-                                   max_full_turns=1)
-    traj = integrate(params, InitialConditions(x_seed, theta_seed), controls)
-    margin = 0.05 * (spec.theta_max - spec.theta_min)
-    outside = np.flatnonzero((traj.theta < spec.theta_min - margin)
-                             | (traj.theta > spec.theta_max + margin) | (traj.x > x_top))
-    i_seed = int(np.searchsorted(traj.s, 0.0))
-    before, after = outside[outside < i_seed], outside[outside > i_seed]
-    lo = before[-1] if before.size else 0
-    hi = after[0] + 1 if after.size else len(traj.s)
-    return np.column_stack([traj.theta[lo:hi], traj.x[lo:hi]])
+    ic = InitialConditions(float(seed[1]), float(seed[0]))
+    anchor, x_top = levelset.Anchor(ic.x0, math.sin(ic.theta0)), BOX_TOP * spec.x_max
+    try:
+        x_lo, x_hi = levelset.turning_radii(params, anchor)
+        c, r = 0.5 * (x_lo + min(x_hi, x_top)), 0.5 * (min(x_hi, x_top) - x_lo)
+        xs = c - r * np.cos(np.linspace(0.0, math.pi, _ORBIT_SAMPLES))
+        xs = xs[(xs > 0.0) & (xs <= x_top)]
+        arcsin = np.arcsin(np.clip([levelset.f_H(params, anchor, x) for x in xs.tolist()], -1, 1))
+    except ArithmeticError as e:
+        raise Inconclusive(f"floats cannot resolve the level through {(ic.theta0, ic.x0)}",
+                           diagnostics={"reason": str(e), "theta": ic.theta0, "x": ic.x0}) from e
+    branches = [arcsin, math.pi - arcsin]
+    if x_lo == 0.0 and x_hi == math.inf:
+        branches = [branches[math.cos(ic.theta0) < 0.0]]
+    lines = []
+    for k in range(math.floor(spec.theta_min / math.tau), math.ceil(spec.theta_max / math.tau) + 1):
+        for theta in (branch + k * math.tau for branch in branches):
+            inside = np.flatnonzero((theta >= spec.theta_min) & (theta <= spec.theta_max))
+            lines += [np.column_stack([theta[run], xs[run]]) for run in
+                      np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1) if run.size > 1]
+    return lines
 
 
 def phase_portrait(params: Params, spec: PortraitSpec) -> PhasePortrait:
-    """Vector-field samples on a grid plus integral curves through seed points."""
+    """Vector-field samples on a grid plus the orbits through twelve seed points."""
     thetas = np.linspace(spec.theta_min, spec.theta_max, spec.n_theta)
     xs = np.linspace(0.0, spec.x_max, spec.n_x)
     TH, XX = np.meshgrid(thetas, xs, indexing="ij")
     dth, dx = autonomous_rhs(params, TH, XX)
     grid = np.column_stack([TH.ravel(), XX.ravel(), dth.ravel(), dx.ravel()])
-
-    seeds = spec.orbit_seeds
-    if seeds is None:
-        seeds = [(t0, x) for t0 in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-                 for x in np.linspace(spec.x_max / 6.0, spec.x_max * 5.0 / 6.0, 3)]
-    orbits = [integrate_orbit(params, seed, spec) for seed in seeds]
+    seeds = [(t0, x) for t0 in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+             for x in np.linspace(spec.x_max / 6.0, spec.x_max * 5.0 / 6.0, 3)]
+    orbits = [line for seed in seeds for line in level_orbit(params, seed, spec)]
     return PhasePortrait(grid=grid, orbits=orbits)

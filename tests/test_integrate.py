@@ -19,6 +19,7 @@ from wlw.integrate import (
     EventKind,
     IntegrationControls,
     Termination,
+    X_BLOWUP,
     Trajectory,
     _crossing_segments,
     _Dense,
@@ -336,6 +337,16 @@ class TestBudgets:
 
     def test_turn_budget(self, nodoid_traj):
         assert nodoid_traj.termination == Termination.EVENT_BUDGET
+
+    def test_blowup(self):
+        # a = -2, b = 0 is a bounded catenoid: x grows without bound, about
+        # linearly in s, so the run ends where x reaches X_BLOWUP
+        traj = integrate(Params(-2, 0), InitialConditions(1e8, PI / 4),
+                         IntegrationControls(max_arclength=1e10, two_sided=False))
+        assert traj.termination == Termination.EVENT_BUDGET
+        assert [e.kind for e in traj.events] == [EventKind.BLOWUP]
+        assert traj.events[0].state.x == pytest.approx(X_BLOWUP, rel=1e-12)
+        assert traj.x[-1] == pytest.approx(X_BLOWUP, rel=1e-12)
 
     def test_one_sided(self):
         traj = integrate(Params(-2, 1), InitialConditions(0.5, PI / 2),

@@ -47,6 +47,13 @@ def test_b_zero_level_is_the_pure_linear_first_integral():
         assert f_H(params, anchor, x) ** 2 == pytest.approx(-m * x ** (2 * params.a), rel=1e-14)
 
 
+@pytest.mark.parametrize("a", [500.0, -500.0])
+def test_b_zero_level_through_a_horizontal_tangent_is_zero_everywhere(a):
+    # sin(theta) = 0 on the horizontal line, even where (x/x0)^a overflows
+    for x in (1e-3, 0.5, 2.0, 1e3):
+        assert f_H(Params(a, 0.0), Anchor(1.0, 0.0), x) == 0.0
+
+
 def test_turning_radii_of_the_nodoid():
     x_lo, x_hi = radii(-2, 1, 4.0, PI / 2)
     assert x_lo == pytest.approx(1.8216401644041, rel=1e-12)

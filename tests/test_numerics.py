@@ -48,6 +48,14 @@ class TestBrentq:
                 continue
             assert numerics.brentq(f, lo, hi, xtol=xtol, rtol=rtol) == want
 
+    def test_an_underflowing_interpolation_bisects_as_scipy_does(self):
+        # The inverse-quadratic step's divisor underflows to 0 on the way.
+        def f(x):
+            return 1e-160 * (x ** 3 - 0.3)
+        want = sp_optimize.brentq(f, 0.0, 1.0)
+        assert want == 0.6694329500819554
+        assert numerics.brentq(f, 0.0, 1.0) == want
+
     def test_an_end_at_a_zero_is_returned(self):
         assert numerics.brentq(lambda x: x, 0.0, 1.0) == 0.0
         assert numerics.brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0

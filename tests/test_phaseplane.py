@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,10 +6,16 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
-from wlw import phaseplane
-from wlw.errors import DegenerateEigenvalue, InvalidParameter, NoBracket, NonPositiveRadius
+from wlw import cli, levelset
+from wlw.errors import (
+    DegenerateEigenvalue,
+    Inconclusive,
+    InvalidParameter,
+    NoBracket,
+    NonPositiveRadius,
+)
 from wlw.integrate import EventKind, IntegrationControls, integrate
-from wlw.model import AXIS_EPSILON, InitialConditions, Params, rescale
+from wlw.model import InitialConditions, Params, rescale
 from wlw.phaseplane import (
     PortraitSpec,
     SingularityKind,
@@ -16,7 +23,7 @@ from wlw.phaseplane import (
     classify_singularity,
     critical_points,
     find_separatrix,
-    integrate_orbit,
+    level_orbit,
     linearize,
     phase_portrait,
 )
@@ -170,12 +177,16 @@ class TestSeparatrix:
         assert above == pytest.approx(below, rel=1e-14)
         assert above == pytest.approx(3.3394894205, rel=1e-10)
 
-    def test_integrates_nothing(self, monkeypatch):
-        calls, real = [], phaseplane.integrate
-        monkeypatch.setattr(phaseplane, "integrate",
-                            lambda *args: calls.append(args) or real(*args))
+    def test_integrates_nothing(self, monkeypatch, tmp_path):
+        # the separatrix and the portrait both come off the first integral
+        def no_run(*args):
+            raise AssertionError("the stepper ran")
+        monkeypatch.setattr(importlib.import_module("wlw.integrate"), "_run_direction", no_run)
         find_separatrix(Params(3, 1), 0.0, (4.0, 7.0))
-        assert calls == []
+        phase_portrait(Params(3, 1), PortraitSpec(x_max=7.5))
+        code = cli.main(["phase", "-a", "3", "-b", "1", "--separatrix", "-o", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "phase.svg").is_file()
 
     def test_requires_saddle_regime(self):
         with pytest.raises(InvalidParameter):
@@ -195,8 +206,7 @@ class TestSeparatrix:
 
 
 def _box(spec):
-    margin = 0.05 * (spec.theta_max - spec.theta_min)
-    return spec.theta_min - margin, spec.theta_max + margin, 1.05 * spec.x_max
+    return spec.theta_min, spec.theta_max, 1.05 * spec.x_max
 
 
 def _in_box(points, spec):
@@ -204,53 +214,59 @@ def _in_box(points, spec):
     return (points[:, 0] >= lo) & (points[:, 0] <= hi) & (points[:, 1] <= top)
 
 
-def _reference_arcs(params, seed, spec, span=100.0):
+def _reference_arcs(params, seed, spec, span=20.0):
     """solve_ivp orbits of V from seed, forward then backward in its own time.
 
-    Each is a (solution, time of its first box exit or None) pair; it runs on
-    to twice the box so that the first exit lies inside it.
+    Each runs the whole span, whatever its theta, so that it covers every
+    part of the orbit that the box cuts out.  A run ends sooner above twice
+    the box top; each orbit of the tested seeds turns back below it.
     """
-    lo, hi, top = _box(spec)
+    top = _box(spec)[2]
     a, b = params.a, params.b
 
     def f(t, y):
         return [a * math.sin(y[0]) + b * y[1], y[1] * math.cos(y[0])]
 
-    def leave_box(t, y):
-        return min(y[0] - lo, hi - y[0], top - y[1])
+    def leave_twice_the_top(t, y):
+        return 2.0 * top - y[1]
+    leave_twice_the_top.terminal = True
 
-    def leave_twice_the_box(t, y):
-        return min(y[0] - 2.0 * lo, 2.0 * hi - y[0], 2.0 * top - y[1])
-    leave_twice_the_box.terminal = True
-
-    arcs = []
-    for sign in (1.0, -1.0):
-        sol = solve_ivp(f, (0.0, sign * span), list(seed), rtol=1e-10, atol=1e-12,
-                        events=[leave_box, leave_twice_the_box], dense_output=True)
-        exits = sol.t_events[0]
-        arcs.append((sol, exits[0] if exits.size else None))
-    return arcs
+    return [solve_ivp(f, (0.0, sign * span), list(seed), rtol=1e-10, atol=1e-12,
+                      events=[leave_twice_the_top], dense_output=True)
+            for sign in (1.0, -1.0)]
 
 
-def _project(params, points, sol):
-    """Foot times and distances of points on a reference arc: the nearest
-    sample, then Gauss-Newton steps along the field on the dense output."""
+def _distance(params, points, sol):
+    """Distances of points from a reference arc, with theta taken mod 2 pi:
+    the nearest sample, then Gauss-Newton steps along the field on the dense
+    output."""
     t_end = sol.t[-1]
     ts = np.linspace(0.0, t_end, int(abs(t_end) / 0.01) + 2)
-    _, j = cKDTree(sol.sol(ts).T).query(points)
-    t = ts[j]
+    ys = sol.sol(ts)
+    wrapped = np.column_stack([np.mod(ys[0], math.tau), ys[1]])
+    copies = np.vstack([wrapped + (k * math.tau, 0.0) for k in (-1, 0, 1)])
+    _, j = cKDTree(copies).query(np.column_stack([np.mod(points[:, 0], math.tau), points[:, 1]]))
+    t = ts[j % len(ts)]
+    # lift each point next to its foot on the arc
+    lift = math.tau * np.round((sol.sol(t)[0] - points[:, 0]) / math.tau)
+    points = points + np.column_stack([lift, np.zeros(len(points))])
     for _ in range(4):
         y = sol.sol(t)
         v = np.array(autonomous_rhs(params, y[0], y[1]))
         vv = (v * v).sum(axis=0)
         step = ((points.T - y) * v).sum(axis=0) / np.where(vv > 1e-20, vv, np.inf)
         t = np.clip(t + step, min(0.0, t_end), max(0.0, t_end))
-    return t, np.hypot(*(points.T - sol.sol(t)))
+    return np.hypot(*(points.T - sol.sol(t)))
+
+
+def _seeds(x_max):
+    return [(t0, x) for t0 in (0.0, 0.5 * PI, PI, 1.5 * PI)
+            for x in np.linspace(x_max / 6.0, x_max * 5.0 / 6.0, 3)]
 
 
 class TestPortrait:
     def test_grid_in_box_and_boundary_tangency(self):
-        spec = PortraitSpec(x_max=4.0, n_theta=9, n_x=5, orbit_seeds=[(0.0, 1.0)])
+        spec = PortraitSpec(x_max=4.0, n_theta=9, n_x=5)
         portrait = phase_portrait(Params(2, 1), spec)
         grid = portrait.grid
         assert grid[:, 0].min() >= 0.0 and grid[:, 0].max() <= 2 * PI + 1e-12
@@ -292,62 +308,76 @@ class TestPortrait:
         np.testing.assert_allclose(x_interp, x_prof[window], atol=1e-6)
 
     @pytest.mark.parametrize("a", [2.0, -2.0])
-    def test_orbits_match_reference_and_stop_at_first_box_exit(self, a):
-        # Each portrait orbit is the profile curve through its seed; it must
-        # trace the orbit of V itself, and each side must end at its first
-        # box exit unless the profile run was cut short first.
+    def test_orbits_match_reference_and_are_clipped_to_the_box(self, a):
+        # Each seed's polylines lie on the orbit of V through the seed,
+        # compared mod 2 pi, and inside the box.
         params, spec = Params(a, 1), PortraitSpec(x_max=5.0)
         portrait = phase_portrait(params, spec)
-        seeds = [(t0, x) for t0 in (0.0, 0.5 * PI, PI, 1.5 * PI)
-                 for x in np.linspace(5.0 / 6.0, 25.0 / 6.0, 3)]
-        assert len(portrait.orbits) == len(seeds)
-        top = _box(spec)[2]
-        for seed, orbit in zip(seeds, portrait.orbits):
-            inside = _in_box(orbit, spec)
-            assert inside[1:-1].all()
+        per_seed = [level_orbit(params, seed, spec) for seed in _seeds(spec.x_max)]
+        drawn = [line for lines in per_seed for line in lines]
+        assert len(portrait.orbits) == len(drawn)
+        assert all(np.array_equal(p, q) for p, q in zip(portrait.orbits, drawn))
+        for seed, lines in zip(_seeds(spec.x_max), per_seed):
+            assert lines, seed
+            points = np.vstack(lines)
+            assert _in_box(points, spec).all()
             arcs = _reference_arcs(params, seed, spec)
-            dist = np.min([_project(params, orbit[inside], sol)[1] for sol, _ in arcs], axis=0)
+            dist = np.min([_distance(params, points, sol) for sol in arcs], axis=0)
             assert dist.max() < 1e-6, (seed, dist.max())
-            for ends, (sol, t_exit) in ((orbit[-2:], arcs[0]), (orbit[1::-1], arcs[1])):
-                if not _in_box(ends[1:], spec)[0]:
-                    # the last step crosses the reference's first exit
-                    t, d = _project(params, ends, sol)
-                    assert d.max() < 1e-6 and t_exit is not None
-                    assert abs(t[0]) < abs(t_exit) <= abs(t[1]) + 1e-9, (seed, t, t_exit)
-                    continue
-                end = ends[1]
-                at_axis = end[1] <= AXIS_EPSILON * (1.0 + 1e-6)
-                at_top = abs(end[1] - top) <= 1e-9 * top
-                full_turn = abs(abs(end[0] - seed[0]) - 2.0 * PI) < 1e-9
-                closed = t_exit is None
-                assert at_axis or at_top or full_turn or closed, (seed, end)
+            # and they leave out no part of it: every sample of the reference
+            # in the box, mod 2 pi, lies within one sample gap of a drawn point
+            gap = max(np.hypot(*np.diff(line, axis=0).T).max() for line in lines)
+            ref = np.hstack([sol.sol(np.linspace(0.0, sol.t[-1], 20001)) for sol in arcs]).T
+            ref = ref[ref[:, 1] <= _box(spec)[2]]
+            ref[:, 0] = np.mod(ref[:, 0], math.tau)
+            wrapped = np.column_stack([np.mod(points[:, 0], math.tau), points[:, 1]])
+            near, _ = cKDTree(wrapped).query(ref)
+            assert near.max() <= gap, (seed, near.max(), gap)
+
+    def test_center_cycle_is_drawn_once(self):
+        # (-2, 1): the orbit through (pi/2, 2.5) is a closed cycle around the
+        # center (pi/2, 2), and 2.5 is its outer turning radius.  Its two
+        # branches each run over [x_lo, x_hi] once and meet at both ends.
+        params, seed, spec = Params(-2, 1), (0.5 * PI, 2.5), PortraitSpec(x_max=5.0)
+        x_lo, x_hi = levelset.turning_radii(params, levelset.Anchor(2.5, 1.0))
+        assert 0.0 < x_lo < 2.0 < x_hi == 2.5
+        lines = level_orbit(params, seed, spec)
+        assert len(lines) == 2
+        for line in lines:
+            assert line[0, 1] == pytest.approx(x_lo, rel=1e-12)
+            assert line[-1, 1] == pytest.approx(x_hi, rel=1e-12)
+            assert (np.diff(line[:, 1]) > 0.0).all()
+        inner, outer = lines
+        assert inner[:, 0].max() <= 0.5 * PI <= outer[:, 0].min()
+        np.testing.assert_allclose(inner[[0, -1], 0], outer[[0, -1], 0], atol=1e-6)
+        portrait = phase_portrait(params, spec)
+        assert sum(any(np.array_equal(o, line) for o in portrait.orbits) for line in lines) == 2
+
+    @pytest.mark.parametrize("a", [2.0, -2.0])
+    def test_a_line_seed_draws_only_its_own_branch(self, a):
+        # At b = 0, f_H = 0 on the level through (0, 1): its branches theta = 0
+        # and pi are the rays x' = x and x' = -x of V, two orbits, and only
+        # the seed's is drawn, at theta = 0 and 2 pi.
+        spec = PortraitSpec(x_max=5.0)
+        lines = level_orbit(Params(a, 0), (0.0, 1.0), spec)
+        assert sorted(np.unique(line[:, 0]).tolist() for line in lines) == [[0.0], [2.0 * PI]]
+        for line in lines:
+            assert 0.0 < line[0, 1] < 1e-3 and line[-1, 1] == pytest.approx(1.05 * spec.x_max)
+
+    def test_an_unresolved_level_is_inconclusive(self, monkeypatch, tmp_path):
+        def unresolved(*args):
+            raise FloatingPointError("no turning radius resolved")
+        monkeypatch.setattr(levelset, "turning_radii", unresolved)
+        with pytest.raises(Inconclusive) as info:
+            level_orbit(Params(2, 1), (0.0, 1.0), PortraitSpec(x_max=5.0))
+        assert info.value.diagnostics == {
+            "reason": "no turning radius resolved", "theta": 0.0, "x": 1.0}
+        code = cli.main(["phase", "-a", "2", "-b", "1", "-o", str(tmp_path)])
+        assert code == cli.EXIT_INCONCLUSIVE
 
     def test_seed_on_the_axis_is_rejected(self):
         with pytest.raises(NonPositiveRadius):
-            integrate_orbit(Params(2, 1), (0.5 * PI, AXIS_EPSILON), PortraitSpec(x_max=5.0))
-
-    def test_cycle_closure_around_center(self):
-        # a < 0: orbits near (pi/2, -a/b) are closed cycles
-        params = Params(-2, 1)
-
-        def f(t, y):
-            return [-2.0 * math.sin(y[0]) + y[1], y[1] * math.cos(y[0])]
-
-        def recross(t, y):
-            return y[0] - 0.5 * PI
-        recross.terminal = False
-        recross.direction = 1.0
-
-        sol = solve_ivp(f, (0.0, 50.0), [0.5 * PI, 2.4], rtol=1e-11, atol=1e-13,
-                        events=[recross])
-        crossings = sol.t_events[0]
-        assert len(crossings) >= 2
-        y_return = sol.sol(crossings[1]) if sol.sol else None
-        # evaluate x at the first return via a fresh dense solve
-        sol = solve_ivp(f, (0.0, float(crossings[1])), [0.5 * PI, 2.4],
-                        rtol=1e-11, atol=1e-13, dense_output=True)
-        x_return = sol.sol(float(crossings[1]))[1]
-        assert x_return == pytest.approx(2.4, abs=1e-6)
+            level_orbit(Params(2, 1), (0.5 * PI, 0.0), PortraitSpec(x_max=5.0))
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParameter):
