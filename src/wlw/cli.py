@@ -11,6 +11,7 @@ process; its files are the same byte for byte for any worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,7 +27,15 @@ import numpy as np
 
 from . import levelset, output
 from .classify import SurfaceTag, classify_surface, special_solutions
-from .errors import Inconclusive, InvalidParameter, NearSingular, NoFullTurn, WlwError
+from .errors import (
+    Inconclusive,
+    InvalidParameter,
+    NearSingular,
+    NoFullTurn,
+    Unsupported,
+    VerificationFailed,
+    WlwError,
+)
 from .integrate import (
     EventKind,
     IntegrationControls,
@@ -359,9 +368,18 @@ def default_controls(params: Params, ic: InitialConditions) -> IntegrationContro
                                max_vertical_tangents=12)
 
 
+def _failed_entry(exc: WlwError) -> dict:
+    """A check entry that could not be computed: it fails, with the reason."""
+    return {"pass": False, "error": type(exc).__name__, "message": str(exc)}
+
+
 def cmd_check(args) -> int:
     """Consistency checks on one trajectory: EL residual, first integral,
-    mirror symmetry at vertical tangents, translation periodicity."""
+    mirror symmetry at vertical tangents, translation periodicity.
+
+    An entry whose computation raises Unsupported (euler_lagrange) or
+    VerificationFailed (periodicity) is reported as failed, with the error's
+    type and message, and every other entry is still computed."""
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     traj = integrate(params, ic, _controls_from_args(args, default_controls(params, ic)))
@@ -384,6 +402,8 @@ def cmd_check(args) -> int:
         }
     except NearSingular as exc:
         checks["euler_lagrange"] = {"benign": str(exc), "pass": True}
+    except Unsupported as exc:
+        checks["euler_lagrange"] = _failed_entry(exc)
 
     x, _, theta = traj.eval(np.linspace(traj.s_min, traj.s_max, 33))
     anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
@@ -401,13 +421,19 @@ def cmd_check(args) -> int:
         checks["periodicity"] = {"period": T, "z_shift": z_shift, "pass": True}
     except NoFullTurn:
         pass
+    except VerificationFailed as exc:
+        checks["periodicity"] = _failed_entry(exc)
 
     ok = all(c.get("pass", True) for c in checks.values())
     print(json.dumps({"pass": ok, "checks": checks}, indent=2))
     return EXIT_OK if ok else EXIT_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The wlw argument parser, built on the first call and shared by every
+    later one, so callers must not change it.  Parsing keeps no state in the
+    parser; the command functions are bound when it is built."""
     parser = argparse.ArgumentParser(
         prog="wlw",
         description="Rotational surfaces with kappa1 = a*kappa2 + b: "
@@ -442,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int, default=1)
     p.set_defaults(func=cmd_mesh)
 
-    p = sub.add_parser("sweep", help="classify a parameter grid in a worker process per "
-                                      "CPU; print the cell count and a tally of labels")
+    p = sub.add_parser("sweep", help="classify a parameter grid, in a worker process per CPU "
+                                      "from %d cells on and in this process below that; print "
+                                      "the cell count and a tally of labels" % MIN_POOLED_CELLS)
     p.add_argument("-a", required=True, help="value or lo:hi:count")
     p.add_argument("-b", required=True, help="value or lo:hi:count")
     p.add_argument("--x0", required=True, help="value or lo:hi:count")
@@ -462,9 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:

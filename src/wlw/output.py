@@ -3,9 +3,13 @@
 Everything written here is byte-deterministic for identical inputs: floats
 in CSV, JSON and OBJ use the shortest round-trip decimal (repr), SVG
 coordinates use a fixed six-decimal format, and no timestamps or environment
-data are embedded.  The CSV and OBJ writers format whole blocks through
-%-templates filled with Python floats, never numpy scalars, whose repr
-differs under numpy 2.
+data are embedded.  The CSV, OBJ and SVG writers format whole blocks (CSV
+rows, OBJ rings, each SVG path, polyline and arrow) through %-templates
+filled with Python floats, never numpy scalars, whose repr differs under
+numpy 2.  The SVG writers map a path's or polyline's whole columns through
+_Frame.map: the map is elementwise, and numpy's x0 + sx * col rounds each
+element as the scalar expression does, so every coordinate is the one a
+per-point loop would print.
 """
 
 from __future__ import annotations
@@ -135,6 +139,12 @@ def _f(v: float) -> str:
     return f"{v:.6f}"
 
 
+def _coords(pair: str, u: np.ndarray, v: np.ndarray) -> str:
+    """The points (u[i], v[i]) through one template: pair, two %.6f fields
+    and a one-character separator, repeated and its last separator cut."""
+    return (pair * len(u) % tuple(np.column_stack((u, v)).ravel().tolist()))[:-1]
+
+
 class _Frame:
     """Affine data-to-screen map with equal or independent axis scales."""
 
@@ -174,8 +184,7 @@ def write_profile_svg(traj: Trajectory, path, width: float = 640.0, height: floa
     ax_bot = fr.map(0.0, zlim[0])
     body = [f'<line class="axis" x1="{_f(ax_top[0])}" y1="{_f(ax_top[1])}" '
             f'x2="{_f(ax_bot[0])}" y2="{_f(ax_bot[1])}"/>']
-    coords = [fr.map(xi, zi) for xi, zi in zip(x, z)]
-    d = "M" + "L".join(f"{_f(u)} {_f(v)}" for u, v in coords)
+    d = "M" + _coords("%.6f %.6fL", *fr.map(x, z))
     body.append(f'<path class="profile" d="{d}"/>')
     for e in traj.events:
         u, v = fr.map(e.state.x, e.state.z)
@@ -203,17 +212,16 @@ def write_phase_svg(portrait: PhasePortrait, points: Sequence[CriticalPoint], pa
     scale = 0.35 * (tlim[1] - tlim[0]) / max(len(set(grid[:, 0])), 1)
     vmax = float(mags.max()) or 1.0
     body = []
-    for th, xx, dth, dx in grid:
+    arrow = '<line class="arrow" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>'
+    for th, xx, dth, dx in grid.tolist():
         m = math.hypot(dth, dx)
         if m == 0.0:
             continue
         L = scale * (0.2 + 0.8 * m / vmax)
-        u0, v0 = fr.map(th, xx)
-        u1, v1 = fr.map(th + L * dth / m, xx + L * dx / m * (tlim[1] - tlim[0]) / (xlim[1] - xlim[0]))
-        body.append(f'<line class="arrow" x1="{_f(u0)}" y1="{_f(v0)}" '
-                    f'x2="{_f(u1)}" y2="{_f(v1)}"/>')
+        body.append(arrow % (*fr.map(th, xx), *fr.map(
+            th + L * dth / m, xx + L * dx / m * (tlim[1] - tlim[0]) / (xlim[1] - xlim[0]))))
     for orbit in portrait.orbits:
-        pts = " ".join(f"{_f(u)},{_f(v)}" for u, v in (fr.map(t, xx) for t, xx in orbit))
+        pts = _coords("%.6f,%.6f ", *fr.map(orbit[:, 0], orbit[:, 1]))
         body.append(f'<polyline class="orbit" points="{pts}"/>')
     for cp in points:
         u, v = fr.map(cp.theta, cp.x)

@@ -238,3 +238,45 @@ def test_check_reports_run_drift_from_the_first_integral(capsys):
     code, doc = run_json(capsys, flags + ["--rel-tol", "1e-12"])
     assert code == EXIT_OK and doc["checks"]["first_integral"]["pass"] is True
     assert doc["checks"]["first_integral"]["max_residual"] < 1e-7
+
+
+@pytest.mark.parametrize("flags,failing,error", [
+    # The exact (3, 1) separatrix: detect_period's translation residual is 11.
+    (["-a", "3", "-b", "1", "--x0", "5.196152422706632", "--theta0", "0"],
+     "periodicity", "VerificationFailed"),
+    # The umbilical round sphere has no energy attached.
+    (["-a", "1", "-b", "0", "--x0", "1", "--theta0", "pi/4"], "euler_lagrange", "Unsupported"),
+])
+def test_check_reports_every_entry_when_one_raises(capsys, flags, failing, error):
+    code, doc = run_json(capsys, ["check", *flags])
+    assert code == EXIT_FAILURE and doc["pass"] is False
+    entry = doc["checks"][failing]
+    assert entry["pass"] is False and entry["error"] == error and entry["message"]
+    assert doc["checks"]["first_integral"]["max_residual"] < 1e-6
+    assert {"euler_lagrange", "first_integral"} <= set(doc["checks"])
+
+
+def test_one_parser_serves_many_calls(capsys, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    code, _ = run(capsys, ["--bogus"])
+    assert code == EXIT_INVALID
+    first, second = run(capsys, NODOID), run(capsys, NODOID)
+    assert first[0] == second[0] == EXIT_OK
+    assert first[1].out == second[1].out
+    # A check with every run flag given, then a mesh without them: the mesh
+    # must run with its own defaults, not the check's values.
+    controls, integrate = [], cli.integrate
+
+    def spy(params, ic, c):
+        controls.append(c)
+        return integrate(params, ic, c)
+    monkeypatch.setattr(cli, "integrate", spy)
+    run(capsys, ["check", "-a", "3", "-b", "1", "--x0", "1", "--rel-tol", "1e-10",
+                 "--abs-tol", "1e-11", "--max-arclength", "30"])
+    code, doc = run_json(capsys, ["mesh", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "0",
+                                  "-o", str(tmp_path)])
+    assert code == EXIT_OK and doc["class"] == "Vesicle"
+    assert (doc["n_profile"], doc["n_revolve"]) == (96, 48)
+    assert [(c.rel_tol, c.abs_tol, c.max_arclength) for c in controls] == [
+        (1e-10, 1e-11, 30.0),
+        (cli.REL_TOL, cli.IntegrationControls().abs_tol, cli.IntegrationControls().max_arclength)]

@@ -10,7 +10,11 @@ from wlw.errors import DegenerateProfile, InvalidParameter
 from wlw.integrate import IntegrationControls, detect_period, find_self_intersections, integrate
 from wlw.model import InitialConditions, Params
 from wlw.output import (
+    BOX_TOP,
     MeshSpec,
+    _f,
+    _Frame,
+    _svg_document,
     events_to_dict,
     fnum,
     load_report_schema,
@@ -22,7 +26,7 @@ from wlw.output import (
     write_report_json,
     write_trajectory_csv,
 )
-from wlw.phaseplane import PortraitSpec, critical_points, phase_portrait
+from wlw.phaseplane import PortraitSpec, critical_points, find_separatrix, phase_portrait
 
 PI = math.pi
 
@@ -103,6 +107,70 @@ def _write_obj_mesh_loop(traj, path, spec=MeshSpec(), window=None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_profile_svg_loop(traj, path, width=640.0, height=480.0, n_samples=1200) -> None:
+    """Reference: the per-point profile SVG writer the block writer must match byte for byte."""
+    pts = traj.resample(min(n_samples, max(64, 4 * len(traj.s))))
+    x, z = pts[:, 1], pts[:, 2]
+    xlim = (min(0.0, float(x.min())), float(x.max()) * 1.05 + 1e-9)
+    zlim = (float(z.min()), float(z.max()) + 1e-9)
+    fr = _Frame(xlim, zlim, width, height)
+
+    ax_top = fr.map(0.0, zlim[1])
+    ax_bot = fr.map(0.0, zlim[0])
+    body = [f'<line class="axis" x1="{_f(ax_top[0])}" y1="{_f(ax_top[1])}" '
+            f'x2="{_f(ax_bot[0])}" y2="{_f(ax_bot[1])}"/>']
+    coords = [fr.map(xi, zi) for xi, zi in zip(x, z)]
+    d = "M" + "L".join(f"{_f(u)} {_f(v)}" for u, v in coords)
+    body.append(f'<path class="profile" d="{d}"/>')
+    for e in traj.events:
+        u, v = fr.map(e.state.x, e.state.z)
+        body.append(f'<circle class="{e.kind.value}" cx="{_f(u)}" cy="{_f(v)}" r="3"/>')
+    body.append(f'<text x="8" y="16">a={traj.params.a:g} b={traj.params.b:g} '
+                f'x0={traj.ic.x0:g} theta0={traj.ic.theta0:g}</text>')
+    with open(path, "w", newline="\n") as fh:
+        fh.write(_svg_document(width, height, body))
+
+
+def _write_phase_svg_loop(portrait, points, path, separatrix=None,
+                          width=720.0, height=540.0) -> None:
+    """Reference: the per-point phase SVG writer the block writer must match byte for byte."""
+    grid = portrait.grid
+    tlim = (float(grid[:, 0].min()), float(grid[:, 0].max()))
+    xlim = (0.0, float(grid[:, 1].max()) * BOX_TOP)
+    fr = _Frame(tlim, xlim, width, height, equal=False)
+
+    mags = np.hypot(grid[:, 2], grid[:, 3])
+    scale = 0.35 * (tlim[1] - tlim[0]) / max(len(set(grid[:, 0])), 1)
+    vmax = float(mags.max()) or 1.0
+    body = []
+    for th, xx, dth, dx in grid:
+        m = math.hypot(dth, dx)
+        if m == 0.0:
+            continue
+        L = scale * (0.2 + 0.8 * m / vmax)
+        u0, v0 = fr.map(th, xx)
+        u1, v1 = fr.map(th + L * dth / m, xx + L * dx / m * (tlim[1] - tlim[0]) / (xlim[1] - xlim[0]))
+        body.append(f'<line class="arrow" x1="{_f(u0)}" y1="{_f(v0)}" '
+                    f'x2="{_f(u1)}" y2="{_f(v1)}"/>')
+    for orbit in portrait.orbits:
+        pts = " ".join(f"{_f(u)},{_f(v)}" for u, v in (fr.map(t, xx) for t, xx in orbit))
+        body.append(f'<polyline class="orbit" points="{pts}"/>')
+    for cp in points:
+        u, v = fr.map(cp.theta, cp.x)
+        body.append(f'<circle class="{cp.kind.value}" cx="{_f(u)}" cy="{_f(v)}" r="5"/>')
+        body.append(f'<text x="{_f(u + 8)}" y="{_f(v - 6)}">{cp.kind.value}</text>')
+    if separatrix is not None:
+        th0, xbar = separatrix
+        u0, v0 = fr.map(th0, 0.0)
+        u1, v1 = fr.map(th0, xbar)
+        body.append(f'<line class="separatrix" x1="{_f(u0)}" y1="{_f(v0)}" '
+                    f'x2="{_f(u1)}" y2="{_f(v1)}"/>')
+        body.append(f'<circle class="Saddle" cx="{_f(u1)}" cy="{_f(v1)}" r="3"/>')
+        body.append(f'<text x="{_f(u1 + 6)}" y="{_f(v1 - 4)}">x&#773;={xbar:.4f}</text>')
+    with open(path, "w", newline="\n") as fh:
+        fh.write(_svg_document(width, height, body))
+
+
 class TestBlockWritersMatchLoops:
     """The block-formatting emitters write the same bytes as per-line loops."""
 
@@ -161,6 +229,34 @@ class TestBlockWritersMatchLoops:
         text = (tmp_path / "block.obj").read_text()
         assert " -0.0 " in text
         assert text == (tmp_path / "loop.obj").read_text()
+
+
+    @pytest.mark.parametrize("name", ["nodoid_traj", "vesicle_traj", "antinodoid_traj"])
+    def test_profile_svg(self, name, request, tmp_path):
+        traj = request.getfixturevalue(name)
+        write_profile_svg(traj, tmp_path / "block.svg")
+        _write_profile_svg_loop(traj, tmp_path / "loop.svg")
+        assert (tmp_path / "block.svg").read_bytes() == (tmp_path / "loop.svg").read_bytes()
+
+    @pytest.mark.parametrize("a,b,separatrix", [
+        (3.0, 1.0, True),      # the CI saddle portrait, with its separatrix tick
+        (-2.0, 1.0, False),    # centre cycles
+        (2.0, 0.0, False),     # b = 0: x_max 5, no rest point with x > 0
+        (150.0, 2.0, True),    # |a| >= 100: coordinates far from the unit scale
+    ])
+    def test_phase_svg(self, a, b, separatrix, tmp_path):
+        params = Params(a, b)
+        x_max = 2.5 * abs(a / b) if b != 0.0 else 5.0
+        portrait = phase_portrait(params, PortraitSpec(x_max=x_max))
+        assert portrait.orbits
+        points = critical_points(params)
+        tick = None
+        if separatrix:
+            ratio = a / b
+            tick = (0.0, find_separatrix(params, 0.0, (0.5 * ratio, 6.0 * max(ratio, 1.0))))
+        write_phase_svg(portrait, points, tmp_path / "block.svg", tick)
+        _write_phase_svg_loop(portrait, points, tmp_path / "loop.svg", tick)
+        assert (tmp_path / "block.svg").read_bytes() == (tmp_path / "loop.svg").read_bytes()
 
 
 class TestCsv:
