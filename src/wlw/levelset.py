@@ -40,7 +40,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .model import Params
-from .numerics import brentq, cumulative_quad
+from .numerics import MIN_RTOL, brentq, cumulative_quad
 
 # brentq's absolute tolerance on a turning radius, relative to the radius.
 _RADIUS_RTOL = 1e-15
@@ -156,7 +156,7 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
                 return start    # the end is start to rounding
             lo, hi = min(start, stop), max(start, stop)
             try:
-                return brentq(lambda x: f(x) - level, lo, hi, xtol=_RADIUS_RTOL * lo)
+                return _root(lambda x: f(x) - level, lo, hi)
             except (ValueError, RuntimeError) as e:
                 # Rounding lost the sign change, or brentq did not converge.
                 raise FloatingPointError(f"no turning radius resolved in [{lo}, {hi}]") from e
@@ -410,9 +410,29 @@ def axis_zero(params: Params, anchor: Anchor, x_hi: float) -> float:
 def _zero(params: Params, anchor: Anchor, lo: float, hi: float) -> float:
     """The zero of f_H in [lo, hi], where f_H changes sign."""
     try:
-        return brentq(lambda x: f_H(params, anchor, x), lo, hi, xtol=_RADIUS_RTOL * lo)
+        return _root(lambda x: f_H(params, anchor, x), lo, hi)
     except (ValueError, RuntimeError) as e:
         raise FloatingPointError(f"no zero of f_H resolved in [{lo}, {hi}]") from e
+
+
+def _root(g, lo: float, hi: float) -> float:
+    """A sign change of g in [lo, hi], 0 < lo, to _RADIUS_RTOL relative.
+
+    brentq runs in x.  Where it does not converge in its iterations, as on a
+    bracket over many decades (a zero near 1e-176 below an end near 1) or
+    one whose steps are subnormal floats (an end near 1e-308), it runs in
+    ln x, and the root is polished in x on the ln x root widened by twice
+    its tolerance.  Raises ValueError when g has one sign at the ends of a
+    bracket, and RuntimeError when brentq does not converge.
+    """
+    try:
+        return brentq(g, lo, hi, xtol=_RADIUS_RTOL * lo)
+    except RuntimeError:
+        pass
+    t = brentq(lambda t: g(math.exp(t)), math.log(lo), math.log(hi), xtol=_RADIUS_RTOL)
+    width = 2.0 * (_RADIUS_RTOL + MIN_RTOL * abs(t))
+    x1 = max(lo, math.exp(t - width))
+    return brentq(g, x1, min(hi, math.exp(t + width)), xtol=_RADIUS_RTOL * x1)
 
 
 def _phi(x_lo: float, x_hi: float, x: float) -> float:

@@ -214,26 +214,34 @@ class TestPositiveAFamily:
         assert r.surface.tag == SurfaceTag.IMMERSED_SPHEROID
 
     def test_pinched_transition_exists_between_vesicle_and_immersed(self):
-        # bisection on the pole-height difference inside the figure bracket
+        # x_pinch, where the poles of the theta0 = 0 orbit meet, measured by
+        # brentq on the pole gap at 2.0080658942 +- 3e-8.
         params = Params(3, 1)
 
-        def pole_gap(x0):
-            rep = classify_surface(params, InitialConditions(x0, 0.0))
-            z1, z2 = rep.pole_z
-            return z2 - z1
+        def report(x0):
+            return classify_surface(params, InitialConditions(x0, 0.0))
 
-        lo, hi = 2.0, 3.0
-        glo, ghi = pole_gap(lo), pole_gap(hi)
-        assert glo > 0 > ghi
-        for _ in range(25):
-            mid = 0.5 * (lo + hi)
-            if pole_gap(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        x_star = 0.5 * (lo + hi)
-        r = classify_surface(params, InitialConditions(x_star, 0.0))
-        assert r.surface.tag == SurfaceTag.PINCHED_SPHEROID
+        x_pinch = brentq(lambda x0: -float(np.subtract(*report(x0).pole_z)), 2.0, 3.0,
+                         xtol=1e-14)
+        assert x_pinch == pytest.approx(2.0080658942, abs=3e-8)
+        below, at, above = (report(x_pinch * f) for f in (1.0 - 1e-3, 1.0, 1.0 + 1e-3))
+        assert (below.surface.tag, below.self_intersections) == (SurfaceTag.VESICLE, 0)
+        assert at.surface.tag == SurfaceTag.PINCHED_SPHEROID
+        assert (above.surface.tag, above.self_intersections) == (SurfaceTag.IMMERSED_SPHEROID, 1)
+
+    @pytest.mark.parametrize("a", [0.9999992731880258, 1.0])
+    def test_zero_of_f_h_far_below_its_bracket(self, a):
+        # theta' changes sign at x_c = 2.3e-176 and f_H has its zero near
+        # 6.2e-176, below x_hi = 1.67: brentq in x did not converge there and
+        # the report was Inconclusive.  The poles are checked against a run,
+        # which reads the orbit as an Ovaloid: it cannot resolve the turn of
+        # theta' so close to the axis.
+        params, ic = Params(a, 0.0014858953275460607), InitialConditions(1.5447316940218563,
+                                                                         1.9556505834239677)
+        r = classify_surface(params, ic)
+        assert (r.surface.tag, r.self_intersections) == (SurfaceTag.VESICLE, 0)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
+        assert r.pole_z == pytest.approx(run_witness(params, ic, tight).pole_z, abs=1e-10)
 
     def test_antinodoid_beyond_separatrix(self):
         r = classify_surface(Params(3, 1), InitialConditions(6.0, 0.0))

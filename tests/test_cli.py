@@ -187,6 +187,15 @@ def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):
     assert doc["error"] == "Inconclusive"
 
 
+def test_phase_resolves_a_turning_radius_next_to_the_least_normal_float(capsys, tmp_path):
+    # The b = 0 level through (pi, 25/6) turns at x = 8.2e-308; it exited 3.
+    code, doc = run_json(capsys, ["phase", "-a=-0.05171173686873847", "-b", "0",
+                                  "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["critical_points.json", "phase.svg"]
+    assert doc["files"] == [str(tmp_path / "phase.svg"), str(tmp_path / "critical_points.json")]
+
+
 PHASE = ["phase", "-a", "3", "-b", "1"]
 CLASSIFY = ["classify", "-a", "3", "-b", "1", "--x0", "1"]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wlw.integrate import IntegrationControls, detect_period, integrate
-from wlw.levelset import Anchor, f_H, f_min, turning_radii, winding
+from wlw.levelset import Anchor, axis_zero, f_H, f_min, turning_radii, winding
 from wlw.model import InitialConditions, Params
 
 PI = math.pi
@@ -140,6 +140,39 @@ def test_radii_once_lost_to_rounding_are_resolved(a, b, x0, theta0):
     for x in turning_radii(params, anchor):
         assert 0.0 < x < math.inf
         assert abs(f_H(params, anchor, x)) == pytest.approx(1.0, abs=4e-15 * abs(a + b * x))
+
+
+def test_radius_next_to_the_least_normal_float_is_resolved():
+    # The b = 0 level s_r (x/x_r)^a, a < 0, reaches 1 at x_r s_r^(-1/a) =
+    # 8.2e-308, where brentq's steps in x are subnormal floats; it did not
+    # converge on [4.6e-308, 9.3e-308].
+    a, x_r, s_r = -0.05171173686873847, 25.0 / 6.0, math.sin(PI)
+    x_lo, x_hi = turning_radii(Params(a, 0.0), Anchor(x_r, s_r))
+    assert x_hi == math.inf
+    # As ratios with abs=0: pytest.approx's default abs of 1e-12 passes any
+    # x_lo.  The closed form's exponent, 708, is accurate to 708 eps.
+    closed_form = math.exp(math.log(x_r) - math.log(s_r) / a)
+    assert x_lo / closed_form == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    # The same level scaled by 1e200 resolves in x (rescale).  f_H is flat at
+    # rounding over 4.4e-15 relative there; the ln x root alone is 1.1e-14 off.
+    scaled = turning_radii(Params(a, 0.0), Anchor(x_r * 1e200, s_r))[0]
+    assert x_lo / (scaled * 1e-200) == pytest.approx(1.0, rel=5e-15, abs=0.0)
+
+
+def test_zero_decades_below_its_bracket_is_resolved():
+    # f_H = x (s_r/x_r + b ln(x/x_r)) at a = 1 has its zero at
+    # x_r exp(-s_r/(b x_r)) = 6.6e-176, 176 decades below x_hi.
+    params, anchor = Params(1.0, 0.0014858953275460607), Anchor(1.5447316940218563,
+                                                                math.sin(1.9556505834239677))
+    x_lo, x_hi = turning_radii(params, anchor)
+    x_z = axis_zero(params, anchor, x_hi)
+    assert x_lo == 0.0 and x_z < 1e-175
+    closed_form = anchor.x * math.exp(-anchor.s / (params.b * anchor.x))
+    assert x_z / closed_form == pytest.approx(1.0, rel=1e-13, abs=0.0)
+    # f_H is flat at rounding over about 1e-13 relative there; its values
+    # near 1e-190 would underflow as a product, so their signs are compared.
+    below, above = (f_H(params, anchor, x_z * f) for f in (1.0 - 1e-12, 1.0 + 1e-12))
+    assert (below < 0.0) != (above < 0.0)
 
 
 @pytest.mark.parametrize("name", ["nodoid_traj", "antinodoid_traj"])
