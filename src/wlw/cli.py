@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 internal failure, 2 invalid input, 3 inconclusive
 classification.  Errors are reported as machine-readable JSON on stdout.
 
+phase --separatrix takes its search bracket from the saddle's level, from
+a/b to its outer turning radius, so it needs no bracket from the user.
+
 sweep classifies a grid of MIN_POOLED_CELLS or more cells in forked worker
 processes, one per CPU this process may run on, and a smaller one in this
 process; its files are the same byte for byte for any worker count.
@@ -48,7 +51,6 @@ from .model import REL_TOL, InitialConditions, Params
 from .phaseplane import PortraitSpec, critical_points, find_separatrix, phase_portrait
 from .variational import (
     ExpEnergyParams,
-    PowerEnergyParams,
     el_residual_exp,
     el_residual_power,
     exponent_map,
@@ -165,8 +167,7 @@ def cmd_integrate(args) -> int:
         files.append(str(svg_path))
     print(json.dumps({
         "termination": traj.termination.value,
-        "termination_backward":
-            traj.termination_backward.value if traj.termination_backward else None,
+        "termination_backward": traj.termination_backward.value,
         "samples": len(traj.s),
         "events": len(traj.events) + len(crossings),
         "files": files,
@@ -195,15 +196,7 @@ def cmd_phase(args) -> int:
     points = critical_points(params)
     separatrix = None
     if args.separatrix:
-        if params.b == 0.0:
-            raise InvalidParameter("the separatrix requires b != 0")
-        if args.bracket is not None:
-            lo, hi = args.bracket
-        else:
-            ratio = abs(params.a / params.b)
-            lo, hi = 0.5 * ratio, 6.0 * max(ratio, 1.0)
-        xbar = find_separatrix(params, args.theta0, (lo, hi))
-        separatrix = (args.theta0, xbar)
+        separatrix = (args.theta0, find_separatrix(params, args.theta0))
     args.out.mkdir(parents=True, exist_ok=True)
     svg_path = args.out / "phase.svg"
     json_path = args.out / "critical_points.json"
@@ -386,13 +379,7 @@ def cmd_check(args) -> int:
     checks: dict[str, dict] = {}
 
     try:
-        if args.p_override is not None:
-            ep = PowerEnergyParams(p=args.p_override,
-                                   mu=-params.b / (params.a - 1.0) if params.a != 1.0 else 0.0)
-        elif args.nu_override is not None:
-            ep = ExpEnergyParams(nu=args.nu_override)
-        else:
-            ep = exponent_map(params)
+        ep = exponent_map(params)
         prof = (el_residual_exp if isinstance(ep, ExpEnergyParams)
                 else el_residual_power)(traj, ep)
         checks["euler_lagrange"] = {
@@ -450,14 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("phase", help="phase portrait and critical points")
+    p = sub.add_parser("phase", help="phase portrait and critical points; with --separatrix "
+                                      "also the radius whose orbit runs into the a > 0 saddle")
     _add_common_flags(p, orbit=False)
     p.add_argument("--x-max", type=float, default=None)
     p.add_argument("--theta0", type=parse_angle, default=0.0,
                    help="initial angle for --separatrix")
-    p.add_argument("--separatrix", action="store_true")
-    p.add_argument("--bracket", type=lambda s: tuple(float(t) for t in s.split(":")),
-                   default=None, help="radii lo:hi to search for --separatrix")
+    p.add_argument("--separatrix", action="store_true",
+                   help="find the radius at --theta0 on the saddle's level, between a/b and "
+                        "the level's outer turning radius (needs a > 0 and b > 0)")
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("mesh", help="export a revolved OBJ mesh")
@@ -481,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify invariants on one trajectory")
     _add_common_flags(p)
     _add_run_flags(p)
-    p.add_argument("--p-override", type=float, default=None)
-    p.add_argument("--nu-override", type=float, default=None)
     p.set_defaults(func=cmd_check)
 
     return parser

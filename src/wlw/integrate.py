@@ -54,6 +54,10 @@ EVENT_REFINE_TOL = 1e-12
 # Radius at which a run ends with a Blowup event.
 X_BLOWUP = 1e9
 
+# Accepted steps after which a direction's run ends with MaxSteps: a guard
+# against a runaway step-size controller, not a budget.
+MAX_STEPS = 200_000
+
 # Dormand-Prince 5(4) coefficients (HNW Table II.5.5).  The profile ODE is
 # autonomous, so the nodes c_i are not needed.  Stage 2 carries zero weight in
 # the solution, the error estimate and the dense output.
@@ -107,23 +111,23 @@ class Termination(str, enum.Enum):
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """Tolerances, budgets and event-detection knobs for one integration."""
+    """Tolerances, budgets and event-detection knobs for one integration.
+
+    Every run is two-sided: it integrates forward and backward from the
+    initial state, each direction up to max_arclength.
+    """
 
     rel_tol: float = REL_TOL
     abs_tol: float = 1e-12
     max_arclength: float = 200.0
-    max_steps: int = 200_000
     axis_epsilon: float = AXIS_EPSILON
     max_full_turns: Optional[int] = None
     max_vertical_tangents: Optional[int] = None
-    two_sided: bool = True
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_arclength", "axis_epsilon"):
             if not (getattr(self, name) > 0.0):
                 raise InvalidParameter(f"{name} must be > 0")
-        if self.max_steps <= 0:
-            raise InvalidParameter("max_steps must be > 0")
 
 
 @dataclass(frozen=True)
@@ -191,14 +195,14 @@ class Trajectory:
     """An integrated profile curve with events and dense interpolation.
 
     Samples are the accepted integration steps, strictly increasing in s and
-    covering [s_min, s_max] (s_min < 0 when the companion backward run is
-    enabled).  theta is unwrapped: consecutive samples differ by less than pi.
+    covering [s_min, s_max]: the backward run gives s < 0 and the forward run
+    s > 0.  theta is unwrapped: consecutive samples differ by less than pi.
     """
 
     def __init__(self, params: Params, ic: InitialConditions, controls: IntegrationControls,
                  s: np.ndarray, x: np.ndarray, z: np.ndarray, theta: np.ndarray,
                  events: Sequence[EventRecord], termination: Termination,
-                 termination_backward: Optional[Termination], dense: _Dense):
+                 termination_backward: Termination, dense: _Dense):
         self.params = params
         self.ic = ic
         self.controls = controls
@@ -244,10 +248,6 @@ class Trajectory:
         if np.isscalar(s) or np.asarray(s).ndim == 0:
             return out[:, 0]
         return out
-
-    def state(self, s: float) -> ProfileState:
-        x, z, theta = self.eval(float(s))
-        return ProfileState(float(s), float(x), float(z), float(theta))
 
     def theta_prime(self, s) -> np.ndarray:
         x, _, theta = self.eval(s)
@@ -342,7 +342,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     nsteps = 0
 
     while True:
-        if nsteps >= controls.max_steps:
+        if nsteps >= MAX_STEPS:
             run.termination = Termination.MAX_STEPS
             return run
         # Keep internal stages strictly off the axis.
@@ -513,8 +513,7 @@ def _packed_run(run: _DirectionRun) -> _Dense:
 def _equilibrium_trajectory(params: Params, ic: InitialConditions,
                             controls: IntegrationControls) -> Trajectory:
     span = controls.max_arclength
-    lo = -span if controls.two_sided else 0.0
-    s = np.linspace(lo, span, 513 if controls.two_sided else 257)
+    s = np.linspace(-span, span, 513)
     x = np.full_like(s, ic.x0)
     theta = np.full_like(s, ic.theta0)
     dz = math.sin(ic.theta0)
@@ -523,22 +522,20 @@ def _equilibrium_trajectory(params: Params, ic: InitialConditions,
     # frozen, z = sin(theta0) s.
     c = np.zeros((1, 3, 4))
     c[0, 1, 0] = dz
-    dense = _Dense(np.array([lo]), np.zeros(1), np.ones(1),
+    dense = _Dense(np.array([-span]), np.zeros(1), np.ones(1),
                    np.array([[ic.x0, 0.0, ic.theta0]]), c)
     ev = EventRecord(EventKind.EQUILIBRIUM_HOLD, 0.0, ProfileState(0.0, ic.x0, 0.0, ic.theta0))
     return Trajectory(params, ic, controls, s, x, z, theta, [ev],
-                      Termination.EQUILIBRIUM_DETECTED,
-                      Termination.EQUILIBRIUM_DETECTED if controls.two_sided else None,
-                      dense)
+                      Termination.EQUILIBRIUM_DETECTED, Termination.EQUILIBRIUM_DETECTED, dense)
 
 
 def integrate(params: Params, ic: InitialConditions,
               controls: IntegrationControls = IntegrationControls()) -> Trajectory:
     """Integrate the profile ODE from (x0, 0, theta0).
 
-    Runs forward on s in [0, max_arclength] and, when controls.two_sided is
-    set, backward as well; the two runs are merged into a single trajectory
-    with s increasing.  Sign-change events (axis approach, vertical tangents,
+    Every run is two-sided: forward on s in [0, max_arclength] and backward
+    on [-max_arclength, 0], merged into a single trajectory with s
+    increasing.  Sign-change events (axis approach, vertical tangents,
     full turns, blowup) are refined by root bracketing on the step's dense
     output to EVENT_REFINE_TOL.  Rest-point initial data short-circuits to an
     exact vertical-line trajectory.
@@ -550,22 +547,13 @@ def integrate(params: Params, ic: InitialConditions,
         return _equilibrium_trajectory(params, ic, controls)
 
     fwd = _run_direction(params, ic, controls, +1)
-    dense = _packed_run(fwd)
-    s_all = np.array(fwd.s)
-    y_all = np.array(fwd.y)
-    events = list(fwd.events)
-    term_b = None
-    if controls.two_sided:
-        bwd = _run_direction(params, ic, controls, -1)
-        term_b = bwd.termination
-        events = bwd.events + events
-        s_all = np.concatenate([np.array(bwd.s[:0:-1]), s_all])
-        y_all = np.vstack([np.array(bwd.y[:0:-1]).reshape(-1, 3), y_all])
-        back = _packed_run(bwd)
-        dense = _Dense(*(np.concatenate([b[::-1], f]) for b, f in zip(back, dense)))
-
+    bwd = _run_direction(params, ic, controls, -1)
+    s_all = np.concatenate([np.array(bwd.s[:0:-1]), np.array(fwd.s)])
+    y_all = np.vstack([np.array(bwd.y[:0:-1]).reshape(-1, 3), np.array(fwd.y)])
+    dense = _Dense(*(np.concatenate([b[::-1], f])
+                     for b, f in zip(_packed_run(bwd), _packed_run(fwd))))
     return Trajectory(params, ic, controls, s_all, y_all[:, 0], y_all[:, 1], y_all[:, 2],
-                      events, fwd.termination, term_b, dense)
+                      bwd.events + fwd.events, fwd.termination, bwd.termination, dense)
 
 
 def detect_period(traj: Trajectory) -> tuple[float, float]:

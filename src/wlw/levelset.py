@@ -118,21 +118,27 @@ def _unbounded(params: Params, anchor: Anchor, outward: bool) -> bool:
     return a < 0.0 and s_r != b * x_r / (1.0 - a)
 
 
+def step_factor(params: Params) -> float:
+    """The factor by which _end steps a radius: 2, or 2^(_POWER_STEP/|a|)
+    where that is less, so that (x/x_r)^a grows by at most 2^_POWER_STEP a
+    step and stays finite."""
+    return 2.0 ** min(1.0, _POWER_STEP / abs(params.a)) if params.a != 0.0 else 2.0
+
+
 def _end(params: Params, anchor: Anchor, outward: bool) -> float:
     """The first radius beyond the anchor (outward or toward the axis) with |f_H| = 1.
 
     Returns math.inf or 0.0 when |f_H| stays below 1 all the way to the end
     of the float range.  f_H is monotone on either side of its critical
     radius, so the search stops at that radius, then, where |f_H| grows
-    without bound, steps by factors of 2, or of 2^(_POWER_STEP/|a|) where
-    that is less, so that (x/x_r)^a grows by at most 2^_POWER_STEP a step
-    and stays finite, and brackets the end with one brentq.  The anchor
-    itself is the end when its s = +-1 and |f_H| grows past it.
+    without bound, steps by step_factor, and brackets the end with one
+    brentq.  The anchor itself is the end when its s = +-1 and |f_H| grows
+    past it.
     """
     def f(x):
         return f_H(params, anchor, x)
 
-    step = 2.0 ** min(1.0, _POWER_STEP / abs(params.a)) if params.a != 0.0 else 2.0
+    step = step_factor(params)
 
     def stops():
         xc = _critical_radius(params, anchor)
@@ -301,6 +307,11 @@ def _half_integrals(params: Params, anchor: Anchor, x_lo: float, x_hi: float, st
         else:
             x, level, gap = mid
             d = 2.0 * r * math.sin(0.5 * (phi + phi_c)) * math.sin(0.5 * (phi - phi_c))
+            if not d / x > -1.0:
+                # x_c within rounding of the axis (x_c/x_hi near eps): phi_c
+                # stands for a radius up to about twice x_c, so x_c + d can
+                # fall to or below 0.  The axis anchor serves such a radius.
+                (x, level, gap), d = lo, 2.0 * r * math.sin(0.5 * phi) ** 2
         if x == 0.0:
             rise = f_H(params, upper, d)
         else:

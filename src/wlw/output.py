@@ -19,14 +19,13 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .classify import ClassificationReport
 from .errors import DegenerateProfile, InvalidParameter
-from .integrate import EventRecord, IntersectionRecord, Trajectory
-from .model import principal_curvatures
+from .integrate import IntersectionRecord, Trajectory
 from .phaseplane import BOX_TOP, CriticalPoint, PhasePortrait
 
 CSV_HEADER = "s,x,z,theta,kappa1,kappa2"
@@ -70,8 +69,7 @@ def events_to_dict(traj: Trajectory,
     events.sort(key=lambda d: d["s"])
     return {
         "termination": traj.termination.value,
-        "termination_backward":
-            traj.termination_backward.value if traj.termination_backward else None,
+        "termination_backward": traj.termination_backward.value,
         "events": events,
     }
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -51,16 +52,14 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class PortraitSpec:
-    """Sampling box and resolution for a phase portrait."""
+    """Sampling box [0, 2 pi] x [0, x_max] and resolution for a phase portrait."""
 
     x_max: float
-    theta_min: float = 0.0
-    theta_max: float = math.tau
     n_theta: int = 24
     n_x: int = 13
 
     def __post_init__(self):
-        if not (self.x_max > 0.0 and self.theta_max > self.theta_min):
+        if not self.x_max > 0.0:
             raise InvalidParameter("portrait box must be non-empty with x_max > 0")
         if self.n_theta < 2 or self.n_x < 2:
             raise InvalidParameter("portrait grid needs at least 2 samples per axis")
@@ -137,26 +136,34 @@ def critical_points(params: Params) -> list[CriticalPoint]:
     return pts
 
 
-def find_separatrix(params: Params, theta0: float, bracket: tuple[float, float],
+def find_separatrix(params: Params, theta0: float,
+                    bracket: Optional[tuple[float, float]] = None,
                     rel_width: float = MIN_RTOL) -> float:
-    """The radius in bracket from which the orbit at angle theta0 runs into the saddle.
+    """The radius from which the orbit at angle theta0 runs into the saddle.
 
     Requires a > 0 and b > 0 so that the saddle (3*pi/2, a/b) exists.  Both
     of its branches lie on the level of the first integral anchored at the
     saddle, (a/b, -1), so the radius is a root of sin(theta0) - f_H(x).  It
     is sought where f_H' > 0, x >= -a*sin(theta0)/b: there the root is on
     the stable branch, with axis-reaching orbits below it and winding ones
-    above.  The unstable branch's root lies on the other side.  rel_width is
-    brentq's relative tolerance, at least 4 eps.  Raises NoBracket when the
-    difference keeps its sign on the searched part of the bracket.
+    above.  The unstable branch's root lies on the other side.  f_H rises
+    from -1 at a/b to +1 at the level's outer turning radius x_hi, so the
+    root is unique there; without a bracket the search runs from a/b to one
+    levelset.step_factor past x_hi, since f_H(x_hi) may round below 1.
+    rel_width is brentq's relative tolerance, at least 4 eps.  Raises
+    NoBracket when the difference keeps its sign on the searched part of
+    the bracket.
     """
     a, b = params.a, params.b
     if not (a > 0.0 and b > 0.0):
         raise InvalidParameter("the separatrix requires a > 0 and b > 0")
+    saddle, sin0 = levelset.Anchor(a / b, -1.0), math.sin(theta0)
+    if bracket is None:
+        x_hi = levelset.turning_radii(params, saddle)[1]
+        bracket = (saddle.x, x_hi * levelset.step_factor(params))
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise InvalidParameter(f"bad bracket {bracket}")
-    saddle, sin0 = levelset.Anchor(a / b, -1.0), math.sin(theta0)
 
     def g(x):
         return sin0 - levelset.f_H(params, saddle, x)
@@ -175,7 +182,7 @@ def level_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -
     where neither end is one (x_lo = 0, x_hi = inf), only the seed's, by the
     sign of cos(theta), is its orbit.  x = c - r cos(phi) is dense at the
     turning radii, where dtheta/dx = inf.  Each run of 2 or more samples in
-    the box [theta_min, theta_max] x (0, BOX_TOP x_max] is a polyline.  Raises
+    the box [0, 2 pi] x (0, BOX_TOP x_max] is a polyline.  Raises
     Inconclusive where floats cannot resolve the level.
     """
     ic = InitialConditions(float(seed[1]), float(seed[0]))
@@ -193,9 +200,9 @@ def level_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -
     if x_lo == 0.0 and x_hi == math.inf:
         branches = [branches[math.cos(ic.theta0) < 0.0]]
     lines = []
-    for k in range(math.floor(spec.theta_min / math.tau), math.ceil(spec.theta_max / math.tau) + 1):
+    for k in (0, 1):    # the branches lie in [-pi/2, 3 pi/2]
         for theta in (branch + k * math.tau for branch in branches):
-            inside = np.flatnonzero((theta >= spec.theta_min) & (theta <= spec.theta_max))
+            inside = np.flatnonzero((theta >= 0.0) & (theta <= math.tau))
             lines += [np.column_stack([theta[run], xs[run]]) for run in
                       np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1) if run.size > 1]
     return lines
@@ -203,7 +210,7 @@ def level_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -
 
 def phase_portrait(params: Params, spec: PortraitSpec) -> PhasePortrait:
     """Vector-field samples on a grid plus the orbits through twelve seed points."""
-    thetas = np.linspace(spec.theta_min, spec.theta_max, spec.n_theta)
+    thetas = np.linspace(0.0, math.tau, spec.n_theta)
     xs = np.linspace(0.0, spec.x_max, spec.n_x)
     TH, XX = np.meshgrid(thetas, xs, indexing="ij")
     dth, dx = autonomous_rhs(params, TH, XX)

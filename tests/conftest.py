@@ -45,4 +45,4 @@ def circle_traj():
 def exp_traj():
     # a=1, b=1: extremal of the exponential energy with nu=1
     return integrate(Params(1, 1), InitialConditions(2.0, 0.0),
-                     IntegrationControls(max_arclength=12, two_sided=False))
+                     IntegrationControls(max_arclength=12))

@@ -243,6 +243,22 @@ class TestPositiveAFamily:
         tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
         assert r.pole_z == pytest.approx(run_witness(params, ic, tight).pole_z, abs=1e-10)
 
+    @pytest.mark.parametrize("a,b,x0,theta0", [
+        (0.9999999308681532, 0.10914905680954545, 0.1914197696557015, 2.2866004944678098),
+        (1.0000008959096949, 0.012291816666607058, 0.8689357098458244, 2.752861449450704),
+        (0.9999996042995924, -0.11482076402637986, 0.2234137436115217, 5.036441115757602),
+    ])
+    def test_critical_radius_within_rounding_of_the_axis(self, a, b, x0, theta0):
+        # x_c / x_hi is about 6e-17, so phi(x_c) stands for a radius near 2 x_c
+        # and the quadrature's mid anchor reached below the axis: classify
+        # raised a bare ValueError from log1p.  As above, the run reads an
+        # Ovaloid, and the poles are checked against it.
+        params, ic = Params(a, b), InitialConditions(x0, theta0)
+        r = classify_surface(params, ic)
+        assert (r.surface.tag, r.self_intersections) == (SurfaceTag.VESICLE, 0)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
+        assert r.pole_z == pytest.approx(run_witness(params, ic, tight).pole_z, abs=1e-10)
+
     def test_antinodoid_beyond_separatrix(self):
         r = classify_surface(Params(3, 1), InitialConditions(6.0, 0.0))
         assert r.surface.tag == SurfaceTag.ANTINODOID
@@ -376,8 +392,7 @@ class TestCatenoidAsymptote:
         # follow the profile far out and compare the height limit
         z1 = catenoid_asymptote(Params(-2, 0), InitialConditions(1.0, PI / 2))
         traj = integrate(Params(-2, 0), InitialConditions(1.0, PI / 2),
-                         IntegrationControls(max_arclength=2e4, two_sided=False,
-                                             max_steps=500_000))
+                         IntegrationControls(max_arclength=2e4))
         z_far = traj.z[-1]
         # the run ends near x = 2e4, and the remaining tail, about 1/x, is
         # below 1e-4
@@ -531,9 +546,9 @@ def polyline_crossings(params, ic, period, z_shift, x_hi):
     point falls in the middle period.
     """
     n = math.ceil(3.0 * x_hi / abs(z_shift)) + 6
-    traj = integrate(params, ic, IntegrationControls(max_arclength=n * period, two_sided=False))
+    traj = integrate(params, ic, IntegrationControls(max_arclength=n * period))
     first = n // 2 * period
-    return sum(1 for r in find_self_intersections(traj, n_samples=512 * n)
+    return sum(1 for r in find_self_intersections(traj, (0.0, traj.s_max), n_samples=512 * n)
                if first <= r.s_a < first + period)
 
 
@@ -725,7 +740,7 @@ class TestLevelSetOracles:
         r = classify_surface(params, ic)
         assert r.surface.tag == SurfaceTag.NODOID
         traj = integrate(params, ic, IntegrationControls(
-            rel_tol=1e-13, abs_tol=1e-15, max_arclength=3.0 * r.period, two_sided=False))
+            rel_tol=1e-13, abs_tol=1e-15, max_arclength=3.0 * r.period))
         assert r.period == pytest.approx(detect_period(traj)[0], rel=1e-8)
 
 

@@ -63,11 +63,14 @@ def test_mesh_integrates_a_periodic_profile_once(capsys, tmp_path, monkeypatch):
         assert len(calls) == 1
 
 
-def test_no_bracket_exits_failure(capsys, tmp_path):
-    code, doc = run_json(capsys, ["phase", "-a", "3", "-b", "1", "--separatrix",
-                                  "--bracket", "0.1:0.2", "-o", str(tmp_path)])
-    assert code == EXIT_FAILURE
-    assert doc == {"error": "NoBracket", "message": doc["message"]}
+def test_separatrix_bracket_comes_from_the_saddle_level(capsys, tmp_path):
+    # A guess from a/b searched [0.0715, 6.0] here and exited 1 with NoBracket.
+    a, b = 0.0316257376803106, 0.22103866156983776
+    code, doc = run_json(capsys, ["phase", "-a", repr(a), "-b", repr(b), "--separatrix",
+                                  "--theta0", "0.9442337383644338", "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["critical_points.json", "phase.svg"]
+    assert doc["separatrix"]["x_bar"] > a / b
 
 
 def test_invalid_parameter_exits_invalid(capsys):
@@ -198,6 +201,7 @@ def test_phase_resolves_a_turning_radius_next_to_the_least_normal_float(capsys, 
 
 PHASE = ["phase", "-a", "3", "-b", "1"]
 CLASSIFY = ["classify", "-a", "3", "-b", "1", "--x0", "1"]
+CHECK = ["check", "-a", "3", "-b", "1", "--x0", "1"]
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -207,6 +211,11 @@ CLASSIFY = ["classify", "-a", "3", "-b", "1", "--x0", "1"]
     # classify runs nothing, so it takes no run tolerance or budget
     pytest.param(CLASSIFY, "--abs-tol", id="classify---abs-tol"),
     pytest.param(CLASSIFY, "--max-arclength", id="classify---max-arclength"),
+    # check's energy is exponent_map's, and the separatrix bracket comes
+    # from the saddle's level
+    pytest.param(CHECK, "--p-override", id="check---p-override"),
+    pytest.param(CHECK, "--nu-override", id="check---nu-override"),
+    pytest.param(PHASE, "--bracket", id="--bracket"),
 ])
 def test_phase_rejects_integration_flags(capsys, tmp_path, command, flag):
     code, captured = run(capsys, [*command, flag, "1e-4", "-o", str(tmp_path)])

@@ -40,8 +40,6 @@ class TestControls:
         with pytest.raises(InvalidParameter):
             IntegrationControls(rel_tol=0.0)
         with pytest.raises(InvalidParameter):
-            IntegrationControls(max_steps=0)
-        with pytest.raises(InvalidParameter):
             IntegrationControls(max_arclength=-1.0)
 
     def test_x0_must_clear_axis(self):
@@ -94,7 +92,7 @@ class TestAxisTermination:
     def test_theta_prime_decreases_into_pole_when_b_zero(self):
         # For b = 0 the profile curvature vanishes at the pole
         traj = integrate(Params(2, 0), InitialConditions(1.0, PI / 2),
-                         IntegrationControls(max_arclength=20, two_sided=False))
+                         IntegrationControls(max_arclength=20))
         assert traj.termination == Termination.AXIS_REACHED
         tail = np.linspace(0.8 * traj.s_max, 0.98 * traj.s_max, 8)
         tp = np.abs(traj.theta_prime(tail))
@@ -266,7 +264,8 @@ class TestDenseOutput:
                 # The row alone, so that eval uses it at both step ends too.
                 alone = Trajectory(traj.params, traj.ic, traj.controls, np.array([lo, hi]),
                                    np.zeros(2), np.zeros(2), np.zeros(2), [],
-                                   traj.termination, None, _Dense(*(f[row] for f in d)))
+                                   traj.termination, traj.termination_backward,
+                                   _Dense(*(f[row] for f in d)))
                 at = _interpolant(s0, s1, y0, tuple(K))
                 for s in np.linspace(lo, hi, 5).tolist():
                     assert at(s) == tuple(alone.eval(s))
@@ -324,35 +323,38 @@ class TestDeterminism:
 
 
 class TestBudgets:
-    def test_max_steps(self):
-        traj = integrate(Params(-2, 1), InitialConditions(0.5, PI / 2),
-                         IntegrationControls(max_steps=40, two_sided=False))
-        assert traj.termination == Termination.MAX_STEPS
+    def test_max_steps(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("wlw.integrate"), "MAX_STEPS", 40)
+        traj = integrate(Params(-2, 1), InitialConditions(0.5, PI / 2))
+        assert traj.termination == traj.termination_backward == Termination.MAX_STEPS
 
     def test_max_arclength(self):
         traj = integrate(Params(-2, 1), InitialConditions(0.5, PI / 2),
-                         IntegrationControls(max_arclength=3.0, two_sided=False))
-        assert traj.termination == Termination.MAX_ARCLENGTH
-        assert traj.s_max == pytest.approx(3.0)
+                         IntegrationControls(max_arclength=3.0))
+        assert traj.termination == traj.termination_backward == Termination.MAX_ARCLENGTH
+        assert (traj.s_min, traj.s_max) == pytest.approx((-3.0, 3.0))
 
     def test_turn_budget(self, nodoid_traj):
         assert nodoid_traj.termination == Termination.EVENT_BUDGET
 
     def test_blowup(self):
         # a = -2, b = 0 is a bounded catenoid: x grows without bound, about
-        # linearly in s, so the run ends where x reaches X_BLOWUP
+        # linearly in s, so the run ends where x reaches X_BLOWUP; backward
+        # it passes the neck first
         traj = integrate(Params(-2, 0), InitialConditions(1e8, PI / 4),
-                         IntegrationControls(max_arclength=1e10, two_sided=False))
-        assert traj.termination == Termination.EVENT_BUDGET
-        assert [e.kind for e in traj.events] == [EventKind.BLOWUP]
-        assert traj.events[0].state.x == pytest.approx(X_BLOWUP, rel=1e-12)
-        assert traj.x[-1] == pytest.approx(X_BLOWUP, rel=1e-12)
+                         IntegrationControls(max_arclength=1e10))
+        assert traj.termination == traj.termination_backward == Termination.EVENT_BUDGET
+        assert [e.kind for e in traj.events if e.s > 0.0] == [EventKind.BLOWUP]
+        assert [e.kind for e in traj.events if e.s < 0.0] == [EventKind.BLOWUP,
+                                                               EventKind.VERTICAL_TANGENT]
+        assert traj.events[-1].state.x == pytest.approx(X_BLOWUP, rel=1e-12)
+        assert (traj.x[0], traj.x[-1]) == pytest.approx((X_BLOWUP, X_BLOWUP), rel=1e-12)
 
-    def test_one_sided(self):
+    def test_every_run_is_two_sided(self):
         traj = integrate(Params(-2, 1), InitialConditions(0.5, PI / 2),
-                         IntegrationControls(max_arclength=10, two_sided=False))
-        assert traj.s_min == 0.0
-        assert traj.termination_backward is None
+                         IntegrationControls(max_arclength=10))
+        assert (traj.s_min, traj.s_max) == (-10.0, 10.0) and 0.0 in traj.s
+        assert traj.termination == traj.termination_backward == Termination.MAX_ARCLENGTH
 
 
 class TestSelfIntersections:

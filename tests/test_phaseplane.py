@@ -29,6 +29,7 @@ from wlw.phaseplane import (
 )
 
 PI = math.pi
+EPS = np.finfo(float).eps
 
 
 def by_theta(points):
@@ -148,11 +149,14 @@ class TestSeparatrix:
         xbar = find_separatrix(params, 0.0, (2.0, 20.0))
         assert 2.0 < xbar < 20.0
         eps = 1e-4 * xbar
-        controls = IntegrationControls(max_arclength=200, max_full_turns=1, two_sided=False)
+        controls = IntegrationControls(max_arclength=200, max_full_turns=1)
         below = integrate(params, InitialConditions(xbar - eps, 0.0), controls)
         above = integrate(params, InitialConditions(xbar + eps, 0.0), controls)
-        assert not below.events_of(EventKind.FULL_TURN)
-        assert above.events_of(EventKind.FULL_TURN)
+
+        def forward_turns(traj):
+            return [e for e in traj.events_of(EventKind.FULL_TURN) if e.s > 0.0]
+        assert not forward_turns(below)
+        assert forward_turns(above)
 
     def test_theta0_3pi2_threshold_is_cylinder_radius(self):
         xbar = find_separatrix(Params(3, 1), 1.5 * PI, (1.0, 6.0))
@@ -196,6 +200,28 @@ class TestSeparatrix:
         with pytest.raises(NoBracket):
             find_separatrix(Params(3, 1), 0.0, (1.0, 2.0))
 
+    def test_bracket_from_the_saddle_level(self):
+        # f_H on the saddle's level rises from -1 at a/b to +1 at its outer
+        # turning radius x_hi, which is the root at theta0 = pi/2.  The CLI's
+        # old guess (a/b/2, 6 max(a/b, 1)) missed 181 of the first 2,000 of
+        # these draws, and a bracket ending at x_hi missed 157, all at pi/2.
+        rng = np.random.default_rng(0)
+        for _ in range(250):
+            a = math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
+            b = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+            theta0 = rng.uniform(0.0, 2 * PI)
+            angle = rng.choice([0.0, PI / 2, PI, 1.5 * PI, -1.0])
+            theta0 = theta0 if angle < 0.0 else float(angle)
+            params, saddle = Params(a, b), levelset.Anchor(a / b, -1.0)
+            xbar = find_separatrix(params, theta0)
+            f = levelset.f_H(params, saddle, xbar)
+            rounding = 8 * EPS * (levelset.term_size(params, saddle, xbar)
+                                  + xbar * abs(a * f / xbar + b))
+            assert xbar >= a / b and abs(math.sin(theta0) - f) <= rounding, (a, b, theta0)
+            if theta0 == PI / 2:
+                x_hi = levelset.turning_radii(params, saddle)[1]
+                assert xbar == pytest.approx(x_hi, rel=1e-14)
+
     def test_homothety_commutes(self):
         # rescaling by 3 turns (3, 1) into (3, 1/3) and triples the threshold
         xbar = find_separatrix(Params(3, 1), 0.0, (4.0, 7.0))
@@ -206,7 +232,7 @@ class TestSeparatrix:
 
 
 def _box(spec):
-    return spec.theta_min, spec.theta_max, 1.05 * spec.x_max
+    return 0.0, 2 * PI, 1.05 * spec.x_max
 
 
 def _in_box(points, spec):
@@ -286,7 +312,7 @@ class TestPortrait:
         # profile trajectory through the same point
         params = Params(2, 1)
         traj = integrate(params, InitialConditions(1.3, 0.0),
-                         IntegrationControls(max_arclength=10, two_sided=False))
+                         IntegrationControls(max_arclength=10))
         s = np.linspace(0.0, min(2.5, traj.s_max), 200)
         x_prof, _, th_prof = traj.eval(s)
 

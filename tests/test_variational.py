@@ -127,8 +127,7 @@ class TestEulerLagrangeResiduals:
     def test_constant_curvature_is_near_singular(self):
         # the round sphere of (-2, 1) keeps theta' = mu = 1/3 identically
         traj = integrate(Params(-2, 1), InitialConditions(3.0, PI / 2),
-                         IntegrationControls(max_arclength=8, two_sided=False,
-                                             axis_epsilon=1e-3))
+                         IntegrationControls(max_arclength=8, axis_epsilon=1e-3))
         with pytest.raises(NearSingular):
             el_residual_power(traj, exponent_map(Params(-2, 1)))
 
@@ -164,8 +163,8 @@ class TestFunctionalValue:
     def test_geodesic_is_zero(self):
         # b = 0 with horizontal tangent: the profile is a straight line
         line = integrate(Params(2, 0), InitialConditions(1.0, 0.0),
-                         IntegrationControls(max_arclength=3, two_sided=False))
-        val = functional_value(line, PowerEnergyParams(p=2.0, mu=0.0))
+                         IntegrationControls(max_arclength=3))
+        val = functional_value(line, PowerEnergyParams(p=2.0, mu=0.0), (0.0, line.s_max))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_circle_arc_power(self, circle_traj):
