@@ -3,20 +3,22 @@
 The decision tree follows the geometry.  Every input is decided on the
 level set of the first integral (levelset.py) or in closed form, so every
 report has termination None, and the one setting is rel_tol, the accuracy
-asked of a level set:
+asked of a level set.  The closed forms are single orbits, and each gate
+takes a state to be on one only to rounding: model.is_equilibrium for the
+rest point and levelset.on_level for a named level, both to LEVEL_ULPS eps
+of what they round.  A state off them by more is read off its own level set.
 
 * The rest point x0 = |a/b|, theta0 on the vertical: the Cylinder.
-* b = 0, where sin(theta) = sin(theta0) (x/x0)^a: the Plane when
-  sin(theta0) = 0, the round sphere of radius x0/|sin(theta0)| at a = 1,
+* b = 0, where sin(theta) = sin(theta0) (x/x0)^a: the Plane on the level
+  sin(theta) = 0, the round sphere of radius x0/|sin(theta0)| at a = 1,
   an Ovaloid from the axis to x_hi and back for other a > 0, with its poles
   from levelset.axis_rises, and for a < 0 a catenoid about its neck,
   CatenoidEntire for a >= -1 and CatenoidBounded below.
 * The a < 0 round sphere sin(theta) = b x/(1 - a), the lone axis-meeting
   orbit of its family: radius (1 - a)/b, poles at R (cos(theta0) -+ 1).
-* A state on the level of the a > 0 saddle (3 pi/2, a/b), to rounding
-  (SADDLE_LEVEL_ULPS): the CylindricalAntinodoid, asymptotic to the
-  cylinder x = a/b, with its crossings and theta range in closed form
-  (see _separatrix_report).
+* A state on the level of the a > 0 saddle (3 pi/2, a/b): the
+  CylindricalAntinodoid, asymptotic to the cylinder x = a/b, with its
+  crossings and theta range in closed form (see _separatrix_report).
 * An orbit whose radius turns at two finite radii x_lo > 0 and x_hi < inf
   is periodic.  It is an Unduloid when sin(theta) has one sign at both
   turning radii, and otherwise winds.  A winding orbit is a Nodoid when
@@ -51,20 +53,12 @@ from . import levelset
 from .errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
 from .integrate import Termination
 from .model import REL_TOL, InitialConditions, Params, canonicalize, is_equilibrium
-from .numerics import MIN_RTOL, quad
+from .numerics import quad
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
 # equal when they differ by less than this times x0.
 POLE_ORDER_TOL = 1e-5
 
-# Rounding allowance, in eps, of the test that a state lies on the saddle's
-# level: |sin(theta0) - f_H(x0)| <= k eps (term_size(x0) + x0 |f_H'(x0)|).
-# find_separatrix's brentq stops once half its bracket is below
-# (xtol + rtol x)/2 <= MIN_RTOL x and returns the end with the smaller
-# residual, so its roots lie within MIN_RTOL x0 = 4 eps x0 of the level's,
-# which moves f_H by that times |f_H'(x0)|; f_H's own rounding gets the same
-# 4 eps per unit of the terms it sums.
-SADDLE_LEVEL_ULPS = MIN_RTOL / sys.float_info.epsilon
 
 class SurfaceTag(str, enum.Enum):
     PLANE = "Plane"
@@ -332,30 +326,6 @@ def _axis_poles(params: Params, ic: InitialConditions, level: _Level,
     return pole_z, z_hi, z_z[0] if z_z else None
 
 
-def _on_saddle_level(params: Params, ic: InitialConditions) -> bool:
-    """Whether (x0, theta0) lies on the level of the a > 0 saddle (3 pi/2, a/b).
-
-    That level is anchored at the saddle, (a/b, -1), and the state lies on
-    it when sin(theta0) and f_H(x0) agree to within SADDLE_LEVEL_ULPS eps
-    times term_size(x0) + x0 |f_H'(x0)|: f_H's rounding, and its change
-    when x0 moves by as many eps relative.  The saddle itself (x0 = a/b) is
-    left to the equilibrium test and the level set.
-    """
-    a, b = params.a, params.b
-    x0 = ic.x0
-    if not (a > 0.0 and b > 0.0) or x0 == a / b:
-        return False
-    try:
-        saddle = levelset.Anchor(a / b, -1.0)
-        f = levelset.f_H(params, saddle, x0)
-        size = levelset.term_size(params, saddle, x0)
-    except ArithmeticError:
-        return False
-    slope = a * f / x0 + b
-    return (abs(math.sin(ic.theta0) - f)
-            <= SADDLE_LEVEL_ULPS * sys.float_info.epsilon * (size + x0 * abs(slope)))
-
-
 def _separatrix_report(params: Params, ic: InitialConditions) -> ClassificationReport:
     """The CylindricalAntinodoid through a state on the saddle's level, in closed form.
 
@@ -433,15 +403,25 @@ def classify_surface(params: Params, ic: InitialConditions,
 
 def _classify_canonical(params: Params, ic: InitialConditions,
                         rel_tol: float) -> ClassificationReport:
-    if params.b == 0.0:
+    """The report of an input with b >= 0.
+
+    The a < 0 sphere's level is anchored at x0 itself, with
+    s = b x0/(1 - a): anchored at its equator, f_H would sum terms that
+    cancel near the axis, and its rounding would take in states far off the
+    sphere.  The a > 0 saddle's level is anchored at the saddle (a/b, -1);
+    the saddle itself is left to the equilibrium test and the level set.
+    """
+    a, b, x0 = params.a, params.b, ic.x0
+    if b == 0.0:
         return _pure_linear_report(params, ic)
     if is_equilibrium(params, ic):
-        return _report(SurfaceClass(SurfaceTag.CYLINDER, radius=ic.x0), params, ic,
-                       asymptotic_radius=ic.x0, theta_range=(ic.theta0, ic.theta0))
-    sphere_radius = _sphere_radius_if_match(params, ic)
-    if sphere_radius is not None:
-        return _sphere_report(params, ic, sphere_radius)
-    if _on_saddle_level(params, ic):
+        return _report(SurfaceClass(SurfaceTag.CYLINDER, radius=x0), params, ic,
+                       asymptotic_radius=x0, theta_range=(ic.theta0, ic.theta0))
+    if a < 0.0 and levelset.on_level(params, levelset.Anchor(x0, b * x0 / (1.0 - a)),
+                                     x0, ic.theta0):
+        return _sphere_report(params, ic, (1.0 - a) / b)
+    if (a > 0.0 and x0 != a / b
+            and levelset.on_level(params, levelset.Anchor(a / b, -1.0), x0, ic.theta0)):
         return _separatrix_report(params, ic)
     return _level_set_report(params, ic, rel_tol)
 
@@ -452,7 +432,8 @@ def _pure_linear_report(params: Params, ic: InitialConditions) -> Classification
     theta' = a sin(theta)/x keeps one sign, and sin(theta) is 0 only
     on the axis (a > 0) or at infinity (a < 0), so theta's range is
     (0, pi) + 2 pi k when s0 > 0 and (-pi, 0) + 2 pi k when s0 < 0.  The
-    Plane when s0 = 0 (to 1e-12); at a = 1 the round sphere of radius
+    Plane when the state is on the level s0 = 0 (levelset.on_level, which
+    leaves it the rounding of sin(theta0)); at a = 1 the round sphere of radius
     x0/|s0|; for other a > 0 an Ovaloid from the axis out to
     x_hi = x0 |s0|^(-1/a) and back, with its poles from levelset.axis_rises;
     for a < 0 a catenoid whose two branches leave the neck
@@ -463,7 +444,7 @@ def _pure_linear_report(params: Params, ic: InitialConditions) -> Classification
     """
     a = params.a
     s0 = math.sin(ic.theta0)
-    if abs(s0) < 1e-12:
+    if levelset.on_level(params, levelset.Anchor(ic.x0, 0.0), ic.x0, ic.theta0):
         return _report(SurfaceClass(SurfaceTag.PLANE), params, ic,
                        theta_range=(ic.theta0, ic.theta0))
     if a == 1.0:
@@ -533,24 +514,6 @@ def _sphere_report(params: Params, ic: InitialConditions, radius: float) -> Clas
     return _report(SurfaceClass(SurfaceTag.SPHERE, radius=radius), params, ic,
                    pole_z=(s * radius * (c - 1.0), s * radius * (c + 1.0)),
                    self_intersections=0, theta_range=_arcsin_range(ic.theta0, s, 0.0))
-
-
-def _sphere_radius_if_match(params: Params, ic: InitialConditions) -> Optional[float]:
-    """Radius of the round sphere when the initial data lies on it, a < 0 only.
-
-    For a > 0 the sphere is an interior member of the ovaloid family and is
-    reported as Ovaloid; for a < 0 it is the lone axis-meeting solution and
-    gets its own tag.
-    """
-    if params.a >= 0.0:
-        return None
-    kappa = params.b / (1.0 - params.a)
-    if kappa == 0.0:
-        return None
-    target = kappa * ic.x0
-    if abs(math.sin(ic.theta0) - target) <= 1e-9 * max(1.0, abs(target)):
-        return abs((1.0 - params.a) / params.b)
-    return None
 
 
 def _report(surface: SurfaceClass, params: Params, ic: InitialConditions,

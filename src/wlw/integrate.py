@@ -35,7 +35,6 @@ from .errors import (
 )
 from .model import (
     AXIS_EPSILON,
-    EQUILIBRIUM_TOL,
     REL_TOL,
     InitialConditions,
     Params,
@@ -43,10 +42,6 @@ from .model import (
     is_equilibrium,
 )
 from .numerics import brentq
-
-# Consecutive accepted steps that must sit at a phase rest point before the
-# run is cut short as an equilibrium.
-_EQUILIBRIUM_HOLD_STEPS = 100
 
 # Arclength accuracy of an event's location and of a self-crossing.
 EVENT_REFINE_TOL = 1e-12
@@ -337,8 +332,6 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     pa, pb, pv, pt = g((x, z, th))
     n_vert = 0
     seen_turns: set[int] = set()
-    hold_count = 0
-    hold_start = None
     nsteps = 0
 
     while True:
@@ -476,22 +469,6 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
                 run.termination = cut_term
                 return run
 
-        # --- equilibrium hold: k7 = f(y_new) ---------------------------
-        if abs(k7x) < EQUILIBRIUM_TOL and abs(k7t) < EQUILIBRIUM_TOL:
-            if hold_count == 0:
-                hold_start = t_new
-            hold_count += 1
-            if hold_count >= _EQUILIBRIUM_HOLD_STEPS:
-                run.s.append(t_new)
-                run.y.append(y_new)
-                run.events.append(EventRecord(EventKind.EQUILIBRIUM_HOLD, hold_start,
-                                              ProfileState(t_new, *y_new)))
-                run.termination = Termination.EQUILIBRIUM_DETECTED
-                return run
-        else:
-            hold_count = 0
-            hold_start = None
-
         run.s.append(t_new)
         run.y.append(y_new)
         pa, pb, pv, pt = ca, cb, cv, ct
@@ -537,8 +514,9 @@ def integrate(params: Params, ic: InitialConditions,
     on [-max_arclength, 0], merged into a single trajectory with s
     increasing.  Sign-change events (axis approach, vertical tangents,
     full turns, blowup) are refined by root bracketing on the step's dense
-    output to EVENT_REFINE_TOL.  Rest-point initial data short-circuits to an
-    exact vertical-line trajectory.
+    output to EVENT_REFINE_TOL.  Rest-point initial data (model.is_equilibrium)
+    short-circuits to an exact vertical-line trajectory; that is the only
+    run that records an EquilibriumHold event and ends EquilibriumDetected.
     """
     if not (ic.x0 > controls.axis_epsilon):
         raise NonPositiveRadius(

@@ -37,9 +37,10 @@ the branches cross where Z(x) = Z(x_hi) (axis_zero).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
-from .model import Params
+from .model import LEVEL_ULPS, Params
 from .numerics import MIN_RTOL, brentq, cumulative_quad
 
 # brentq's absolute tolerance on a turning radius, relative to the radius.
@@ -133,7 +134,8 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
     radius, so the search stops at that radius, then, where |f_H| grows
     without bound, steps by step_factor, and brackets the end with one
     brentq.  The anchor itself is the end when its s = +-1 and |f_H| grows
-    past it.
+    past it.  Raises FloatingPointError where a step does not move the
+    radius.
     """
     def f(x):
         return f_H(params, anchor, x)
@@ -148,9 +150,11 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
             yield x
         if _unbounded(params, anchor, outward):
             while True:
-                x = x * step if outward else x / step
+                last, x = x, x * step if outward else x / step
                 if not 0.0 < x / anchor.x < math.inf:
                     return
+                if x == last:   # step rounds to 1 for |a| above about 2e18
+                    raise FloatingPointError(f"a step of {step} does not move the radius {x}")
                 yield x
 
     start, f_start = anchor
@@ -178,9 +182,28 @@ def turning_radii(params: Params, anchor: Anchor) -> tuple[float, float]:
     the side where |f_H| grows past 1; at a rest point both ends are that
     radius to rounding.  Raises ArithmeticError where floats cannot resolve
     the radii: an OverflowError of (x/x_r)^a, or a FloatingPointError when
-    rounding loses the bracket.
+    rounding loses the bracket or a step that would find it.
     """
     return _end(params, anchor, outward=False), _end(params, anchor, outward=True)
+
+
+def on_level(params: Params, anchor: Anchor, x: float, theta: float) -> bool:
+    """Whether the state (x, theta) lies on the level through anchor, to rounding.
+
+    It does when sin(theta) and f_H(x) agree to within LEVEL_ULPS eps times
+    term_size(x) + x |f_H'(x)| + |theta cos(theta)|: f_H's rounding, its
+    change when x moves by as many eps relative, and that of sin(theta) when
+    theta does.  Not where f_H or its terms overflow.
+    """
+    try:
+        f = f_H(params, anchor, x)
+        size = term_size(params, anchor, x)
+    except ArithmeticError:
+        return False
+    slope = params.a * f / x + params.b
+    allowance = LEVEL_ULPS * sys.float_info.epsilon * (
+        size + x * abs(slope) + abs(theta * math.cos(theta)))
+    return abs(math.sin(theta) - f) <= allowance < math.inf
 
 
 def f_min(params: Params, anchor: Anchor, x_lo: float, x_hi: float, sign: float = 1.0) -> float:

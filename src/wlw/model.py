@@ -13,6 +13,7 @@ normal curvature of the rotation orbits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, NonPositiveRadius, NonPositiveScale
@@ -20,8 +21,12 @@ from .errors import InvalidParameter, NonPositiveRadius, NonPositiveScale
 # Radius below which a trajectory counts as having reached the rotation axis.
 AXIS_EPSILON = 1e-8
 
-# Tolerance for recognizing a phase-plane rest point (vertical-line solution).
-EQUILIBRIUM_TOL = 1e-12
+# Rounding allowance, in eps, of every test that a state is a rest point
+# (is_equilibrium) or lies on a named level of the first integral
+# (levelset.on_level): the plane, the a < 0 sphere and the a > 0 saddle's
+# level.  f_H's rounding gets 4 eps per unit of the terms it sums, and
+# find_separatrix's roots lie within MIN_RTOL x0 = 4 eps x0 of the level's.
+LEVEL_ULPS = 4.0
 
 # Relative accuracy asked by default of a run's steps and of a level set of
 # the first integral.
@@ -113,14 +118,19 @@ def rescale(lam: float, params: Params, ic: InitialConditions) -> tuple[Params, 
 
 
 def is_equilibrium(params: Params, ic: InitialConditions) -> bool:
-    """True when the initial condition is a rest point of the phase flow.
+    """True when the initial condition is a rest point of the phase flow, to rounding.
 
-    Rest points have cos(theta0) = 0 and a*sin(theta0)/x0 + b = 0, to
-    EQUILIBRIUM_TOL; the solution is then the vertical line x = x0 (a
-    circular cylinder).
+    Rest points have cos(theta0) = 0 and a sin(theta0) + b x0 = 0; the
+    solution is then the vertical line x = x0 (a circular cylinder).  Each
+    holds to LEVEL_ULPS eps times what it rounds: theta0, whose own rounding
+    moves cos(theta0) by up to eps |theta0|, and the terms |a| and |b| x0,
+    which must be finite.  Neither bound has a scale, so rescale keeps the
+    answer.
     """
-    theta_dot = params.a * math.sin(ic.theta0) / ic.x0 + params.b
-    return abs(math.cos(ic.theta0)) < EQUILIBRIUM_TOL and abs(theta_dot) < EQUILIBRIUM_TOL
+    a, b, x0, theta0 = params.a, params.b, ic.x0, ic.theta0
+    ulp = LEVEL_ULPS * sys.float_info.epsilon
+    return (abs(math.cos(theta0)) <= ulp * max(1.0, abs(theta0))
+            and abs(a * math.sin(theta0) + b * x0) <= ulp * (abs(a) + abs(b) * x0) < math.inf)
 
 
 def canonicalize(params: Params, ic: InitialConditions) -> tuple[Params, InitialConditions, bool]:

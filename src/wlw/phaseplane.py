@@ -31,6 +31,9 @@ from .numerics import MIN_RTOL, brentq
 # portrait box, where the orbits end, in units of x_max.
 _ORBIT_SAMPLES = 129
 BOX_TOP = 1.05
+# Vector-field samples of a portrait along theta and along x.
+N_THETA = 24
+N_X = 13
 
 
 class SingularityKind(str, enum.Enum):
@@ -52,17 +55,13 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class PortraitSpec:
-    """Sampling box [0, 2 pi] x [0, x_max] and resolution for a phase portrait."""
+    """Sampling box [0, 2 pi] x [0, x_max] of a phase portrait."""
 
     x_max: float
-    n_theta: int = 24
-    n_x: int = 13
 
     def __post_init__(self):
         if not self.x_max > 0.0:
             raise InvalidParameter("portrait box must be non-empty with x_max > 0")
-        if self.n_theta < 2 or self.n_x < 2:
-            raise InvalidParameter("portrait grid needs at least 2 samples per axis")
 
 
 @dataclass(frozen=True)
@@ -209,9 +208,10 @@ def level_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -
 
 
 def phase_portrait(params: Params, spec: PortraitSpec) -> PhasePortrait:
-    """Vector-field samples on a grid plus the orbits through twelve seed points."""
-    thetas = np.linspace(0.0, math.tau, spec.n_theta)
-    xs = np.linspace(0.0, spec.x_max, spec.n_x)
+    """Vector-field samples on an N_THETA x N_X grid plus the orbits through
+    twelve seed points."""
+    thetas = np.linspace(0.0, math.tau, N_THETA)
+    xs = np.linspace(0.0, spec.x_max, N_X)
     TH, XX = np.meshgrid(thetas, xs, indexing="ij")
     dth, dx = autonomous_rhs(params, TH, XX)
     grid = np.column_stack([TH.ravel(), XX.ravel(), dth.ravel(), dx.ravel()])

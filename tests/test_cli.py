@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +301,20 @@ def test_one_parser_serves_many_calls(capsys, tmp_path, monkeypatch):
     assert [(c.rel_tol, c.abs_tol, c.max_arclength) for c in controls] == [
         (1e-10, 1e-11, 30.0),
         (cli.REL_TOL, cli.IntegrationControls().abs_tol, cli.IntegrationControls().max_arclength)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-a", "1e19", "-b", "1", "--x0", "1", "--theta0", "0"],
+    ["phase", "-a", "1e300", "-b", "1"],
+])
+def test_a_step_that_rounds_to_one_is_inconclusive(tmp_path, argv):
+    # Above |a| ~ 2.4e18 the outward step of a turning-radius search rounds
+    # to 1.  The command runs in its own process, so that a search that
+    # never ends fails this test by its timeout instead of hanging the suite.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    done = subprocess.run([sys.executable, "-m", "wlw.cli", *argv, "-o", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
+    assert json.loads(done.stdout)["error"] == "Inconclusive"

@@ -67,6 +67,14 @@ class TestEquilibrium:
         assert np.all(theta == theta0)
         np.testing.assert_allclose(z, math.sin(theta0) * s, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("b", [1.0, 1e-9])
+    def test_a_run_off_the_rest_point_is_not_held(self, b):
+        # 1e-13 off the rest point x0 = 2/b is some 56 times the rounding
+        # that is_equilibrium allows: the state is integrated like any other.
+        traj = integrate(Params(-2, b), InitialConditions(2.0 / b * (1.0 + 1e-13), PI / 2))
+        assert traj.termination == traj.termination_backward == Termination.MAX_ARCLENGTH
+        assert EventKind.EQUILIBRIUM_HOLD not in {e.kind for e in traj.events}
+
     def test_positive_a_cylinder(self):
         traj = integrate(Params(3, 1), InitialConditions(3.0, 1.5 * PI))
         assert traj.termination == Termination.EQUILIBRIUM_DETECTED

@@ -336,7 +336,7 @@ class TestSvg:
 
     def test_phase_deterministic_with_annotations(self, tmp_path):
         params = Params(2, 1)
-        portrait = phase_portrait(params, PortraitSpec(x_max=5.0, n_theta=13, n_x=7))
+        portrait = phase_portrait(params, PortraitSpec(x_max=5.0))
         points = critical_points(params)
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         write_phase_svg(portrait, points, p1, separatrix=(0.0, 4.8))

@@ -17,6 +17,8 @@ from wlw.errors import (
 from wlw.integrate import EventKind, IntegrationControls, integrate
 from wlw.model import InitialConditions, Params, rescale
 from wlw.phaseplane import (
+    N_THETA,
+    N_X,
     PortraitSpec,
     SingularityKind,
     autonomous_rhs,
@@ -292,9 +294,9 @@ def _seeds(x_max):
 
 class TestPortrait:
     def test_grid_in_box_and_boundary_tangency(self):
-        spec = PortraitSpec(x_max=4.0, n_theta=9, n_x=5)
-        portrait = phase_portrait(Params(2, 1), spec)
+        portrait = phase_portrait(Params(2, 1), PortraitSpec(x_max=4.0))
         grid = portrait.grid
+        assert grid.shape == (N_THETA * N_X, 4)
         assert grid[:, 0].min() >= 0.0 and grid[:, 0].max() <= 2 * PI + 1e-12
         assert grid[:, 1].min() >= 0.0 and grid[:, 1].max() <= 4.0
         on_axis = grid[grid[:, 1] == 0.0]
@@ -408,5 +410,3 @@ class TestPortrait:
     def test_spec_validation(self):
         with pytest.raises(InvalidParameter):
             PortraitSpec(x_max=-1.0)
-        with pytest.raises(InvalidParameter):
-            PortraitSpec(x_max=1.0, n_theta=1)
