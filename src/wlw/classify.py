@@ -28,12 +28,18 @@ of what they round.  A state off them by more is read off its own level set.
   turning radius lies near the saddle radius a/b, where theta' is near 0;
   the quadrature resolves that end, so these neighbours are Antinodoids.
 * An a > 0 orbit with x_lo = 0 and a finite x_hi runs from the axis to
-  x_hi and back.  Its pole heights, the crossing of its two branches and
-  its theta range come from quadratures and arcsin f_H (see
-  levelset.axis_rises and axis_zero); the tag is Ovaloid when theta' keeps
-  one sign, else PinchedSpheroid, Vesicle or ImmersedSpheroid by the pole
-  gap.  An orbit from the axis that passes next to the saddle, inside the
-  separatrix, is one of the latter.
+  x_hi and back.  Its pole heights come from a quadrature
+  (levelset.axis_rises) and its theta range from arcsin f_H; the tag is
+  Ovaloid when theta' keeps one sign, else PinchedSpheroid, Vesicle or
+  ImmersedSpheroid by the pole gap, and the crossings of its two branches
+  follow from the tag (see _axis_report).  An orbit from the axis that
+  passes next to the saddle, inside the separatrix, is one of the latter.
+
+So the closed and periodic surfaces that do not cross themselves, the
+embedded ones, are: periodic, the Unduloid and the Cylinder; closed, the
+spheres, the Ovaloid and the Vesicle.  The PinchedSpheroid is the boundary
+between the Vesicle and the ImmersedSpheroid, and every Nodoid, Antinodoid
+and ImmersedSpheroid crosses itself (levelset.winding and _axis_report).
 
 Where floats cannot resolve the level set - a turning radius outside the
 float range, rounding of f_H beyond rel_tol on both end anchors (see
@@ -280,50 +286,48 @@ def _axis_report(params: Params, ic: InitialConditions, level: _Level) -> Classi
     when its limit on the axis has the sign of f_H'(x_hi); then
     PinchedSpheroid when the gap is within POLE_ORDER_TOL * x0 of 0, which
     counts its pinch on the axis as one crossing; then Vesicle or
-    ImmersedSpheroid by the sign of the gap, with the crossings from the
-    zero of f_H (levelset.axis_zero).  Raises QuadratureFailure when the
-    quadrature fails, and ArithmeticError when rounding loses that zero.
+    ImmersedSpheroid by the sign of the gap.
+
+    Lemma A (b > 0 after canonicalize): the Vesicle does not cross itself
+    and the ImmersedSpheroid crosses itself once.  Proof: while f_H > 0,
+    f_H' = a f_H/x + b > 0, so an orbit whose f_H is positive next to the
+    axis rises monotonically to +1: an Ovaloid.  Every other orbit whose
+    theta' changes sign has f_H < 0 on (0, x_z), with x_z the one zero of
+    f_H, so Z falls to Z(x_z) < 0 and then rises to Z(x_hi).  The branches
+    z_pole + Z(x) and z_pole + 2 Z(x_hi) - Z(x) meet where Z(x) = Z(x_hi)
+    inside (0, x_hi), which happens, once, exactly when Z(x_hi) lies
+    between Z(x_z) and 0, that is when the gap 2 Z(x_hi) < 0.  Raises
+    QuadratureFailure or ArithmeticError when the quadrature fails.
     """
     anchor, _, x_hi, _, sin_hi = level
     a, b = params.a, params.b
-    ovaloid = levelset.axis_slope(params, anchor) * (a * sin_hi + b * x_hi) > 0.0
-    try:
-        x_z = None if ovaloid else levelset.axis_zero(params, anchor, x_hi)
-    except ArithmeticError:
-        x_z = None      # needed only when the poles are apart
-    pole_z, z_hi, z_z = _axis_poles(params, ic, level, x_z)
-    gap = 2.0 * z_hi
-    pinched = abs(gap) < POLE_ORDER_TOL * ic.x0
-    if ovaloid:
-        tag, crossings = SurfaceTag.OVALOID, 0
-    elif pinched:
-        tag, crossings = SurfaceTag.PINCHED_SPHEROID, 1
-    elif z_z is None:
-        raise FloatingPointError("rounding lost the zero of f_H")
+    pole_z, gap = _axis_poles(params, ic, level)
+    if levelset.axis_slope(params, anchor) * (a * sin_hi + b * x_hi) > 0.0:
+        tag = SurfaceTag.OVALOID
+    elif abs(gap) < POLE_ORDER_TOL * ic.x0:
+        tag = SurfaceTag.PINCHED_SPHEROID
     else:
         tag = SurfaceTag.VESICLE if gap > 0.0 else SurfaceTag.IMMERSED_SPHEROID
-        # the branches meet once when Z(x_hi) lies between 0 and Z(x_z)
-        crossings = int(min(0.0, z_z) < z_hi < max(0.0, z_z))
+    crossings = int(tag in (SurfaceTag.PINCHED_SPHEROID, SurfaceTag.IMMERSED_SPHEROID))
     return _report(SurfaceClass(tag), params, ic, pole_z=pole_z,
                    self_intersections=crossings,
                    theta_range=_level_theta_range(params, ic, level))
 
 
-def _axis_poles(params: Params, ic: InitialConditions, level: _Level,
-                x_z: Optional[float] = None) -> tuple[tuple[float, float], float, Optional[float]]:
-    """(pole_z, Z(x_hi), Z(x_z)) of an a > 0 orbit from the axis out to x_hi
-    and back, from one quadrature; Z(x_z) is None without x_z.
+def _axis_poles(params: Params, ic: InitialConditions,
+                level: _Level) -> tuple[tuple[float, float], float]:
+    """(pole_z, 2 Z(x_hi)) of an a > 0 orbit from the axis out to x_hi and
+    back, from one quadrature.
 
     The poles lie 2 Z(x_hi) apart (levelset.axis_rises), and the branch
     through x0 is picked by the sign of cos(theta0): x grows from the
     backward pole to x_hi.  Raises QuadratureFailure or ArithmeticError
     when the quadrature fails.
     """
-    xs = [ic.x0, level.x_hi] + ([] if x_z is None else [x_z])
-    z0, z_hi, *z_z = levelset.axis_rises(params, level.anchor, level.x_hi, xs)
+    z0, z_hi = levelset.axis_rises(params, level.anchor, level.x_hi, [ic.x0, level.x_hi])
     gap = 2.0 * z_hi
     pole_z = (-z0, gap - z0) if math.cos(ic.theta0) > 0.0 else (z0 - gap, z0)
-    return pole_z, z_hi, z_z[0] if z_z else None
+    return pole_z, gap
 
 
 def _separatrix_report(params: Params, ic: InitialConditions) -> ClassificationReport:
@@ -460,7 +464,7 @@ def _pure_linear_report(params: Params, ic: InitialConditions) -> Classification
     pole_z = None
     if level is not None and level.x_hi < math.inf:
         try:
-            pole_z, _, _ = _axis_poles(params, ic, level)
+            pole_z, _ = _axis_poles(params, ic, level)
         except (QuadratureFailure, ArithmeticError) as e:
             raise _unresolved(f"the quadrature failed ({e})", level) from e
     return _report(SurfaceClass(SurfaceTag.OVALOID), params, ic, pole_z=pole_z,

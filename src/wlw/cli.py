@@ -35,6 +35,7 @@ from .errors import (
     InvalidParameter,
     NearSingular,
     NoFullTurn,
+    NotVertical,
     Unsupported,
     VerificationFailed,
     WlwError,
@@ -370,9 +371,10 @@ def cmd_check(args) -> int:
     """Consistency checks on one trajectory: EL residual, first integral,
     mirror symmetry at vertical tangents, translation periodicity.
 
-    An entry whose computation raises Unsupported (euler_lagrange) or
-    VerificationFailed (periodicity) is reported as failed, with the error's
-    type and message, and every other entry is still computed."""
+    An entry whose computation raises Unsupported (euler_lagrange),
+    NotVertical (horizontal_symmetry) or VerificationFailed (periodicity) is
+    reported as failed, with the error's type and message, and every other
+    entry is still computed."""
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     traj = integrate(params, ic, _controls_from_args(args, default_controls(params, ic)))
@@ -400,8 +402,11 @@ def cmd_check(args) -> int:
 
     tangents = traj.events_of(EventKind.VERTICAL_TANGENT)
     if tangents:
-        worst = max(check_horizontal_symmetry(traj, e.s) for e in tangents)
-        checks["horizontal_symmetry"] = {"max_residual": worst, "pass": bool(worst < 1e-6)}
+        try:
+            worst = max(check_horizontal_symmetry(traj, e.s) for e in tangents)
+            checks["horizontal_symmetry"] = {"max_residual": worst, "pass": bool(worst < 1e-6)}
+        except NotVertical as exc:
+            checks["horizontal_symmetry"] = _failed_entry(exc)
 
     try:
         T, z_shift = detect_period(traj)

@@ -30,8 +30,9 @@ whole curve in closed form (winding).
 For a > 0, f_H(0) = 0, and an orbit whose component reaches the axis runs
 from the axis out to x_hi and back: it closes.  With Z(x) = int_0^x
 f/sqrt(1 - f^2) dx its branches are z = z_pole + Z(x) and
-z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart (axis_rises), and
-the branches cross where Z(x) = Z(x_hi) (axis_zero).
+z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart (axis_rises),
+and the branches cross where Z(x) = Z(x_hi) inside (0, x_hi): once on an
+ImmersedSpheroid and nowhere on the other axis classes (classify._axis_report).
 """
 
 from __future__ import annotations
@@ -70,10 +71,13 @@ def f_H(params: Params, anchor: Anchor, x: float) -> float:
 
     Where expm1(y) overflows, x expm1(y) is taken as x_r (x/x_r)^a - x,
     which is finite.  At b = 0, s_r = 0 it is 0, also where (x/x_r)^a overflows.
+    Raises FloatingPointError where x/x_r underflows to 0.
     """
     a, b = params.a, params.b
     x_r, s_r = anchor
     ratio = x / x_r
+    if ratio == 0.0:
+        raise FloatingPointError(f"x/x_r = {x}/{x_r} underflows to 0")
     lam = math.log(ratio)
     y = (a - 1.0) * lam     # lam E(y) = expm1(y)/(a - 1), and lam at y = 0
     power = ratio ** a if s_r or b else 0.0     # it only multiplies s_r and b
@@ -367,32 +371,37 @@ def winding(params: Params, anchor: Anchor, x_lo: float, x_hi: float,
     meet at cut (see split).
 
     A turning radius next to the saddle radius a/b, where f_H' is near 0,
-    makes the integrand a plateau of height about (r/f_H')^(1/2) there, with
-    r = (x_hi - x_lo)/2; the quadrature bisects down to it, so T grows like
+    makes the integrand a plateau of height about (h/f_H')^(1/2) there, with
+    h = (x_hi - x_lo)/2; the quadrature bisects down to it, so T grows like
     ln(1/delta) as the orbit nears the separatrix.
 
     T = 2 int dx/sqrt(1 - f^2) over [x_lo, x_hi] is the arclength of one
-    period and dz = 2 int f/sqrt(1 - f^2) dx its rise in z.  f_H runs from
-    -+1 to +-1 over [x_lo, x_hi] and has one zero x_z there, where Z turns;
-    so the crossings are the integers strictly inside the range of 2 Z/dz
-    on each side of x_z: (0, r) and (r, 1), with r = 2 Z(x_z)/dz.  T, dz
-    and Z(x_z) are accurate to _QUAD_RTOL * T.  Raises QuadratureFailure
-    when the quadrature fails, and ArithmeticError when dz = 0 or the zero
-    is lost to rounding.
+    period and dz = 2 int f/sqrt(1 - f^2) dx its rise in z.  Z turns at the
+    one zero x_z of f_H, so the crossings are the integers strictly inside
+    (0, r) and (r, 1), with r = 2 Z(x_z)/dz = Z(x_z)/Z(x_hi).
+
+    Lemma W: that count is 2 ceil(d) - 1, odd and at least 1, with d the
+    distance of r from [0, 1].  Proof: f has one sign on (x_lo, x_z) and
+    the other on (x_z, x_hi), so Z(x_z) and Z(x_hi) - Z(x_z) have opposite
+    signs: r < 0 when Z(x_hi) has the sign of the outer piece, a Nodoid
+    (dz sin(theta(x_hi)) > 0), and r > 1 otherwise, an Antinodoid.  For
+    r < 0, (r, 0) holds ceil(-r) - 1 integers and (r, 1) one more; r > 1
+    is the mirror image.  Where rounding puts r in [0, 1], the true r lies
+    within rounding of 0 or 1: the count is 1.
+
+    T, dz and Z(x_z) are accurate to _QUAD_RTOL * T.  Raises
+    QuadratureFailure when the quadrature fails, and ArithmeticError when
+    dz = 0 or the zero is lost to rounding.
     """
-    x_z = _zero(params, anchor, x_lo, x_hi)
+    try:
+        x_z = _root(lambda x: f_H(params, anchor, x), x_lo, x_hi)
+    except (ValueError, RuntimeError) as e:
+        raise FloatingPointError(f"no zero of f_H resolved in [{x_lo}, {x_hi}]") from e
     (_, z_z), (half_T, half_dz) = _half_integrals(
         params, anchor, x_lo, x_hi, (_phi(x_lo, x_hi, x_z), math.pi), epsabs=0.0,
         with_length=True, cut=cut)
-    ratio = z_z / half_dz
-    return Winding(2.0 * half_T, 2.0 * half_dz,
-                   _integers_between(0.0, ratio) + _integers_between(ratio, 1.0))
-
-
-def _integers_between(p: float, q: float) -> int:
-    """How many integers lie strictly between p and q, in either order."""
-    lo, hi = min(p, q), max(p, q)
-    return max(math.ceil(hi) - math.floor(lo) - 1, 0)
+    r = z_z / half_dz
+    return Winding(2.0 * half_T, 2.0 * half_dz, 2 * max(math.ceil(max(-r, r - 1.0)), 1) - 1)
 
 
 def axis_slope(params: Params, anchor: Anchor) -> float:
@@ -422,31 +431,6 @@ def axis_rises(params: Params, anchor: Anchor, x_hi: float, xs) -> list[float]:
     """
     return _half_integrals(params, anchor, 0.0, x_hi, [_phi(0.0, x_hi, x) for x in xs],
                            epsabs=_QUAD_RTOL * x_hi)
-
-
-def axis_zero(params: Params, anchor: Anchor, x_hi: float) -> float:
-    """The zero x_z of f_H on an a > 0 axis-to-axis orbit whose theta' changes sign.
-
-    f_H = 0 on the axis and +-1 at x_hi; when theta' changes sign on the
-    way, f_H first runs the other way, past its critical radius, and has
-    one zero x_z, where Z turns.  Z is monotone on (0, x_z) and on
-    (x_z, x_hi), so the two branches meet once when Z(x_hi) lies strictly
-    between 0 and Z(x_z), and otherwise nowhere.  Raises ArithmeticError
-    when f_H has no zero past its critical radius, which holds when theta'
-    keeps one sign.
-    """
-    xc = _critical_radius(params, anchor)
-    if xc is None or not 0.0 < xc < x_hi:
-        raise FloatingPointError(f"f_H has no critical radius in (0, {x_hi})")
-    return _zero(params, anchor, xc, x_hi)
-
-
-def _zero(params: Params, anchor: Anchor, lo: float, hi: float) -> float:
-    """The zero of f_H in [lo, hi], where f_H changes sign."""
-    try:
-        return _root(lambda x: f_H(params, anchor, x), lo, hi)
-    except (ValueError, RuntimeError) as e:
-        raise FloatingPointError(f"no zero of f_H resolved in [{lo}, {hi}]") from e
 
 
 def _root(g, lo: float, hi: float) -> float:

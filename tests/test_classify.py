@@ -2,12 +2,15 @@ import importlib
 import itertools
 import math
 import random
+import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from wlw import classify, cli, levelset
@@ -30,6 +33,7 @@ from wlw.integrate import (
     integrate,
 )
 from wlw.model import (
+    REL_TOL,
     InitialConditions,
     Params,
     canonicalize,
@@ -259,6 +263,21 @@ class TestPositiveAFamily:
         assert (r.surface.tag, r.self_intersections) == (SurfaceTag.VESICLE, 0)
         tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
         assert r.pole_z == pytest.approx(run_witness(params, ic, tight).pole_z, abs=1e-10)
+
+    def test_zero_of_f_h_below_the_float_range(self):
+        # x0 lies 1e-3 above (1 - a)/b, and the zero of f_H, near 1e-346,
+        # lies below the float range.  The search for it failed and the
+        # report was Inconclusive; by Lemma A a Vesicle needs no zero.  As
+        # above, the run reads an Ovaloid; its poles and crossings are checked.
+        params = Params(0.9912770475292776, 1.353342387675414)
+        ic = InitialConditions(0.0064519337476683985, PI / 2)
+        r = classify_surface(params, ic)
+        assert (r.surface.tag, r.self_intersections) == (SurfaceTag.VESICLE, 0)
+        assert r.pole_z == pytest.approx((-0.0064518947, 0.0064518947), rel=1e-8)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
+        witness = run_witness(params, ic, tight)
+        assert witness.self_intersections == 0
+        assert r.pole_z == pytest.approx(witness.pole_z, abs=1e-10)
 
     def test_antinodoid_beyond_separatrix(self):
         r = classify_surface(Params(3, 1), InitialConditions(6.0, 0.0))
@@ -841,6 +860,135 @@ class TestAxisToAxis:
                 wrong.append(((a, b, x0, theta0), why))
         assert wrong == []
         assert checked >= least
+
+
+def lemma_draws(n, seed=11):
+    """n inputs with b = 1, |a| log-uniform in [0.02, 50] with a random sign,
+    x0 log-uniform in [0.05, 20] and theta0 uniform in [0, 2 pi), with
+    their reports."""
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(math.log(0.02), math.log(50.0), n)) * rng.choice([-1.0, 1.0], n)
+    x0 = np.exp(rng.uniform(math.log(0.05), math.log(20.0), n))
+    theta0 = rng.uniform(0.0, 2 * PI, n)
+    return [(params, ic, classify_surface(params, ic))
+            for params, ic in ((Params(a_, 1.0), InitialConditions(x_, t_))
+                               for a_, x_, t_ in zip(a.tolist(), x0.tolist(), theta0.tolist()))]
+
+
+def rise_ratio(params, anchor):
+    """(r, err): r = Z(x_z)/Z(x_hi) of a winding orbit from scipy's quad, with
+    a bound on its error.
+
+    Z is integrated in phi, with x = c - h cos(phi) on [x_lo, x_hi], on the
+    level re-anchored at the end that levelset.split picks, as in
+    levelset._half_integrals; x_z is scipy's brentq root of f_H.
+    """
+    x_lo, x_hi = levelset.turning_radii(params, anchor)
+    ends = [levelset.Anchor(x, math.copysign(1.0, levelset.f_H(params, anchor, x)))
+            for x in (x_lo, x_hi)]
+    cut, _ = levelset.split(params, *ends, REL_TOL / sys.float_info.epsilon)
+    c, h = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+
+    def rise(phi):
+        end, d = ((ends[0], 2.0 * h * math.sin(0.5 * phi) ** 2) if phi < cut
+                  else (ends[1], -2.0 * h * math.cos(0.5 * phi) ** 2))
+        u = levelset.f_H(params, end, end.x + d) - end.s
+        q = -u * (2.0 * end.s + u)
+        return (end.s + u) * h * math.sin(phi) / math.sqrt(q) if q > 0.0 else 0.0
+
+    x_z = brentq(lambda x: levelset.f_H(params, anchor, x), x_lo, x_hi, xtol=1e-15 * x_lo)
+    phi_z = math.acos((c - x_z) / h)
+    knots = sorted([0.0, phi_z, cut, PI])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        pieces = [quad(rise, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)
+                  for lo, hi in zip(knots, knots[1:])]
+    k = knots.index(phi_z)
+    z_z, z_hi = sum(v for v, _ in pieces[:k]), sum(v for v, _ in pieces)
+    r = z_z / z_hi
+    return r, sum(e for _, e in pieces) * (1.0 + abs(r)) / abs(z_hi)
+
+
+def first_root_below(f, x_hi):
+    """The root of f between x_hi and the first x_hi 2^-k, k >= 1, where f < 0."""
+    x = next(x for x in (math.ldexp(x_hi, -k) for k in range(1, 1075)) if f(x) < 0.0)
+    return brentq(f, x, x_hi, xtol=1e-15 * x)
+
+
+class TestCrossingLemmas:
+    """Lemma W (levelset.winding) and Lemma A (classify._axis_report) on random
+    b = 1 inputs, against quadratures and runs of their own."""
+
+    def test_winding_crossings_follow_lemma_w(self):
+        checked = 0
+        for params, ic, report in lemma_draws(400):
+            tag = report.surface.tag
+            if tag not in (SurfaceTag.NODOID, SurfaceTag.ANTINODOID):
+                continue
+            checked += 1
+            n = report.self_intersections
+            assert n % 2 == 1 and n >= 1
+            r, err = rise_ratio(params, levelset.Anchor(ic.x0, math.sin(ic.theta0)))
+            assert err < 1e-6
+            # r lies outside [0, 1]: below it for the Nodoid, above for the Antinodoid
+            assert (r < -err) if tag is SurfaceTag.NODOID else (r > 1.0 + err)
+            d = max(-r, r - 1.0)
+            if abs(d - round(d)) > err:
+                assert n == 2 * math.ceil(d) - 1
+        assert checked >= 150
+
+    def test_axis_crossings_follow_lemma_a(self):
+        counts = {SurfaceTag.OVALOID: 0, SurfaceTag.VESICLE: 0, SurfaceTag.PINCHED_SPHEROID: 1,
+                  SurfaceTag.IMMERSED_SPHEROID: 1}
+        seen = set()
+        for params, ic, report in lemma_draws(400):
+            tag = report.surface.tag
+            if params.a < 0.0 or tag not in counts:
+                continue
+            seen.add(tag)
+            assert report.self_intersections == counts[tag]
+            if tag is SurfaceTag.OVALOID:
+                continue
+            # The branches meet where Z(x) = Z(x_hi), which for Z falling to
+            # Z(x_z) < 0 and then rising holds once when Z(x_hi) lies
+            # between Z(x_z) and 0.
+            level = classify._level_set(params, ic)
+            x_z = first_root_below(lambda x: levelset.f_H(params, level.anchor, x), level.x_hi)
+            z_z, z_hi = levelset.axis_rises(params, level.anchor, level.x_hi, [x_z, level.x_hi])
+            assert z_z < 0.0 and z_z < z_hi
+            assert (z_z < z_hi < 0.0) == (tag is SurfaceTag.IMMERSED_SPHEROID)
+        assert seen == {SurfaceTag.OVALOID, SurfaceTag.VESICLE, SurfaceTag.IMMERSED_SPHEROID}
+
+    def test_crossings_match_runs(self):
+        # The first draw of each tag, and of each count up to 3 for the
+        # winding tags, against the crossings of a run's polyline: per
+        # period for the winding tags, over the whole run for the others.
+        picked = {}
+        for params, ic, report in lemma_draws(400):
+            key = (report.surface.tag, report.self_intersections)
+            if report.self_intersections <= 3 and key not in picked:
+                picked[key] = (params, ic, report)
+        assert {SurfaceTag.NODOID, SurfaceTag.ANTINODOID} <= {tag for tag, _ in picked}
+        for (tag, n), (params, ic, report) in sorted(picked.items(), key=str):
+            if tag in (SurfaceTag.NODOID, SurfaceTag.ANTINODOID):
+                x_hi = levelset.turning_radii(params, levelset.Anchor(ic.x0, math.sin(ic.theta0)))[1]
+                assert polyline_crossings(params, ic, report.period, report.z_shift, x_hi) == n
+            else:
+                tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
+                assert run_witness(params, ic, tight).self_intersections == n
+
+    @pytest.mark.parametrize("r,crossings", [(0.0, 1), (0.5, 1), (1.0, 1), (-1e-300, 1),
+                                             (-1.0, 1), (2.0, 1), (-1.5, 3), (3.5, 5)])
+    def test_winding_counts_at_least_one(self, monkeypatch, r, crossings):
+        # Rounding may put r = 2 Z(x_z)/dz inside [0, 1], where Lemma W does
+        # not let it lie; the true r is then within rounding of 0 or 1, and
+        # the count is 1, never 0.
+        def half_integrals(*args, **kwargs):
+            return [(0.0, r), (1.0, 1.0)]
+        monkeypatch.setattr(levelset, "_half_integrals", half_integrals)
+        params, anchor = Params(-2, 1), levelset.Anchor(4.0, 1.0)
+        x_lo, x_hi = levelset.turning_radii(params, anchor)
+        assert levelset.winding(params, anchor, x_lo, x_hi).crossings == crossings
 
 
 # The benchmark's classify inputs that need no set-up bisection.

@@ -267,6 +267,11 @@ def test_check_reports_run_drift_from_the_first_integral(capsys):
      "periodicity", "VerificationFailed"),
     # The umbilical round sphere has no energy attached.
     (["-a", "1", "-b", "0", "--x0", "1", "--theta0", "pi/4"], "euler_lagrange", "Unsupported"),
+    # At rel_tol 1e-12 the run's vertical tangent has |cos theta| = 1.363e-8,
+    # beyond check_horizontal_symmetry's 1e-8.
+    (["-a=-0.17825297174398624", "-b", "0.6365410278767536", "--x0", "0.32088661230122567",
+      "--theta0", "2.849508887535608", "--rel-tol", "1e-12"],
+     "horizontal_symmetry", "NotVertical"),
 ])
 def test_check_reports_every_entry_when_one_raises(capsys, flags, failing, error):
     code, doc = run_json(capsys, ["check", *flags])
@@ -275,6 +280,16 @@ def test_check_reports_every_entry_when_one_raises(capsys, flags, failing, error
     assert entry["pass"] is False and entry["error"] == error and entry["message"]
     assert doc["checks"]["first_integral"]["max_residual"] < 1e-6
     assert {"euler_lagrange", "first_integral"} <= set(doc["checks"])
+
+
+def test_saddle_level_below_the_float_range_is_inconclusive(capsys):
+    # x0/x_r = 5e-324/1e300 underflows to 0 on the saddle's level, where
+    # f_H's log of it raised a bare ValueError.
+    code, captured = run(capsys, ["classify", "-a", "3", "-b", "3e-300", "--x0", "5e-324",
+                                  "--theta0", "0"])
+    assert code == EXIT_INCONCLUSIVE and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["error"] == "Inconclusive" and doc["diagnostics"]["reason"]
 
 
 def test_one_parser_serves_many_calls(capsys, tmp_path, monkeypatch):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wlw import levelset
 from wlw.integrate import IntegrationControls, detect_period, integrate
-from wlw.levelset import Anchor, axis_zero, f_H, f_min, turning_radii, winding
+from wlw.levelset import Anchor, f_H, f_min, turning_radii, winding
 from wlw.model import InitialConditions, Params
 
 PI = math.pi
@@ -161,11 +162,13 @@ def test_radius_next_to_the_least_normal_float_is_resolved():
 
 def test_zero_decades_below_its_bracket_is_resolved():
     # f_H = x (s_r/x_r + b ln(x/x_r)) at a = 1 has its zero at
-    # x_r exp(-s_r/(b x_r)) = 6.6e-176, 176 decades below x_hi.
+    # x_r exp(-s_r/(b x_r)) = 6.6e-176, 176 decades below x_hi, past the
+    # critical radius where f_H turns.
     params, anchor = Params(1.0, 0.0014858953275460607), Anchor(1.5447316940218563,
                                                                 math.sin(1.9556505834239677))
     x_lo, x_hi = turning_radii(params, anchor)
-    x_z = axis_zero(params, anchor, x_hi)
+    x_z = levelset._root(lambda x: f_H(params, anchor, x),
+                         levelset._critical_radius(params, anchor), x_hi)
     assert x_lo == 0.0 and x_z < 1e-175
     closed_form = anchor.x * math.exp(-anchor.s / (params.b * anchor.x))
     assert x_z / closed_form == pytest.approx(1.0, rel=1e-13, abs=0.0)
