@@ -6,6 +6,10 @@ classification.  Errors are reported as machine-readable JSON on stdout.
 phase --separatrix takes its search bracket from the saddle's level, from
 a/b to its outer turning radius, so it needs no bracket from the user.
 
+check tests one run: first_integral, horizontal_symmetry and periodicity.
+The Euler-Lagrange equation holds at every state (x, theta), on a run or
+not, so the test suite checks it as an identity, and check does not.
+
 sweep classifies a grid of MIN_POOLED_CELLS or more cells in forked worker
 processes, one per CPU this process may run on, and a smaller one in this
 process; its files are the same byte for byte for any worker count.
@@ -33,16 +37,15 @@ from .classify import SurfaceTag, classify_surface, special_solutions
 from .errors import (
     Inconclusive,
     InvalidParameter,
-    NearSingular,
     NoFullTurn,
     NotVertical,
-    Unsupported,
     VerificationFailed,
     WlwError,
 )
 from .integrate import (
     EventKind,
     IntegrationControls,
+    Termination,
     check_horizontal_symmetry,
     detect_period,
     find_self_intersections,
@@ -50,12 +53,6 @@ from .integrate import (
 )
 from .model import REL_TOL, InitialConditions, Params
 from .phaseplane import PortraitSpec, critical_points, find_separatrix, phase_portrait
-from .variational import (
-    ExpEnergyParams,
-    el_residual_exp,
-    el_residual_power,
-    exponent_map,
-)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -236,6 +233,11 @@ def cmd_mesh(args) -> int:
     elif args.max_arclength is None and report.surface.tag is SurfaceTag.CYLINDER:
         controls = replace(controls, max_arclength=4.0 * ic.x0)
     traj = integrate(params, ic, controls)
+    ends = (traj.termination_backward, traj.termination)
+    if report.pole_z is not None and ends != (Termination.AXIS_REACHED,) * 2:
+        # a run that misses a pole would mesh an open piece of the closed class
+        raise VerificationFailed(f"{report.surface.tag.value} is closed, but its run ends "
+                                 f"{ends[0].value} backward and {ends[1].value} forward")
     args.out.mkdir(parents=True, exist_ok=True)
     obj_path = args.out / "surface.obj"
     output.write_obj_mesh(traj, obj_path, spec, window)
@@ -368,31 +370,17 @@ def _failed_entry(exc: WlwError) -> dict:
 
 
 def cmd_check(args) -> int:
-    """Consistency checks on one trajectory: EL residual, first integral,
-    mirror symmetry at vertical tangents, translation periodicity.
+    """Tests of one run: first_integral, horizontal_symmetry, periodicity.
 
-    An entry whose computation raises Unsupported (euler_lagrange),
-    NotVertical (horizontal_symmetry) or VerificationFailed (periodicity) is
-    reported as failed, with the error's type and message, and every other
-    entry is still computed."""
+    An entry whose computation raises NotVertical (horizontal_symmetry) or
+    VerificationFailed (periodicity) is reported as failed, with the error's
+    type and message, and every other entry is still computed.  No entry
+    tests the Euler-Lagrange equation: it is an identity in (x, theta), so it
+    cannot detect a fault in the run; the test suite checks it."""
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     traj = integrate(params, ic, _controls_from_args(args, default_controls(params, ic)))
     checks: dict[str, dict] = {}
-
-    try:
-        ep = exponent_map(params)
-        prof = (el_residual_exp if isinstance(ep, ExpEnergyParams)
-                else el_residual_power)(traj, ep)
-        checks["euler_lagrange"] = {
-            "max_relative_residual": prof.max_relative,
-            "excluded_points": prof.n_excluded,
-            "pass": bool(prof.max_relative < 1e-6),
-        }
-    except NearSingular as exc:
-        checks["euler_lagrange"] = {"benign": str(exc), "pass": True}
-    except Unsupported as exc:
-        checks["euler_lagrange"] = _failed_entry(exc)
 
     x, _, theta = traj.eval(np.linspace(traj.s_min, traj.s_max, 33))
     anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
@@ -471,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", type=Path, required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("check", help="verify invariants on one trajectory")
+    p = sub.add_parser("check", help="test one run: first_integral, horizontal_symmetry and "
+                                      "periodicity (the Euler-Lagrange equation holds at every "
+                                      "state, on a run or not, so it is no entry)")
     _add_common_flags(p)
     _add_run_flags(p)
     p.set_defaults(func=cmd_check)

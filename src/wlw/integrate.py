@@ -106,21 +106,20 @@ class Termination(str, enum.Enum):
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """Tolerances, budgets and event-detection knobs for one integration.
+    """Tolerances and budgets for one integration.
 
     Every run is two-sided: it integrates forward and backward from the
-    initial state, each direction up to max_arclength.
+    initial state, each direction up to max_arclength or x = AXIS_EPSILON.
     """
 
     rel_tol: float = REL_TOL
     abs_tol: float = 1e-12
     max_arclength: float = 200.0
-    axis_epsilon: float = AXIS_EPSILON
     max_full_turns: Optional[int] = None
     max_vertical_tangents: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_arclength", "axis_epsilon"):
+        for name in ("rel_tol", "abs_tol", "max_arclength"):
             if not (getattr(self, name) > 0.0):
                 raise InvalidParameter(f"{name} must be > 0")
 
@@ -303,7 +302,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     a, b = params.a, params.b
     theta0 = ic.theta0
     rtol, atol = max(controls.rel_tol, _MIN_REL_TOL), controls.abs_tol
-    axis_epsilon = controls.axis_epsilon
+    axis_epsilon = AXIS_EPSILON
     min_clamp = 4.0 * axis_epsilon
     s_bound = direction * controls.max_arclength
     towards = direction * math.inf
@@ -518,9 +517,8 @@ def integrate(params: Params, ic: InitialConditions,
     short-circuits to an exact vertical-line trajectory; that is the only
     run that records an EquilibriumHold event and ends EquilibriumDetected.
     """
-    if not (ic.x0 > controls.axis_epsilon):
-        raise NonPositiveRadius(
-            f"x0 must exceed axis_epsilon={controls.axis_epsilon}, got {ic.x0}")
+    if not (ic.x0 > AXIS_EPSILON):
+        raise NonPositiveRadius(f"x0 must exceed AXIS_EPSILON={AXIS_EPSILON}, got {ic.x0}")
     if is_equilibrium(params, ic):
         return _equilibrium_trajectory(params, ic, controls)
 

@@ -11,6 +11,11 @@ finite differences of samples), the closed-form critical-curve
 parametrizations, and the obstruction integral that rules out closed
 extremals for mu = 0.
 
+el_residual_power and el_residual_exp take theta' and its derivatives from
+the ODE, so they vanish at every state (x, theta), on a trajectory or not:
+they measure rounding, not a run.  The test suite checks this identity over
+random states; no command evaluates it.
+
 Powers of a negative base arise where theta' < mu, as on the a < 0 family;
 they are taken in the real continuation (-1)^floor(q) * |u|^q, which is exact
 for integer q and keeps u^q = u * u^(q-1) and d/du u^q = q * u^(q-1) for

@@ -33,6 +33,7 @@ from wlw.integrate import (
     integrate,
 )
 from wlw.model import (
+    AXIS_EPSILON,
     REL_TOL,
     InitialConditions,
     Params,
@@ -357,7 +358,7 @@ class TestPureLinear:
     @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0])
     def test_theta_range_runs_from_pole_to_pole(self, a):
         # sin(theta) = s0 (x/x0)^a vanishes only on the axis, which a run
-        # stops short of, at axis_epsilon: 0.159 short at a = 0.1.
+        # stops short of, at AXIS_EPSILON: 0.159 short at a = 0.1.
         for theta0 in (PI / 2, 0.75 * PI):
             r = classify_surface(Params(a, 0), InitialConditions(1.0, theta0))
             assert r.theta_range == pytest.approx((0.0, PI), abs=1e-15)
@@ -812,16 +813,16 @@ def axis_witness_mismatch(params, ic, report):
     """How an axis-to-axis level-set report disagrees with a two-sided run at
     rel_tol 1e-13, or None.
 
-    The run stops at x = axis_epsilon, short of the poles, where theta still
-    differs from its axis value by about H axis_epsilon^a: 3e-5 at a = 0.57
+    The run stops at x = AXIS_EPSILON, short of the poles, where theta still
+    differs from its axis value by about H AXIS_EPSILON^a: 3e-5 at a = 0.57
     and 0.38 at a = 0.05.  So its pole heights and theta range are compared
-    with the level set's over the stretch [axis_epsilon, x_hi] it covers.
+    with the level set's over the stretch [AXIS_EPSILON, x_hi] it covers.
     """
     tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
     witness = run_witness(params, ic, tight)
     traj = witness.traj
     level = classify._level_set(params, ic)
-    eps = tight.axis_epsilon
+    eps = AXIS_EPSILON
     z_eps, = levelset.axis_rises(params, level.anchor, level.x_hi, [eps])
     poles = (report.pole_z[0] + z_eps, report.pole_z[1] - z_eps)
     lo, hi = classify._level_theta_range(params, ic, level._replace(x_lo=eps))

@@ -66,6 +66,25 @@ def test_mesh_integrates_a_periodic_profile_once(capsys, tmp_path, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("flags,tag,ends", [
+    # The a < 0 sphere: its run leaves the sphere and ends at the budget both
+    # ways, with z reaching +-128.
+    (["-a", "-2", "-b", "1", "--x0", "3", "--theta0", "pi/2"], "Sphere",
+     ("MaxArclength", "MaxArclength")),
+    # A b = 0 Ovaloid whose outer turning radius lies beyond the budget.
+    (["-a", "0.3", "-b", "0", "--x0", "1", "--theta0", "0.1"], "Ovaloid",
+     ("AxisReached", "MaxArclength")),
+])
+def test_mesh_refuses_a_closed_class_whose_run_misses_a_pole(capsys, tmp_path, flags, tag,
+                                                               ends):
+    code, captured = run(capsys, ["mesh", *flags, "-o", str(tmp_path / "mesh")])
+    assert code == EXIT_FAILURE and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["error"] == "VerificationFailed"
+    assert tag in doc["message"] and all(end in doc["message"] for end in ends)
+    assert not (tmp_path / "mesh").exists()
+
+
 def test_separatrix_bracket_comes_from_the_saddle_level(capsys, tmp_path):
     # A guess from a/b searched [0.0715, 6.0] here and exited 1 with NoBracket.
     a, b = 0.0316257376803106, 0.22103866156983776
@@ -265,8 +284,6 @@ def test_check_reports_run_drift_from_the_first_integral(capsys):
     # The exact (3, 1) separatrix: detect_period's translation residual is 11.
     (["-a", "3", "-b", "1", "--x0", "5.196152422706632", "--theta0", "0"],
      "periodicity", "VerificationFailed"),
-    # The umbilical round sphere has no energy attached.
-    (["-a", "1", "-b", "0", "--x0", "1", "--theta0", "pi/4"], "euler_lagrange", "Unsupported"),
     # At rel_tol 1e-12 the run's vertical tangent has |cos theta| = 1.363e-8,
     # beyond check_horizontal_symmetry's 1e-8.
     (["-a=-0.17825297174398624", "-b", "0.6365410278767536", "--x0", "0.32088661230122567",
@@ -279,7 +296,24 @@ def test_check_reports_every_entry_when_one_raises(capsys, flags, failing, error
     entry = doc["checks"][failing]
     assert entry["pass"] is False and entry["error"] == error and entry["message"]
     assert doc["checks"]["first_integral"]["max_residual"] < 1e-6
-    assert {"euler_lagrange", "first_integral"} <= set(doc["checks"])
+
+
+@pytest.mark.parametrize("flags,entries", [
+    # rest points of a = 1, exact vertical lines with a constant theta'
+    (["-a", "1", "-b", "1", "--x0", "1", "--theta0", "3pi/2"], ["first_integral"]),
+    (["-a", "1", "-b", "2", "--x0", "0.5", "--theta0=-pi/2"], ["first_integral"]),
+    # the umbilical round sphere
+    (["-a", "1", "-b", "0", "--x0", "1", "--theta0", "pi/4"],
+     ["first_integral", "horizontal_symmetry"]),
+])
+def test_check_passes_at_a_one(capsys, flags, entries):
+    # The Euler-Lagrange entry aborted check on the rest points (NotApplicable
+    # on a constant theta') and failed the sphere (Unsupported: no energy at
+    # b = 0); check now tests only the run.
+    code, doc = run_json(capsys, ["check", *flags])
+    assert code == EXIT_OK and doc["pass"] is True
+    assert sorted(doc["checks"]) == entries
+    assert all(entry["max_residual"] < 1e-9 for entry in doc["checks"].values())
 
 
 def test_saddle_level_below_the_float_range_is_inconclusive(capsys):

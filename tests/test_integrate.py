@@ -30,7 +30,7 @@ from wlw.integrate import (
     find_self_intersections,
     integrate,
 )
-from wlw.model import InitialConditions, Params
+from wlw.model import AXIS_EPSILON, InitialConditions, Params
 
 PI = math.pi
 
@@ -222,7 +222,7 @@ def _scipy_reference(traj):
                       t_bound=direction * c.max_arclength, rtol=c.rel_tol, atol=c.abs_tol)
         ts, pieces = [0.0], []
         while solver.status == "running" and direction * solver.t < direction * end:
-            solver.max_step = max(0.8 * solver.y[0], 4.0 * c.axis_epsilon)
+            solver.max_step = max(0.8 * solver.y[0], 4.0 * AXIS_EPSILON)
             solver.step()
             ts.append(solver.t)
             pieces.append(solver.dense_output())

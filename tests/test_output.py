@@ -7,7 +7,13 @@ import pytest
 
 from wlw.classify import classify_surface
 from wlw.errors import DegenerateProfile, InvalidParameter
-from wlw.integrate import IntegrationControls, detect_period, find_self_intersections, integrate
+from wlw.integrate import (
+    IntegrationControls,
+    Termination,
+    detect_period,
+    find_self_intersections,
+    integrate,
+)
 from wlw.model import InitialConditions, Params
 from wlw.output import (
     BOX_TOP,
@@ -355,8 +361,10 @@ class TestSvg:
 
 class TestObjMesh:
     def test_sphere_vertices_on_sphere(self, tmp_path):
-        traj = integrate(Params(-2, 1), InitialConditions(3.0, PI / 2),
-                         IntegrationControls(axis_epsilon=3e-4))
+        # The umbilical sphere of radius 3: its default run reaches the axis
+        # both ways, at z = -3 and z = 3.
+        traj = integrate(Params(1, 0), InitialConditions(3.0, PI / 2))
+        assert traj.termination is traj.termination_backward is Termination.AXIS_REACHED
         path = tmp_path / "sphere.obj"
         write_obj_mesh(traj, path, MeshSpec(n_profile=64, n_revolve=32))
         verts, norms, faces = read_obj_mesh(path)

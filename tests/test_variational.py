@@ -125,9 +125,10 @@ class TestEulerLagrangeResiduals:
         assert prof.max_relative > 1e-2
 
     def test_constant_curvature_is_near_singular(self):
-        # the round sphere of (-2, 1) keeps theta' = mu = 1/3 identically
+        # the round sphere of (-2, 1) keeps theta' = mu = 1/3 identically; an
+        # arclength of 4 each way stays short of its poles, 3 pi/2 away
         traj = integrate(Params(-2, 1), InitialConditions(3.0, PI / 2),
-                         IntegrationControls(max_arclength=8, axis_epsilon=1e-3))
+                         IntegrationControls(max_arclength=4))
         with pytest.raises(NearSingular):
             el_residual_power(traj, exponent_map(Params(-2, 1)))
 
@@ -157,6 +158,60 @@ class TestEulerLagrangeResiduals:
         cylinder = integrate(Params(-2, 1), InitialConditions(2.0, PI / 2))
         with pytest.raises(NotApplicable):
             el_residual_exp(cylinder, ExpEnergyParams(nu=1.0))
+
+
+class _States:
+    """Stands in for a trajectory whose i-th sample is the state (x[i], theta[i])."""
+
+    def __init__(self, params, x, theta):
+        self.params, self.x, self.theta = params, x, theta
+
+    def eval(self, s):
+        i = np.asarray(s, dtype=int)
+        return self.x[i], np.zeros(i.shape), self.theta[i]
+
+
+class TestEulerLagrangeIdentity:
+    """With theta', theta'' and theta''' taken from the ODE, the Euler-Lagrange
+    residual vanishes at every state (x, theta), on a run or not: the paper's
+    variational characterization is an identity in the state.  So it is
+    tested here, over random states, and not by check on a run.  Draws of 50
+    states with x log-uniform in [e^-3, e^3] and theta uniform; measured worst
+    residuals 2.4e-8 (power) and 2.4e-10 (exp) at numpy default_rng(0)."""
+
+    @staticmethod
+    def _worst(params, rng, residual, n=50):
+        x, theta = np.exp(rng.uniform(-3.0, 3.0, n)), rng.uniform(0.0, 2.0 * PI, n)
+        ep = exponent_map(params)
+        with np.errstate(all="ignore"):
+            prof = residual(_States(params, x, theta), ep, span=np.arange(n))
+        mu = 0.0 if isinstance(ep, ExpEnergyParams) else ep.mu
+        u = params.a * np.sin(theta) / x + params.b - mu
+        # away from theta' = mu, where the power terms blow up, and where
+        # every term is finite (exp(nu theta') overflows for small b)
+        live = (np.abs(u) >= 1e-3) & np.isfinite(prof.residual)
+        return float(np.abs(prof.residual[live]).max(initial=0.0)), live.mean()
+
+    def test_power_form_holds_at_random_states(self):
+        rng = np.random.default_rng(0)
+        tested = []
+        for _ in range(3000):
+            a = rng.uniform(-5.0, 5.0)
+            b = 0.0 if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+            worst, live = self._worst(Params(a, b), rng, el_residual_power)
+            assert worst < 1e-6, (a, b, worst)
+            tested.append(live)
+        assert np.mean(tested) > 0.99
+
+    def test_exp_form_holds_at_random_states(self):
+        rng = np.random.default_rng(0)
+        tested = []
+        for _ in range(1000):
+            b = rng.uniform(-2.0, 2.0)
+            worst, live = self._worst(Params(1.0, b), rng, el_residual_exp)
+            assert worst < 1e-6, (b, worst)
+            tested.append(live)
+        assert np.mean(tested) > 0.99
 
 
 class TestFunctionalValue:
