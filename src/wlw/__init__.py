@@ -6,7 +6,6 @@ from .classify import (
     SurfaceTag,
     catenoid_asymptote,
     classify_surface,
-    nodoid_threshold,
     special_solutions,
 )
 from .integrate import (
@@ -41,12 +40,10 @@ from .phaseplane import (
     phase_portrait,
 )
 from .variational import (
-    CriticalCurveScale,
     ExpEnergyParams,
     PowerEnergyParams,
     closure_integral,
-    critical_curve_exp,
-    critical_curve_power,
+    critical_scale,
     el_residual_exp,
     el_residual_power,
     exponent_map,
@@ -58,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassificationReport", "SurfaceClass", "SurfaceTag", "catenoid_asymptote",
-    "classify_surface", "nodoid_threshold", "special_solutions",
+    "classify_surface", "special_solutions",
     "EventKind", "EventRecord", "IntegrationControls", "Termination", "Trajectory",
     "check_horizontal_symmetry", "detect_period", "find_self_intersections", "integrate",
     "InitialConditions", "Params", "ProfileState",
@@ -66,7 +63,7 @@ __all__ = [
     "CriticalPoint", "PhasePortrait", "PortraitSpec", "SingularityKind",
     "classify_singularity", "critical_points", "find_separatrix", "linearize",
     "phase_portrait",
-    "CriticalCurveScale", "ExpEnergyParams", "PowerEnergyParams", "closure_integral",
-    "critical_curve_exp", "critical_curve_power", "el_residual_exp", "el_residual_power",
+    "ExpEnergyParams", "PowerEnergyParams", "closure_integral", "critical_scale",
+    "el_residual_exp", "el_residual_power",
     "exponent_map", "functional_value", "inverse_exponent_map",
 ]

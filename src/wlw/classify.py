@@ -135,20 +135,6 @@ def special_solutions(params: Params) -> list[SurfaceClass]:
     return out
 
 
-def nodoid_threshold(params: Params) -> tuple[float, float]:
-    """Initial radii (at theta0 = pi/2) separating the a < 0 classes.
-
-    Returns (x_cyl, x_sph) = (-a/b, (1-a)/b): below x_cyl and between the
-    two values the surface is unduloid-type, at x_cyl the cylinder, at x_sph
-    the sphere, and beyond x_sph nodoid-type.
-    """
-    if params.a >= 0.0:
-        raise WrongSignRegime(f"thresholds require a < 0, got a={params.a}")
-    if not (params.b > 0.0):
-        raise InvalidParameter(f"thresholds require b > 0, got b={params.b}")
-    return -params.a / params.b, (1.0 - params.a) / params.b
-
-
 def catenoid_asymptote(params: Params, ic: InitialConditions) -> Optional[float]:
     """Height asymptote z1 of the b = 0, a < -1 catenoid-type profile through (x0, theta0).
 

@@ -57,16 +57,8 @@ class Unsupported(WlwError):
     """The umbilical case a = 1, b = 0 has no associated energy."""
 
 
-class NoPeriod(WlwError):
-    """No period is available for the closure integral."""
-
-
 class DivergentIntegrand(WlwError):
     """Energy integrand is undefined or non-finite on the span."""
-
-
-class SignChange(WlwError):
-    """theta' - mu changes sign; the critical-curve form does not apply."""
 
 
 class DegenerateProfile(WlwError):

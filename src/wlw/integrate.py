@@ -41,7 +41,7 @@ from .model import (
     ProfileState,
     is_equilibrium,
 )
-from .numerics import brentq
+from .numerics import MIN_RTOL, brentq
 
 # Arclength accuracy of an event's location and of a self-crossing.
 EVENT_REFINE_TOL = 1e-12
@@ -193,13 +193,12 @@ class Trajectory:
     s > 0.  theta is unwrapped: consecutive samples differ by less than pi.
     """
 
-    def __init__(self, params: Params, ic: InitialConditions, controls: IntegrationControls,
+    def __init__(self, params: Params, ic: InitialConditions,
                  s: np.ndarray, x: np.ndarray, z: np.ndarray, theta: np.ndarray,
                  events: Sequence[EventRecord], termination: Termination,
                  termination_backward: Termination, dense: _Dense):
         self.params = params
         self.ic = ic
-        self.controls = controls
         self.s = s
         self.x = x
         self.z = z
@@ -501,7 +500,7 @@ def _equilibrium_trajectory(params: Params, ic: InitialConditions,
     dense = _Dense(np.array([-span]), np.zeros(1), np.ones(1),
                    np.array([[ic.x0, 0.0, ic.theta0]]), c)
     ev = EventRecord(EventKind.EQUILIBRIUM_HOLD, 0.0, ProfileState(0.0, ic.x0, 0.0, ic.theta0))
-    return Trajectory(params, ic, controls, s, x, z, theta, [ev],
+    return Trajectory(params, ic, s, x, z, theta, [ev],
                       Termination.EQUILIBRIUM_DETECTED, Termination.EQUILIBRIUM_DETECTED, dense)
 
 
@@ -528,7 +527,7 @@ def integrate(params: Params, ic: InitialConditions,
     y_all = np.vstack([np.array(bwd.y[:0:-1]).reshape(-1, 3), np.array(fwd.y)])
     dense = _Dense(*(np.concatenate([b[::-1], f])
                      for b, f in zip(_packed_run(bwd), _packed_run(fwd))))
-    return Trajectory(params, ic, controls, s_all, y_all[:, 0], y_all[:, 1], y_all[:, 2],
+    return Trajectory(params, ic, s_all, y_all[:, 0], y_all[:, 1], y_all[:, 2],
                       bwd.events + fwd.events, fwd.termination, bwd.termination, dense)
 
 
@@ -573,14 +572,21 @@ def detect_period(traj: Trajectory) -> tuple[float, float]:
 def check_horizontal_symmetry(traj: Trajectory, s0: float, n_probes: int = 32) -> float:
     """Mirror residual of the profile about the horizontal line z = z(s0).
 
-    s0 must be a vertical-tangent location (|cos theta| < 1e-8 there).  The
+    s0 must be a vertical tangent as integrate locates one: brentq puts it
+    within EVENT_REFINE_TOL + MIN_RTOL |s0| of the sign change of cos(theta)
+    on the step's interpolant, which eval uses, so |cos theta(s0)| is at most
+    |theta'(s0)| (EVENT_REFINE_TOL + MIN_RTOL |s0|) + MIN_RTOL max(1, |theta(s0)|),
+    the last term for the rounding of theta; beyond that NotVertical.  The
     residual is max over probe offsets d of |x(s0+d) - x(s0-d)| +
     |z(s0+d) + z(s0-d) - 2 z(s0)|, probing as far as the integrated span
     allows on both sides.
     """
     x0, z0, theta0 = traj.eval(s0)
-    if abs(math.cos(theta0)) >= 1e-8:
-        raise NotVertical(f"|cos theta(s0)| = {abs(math.cos(theta0)):.3e} at s0={s0}")
+    slope = abs(traj.params.a * math.sin(theta0) / x0 + traj.params.b)
+    bound = slope * (EVENT_REFINE_TOL + MIN_RTOL * abs(s0)) + MIN_RTOL * max(1.0, abs(theta0))
+    if abs(math.cos(theta0)) > bound:
+        raise NotVertical(f"|cos theta(s0)| = {abs(math.cos(theta0)):.3e} exceeds {bound:.3e} "
+                          f"at s0={s0}")
     window = min(s0 - traj.s_min, traj.s_max - s0)
     if window <= 0.0:
         return 0.0

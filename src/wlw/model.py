@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, NonPositiveRadius, NonPositiveScale
+from .numerics import MIN_RTOL
 
 # Radius below which a trajectory counts as having reached the rotation axis.
 AXIS_EPSILON = 1e-8
@@ -26,7 +27,7 @@ AXIS_EPSILON = 1e-8
 # (levelset.on_level): the plane, the a < 0 sphere and the a > 0 saddle's
 # level.  f_H's rounding gets 4 eps per unit of the terms it sums, and
 # find_separatrix's roots lie within MIN_RTOL x0 = 4 eps x0 of the level's.
-LEVEL_ULPS = 4.0
+LEVEL_ULPS = MIN_RTOL / sys.float_info.epsilon
 
 # Relative accuracy asked by default of a run's steps and of a level set of
 # the first integral.

@@ -12,9 +12,6 @@ estimates sum to within the tolerance.  cumulative_quad does the same on a
 range cut at several stops and returns the integral up to each.  An
 integrand may return a tuple, so several integrals share their nodes and
 one subdivision.
-
-cumulative_simpson is scipy.integrate.cumulative_simpson's formula for
-samples on a strictly increasing grid of any spacing.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ from __future__ import annotations
 import math
 import sys
 from operator import add, mul
-
-import numpy as np
 
 from .errors import QuadratureFailure
 
@@ -224,35 +219,3 @@ def cumulative_quad(f, a: float, stops, epsabs: float = 0.0, epsrel: float = 1e-
         running = [s + math.fsum(col) for s, col in zip(running, zip(*piece_values))]
         upto[edge] = running
     return [tuple(upto[x]) if vector else upto[x][0] for x in stops]
-
-
-def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The cumulative integral of samples y over the strictly increasing grid x, from 0.
-
-    Each subinterval [x_i, x_i+1] is integrated by the quadratic through
-    three neighbouring samples: the one starting at x_i for even i, the one
-    ending at x_i+1 for odd i and for the last subinterval.  Fewer than
-    three samples are joined by the trapezoid rule.
-    """
-    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-    dx = np.diff(x)
-    if np.any(dx <= 0.0):
-        raise ValueError("Input x must be strictly increasing.")
-    if len(y) < 3:
-        return np.concatenate(([0.0], np.cumsum(0.5 * dx * (y[1:] + y[:-1]))))
-    ahead = _simpson_first_halves(y, dx)
-    behind = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
-    pieces = np.empty(len(dx))
-    pieces[:-1:2] = ahead[::2]
-    pieces[1::2] = behind[::2]
-    pieces[-1] = behind[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
-
-
-def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """The integral over [x_i, x_i+1] of the quadratic through y_i, y_i+1, y_i+2."""
-    x21, x32 = dx[:-1], dx[1:]
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                      - x21x21_x31x32 * y[2:])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .classify import ClassificationReport
 from .errors import DegenerateProfile, InvalidParameter
-from .integrate import IntersectionRecord, Trajectory
+from .integrate import EventKind, IntersectionRecord, Trajectory
 from .phaseplane import BOX_TOP, CriticalPoint, PhasePortrait
 
 CSV_HEADER = "s,x,z,theta,kappa1,kappa2"
@@ -60,7 +60,7 @@ def events_to_dict(traj: Trajectory,
     if intersections:
         for r in intersections:
             events.append({
-                "kind": "SelfIntersection",
+                "kind": EventKind.SELF_INTERSECTION.value,
                 "s": r.s_a,
                 "state": {"s": r.s_a, "x": r.x, "z": r.z,
                           "theta": float(traj.eval(r.s_a)[2])},

@@ -5,16 +5,28 @@ A profile curve with kappa1 = a*kappa2 + b extremizes
     integral (theta' - mu)^p ds      with mu = -b/(a-1), p = a/(a-1)   (a != 1)
     integral exp(nu * theta') ds     with nu = 1/b                     (a = 1, b != 0)
 
-under arbitrary boundary conditions.  This module evaluates the functionals,
-their Euler-Lagrange residuals (using analytic s-derivatives of theta', never
-finite differences of samples), the closed-form critical-curve
-parametrizations, and the obstruction integral that rules out closed
-extremals for mu = 0.
+under arbitrary boundary conditions.  Both halves of that statement are
+identities in the state (x, theta), so this module evaluates states and
+theta'(s) profiles, never runs:
 
-el_residual_power and el_residual_exp take theta' and its derivatives from
-the ODE, so they vanish at every state (x, theta), on a trajectory or not:
-they measure rounding, not a run.  The test suite checks this identity over
-random states; no command evaluates it.
+- Euler-Lagrange.  With theta', theta'' and theta''' taken from the ODE,
+  el_residual_power and el_residual_exp vanish at every state, on an orbit
+  or not: they measure rounding.  The test suite checks this over random
+  states; no command evaluates it.
+- Critical curves are the first integral.  On the level through
+  (x_r, sin theta_r = s_r), sin theta = C x^a + b x/(1-a) with
+  C = (s_r - b x_r/(1-a)) x_r^-a, so theta' - mu = a C x^(a-1): it keeps one
+  sign along an orbit, and as (a-1)(p-1) = 1 the scale d of the
+  parametrization x = d p (theta'-mu)^(p-1) is d = 1/(p (aC)^(p-1)), one
+  number on the orbit.  At a = 1, sin theta = x (b ln x + K) and
+  x = d nu exp(nu theta') gives d = b x_r exp(-1 - s_r/(b x_r)).  In both
+  forms z' = d (theta'-mu)^(p-1) ((p-1) theta' + mu), or
+  d (nu theta' - 1) exp(nu theta'), is sin theta at every state.
+  critical_scale returns d.  Its sign is that of p (aC)^(p-1), so it is
+  negative on many levels, for instance wherever p < 0 and a C > 0.
+
+The obstruction integral that rules out closed extremals for mu = 0 is
+closure_integral.
 
 Powers of a negative base arise where theta' < mu, as on the a < 0 family;
 they are taken in the real continuation (-1)^floor(q) * |u|^q, which is exact
@@ -26,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -34,19 +46,15 @@ from .errors import (
     DivergentIntegrand,
     InvalidParameter,
     NearSingular,
-    NoPeriod,
     NotApplicable,
     QuadratureFailure,
-    SignChange,
     Unsupported,
 )
-from .integrate import Trajectory, detect_period
-from .errors import NoFullTurn
 from .model import Params
-from .numerics import cumulative_simpson, quad
+from .numerics import quad
 
-# Points with |theta' - mu| at or below this are outside the power-energy
-# domain and are excluded from residual evaluation.
+# States with |theta' - mu| at or below this are outside the power-energy
+# domain: the residual and the critical-curve scale are nan there.
 NEAR_SINGULAR_TOL = 1e-6
 
 
@@ -74,17 +82,6 @@ class ExpEnergyParams:
     def __post_init__(self):
         if self.nu == 0.0 or not math.isfinite(self.nu):
             raise InvalidParameter("nu must be finite and nonzero")
-
-
-@dataclass(frozen=True)
-class CriticalCurveScale:
-    """Homothety factor of the closed-form critical-curve parametrization."""
-
-    d: float
-
-    def __post_init__(self):
-        if not (self.d > 0.0):
-            raise InvalidParameter(f"scale d must be > 0, got {self.d}")
 
 
 EnergyParams = Union[PowerEnergyParams, ExpEnergyParams]
@@ -119,96 +116,59 @@ def real_power(u, q: float):
     return np.where(u >= 0.0, 1.0, sign) * np.power(np.abs(u), q)
 
 
-def theta_derivatives(traj: Trajectory, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta', theta'', theta''') along a trajectory, by differentiating the ODE.
+def theta_derivatives(params: Params, x, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta', theta'', theta''') at the states (x, theta), by differentiating the ODE.
 
     theta'  = a*sin(theta)/x + b
     theta'' = a*cos(theta)*(theta'*x - sin(theta)) / x^2
     theta''' follows by one more chain-rule pass; no sampled differences enter.
     """
-    a = traj.params.a
-    x, _, theta = traj.eval(s)
+    a = params.a
+    x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    tp = a * sin_t / x + traj.params.b
+    tp = a * sin_t / x + params.b
     tpp = a * cos_t * (tp * x - sin_t) / x**2
     tppp = (a * (-tp * sin_t * (tp * x - sin_t) + x * tpp * cos_t) / x**2
             - 2.0 * tpp * cos_t / x)
     return tp, tpp, tppp
 
 
-@dataclass(frozen=True)
-class ResidualProfile:
-    """Pointwise Euler-Lagrange residual, relative to the largest term."""
-
-    s: np.ndarray
-    residual: np.ndarray          # nan at excluded points
-    excluded: np.ndarray          # True where the power base was near-singular
-
-    @property
-    def max_relative(self) -> float:
-        vals = self.residual[~self.excluded]
-        return float(np.max(np.abs(vals))) if vals.size else math.nan
-
-    @property
-    def n_excluded(self) -> int:
-        return int(self.excluded.sum())
-
-
-def _default_residual_span(traj: Trajectory, n: int) -> np.ndarray:
-    lo, hi = traj.s_min, traj.s_max
-    pad = 0.01 * (hi - lo)
-    s = np.linspace(lo + pad, hi - pad, n)
-    x = traj.eval(s)[0]
-    keep = x > 1e-5 * max(1.0, float(traj.x.max()))
-    return s[keep]
-
-
 def _relative_residual(terms: tuple[np.ndarray, ...]) -> np.ndarray:
     total = sum(terms)
     scale = np.maximum.reduce([np.abs(t) for t in terms])
-    out = np.zeros_like(total)
-    live = scale > 1e-30
-    out[live] = total[live] / scale[live]
-    return out
+    return np.divide(total, scale, out=np.zeros_like(total), where=scale > 1e-30)
 
 
-def el_residual_power(traj: Trajectory, ep: PowerEnergyParams,
-                      n: int = 800, span: Optional[np.ndarray] = None) -> ResidualProfile:
-    """Residual of the power-energy Euler-Lagrange equation along a trajectory.
+def el_residual_power(params: Params, x, theta, ep: PowerEnergyParams) -> np.ndarray:
+    """Residual of the power-energy Euler-Lagrange equation at the states (x, theta).
 
     Evaluates d^2/ds^2[(theta'-mu)^(p-1)] + theta'^2 (theta'-mu)^(p-1)
-    - (theta'/p)(theta'-mu)^p pointwise, normalized by the largest of the
-    three terms.  Points with |theta' - mu| <= 1e-6 are excluded and
-    reported; if every point is excluded (constant-curvature profile with
-    theta' = mu) NearSingular is raised.
+    - (theta'/p)(theta'-mu)^p, normalized by the largest of the three
+    terms; nan where |theta' - mu| <= NEAR_SINGULAR_TOL.  Raises
+    NearSingular when that excludes every state, as on the sphere, where
+    theta' = mu.
     """
-    s = span if span is not None else _default_residual_span(traj, n)
-    s = np.asarray(s, dtype=float)
-    tp, tpp, tppp = theta_derivatives(traj, s)
+    tp, tpp, tppp = theta_derivatives(params, x, theta)
     u = tp - ep.mu
     excluded = np.abs(u) <= NEAR_SINGULAR_TOL
     if excluded.all():
-        raise NearSingular("theta' - mu is near zero on the whole span")
+        raise NearSingular("theta' - mu is near zero at every state")
     p = ep.p
     second = (p - 1.0) * ((p - 2.0) * real_power(u, p - 3.0) * tpp**2
                           + real_power(u, p - 2.0) * tppp)
     curv = tp**2 * real_power(u, p - 1.0)
     drive = -(tp / p) * real_power(u, p)
-    rel = _relative_residual((second, curv, drive))
-    rel[excluded] = np.nan
-    return ResidualProfile(s=s, residual=rel, excluded=excluded)
+    return np.where(excluded, np.nan, _relative_residual((second, curv, drive)))
 
 
-def el_residual_exp(traj: Trajectory, ep: ExpEnergyParams,
-                    n: int = 800, span: Optional[np.ndarray] = None) -> ResidualProfile:
-    """Residual of the exponential-energy Euler-Lagrange equation.
+def el_residual_exp(params: Params, x, theta, ep: ExpEnergyParams) -> np.ndarray:
+    """Residual of the exponential-energy Euler-Lagrange equation at the states (x, theta).
 
-    Constant-curvature input is rejected with NotApplicable: for a = 1 and
-    b != 0 no such generating curve exists, so the check is meaningless.
+    States with one theta' are rejected with NotApplicable: for a = 1 and
+    b != 0 no generating curve of constant curvature exists, so the check
+    is meaningless.
     """
-    s = span if span is not None else _default_residual_span(traj, n)
-    s = np.asarray(s, dtype=float)
-    tp, tpp, tppp = theta_derivatives(traj, s)
+    tp, tpp, tppp = theta_derivatives(params, x, theta)
     if np.ptp(tp) < 1e-12 * max(1.0, float(np.abs(tp).max())):
         raise NotApplicable("theta' is constant; not an exponential-energy extremal family")
     nu = ep.nu
@@ -216,22 +176,36 @@ def el_residual_exp(traj: Trajectory, ep: ExpEnergyParams,
     second = nu * e * (nu * tpp**2 + tppp)
     curv = tp**2 * e
     drive = -(tp / nu) * e
-    rel = _relative_residual((second, curv, drive))
-    excluded = np.zeros_like(rel, dtype=bool)
-    return ResidualProfile(s=s, residual=rel, excluded=excluded)
+    return _relative_residual((second, curv, drive))
 
 
-def functional_value(traj: Trajectory, ep: EnergyParams,
-                     span: Optional[tuple[float, float]] = None) -> float:
-    """Energy of a trajectory arc by adaptive quadrature over arclength."""
-    lo, hi = span if span is not None else (traj.s_min, traj.s_max)
+def critical_scale(params: Params, x, theta, ep: EnergyParams) -> np.ndarray:
+    """Scale d of the critical-curve parametrization through each state (x, theta).
+
+    d solves x = d p (theta'-mu)^(p-1), or x = d nu exp(nu theta') at a = 1,
+    so it is one number along an orbit (module docstring) and may be
+    negative; nan where |theta' - mu| <= NEAR_SINGULAR_TOL.
+    """
+    tp = theta_derivatives(params, x, theta)[0]
+    if isinstance(ep, ExpEnergyParams):
+        return x / (ep.nu * np.exp(ep.nu * tp))
+    u = tp - ep.mu
+    with np.errstate(divide="ignore"):
+        return np.where(np.abs(u) > NEAR_SINGULAR_TOL, x / (ep.p * real_power(u, ep.p - 1.0)),
+                        np.nan)
+
+
+def functional_value(theta_prime: Callable, ep: EnergyParams,
+                     span: tuple[float, float]) -> float:
+    """Energy of the arc s in span of a theta'(s) profile, by adaptive quadrature."""
+    lo, hi = span
 
     if isinstance(ep, ExpEnergyParams):
         def integrand(s):
-            return float(np.exp(ep.nu * traj.theta_prime(s)))
+            return float(np.exp(ep.nu * theta_prime(s)))
     else:
         def integrand(s):
-            return float(real_power(traj.theta_prime(s) - ep.mu, ep.p))
+            return float(real_power(theta_prime(s) - ep.mu, ep.p))
 
     probe = np.linspace(lo, hi, 33)
     vals = np.array([integrand(float(t)) for t in probe])
@@ -243,71 +217,13 @@ def functional_value(traj: Trajectory, ep: EnergyParams,
         raise DivergentIntegrand("energy integral did not converge") from exc
 
 
-def _profile_arrays(theta_prime, s_grid) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(s_grid, dtype=float)
-    tp = theta_prime(s) if callable(theta_prime) else np.asarray(theta_prime, dtype=float)
-    if tp.shape != s.shape:
-        raise InvalidParameter("theta' profile and s grid shapes differ")
-    return tp, s
-
-
-def critical_curve_power(theta_prime, s_grid, ep: PowerEnergyParams,
-                         d: CriticalCurveScale) -> tuple[np.ndarray, np.ndarray]:
-    """Planar critical curve rebuilt from a theta'(s) profile.
-
-    x(s) = d*p*(theta'-mu)^(p-1) and z(s) integrates
-    (theta'-mu)^(p-1)*((p-1)*theta' + mu); z(s_grid[0]) = 0.  The profile
-    must be non-constant with theta' - mu of one sign.
-    """
-    tp, s = _profile_arrays(theta_prime, s_grid)
-    u = tp - ep.mu
-    if np.ptp(tp) < 1e-12 * max(1.0, float(np.abs(tp).max())):
-        raise NotApplicable("constant curvature: the closed-form parametrization degenerates")
-    if u.min() < 0.0 < u.max():
-        raise SignChange("theta' - mu changes sign on the profile")
-    p = ep.p
-    x = d.d * p * real_power(u, p - 1.0)
-    integrand = real_power(u, p - 1.0) * ((p - 1.0) * tp + ep.mu)
-    z = d.d * cumulative_simpson(integrand, s)
-    return x, z
-
-
-def critical_curve_exp(theta_prime, s_grid, ep: ExpEnergyParams,
-                       d: CriticalCurveScale) -> tuple[np.ndarray, np.ndarray]:
-    """Planar critical curve of the exponential energy from a theta' profile.
-
-    x(s) = d*nu*exp(nu*theta') and z(s) integrates (nu*theta'-1)*exp(nu*theta').
-    """
-    tp, s = _profile_arrays(theta_prime, s_grid)
-    if np.ptp(tp) < 1e-12 * max(1.0, float(np.abs(tp).max())):
-        raise NotApplicable("constant curvature: the closed-form parametrization degenerates")
-    e = np.exp(ep.nu * tp)
-    x = d.d * ep.nu * e
-    z = d.d * cumulative_simpson((ep.nu * tp - 1.0) * e, s)
-    return x, z
-
-
-def closure_integral(source: Union[Trajectory, Callable], ep: PowerEnergyParams,
-                     period: Optional[float] = None) -> float:
+def closure_integral(theta_prime: Callable, ep: PowerEnergyParams, period: float) -> float:
     """Obstruction integral for closing a critical curve over one period.
 
-    Evaluates integral_0^T (theta'-mu)^(p-1) * ((p-1)*theta' - mu) ds; for
-    mu = 0 this reduces to integral_0^T theta'^p ds.  source is either a
-    trajectory whose tangent winds (the period is then detected) or a
-    callable theta'(s) with an explicit period.
+    Evaluates integral_0^T (theta'-mu)^(p-1) * ((p-1)*theta' - mu) ds of a
+    theta'(s) profile of period T; for mu = 0 this reduces to
+    integral_0^T theta'^p ds.
     """
-    if isinstance(source, Trajectory):
-        if period is None:
-            try:
-                period, _ = detect_period(source)
-            except NoFullTurn as exc:
-                raise NoPeriod(str(exc)) from exc
-        theta_prime = source.theta_prime
-    else:
-        if period is None:
-            raise NoPeriod("a period is required with a synthetic theta' profile")
-        theta_prime = source
-
     mu, p = ep.mu, ep.p
     if mu == 0.0:
         def integrand(s):

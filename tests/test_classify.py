@@ -19,7 +19,6 @@ from wlw.classify import (
     SurfaceTag,
     catenoid_asymptote,
     classify_surface,
-    nodoid_threshold,
     special_solutions,
 )
 from wlw.errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
@@ -118,19 +117,20 @@ class TestNegativeAFamily:
         assert r.asymptotic_radius == pytest.approx(2.0)
 
 
+def thresholds(params):
+    """(x_cyl, x_sph) = (-a/b, (1 - a)/b), the radii at theta0 = pi/2 that
+    separate the a < 0 classes: the Cylinder and Sphere radii."""
+    radii = {c.tag: c.radius for c in special_solutions(params)}
+    return radii[SurfaceTag.CYLINDER], radii[SurfaceTag.SPHERE]
+
+
 class TestThresholds:
     def test_values(self):
-        assert nodoid_threshold(Params(-2, 1)) == (2.0, 3.0)
-        assert nodoid_threshold(Params(-1, 2)) == (0.5, 1.0)
-
-    def test_wrong_regime(self):
-        with pytest.raises(WrongSignRegime):
-            nodoid_threshold(Params(2, 1))
-        with pytest.raises(InvalidParameter):
-            nodoid_threshold(Params(-2, -1))
+        assert thresholds(Params(-2, 1)) == (2.0, 3.0)
+        assert thresholds(Params(-1, 2)) == (0.5, 1.0)
 
     def test_sphere_threshold_flips_classification(self):
-        x_cyl, x_sph = nodoid_threshold(Params(-2, 1))
+        x_cyl, x_sph = thresholds(Params(-2, 1))
         for delta in (1e-3, 1e-4):
             below = classify_surface(Params(-2, 1), InitialConditions(x_sph - delta, PI / 2))
             above = classify_surface(Params(-2, 1), InitialConditions(x_sph + delta, PI / 2))
@@ -157,7 +157,7 @@ class TestThresholds:
         # x_sph = (1 - a)/b: Unduloid just inside, the closed-form sphere on
         # it, and Nodoid just beyond.
         params = Params(a, 1.0)
-        x_sph = nodoid_threshold(params)[1]
+        x_sph = thresholds(params)[1]
         got = tags(params, PI / 2, [x_sph * (1.0 - 1e-3), x_sph, x_sph * (1.0 + 1e-3)])
         assert got == [SurfaceTag.UNDULOID, SurfaceTag.SPHERE, SurfaceTag.NODOID]
         r = classify_surface(params, InitialConditions(x_sph, PI / 2))
@@ -168,7 +168,7 @@ class TestThresholds:
     @pytest.mark.parametrize("a", [-3.0, -2.0, -0.5])
     def test_cylinder_threshold_at_one_part_in_a_thousand(self, a):
         params = Params(a, 1.0)
-        x_cyl = nodoid_threshold(params)[0]
+        x_cyl = thresholds(params)[0]
         got = tags(params, PI / 2, [x_cyl * (1.0 - 1e-3), x_cyl, x_cyl * (1.0 + 1e-3)])
         assert got == [SurfaceTag.UNDULOID, SurfaceTag.CYLINDER, SurfaceTag.UNDULOID]
 
@@ -188,7 +188,7 @@ class TestThresholds:
         assert mirrored.pole_z == pytest.approx(r.pole_z[::-1], abs=1e-14)
 
     def test_cylinder_threshold_is_isolated(self):
-        x_cyl, _ = nodoid_threshold(Params(-2, 1))
+        x_cyl, _ = thresholds(Params(-2, 1))
         got = tags(Params(-2, 1), PI / 2, [x_cyl - 1e-4, x_cyl, x_cyl + 1e-4])
         assert got == [SurfaceTag.UNDULOID, SurfaceTag.CYLINDER, SurfaceTag.UNDULOID]
 

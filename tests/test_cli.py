@@ -284,11 +284,6 @@ def test_check_reports_run_drift_from_the_first_integral(capsys):
     # The exact (3, 1) separatrix: detect_period's translation residual is 11.
     (["-a", "3", "-b", "1", "--x0", "5.196152422706632", "--theta0", "0"],
      "periodicity", "VerificationFailed"),
-    # At rel_tol 1e-12 the run's vertical tangent has |cos theta| = 1.363e-8,
-    # beyond check_horizontal_symmetry's 1e-8.
-    (["-a=-0.17825297174398624", "-b", "0.6365410278767536", "--x0", "0.32088661230122567",
-      "--theta0", "2.849508887535608", "--rel-tol", "1e-12"],
-     "horizontal_symmetry", "NotVertical"),
 ])
 def test_check_reports_every_entry_when_one_raises(capsys, flags, failing, error):
     code, doc = run_json(capsys, ["check", *flags])
@@ -296,6 +291,18 @@ def test_check_reports_every_entry_when_one_raises(capsys, flags, failing, error
     entry = doc["checks"][failing]
     assert entry["pass"] is False and entry["error"] == error and entry["message"]
     assert doc["checks"]["first_integral"]["max_residual"] < 1e-6
+
+
+def test_check_accepts_a_steep_vertical_tangent(capsys):
+    # At rel_tol 1e-12 the inner vertical tangents lie at x = 1.69e-6, where
+    # |theta'| = 1.05e5, so a located event has |cos theta| up to 1.363e-8:
+    # within |theta'| times brentq's location tolerance, though beyond a
+    # fixed 1e-8.
+    flags = ["-a=-0.17825297174398624", "-b", "0.6365410278767536", "--x0",
+             "0.32088661230122567", "--theta0", "2.849508887535608", "--rel-tol", "1e-12"]
+    code, doc = run_json(capsys, ["check", *flags])
+    assert code == EXIT_OK and doc["pass"] is True
+    assert doc["checks"]["horizontal_symmetry"]["max_residual"] < 1e-8
 
 
 @pytest.mark.parametrize("flags,entries", [

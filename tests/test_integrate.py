@@ -205,9 +205,9 @@ class TestTrajectoryInvariants:
             vesicle_traj.eval(vesicle_traj.s_max + 1.0)
 
 
-def _scipy_reference(traj):
-    """scipy's RK45 driven with the same controls and axis clamp over traj's span."""
-    a, b, c = traj.params.a, traj.params.b, traj.controls
+def _scipy_reference(traj, max_arclength):
+    """scipy's RK45 driven with traj's controls and axis clamp over traj's span."""
+    a, b, c = traj.params.a, traj.params.b, IntegrationControls(max_arclength=max_arclength)
 
     def f(s, y):
         if y[0] <= 0.0:
@@ -237,8 +237,10 @@ def _scipy_reference(traj):
     return evaluate
 
 
-ORBITS = ["nodoid_traj", "unduloid_traj", "vesicle_traj", "antinodoid_traj", "circle_traj",
-          "exp_traj"]
+# The conftest orbits, with the max_arclength each was integrated with.
+SPANS = {"nodoid_traj": 200, "unduloid_traj": 120, "vesicle_traj": 60, "antinodoid_traj": 200,
+         "circle_traj": 30, "exp_traj": 12}
+ORBITS = list(SPANS)
 
 
 class TestDenseOutput:
@@ -247,7 +249,7 @@ class TestDenseOutput:
         # Step grids drift apart by rounding, so compare dense solutions.
         traj = request.getfixturevalue(orbit)
         s = np.linspace(traj.s_min, traj.s_max, 1000)
-        np.testing.assert_allclose(traj.eval(s), _scipy_reference(traj)(s), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(traj.eval(s), _scipy_reference(traj, SPANS[orbit])(s), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("orbit", ORBITS)
     def test_reproduces_stored_samples(self, orbit, request):
@@ -260,9 +262,10 @@ class TestDenseOutput:
         # Events are refined on a one-step interpolant; its values must be the
         # bits Trajectory.eval gives on that step's packed row.
         traj, d = nodoid_traj, nodoid_traj._dense
+        controls = IntegrationControls(max_arclength=200, max_full_turns=3)   # the fixture's
         checked = 0
         for direction in (1, -1):
-            run = _run_direction(traj.params, traj.ic, traj.controls, direction)
+            run = _run_direction(traj.params, traj.ic, controls, direction)
             for s0, y0, (s1, *K) in zip(run.s, run.y, run.steps):
                 lo, hi = min(s0, s1), max(s0, s1)
                 if not any(lo <= e.s <= hi for e in traj.events):
@@ -270,7 +273,7 @@ class TestDenseOutput:
                 row = np.flatnonzero((d.s0 == s0) & (d.h == s1 - s0))
                 assert row.size == 1
                 # The row alone, so that eval uses it at both step ends too.
-                alone = Trajectory(traj.params, traj.ic, traj.controls, np.array([lo, hi]),
+                alone = Trajectory(traj.params, traj.ic, np.array([lo, hi]),
                                    np.zeros(2), np.zeros(2), np.zeros(2), [],
                                    traj.termination, traj.termination_backward,
                                    _Dense(*(f[row] for f in d)))

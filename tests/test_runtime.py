@@ -1,5 +1,7 @@
-"""The package runs on numpy alone: no command imports scipy."""
+"""The package runs on numpy alone: no command imports scipy.  And the
+modules that work on states and floats import no run."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,26 @@ def test_every_command_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), str(tmp_path)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _imports(module):
+    """The modules a source file of wlw imports, relative ones with their dots."""
+    tree = ast.parse((SRC / "wlw" / module).read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            out.add(base)
+            if node.module is None:
+                out.update(base + alias.name for alias in node.names)
+    return out
+
+
+def test_variational_and_numerics_import_no_run():
+    # variational evaluates states (x, theta) and theta'(s) profiles, and
+    # numerics works on floats: neither needs integrate, and numerics no numpy.
+    for module in ("variational.py", "numerics.py"):
+        assert not _imports(module) & {".integrate", "wlw.integrate"}, module
+    assert not {m for m in _imports("numerics.py") if m.split(".")[0] == "numpy"}
