@@ -33,10 +33,8 @@ from .phaseplane import (
     PhasePortrait,
     PortraitSpec,
     SingularityKind,
-    classify_singularity,
     critical_points,
     find_separatrix,
-    linearize,
     phase_portrait,
 )
 from .variational import (
@@ -61,8 +59,7 @@ __all__ = [
     "InitialConditions", "Params", "ProfileState",
     "principal_curvatures", "reflect_b", "rescale", "rhs",
     "CriticalPoint", "PhasePortrait", "PortraitSpec", "SingularityKind",
-    "classify_singularity", "critical_points", "find_separatrix", "linearize",
-    "phase_portrait",
+    "critical_points", "find_separatrix", "phase_portrait",
     "ExpEnergyParams", "PowerEnergyParams", "closure_integral", "critical_scale",
     "el_residual_exp", "el_residual_power",
     "exponent_map", "functional_value", "inverse_exponent_map",

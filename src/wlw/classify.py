@@ -59,7 +59,6 @@ from . import levelset
 from .errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
 from .integrate import Termination
 from .model import REL_TOL, InitialConditions, Params, canonicalize, is_equilibrium
-from .numerics import quad
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
 # equal when they differ by less than this times x0.
@@ -142,8 +141,9 @@ def catenoid_asymptote(params: Params, ic: InitialConditions) -> Optional[float]
     x_min = x0 |sin(theta0)|^(-1/a), where the tangent is vertical, and
     |sin(theta)| = (x/x_min)^a.  z as a graph over the radius then
     satisfies z'(x) = x_min^(q/2)/sqrt(x^q - x_min^q) with q = -2a, and z1
-    is its integral over [x_min, inf).  For -1 <= a < 0 the integral
-    diverges and None is returned (the graph covers the whole axis).
+    is its integral over [x_min, inf).  With t = (x_min/x)^q that is the
+    Beta integral z1 = x_min B(1/2 - 1/q, 1/2)/q.  For -1 <= a < 0 the
+    integral diverges and None is returned (the graph covers the whole axis).
     Raises InvalidParameter for b != 0 or sin(theta0) = 0 (a line).
     """
     a = params.a
@@ -157,27 +157,9 @@ def catenoid_asymptote(params: Params, ic: InitialConditions) -> Optional[float]
     if -1.0 <= a < 0.0:
         return None
     x_min = ic.x0 * abs(s0) ** (-1.0 / a)
-    q = -2.0 * a  # > 2
-    neck = x_min ** q
-
-    # Near the neck the integrand has an inverse-sqrt singularity; the
-    # substitution t = x_min + u^2 makes it regular.
-    def near(u):
-        t = x_min + u * u
-        return 2.0 * u / math.sqrt(t**q - neck)
-
-    # Beyond t0 = 2 x_min, t = t0 v^(-p) with p = 4/(q - 2) maps [t0, inf)
-    # onto (0, 1] and the integrand 1/sqrt(t^q - x_min^q) onto
-    # p t0^(1 - q/2) v / sqrt(1 - 2^(-q) v^(p q)).
-    p = 4.0 / (q - 2.0)
-    scale, tail = p * (2.0 * x_min) ** (1.0 - 0.5 * q), 2.0 ** -q
-
-    def far(v):
-        return scale * v / math.sqrt(1.0 - tail * v ** (p * q))
-
-    total = (quad(near, 0.0, math.sqrt(x_min), epsabs=1e-12, epsrel=1e-12, limit=400)
-             + quad(far, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=400))
-    return math.sqrt(neck) * total
+    # (a + 1)/(2a) is 1/2 - 1/q, written so that it keeps its digits near a = -1
+    return (x_min * math.sqrt(math.pi) * math.gamma((a + 1.0) / (2.0 * a))
+            / (-2.0 * a * math.gamma((2.0 * a + 1.0) / (2.0 * a))))
 
 
 class _Level(NamedTuple):

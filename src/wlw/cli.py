@@ -204,7 +204,7 @@ def cmd_phase(args) -> int:
         "critical_points": [{
             "theta": p.theta,
             "x": p.x,
-            "eigenvalues": [[z.real, z.imag] for z in (complex(e) for e in p.eigenvalues)],
+            "eigenvalues": [[z.real, z.imag] for z in p.eigenvalues],
             "kind": p.kind.value,
         } for p in points],
         "special_solutions": [{"class": s.tag.value, "radius": s.radius}

@@ -33,10 +33,6 @@ class NoBracket(WlwError):
     """A root-finding bracket holds no sign change."""
 
 
-class DegenerateEigenvalue(WlwError):
-    """A linearization eigenvalue vanishes; type is not determined."""
-
-
 class WrongSignRegime(WlwError):
     """Operation applies only to the opposite sign of the parameter a."""
 

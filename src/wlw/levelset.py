@@ -124,9 +124,10 @@ def _unbounded(params: Params, anchor: Anchor, outward: bool) -> bool:
 
 
 def step_factor(params: Params) -> float:
-    """The factor by which _end steps a radius: 2, or 2^(_POWER_STEP/|a|)
-    where that is less, so that (x/x_r)^a grows by at most 2^_POWER_STEP a
-    step and stays finite."""
+    """The factor by which _end steps a radius where (x/x_r)^a grows, outward
+    for a > 0 and toward the axis for a < 0: 2, or 2^(_POWER_STEP/|a|) where
+    that is less, so that (x/x_r)^a grows by at most 2^_POWER_STEP a step and
+    stays finite.  Where the power decays _end steps by 2."""
     return 2.0 ** min(1.0, _POWER_STEP / abs(params.a)) if params.a != 0.0 else 2.0
 
 
@@ -144,7 +145,7 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
     def f(x):
         return f_H(params, anchor, x)
 
-    step = step_factor(params)
+    step = step_factor(params) if (params.a > 0.0) == outward else 2.0
 
     def stops():
         xc = _critical_radius(params, anchor)

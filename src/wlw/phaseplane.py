@@ -1,4 +1,4 @@
-"""Equilibria, linearization, the separatrix and portraits for the tangent flow.
+"""Rest points, the separatrix and portraits for the tangent flow.
 
 Multiplying the (theta, x) projection of the profile ODE by x removes the
 axis pole and gives the polynomial vector field
@@ -6,10 +6,13 @@ axis pole and gives the polynomial vector field
     V(theta, x) = (a*sin(theta) + b*x,  x*cos(theta))
 
 on [0, 2*pi] x {x >= 0}.  Its rest points organize the whole classification:
-two on the axis, and (for b != 0) one interior point at x = |a|/b that is a
-saddle for a > 0 and a center for a < 0.  Since V is the profile field times
-x, its orbits with x > 0 are the (theta, x) projections of profile curves, and
-portraits draw them off their levels of the first integral (levelset).
+two on the axis, with eigenvalues (a, 1) at theta = 0 and (-a, -1) at
+theta = pi, and (for b != 0) one interior point at x = |a/b| with
+lambda^2 = a, a saddle for a > 0 and a center for a < 0.  These are closed
+forms, so critical_points computes no eigenvalues.  Since V is the profile
+field times x, its orbits with x > 0 are the (theta, x) projections of
+profile curves, and portraits draw them off their levels of the first
+integral (levelset).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import levelset
-from .errors import DegenerateEigenvalue, Inconclusive, InvalidParameter, NoBracket
+from .errors import Inconclusive, InvalidParameter, NoBracket
 from .model import InitialConditions, Params
 from .numerics import MIN_RTOL, brentq
 
@@ -75,63 +78,33 @@ def autonomous_rhs(params: Params, theta, x):
     return params.a * np.sin(theta) + params.b * x, x * np.cos(theta)
 
 
-def linearize(params: Params, point: tuple[float, float]) -> np.ndarray:
-    """Jacobian [[a*cos(theta), b], [-x*sin(theta), cos(theta)]] at a point."""
-    theta, x = point
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[params.a * c, params.b], [-x * s, c]])
-
-
-def classify_singularity(eigenvalues: tuple[complex, complex]) -> SingularityKind:
-    """Map a linearization eigenvalue pair to its rest-point type.
-
-    Raises DegenerateEigenvalue when an eigenvalue vanishes, and rejects
-    genuinely complex pairs with nonzero real part (they do not occur for
-    this field).
-    """
-    l1, l2 = complex(eigenvalues[0]), complex(eigenvalues[1])
-    scale = max(abs(l1), abs(l2))
-    if scale == 0.0 or min(abs(l1), abs(l2)) < 1e-14 * scale:
-        raise DegenerateEigenvalue(f"zero eigenvalue in {eigenvalues}")
-    tol = 1e-9 * scale
-    real = abs(l1.imag) < tol and abs(l2.imag) < tol
-    imag = abs(l1.real) < tol and abs(l2.real) < tol
-    if real:
-        r1, r2 = l1.real, l2.real
-        if r1 > 0.0 and r2 > 0.0:
-            return SingularityKind.IMPROPER_NODE if abs(r1 - r2) < tol else SingularityKind.UNSTABLE_NODE
-        if r1 < 0.0 and r2 < 0.0:
-            return SingularityKind.STABLE_NODE
-        return SingularityKind.SADDLE
-    if imag:
-        return SingularityKind.CENTER
-    raise InvalidParameter(f"eigenvalue pair {eigenvalues} is not produced by this field")
-
-
 def critical_points(params: Params) -> list[CriticalPoint]:
-    """Rest points with x >= 0: the two axis points, plus x = |a|/b for b != 0.
+    """Rest points with x >= 0: the two axis points, plus x = |a/b| for b != 0.
 
-    The interior point sits at theta = 3*pi/2 when a/b > 0 and at
-    theta = pi/2 when a/b < 0; it corresponds to the vertical-line profile
-    x = |a|/b (a circular cylinder).
+    The eigenvalues of the linearization are exact.  At theta = 0 they are
+    (a, 1): an unstable node for a > 0, improper at a = 1, and a saddle for
+    a < 0.  At theta = pi they are (-a, -1): a stable node for a > 0 and a
+    saddle for a < 0, improper at a = -1.  The interior point sits at
+    theta = 3*pi/2 when a/b > 0 and at theta = pi/2 when a/b < 0, and
+    corresponds to the vertical-line profile x = |a/b| (a circular
+    cylinder).  There the Jacobian is [[0, b], [-x sin(theta), 0]], so
+    lambda^2 = a: a saddle (-sqrt(a), sqrt(a)) for a > 0 and a center
+    (i sqrt(-a), -i sqrt(-a)) for a < 0.
     """
     a, b = params.a, params.b
-    pts = []
-    for theta in (0.0, math.pi):
-        J = linearize(params, (theta, 0.0))
-        eigs = tuple(np.linalg.eigvals(J))
-        kind = classify_singularity(eigs)
-        if theta > 0.0 and a == -1.0:
-            kind = SingularityKind.IMPROPER_SADDLE
-        pts.append(CriticalPoint(theta, 0.0, eigs, kind))
+    K = SingularityKind
+    origin = K.SADDLE if a < 0.0 else K.IMPROPER_NODE if a == 1.0 else K.UNSTABLE_NODE
+    pole = K.STABLE_NODE if a > 0.0 else K.IMPROPER_SADDLE if a == -1.0 else K.SADDLE
+    pts = [CriticalPoint(0.0, 0.0, (complex(a), complex(1.0)), origin),
+           CriticalPoint(math.pi, 0.0, (complex(-a), complex(-1.0)), pole)]
     if b != 0.0:
-        if a / b > 0.0:
-            theta_c, x_c = 1.5 * math.pi, a / b
+        theta_c = 1.5 * math.pi if (a > 0.0) == (b > 0.0) else 0.5 * math.pi
+        r = math.sqrt(abs(a))
+        if a > 0.0:
+            pts.append(CriticalPoint(theta_c, abs(a / b), (complex(-r), complex(r)), K.SADDLE))
         else:
-            theta_c, x_c = 0.5 * math.pi, -a / b
-        J = linearize(params, (theta_c, x_c))
-        eigs = tuple(np.linalg.eigvals(J))
-        pts.append(CriticalPoint(theta_c, x_c, eigs, classify_singularity(eigs)))
+            pts.append(CriticalPoint(theta_c, abs(a / b), (complex(0.0, r), complex(0.0, -r)),
+                                     K.CENTER))
     return pts
 
 

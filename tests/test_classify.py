@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
+from scipy.special import beta
 
 from wlw import classify, cli, levelset
 from wlw.classify import (
@@ -41,7 +42,7 @@ from wlw.model import (
     reflect_b,
     rescale,
 )
-from wlw.phaseplane import MIN_RTOL, find_separatrix, linearize
+from wlw.phaseplane import MIN_RTOL, SingularityKind, critical_points, find_separatrix
 
 PI = math.pi
 INTEGRATE = importlib.import_module("wlw.integrate")
@@ -314,7 +315,9 @@ class TestPositiveAFamily:
         # between its poles.
         params = Params(a, 1.0)
         x_star = a / params.b
-        lam = max(np.linalg.eigvals(linearize(params, (1.5 * PI, x_star))).real) / x_star
+        saddle = critical_points(params)[2]
+        assert (saddle.theta, saddle.x) == (1.5 * PI, x_star)
+        lam = max(e.real for e in saddle.eigenvalues) / x_star
         per_decade = math.log(10.0) / lam
         assert per_decade == pytest.approx(math.sqrt(a) / params.b * math.log(10.0), rel=1e-14)
         xbar = find_separatrix(params, 0.0, (1e-3, 1e3))
@@ -428,6 +431,17 @@ class TestCatenoidAsymptote:
         assert z1_scaled == pytest.approx(lam * z1, rel=1e-9)
         neck = InitialConditions(2.0 ** 0.25, PI / 4)   # x_min = x0 sin(theta0)^(1/2) = 1
         assert catenoid_asymptote(Params(a, 0.0), neck) == pytest.approx(z1, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [-1.0001, -1.5, -2.0, -7.3, -1000.0, -1e6])
+    def test_beta_closed_form(self, a):
+        # z1 = x_min B(1/2 - 1/q, 1/2)/q, q = -2a, with scipy's Beta at the
+        # argument (a + 1)/(2a): 1/2 - 1/q in floats loses four digits at
+        # a = -1.0001.
+        x0, theta0 = 1.7, 0.9
+        x_min = x0 * math.sin(theta0) ** (-1.0 / a)
+        want = x_min * beta((a + 1.0) / (2.0 * a), 0.5) / (-2.0 * a)
+        got = catenoid_asymptote(Params(a, 0.0), InitialConditions(x0, theta0))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestReportMechanics:
@@ -1273,6 +1287,25 @@ class TestNearCentre:
         t_lo, t_hi = theta_extremes(traj)
         lo, hi = r.theta_range
         assert (t_lo, t_hi) == pytest.approx((lo, hi), abs=1e-6)
+
+    @pytest.mark.parametrize("a,b", [(-2.0, 1.0), (-0.5, 2.0), (-5.0, 0.3)])
+    def test_period_tends_to_the_centre_rotation(self, a, b):
+        # Next to the a < 0 centre (pi/2, x_c) the linearization turns at
+        # |lambda| = sqrt(|a|) per unit of sigma, ds = x dsigma, so the period
+        # in arclength tends to 2 pi x_c/|lambda|, with an error of order
+        # delta^2.  T comes from every second forward vertical tangent of a
+        # tight run.
+        centre = critical_points(Params(a, b))[2]
+        assert (centre.kind, centre.theta) == (SingularityKind.CENTER, PI / 2)
+        t0 = 2.0 * PI * centre.x / abs(centre.eigenvalues[0])
+        for delta, bound in ((1e-3, 1e-6), (1e-4, 1e-8)):
+            traj = integrate(Params(a, b), InitialConditions(centre.x * (1.0 + delta), PI / 2),
+                             IntegrationControls(rel_tol=1e-12, abs_tol=1e-14,
+                                                 max_arclength=4.5 * t0))
+            s = sorted(e.s for e in traj.events_of(EventKind.VERTICAL_TANGENT) if e.s > 0.0)
+            periods = np.diff(s[::2])
+            assert periods.size >= 3
+            assert np.abs(periods / t0 - 1.0).max() <= bound, (delta, periods / t0 - 1.0)
 
     def test_cylinder_runs_nothing(self, monkeypatch):
         runs = spy_integrate(monkeypatch)

@@ -221,6 +221,16 @@ def test_phase_resolves_a_turning_radius_next_to_the_least_normal_float(capsys, 
     assert doc["files"] == [str(tmp_path / "phase.svg"), str(tmp_path / "critical_points.json")]
 
 
+@pytest.mark.parametrize("a", ["1e-15", "-1e-15", "1e15"])
+def test_phase_draws_rest_points_far_from_a_one(capsys, tmp_path, a):
+    # The axis points' eigenvalues (a, 1) are exact for every a != 0; an
+    # eigenvalue solver reads |a| below about 1e-14 of 1, or 1 below that of
+    # a, as zero.
+    code, doc = run_json(capsys, ["phase", f"-a={a}", "-b", "1", "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    assert doc["critical_points"][0]["eigenvalues"] == [[float(a), 0.0], [1.0, 0.0]]
+
+
 PHASE = ["phase", "-a", "3", "-b", "1"]
 CLASSIFY = ["classify", "-a", "3", "-b", "1", "--x0", "1"]
 CHECK = ["check", "-a", "3", "-b", "1", "--x0", "1"]

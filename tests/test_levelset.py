@@ -128,6 +128,24 @@ def test_radii_past_a_power_overflow_are_resolved(a, b, x0, theta0):
             assert abs(f_H(params, anchor, x)) == pytest.approx(1.0, abs=4e-15 * abs(a + b * x))
 
 
+def test_outward_search_steps_by_two_where_the_power_decays(monkeypatch):
+    # For a < 0 the power (x/x_r)^a decays outward, and |f_H| reaches 1
+    # only through b x/(1 - a), at x = 1 - a for this level.  Steps of
+    # 2^(512/|a|) take millions of f_H calls to get there; with steps of 2
+    # both radii take 55.
+    calls, f = [], levelset.f_H
+
+    def counted(*args):
+        calls.append(None)
+        assert len(calls) <= 200, "the outward search takes too many steps"
+        return f(*args)
+
+    monkeypatch.setattr(levelset, "f_H", counted)
+    a = -1e9
+    x_lo, x_hi = turning_radii(Params(a, 1.0), Anchor(1.0, 0.0))
+    assert x_lo < 1.0 and x_hi / (1.0 - a) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("a,b,x0,theta0", [
     # x0^(-a) overflowed in the scalar first integral
     (662.58, 0.0014, 2.4e7, PI),

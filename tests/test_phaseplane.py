@@ -8,7 +8,6 @@ from scipy.spatial import cKDTree
 
 from wlw import cli, levelset
 from wlw.errors import (
-    DegenerateEigenvalue,
     Inconclusive,
     InvalidParameter,
     NoBracket,
@@ -22,11 +21,9 @@ from wlw.phaseplane import (
     PortraitSpec,
     SingularityKind,
     autonomous_rhs,
-    classify_singularity,
     critical_points,
     find_separatrix,
     level_orbit,
-    linearize,
     phase_portrait,
 )
 
@@ -36,6 +33,24 @@ EPS = np.finfo(float).eps
 
 def by_theta(points):
     return {round(p.theta, 6): p for p in points}
+
+
+def jacobian(params, theta, x):
+    """The derivative of the field (a sin(theta) + b x, x cos(theta))."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[params.a * c, params.b], [-x * s, c]])
+
+
+def kind_of(eigenvalues, theta):
+    """The rest-point type that a linearization's eigenvalues give."""
+    if any(e.imag for e in eigenvalues):
+        return SingularityKind.CENTER
+    lo, hi = sorted(e.real for e in eigenvalues)
+    if lo > 0.0:
+        return SingularityKind.IMPROPER_NODE if lo == hi else SingularityKind.UNSTABLE_NODE
+    if hi < 0.0:
+        return SingularityKind.STABLE_NODE
+    return SingularityKind.IMPROPER_SADDLE if theta == PI and lo == -hi else SingularityKind.SADDLE
 
 
 class TestCriticalPoints:
@@ -76,47 +91,40 @@ class TestCriticalPoints:
 
 class TestLinearize:
     def test_origin_is_triangular(self):
-        J = linearize(Params(3, 1), (0.0, 0.0))
+        J = jacobian(Params(3, 1), 0.0, 0.0)
         np.testing.assert_allclose(J, [[3.0, 1.0], [0.0, 1.0]])
+        assert by_theta(critical_points(Params(3, 1)))[0.0].eigenvalues == (3, 1)
 
     def test_pi_point(self):
-        J = linearize(Params(3, 1), (PI, 0.0))
+        J = jacobian(Params(3, 1), PI, 0.0)
         np.testing.assert_allclose(J, [[-3.0, 1.0], [0.0, -1.0]], atol=1e-15)
+        assert by_theta(critical_points(Params(3, 1)))[round(PI, 6)].eigenvalues == (-3, -1)
 
     def test_saddle_eigenvalues_pm_sqrt_a(self):
         a = 2.0
-        eigs = np.linalg.eigvals(linearize(Params(a, 1), (1.5 * PI, a)))
-        np.testing.assert_allclose(sorted(eigs.real), [-math.sqrt(a), math.sqrt(a)],
-                                   atol=1e-12)
+        saddle = by_theta(critical_points(Params(a, 1)))[round(1.5 * PI, 6)]
+        assert saddle.eigenvalues == (-math.sqrt(a), math.sqrt(a))
+        eigs = np.linalg.eigvals(jacobian(Params(a, 1), saddle.theta, saddle.x))
+        np.testing.assert_allclose(sorted(eigs.real), saddle.eigenvalues, atol=1e-12)
 
     def test_center_eigenvalues_pm_i_sqrt_minus_a(self):
         a = -2.0
-        eigs = np.linalg.eigvals(linearize(Params(a, 1), (0.5 * PI, -a)).astype(complex))
+        center = by_theta(critical_points(Params(a, 1)))[round(0.5 * PI, 6)]
+        assert center.eigenvalues == (1j * math.sqrt(-a), -1j * math.sqrt(-a))
+        eigs = np.linalg.eigvals(jacobian(Params(a, 1), center.theta, center.x))
         np.testing.assert_allclose(sorted(e.imag for e in eigs),
                                    [-math.sqrt(-a), math.sqrt(-a)], atol=1e-12)
 
-
-class TestClassifySingularity:
-    def test_unstable_node(self):
-        assert classify_singularity((2.0, 1.0)) == SingularityKind.UNSTABLE_NODE
-
-    def test_saddle(self):
-        r = math.sqrt(3)
-        assert classify_singularity((r, -r)) == SingularityKind.SADDLE
-
-    def test_center(self):
-        r = math.sqrt(2)
-        assert classify_singularity((1j * r, -1j * r)) == SingularityKind.CENTER
-
-    def test_stable_node(self):
-        assert classify_singularity((-2.0, -1.0)) == SingularityKind.STABLE_NODE
-
-    def test_improper_node(self):
-        assert classify_singularity((1.0, 1.0)) == SingularityKind.IMPROPER_NODE
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateEigenvalue):
-            classify_singularity((0.0, 1.0))
+    def test_jacobian_is_the_derivative_of_the_field(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            params = Params(float(rng.uniform(-5, 5)), float(rng.uniform(-3, 3)))
+            theta, x, h = float(rng.uniform(0, 2 * PI)), float(rng.uniform(0.1, 5)), 1e-6
+            columns = [(np.subtract(autonomous_rhs(params, theta + h * dt, x + h * dx),
+                                    autonomous_rhs(params, theta - h * dt, x - h * dx)) / (2 * h))
+                       for dt, dx in ((1, 0), (0, 1))]
+            np.testing.assert_allclose(np.column_stack(columns), jacobian(params, theta, x),
+                                       atol=1e-8 * (1 + abs(params.a) + x))
 
 
 class TestEigenvalueTable:
@@ -143,6 +151,27 @@ class TestEigenvalueTable:
                 expect = sorted([complex(0, -math.sqrt(-a)), complex(0, math.sqrt(-a))],
                                 key=lambda z: (z.real, z.imag))
             np.testing.assert_allclose(got[interior[0]], expect, atol=1e-12)
+
+    def test_closed_forms_match_the_jacobian_over_thirty_decades(self):
+        # |a| log-uniform in [1e-15, 1e15] and a = +-1 exactly.  numpy's
+        # eigenvalues of the Jacobian at the rounded angles differ from the
+        # exact ones by a few eps (1 + |a| + |lambda|): cos(3 pi/2) rounds
+        # to 1.8e-16, not 0.
+        rng = np.random.default_rng(30)
+        cases = [(sign * float(10.0 ** rng.uniform(-15, 15)),
+                  float(rng.choice([0.0, 1.0, -1.0]) * rng.uniform(0.2, 3.0)))
+                 for sign in (1.0, -1.0) for _ in range(300)]
+        cases += [(a, b) for a in (1.0, -1.0) for b in (0.0, 0.7, -2.0)]
+        for a, b in cases:
+            pts = critical_points(Params(a, b))
+            assert [p.theta for p in pts][:2] == [0.0, PI] and len(pts) == 2 + (b != 0.0)
+            for p in pts:
+                got = np.array(p.eigenvalues)
+                eigs = np.linalg.eigvals(jacobian(Params(a, b), p.theta, p.x))
+                ref = min((eigs, eigs[::-1]), key=lambda e: np.abs(got - e).max())
+                tol = 8 * EPS * (1.0 + abs(a) + np.abs(got).max())
+                assert np.abs(got - ref).max() <= tol, (a, b, p)
+                assert p.kind == kind_of(p.eigenvalues, p.theta) == kind_of(ref, p.theta), (a, b, p)
 
 
 class TestSeparatrix:
