@@ -187,9 +187,18 @@ def cmd_classify(args) -> int:
 
 def cmd_phase(args) -> int:
     params = Params(args.a, args.b)
+    # |a/b| is the interior rest point and the cylinder radius, and sets the
+    # default box: refuse it where it rounds to 0 or inf, before it is used.
+    ratio = abs(params.a / params.b) if params.b != 0.0 else None
+    if ratio is not None and not 0.0 < ratio < math.inf:
+        raise InvalidParameter(f"|a/b| = |{params.a!r}/{params.b!r}| rounds to {ratio!r}, "
+                               "outside the float range")
     x_max = args.x_max
     if x_max is None:
-        x_max = 2.5 * abs(params.a / params.b) if params.b != 0.0 else 5.0
+        x_max = 2.5 * ratio if ratio is not None else 5.0
+        if x_max == math.inf:
+            raise InvalidParameter(f"the default box 2.5*|a/b| = 2.5*{ratio!r} overflows; "
+                                   "give --x-max")
     portrait = phase_portrait(params, PortraitSpec(x_max=x_max))
     points = critical_points(params)
     separatrix = None

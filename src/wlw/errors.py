@@ -45,10 +45,6 @@ class NearSingular(WlwError):
     """Energy exponent base |theta' - mu| too small everywhere on the span."""
 
 
-class NotApplicable(WlwError):
-    """Profile is outside the domain of the requested variational check."""
-
-
 class Unsupported(WlwError):
     """The umbilical case a = 1, b = 0 has no associated energy."""
 

@@ -9,7 +9,12 @@ filled with Python floats, never numpy scalars, whose repr differs under
 numpy 2.  The SVG writers map a path's or polyline's whole columns through
 _Frame.map: the map is elementwise, and numpy's x0 + sx * col rounds each
 element as the scalar expression does, so every coordinate is the one a
-per-point loop would print.
+per-point loop would print.  An OBJ ring revolves the profile at angles whose
+cos and sin come from an exactly symmetric table (_unit_circle): where 4
+divides the angle count n, libm gives the first octant and every other entry
+is an exact image under the n-gon's symmetries, so mirror vertices print the
+same digits and a ring formats n/4 + 1 distinct magnitudes (8 | n) instead
+of about n.
 """
 
 from __future__ import annotations
@@ -255,21 +260,58 @@ class MeshSpec:
             raise InvalidParameter("n_revolve must be at least 8")
 
 
+def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi j / n for j < n, with the n-gon's symmetries exact.
+
+    Where 4 divides n, math.cos and math.sin are called only on the first
+    octant, 2 pi j / n <= pi/4, and j = n/8 gets sqrt(1/2) twice (libm's
+    cos and sin of pi/4 differ by one ulp).  The rest of the table is exact
+    images: j -> n/4 - j swaps cos and sin, j -> n/2 - j negates cos and
+    j -> n - j negates sin, so a quarter turn maps (c, s) to (-s, c).  For
+    other n only the maps that n admits are used: for even n libm gives
+    j <= n/4 and the last two maps the rest, for odd n libm gives j <= n/2
+    and the last map the rest.  Exact zeros are +0.0.
+    """
+    def libm(ks):
+        return [(math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)) for k in ks]
+
+    if n % 4 == 0:
+        q = n // 4
+        arc = libm(range((q + 1) // 2))
+        if q % 2 == 0:
+            arc.append((math.sqrt(0.5), math.sqrt(0.5)))
+        arc += [(s, c) for c, s in reversed(arc[:q + 1 - len(arc)])]
+    else:
+        arc = libm(range(n // 4 + 1))
+    if n % 2 == 0:
+        arc += [(-c, s) for c, s in reversed(arc[:n // 2 + 1 - len(arc)])]
+    else:
+        arc += libm(range(len(arc), n // 2 + 1))
+    arc += [(c, -s) for c, s in reversed(arc[1:n - n // 2])]
+    cos, sin = np.array(arc).T + 0.0
+    return cos, sin
+
+
 def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
                    window: Optional[tuple[float, float]] = None) -> None:
     """Triangulated surface of revolution X(s, phi) = (x cos phi, x sin phi, z).
 
     The profile is resampled to n_profile points on the window, revolved at
-    n_revolve angles (seam closed by index wrap-around), and written with
-    per-vertex analytic normals and coherent winding.
+    the n_revolve angles phi_j = 2 pi j / n_revolve (seam closed by index
+    wrap-around), and written with per-vertex analytic normals and coherent
+    winding.  cos phi_j and sin phi_j come from _unit_circle, which keeps
+    the n-gon's symmetries exact: where 4 divides n_revolve, the vertex at
+    phi = pi/2 has x = 0.0, and vertices j and n_revolve - j mirror each
+    other to the bit.
 
     Floats are the shortest round-trip repr.  Each ring of vertices, of
     normals and of faces is filled into one template and written as it is
     made.  A ring's coordinates are r cos phi_j and r sin phi_j, and
     |r c| = |r| |c| exactly, so each ring formats |r| u once for each
-    distinct u among the |cos phi_j| and |sin phi_j| and puts a '-' in front
-    where the sign bit of r c is set, as for -0.0: every string is the
-    repr a per-vertex loop would print.
+    distinct u among the |cos phi_j| and |sin phi_j| (n_revolve/4 + 1 of
+    them where 8 divides n_revolve) and puts a '-' in front where the sign
+    bit of r c is set, as for -0.0: every string is the repr a per-vertex
+    loop would print.
     """
     lo = window[0] if window else traj.s_min
     hi = window[1] if window else traj.s_max
@@ -279,8 +321,7 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
         raise DegenerateProfile(f"only {int(usable.sum())} usable profile samples")
     pts = pts[usable]
     n_prof, n_rev = len(pts), spec.n_revolve
-    phis = [2.0 * math.pi * j / n_rev for j in range(n_rev)]
-    trig = np.array([f(phi) for phi in phis for f in (math.cos, math.sin)])
+    trig = np.column_stack(_unit_circle(n_rev)).ravel()
     units, slot = np.unique(np.abs(trig), return_inverse=True)
     # Ring strings are the reprs of |r| u followed by the same with '-':
     # gather[neg_r] picks the x and y strings of every vertex in order.

@@ -63,8 +63,9 @@ class PortraitSpec:
     x_max: float
 
     def __post_init__(self):
-        if not self.x_max > 0.0:
-            raise InvalidParameter("portrait box must be non-empty with x_max > 0")
+        if not 0.0 < self.x_max < math.inf:
+            raise InvalidParameter("portrait box must be non-empty and finite, "
+                                   f"got x_max = {self.x_max!r}")
 
 
 @dataclass(frozen=True)

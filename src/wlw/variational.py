@@ -46,7 +46,6 @@ from .errors import (
     DivergentIntegrand,
     InvalidParameter,
     NearSingular,
-    NotApplicable,
     QuadratureFailure,
     Unsupported,
 )
@@ -164,13 +163,13 @@ def el_residual_power(params: Params, x, theta, ep: PowerEnergyParams) -> np.nda
 def el_residual_exp(params: Params, x, theta, ep: ExpEnergyParams) -> np.ndarray:
     """Residual of the exponential-energy Euler-Lagrange equation at the states (x, theta).
 
-    States with one theta' are rejected with NotApplicable: for a = 1 and
-    b != 0 no generating curve of constant curvature exists, so the check
-    is meaningless.
+    Evaluates d^2/ds^2[exp(nu theta')] + theta'^2 exp(nu theta')
+    - (theta'/nu) exp(nu theta'), normalized by the largest of the three
+    terms, at each state on its own.  It is 0 where all three vanish, as at
+    the rest point x = 1, theta = 3 pi/2 of (a, b) = (1, 1), where
+    theta' = 0.
     """
     tp, tpp, tppp = theta_derivatives(params, x, theta)
-    if np.ptp(tp) < 1e-12 * max(1.0, float(np.abs(tp).max())):
-        raise NotApplicable("theta' is constant; not an exponential-energy extremal family")
     nu = ep.nu
     e = np.exp(nu * tp)
     second = nu * e * (nu * tpp**2 + tppp)

@@ -231,6 +231,40 @@ def test_phase_draws_rest_points_far_from_a_one(capsys, tmp_path, a):
     assert doc["critical_points"][0]["eigenvalues"] == [[float(a), 0.0], [1.0, 0.0]]
 
 
+@pytest.mark.parametrize("flags,message", [
+    # 2.5 |a/b| = 2.5e308 overflows: the box was [0, inf] and numpy warned
+    (["-a", "1e8", "-b", "1e-300"],
+     "the default box 2.5*|a/b| = 2.5*1e+308 overflows; give --x-max"),
+    # |a/b| = 1e-600 rounds to 0: the box was empty, and with --x-max the
+    # cylinder radius 0 was refused
+    (["-a", "1e-300", "-b", "1e300"],
+     "|a/b| = |1e-300/1e+300| rounds to 0.0, outside the float range"),
+    (["-a", "1e-300", "-b", "1e300", "--x-max", "5"],
+     "|a/b| = |1e-300/1e+300| rounds to 0.0, outside the float range"),
+    # |a/b| = 1e310 overflows: exit 3, Inconclusive on a portrait level
+    (["-a", "1e10", "-b", "1e-300", "--x-max", "5"],
+     "|a/b| = |10000000000.0/1e-300| rounds to inf, outside the float range"),
+    # a box given as inf failed as the first one did
+    (["-a", "1", "-b", "1", "--x-max", "inf"],
+     "portrait box must be non-empty and finite, got x_max = inf"),
+], ids=["default-box-overflows", "ratio-underflows", "ratio-underflows-given-box",
+        "ratio-overflows-given-box", "infinite-box"])
+def test_phase_refuses_a_ratio_or_box_outside_the_float_range(capsys, recwarn, tmp_path,
+                                                              flags, message):
+    code, captured = run(capsys, ["phase", *flags, "-o", str(tmp_path)])
+    assert code == EXIT_INVALID
+    assert json.loads(captured.out)["message"] == message
+    assert captured.err == "" and not recwarn.list
+    assert not any(tmp_path.iterdir())
+
+
+def test_phase_takes_a_huge_ratio_in_a_given_box(capsys, tmp_path):
+    code, doc = run_json(capsys, ["phase", "-a", "1e8", "-b", "1e-300", "--x-max", "5",
+                                  "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    assert doc["critical_points"][-1]["x"] == 1e8 / 1e-300
+
+
 PHASE = ["phase", "-a", "3", "-b", "1"]
 CLASSIFY = ["classify", "-a", "3", "-b", "1", "--x0", "1"]
 CHECK = ["check", "-a", "3", "-b", "1", "--x0", "1"]

@@ -21,6 +21,7 @@ from wlw.output import (
     _f,
     _Frame,
     _svg_document,
+    _unit_circle,
     events_to_dict,
     fnum,
     load_report_schema,
@@ -90,16 +91,17 @@ def _write_obj_mesh_loop(traj, path, spec=MeshSpec(), window=None) -> None:
     pts = traj.resample(spec.n_profile, (lo, hi))
     pts = pts[pts[:, 1] > 0.0]
     n_prof = len(pts)
-    phis = [2.0 * math.pi * j / spec.n_revolve for j in range(spec.n_revolve)]
+    cos, sin = _unit_circle(spec.n_revolve)
+    angles = list(zip(cos.tolist(), sin.tolist()))
 
     lines = [f"# surface of revolution: {n_prof} x {spec.n_revolve} vertices"]
     for _, x, z, _ in pts:
-        for phi in phis:
-            lines.append(f"v {fnum(x * math.cos(phi))} {fnum(x * math.sin(phi))} {fnum(z)}")
+        for c, s in angles:
+            lines.append(f"v {fnum(x * c)} {fnum(x * s)} {fnum(z)}")
     for _, x, z, theta in pts:
         st, ct = math.sin(theta), math.cos(theta)
-        for phi in phis:
-            lines.append(f"vn {fnum(st * math.cos(phi))} {fnum(st * math.sin(phi))} {fnum(-ct)}")
+        for c, s in angles:
+            lines.append(f"vn {fnum(st * c)} {fnum(st * s)} {fnum(-ct)}")
 
     def vid(i: int, j: int) -> int:
         return i * spec.n_revolve + (j % spec.n_revolve) + 1
@@ -359,6 +361,52 @@ class TestSvg:
         assert "date" not in text and "time" not in text
 
 
+class TestUnitCircle:
+    """The revolve angles' table keeps the n-gon's symmetries to the bit."""
+
+    NS = [8, 12, 13, 16, 48, 128, 256]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_symmetries_are_exact(self, n):
+        cos, sin = _unit_circle(n)
+        assert cos.shape == sin.shape == (n,)
+        j = np.arange(n)
+        mirror = -j % n
+        assert np.array_equal(cos[mirror], cos) and np.array_equal(sin[mirror], -sin)
+        if n % 2 == 0:
+            half = (j + n // 2) % n
+            assert np.array_equal(cos[half], -cos) and np.array_equal(sin[half], -sin)
+        if n % 4 == 0:
+            quarter, swap = (j + n // 4) % n, (n // 4 - j) % n
+            assert np.array_equal(cos[quarter], -sin) and np.array_equal(sin[quarter], cos)
+            assert np.array_equal(cos[swap], sin) and np.array_equal(sin[swap], cos)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_quarter_turns_are_exact_and_zeros_positive(self, n):
+        cos, sin = _unit_circle(n)
+        axes = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+        for k, (c, s) in enumerate(axes):
+            if k * n % 4 == 0:
+                assert (cos[k * n // 4], sin[k * n // 4]) == (c, s)
+        assert not np.signbit(cos[cos == 0.0]).any()
+        assert not np.signbit(sin[sin == 0.0]).any()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+    @pytest.mark.parametrize("n", [n for n in NS if n % 4 == 0])
+    def test_within_an_ulp_of_the_circle(self, n):
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        phi = 2 * pi * np.arange(n).astype(np.longdouble) / n
+        cos, sin = _unit_circle(n)
+        assert np.abs(cos - np.cos(phi)).max() <= 1.2e-16
+        assert np.abs(sin - np.sin(phi)).max() <= 1.2e-16
+
+    @pytest.mark.parametrize("n", [n for n in NS if n % 8 == 0])
+    def test_a_ring_formats_a_quarter_of_its_angles(self, n):
+        # write_obj_mesh formats |r| u once per distinct u among |cos| and |sin|
+        units = np.unique(np.abs(np.concatenate(_unit_circle(n))))
+        assert len(units) == n // 4 + 1
+
+
 class TestObjMesh:
     def test_sphere_vertices_on_sphere(self, tmp_path):
         # The umbilical sphere of radius 3: its default run reaches the axis
@@ -420,6 +468,22 @@ class TestObjMesh:
             if np.dot(face_n, norms[tri].mean(axis=0)) > 0:
                 agree += 1
         assert agree == len(faces)
+
+    @pytest.mark.parametrize("name", ["nodoid_traj", "antinodoid_traj"])
+    def test_rings_mirror_exactly(self, name, request, tmp_path):
+        # The vertex at phi = pi/2 lies on the plane x = 0, and vertices j
+        # and n - j of every ring mirror across y = 0, normals alike.
+        n = 128
+        path = tmp_path / "ring.obj"
+        write_obj_mesh(request.getfixturevalue(name), path, MeshSpec(n_profile=40, n_revolve=n))
+        verts, norms, _ = read_obj_mesh(path)
+        for points in (verts, norms):
+            rings = points.reshape(-1, n, 3)
+            assert np.all(rings[:, n // 4, 0] == 0.0)
+            mirror = rings[:, -np.arange(n) % n]
+            assert np.array_equal(mirror[..., 0], rings[..., 0])
+            assert np.array_equal(mirror[..., 1], -rings[..., 1])
+            assert np.array_equal(mirror[..., 2], rings[..., 2])
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParameter):

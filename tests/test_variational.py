@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wlw.errors import NearSingular, NotApplicable, Unsupported
+from wlw.errors import NearSingular, Unsupported
 from wlw.integrate import IntegrationControls, detect_period, integrate
 from wlw.model import InitialConditions, Params
 from wlw.variational import (
@@ -161,11 +161,14 @@ class TestEulerLagrangeResiduals:
         res = el_residual_exp(*_off_axis(exp_traj), ExpEnergyParams(nu=1.15))
         assert np.abs(res).max() > 1e-2
 
-    def test_exp_rejects_constant_curvature(self):
-        # the a = 1 rest point x = 1, theta = 3 pi/2 of (1, 1), where theta' = 0
-        with pytest.raises(NotApplicable):
-            el_residual_exp(Params(1, 1), np.ones(5), np.full(5, 1.5 * PI),
-                            ExpEnergyParams(nu=1.0))
+    def test_exp_residual_is_per_state(self):
+        # The residual is taken at each state on its own, so a constant
+        # theta' is no reason to refuse the states.  At the a = 1 rest point
+        # x = 1, theta = 3 pi/2 of (1, 1), theta' = 0 and every term is 0.
+        res = el_residual_exp(Params(1, 1), np.ones(5), np.full(5, 1.5 * PI),
+                              ExpEnergyParams(nu=1.0))
+        assert np.array_equal(res, np.zeros(5))
+        assert np.isfinite(el_residual_exp(Params(1, 1), 2.0, 0.3, ExpEnergyParams(1.0)))
 
 
 class TestEulerLagrangeIdentity:
