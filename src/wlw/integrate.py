@@ -11,6 +11,14 @@ minimum step - so results carry over from that solver to rounding.  Every
 accepted step is scanned for events, the step size is clamped near the
 rotation axis, and termination reasons are tracked per direction.
 
+The step loop is the hot path, and it keeps to four rules.  Every tableau
+sum runs left to right in the tableau's order, so each step has fixed bits
+(tests pin it against a loop over the tableau rows).  The tableau and
+controller constants are bound to locals.  An accepted step makes no builtin
+call besides math's cos, sin, sqrt and nextafter: min, max and abs are
+conditionals that give the same floats.  Any change to the loop must leave
+every sample, stage, event and termination bit for bit as it was.
+
 Trajectories are immutable and carry their dense interpolants packed into
 one coefficient array, so downstream probing (symmetry checks, period
 verification, resampling for output) neither re-integrates nor loops over
@@ -22,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,7 +50,7 @@ from .model import (
     ProfileState,
     is_equilibrium,
 )
-from .numerics import MIN_RTOL, brentq
+from .numerics import MIN_REL_TOL, MIN_RTOL, brentq
 
 # Arclength accuracy of an event's location and of a self-crossing.
 EVENT_REFINE_TOL = 1e-12
@@ -81,8 +90,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
 _SQRT3 = 3 ** 0.5
-# Tolerances below this are raised to it, as scipy does.
-_MIN_REL_TOL = 100 * np.finfo(float).eps
 
 
 class EventKind(str, enum.Enum):
@@ -264,16 +271,6 @@ class _DirectionRun:
     termination: Termination = Termination.MAX_ARCLENGTH
 
 
-def _refine_root(g, at, s_lo, s_hi, tol):
-    s_lo, s_hi = min(s_lo, s_hi), max(s_lo, s_hi)
-    g_lo, g_hi = g(at(s_lo)), g(at(s_hi))
-    if g_lo == 0.0:
-        return s_lo
-    if g_hi == 0.0:
-        return s_hi
-    return brentq(lambda s: g(at(s)), s_lo, s_hi, xtol=tol)
-
-
 def _initial_step(a, b, y0, f0, direction, span, rtol, atol) -> float:
     """scipy's select_initial_step (HNW II.4) for the profile ODE."""
     scale = [atol + abs(v) * rtol for v in y0]
@@ -298,47 +295,68 @@ def _initial_step(a, b, y0, f0, direction, span, rtol, atol) -> float:
 def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationControls,
                    direction: int) -> _DirectionRun:
     cos, sin, sqrt, nextafter, nan = math.cos, math.sin, math.sqrt, math.nextafter, math.nan
-    a, b = params.a, params.b
-    theta0 = ic.theta0
-    rtol, atol = max(controls.rel_tol, _MIN_REL_TOL), controls.abs_tol
-    axis_epsilon = AXIS_EPSILON
+    # Python floats, so that the interpreter's float fast paths apply; an int
+    # or a numpy double operand converts to the same double either way.
+    a, b, sign = float(params.a), float(params.b), float(direction)
+    theta0 = float(ic.theta0)
+    rtol, atol = max(controls.rel_tol, MIN_REL_TOL), controls.abs_tol
+    axis_epsilon, x_blowup, max_steps = AXIS_EPSILON, X_BLOWUP, MAX_STEPS
     min_clamp = 4.0 * axis_epsilon
     s_bound = direction * controls.max_arclength
     towards = direction * math.inf
     tol = EVENT_REFINE_TOL
+    A21 = _A21
+    A31, A32 = _A31, _A32
+    A41, A42, A43 = _A41, _A42, _A43
+    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
+    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
+    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
+    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    error_exponent, sqrt3 = _ERROR_EXPONENT, _SQRT3
 
-    # The event functions of a state (x, z, theta), one per kind.  The axis
+    # The event function of each kind on a state (x, z, theta).  The axis
     # counts falling through zero, the blowup rising, the others either way.
     # A crossing's root is refined on the step's interpolant.  Full turns
     # with k = 0 are re-crossings, not events.  A strict sign change is the
     # whole test: cos of a double is never 0.0, and sin(0.5 * (theta -
-    # theta0)) is 0.0 only at theta = theta0, a k = 0 re-crossing.
-    def g(y):
-        return (y[0] - axis_epsilon, y[0] - X_BLOWUP, cos(y[2]), sin(0.5 * (y[2] - theta0)))
-
-    kinds = (EventKind.AXIS_APPROACH, EventKind.BLOWUP, EventKind.VERTICAL_TANGENT,
-             EventKind.FULL_TURN)
+    # theta0)) is 0.0 only at theta = theta0, a k = 0 re-crossing.  The step
+    # loop evaluates the same expressions inline.
+    event_functions = (
+        (EventKind.AXIS_APPROACH, lambda y: y[0] - axis_epsilon),
+        (EventKind.BLOWUP, lambda y: y[0] - x_blowup),
+        (EventKind.VERTICAL_TANGENT, lambda y: cos(y[2])),
+        (EventKind.FULL_TURN, lambda y: sin(0.5 * (y[2] - theta0))),
+    )
 
     run = _DirectionRun()
-    t, x, z, th = 0.0, ic.x0, 0.0, theta0
-    run.s.append(t)
-    run.y.append((x, z, th))
+    s_append, y_append, steps_append = run.s.append, run.y.append, run.steps.append
+    t, x, z, th = 0.0, float(ic.x0), 0.0, theta0
+    s_append(t)
+    y_append((x, z, th))
     k1x, k1z = cos(th), sin(th)
     k1t = a * k1z / x + b
     h_abs = _initial_step(a, b, (x, z, th), (k1x, k1z, k1t), direction,
                           controls.max_arclength, rtol, atol)
-    pa, pb, pv, pt = g((x, z, th))
+    pa, pb, pv, pt = x - axis_epsilon, x - x_blowup, k1x, sin(0.5 * (th - theta0))
     n_vert = 0
     seen_turns: set[int] = set()
     nsteps = 0
 
+    # Each step below does the tableau's arithmetic and no more: every sum
+    # left to right in the tableau's order, constants in locals, no builtin
+    # call but cos, sin, sqrt and nextafter, one tuple for the step record.
+    # The bits of every state and stage must stay as they are.
     while True:
-        if nsteps >= MAX_STEPS:
+        if nsteps >= max_steps:
             run.termination = Termination.MAX_STEPS
             return run
-        # Keep internal stages strictly off the axis.
-        max_step = max(0.8 * x, min_clamp)
-        min_step = 10 * abs(nextafter(t, towards) - t)
+        # Keep internal stages strictly off the axis.  x > 0 here.
+        max_step = 0.8 * x
+        if max_step < min_clamp:
+            max_step = min_clamp
+        # nextafter(t, towards) - t has the sign of the direction.
+        min_step = 10.0 * (nextafter(t, towards) - t) * sign
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -348,91 +366,113 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
             if h_abs < min_step:
                 run.termination = Termination.STEP_FAILURE
                 return run
-            t_new = t + h_abs * direction
-            if direction * (t_new - s_bound) > 0:
+            t_new = t + h_abs * sign
+            if sign * (t_new - s_bound) > 0.0:
                 t_new = s_bound
             h = t_new - t
-            h_abs = abs(h)
+            h_abs = h * sign
 
             # Stages 2-6; x <= 0 means a stage strayed past the axis, and the
             # NaN it poisons the step with makes the controller retry smaller.
-            xs = x + h * (_A21 * k1x)
-            ts = th + h * (_A21 * k1t)
+            xs = x + h * (A21 * k1x)
+            ts = th + h * (A21 * k1t)
             if xs > 0.0:
                 k2x, k2z = cos(ts), sin(ts)
                 k2t = a * k2z / xs + b
             else:
                 k2x = k2z = k2t = nan
-            xs = x + h * (_A31 * k1x + _A32 * k2x)
-            ts = th + h * (_A31 * k1t + _A32 * k2t)
+            xs = x + h * (A31 * k1x + A32 * k2x)
+            ts = th + h * (A31 * k1t + A32 * k2t)
             if xs > 0.0:
                 k3x, k3z = cos(ts), sin(ts)
                 k3t = a * k3z / xs + b
             else:
                 k3x = k3z = k3t = nan
-            xs = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
-            ts = th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t)
+            xs = x + h * (A41 * k1x + A42 * k2x + A43 * k3x)
+            ts = th + h * (A41 * k1t + A42 * k2t + A43 * k3t)
             if xs > 0.0:
                 k4x, k4z = cos(ts), sin(ts)
                 k4t = a * k4z / xs + b
             else:
                 k4x = k4z = k4t = nan
-            xs = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
-            ts = th + h * (_A51 * k1t + _A52 * k2t + _A53 * k3t + _A54 * k4t)
+            xs = x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x)
+            ts = th + h * (A51 * k1t + A52 * k2t + A53 * k3t + A54 * k4t)
             if xs > 0.0:
                 k5x, k5z = cos(ts), sin(ts)
                 k5t = a * k5z / xs + b
             else:
                 k5x = k5z = k5t = nan
-            xs = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
-            ts = th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t + _A64 * k4t + _A65 * k5t)
+            xs = x + h * (A61 * k1x + A62 * k2x + A63 * k3x + A64 * k4x + A65 * k5x)
+            ts = th + h * (A61 * k1t + A62 * k2t + A63 * k3t + A64 * k4t + A65 * k5t)
             if xs > 0.0:
                 k6x, k6z = cos(ts), sin(ts)
                 k6t = a * k6z / xs + b
             else:
                 k6x = k6z = k6t = nan
-            xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-            zn = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
-            tn = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t + _B6 * k6t)
+            xn = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x)
+            zn = z + h * (B1 * k1z + B3 * k3z + B4 * k4z + B5 * k5z + B6 * k6z)
+            tn = th + h * (B1 * k1t + B3 * k3t + B4 * k4t + B5 * k5t + B6 * k6t)
             if xn > 0.0:
                 k7x, k7z = cos(tn), sin(tn)
                 k7t = a * k7z / xn + b
             else:
                 k7x = k7z = k7t = nan
 
-            ex = (h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-                  / (atol + max(abs(x), abs(xn)) * rtol))
-            ez = (h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
-                  / (atol + max(abs(z), abs(zn)) * rtol))
-            et = (h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t + _E7 * k7t)
-                  / (atol + max(abs(th), abs(tn)) * rtol))
-            error_norm = sqrt(ex * ex + ez * ez + et * et) / _SQRT3
+            # Error weights atol + max(|y|, |y_new|) rtol.  x > 0, and an xn
+            # that is <= 0 or NaN makes k7 NaN, which rejects the step
+            # whatever the x weight.  NaN compares false, as in max.
+            wx = xn if xn > x else x
+            wz = z if z >= 0.0 else -z
+            wzn = zn if zn >= 0.0 else -zn
+            if wzn > wz:
+                wz = wzn
+            wt = th if th >= 0.0 else -th
+            wtn = tn if tn >= 0.0 else -tn
+            if wtn > wt:
+                wt = wtn
+            ex = (h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x + E6 * k6x + E7 * k7x)
+                  / (atol + wx * rtol))
+            ez = (h * (E1 * k1z + E3 * k3z + E4 * k4z + E5 * k5z + E6 * k6z + E7 * k7z)
+                  / (atol + wz * rtol))
+            et = (h * (E1 * k1t + E3 * k3t + E4 * k4t + E5 * k5t + E6 * k6t + E7 * k7t)
+                  / (atol + wt * rtol))
+            error_norm = sqrt(ex * ex + ez * ez + et * et) / sqrt3
             if error_norm < 1.0:
                 if error_norm == 0.0:
-                    factor = _MAX_FACTOR
+                    factor = max_factor
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
+                    factor = safety * error_norm ** error_exponent
+                    if factor > max_factor:
+                        factor = max_factor
+                if rejected and factor > 1.0:
+                    factor = 1.0
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            # A NaN norm shrinks the step by min_factor.
+            factor = safety * error_norm ** error_exponent
+            if not factor > min_factor:
+                factor = min_factor
+            h_abs *= factor
             rejected = True
         nsteps += 1
-        stages = (k1x, k1z, k1t, k3x, k3z, k3t, k4x, k4z, k4t,
-                  k5x, k5z, k5t, k6x, k6z, k6t, k7x, k7z, k7t)
-        run.steps.append((t_new,) + stages)
-        y_new = (xn, zn, tn)
+        step = (t_new, k1x, k1z, k1t, k3x, k3z, k3t, k4x, k4z, k4t,
+                k5x, k5z, k5t, k6x, k6z, k6t, k7x, k7z, k7t)
+        steps_append(step)
 
         # --- event scan on this step, in s order ---------------------
-        # g(y_new), with k7x = cos(tn): an accepted step has xn > 0.
-        ca, cb, cv, ct = xn - axis_epsilon, xn - X_BLOWUP, k7x, sin(0.5 * (tn - theta0))
-        crossed = (ca <= 0.0 < pa, pb < 0.0 <= cb, pv * cv < 0.0, pt * ct < 0.0)
-        if True in crossed:
-            at = _interpolant(t, t_new, (x, z, th), stages)
+        # The event functions at y_new, with k7x = cos(tn): an accepted step
+        # has xn > 0.
+        ca = xn - axis_epsilon
+        cb = xn - x_blowup
+        ct = sin(0.5 * (tn - theta0))
+        if ca <= 0.0 < pa or pb < 0.0 <= cb or pv * k7x < 0.0 or pt * ct < 0.0:
+            crossed = (ca <= 0.0 < pa, pb < 0.0 <= cb, pv * k7x < 0.0, pt * ct < 0.0)
+            at = _interpolant(t, t_new, (x, z, th), step[1:])
+            lo, hi = (t, t_new) if sign > 0.0 else (t_new, t)
             candidates = sorted(
-                ((_refine_root(lambda y, i=i: g(y)[i], at, t, t_new, tol), kinds[i])
-                 for i, hit in enumerate(crossed) if hit), key=lambda c: direction * c[0])
+                ((brentq(lambda s, g=g: g(at(s)), lo, hi, xtol=tol), kind)
+                 for (kind, g), hit in zip(event_functions, crossed) if hit),
+                key=lambda c: direction * c[0])
             cut_s = cut_term = None
             for s_star, kind in candidates:
                 # Events that coincide with a cut to within the refinement
@@ -462,27 +502,43 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
                     cut_s, cut_term = s_star, Termination.EVENT_BUDGET
             if cut_s is not None:
                 if (cut_s - t) * direction > 0.0:
-                    run.s.append(cut_s)
-                    run.y.append(at(cut_s))
+                    s_append(cut_s)
+                    y_append(at(cut_s))
                 run.termination = cut_term
                 return run
 
-        run.s.append(t_new)
-        run.y.append(y_new)
-        pa, pb, pv, pt = ca, cb, cv, ct
-        t, x, z, th = t_new, xn, zn, tn
-        k1x, k1z, k1t = k7x, k7z, k7t
-        if direction * (t - s_bound) >= 0:
+        s_append(t_new)
+        y_append((xn, zn, tn))
+        pa = ca
+        pb = cb
+        pv = k7x
+        pt = ct
+        t = t_new
+        x = xn
+        z = zn
+        th = tn
+        k1x = k7x
+        k1z = k7z
+        k1t = k7t
+        if sign * (t - s_bound) >= 0.0:
             run.termination = Termination.MAX_ARCLENGTH
             return run
+
+
+def _rows(records: list, width: int) -> np.ndarray:
+    """A list of float tuples of one width as an (n, width) array.
+
+    np.fromiter over the flattened floats, with the count given, takes a
+    third of the time np.array takes to find the shape of the nested list."""
+    return np.fromiter(chain.from_iterable(records), float, width * len(records)).reshape(-1, width)
 
 
 def _packed_run(run: _DirectionRun) -> _Dense:
     """The run's step interpolants, in the order the steps were taken."""
     n = len(run.steps)
-    steps = np.array(run.steps, dtype=float).reshape(n, 19)
+    steps = _rows(run.steps, 19)
     return _pack(np.array(run.s[:n], dtype=float), steps[:, 0],
-                 np.array(run.y[:n], dtype=float).reshape(n, 3), steps[:, 1:].reshape(n, 6, 3))
+                 _rows(run.y[:n], 3), steps[:, 1:].reshape(n, 6, 3))
 
 
 def _equilibrium_trajectory(params: Params, ic: InitialConditions,
@@ -523,8 +579,8 @@ def integrate(params: Params, ic: InitialConditions,
 
     fwd = _run_direction(params, ic, controls, +1)
     bwd = _run_direction(params, ic, controls, -1)
-    s_all = np.concatenate([np.array(bwd.s[:0:-1]), np.array(fwd.s)])
-    y_all = np.vstack([np.array(bwd.y[:0:-1]).reshape(-1, 3), np.array(fwd.y)])
+    s_all = np.array(bwd.s[:0:-1] + fwd.s, dtype=float)
+    y_all = _rows(bwd.y[:0:-1] + fwd.y, 3)
     dense = _Dense(*(np.concatenate([b[::-1], f])
                      for b, f in zip(_packed_run(bwd), _packed_run(fwd))))
     return Trajectory(params, ic, s_all, y_all[:, 0], y_all[:, 1], y_all[:, 2],

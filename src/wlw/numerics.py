@@ -27,6 +27,9 @@ _EPS = sys.float_info.epsilon
 # The least relative tolerance brentq accepts; a smaller one asks for steps
 # below the spacing of floats at the root.
 MIN_RTOL = 4.0 * _EPS
+# The least rel_tol an integration runs at; a smaller one is raised to it, as
+# scipy's solvers do.
+MIN_REL_TOL = 100 * _EPS
 _XTOL = 2e-12
 _MAX_ITER = 100
 

@@ -1,5 +1,7 @@
+import functools
 import importlib
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -284,6 +286,66 @@ class TestDenseOutput:
                         assert at(s) == tuple(traj.eval(s))
                 checked += 1
         assert checked >= 8
+
+
+# The Dormand-Prince 5(4) tableau (HNW Table II.5.5), row i giving stage i + 2
+# from stages 1 .. i + 1, and the solution weights of stages 1, 3, 4, 5, 6
+# (stage 2 has weight 0 and is left out of the sum).
+DP_A = ((1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+DP_B = ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84))
+# The conftest orbits that are run, with the controls each fixture uses.
+STEP_ORBITS = {
+    "vesicle_traj": IntegrationControls(max_arclength=60),
+    "unduloid_traj": IntegrationControls(max_arclength=120, max_vertical_tangents=12),
+    "nodoid_traj": IntegrationControls(max_arclength=200, max_full_turns=3),
+    "antinodoid_traj": IntegrationControls(max_arclength=200, max_full_turns=3),
+}
+
+
+def _tableau_step(a, b, t, y, t_new):
+    """Stages 1, 3-7 (flattened) and the end state of the step t -> t_new from
+    y, each tableau sum taken left to right over its row."""
+    h = t_new - t
+
+    def f(x, theta):
+        if not x > 0.0:
+            return (math.nan,) * 3
+        return (math.cos(theta), math.sin(theta), a * math.sin(theta) / x + b)
+
+    def left_sum(terms):
+        return functools.reduce(operator.add, terms)
+
+    k = [f(y[0], y[2])]
+    for row in DP_A:
+        k.append(f(*(y[c] + h * left_sum(w * kj[c] for w, kj in zip(row, k)) for c in (0, 2))))
+    y_new = tuple(y[c] + h * left_sum(w * k[j][c] for j, w in DP_B) for c in range(3))
+    k.append(f(y_new[0], y_new[2]))
+    stages = tuple(v for j in (0, 2, 3, 4, 5, 6) for v in k[j])
+    return stages, y_new
+
+
+class TestStepRecord:
+    @pytest.mark.parametrize("orbit", list(STEP_ORBITS))
+    def test_each_accepted_step_is_the_tableau_step(self, orbit, request):
+        # The stepper is written out term by term; every accepted step must be
+        # the tableau's step to the bit, so the order of its float operations
+        # is the tableau's, left to right.
+        traj = request.getfixturevalue(orbit)
+        a, b = traj.params.a, traj.params.b
+        for direction in (1, -1):
+            run = _run_direction(traj.params, traj.ic, STEP_ORBITS[orbit], direction)
+            # A run cut by an event ends at the cut, not at its last step's end.
+            cut = run.termination in (Termination.AXIS_REACHED, Termination.EVENT_BUDGET)
+            assert len(run.steps) > 10
+            for i, (t_new, *K) in enumerate(run.steps):
+                stages, y_new = _tableau_step(a, b, run.s[i], run.y[i], t_new)
+                assert tuple(K) == stages
+                if not (cut and i == len(run.steps) - 1):
+                    assert (run.s[i + 1], tuple(run.y[i + 1])) == (t_new, y_new)
 
 
 class TestCoincidentEvents:
