@@ -295,10 +295,8 @@ def _initial_step(a, b, y0, f0, direction, span, rtol, atol) -> float:
 def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationControls,
                    direction: int) -> _DirectionRun:
     cos, sin, sqrt, nextafter, nan = math.cos, math.sin, math.sqrt, math.nextafter, math.nan
-    # Python floats, so that the interpreter's float fast paths apply; an int
-    # or a numpy double operand converts to the same double either way.
-    a, b, sign = float(params.a), float(params.b), float(direction)
-    theta0 = float(ic.theta0)
+    a, b, sign = params.a, params.b, float(direction)
+    theta0 = ic.theta0
     rtol, atol = max(controls.rel_tol, MIN_REL_TOL), controls.abs_tol
     axis_epsilon, x_blowup, max_steps = AXIS_EPSILON, X_BLOWUP, MAX_STEPS
     min_clamp = 4.0 * axis_epsilon
@@ -331,14 +329,14 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
 
     run = _DirectionRun()
     s_append, y_append, steps_append = run.s.append, run.y.append, run.steps.append
-    t, x, z, th = 0.0, float(ic.x0), 0.0, theta0
+    t, x, z, th = 0.0, ic.x0, 0.0, theta0
     s_append(t)
     y_append((x, z, th))
     k1x, k1z = cos(th), sin(th)
     k1t = a * k1z / x + b
     h_abs = _initial_step(a, b, (x, z, th), (k1x, k1z, k1t), direction,
                           controls.max_arclength, rtol, atol)
-    pa, pb, pv, pt = x - axis_epsilon, x - x_blowup, k1x, sin(0.5 * (th - theta0))
+    pa, pb, pv, pt = (g((x, z, th)) for _, g in event_functions)
     n_vert = 0
     seen_turns: set[int] = set()
     nsteps = 0
@@ -465,8 +463,12 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
         ca = xn - axis_epsilon
         cb = xn - x_blowup
         ct = sin(0.5 * (tn - theta0))
-        if ca <= 0.0 < pa or pb < 0.0 <= cb or pv * k7x < 0.0 or pt * ct < 0.0:
-            crossed = (ca <= 0.0 < pa, pb < 0.0 <= cb, pv * k7x < 0.0, pt * ct < 0.0)
+        hit_a = ca <= 0.0 < pa
+        hit_b = pb < 0.0 <= cb
+        hit_v = pv * k7x < 0.0
+        hit_t = pt * ct < 0.0
+        if hit_a or hit_b or hit_v or hit_t:
+            crossed = (hit_a, hit_b, hit_v, hit_t)
             at = _interpolant(t, t_new, (x, z, th), step[1:])
             lo, hi = (t, t_new) if sign > 0.0 else (t_new, t)
             candidates = sorted(
@@ -509,17 +511,9 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
 
         s_append(t_new)
         y_append((xn, zn, tn))
-        pa = ca
-        pb = cb
-        pv = k7x
-        pt = ct
-        t = t_new
-        x = xn
-        z = zn
-        th = tn
-        k1x = k7x
-        k1z = k7z
-        k1t = k7t
+        pa, pb, pv, pt = ca, cb, k7x, ct
+        t, x, z, th = t_new, xn, zn, tn
+        k1x, k1z, k1t = k7x, k7z, k7t
         if sign * (t - s_bound) >= 0.0:
             run.termination = Termination.MAX_ARCLENGTH
             return run
