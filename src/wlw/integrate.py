@@ -173,23 +173,30 @@ def _pack(s0: np.ndarray, s1: np.ndarray, y0: np.ndarray, K: np.ndarray) -> _Den
     return _Dense(np.minimum(s0, s1), s0, h, y0, h[:, None, None] * Q)
 
 
-def _interpolant(s0: float, s1: float, y0: tuple, K: tuple):
-    """(x, z, theta)(s) on the step s0 -> s1 from its 18 flattened stages K.
+def _interpolant(s0: float, s1: float, y0: tuple, K: tuple) -> tuple:
+    """x(s), z(s) and theta(s) on the step s0 -> s1 from its 18 flattened stages K.
 
-    Summed on floats in _pack's order and evaluated as Trajectory.eval does,
-    so it gives the same bits as the step's packed row."""
-    h, c = s1 - s0, []
-    for j in range(3):
-        q = [0.0] * 4
-        for r, row in enumerate(_P_ROWS):
-            q = [qp + K[3 * r + j] * pp for qp, pp in zip(q, row)]
-        c.append([h * qp for qp in q])
+    Each component's coefficients are summed once, on floats in _pack's
+    order, and evaluated as Trajectory.eval does, so each function gives the
+    same bits as the step's packed row.  An event function reads one
+    component and evaluates only that one."""
+    h = s1 - s0
 
-    def at(s):
-        u = (s - s0) / h
-        return tuple(y + u * (cp[0] + u * (cp[1] + u * (cp[2] + u * cp[3])))
-                     for y, cp in zip(y0, c))
-    return at
+    def component(j):
+        y, q0, q1, q2, q3 = y0[j], 0.0, 0.0, 0.0, 0.0
+        for r, (p0, p1, p2, p3) in enumerate(_P_ROWS):
+            k = K[3 * r + j]
+            q0 += k * p0
+            q1 += k * p1
+            q2 += k * p2
+            q3 += k * p3
+        c0, c1, c2, c3 = h * q0, h * q1, h * q2, h * q3
+
+        def at(s):
+            u = (s - s0) / h
+            return y + u * (c0 + u * (c1 + u * (c2 + u * c3)))
+        return at
+    return component(0), component(1), component(2)
 
 
 class Trajectory:
@@ -313,18 +320,19 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     error_exponent, sqrt3 = _ERROR_EXPONENT, _SQRT3
 
-    # The event function of each kind on a state (x, z, theta).  The axis
-    # counts falling through zero, the blowup rising, the others either way.
-    # A crossing's root is refined on the step's interpolant.  Full turns
-    # with k = 0 are re-crossings, not events.  A strict sign change is the
-    # whole test: cos of a double is never 0.0, and sin(0.5 * (theta -
-    # theta0)) is 0.0 only at theta = theta0, a k = 0 re-crossing.  The step
-    # loop evaluates the same expressions inline.
+    # The event function of each kind on the one state component it reads,
+    # 0 for x and 2 for theta.  The axis counts falling through zero, the
+    # blowup rising, the others either way.  A crossing's root is refined on
+    # that component of the step's interpolant.  Full turns with k = 0 are
+    # re-crossings, not events.  A strict sign change is the whole test: cos
+    # of a double is never 0.0, and sin(0.5 * (theta - theta0)) is 0.0 only
+    # at theta = theta0, a k = 0 re-crossing.  The step loop evaluates the
+    # same expressions inline.
     event_functions = (
-        (EventKind.AXIS_APPROACH, lambda y: y[0] - axis_epsilon),
-        (EventKind.BLOWUP, lambda y: y[0] - x_blowup),
-        (EventKind.VERTICAL_TANGENT, lambda y: cos(y[2])),
-        (EventKind.FULL_TURN, lambda y: sin(0.5 * (y[2] - theta0))),
+        (EventKind.AXIS_APPROACH, 0, lambda x: x - axis_epsilon),
+        (EventKind.BLOWUP, 0, lambda x: x - x_blowup),
+        (EventKind.VERTICAL_TANGENT, 2, cos),
+        (EventKind.FULL_TURN, 2, lambda th: sin(0.5 * (th - theta0))),
     )
 
     run = _DirectionRun()
@@ -336,7 +344,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     k1t = a * k1z / x + b
     h_abs = _initial_step(a, b, (x, z, th), (k1x, k1z, k1t), direction,
                           controls.max_arclength, rtol, atol)
-    pa, pb, pv, pt = (g((x, z, th)) for _, g in event_functions)
+    pa, pb, pv, pt = (g((x, z, th)[j]) for _, j, g in event_functions)
     n_vert = 0
     seen_turns: set[int] = set()
     nsteps = 0
@@ -472,8 +480,8 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
             at = _interpolant(t, t_new, (x, z, th), step[1:])
             lo, hi = (t, t_new) if sign > 0.0 else (t_new, t)
             candidates = sorted(
-                ((brentq(lambda s, g=g: g(at(s)), lo, hi, xtol=tol), kind)
-                 for (kind, g), hit in zip(event_functions, crossed) if hit),
+                ((brentq(lambda s, g=g, y=at[j]: g(y(s)), lo, hi, xtol=tol), kind)
+                 for (kind, j, g), hit in zip(event_functions, crossed) if hit),
                 key=lambda c: direction * c[0])
             cut_s = cut_term = None
             for s_star, kind in candidates:
@@ -481,7 +489,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
                 # tolerance are recorded whichever of them rounded first.
                 if cut_s is not None and abs(s_star - cut_s) > tol:
                     break
-                st = ProfileState(s_star, *at(s_star))
+                st = ProfileState(s_star, *(y(s_star) for y in at))
                 k = round((st.theta - theta0) / math.tau)
                 if kind is EventKind.FULL_TURN:
                     if k == 0 or k in seen_turns:
@@ -505,7 +513,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
             if cut_s is not None:
                 if (cut_s - t) * direction > 0.0:
                     s_append(cut_s)
-                    y_append(at(cut_s))
+                    y_append(tuple(y(cut_s) for y in at))
                 run.termination = cut_term
                 return run
 

@@ -4,17 +4,19 @@ Everything written here is byte-deterministic for identical inputs: floats
 in CSV, JSON and OBJ use the shortest round-trip decimal (repr), SVG
 coordinates use a fixed six-decimal format, and no timestamps or environment
 data are embedded.  The CSV, OBJ and SVG writers format whole blocks (CSV
-rows, OBJ rings, each SVG path, polyline and arrow) through %-templates
-filled with Python floats, never numpy scalars, whose repr differs under
-numpy 2.  The SVG writers map a path's or polyline's whole columns through
-_Frame.map: the map is elementwise, and numpy's x0 + sx * col rounds each
-element as the scalar expression does, so every coordinate is the one a
-per-point loop would print.  An OBJ ring revolves the profile at angles whose
-cos and sin come from an exactly symmetric table (_unit_circle): where 4
-divides the angle count n, libm gives the first octant and every other entry
-is an exact image under the n-gon's symmetries, so mirror vertices print the
-same digits and a ring formats n/4 + 1 distinct magnitudes (8 | n) instead
-of about n.
+rows, OBJ rings of vertices and normals, each SVG path, polyline and arrow)
+through %-templates filled with Python floats, never numpy scalars, whose
+repr differs under numpy 2.  OBJ faces hold no float and use no template:
+their lines are gathered as bytes from one table of the "k//k" references
+(_ref_table).  The SVG writers map a path's or polyline's whole columns
+through _Frame.map: the map is elementwise, and numpy's x0 + sx * col rounds
+each element as the scalar expression does, so every coordinate is the one
+a per-point loop would print.  An OBJ ring revolves the profile at angles
+whose cos and sin come from an exactly symmetric table (_unit_circle): where
+4 divides the angle count n, libm gives the first octant and every other
+entry is an exact image under the n-gon's symmetries, so mirror vertices
+print the same digits and a ring formats n/4 + 1 distinct magnitudes (8 | n)
+instead of about n.
 """
 
 from __future__ import annotations
@@ -292,6 +294,29 @@ def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+# Face lines are assembled this many rings of faces at a time.
+_FACE_RINGS = 32
+
+
+def _ref_table(n: int) -> np.ndarray:
+    """The OBJ references "k//k" for k = 0 .. n as a uint8 table of ASCII.
+
+    Row k holds the reference left-aligned in 2 d + 2 bytes, d the digit
+    count of n, padded with NUL.  The rows of each digit width are one
+    slice, filled a digit column at a time.
+    """
+    d = len(str(n))
+    table = np.zeros((n + 1, 2 * d + 2), dtype=np.uint8)
+    for w in range(1, d + 1):
+        lo, hi = 10 ** (w - 1) if w > 1 else 0, min(n, 10 ** w - 1)
+        rows, k = table[lo:hi + 1], np.arange(lo, hi + 1)
+        for p in range(w - 1, -1, -1):
+            k, digit = np.divmod(k, 10)
+            rows[:, p] = rows[:, w + 2 + p] = digit + ord("0")
+        rows[:, w:w + 2] = ord("/")
+    return table
+
+
 def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
                    window: Optional[tuple[float, float]] = None) -> None:
     """Triangulated surface of revolution X(s, phi) = (x cos phi, x sin phi, z).
@@ -304,14 +329,19 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
     phi = pi/2 has x = 0.0, and vertices j and n_revolve - j mirror each
     other to the bit.
 
-    Floats are the shortest round-trip repr.  Each ring of vertices, of
-    normals and of faces is filled into one template and written as it is
-    made.  A ring's coordinates are r cos phi_j and r sin phi_j, and
-    |r c| = |r| |c| exactly, so each ring formats |r| u once for each
+    Floats are the shortest round-trip repr.  Each ring of vertices and of
+    normals is filled into one %-template and written as it is made.  A
+    ring's coordinates are r cos phi_j and r sin phi_j, and |r c| =
+    |r| |c| exactly, so each ring formats |r| u once for each
     distinct u among the |cos phi_j| and |sin phi_j| (n_revolve/4 + 1 of
     them where 8 divides n_revolve) and puts a '-' in front where the sign
     bit of r c is set, as for -0.0: every string is the repr a per-vertex
     loop would print.
+
+    The faces use no template.  Their references k//k are rows of
+    _ref_table, NUL-padded to one width, so _FACE_RINGS rings of face lines
+    are gathered by index into a fixed-width byte array and written with
+    the padding deleted: the same bytes as f"f {a}//{a} {c}//{c} {b}//{b}".
     """
     lo = window[0] if window else traj.s_min
     hi = window[1] if window else traj.s_max
@@ -335,19 +365,30 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
 
     # winding chosen so face normals agree with the emitted vertex normals:
     # faces (a, c, b) and (a, d, c) on the quad a = (i, j), b = (i + 1, j),
-    # c = (i + 1, j + 1), d = (i, j + 1).  quad holds ring 0's 0-based
-    # vertex indices; ring i adds i * n_rev.
+    # c = (i + 1, j + 1), d = (i, j + 1).  quad holds ring 0's 1-based
+    # vertex indices, one face per row; ring i adds i * n_rev.
     j = np.arange(n_rev)
     j1 = (j + 1) % n_rev
-    quad = np.stack((j, n_rev + j1, n_rev + j, j, j1, n_rev + j1), axis=1).ravel()
-    refs = np.array([f"{k}//{k}" for k in range(1, n_prof * n_rev + 1)], dtype=object)
+    quad = np.stack((j, n_rev + j1, n_rev + j, j, j1, n_rev + j1), axis=1).reshape(-1, 3) + 1
+    table = _ref_table(n_prof * n_rev)
+    width = table.shape[1]
+    # A face line is "f " and three fields, each a reference padded to the
+    # table's width and its separator: ' ', ' ', '\n'.  The padding is
+    # dropped when the block is written.
+    lines = np.empty((_FACE_RINGS * len(quad), 3 * width + 5), dtype=np.uint8)
+    lines[:, :2] = np.frombuffer(b"f ", dtype=np.uint8)
+    fields = lines[:, 2:].reshape(len(lines), 3, width + 1)
+    fields[:, :, width] = np.frombuffer(b"  \n", dtype=np.uint8)
 
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# surface of revolution: {n_prof} x {n_rev} vertices\n")
-        fh.writelines(("v %s %s " + repr(z) + "\n") * n_rev % ring(x)
+    with open(path, "wb") as fh:
+        fh.write(f"# surface of revolution: {n_prof} x {n_rev} vertices\n".encode("ascii"))
+        fh.writelines((("v %s %s " + repr(z) + "\n") * n_rev % ring(x)).encode("ascii")
                       for x, z in zip(pts[:, 1].tolist(), pts[:, 2].tolist()))
-        fh.writelines(("vn %s %s " + repr(-math.cos(t)) + "\n") * n_rev % ring(math.sin(t))
+        fh.writelines((("vn %s %s " + repr(-math.cos(t)) + "\n") * n_rev
+                       % ring(math.sin(t))).encode("ascii")
                       for t in pts[:, 3].tolist())
-        face_ring = "f %s %s %s\nf %s %s %s\n" * n_rev
-        fh.writelines(face_ring % tuple(refs[quad + i * n_rev].tolist())
-                      for i in range(n_prof - 1))
+        for i in range(0, n_prof - 1, _FACE_RINGS):
+            shifts = n_rev * np.arange(i, min(i + _FACE_RINGS, n_prof - 1))
+            refs = (quad + shifts[:, None, None]).reshape(-1, 3)
+            fields[:len(refs), :, :width] = np.take(table, refs, axis=0)
+            fh.write(lines[:len(refs)].tobytes().translate(None, b"\0"))

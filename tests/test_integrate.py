@@ -281,9 +281,10 @@ class TestDenseOutput:
                                    _Dense(*(f[row] for f in d)))
                 at = _interpolant(s0, s1, y0, tuple(K))
                 for s in np.linspace(lo, hi, 5).tolist():
-                    assert at(s) == tuple(alone.eval(s))
+                    state = tuple(y(s) for y in at)
+                    assert state == tuple(alone.eval(s))
                     if lo < s < hi and traj.s_min <= s <= traj.s_max:
-                        assert at(s) == tuple(traj.eval(s))
+                        assert state == tuple(traj.eval(s))
                 checked += 1
         assert checked >= 8
 

@@ -20,6 +20,7 @@ from wlw.output import (
     MeshSpec,
     _f,
     _Frame,
+    _ref_table,
     _svg_document,
     _unit_circle,
     events_to_dict,
@@ -229,6 +230,21 @@ class TestBlockWritersMatchLoops:
         _write_obj_mesh_loop(traj, tmp_path / "loop.obj", spec)
         assert (tmp_path / "block.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
 
+    @pytest.mark.parametrize("n_profile,n_revolve", [(16, 8), (100, 101), (79, 128), (801, 128)])
+    def test_obj_faces_across_digit_widths(self, n_profile, n_revolve, nodoid_traj, tmp_path):
+        # 128, 10,100, 10,112 and 102,528 vertices: the face references
+        # cross every power of ten up to 10^5, and the last gather chunk is
+        # short.
+        spec = MeshSpec(n_profile=n_profile, n_revolve=n_revolve)
+        write_obj_mesh(nodoid_traj, tmp_path / "block.obj", spec)
+        _write_obj_mesh_loop(nodoid_traj, tmp_path / "loop.obj", spec)
+        block = (tmp_path / "block.obj").read_bytes()
+        faces = [line for line in block.splitlines(keepends=True) if line.startswith(b"f ")]
+        assert block.startswith(f"# surface of revolution: {n_profile} x {n_revolve} ".encode())
+        assert len(faces) == 2 * n_revolve * (n_profile - 1)
+        assert faces[-1].startswith(f"f {n_revolve * (n_profile - 1)}//".encode())
+        assert block == (tmp_path / "loop.obj").read_bytes()
+
     def test_obj_negative_zero(self, antinodoid_traj, tmp_path):
         # theta0 = 3pi/2: sin(theta) < 0, so sin(theta) * sin(0) is -0.0
         spec = MeshSpec(n_profile=16, n_revolve=8)
@@ -408,6 +424,13 @@ class TestUnitCircle:
 
 
 class TestObjMesh:
+    def test_ref_table_rows_are_the_references(self):
+        n = 1_000_001
+        table = _ref_table(n)
+        assert table.shape == (n + 1, 16) and table.dtype == np.uint8
+        expected = b"".join(f"{k}//{k}".encode().ljust(16, b"\0") for k in range(n + 1))
+        assert table.tobytes() == expected
+
     def test_sphere_vertices_on_sphere(self, tmp_path):
         # The umbilical sphere of radius 3: its default run reaches the axis
         # both ways, at z = -3 and z = 3.
