@@ -426,9 +426,16 @@ def axis_rises(params: Params, anchor: Anchor, x_hi: float, xs) -> list[float]:
     from the axis to x_hi, from one quadrature.
 
     The profile's branches are z = z_pole + Z(x) and
-    z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart.  Accurate
-    to _QUAD_RTOL times x_hi or the largest |Z| to the farthest x; x_hi is
-    at most the arclength from the axis to x_hi.
+    z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart.  The
+    quadrature meets _QUAD_RTOL times x_hi or the largest |Z| to the
+    farthest x; x_hi is at most the arclength from the axis to x_hi.  That
+    bounds the result's error only where the integrand is resolved.  Next
+    to the separatrix, at x0 = x_sep (1 + delta) with |delta| <= 1e-11,
+    1 - f^2 has a near-double root at the critical radius and the integrand
+    carries rounding noise of about eps/sqrt(|delta|) relative.  There an
+    ImmersedSpheroid's pole_z is good to about 1e-11 relative, not
+    _QUAD_RTOL: moving one quadrature stop moved it by up to 1.2e-11 at
+    delta = -1e-12.
     """
     return _half_integrals(params, anchor, 0.0, x_hi, [_phi(0.0, x_hi, x) for x in xs],
                            epsabs=_QUAD_RTOL * x_hi)

@@ -3,20 +3,24 @@
 Everything written here is byte-deterministic for identical inputs: floats
 in CSV, JSON and OBJ use the shortest round-trip decimal (repr), SVG
 coordinates use a fixed six-decimal format, and no timestamps or environment
-data are embedded.  The CSV, OBJ and SVG writers format whole blocks (CSV
-rows, OBJ rings of vertices and normals, each SVG path, polyline and arrow)
-through %-templates filled with Python floats, never numpy scalars, whose
-repr differs under numpy 2.  OBJ faces hold no float and use no template:
-their lines are gathered as bytes from one table of the "k//k" references
-(_ref_table).  The SVG writers map a path's or polyline's whole columns
-through _Frame.map: the map is elementwise, and numpy's x0 + sx * col rounds
-each element as the scalar expression does, so every coordinate is the one
-a per-point loop would print.  An OBJ ring revolves the profile at angles
-whose cos and sin come from an exactly symmetric table (_unit_circle): where
-4 divides the angle count n, libm gives the first octant and every other
-entry is an exact image under the n-gon's symmetries, so mirror vertices
-print the same digits and a ring formats n/4 + 1 distinct magnitudes (8 | n)
-instead of about n.
+data are embedded.  The CSV and OBJ writers format their floats as whole
+arrays: floatrepr.repr_table finds each value's shortest digits with
+Schubfach on uint64 arrays and lays them out as repr does, one NUL-padded
+row of ASCII per value.  Their lines are assembled as bytes, each field in a fixed
+column: CSV rows and OBJ vertex and normal lines gather rows of that table,
+and OBJ face lines gather rows of a table of the "k//k" references
+(_ref_table); the padding is deleted when a block is written.  The SVG
+writers format each path, polyline and arrow through %-templates filled with
+Python floats, never numpy scalars, whose repr differs under numpy 2.  They
+map a path's or polyline's whole columns through _Frame.map: the map is
+elementwise, and numpy's x0 + sx * col rounds each element as the scalar
+expression does, so every coordinate is the one a per-point loop would
+print.  An OBJ ring revolves the profile at angles whose cos and sin come
+from an exactly symmetric table (_unit_circle): where 4 divides the angle
+count n, libm gives the first octant and every other entry is an exact
+image under the n-gon's symmetries, so mirror vertices print the same
+digits and a ring formats n/4 + 1 distinct magnitudes (8 | n) instead of
+about n.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +36,7 @@ import numpy as np
 from .classify import ClassificationReport
 from .errors import DegenerateProfile, InvalidParameter
 from .integrate import EventKind, IntersectionRecord, Trajectory
+from .floatrepr import repr_table
 from .phaseplane import BOX_TOP, CriticalPoint, PhasePortrait
 
 CSV_HEADER = "s,x,z,theta,kappa1,kappa2"
@@ -43,18 +47,41 @@ def fnum(v: float) -> str:
     return repr(float(v))
 
 
+# write_trajectory_csv formats this many rows at a time.
+_CSV_ROWS = 1024
+
+
+def _line_array(count: int, k: int, width: int, separators: bytes,
+                prefix: bytes = b"") -> tuple[np.ndarray, np.ndarray]:
+    """An uint8 array of count lines of text and its (count, k, width) view
+    of field cells.  Each line is the prefix, then k cells of width bytes,
+    each followed by its separator; fill the cells with NUL-padded fields
+    and write the lines' bytes with the NULs deleted."""
+    lines = np.empty((count, len(prefix) + k * (width + 1)), dtype=np.uint8)
+    lines[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    cells = lines[:, len(prefix):].reshape(count, k, width + 1)
+    cells[:, :, width] = np.frombuffer(separators, dtype=np.uint8)
+    return lines, cells[:, :, :width]
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per accepted integration step: s, x, z, theta, kappa1, kappa2.
 
     sin(theta) is math.sin per sample; the array divide, multiply and add
     round as the scalar ones do, so every float is the one a per-row loop
-    would print."""
+    would print.  _CSV_ROWS rows at a time are formatted by repr_table and
+    their fields set in fixed columns of an array of lines, which is written
+    with the padding deleted."""
     a, b = traj.params.a, traj.params.b
     k2 = np.array([math.sin(t) for t in traj.theta.tolist()]) / traj.x
     rows = np.column_stack((traj.s, traj.x, traj.z, traj.theta, a * k2 + b, k2))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write("%r,%r,%r,%r,%r,%r\n" * len(rows) % tuple(rows.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode("ascii") + b"\n")
+        for i in range(0, len(rows), _CSV_ROWS):
+            table = repr_table(rows[i:i + _CSV_ROWS])
+            lines, fields = _line_array(len(table) // 6, 6, table.shape[1], b",,,,,\n")
+            fields[:] = table.reshape(fields.shape)
+            fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def events_to_dict(traj: Trajectory,
@@ -294,8 +321,8 @@ def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-# Face lines are assembled this many rings of faces at a time.
-_FACE_RINGS = 32
+# OBJ vertex, normal and face lines are assembled this many rings at a time.
+_RINGS = 32
 
 
 def _ref_table(n: int) -> np.ndarray:
@@ -329,19 +356,19 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
     phi = pi/2 has x = 0.0, and vertices j and n_revolve - j mirror each
     other to the bit.
 
-    Floats are the shortest round-trip repr.  Each ring of vertices and of
-    normals is filled into one %-template and written as it is made.  A
+    Floats are the shortest round-trip repr, formatted by repr_table.  A
     ring's coordinates are r cos phi_j and r sin phi_j, and |r c| =
-    |r| |c| exactly, so each ring formats |r| u once for each
-    distinct u among the |cos phi_j| and |sin phi_j| (n_revolve/4 + 1 of
-    them where 8 divides n_revolve) and puts a '-' in front where the sign
-    bit of r c is set, as for -0.0: every string is the repr a per-vertex
-    loop would print.
+    |r| |c| exactly, so each ring formats |r| u once for each distinct u
+    among the |cos phi_j| and |sin phi_j| (n_revolve/4 + 1 of them where 8
+    divides n_revolve) and its third coordinate (z, or -cos theta for a
+    normal) once.  Each vertex's line gathers its three rows into fixed
+    columns and puts '-' in the sign column where the sign bit of r c is
+    set, as for -0.0: every string is the repr a per-vertex loop would print.
 
-    The faces use no template.  Their references k//k are rows of
-    _ref_table, NUL-padded to one width, so _FACE_RINGS rings of face lines
-    are gathered by index into a fixed-width byte array and written with
-    the padding deleted: the same bytes as f"f {a}//{a} {c}//{c} {b}//{b}".
+    The faces' references k//k are rows of _ref_table, NUL-padded to one
+    width, gathered by index in the same way: the same bytes as
+    f"f {a}//{a} {c}//{c} {b}//{b}".  Vertex, normal and face lines are
+    written _RINGS rings at a time, with the padding deleted.
     """
     lo = window[0] if window else traj.s_min
     hi = window[1] if window else traj.s_max
@@ -351,44 +378,47 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
         raise DegenerateProfile(f"only {int(usable.sum())} usable profile samples")
     pts = pts[usable]
     n_prof, n_rev = len(pts), spec.n_revolve
-    trig = np.column_stack(_unit_circle(n_rev)).ravel()
+    trig = np.column_stack(_unit_circle(n_rev))
     units, slot = np.unique(np.abs(trig), return_inverse=True)
-    # Ring strings are the reprs of |r| u followed by the same with '-':
-    # gather[neg_r] picks the x and y strings of every vertex in order.
+    slot = slot.reshape(n_rev, 2)
     flip = np.signbit(trig)
-    gather = [itemgetter(*(slot + len(units) * (flip ^ neg_r)).tolist()) for neg_r in (False, True)]
-    units = units.tolist()
 
-    def ring(r: float) -> tuple:
-        reprs = [repr(abs(r) * u) for u in units]
-        return gather[math.copysign(1.0, r) < 0.0](reprs + ["-" + t for t in reprs])
+    def rings(prefix: bytes, radius: np.ndarray, third: np.ndarray):
+        # Row j of a ring's table is the repr of |r| units[j]; its last row
+        # is the third coordinate.
+        table = repr_table(np.column_stack((np.abs(radius)[:, None] * units, third)))
+        table = table.reshape(len(radius), len(units) + 1, -1)
+        for i in range(0, len(radius), _RINGS):
+            block, neg = table[i:i + _RINGS], np.signbit(radius[i:i + _RINGS])
+            lines, fields = _line_array(len(block) * n_rev, 3, table.shape[2], b"  \n", prefix)
+            fields = fields.reshape(len(block), n_rev, 3, -1)
+            fields[:, :, :2] = block[:, slot]
+            fields[:, :, 2] = block[:, -1:]
+            fields[:, :, :2, 0] = np.where(flip ^ neg[:, None, None], ord("-"), 0)
+            yield lines.tobytes().translate(None, b"\0")
 
-    # winding chosen so face normals agree with the emitted vertex normals:
-    # faces (a, c, b) and (a, d, c) on the quad a = (i, j), b = (i + 1, j),
-    # c = (i + 1, j + 1), d = (i, j + 1).  quad holds ring 0's 1-based
-    # vertex indices, one face per row; ring i adds i * n_rev.
-    j = np.arange(n_rev)
-    j1 = (j + 1) % n_rev
-    quad = np.stack((j, n_rev + j1, n_rev + j, j, j1, n_rev + j1), axis=1).reshape(-1, 3) + 1
-    table = _ref_table(n_prof * n_rev)
-    width = table.shape[1]
-    # A face line is "f " and three fields, each a reference padded to the
-    # table's width and its separator: ' ', ' ', '\n'.  The padding is
-    # dropped when the block is written.
-    lines = np.empty((_FACE_RINGS * len(quad), 3 * width + 5), dtype=np.uint8)
-    lines[:, :2] = np.frombuffer(b"f ", dtype=np.uint8)
-    fields = lines[:, 2:].reshape(len(lines), 3, width + 1)
-    fields[:, :, width] = np.frombuffer(b"  \n", dtype=np.uint8)
+    def faces():
+        # winding chosen so face normals agree with the emitted vertex
+        # normals: faces (a, c, b) and (a, d, c) on the quad a = (i, j),
+        # b = (i + 1, j), c = (i + 1, j + 1), d = (i, j + 1).  quad holds
+        # ring 0's 1-based vertex indices, one face per row; ring i adds
+        # i * n_rev.  The reference table is built only once the rings are
+        # written, so that it and a ring block never take memory together.
+        j = np.arange(n_rev)
+        j1 = (j + 1) % n_rev
+        quad = np.stack((j, n_rev + j1, n_rev + j, j, j1, n_rev + j1), axis=1).reshape(-1, 3) + 1
+        table = _ref_table(n_prof * n_rev)
+        lines, fields = _line_array(_RINGS * len(quad), 3, table.shape[1], b"  \n", b"f ")
+        for i in range(0, n_prof - 1, _RINGS):
+            shifts = n_rev * np.arange(i, min(i + _RINGS, n_prof - 1))
+            refs = (quad + shifts[:, None, None]).reshape(-1, 3)
+            fields[:len(refs)] = np.take(table, refs, axis=0)
+            yield lines[:len(refs)].tobytes().translate(None, b"\0")
 
     with open(path, "wb") as fh:
         fh.write(f"# surface of revolution: {n_prof} x {n_rev} vertices\n".encode("ascii"))
-        fh.writelines((("v %s %s " + repr(z) + "\n") * n_rev % ring(x)).encode("ascii")
-                      for x, z in zip(pts[:, 1].tolist(), pts[:, 2].tolist()))
-        fh.writelines((("vn %s %s " + repr(-math.cos(t)) + "\n") * n_rev
-                       % ring(math.sin(t))).encode("ascii")
-                      for t in pts[:, 3].tolist())
-        for i in range(0, n_prof - 1, _FACE_RINGS):
-            shifts = n_rev * np.arange(i, min(i + _FACE_RINGS, n_prof - 1))
-            refs = (quad + shifts[:, None, None]).reshape(-1, 3)
-            fields[:len(refs), :, :width] = np.take(table, refs, axis=0)
-            fh.write(lines[:len(refs)].tobytes().translate(None, b"\0"))
+        fh.writelines(rings(b"v ", pts[:, 1], pts[:, 2]))
+        theta = pts[:, 3].tolist()
+        fh.writelines(rings(b"vn ", np.array([math.sin(t) for t in theta]),
+                            np.array([-math.cos(t) for t in theta])))
+        fh.writelines(faces())

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import beta
+from scipy.special import beta, ellipe, ellipkm1
 
 from wlw import classify, cli, levelset
 from wlw.classify import (
@@ -1313,3 +1313,37 @@ class TestNearCentre:
         assert runs == []
         assert (r.surface.tag, r.surface.radius) == (SurfaceTag.CYLINDER, 4.0)
         assert (r.termination, r.theta_range, r.asymptotic_radius) == (None, (PI / 2, PI / 2), 4.0)
+
+
+class TestDelaunay:
+    """At a = -1 the relation reads kappa1 + kappa2 = b: the mean curvature
+    is b/2, and the periodic orbits are Delaunay's, with closed forms."""
+
+    def test_nodoid_period_and_rise(self):
+        # A Nodoid of turning radii x_lo < x_hi has T = 2 pi/|b| and
+        # |dz| = 2 (x_hi E(m) - x_lo K(m)), m = 1 - (x_lo/x_hi)^2.  K is
+        # taken as ellipkm1 of 1 - m, which keeps its digits where x_lo is
+        # tiny against x_hi.  Each draw is checked at three scales and
+        # reflected.
+        rng = np.random.default_rng(9)
+        n = 300
+        b = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2.0, 2.0, n))
+        x0 = np.exp(rng.uniform(-3.0, 3.0, n))
+        theta0 = rng.uniform(0.0, 2 * PI, n)
+        nodoids = 0
+        for case in zip(b.tolist(), x0.tolist(), theta0.tolist()):
+            base = Params(-1.0, case[0]), InitialConditions(*case[1:])
+            if classify_surface(*base).surface.tag != SurfaceTag.NODOID:
+                continue
+            nodoids += 1
+            for params, ic in [rescale(lam, *base) for lam in (1e-3, 1.0, 1e3)] + [reflect_b(*base)]:
+                r = classify_surface(params, ic)
+                cparams, cic, _ = canonicalize(params, ic)
+                x_lo, x_hi = levelset.turning_radii(cparams, levelset.Anchor(cic.x0, math.sin(cic.theta0)))
+                p = (x_lo / x_hi) ** 2
+                period = 2 * PI / abs(params.b)
+                rise = 2.0 * (x_hi * ellipe(1.0 - p) - x_lo * ellipkm1(p))
+                assert r.surface.tag == SurfaceTag.NODOID
+                errors = (abs(r.period - period) / period, abs(abs(r.z_shift) - rise) / period)
+                assert max(errors) <= 1e-13, (params, ic, errors)
+        assert nodoids >= 150, nodoids

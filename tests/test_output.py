@@ -1,12 +1,15 @@
 import json
 import math
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wlw.classify import classify_surface
 from wlw.errors import DegenerateProfile, InvalidParameter
+from wlw.floatrepr import repr_table
 from wlw.integrate import (
     IntegrationControls,
     Termination,
@@ -198,6 +201,16 @@ class TestBlockWritersMatchLoops:
         assert "e-" in text
         assert text == (tmp_path / "loop.csv").read_text()
 
+    def test_csv_in_short_blocks(self, nodoid_traj, tmp_path, monkeypatch):
+        # Blocks of 7 rows, their 42 values formatted 17 at a time: the last
+        # block and each block's last chunk are part-filled.
+        monkeypatch.setattr("wlw.output._CSV_ROWS", 7)
+        monkeypatch.setattr("wlw.floatrepr._REPR_CHUNK", 17)
+        assert len(nodoid_traj.s) % 7
+        write_trajectory_csv(nodoid_traj, tmp_path / "block.csv")
+        _write_trajectory_csv_loop(nodoid_traj, tmp_path / "loop.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
     @pytest.mark.parametrize("name,spec", [
         ("vesicle_traj", MeshSpec()),
         ("nodoid_traj", MeshSpec()),
@@ -307,6 +320,71 @@ class TestCsv:
     def test_shortest_round_trip_formatting(self):
         assert fnum(1.0 / 3.0) == repr(1.0 / 3.0)
         assert float(fnum(0.1 + 0.2)) == 0.1 + 0.2
+
+
+def repr_texts(values) -> list[str]:
+    """The rows of repr_table(values) with their NUL padding deleted."""
+    table = repr_table(values)
+    lines = np.column_stack((table, np.full(len(table), ord("\n"), dtype=np.uint8)))
+    return lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def neighbours(v: float, count: int) -> list[float]:
+    """v and the count doubles on either side of it."""
+    below, above = [v], [v]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def edge_values() -> list[float]:
+    """Powers of two and ten, the positional/scientific switch points,
+    the float range's ends, signed zeros, infinities, NaN and small integers."""
+    values = [s * 2.0 ** k for k in range(-1074, 1024) for s in (1.0, -1.0)]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    for v in (1e-4, 1e-5, 1e15, 1e16):
+        values += neighbours(v, 8)
+    values += [9999999999999998.0, 5e-324, -5e-324, 1e-323, 1.5e-323, 5e-323,
+               sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+               0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+    values += [float(i) for i in range(-1000, 1001)]
+    return values
+
+
+class TestReprTable:
+    """repr_table's rows are repr(float(v)) byte for byte."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20180823)
+        for _ in range(8):
+            values = rng.integers(0, 2 ** 64, size=2 ** 17, dtype=np.uint64).view(np.float64)
+            assert repr_texts(values) == [repr(v) for v in values.tolist()]
+
+    def test_edge_values(self):
+        values = edge_values()
+        assert repr_texts(np.array(values)) == [repr(v) for v in values]
+
+    @given(st.floats())
+    @settings(max_examples=500)
+    def test_any_float(self, v):
+        assert repr_texts(np.array([v])) == [repr(v)]
+
+    def test_rows_are_left_aligned_after_the_sign(self):
+        values = np.array([-0.0, 0.0, -1.5, 1.5, 1e100, -1e-100, math.inf, -math.inf, math.nan,
+                           -123456789.0, 0.00012345678901234567])
+        table = repr_table(values)
+        assert table.dtype == np.uint8
+        assert table.shape == (len(values), 1 + max(len(repr(abs(v))) for v in values.tolist()))
+        for row, v in zip(table.tolist(), values.tolist()):
+            text = repr(v).encode()
+            sign = text[:1] if text.startswith(b"-") else b"\0"
+            assert bytes(row) == sign + text.lstrip(b"-").ljust(table.shape[1] - 1, b"\0")
+
+    def test_empty_and_any_shape(self):
+        assert repr_table(np.empty(0)).shape[0] == 0
+        grid = np.arange(12.0).reshape(3, 4) / 7.0
+        assert repr_texts(grid) == [repr(v) for v in grid.ravel().tolist()]
 
 
 @pytest.fixture(scope="module")
