@@ -1,9 +1,9 @@
 """Surface taxonomy from the first integral, without integrating the ODE.
 
 The decision tree follows the geometry.  Every input is decided on the
-level set of the first integral (levelset.py) or in closed form, so every
-report has termination None, and the one setting is rel_tol, the accuracy
-asked of a level set.  The closed forms are single orbits, and each gate
+level set of the first integral (levelset.py) or in closed form, so no
+orbit is integrated, and the one setting is rel_tol, the accuracy asked of
+a level set.  The closed forms are single orbits, and each gate
 takes a state to be on one only to rounding: model.is_equilibrium for the
 rest point and levelset.on_level for a named level, both to LEVEL_ULPS eps
 of what they round.  A state off them by more is read off its own level set.
@@ -19,9 +19,10 @@ of what they round.  A state off them by more is read off its own level set.
 * A state on the level of the a > 0 saddle (3 pi/2, a/b): the
   CylindricalAntinodoid, asymptotic to the cylinder x = a/b, with its
   crossings and theta range in closed form (see _separatrix_report).
-* An orbit whose radius turns at two finite radii x_lo > 0 and x_hi < inf
-  is periodic.  It is an Unduloid when sin(theta) has one sign at both
-  turning radii, and otherwise winds.  A winding orbit is a Nodoid when
+* Every other input is read off its levelset.Level, resolved once from
+  the initial state.  An orbit whose radius turns at two finite radii
+  x_lo > 0 and x_hi < inf is periodic.  It is an Unduloid when sin(theta)
+  has one sign at both turning radii, and otherwise winds.  A winding orbit is a Nodoid when
   its rise dz per period has the sign of sin(theta) at x_hi, and an
   Antinodoid otherwise; its period, dz and self-crossings per period come
   from quadratures (see levelset.winding).  Next to the separatrix a
@@ -53,11 +54,10 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import levelset
 from .errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
-from .integrate import Termination
 from .model import REL_TOL, InitialConditions, Params, canonicalize, is_equilibrium
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
@@ -112,7 +112,6 @@ class ClassificationReport:
     canonicalized_b: bool
     params: Params
     ic: InitialConditions
-    termination: Optional[Termination]          # always None: classify makes no run
 
 
 def special_solutions(params: Params) -> list[SurfaceClass]:
@@ -162,34 +161,7 @@ def catenoid_asymptote(params: Params, ic: InitialConditions) -> Optional[float]
             / (-2.0 * a * math.gamma((2.0 * a + 1.0) / (2.0 * a))))
 
 
-class _Level(NamedTuple):
-    """The level of the first integral anchored at the initial state, and its turning radii.
-
-    sin_lo and sin_hi are f_H = +-1 at x_lo and x_hi, and nan at an end on
-    the axis (0.0) or at infinity.
-    """
-    anchor: levelset.Anchor
-    x_lo: float
-    x_hi: float
-    sin_lo: float
-    sin_hi: float
-
-
-def _level_set(params: Params, ic: InitialConditions) -> _Level:
-    """The level set of the orbit.  Raises ArithmeticError where floats
-    cannot resolve its turning radii: (x/x0)^a in f_H overflowing, or
-    rounding losing the bracket of a radius, for extreme x0, a or b."""
-    def sin_at(x):
-        if not 0.0 < x < math.inf:
-            return math.nan
-        return math.copysign(1.0, levelset.f_H(params, anchor, x))
-
-    anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
-    x_lo, x_hi = levelset.turning_radii(params, anchor)
-    return _Level(anchor, x_lo, x_hi, sin_at(x_lo), sin_at(x_hi))
-
-
-def _unresolved(reason: str, level: Optional[_Level] = None,
+def _unresolved(reason: str, level: Optional[levelset.Level] = None,
                 size: Optional[float] = None) -> Inconclusive:
     """The Inconclusive of a level set that floats cannot resolve, with the
     reason, the turning radii and the term_size of f_H as diagnostics."""
@@ -214,39 +186,38 @@ def _level_set_report(params: Params, ic: InitialConditions,
     the float range or a quadrature fails.
     """
     try:
-        level = _level_set(params, ic)
+        level = levelset.level(params, levelset.Anchor(ic.x0, math.sin(ic.theta0)))
     except ArithmeticError as e:
         raise _unresolved(f"floats cannot resolve the turning radii ({e})") from e
-    anchor, x_lo, x_hi, sin_lo, sin_hi = level
+    _, _, x_lo, x_hi, s_lo, s_hi = level
     if not x_hi < math.inf:
         raise _unresolved("the outer turning radius lies beyond the float range", level)
     if not (0.0 < x_lo or params.a > 0.0):
         raise _unresolved("the inner turning radius lies below the float range", level)
     max_size = rel_tol / sys.float_info.epsilon
-    cut, size = levelset.split(params, levelset.Anchor(x_lo, sin_lo),
-                               levelset.Anchor(x_hi, sin_hi), max_size)
+    cut, size = levelset.split(level, max_size)
     if size > max_size:
         raise _unresolved("rounding of f_H exceeds rel_tol on both end anchors", level, size)
-    if 0.0 < x_lo and sin_lo * sin_hi > 0.0:
+    if 0.0 < x_lo and s_lo * s_hi > 0.0:
         # An Unduloid's report needs no quadrature.
         return _report(SurfaceClass(SurfaceTag.UNDULOID), params, ic,
-                       self_intersections=0, theta_range=_level_theta_range(params, ic, level))
+                       self_intersections=0, theta_range=_level_theta_range(ic, level))
     try:
         if x_lo == 0.0:
-            return _axis_report(params, ic, level)
-        T, dz, crossings = levelset.winding(params, anchor, x_lo, x_hi, cut)
+            return _axis_report(ic, level)
+        T, dz, crossings = levelset.winding(level, cut)
     except QuadratureFailure as e:
         raise _unresolved(f"the quadrature failed ({e})", level, size) from e
     except ArithmeticError as e:
         raise _unresolved(f"rounding lost a root of f_H ({e})", level, size) from e
     # The loops curl toward the axis when the curve rises per period in the
     # direction it points at its outer turning radius.
-    tag = SurfaceTag.NODOID if dz * sin_hi > 0.0 else SurfaceTag.ANTINODOID
+    tag = SurfaceTag.NODOID if dz * s_hi > 0.0 else SurfaceTag.ANTINODOID
     return _report(SurfaceClass(tag), params, ic, period=T, z_shift=dz,
                    self_intersections=crossings, theta_range=None)
 
 
-def _axis_report(params: Params, ic: InitialConditions, level: _Level) -> ClassificationReport:
+def _axis_report(ic: InitialConditions, level: levelset.Level) -> ClassificationReport:
     """The report of an a > 0 orbit from the axis out to x_hi and back.
 
     Its poles come from _axis_poles, 2 Z(x_hi) apart.  The tag is Ovaloid
@@ -267,10 +238,10 @@ def _axis_report(params: Params, ic: InitialConditions, level: _Level) -> Classi
     between Z(x_z) and 0, that is when the gap 2 Z(x_hi) < 0.  Raises
     QuadratureFailure or ArithmeticError when the quadrature fails.
     """
-    anchor, _, x_hi, _, sin_hi = level
+    params, anchor, _, x_hi, _, s_hi = level
     a, b = params.a, params.b
-    pole_z, gap = _axis_poles(params, ic, level)
-    if levelset.axis_slope(params, anchor) * (a * sin_hi + b * x_hi) > 0.0:
+    pole_z, gap = _axis_poles(ic, level)
+    if levelset.axis_slope(params, anchor) * (a * s_hi + b * x_hi) > 0.0:
         tag = SurfaceTag.OVALOID
     elif abs(gap) < POLE_ORDER_TOL * ic.x0:
         tag = SurfaceTag.PINCHED_SPHEROID
@@ -279,11 +250,10 @@ def _axis_report(params: Params, ic: InitialConditions, level: _Level) -> Classi
     crossings = int(tag in (SurfaceTag.PINCHED_SPHEROID, SurfaceTag.IMMERSED_SPHEROID))
     return _report(SurfaceClass(tag), params, ic, pole_z=pole_z,
                    self_intersections=crossings,
-                   theta_range=_level_theta_range(params, ic, level))
+                   theta_range=_level_theta_range(ic, level))
 
 
-def _axis_poles(params: Params, ic: InitialConditions,
-                level: _Level) -> tuple[tuple[float, float], float]:
+def _axis_poles(ic: InitialConditions, level: levelset.Level) -> tuple[tuple[float, float], float]:
     """(pole_z, 2 Z(x_hi)) of an a > 0 orbit from the axis out to x_hi and
     back, from one quadrature.
 
@@ -292,7 +262,7 @@ def _axis_poles(params: Params, ic: InitialConditions,
     backward pole to x_hi.  Raises QuadratureFailure or ArithmeticError
     when the quadrature fails.
     """
-    z0, z_hi = levelset.axis_rises(params, level.anchor, level.x_hi, [ic.x0, level.x_hi])
+    z0, z_hi = levelset.axis_rises(level, [ic.x0, level.x_hi])
     gap = 2.0 * z_hi
     pole_z = (-z0, gap - z0) if math.cos(ic.theta0) > 0.0 else (z0 - gap, z0)
     return pole_z, gap
@@ -343,9 +313,8 @@ def classify_surface(params: Params, ic: InitialConditions,
     form, and the periodic classes (Unduloid, Nodoid, Antinodoid) and the
     axis-to-axis ones (Ovaloid, Vesicle, PinchedSpheroid, ImmersedSpheroid)
     are read off their level set, with period, z_shift, pole_z,
-    self_intersections and theta_range.  termination is always None.
-    rel_tol is the accuracy asked of a level set: eps times the terms f_H
-    sums must stay within it.  Raises InvalidParameter unless rel_tol > 0,
+    self_intersections and theta_range.  rel_tol is the accuracy asked of
+    a level set: eps times the terms f_H sums must stay within it.  Raises InvalidParameter unless rel_tol > 0,
     and Inconclusive, with the reason, x_lo, x_hi and term_size as
     diagnostics, where floats cannot resolve the level set: a turning
     radius outside the float range, rounding of f_H beyond rel_tol, or a
@@ -369,7 +338,6 @@ def classify_surface(params: Params, ic: InitialConditions,
         canonicalized_b=True,
         params=params,
         ic=ic,
-        termination=report.termination,
     )
 
 
@@ -426,30 +394,27 @@ def _pure_linear_report(params: Params, ic: InitialConditions) -> Classification
         tag = SurfaceTag.CATENOID_ENTIRE if a >= -1.0 else SurfaceTag.CATENOID_BOUNDED
         return _report(SurfaceClass(tag), params, ic, theta_range=theta_range)
     try:
-        level = _level_set(params, ic)
+        level = levelset.level(params, levelset.Anchor(ic.x0, s0))
     except ArithmeticError:
         level = None    # x_hi lies beyond the float range
     pole_z = None
     if level is not None and level.x_hi < math.inf:
         try:
-            pole_z, _ = _axis_poles(params, ic, level)
+            pole_z, _ = _axis_poles(ic, level)
         except (QuadratureFailure, ArithmeticError) as e:
             raise _unresolved(f"the quadrature failed ({e})", level) from e
     return _report(SurfaceClass(SurfaceTag.OVALOID), params, ic, pole_z=pole_z,
                    theta_range=theta_range)
 
 
-def _level_theta_range(params: Params, ic: InitialConditions,
-                       level: _Level) -> tuple[float, float]:
+def _level_theta_range(ic: InitialConditions, level: levelset.Level) -> tuple[float, float]:
     """theta's range over an orbit that turns at x_hi, from its level set.
 
-    s = sin(theta) = +-1 at x_hi, and low is the arcsin of the least s f_H
-    on the orbit (see _arcsin_range).  An unduloid has s = 1 at both turning
-    radii.
+    s_hi = sin(theta) = +-1 at x_hi, and low is the arcsin of the least
+    s_hi f_H on the orbit (see _arcsin_range).  An unduloid has s = 1 at
+    both turning radii.
     """
-    s = level.sin_hi
-    low = math.asin(levelset.f_min(params, level.anchor, level.x_lo, level.x_hi, s))
-    return _arcsin_range(ic.theta0, s, low)
+    return _arcsin_range(ic.theta0, level.s_hi, math.asin(levelset.f_min(level)))
 
 
 def _arcsin_range(theta0: float, s: float, low: float) -> tuple[float, float]:
@@ -494,5 +459,4 @@ def _report(surface: SurfaceClass, params: Params, ic: InitialConditions,
     return ClassificationReport(
         surface=surface, pole_z=pole_z, period=period, z_shift=z_shift,
         self_intersections=self_intersections, asymptotic_radius=asymptotic_radius,
-        theta_range=theta_range, canonicalized_b=False, params=params, ic=ic,
-        termination=None)
+        theta_range=theta_range, canonicalized_b=False, params=params, ic=ic)

@@ -20,6 +20,10 @@ it is unbounded.  Between two finite ends |cos theta| = sqrt(1 - f_H^2), so
 one period of the (x, theta) motion has arclength T = 2 int dx/sqrt(1 - f^2)
 and rises by dz = 2 int f/sqrt(1 - f^2) dx over the component.
 
+A Level is the one resolved form of a level: level(params, anchor) finds
+its ends and the sign of f_H at each once, and every query on the
+component (split, winding, axis_rises, f_min) takes the Level.
+
 At a vertical tangent the profile is mirror-symmetric, so every branch of a
 periodic profile is z = k dz + Z(x) or z = (k + 1) dz - Z(x), with
 Z(x) = int_{x_lo}^x f/sqrt(1 - f^2) dx.  Two branches of one kind are
@@ -166,12 +170,12 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
     for stop in stops():
         f_stop = f(stop)
         if abs(f_stop) > 1.0:
-            level = math.copysign(1.0, f_stop)
-            if (f_start - level) * (f_stop - level) >= 0.0:
+            s_end = math.copysign(1.0, f_stop)
+            if (f_start - s_end) * (f_stop - s_end) >= 0.0:
                 return start    # the end is start to rounding
             lo, hi = min(start, stop), max(start, stop)
             try:
-                return _root(lambda x: f(x) - level, lo, hi)
+                return _root(lambda x: f(x) - s_end, lo, hi)
             except (ValueError, RuntimeError) as e:
                 # Rounding lost the sign change, or brentq did not converge.
                 raise FloatingPointError(f"no turning radius resolved in [{lo}, {hi}]") from e
@@ -179,8 +183,21 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
     return math.inf if outward else 0.0
 
 
-def turning_radii(params: Params, anchor: Anchor) -> tuple[float, float]:
-    """(x_lo, x_hi): the component of |f_H| <= 1 through the anchor.
+class Level(NamedTuple):
+    """A resolved level: its anchor, its ends x_lo <= x_hi and the sign of
+    f_H at each, s_lo and s_hi: +-1 at a turning radius, 0.0 on the axis
+    and nan at infinity."""
+    params: Params
+    anchor: Anchor
+    x_lo: float
+    x_hi: float
+    s_lo: float
+    s_hi: float
+
+
+def level(params: Params, anchor: Anchor) -> Level:
+    """The level through anchor, resolved: the component of |f_H| <= 1 that
+    contains the anchor, [x_lo, x_hi], and the sign of f_H at its ends.
 
     x_lo = 0.0 when the orbit reaches the axis and x_hi = math.inf when it is
     unbounded.  The anchor's radius is itself an end when its s = +-1, on
@@ -189,7 +206,13 @@ def turning_radii(params: Params, anchor: Anchor) -> tuple[float, float]:
     the radii: an OverflowError of (x/x_r)^a, or a FloatingPointError when
     rounding loses the bracket or a step that would find it.
     """
-    return _end(params, anchor, outward=False), _end(params, anchor, outward=True)
+    def sign(x):
+        if x == 0.0:
+            return 0.0
+        return math.copysign(1.0, f_H(params, anchor, x)) if x < math.inf else math.nan
+
+    x_lo, x_hi = _end(params, anchor, outward=False), _end(params, anchor, outward=True)
+    return Level(params, anchor, x_lo, x_hi, sign(x_lo), sign(x_hi))
 
 
 def on_level(params: Params, anchor: Anchor, x: float, theta: float) -> bool:
@@ -211,11 +234,12 @@ def on_level(params: Params, anchor: Anchor, x: float, theta: float) -> bool:
     return abs(math.sin(theta) - f) <= allowance < math.inf
 
 
-def f_min(params: Params, anchor: Anchor, x_lo: float, x_hi: float, sign: float = 1.0) -> float:
-    """The least sign * sin(theta) on the bounded component [x_lo, x_hi].
+def f_min(level: Level) -> float:
+    """The least s_hi sin(theta) on a bounded level's component [x_lo, x_hi].
 
     sin(theta) = 0 on the axis, where an x_lo = 0 orbit (a > 0) starts.
     """
+    params, anchor, x_lo, x_hi, _, sign = level
     xc = _critical_radius(params, anchor)
     inside = [xc] if xc is not None and x_lo < xc < x_hi else []
     return min(sign * f_H(params, anchor, x) if x > 0.0 else 0.0 for x in [x_lo, x_hi] + inside)
@@ -254,10 +278,10 @@ def _size(params: Params, anchor: Anchor, x: float) -> float:
         return math.inf
 
 
-def split(params: Params, lo: Anchor, hi: Anchor, max_size: float) -> tuple[float, float]:
-    """(phi, size): where _half_integrals hands a level from the anchor at its
-    lower turning radius lo to the one at its upper turning radius hi, each
-    with s = +-1, and the larger term_size of the two there.
+def split(level: Level, max_size: float) -> tuple[float, float]:
+    """(phi, size): where _half_integrals hands a bounded level from the anchor
+    at its lower turning radius, (x_lo, s_lo), to the one at its upper,
+    (x_hi, s_hi), and the larger term_size of the two there.
 
     Each end anchor sums terms that grow away from it, so f_H's rounding
     error on its side is about eps times its term_size at the cut.  The cut
@@ -265,9 +289,12 @@ def split(params: Params, lo: Anchor, hi: Anchor, max_size: float) -> tuple[floa
     the two are equal, which makes the larger of them least: next to the
     a < 0 sphere's level and on extreme levels one end anchor cancels far
     from its end.  The cut stays _END_PHI from either end.  An orbit from
-    the axis (lo.x = 0) has no lower anchor; its upper one serves the whole
+    the axis (x_lo = 0) has no lower anchor; its upper one serves the whole
     range and the cut stays at pi/2.
     """
+    params = level.params
+    lo, hi = Anchor(level.x_lo, level.s_lo), Anchor(level.x_hi, level.s_hi)
+
     def sizes(phi):
         x = _x(lo.x, hi.x, phi)
         return _size(params, lo, x) if lo.x > 0.0 else 0.0, _size(params, hi, x)
@@ -286,8 +313,8 @@ def split(params: Params, lo: Anchor, hi: Anchor, max_size: float) -> tuple[floa
     return phi, max(size_lo, size_hi)
 
 
-def _half_integrals(params: Params, anchor: Anchor, x_lo: float, x_hi: float, stops,
-                    epsabs: float, with_length: bool = False, cut: float = 0.5 * math.pi) -> list:
+def _half_integrals(level: Level, stops, epsabs: float, with_length: bool = False,
+                    cut: float = 0.5 * math.pi) -> list:
     """int f/sqrt(1 - f^2) dx from x_lo to x = c - r cos(phi) for each phi in stops,
     from one quadrature; with_length makes each a pair, int dx/sqrt(1 - f^2) first.
 
@@ -310,12 +337,11 @@ def _half_integrals(params: Params, anchor: Anchor, x_lo: float, x_hi: float, st
     the farthest stop.  Raises QuadratureFailure when it misses that or
     meets a non-finite value.
     """
+    params, anchor, x_lo, x_hi, s_lo, s_hi = level
     a, b = params.a, params.b
     r = 0.5 * (x_hi - x_lo)
     # (x_r, l, g) per anchor: the ends, where f_H = +-1 exactly, and the
     # axis as (0, 0, 1)
-    s_lo, s_hi = (0.0 if x == 0.0 else math.copysign(1.0, f_H(params, anchor, x))
-                  for x in (x_lo, x_hi))
     lo, hi = (x_lo, s_lo, 1.0 if x_lo == 0.0 else 0.0), (x_hi, s_hi, 0.0)
     upper = Anchor(x_hi, s_hi)
     xc = _critical_radius(params, anchor) if x_lo == 0.0 else None
@@ -365,9 +391,8 @@ class Winding(NamedTuple):
     crossings: int
 
 
-def winding(params: Params, anchor: Anchor, x_lo: float, x_hi: float,
-            cut: float = 0.5 * math.pi) -> Winding:
-    """The period, shift and self-crossings of an orbit turning at x_lo and
+def winding(level: Level, cut: float = 0.5 * math.pi) -> Winding:
+    """The period, shift and self-crossings of a level turning at x_lo and
     x_hi, where f_H changes sign, from one quadrature whose end anchors
     meet at cut (see split).
 
@@ -394,13 +419,13 @@ def winding(params: Params, anchor: Anchor, x_lo: float, x_hi: float,
     QuadratureFailure when the quadrature fails, and ArithmeticError when
     dz = 0 or the zero is lost to rounding.
     """
+    params, anchor, x_lo, x_hi, _, _ = level
     try:
         x_z = _root(lambda x: f_H(params, anchor, x), x_lo, x_hi)
     except (ValueError, RuntimeError) as e:
         raise FloatingPointError(f"no zero of f_H resolved in [{x_lo}, {x_hi}]") from e
     (_, z_z), (half_T, half_dz) = _half_integrals(
-        params, anchor, x_lo, x_hi, (_phi(x_lo, x_hi, x_z), math.pi), epsabs=0.0,
-        with_length=True, cut=cut)
+        level, (_phi(x_lo, x_hi, x_z), math.pi), epsabs=0.0, with_length=True, cut=cut)
     r = z_z / half_dz
     return Winding(2.0 * half_T, 2.0 * half_dz, 2 * max(math.ceil(max(-r, r - 1.0)), 1) - 1)
 
@@ -421,9 +446,9 @@ def axis_slope(params: Params, anchor: Anchor) -> float:
     return b / (1.0 - a)
 
 
-def axis_rises(params: Params, anchor: Anchor, x_hi: float, xs) -> list[float]:
-    """Z(x) = int_0^x f/sqrt(1 - f^2) dx for each x in xs, on an a > 0 orbit
-    from the axis to x_hi, from one quadrature.
+def axis_rises(level: Level, xs) -> list[float]:
+    """Z(x) = int_0^x f/sqrt(1 - f^2) dx for each x in xs, on an a > 0 level
+    from the axis (x_lo = 0) to x_hi, from one quadrature.
 
     The profile's branches are z = z_pole + Z(x) and
     z_pole + 2 Z(x_hi) - Z(x), so its poles lie 2 Z(x_hi) apart.  The
@@ -437,8 +462,8 @@ def axis_rises(params: Params, anchor: Anchor, x_hi: float, xs) -> list[float]:
     _QUAD_RTOL: moving one quadrature stop moved it by up to 1.2e-11 at
     delta = -1e-12.
     """
-    return _half_integrals(params, anchor, 0.0, x_hi, [_phi(0.0, x_hi, x) for x in xs],
-                           epsabs=_QUAD_RTOL * x_hi)
+    _, _, x_lo, x_hi, _, _ = level
+    return _half_integrals(level, [_phi(x_lo, x_hi, x) for x in xs], epsabs=_QUAD_RTOL * x_hi)
 
 
 def _root(g, lo: float, hi: float) -> float:

@@ -128,7 +128,6 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "canonicalized_b": report.canonicalized_b,
         "params": {"a": report.params.a, "b": report.params.b},
         "initial_conditions": {"x0": report.ic.x0, "theta0": report.ic.theta0},
-        "termination": report.termination.value if report.termination is not None else None,
     }
 
 

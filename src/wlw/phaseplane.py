@@ -132,7 +132,7 @@ def find_separatrix(params: Params, theta0: float,
         raise InvalidParameter("the separatrix requires a > 0 and b > 0")
     saddle, sin0 = levelset.Anchor(a / b, -1.0), math.sin(theta0)
     if bracket is None:
-        x_hi = levelset.turning_radii(params, saddle)[1]
+        x_hi = levelset.level(params, saddle).x_hi
         bracket = (saddle.x, x_hi * levelset.step_factor(params))
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -151,7 +151,7 @@ def find_separatrix(params: Params, theta0: float,
 def level_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -> list:
     """(theta, x) polylines of the orbit of V through seed = (theta, x > 0): the
     branches arcsin f_H and pi - arcsin f_H, + 2 pi k, of its level on
-    [x_lo, x_hi] = levelset.turning_radii.  They meet at a turning radius;
+    [x_lo, x_hi] of levelset.level.  They meet at a turning radius;
     where neither end is one (x_lo = 0, x_hi = inf), only the seed's, by the
     sign of cos(theta), is its orbit.  x = c - r cos(phi) is dense at the
     turning radii, where dtheta/dx = inf.  Each run of 2 or more samples in
@@ -161,7 +161,7 @@ def level_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -
     ic = InitialConditions(float(seed[1]), float(seed[0]))
     anchor, x_top = levelset.Anchor(ic.x0, math.sin(ic.theta0)), BOX_TOP * spec.x_max
     try:
-        x_lo, x_hi = levelset.turning_radii(params, anchor)
+        _, _, x_lo, x_hi, _, _ = levelset.level(params, anchor)
         c, r = 0.5 * (x_lo + min(x_hi, x_top)), 0.5 * (min(x_hi, x_top) - x_lo)
         xs = c - r * np.cos(np.linspace(0.0, math.pi, _ORBIT_SAMPLES))
         xs = xs[(xs > 0.0) & (xs <= x_top)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import beta, ellipe, ellipkm1
+from scipy.special import beta, ellipe, ellipeinc, ellipkinc, ellipkm1
 
 from wlw import classify, cli, levelset
 from wlw.classify import (
@@ -59,6 +59,11 @@ PERIODIC = [(-2, 1, 4.0, PI / 2), (-2, -1, 4.0, 1.5 * PI), (3, 1, 6.0, 0.0),
 def tags(params, theta0, x0_values):
     return [classify_surface(params, InitialConditions(x0, theta0)).surface.tag
             for x0 in x0_values]
+
+
+def level_of(params, ic):
+    """The level through the initial state, resolved as classify resolves it."""
+    return levelset.level(params, levelset.Anchor(ic.x0, math.sin(ic.theta0)))
 
 
 class TestSpecialSolutions:
@@ -150,7 +155,7 @@ class TestThresholds:
                 for sign, tag in ((-1.0, SurfaceTag.UNDULOID), (1.0, SurfaceTag.NODOID)):
                     ic = InitialConditions(x_sph * (1.0 + sign * 10.0 ** -k), theta0)
                     r = classify_surface(Params(a, 1.0), ic)
-                    assert (r.surface.tag, r.termination) == (tag, None), (theta0, k, sign)
+                    assert r.surface.tag == tag, (theta0, k, sign)
         assert runs == []
 
     @pytest.mark.parametrize("a", [-3.0, -2.0, -0.5])
@@ -164,7 +169,7 @@ class TestThresholds:
         r = classify_surface(params, InitialConditions(x_sph, PI / 2))
         assert r.surface.radius == 1.0 - a
         assert r.pole_z == pytest.approx((-x_sph, x_sph), abs=1e-15)
-        assert r.theta_range == (0.0, PI) and r.termination is None
+        assert r.theta_range == (0.0, PI)
 
     @pytest.mark.parametrize("a", [-3.0, -2.0, -0.5])
     def test_cylinder_threshold_at_one_part_in_a_thousand(self, a):
@@ -303,7 +308,7 @@ class TestPositiveAFamily:
         r = classify_surface(Params(3, 1), InitialConditions(x0, 0.0))
         want = {0.0: SurfaceTag.CYLINDRICAL_ANTINODOID, 1.0: SurfaceTag.ANTINODOID,
                 -1.0: SurfaceTag.IMMERSED_SPHEROID}[math.copysign(1.0, delta) if delta else 0.0]
-        assert (r.surface.tag, r.termination) == (want, None)
+        assert r.surface.tag == want
         assert r.self_intersections % 2 == 1
 
     @pytest.mark.parametrize("a", [0.5, 3.0])
@@ -466,7 +471,7 @@ class TestReportMechanics:
         # Where rounding loses a turning radius, no run stands in for it.
         def lost(*args):
             raise FloatingPointError("no turning radius resolved")
-        monkeypatch.setattr(levelset, "turning_radii", lost)
+        monkeypatch.setattr(levelset, "level", lost)
         runs = spy_integrate(monkeypatch)
         with pytest.raises(Inconclusive) as info:
             classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
@@ -481,7 +486,6 @@ class TestReportMechanics:
         for a, theta0 in [(1, PI / 2), (2, 0.0), (2, 2.0), (-0.5, 2.0), (-2, PI / 4)]:
             params, ic = Params(a, 0), InitialConditions(2.0, theta0)
             reports = [classify_surface(params, ic), classify_surface(params, ic, rel_tol=1e-4)]
-            assert reports[0].termination is None
             assert reports[1] == reports[0]
 
     def test_embeddedness_counts(self):
@@ -595,7 +599,7 @@ class TestPeriodicSpan:
         report = classify_surface(params, ic)
         tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
         witness = run_witness(params, ic, tight)
-        assert (report.termination, witness.termination) == (None, Termination.EVENT_BUDGET)
+        assert witness.termination == Termination.EVENT_BUDGET
         assert report.surface == witness.surface
         for got, want in ((report.period, witness.period), (report.z_shift, witness.z_shift)):
             assert (got is None) == (want is None)
@@ -605,7 +609,7 @@ class TestPeriodicSpan:
             assert report.self_intersections == witness.self_intersections == 0
             return
         cparams, cic, _ = canonicalize(params, ic)
-        x_hi = levelset.turning_radii(cparams, levelset.Anchor(cic.x0, math.sin(cic.theta0)))[1]
+        x_hi = level_of(cparams, cic).x_hi
         assert report.self_intersections == polyline_crossings(
             cparams, cic, report.period, report.z_shift, x_hi)
 
@@ -613,7 +617,7 @@ class TestPeriodicSpan:
         runs = spy_integrate(monkeypatch)
         r = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
         assert runs == []
-        assert r.surface.tag == SurfaceTag.NODOID and r.termination is None
+        assert r.surface.tag == SurfaceTag.NODOID
 
     def test_separatrix_runs_nothing(self, monkeypatch):
         # Its state lies on the saddle's level of the first integral, so it
@@ -622,7 +626,7 @@ class TestPeriodicSpan:
         runs = spy_integrate(monkeypatch)
         r = classify_surface(Params(3, 1), InitialConditions(xbar, 0.0))
         assert runs == []
-        assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID and r.termination is None
+        assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID
         assert (r.asymptotic_radius, r.self_intersections) == (3.0, 1)
 
     def test_failed_quadrature_is_inconclusive(self, monkeypatch):
@@ -636,8 +640,8 @@ class TestPeriodicSpan:
         assert runs == []
         diagnostics = info.value.diagnostics
         assert diagnostics["reason"] == "the quadrature failed (period quadrature failed)"
-        x_lo, x_hi = levelset.turning_radii(params, levelset.Anchor(4.0, 1.0))
-        assert (diagnostics["x_lo"], diagnostics["x_hi"]) == (x_lo, x_hi)
+        level = level_of(params, ic)
+        assert (diagnostics["x_lo"], diagnostics["x_hi"]) == (level.x_lo, level.x_hi)
         assert 1.0 <= diagnostics["term_size"] < 10.0
 
     @pytest.mark.parametrize("delta", [1e-4, -1e-4, 1e-10, -1e-10, 1e-12, -1e-12, 1e-14, -1e-14])
@@ -647,7 +651,6 @@ class TestPeriodicSpan:
         r = classify_surface(params, ic)
         tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
         witness = run_witness(params, ic, tight)
-        assert r.termination is None
         assert r.surface == witness.surface
         assert r.period == pytest.approx(witness.period, rel=1e-8)
         assert r.z_shift == pytest.approx(witness.z_shift, rel=1e-8)
@@ -657,7 +660,7 @@ class TestPeriodicSpan:
         params, ic = Params(1.0001, 1.0), InitialConditions(3.0, 4.0)
         r = classify_surface(params, ic)
         witness = run_witness(params, ic)
-        assert r.termination is None and r.surface == witness.surface
+        assert r.surface == witness.surface
         assert r.period == pytest.approx(witness.period, rel=1e-8)
         assert r.z_shift == pytest.approx(witness.z_shift, rel=1e-8)
 
@@ -668,7 +671,6 @@ class TestPeriodicSpan:
         # orbit runs from the axis to x_hi = x0 and is read off its level set.
         r = classify_surface(Params(1, b), InitialConditions(x0, 1.5 * PI))
         assert r.surface.tag == SurfaceTag.OVALOID
-        assert r.termination is None
         assert max(r.pole_z) == pytest.approx(pole, rel=1e-9)
 
     @pytest.mark.parametrize("a,b,x0,theta0,tag", [
@@ -751,12 +753,12 @@ class TestLevelSetOracles:
         ic = InitialConditions(10.677482104432686, 0.40232139186544674)
         runs = spy_integrate(monkeypatch)
         r = classify_surface(params, ic)
-        assert runs == [] and (r.surface.tag, r.termination) == (SurfaceTag.NODOID, None)
+        assert runs == [] and r.surface.tag == SurfaceTag.NODOID
         assert (r.period, r.z_shift) == pytest.approx((20.711651724643287, 18.697733645531916),
                                                       rel=1e-12)
-        x_lo, x_hi = levelset.turning_radii(params, levelset.Anchor(ic.x0, math.sin(ic.theta0)))
-        cut, size = levelset.split(params, levelset.Anchor(x_lo, -1.0), levelset.Anchor(x_hi, 1.0),
-                                   1e-10 / np.finfo(float).eps)
+        level = level_of(params, ic)
+        assert (level.s_lo, level.s_hi) == (-1.0, 1.0)
+        cut, size = levelset.split(level, 1e-10 / np.finfo(float).eps)
         assert cut > 0.9 * PI and size < 2.0
 
     def test_circle_limit_as_a_goes_to_zero(self):
@@ -808,7 +810,7 @@ def random_axis_draws(n, seed=0):
         x0 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
         theta0 = rng.uniform(0.0, 2 * PI)
         report = classify_surface(Params(a, b), InitialConditions(x0, theta0))
-        if report.termination is None and report.surface.tag in AXIS_TAGS:
+        if report.surface.tag in AXIS_TAGS:
             out.append((a, b, x0, theta0))
     return out
 
@@ -835,11 +837,11 @@ def axis_witness_mismatch(params, ic, report):
     tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
     witness = run_witness(params, ic, tight)
     traj = witness.traj
-    level = classify._level_set(params, ic)
+    level = level_of(params, ic)
     eps = AXIS_EPSILON
-    z_eps, = levelset.axis_rises(params, level.anchor, level.x_hi, [eps])
+    z_eps, = levelset.axis_rises(level, [eps])
     poles = (report.pole_z[0] + z_eps, report.pole_z[1] - z_eps)
-    lo, hi = classify._level_theta_range(params, ic, level._replace(x_lo=eps))
+    lo, hi = classify._level_theta_range(ic, level._replace(x_lo=eps))
     why = []
     if witness.surface != report.surface:
         why.append(f"tag {witness.surface}")
@@ -868,7 +870,6 @@ class TestAxisToAxis:
             report = classify_surface(params, ic)
             if report.surface.tag not in AXIS_TAGS:
                 continue
-            assert report.termination is None
             checked += 1
             why = axis_witness_mismatch(params, ic, report)
             if why is not None:
@@ -898,10 +899,10 @@ def rise_ratio(params, anchor):
     level re-anchored at the end that levelset.split picks, as in
     levelset._half_integrals; x_z is scipy's brentq root of f_H.
     """
-    x_lo, x_hi = levelset.turning_radii(params, anchor)
-    ends = [levelset.Anchor(x, math.copysign(1.0, levelset.f_H(params, anchor, x)))
-            for x in (x_lo, x_hi)]
-    cut, _ = levelset.split(params, *ends, REL_TOL / sys.float_info.epsilon)
+    level = levelset.level(params, anchor)
+    _, _, x_lo, x_hi, s_lo, s_hi = level
+    ends = [levelset.Anchor(x_lo, s_lo), levelset.Anchor(x_hi, s_hi)]
+    cut, _ = levelset.split(level, REL_TOL / sys.float_info.epsilon)
     c, h = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
 
     def rise(phi):
@@ -967,9 +968,9 @@ class TestCrossingLemmas:
             # The branches meet where Z(x) = Z(x_hi), which for Z falling to
             # Z(x_z) < 0 and then rising holds once when Z(x_hi) lies
             # between Z(x_z) and 0.
-            level = classify._level_set(params, ic)
+            level = level_of(params, ic)
             x_z = first_root_below(lambda x: levelset.f_H(params, level.anchor, x), level.x_hi)
-            z_z, z_hi = levelset.axis_rises(params, level.anchor, level.x_hi, [x_z, level.x_hi])
+            z_z, z_hi = levelset.axis_rises(level, [x_z, level.x_hi])
             assert z_z < 0.0 and z_z < z_hi
             assert (z_z < z_hi < 0.0) == (tag is SurfaceTag.IMMERSED_SPHEROID)
         assert seen == {SurfaceTag.OVALOID, SurfaceTag.VESICLE, SurfaceTag.IMMERSED_SPHEROID}
@@ -986,7 +987,7 @@ class TestCrossingLemmas:
         assert {SurfaceTag.NODOID, SurfaceTag.ANTINODOID} <= {tag for tag, _ in picked}
         for (tag, n), (params, ic, report) in sorted(picked.items(), key=str):
             if tag in (SurfaceTag.NODOID, SurfaceTag.ANTINODOID):
-                x_hi = levelset.turning_radii(params, levelset.Anchor(ic.x0, math.sin(ic.theta0)))[1]
+                x_hi = level_of(params, ic).x_hi
                 assert polyline_crossings(params, ic, report.period, report.z_shift, x_hi) == n
             else:
                 tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
@@ -1001,9 +1002,8 @@ class TestCrossingLemmas:
         def half_integrals(*args, **kwargs):
             return [(0.0, r), (1.0, 1.0)]
         monkeypatch.setattr(levelset, "_half_integrals", half_integrals)
-        params, anchor = Params(-2, 1), levelset.Anchor(4.0, 1.0)
-        x_lo, x_hi = levelset.turning_radii(params, anchor)
-        assert levelset.winding(params, anchor, x_lo, x_hi).crossings == crossings
+        level = levelset.level(Params(-2, 1), levelset.Anchor(4.0, 1.0))
+        assert levelset.winding(level).crossings == crossings
 
 
 # The benchmark's classify inputs that need no set-up bisection.
@@ -1174,7 +1174,7 @@ class TestSaddleLevel:
         for a, b, x0, theta0 in separatrix_cases():
             r = classify_surface(Params(a, b), InitialConditions(x0, theta0))
             assert r.surface.tag == SurfaceTag.CYLINDRICAL_ANTINODOID, (a, theta0)
-            assert r.termination is None and r.pole_z is None
+            assert r.pole_z is None
             assert r.asymptotic_radius == a / b
             assert x0 > a / b and r.self_intersections == 1
             lo, hi = r.theta_range
@@ -1193,7 +1193,7 @@ class TestSaddleLevel:
             x0 = axis_side_root(a, theta0)
             r = classify_surface(Params(a, 1.0), InitialConditions(x0, theta0))
             assert (r.surface.tag, r.self_intersections) == (SurfaceTag.CYLINDRICAL_ANTINODOID, 0)
-            assert r.asymptotic_radius == a and r.termination is None
+            assert r.asymptotic_radius == a
             assert r.theta_range == pytest.approx(want, abs=1e-15)
         assert runs == []
 
@@ -1234,7 +1234,7 @@ class TestPureLinearClosedForm:
         # keeps one sign, so the first integral alone says Ovaloid.
         runs = spy_integrate(monkeypatch)
         r = classify_surface(Params(a, 0.0), InitialConditions(1.0, theta0))
-        assert runs == [] and r.termination is None
+        assert runs == []
         assert r.surface.tag == SurfaceTag.OVALOID and r.pole_z is None
         assert r.theta_range == (0.0, PI) and r.self_intersections == 0
 
@@ -1247,7 +1247,7 @@ class TestPureLinearClosedForm:
             params, ic = Params(a, 0.0), InitialConditions(1.5, theta0)
             runs = spy_integrate(monkeypatch)
             r = classify_surface(params, ic)
-            assert runs == [] and r.termination is None
+            assert runs == []
             assert r.surface.tag == tag and r.self_intersections == 0
             s = math.copysign(1.0, math.sin(theta0))
             lo, hi = r.theta_range
@@ -1278,7 +1278,7 @@ class TestNearCentre:
         params, ic = Params(-2, 1), InitialConditions(2.0 * (1.0 + delta), PI / 2)
         runs = spy_integrate(monkeypatch)
         r = classify_surface(params, ic)
-        assert runs == [] and r.termination is None
+        assert runs == []
         tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
         witness = run_witness(params, ic, tight)
         traj = witness.traj
@@ -1312,7 +1312,29 @@ class TestNearCentre:
         r = classify_surface(Params(-2, 0.5), InitialConditions(4.0, PI / 2))
         assert runs == []
         assert (r.surface.tag, r.surface.radius) == (SurfaceTag.CYLINDER, 4.0)
-        assert (r.termination, r.theta_range, r.asymptotic_radius) == (None, (PI / 2, PI / 2), 4.0)
+        assert (r.theta_range, r.asymptotic_radius) == ((PI / 2, PI / 2), 4.0)
+
+
+def delaunay_nodoids(n=300, seed=9):
+    """(params, ic, report, (x_lo, x_hi)) of the Nodoids among n draws at
+    a = -1, each at three scales and reflected: b = +-e^U(-2, 2),
+    x0 = e^U(-3, 3) and theta0 uniform in [0, 2 pi).  The turning radii are
+    those of the canonical (b > 0) level."""
+    rng = np.random.default_rng(seed)
+    b = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2.0, 2.0, n))
+    x0 = np.exp(rng.uniform(-3.0, 3.0, n))
+    theta0 = rng.uniform(0.0, 2 * PI, n)
+    out = []
+    for case in zip(b.tolist(), x0.tolist(), theta0.tolist()):
+        base = Params(-1.0, case[0]), InitialConditions(*case[1:])
+        if classify_surface(*base).surface.tag != SurfaceTag.NODOID:
+            continue
+        for params, ic in [rescale(lam, *base) for lam in (1e-3, 1.0, 1e3)] + [reflect_b(*base)]:
+            r = classify_surface(params, ic)
+            assert r.surface.tag == SurfaceTag.NODOID, (params, ic)
+            level = level_of(*canonicalize(params, ic)[:2])
+            out.append((params, ic, r, (level.x_lo, level.x_hi)))
+    return out
 
 
 class TestDelaunay:
@@ -1323,27 +1345,36 @@ class TestDelaunay:
         # A Nodoid of turning radii x_lo < x_hi has T = 2 pi/|b| and
         # |dz| = 2 (x_hi E(m) - x_lo K(m)), m = 1 - (x_lo/x_hi)^2.  K is
         # taken as ellipkm1 of 1 - m, which keeps its digits where x_lo is
-        # tiny against x_hi.  Each draw is checked at three scales and
-        # reflected.
-        rng = np.random.default_rng(9)
-        n = 300
-        b = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2.0, 2.0, n))
-        x0 = np.exp(rng.uniform(-3.0, 3.0, n))
-        theta0 = rng.uniform(0.0, 2 * PI, n)
-        nodoids = 0
-        for case in zip(b.tolist(), x0.tolist(), theta0.tolist()):
-            base = Params(-1.0, case[0]), InitialConditions(*case[1:])
-            if classify_surface(*base).surface.tag != SurfaceTag.NODOID:
-                continue
-            nodoids += 1
-            for params, ic in [rescale(lam, *base) for lam in (1e-3, 1.0, 1e3)] + [reflect_b(*base)]:
-                r = classify_surface(params, ic)
-                cparams, cic, _ = canonicalize(params, ic)
-                x_lo, x_hi = levelset.turning_radii(cparams, levelset.Anchor(cic.x0, math.sin(cic.theta0)))
-                p = (x_lo / x_hi) ** 2
-                period = 2 * PI / abs(params.b)
-                rise = 2.0 * (x_hi * ellipe(1.0 - p) - x_lo * ellipkm1(p))
-                assert r.surface.tag == SurfaceTag.NODOID
-                errors = (abs(r.period - period) / period, abs(abs(r.z_shift) - rise) / period)
-                assert max(errors) <= 1e-13, (params, ic, errors)
-        assert nodoids >= 150, nodoids
+        # tiny against x_hi.
+        nodoids = delaunay_nodoids()
+        for params, ic, r, (x_lo, x_hi) in nodoids:
+            p = (x_lo / x_hi) ** 2
+            period = 2 * PI / abs(params.b)
+            rise = 2.0 * (x_hi * ellipe(1.0 - p) - x_lo * ellipkm1(p))
+            errors = (abs(r.period - period) / period, abs(abs(r.z_shift) - rise) / period)
+            assert max(errors) <= 1e-13, (params, ic, errors)
+        assert len(nodoids) >= 4 * 150, len(nodoids)
+
+    def test_nodoid_crossings(self):
+        # On the Delaunay level f_H = (b/2) x - x_lo x_hi/((x_hi - x_lo) x)
+        # vanishes at x_z = sqrt(x_lo x_hi), and
+        # Z(x) = int_{x_lo}^x f/sqrt(1 - f^2) dx
+        #      = x_hi (E(m) - E(phi, m)) - x_lo (K(m) - F(phi, m)),
+        # sin(phi)^2 = (x_hi^2 - x^2)/(x_hi^2 - x_lo^2).  So Lemma W's count
+        # 2 ceil(d) - 1, d the distance of r = Z(x_z)/Z(x_hi) from [0, 1],
+        # is in closed form.
+        counts = set()
+        for params, ic, r, (x_lo, x_hi) in delaunay_nodoids():
+            p = (x_lo / x_hi) ** 2
+            m = 1.0 - p
+
+            def z(x):
+                phi = math.asin(math.sqrt((x_hi ** 2 - x ** 2) / (x_hi ** 2 - x_lo ** 2)))
+                return (x_hi * (ellipe(m) - ellipeinc(phi, m))
+                        - x_lo * (ellipkm1(p) - ellipkinc(phi, m)))
+
+            ratio = z(math.sqrt(x_lo * x_hi)) / z(x_hi)
+            want = 2 * max(math.ceil(max(-ratio, ratio - 1.0)), 1) - 1
+            assert r.self_intersections == want, (params, ic, ratio)
+            counts.add(want)
+        assert min(counts) == 1 and max(counts) > 10, sorted(counts)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wlw import levelset
 from wlw.integrate import IntegrationControls, detect_period, integrate
-from wlw.levelset import Anchor, f_H, f_min, turning_radii, winding
+from wlw.levelset import Anchor, f_H, f_min, level, winding
 from wlw.model import InitialConditions, Params
 
 PI = math.pi
@@ -21,8 +21,13 @@ def residual(traj) -> float:
                for x, t in zip(traj.x, traj.theta) if x > 0.05)
 
 
+def ends(params, anchor):
+    """The turning radii (x_lo, x_hi) of the level through anchor."""
+    return level(params, anchor)[2:4]
+
+
 def radii(a, b, x0, theta0):
-    return turning_radii(Params(a, b), Anchor(x0, math.sin(theta0)))
+    return ends(Params(a, b), Anchor(x0, math.sin(theta0)))
 
 
 @pytest.mark.parametrize("name", ORBITS)
@@ -70,10 +75,10 @@ def test_turning_radii_of_the_nodoid():
 ])
 def test_turning_radii_are_where_the_tangent_is_vertical(a, b, x0, theta0):
     params, anchor = Params(a, b), Anchor(x0, math.sin(theta0))
-    x_lo, x_hi = turning_radii(params, anchor)
+    _, _, x_lo, x_hi, s_lo, s_hi = level(params, anchor)
     assert 0.0 < x_lo < x0 < x_hi < math.inf or x0 in (x_lo, x_hi)
-    for x in (x_lo, x_hi):
-        assert abs(f_H(params, anchor, x)) == pytest.approx(1.0, abs=1e-12)
+    for x, s in ((x_lo, s_lo), (x_hi, s_hi)):
+        assert f_H(params, anchor, x) == pytest.approx(s, abs=1e-12) and abs(s) == 1.0
     inside = np.linspace(x_lo, x_hi, 101)[1:-1]
     assert all(abs(f_H(params, anchor, x)) < 1.0 for x in inside)
 
@@ -92,6 +97,10 @@ def test_axis_reaching_and_rest_point_components():
     assert radii(-3, 1, 4.0, PI / 2) == (0.0, 4.0)  # the a < 0 sphere: H = 0
     assert radii(-2, 1, 2.0, PI / 2) == (2.0, 2.0)  # the cylinder is a rest point
     assert radii(-2, 0, 1.0, PI / 2) == (1.0, math.inf)  # the b = 0 catenoid
+    # f_H's sign at an end: 0.0 on the axis, nan at infinity
+    axis, open_end = level(Params(3, 1), Anchor(1.0, 0.0)), level(Params(-2, 0), Anchor(1.0, 1.0))
+    assert (axis.s_lo, axis.s_hi) == (0.0, 1.0)
+    assert open_end.s_lo == 1.0 and math.isnan(open_end.s_hi)
 
 
 def test_critical_radius_beyond_the_floats():
@@ -121,7 +130,7 @@ def test_unresolvable_radii_raise_arithmetic_errors(a, b, x0, theta0):
 ])
 def test_radii_past_a_power_overflow_are_resolved(a, b, x0, theta0):
     params, anchor = Params(a, b), Anchor(x0, math.sin(theta0))
-    x_lo, x_hi = turning_radii(params, anchor)
+    x_lo, x_hi = ends(params, anchor)
     assert x_lo < x0 < x_hi < math.inf and (x_lo > 0.0) == (a < 0.0)
     for x in (x_lo, x_hi):
         if x > 0.0:
@@ -142,7 +151,7 @@ def test_outward_search_steps_by_two_where_the_power_decays(monkeypatch):
 
     monkeypatch.setattr(levelset, "f_H", counted)
     a = -1e9
-    x_lo, x_hi = turning_radii(Params(a, 1.0), Anchor(1.0, 0.0))
+    x_lo, x_hi = ends(Params(a, 1.0), Anchor(1.0, 0.0))
     assert x_lo < 1.0 and x_hi / (1.0 - a) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
@@ -156,7 +165,7 @@ def test_radii_once_lost_to_rounding_are_resolved(a, b, x0, theta0):
     # brentq places a radius to 1e-15 relative, which moves f_H by
     # x f_H' = a f_H + b x times that.
     params, anchor = Params(a, b), Anchor(x0, math.sin(theta0))
-    for x in turning_radii(params, anchor):
+    for x in ends(params, anchor):
         assert 0.0 < x < math.inf
         assert abs(f_H(params, anchor, x)) == pytest.approx(1.0, abs=4e-15 * abs(a + b * x))
 
@@ -166,7 +175,7 @@ def test_radius_next_to_the_least_normal_float_is_resolved():
     # 8.2e-308, where brentq's steps in x are subnormal floats; it did not
     # converge on [4.6e-308, 9.3e-308].
     a, x_r, s_r = -0.05171173686873847, 25.0 / 6.0, math.sin(PI)
-    x_lo, x_hi = turning_radii(Params(a, 0.0), Anchor(x_r, s_r))
+    x_lo, x_hi = ends(Params(a, 0.0), Anchor(x_r, s_r))
     assert x_hi == math.inf
     # As ratios with abs=0: pytest.approx's default abs of 1e-12 passes any
     # x_lo.  The closed form's exponent, 708, is accurate to 708 eps.
@@ -174,7 +183,7 @@ def test_radius_next_to_the_least_normal_float_is_resolved():
     assert x_lo / closed_form == pytest.approx(1.0, rel=1e-12, abs=0.0)
     # The same level scaled by 1e200 resolves in x (rescale).  f_H is flat at
     # rounding over 4.4e-15 relative there; the ln x root alone is 1.1e-14 off.
-    scaled = turning_radii(Params(a, 0.0), Anchor(x_r * 1e200, s_r))[0]
+    scaled = ends(Params(a, 0.0), Anchor(x_r * 1e200, s_r))[0]
     assert x_lo / (scaled * 1e-200) == pytest.approx(1.0, rel=5e-15, abs=0.0)
 
 
@@ -184,7 +193,7 @@ def test_zero_decades_below_its_bracket_is_resolved():
     # critical radius where f_H turns.
     params, anchor = Params(1.0, 0.0014858953275460607), Anchor(1.5447316940218563,
                                                                 math.sin(1.9556505834239677))
-    x_lo, x_hi = turning_radii(params, anchor)
+    x_lo, x_hi = ends(params, anchor)
     x_z = levelset._root(lambda x: f_H(params, anchor, x),
                          levelset._critical_radius(params, anchor), x_hi)
     assert x_lo == 0.0 and x_z < 1e-175
@@ -201,7 +210,7 @@ def test_quadrature_matches_detect_period(request, name):
     traj = request.getfixturevalue(name)
     params, ic = traj.params, traj.ic
     anchor = Anchor(ic.x0, math.sin(ic.theta0))
-    T, dz, _ = winding(params, anchor, *turning_radii(params, anchor))
+    T, dz, _ = winding(level(params, anchor))
     T_ode, dz_ode = detect_period(traj)
     assert T == pytest.approx(T_ode, rel=1e-9)
     assert dz == pytest.approx(dz_ode, rel=1e-9)
@@ -209,8 +218,8 @@ def test_quadrature_matches_detect_period(request, name):
 
 def test_f_min_is_the_least_sine_on_the_component():
     params, anchor = Params(-2, 1), Anchor(0.5, 1.0)
-    x_lo, x_hi = turning_radii(params, anchor)
-    grid = np.linspace(x_lo, x_hi, 20001)
+    unduloid = level(params, anchor)
+    grid = np.linspace(unduloid.x_lo, unduloid.x_hi, 20001)
     least = min(f_H(params, anchor, x) for x in grid)
-    assert f_min(params, anchor, x_lo, x_hi) == pytest.approx(least, abs=1e-8)
-    assert f_min(params, anchor, x_lo, x_hi) <= least
+    assert f_min(unduloid) == pytest.approx(least, abs=1e-8)
+    assert f_min(unduloid) <= least

@@ -77,12 +77,11 @@ class TestBrentq:
             numerics.brentq(f, 0.0, 1.0, **kwargs)
 
 
-def _half_integrand(params, anchor):
+def _half_integrand(level):
     """The scalar (length, rise) integrands of levelset._half_integrals on [x_lo, x_hi]."""
-    x_lo, x_hi = levelset.turning_radii(params, anchor)
+    params, _, x_lo, x_hi, s_lo, s_hi = level
     r = 0.5 * (x_hi - x_lo)
-    ends = [levelset.Anchor(x, math.copysign(1.0, levelset.f_H(params, anchor, x)))
-            for x in (x_lo, x_hi)]
+    ends = [levelset.Anchor(x_lo, s_lo), levelset.Anchor(x_hi, s_hi)]
 
     def w_f(phi):
         if phi < 0.5 * PI:
@@ -93,15 +92,15 @@ def _half_integrand(params, anchor):
         w = r * math.sin(phi) / math.sqrt(-rise * (2.0 * end.s + rise))
         return w, (end.s + rise) * w
 
-    return x_lo, x_hi, w_f
+    return w_f
 
 
 class TestQuad:
     @pytest.mark.parametrize("name", ["nodoid_traj", "antinodoid_traj"])
     def test_period_and_shift_agree_with_scipy(self, name, request):
         traj = request.getfixturevalue(name)
-        anchor = levelset.Anchor(traj.ic.x0, math.sin(traj.ic.theta0))
-        x_lo, x_hi, w_f = _half_integrand(traj.params, anchor)
+        level = levelset.level(traj.params, levelset.Anchor(traj.ic.x0, math.sin(traj.ic.theta0)))
+        w_f = _half_integrand(level)
         for k in (0, 1):
             def g(phi, k=k):
                 return w_f(phi)[k]
@@ -109,7 +108,7 @@ class TestQuad:
             assert numerics.quad(g, 0.0, PI) == pytest.approx(want, rel=1e-12, abs=0.0)
         T, dz = sp_integrate.quad(lambda p: w_f(p)[0], 0.0, PI, epsabs=0.0, epsrel=1e-12)[0], \
             sp_integrate.quad(lambda p: w_f(p)[1], 0.0, PI, epsabs=0.0, epsrel=1e-12)[0]
-        got = levelset.winding(traj.params, anchor, x_lo, x_hi)
+        got = levelset.winding(level)
         assert got.period == pytest.approx(2.0 * T, rel=1e-12, abs=0.0)
         assert got.shift == pytest.approx(2.0 * dz, rel=1e-12, abs=0.0)
 

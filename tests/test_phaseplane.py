@@ -250,7 +250,7 @@ class TestSeparatrix:
                                   + xbar * abs(a * f / xbar + b))
             assert xbar >= a / b and abs(math.sin(theta0) - f) <= rounding, (a, b, theta0)
             if theta0 == PI / 2:
-                x_hi = levelset.turning_radii(params, saddle)[1]
+                x_hi = levelset.level(params, saddle).x_hi
                 assert xbar == pytest.approx(x_hi, rel=1e-14)
 
     def test_homothety_commutes(self):
@@ -396,7 +396,7 @@ class TestPortrait:
         # center (pi/2, 2), and 2.5 is its outer turning radius.  Its two
         # branches each run over [x_lo, x_hi] once and meet at both ends.
         params, seed, spec = Params(-2, 1), (0.5 * PI, 2.5), PortraitSpec(x_max=5.0)
-        x_lo, x_hi = levelset.turning_radii(params, levelset.Anchor(2.5, 1.0))
+        _, _, x_lo, x_hi, _, _ = levelset.level(params, levelset.Anchor(2.5, 1.0))
         assert 0.0 < x_lo < 2.0 < x_hi == 2.5
         lines = level_orbit(params, seed, spec)
         assert len(lines) == 2
@@ -424,7 +424,7 @@ class TestPortrait:
     def test_an_unresolved_level_is_inconclusive(self, monkeypatch, tmp_path):
         def unresolved(*args):
             raise FloatingPointError("no turning radius resolved")
-        monkeypatch.setattr(levelset, "turning_radii", unresolved)
+        monkeypatch.setattr(levelset, "level", unresolved)
         with pytest.raises(Inconclusive) as info:
             level_orbit(Params(2, 1), (0.0, 1.0), PortraitSpec(x_max=5.0))
         assert info.value.diagnostics == {

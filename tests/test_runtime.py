@@ -1,5 +1,5 @@
 """The package runs on numpy alone: no command imports scipy.  And the
-modules that work on states and floats import no run."""
+modules that work on levels, states and floats import no run."""
 
 import ast
 import subprocess
@@ -59,9 +59,11 @@ def _imports(module):
     return out
 
 
-def test_variational_and_numerics_import_no_run():
+def test_run_free_modules_import_no_integrate():
+    # classify reads every class off the level set or a closed form,
+    # levelset and phaseplane work on levels of the first integral,
     # variational evaluates states (x, theta) and theta'(s) profiles, and
-    # numerics works on floats: neither needs integrate, and numerics no numpy.
-    for module in ("variational.py", "numerics.py"):
+    # numerics works on floats: none needs integrate, and numerics no numpy.
+    for module in ("classify.py", "levelset.py", "phaseplane.py", "variational.py", "numerics.py"):
         assert not _imports(module) & {".integrate", "wlw.integrate"}, module
     assert not {m for m in _imports("numerics.py") if m.split(".")[0] == "numpy"}
