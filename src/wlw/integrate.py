@@ -107,23 +107,22 @@ class Termination(str, enum.Enum):
     MAX_STEPS = "MaxSteps"
     EQUILIBRIUM_DETECTED = "EquilibriumDetected"
     STEP_FAILURE = "StepFailure"
-    # Caller-imposed cutoffs (turn/tangent budgets, radius blowup guard).
+    # The radius blowup guard: the run reached x = X_BLOWUP.
     EVENT_BUDGET = "EventBudget"
 
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """Tolerances and budgets for one integration.
+    """Step tolerances and arclength for one integration.
 
     Every run is two-sided: it integrates forward and backward from the
-    initial state, each direction up to max_arclength or x = AXIS_EPSILON.
+    initial state, each direction up to max_arclength, x = AXIS_EPSILON or
+    x = X_BLOWUP (or MAX_STEPS); no other event ends it.
     """
 
     rel_tol: float = REL_TOL
     abs_tol: float = 1e-12
     max_arclength: float = 200.0
-    max_full_turns: Optional[int] = None
-    max_vertical_tangents: Optional[int] = None
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_arclength"):
@@ -321,18 +320,18 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     error_exponent, sqrt3 = _ERROR_EXPONENT, _SQRT3
 
     # The event function of each kind on the one state component it reads,
-    # 0 for x and 2 for theta.  The axis counts falling through zero, the
-    # blowup rising, the others either way.  A crossing's root is refined on
-    # that component of the step's interpolant.  Full turns with k = 0 are
-    # re-crossings, not events.  A strict sign change is the whole test: cos
-    # of a double is never 0.0, and sin(0.5 * (theta - theta0)) is 0.0 only
-    # at theta = theta0, a k = 0 re-crossing.  The step loop evaluates the
-    # same expressions inline.
+    # 0 for x and 2 for theta, and how the run ends there, if it does.  The
+    # axis counts falling through zero, the blowup rising, the others either
+    # way.  A crossing's root is refined on that component of the step's
+    # interpolant.  Full turns with k = 0 are re-crossings, not events.  A
+    # strict sign change is the whole test: cos of a double is never 0.0,
+    # and sin(0.5 * (theta - theta0)) is 0.0 only at theta = theta0, a k = 0
+    # re-crossing.  The step loop evaluates the same expressions inline.
     event_functions = (
-        (EventKind.AXIS_APPROACH, 0, lambda x: x - axis_epsilon),
-        (EventKind.BLOWUP, 0, lambda x: x - x_blowup),
-        (EventKind.VERTICAL_TANGENT, 2, cos),
-        (EventKind.FULL_TURN, 2, lambda th: sin(0.5 * (th - theta0))),
+        (EventKind.AXIS_APPROACH, 0, lambda x: x - axis_epsilon, Termination.AXIS_REACHED),
+        (EventKind.BLOWUP, 0, lambda x: x - x_blowup, Termination.EVENT_BUDGET),
+        (EventKind.VERTICAL_TANGENT, 2, cos, None),
+        (EventKind.FULL_TURN, 2, lambda th: sin(0.5 * (th - theta0)), None),
     )
 
     run = _DirectionRun()
@@ -344,8 +343,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     k1t = a * k1z / x + b
     h_abs = _initial_step(a, b, (x, z, th), (k1x, k1z, k1t), direction,
                           controls.max_arclength, rtol, atol)
-    pa, pb, pv, pt = (g((x, z, th)[j]) for _, j, g in event_functions)
-    n_vert = 0
+    pa, pb, pv, pt = (g((x, z, th)[j]) for _, j, g, _ in event_functions)
     seen_turns: set[int] = set()
     nsteps = 0
 
@@ -480,36 +478,24 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
             at = _interpolant(t, t_new, (x, z, th), step[1:])
             lo, hi = (t, t_new) if sign > 0.0 else (t_new, t)
             candidates = sorted(
-                ((brentq(lambda s, g=g, y=at[j]: g(y(s)), lo, hi, xtol=tol), kind)
-                 for (kind, j, g), hit in zip(event_functions, crossed) if hit),
+                ((brentq(lambda s, g=g, y=at[j]: g(y(s)), lo, hi, xtol=tol), kind, end)
+                 for (kind, j, g, end), hit in zip(event_functions, crossed) if hit),
                 key=lambda c: direction * c[0])
             cut_s = cut_term = None
-            for s_star, kind in candidates:
+            for s_star, kind, end in candidates:
                 # Events that coincide with a cut to within the refinement
                 # tolerance are recorded whichever of them rounded first.
                 if cut_s is not None and abs(s_star - cut_s) > tol:
                     break
                 st = ProfileState(s_star, *(y(s_star) for y in at))
-                k = round((st.theta - theta0) / math.tau)
                 if kind is EventKind.FULL_TURN:
+                    k = round((st.theta - theta0) / math.tau)
                     if k == 0 or k in seen_turns:
                         continue
                     seen_turns.add(k)
                 run.events.append(EventRecord(kind, s_star, st))
-                if cut_s is not None:
-                    continue
-                if kind is EventKind.AXIS_APPROACH:
-                    cut_s, cut_term = s_star, Termination.AXIS_REACHED
-                elif kind is EventKind.BLOWUP:
-                    cut_s, cut_term = s_star, Termination.EVENT_BUDGET
-                elif kind is EventKind.VERTICAL_TANGENT:
-                    n_vert += 1
-                    if (controls.max_vertical_tangents is not None
-                            and n_vert >= controls.max_vertical_tangents):
-                        cut_s, cut_term = s_star, Termination.EVENT_BUDGET
-                elif (controls.max_full_turns is not None
-                        and abs(k) >= controls.max_full_turns):
-                    cut_s, cut_term = s_star, Termination.EVENT_BUDGET
+                if cut_s is None and end is not None:
+                    cut_s, cut_term = s_star, end
             if cut_s is not None:
                 if (cut_s - t) * direction > 0.0:
                     s_append(cut_s)
@@ -570,7 +556,8 @@ def integrate(params: Params, ic: InitialConditions,
     on [-max_arclength, 0], merged into a single trajectory with s
     increasing.  Sign-change events (axis approach, vertical tangents,
     full turns, blowup) are refined by root bracketing on the step's dense
-    output to EVENT_REFINE_TOL.  Rest-point initial data (model.is_equilibrium)
+    output to EVENT_REFINE_TOL; the axis approach and the blowup end a
+    direction's run.  Rest-point initial data (model.is_equilibrium)
     short-circuits to an exact vertical-line trajectory; that is the only
     run that records an EquilibriumHold event and ends EquilibriumDetected.
     """

@@ -99,13 +99,13 @@ def _critical_radius(params: Params, anchor: Anchor) -> Optional[float]:
     (x/x_r)^(a - 1) = 1 + m, m = -(a - 1) k, k = (a s_r + b x_r)/d and
     d = a ((a - 1) s_r + b x_r): ln(x/x_r) = -k log1p(m)/m.  None also when
     that radius lies outside the float range, since f_H is then monotone
-    over every float x > 0.
+    over every float x > 0, and at b = 0, where m = -1 rounds to spurious radii.
     """
     a, b = params.a, params.b
     x_r, s_r = anchor
     d = a * ((a - 1.0) * s_r + b * x_r)
-    if d == 0.0:
-        return None     # f_H is b x/(1 - a), or a = 0 and f_H' = b
+    if d == 0.0 or b == 0.0:
+        return None     # f_H is b x/(1 - a) or s_r (x/x_r)^a, or a = 0 and f_H' = b
     k = (a * s_r + b * x_r) / d
     m = -(a - 1.0) * k
     if not m > -1.0:
@@ -392,9 +392,9 @@ class Winding(NamedTuple):
 
 
 def winding(level: Level, cut: float = 0.5 * math.pi) -> Winding:
-    """The period, shift and self-crossings of a level turning at x_lo and
-    x_hi, where f_H changes sign, from one quadrature whose end anchors
-    meet at cut (see split).
+    """The period, shift and self-crossings of a level turning at x_lo > 0
+    and x_hi, from one quadrature whose end anchors meet at cut (see split).
+    Where f_H keeps one sign, an Unduloid, z is monotone: 0 crossings.
 
     A turning radius next to the saddle radius a/b, where f_H' is near 0,
     makes the integrand a plateau of height about (h/f_H')^(1/2) there, with
@@ -419,7 +419,10 @@ def winding(level: Level, cut: float = 0.5 * math.pi) -> Winding:
     QuadratureFailure when the quadrature fails, and ArithmeticError when
     dz = 0 or the zero is lost to rounding.
     """
-    params, anchor, x_lo, x_hi, _, _ = level
+    params, anchor, x_lo, x_hi, s_lo, s_hi = level
+    if s_lo == s_hi:
+        half_T, half_dz = _half_integrals(level, [math.pi], 0.0, with_length=True, cut=cut)[0]
+        return Winding(2.0 * half_T, 2.0 * half_dz, 0)
     try:
         x_z = _root(lambda x: f_H(params, anchor, x), x_lo, x_hi)
     except (ValueError, RuntimeError) as e:

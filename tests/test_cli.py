@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wlw import cli
+from wlw import cli, levelset
 from wlw.cli import EXIT_FAILURE, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
+from wlw.model import Params
 
 
 def run(capsys, argv):
@@ -64,6 +66,21 @@ def test_mesh_integrates_a_periodic_profile_once(capsys, tmp_path, monkeypatch):
         code, doc = run_json(capsys, ["mesh", *flags, "-o", str(tmp_path / tag)])
         assert code == EXIT_OK and doc["class"] == tag
         assert len(calls) == 1
+
+
+def test_mesh_meshes_the_periods_of_an_unduloid(capsys, tmp_path):
+    # An Unduloid's report has no period; mesh takes T from orbit_period and
+    # meshes s in [0, 2 T]: z rises from 0 to 2 dz, and the first and last
+    # rings have radius x0.
+    code, doc = run_json(capsys, ["mesh", "-a=-2", "-b", "1", "--x0", "0.5", "--theta0", "pi/2",
+                                  "--periods", "2", "-o", str(tmp_path)])
+    assert code == EXIT_OK and (doc["class"], doc["periods"]) == ("Unduloid", 2)
+    dz = levelset.winding(levelset.level(Params(-2, 1), levelset.Anchor(0.5, 1.0))).shift
+    lines = (tmp_path / "surface.obj").read_text().splitlines()
+    v = np.array([line.split()[1:] for line in lines if line.startswith("v ")], dtype=float)
+    assert (v[:, 2].min(), v[:, 2].max()) == pytest.approx((0.0, 2.0 * dz), rel=1e-9, abs=1e-12)
+    rings = np.hypot(v[:, 0], v[:, 1]).reshape(doc["n_profile"], doc["n_revolve"])
+    assert (rings[0], rings[-1]) == pytest.approx((0.5, 0.5), rel=1e-8)
 
 
 @pytest.mark.parametrize("flags,tag,ends", [
@@ -205,9 +222,15 @@ def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
     assert f"RuntimeError: {report['message']}" in report["traceback"]
 
 
+def test_b_zero_ovaloid_with_a_just_above_one_exits_ok(capsys):
+    # A spurious critical radius at 7.8e-295 made its quadrature overflow: exit 3.
+    code, doc = run_json(capsys, ["classify", "-a", "1.054156139605086", "-b", "0", "--x0",
+                                  "3.114244983210228", "--theta0", "0.8936654329701469"])
+    assert code == EXIT_OK and doc["class"] == "Ovaloid"
+
+
 def test_mesh_classifies_with_the_given_flags(capsys, tmp_path):
-    code, doc = run_json(capsys, ["mesh", *BELOW_THE_FLOATS, "--max-arclength", "0.5",
-                                  "-o", str(tmp_path)])
+    code, doc = run_json(capsys, ["mesh", *BELOW_THE_FLOATS, "-o", str(tmp_path)])
     assert code == EXIT_INCONCLUSIVE
     assert doc["error"] == "Inconclusive"
 
@@ -268,6 +291,7 @@ def test_phase_takes_a_huge_ratio_in_a_given_box(capsys, tmp_path):
 PHASE = ["phase", "-a", "3", "-b", "1"]
 CLASSIFY = ["classify", "-a", "3", "-b", "1", "--x0", "1"]
 CHECK = ["check", "-a", "3", "-b", "1", "--x0", "1"]
+MESH = ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2"]
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -277,6 +301,10 @@ CHECK = ["check", "-a", "3", "-b", "1", "--x0", "1"]
     # classify runs nothing, so it takes no run tolerance or budget
     pytest.param(CLASSIFY, "--abs-tol", id="classify---abs-tol"),
     pytest.param(CLASSIFY, "--max-arclength", id="classify---max-arclength"),
+    # mesh runs its class's periods, or to the end of its run, so it takes
+    # no run tolerance or budget either
+    pytest.param(MESH, "--abs-tol", id="mesh---abs-tol"),
+    pytest.param(MESH, "--max-arclength", id="mesh---max-arclength"),
     # check's energy is exponent_map's, and the separatrix bracket comes
     # from the saddle's level
     pytest.param(CHECK, "--p-override", id="check---p-override"),

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45, OdeSolution
 
+from conftest import ORBITS
+from wlw.classify import orbit_period
 from wlw.cli import default_controls
 from wlw.errors import (
     InvalidParameter,
@@ -207,9 +209,9 @@ class TestTrajectoryInvariants:
             vesicle_traj.eval(vesicle_traj.s_max + 1.0)
 
 
-def _scipy_reference(traj, max_arclength):
-    """scipy's RK45 driven with traj's controls and axis clamp over traj's span."""
-    a, b, c = traj.params.a, traj.params.b, IntegrationControls(max_arclength=max_arclength)
+def _scipy_reference(traj, c):
+    """scipy's RK45 driven with traj's controls c and axis clamp over traj's span."""
+    a, b = traj.params.a, traj.params.b
 
     def f(s, y):
         if y[0] <= 0.0:
@@ -239,21 +241,16 @@ def _scipy_reference(traj, max_arclength):
     return evaluate
 
 
-# The conftest orbits, with the max_arclength each was integrated with.
-SPANS = {"nodoid_traj": 200, "unduloid_traj": 120, "vesicle_traj": 60, "antinodoid_traj": 200,
-         "circle_traj": 30, "exp_traj": 12}
-ORBITS = list(SPANS)
-
-
 class TestDenseOutput:
-    @pytest.mark.parametrize("orbit", ORBITS)
+    @pytest.mark.parametrize("orbit", list(ORBITS))
     def test_agrees_with_scipy_rk45(self, orbit, request):
         # Step grids drift apart by rounding, so compare dense solutions.
         traj = request.getfixturevalue(orbit)
         s = np.linspace(traj.s_min, traj.s_max, 1000)
-        np.testing.assert_allclose(traj.eval(s), _scipy_reference(traj, SPANS[orbit])(s), rtol=0, atol=1e-10)
+        reference = _scipy_reference(traj, ORBITS[orbit][2])
+        np.testing.assert_allclose(traj.eval(s), reference(s), rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("orbit", ORBITS)
+    @pytest.mark.parametrize("orbit", list(ORBITS))
     def test_reproduces_stored_samples(self, orbit, request):
         traj = request.getfixturevalue(orbit)
         x, z, theta = traj.eval(traj.s)
@@ -264,7 +261,7 @@ class TestDenseOutput:
         # Events are refined on a one-step interpolant; its values must be the
         # bits Trajectory.eval gives on that step's packed row.
         traj, d = nodoid_traj, nodoid_traj._dense
-        controls = IntegrationControls(max_arclength=200, max_full_turns=3)   # the fixture's
+        controls = ORBITS["nodoid_traj"][2]
         checked = 0
         for direction in (1, -1):
             run = _run_direction(traj.params, traj.ic, controls, direction)
@@ -298,13 +295,8 @@ DP_A = ((1 / 5,),
         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
 DP_B = ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84))
-# The conftest orbits that are run, with the controls each fixture uses.
-STEP_ORBITS = {
-    "vesicle_traj": IntegrationControls(max_arclength=60),
-    "unduloid_traj": IntegrationControls(max_arclength=120, max_vertical_tangents=12),
-    "nodoid_traj": IntegrationControls(max_arclength=200, max_full_turns=3),
-    "antinodoid_traj": IntegrationControls(max_arclength=200, max_full_turns=3),
-}
+# The conftest orbits whose steps are checked.
+STEP_ORBITS = ["vesicle_traj", "unduloid_traj", "nodoid_traj", "antinodoid_traj"]
 
 
 def _tableau_step(a, b, t, y, t_new):
@@ -330,7 +322,7 @@ def _tableau_step(a, b, t, y, t_new):
 
 
 class TestStepRecord:
-    @pytest.mark.parametrize("orbit", list(STEP_ORBITS))
+    @pytest.mark.parametrize("orbit", STEP_ORBITS)
     def test_each_accepted_step_is_the_tableau_step(self, orbit, request):
         # The stepper is written out term by term; every accepted step must be
         # the tableau's step to the bit, so the order of its float operations
@@ -338,7 +330,7 @@ class TestStepRecord:
         traj = request.getfixturevalue(orbit)
         a, b = traj.params.a, traj.params.b
         for direction in (1, -1):
-            run = _run_direction(traj.params, traj.ic, STEP_ORBITS[orbit], direction)
+            run = _run_direction(*ORBITS[orbit], direction)
             # A run cut by an event ends at the cut, not at its last step's end.
             cut = run.termination in (Termination.AXIS_REACHED, Termination.EVENT_BUDGET)
             assert len(run.steps) > 10
@@ -350,12 +342,9 @@ class TestStepRecord:
 
 
 class TestCoincidentEvents:
-    def test_every_full_turn_of_the_nodoid_is_a_vertical_tangent(self):
-        # At theta0 = pi/2 each full turn sits on a vertical tangent; the
-        # tangent is kept even where the turn budget cuts the run.
-        params, ic = Params(-2, 1), InitialConditions(4.0, PI / 2)
-        controls = default_controls(params, ic)
-        traj = integrate(params, ic, controls)
+    def test_every_full_turn_of_the_nodoid_is_a_vertical_tangent(self, nodoid_traj):
+        # At theta0 = pi/2 each full turn sits on a vertical tangent.
+        traj = nodoid_traj
         tangents = np.array([e.s for e in traj.events_of(EventKind.VERTICAL_TANGENT)])
         turns = traj.events_of(EventKind.FULL_TURN)
         assert {e.s > 0.0 for e in turns} == {True, False}
@@ -385,7 +374,7 @@ class TestEventScan:
 class TestDeterminism:
     def test_bitwise_repeatable_across_threads(self):
         params, ic = Params(-2, 1), InitialConditions(4.0, PI / 2)
-        controls = IntegrationControls(max_arclength=60, max_full_turns=2)
+        controls = IntegrationControls(max_arclength=60)
 
         def run(_):
             t = integrate(params, ic, controls)
@@ -408,8 +397,16 @@ class TestBudgets:
         assert traj.termination == traj.termination_backward == Termination.MAX_ARCLENGTH
         assert (traj.s_min, traj.s_max) == pytest.approx((-3.0, 3.0))
 
-    def test_turn_budget(self, nodoid_traj):
-        assert nodoid_traj.termination == Termination.EVENT_BUDGET
+    def test_check_run_ends_at_its_arclength(self, nodoid_traj):
+        # Events do not end a run: the Nodoid's check run covers 3.25
+        # periods each way, through every turn and tangent.
+        traj = nodoid_traj
+        T = orbit_period(traj.params, traj.ic)
+        assert traj.termination == traj.termination_backward == Termination.MAX_ARCLENGTH
+        assert (traj.s_min, traj.s_max) == (-3.25 * T, 3.25 * T)
+        turns = sorted(round((e.state.theta - PI / 2) / (2 * PI))
+                       for e in traj.events_of(EventKind.FULL_TURN))
+        assert turns == [-3, -2, -1, 1, 2, 3]
 
     def test_blowup(self):
         # a = -2, b = 0 is a bounded catenoid: x grows without bound, about

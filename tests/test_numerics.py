@@ -172,7 +172,7 @@ def _kd_tree_pairs(P):
 ])
 def test_grid_pairs_match_the_kd_tree(a, b, x0, theta0):
     traj = integrate(Params(a, b), InitialConditions(x0, theta0),
-                     IntegrationControls(max_arclength=100.0, max_full_turns=3))
+                     IntegrationControls(max_arclength=100.0))
     P = traj.resample(2048)[:, 1:3]
     reach, want = _kd_tree_pairs(P)
     A, B = P[:-1], P[1:]

@@ -180,7 +180,7 @@ class TestSeparatrix:
         xbar = find_separatrix(params, 0.0, (2.0, 20.0))
         assert 2.0 < xbar < 20.0
         eps = 1e-4 * xbar
-        controls = IntegrationControls(max_arclength=200, max_full_turns=1)
+        controls = IntegrationControls(max_arclength=200)
         below = integrate(params, InitialConditions(xbar - eps, 0.0), controls)
         above = integrate(params, InitialConditions(xbar + eps, 0.0), controls)
 

@@ -326,7 +326,7 @@ class TestCriticalCurves:
     ])
     def test_power_reconstruction(self, a, b, x0, theta0):
         self._scale_along(integrate(Params(a, b), InitialConditions(x0, theta0),
-                                    IntegrationControls(max_arclength=40, max_full_turns=2)))
+                                    IntegrationControls(max_arclength=40)))
 
     def test_exp_reconstruction(self, exp_traj):
         self._scale_along(exp_traj)
