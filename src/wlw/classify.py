@@ -56,7 +56,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import levelset
@@ -345,13 +345,10 @@ def classify_surface(params: Params, ic: InitialConditions,
     report = _classify_canonical(cparams, cic, rel_tol)
     if not reflected:
         return report
-    return ClassificationReport(
-        surface=report.surface,
+    return replace(
+        report,
         pole_z=None if report.pole_z is None else (report.pole_z[1], report.pole_z[0]),
-        period=report.period,
         z_shift=None if report.z_shift is None else -report.z_shift,
-        self_intersections=report.self_intersections,
-        asymptotic_radius=report.asymptotic_radius,
         theta_range=None if report.theta_range is None
         else (report.theta_range[0] - math.pi, report.theta_range[1] - math.pi),
         canonicalized_b=True,

@@ -1,7 +1,7 @@
 """Command-line surface: integrate, classify, phase, mesh, sweep, check.
 
 Exit codes: 0 success, 1 internal failure, 2 invalid input, 3 inconclusive
-classification.  Errors are reported as machine-readable JSON on stdout.
+classification.  Errors, bad flags included, are machine-readable JSON on stdout.
 
 phase --separatrix takes its search bracket from the saddle's level, from
 a/b to its outer turning radius, so it needs no bracket from the user.
@@ -9,9 +9,9 @@ a/b to its outer turning radius, so it needs no bracket from the user.
 check tests one run: first_integral, horizontal_symmetry and periodicity.
 The Euler-Lagrange equation holds at every state (x, theta), on a run or
 not, so the test suite checks it as an identity, and check does not.  A run
-ends only at the axis, the blowup guard or its arclength: mesh runs
-(periods + 1/4) T each way of an orbit with period T (classify.orbit_period)
-and meshes [0, periods T], and check runs 3.25 T each way (default_controls).
+takes --rel-tol and ends only at the axis, the blowup guard or its arclength:
+integrate's --max-arclength each way, (periods + 1/4) T each way for mesh, T
+from classify.orbit_period (it meshes [0, periods T]), and 3.25 T for check.
 
 sweep classifies a grid of MIN_POOLED_CELLS or more cells in forked worker
 processes, one per CPU this process may run on, and a smaller one in this
@@ -29,7 +29,7 @@ import re
 import sys
 import traceback
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -120,11 +120,12 @@ class SweepSpec:
                         yield (ia, ib, ix, it), (a, b, x0, t0)
 
 
-def _controls_from_args(args, base: IntegrationControls) -> IntegrationControls:
-    """base with --rel-tol and the budget flags the user gave applied."""
-    given = {name: getattr(args, name) for name in ("abs_tol", "max_arclength")
-             if getattr(args, name) is not None}
-    return replace(base, rel_tol=args.rel_tol, **given)
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise InvalidParameter, so that main
+    reports them as JSON on stdout; subparsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidParameter(message)
 
 
 def _add_common_flags(p: argparse.ArgumentParser, orbit: bool = True) -> None:
@@ -137,24 +138,16 @@ def _add_common_flags(p: argparse.ArgumentParser, orbit: bool = True) -> None:
         p.add_argument("--theta0", type=parse_angle, default=0.0,
                        help="initial tangent angle in radians; accepts pi/2, 3pi/2, ...")
         p.add_argument("--rel-tol", type=float, default=REL_TOL,
-                       help="relative tolerance of a run's steps, and the accuracy asked of "
-                            "the first integral's level set in classifying: eps times the "
-                            "terms f_H sums must stay within it (default %(default)g)")
+                       help="relative tolerance of a run's steps (atol is a hundredth of it), "
+                            "and the accuracy asked of the first integral's level set: eps "
+                            "times the terms f_H sums must stay within it (default %(default)g)")
     p.add_argument("-o", "--out", type=Path, default=Path("."), help="output directory")
-
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of commands that integrate an orbit: its abs_tol and arclength budget."""
-    p.add_argument("--abs-tol", type=float, default=None,
-                   help="absolute step tolerance (default from IntegrationControls)")
-    p.add_argument("--max-arclength", type=float, default=None,
-                   help="arclength budget of a run")
 
 
 def cmd_integrate(args) -> int:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    traj = integrate(params, ic, _controls_from_args(args, IntegrationControls()))
+    traj = integrate(params, ic, IntegrationControls(args.rel_tol, args.max_arclength))
     crossings = find_self_intersections(traj)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "trajectory.csv"
@@ -363,14 +356,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def default_controls(params: Params, ic: InitialConditions) -> IntegrationControls:
-    """check's run: 3.25 periods each way of a periodic orbit, within
+def default_controls(params: Params, ic: InitialConditions,
+                     rel_tol: float = REL_TOL) -> IntegrationControls:
+    """check's run at rel_tol: 3.25 periods each way of a periodic orbit, within
     200 max(x0, |a/b|, 1) of arclength, the homothety size: rescale(lam)
     maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class."""
     scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
-    period = orbit_period(params, ic)
+    period = orbit_period(params, ic, rel_tol)
     span = 200.0 * scale if period is None else min(200.0 * scale, 3.25 * period)
-    return IntegrationControls(max_arclength=span)
+    return IntegrationControls(rel_tol=rel_tol, max_arclength=span)
 
 
 def _failed_entry(exc: WlwError) -> dict:
@@ -388,7 +382,7 @@ def cmd_check(args) -> int:
     cannot detect a fault in the run; the test suite checks it."""
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
-    traj = integrate(params, ic, _controls_from_args(args, default_controls(params, ic)))
+    traj = integrate(params, ic, default_controls(params, ic, args.rel_tol))
     checks: dict[str, dict] = {}
 
     anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
@@ -422,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The wlw argument parser, built on the first call and shared by every
     later one, so callers must not change it.  Parsing keeps no state in the
     parser; the command functions are bound when it is built."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wlw",
         description="Rotational surfaces with kappa1 = a*kappa2 + b: "
                     "integration, phase plane, classification, export.")
@@ -430,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="integrate a profile curve, write CSV + events")
     _add_common_flags(p)
-    _add_run_flags(p)
+    p.add_argument("--max-arclength", type=float, default=IntegrationControls.max_arclength,
+                   help="arclength of the run each way (default %(default)g)")
     p.add_argument("--svg", action="store_true", help="also write a profile plot")
     p.set_defaults(func=cmd_integrate)
 
@@ -473,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "state, on a run or not, so it is no entry), over 3.25 "
                                       "periods each way of a periodic orbit")
     _add_common_flags(p)
-    _add_run_flags(p)
     p.set_defaults(func=cmd_check)
 
     return parser
@@ -482,10 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    try:
         return args.func(args)
+    except SystemExit:  # --help; a parse error raises InvalidParameter
+        return EXIT_OK
     except Inconclusive as exc:
         print(json.dumps({"error": "Inconclusive", "message": str(exc),
                           "diagnostics": exc.diagnostics}, indent=2))

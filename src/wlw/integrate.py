@@ -62,6 +62,10 @@ X_BLOWUP = 1e9
 # against a runaway step-size controller, not a budget.
 MAX_STEPS = 200_000
 
+# Probe offsets per side in check_horizontal_symmetry; Newton steps per self-crossing.
+_SYMMETRY_PROBES = 32
+_CROSSING_MAX_ITER = 30
+
 # Dormand-Prince 5(4) coefficients (HNW Table II.5.5).  The profile ODE is
 # autonomous, so the nodes c_i are not needed.  Stage 2 carries zero weight in
 # the solution, the error estimate and the dense output.
@@ -113,19 +117,20 @@ class Termination(str, enum.Enum):
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """Step tolerances and arclength for one integration.
+    """Step tolerance and arclength for one integration.
 
     Every run is two-sided: it integrates forward and backward from the
     initial state, each direction up to max_arclength, x = AXIS_EPSILON or
-    x = X_BLOWUP (or MAX_STEPS); no other event ends it.
+    x = X_BLOWUP (or MAX_STEPS); no other event ends it.  A step's error
+    weight is atol + max(|y|, |y_new|) rtol, rtol = max(rel_tol, MIN_REL_TOL)
+    and atol = rtol/100, the ratio every caller set when atol was a field.
     """
 
     rel_tol: float = REL_TOL
-    abs_tol: float = 1e-12
     max_arclength: float = 200.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_arclength"):
+        for name in ("rel_tol", "max_arclength"):
             if not (getattr(self, name) > 0.0):
                 raise InvalidParameter(f"{name} must be > 0")
 
@@ -303,7 +308,8 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     cos, sin, sqrt, nextafter, nan = math.cos, math.sin, math.sqrt, math.nextafter, math.nan
     a, b, sign = params.a, params.b, float(direction)
     theta0 = ic.theta0
-    rtol, atol = max(controls.rel_tol, MIN_REL_TOL), controls.abs_tol
+    rtol = max(controls.rel_tol, MIN_REL_TOL)
+    atol = rtol / 100.0
     axis_epsilon, x_blowup, max_steps = AXIS_EPSILON, X_BLOWUP, MAX_STEPS
     min_clamp = 4.0 * axis_epsilon
     s_bound = direction * controls.max_arclength
@@ -614,7 +620,7 @@ def detect_period(traj: Trajectory) -> tuple[float, float]:
     return float(T), z_shift
 
 
-def check_horizontal_symmetry(traj: Trajectory, s0: float, n_probes: int = 32) -> float:
+def check_horizontal_symmetry(traj: Trajectory, s0: float) -> float:
     """Mirror residual of the profile about the horizontal line z = z(s0).
 
     s0 must be a vertical tangent as integrate locates one: brentq puts it
@@ -622,7 +628,7 @@ def check_horizontal_symmetry(traj: Trajectory, s0: float, n_probes: int = 32) -
     on the step's interpolant, which eval uses, so |cos theta(s0)| is at most
     |theta'(s0)| (EVENT_REFINE_TOL + MIN_RTOL |s0|) + MIN_RTOL max(1, |theta(s0)|),
     the last term for the rounding of theta; beyond that NotVertical.  The
-    residual is max over probe offsets d of |x(s0+d) - x(s0-d)| +
+    residual is max over _SYMMETRY_PROBES offsets d of |x(s0+d) - x(s0-d)| +
     |z(s0+d) + z(s0-d) - 2 z(s0)|, probing as far as the integrated span
     allows on both sides.
     """
@@ -635,7 +641,7 @@ def check_horizontal_symmetry(traj: Trajectory, s0: float, n_probes: int = 32) -
     window = min(s0 - traj.s_min, traj.s_max - s0)
     if window <= 0.0:
         return 0.0
-    offsets = np.linspace(0.0, window, n_probes + 1)[1:]
+    offsets = np.linspace(0.0, window, _SYMMETRY_PROBES + 1)[1:]
     plus = traj.eval(s0 + offsets)
     minus = traj.eval(s0 - offsets)
     residual = np.abs(plus[0] - minus[0]) + np.abs(plus[1] + minus[1] - 2.0 * z0)
@@ -733,12 +739,12 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
-def _refine_crossing(traj: Trajectory, sa_lo, sa_hi, sb_lo, sb_hi,
-                     max_iter: int = 30) -> Optional[tuple[float, float]]:
+def _refine_crossing(traj: Trajectory, sa_lo, sa_hi, sb_lo,
+                     sb_hi) -> Optional[tuple[float, float]]:
     sa = 0.5 * (sa_lo + sa_hi)
     sb = 0.5 * (sb_lo + sb_hi)
     tol = EVENT_REFINE_TOL
-    for _ in range(max_iter):
+    for _ in range(_CROSSING_MAX_ITER):
         (xa, xb), (za, zb), (tha, thb) = traj.eval([sa, sb])
         fx, fz = xa - xb, za - zb
         if abs(fx) + abs(fz) < 1e-13:

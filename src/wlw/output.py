@@ -164,6 +164,9 @@ _SVG_STYLE = (
     "line.separatrix{stroke:#c03020;stroke-width:1;stroke-dasharray:2 2}"
     "text{font-family:sans-serif;font-size:11px;fill:#333}"
 )
+# Plot sizes in SVG user units, and the most points a profile plot resamples.
+_PROFILE_SVG_SIZE, _PHASE_SVG_SIZE = (640.0, 480.0), (720.0, 540.0)
+_PROFILE_SVG_SAMPLES = 1200
 
 
 def _f(v: float) -> str:
@@ -202,10 +205,10 @@ def _svg_document(width, height, body: list[str]) -> str:
     return "\n".join([head, f"<style>{_SVG_STYLE}</style>", *body, "</svg>"]) + "\n"
 
 
-def write_profile_svg(traj: Trajectory, path, width: float = 640.0, height: float = 480.0,
-                      n_samples: int = 1200) -> None:
+def write_profile_svg(traj: Trajectory, path) -> None:
     """Profile curve in the (x, z) half-plane with event markers."""
-    pts = traj.resample(min(n_samples, max(64, 4 * len(traj.s))))
+    width, height = _PROFILE_SVG_SIZE
+    pts = traj.resample(min(_PROFILE_SVG_SAMPLES, max(64, 4 * len(traj.s))))
     x, z = pts[:, 1], pts[:, 2]
     xlim = (min(0.0, float(x.min())), float(x.max()) * 1.05 + 1e-9)
     zlim = (float(z.min()), float(z.max()) + 1e-9)
@@ -227,13 +230,13 @@ def write_profile_svg(traj: Trajectory, path, width: float = 640.0, height: floa
 
 
 def write_phase_svg(portrait: PhasePortrait, points: Sequence[CriticalPoint], path,
-                    separatrix: Optional[tuple[float, float]] = None,
-                    width: float = 720.0, height: float = 540.0) -> None:
+                    separatrix: Optional[tuple[float, float]] = None) -> None:
     """Vector field, orbits and marked rest points; optional separatrix tick.
 
     separatrix, when given, is a (theta0, x_bar) pair drawn as a dashed
     vertical tick with its value annotated.
     """
+    width, height = _PHASE_SVG_SIZE
     grid = portrait.grid
     tlim = (float(grid[:, 0].min()), float(grid[:, 0].max()))
     xlim = (0.0, float(grid[:, 1].max()) * BOX_TOP)

@@ -257,7 +257,7 @@ class TestPositiveAFamily:
                                                                          1.9556505834239677)
         r = classify_surface(params, ic)
         assert (r.surface.tag, r.self_intersections) == (SurfaceTag.VESICLE, 0)
-        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12)
         assert r.pole_z == pytest.approx(run_witness(params, ic, tight).pole_z, abs=1e-10)
 
     @pytest.mark.parametrize("a,b,x0,theta0", [
@@ -273,7 +273,7 @@ class TestPositiveAFamily:
         params, ic = Params(a, b), InitialConditions(x0, theta0)
         r = classify_surface(params, ic)
         assert (r.surface.tag, r.self_intersections) == (SurfaceTag.VESICLE, 0)
-        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12)
         assert r.pole_z == pytest.approx(run_witness(params, ic, tight).pole_z, abs=1e-10)
 
     def test_zero_of_f_h_below_the_float_range(self):
@@ -286,7 +286,7 @@ class TestPositiveAFamily:
         r = classify_surface(params, ic)
         assert (r.surface.tag, r.self_intersections) == (SurfaceTag.VESICLE, 0)
         assert r.pole_z == pytest.approx((-0.0064518947, 0.0064518947), rel=1e-8)
-        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-12)
         witness = run_witness(params, ic, tight)
         assert witness.self_intersections == 0
         assert r.pole_z == pytest.approx(witness.pole_z, abs=1e-10)
@@ -602,7 +602,7 @@ class TestPeriodicSpan:
         a, b, x0, theta0 = case
         params, ic = Params(a, b), InitialConditions(x0, theta0)
         report = classify_surface(params, ic)
-        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13)
         witness = run_witness(params, ic, tight)
         assert witness.termination == Termination.MAX_ARCLENGTH   # 3.25 periods
         assert report.surface == witness.surface
@@ -654,7 +654,7 @@ class TestPeriodicSpan:
         # Anchored at (x0, sin(theta0)), f_H keeps its digits as a -> 1.
         params, ic = Params(1.0 + delta, 1.0), InitialConditions(3.0, 4.0)
         r = classify_surface(params, ic)
-        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13)
         witness = run_witness(params, ic, tight)
         assert r.surface == witness.surface
         assert r.period == pytest.approx(witness.period, rel=1e-8)
@@ -781,8 +781,8 @@ class TestLevelSetOracles:
         params, ic = Params(-3, 0.5), InitialConditions(0.5, 0.0)
         r = classify_surface(params, ic)
         assert r.surface.tag == SurfaceTag.NODOID
-        traj = integrate(params, ic, IntegrationControls(
-            rel_tol=1e-13, abs_tol=1e-15, max_arclength=3.0 * r.period))
+        traj = integrate(params, ic,
+                         IntegrationControls(rel_tol=1e-13, max_arclength=3.0 * r.period))
         assert r.period == pytest.approx(detect_period(traj)[0], rel=1e-8)
 
 
@@ -839,7 +839,7 @@ def axis_witness_mismatch(params, ic, report):
     and 0.38 at a = 0.05.  So its pole heights and theta range are compared
     with the level set's over the stretch [AXIS_EPSILON, x_hi] it covers.
     """
-    tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+    tight = replace(cli.default_controls(params, ic), rel_tol=1e-13)
     witness = run_witness(params, ic, tight)
     traj = witness.traj
     level = level_of(params, ic)
@@ -995,7 +995,7 @@ class TestCrossingLemmas:
                 x_hi = level_of(params, ic).x_hi
                 assert polyline_crossings(params, ic, report.period, report.z_shift, x_hi) == n
             else:
-                tight = replace(cli.default_controls(params, ic), rel_tol=1e-12, abs_tol=1e-14)
+                tight = replace(cli.default_controls(params, ic), rel_tol=1e-12)
                 assert run_witness(params, ic, tight).self_intersections == n
 
     @pytest.mark.parametrize("r,crossings", [(0.0, 1), (0.5, 1), (1.0, 1), (-1e-300, 1),
@@ -1261,7 +1261,7 @@ class TestPureLinearClosedForm:
             if a < 0.0:
                 assert r.pole_z is None
                 continue
-            tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+            tight = replace(cli.default_controls(params, ic), rel_tol=1e-13)
             traj = integrate(params, ic, tight)
             assert traj.termination == traj.termination_backward == Termination.AXIS_REACHED
             assert r.pole_z == pytest.approx((traj.z[0], traj.z[-1]), rel=1e-8, abs=1e-12)
@@ -1307,7 +1307,7 @@ class TestNearCentre:
         runs = spy_integrate(monkeypatch)
         r = classify_surface(params, ic)
         assert runs == []
-        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13, abs_tol=1e-15)
+        tight = replace(cli.default_controls(params, ic), rel_tol=1e-13)
         witness = run_witness(params, ic, tight)
         traj = witness.traj
         assert r.surface == witness.surface == classify.SurfaceClass(SurfaceTag.UNDULOID)
@@ -1328,8 +1328,7 @@ class TestNearCentre:
         t0 = 2.0 * PI * centre.x / abs(centre.eigenvalues[0])
         for delta, bound in ((1e-3, 1e-6), (1e-4, 1e-8)):
             traj = integrate(Params(a, b), InitialConditions(centre.x * (1.0 + delta), PI / 2),
-                             IntegrationControls(rel_tol=1e-12, abs_tol=1e-14,
-                                                 max_arclength=4.5 * t0))
+                             IntegrationControls(rel_tol=1e-12, max_arclength=4.5 * t0))
             s = sorted(e.s for e in traj.events_of(EventKind.VERTICAL_TANGENT) if e.s > 0.0)
             periods = np.diff(s[::2])
             assert periods.size >= 3

@@ -10,7 +10,7 @@ import pytest
 
 from wlw import cli, levelset
 from wlw.cli import EXIT_FAILURE, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
-from wlw.model import Params
+from wlw.model import InitialConditions, Params
 
 
 def run(capsys, argv):
@@ -131,7 +131,9 @@ def test_unparsable_sweep_range_exits_invalid(capsys, tmp_path, a):
 def test_missing_required_flag_exits_invalid(capsys):
     code, captured = run(capsys, ["classify", "-a", "1", "-b", "1"])
     assert code == EXIT_INVALID
-    assert "--x0" in captured.err
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["error"] == "InvalidParameter" and "--x0" in doc["message"]
 
 
 # sin(theta) = -1 at this orbit's inner turning radius, about 1e-602, below
@@ -291,6 +293,7 @@ def test_phase_takes_a_huge_ratio_in_a_given_box(capsys, tmp_path):
 PHASE = ["phase", "-a", "3", "-b", "1"]
 CLASSIFY = ["classify", "-a", "3", "-b", "1", "--x0", "1"]
 CHECK = ["check", "-a", "3", "-b", "1", "--x0", "1"]
+INTEGRATE = ["integrate", "-a", "-2", "-b", "1", "--x0", "0.5", "--theta0", "pi/2"]
 MESH = ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2"]
 
 
@@ -305,6 +308,11 @@ MESH = ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2"]
     # no run tolerance or budget either
     pytest.param(MESH, "--abs-tol", id="mesh---abs-tol"),
     pytest.param(MESH, "--max-arclength", id="mesh---max-arclength"),
+    # a run's atol is a hundredth of its rel_tol, and check sizes its run
+    # from the level set
+    pytest.param(INTEGRATE, "--abs-tol", id="integrate---abs-tol"),
+    pytest.param(CHECK, "--abs-tol", id="check---abs-tol"),
+    pytest.param(CHECK, "--max-arclength", id="check---max-arclength"),
     # check's energy is exponent_map's, and the separatrix bracket comes
     # from the saddle's level
     pytest.param(CHECK, "--p-override", id="check---p-override"),
@@ -314,7 +322,9 @@ MESH = ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2"]
 def test_phase_rejects_integration_flags(capsys, tmp_path, command, flag):
     code, captured = run(capsys, [*command, flag, "1e-4", "-o", str(tmp_path)])
     assert code == EXIT_INVALID
-    assert flag in captured.err
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": "InvalidParameter",
+                                        "message": f"unrecognized arguments: {flag} 1e-4"}
 
 
 def test_classify_rejects_a_zero_rel_tol(capsys):
@@ -412,23 +422,23 @@ def test_one_parser_serves_many_calls(capsys, tmp_path, monkeypatch):
     first, second = run(capsys, NODOID), run(capsys, NODOID)
     assert first[0] == second[0] == EXIT_OK
     assert first[1].out == second[1].out
-    # A check with every run flag given, then a mesh without them: the mesh
-    # must run with its own defaults, not the check's values.
+    # A check at --rel-tol 1e-12, then a mesh without it: the mesh must run
+    # at its own default, not the check's value.
     controls, integrate = [], cli.integrate
 
     def spy(params, ic, c):
         controls.append(c)
         return integrate(params, ic, c)
     monkeypatch.setattr(cli, "integrate", spy)
-    run(capsys, ["check", "-a", "3", "-b", "1", "--x0", "1", "--rel-tol", "1e-10",
-                 "--abs-tol", "1e-11", "--max-arclength", "30"])
+    code, _ = run(capsys, ["check", "-a", "3", "-b", "1", "--x0", "1", "--rel-tol", "1e-12"])
+    assert code == EXIT_OK
     code, doc = run_json(capsys, ["mesh", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "0",
                                   "-o", str(tmp_path)])
     assert code == EXIT_OK and doc["class"] == "Vesicle"
     assert (doc["n_profile"], doc["n_revolve"]) == (96, 48)
-    assert [(c.rel_tol, c.abs_tol, c.max_arclength) for c in controls] == [
-        (1e-10, 1e-11, 30.0),
-        (cli.REL_TOL, cli.IntegrationControls().abs_tol, cli.IntegrationControls().max_arclength)]
+    assert [c.rel_tol for c in controls] == [1e-12, cli.REL_TOL]
+    assert controls == [cli.default_controls(Params(3, 1), InitialConditions(1.0, 0.0), 1e-12),
+                        cli.IntegrationControls()]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import math
@@ -45,6 +46,11 @@ class TestControls:
             IntegrationControls(rel_tol=0.0)
         with pytest.raises(InvalidParameter):
             IntegrationControls(max_arclength=-1.0)
+
+    def test_a_run_takes_rel_tol_and_its_arclength(self):
+        # atol is derived, rel_tol/100, and no event budget ends a run
+        assert [f.name for f in dataclasses.fields(IntegrationControls)] == [
+            "rel_tol", "max_arclength"]
 
     def test_x0_must_clear_axis(self):
         with pytest.raises(NonPositiveRadius):
@@ -223,7 +229,7 @@ def _scipy_reference(traj, c):
         if direction * end <= 0.0:
             continue
         solver = RK45(f, 0.0, np.array([traj.ic.x0, 0.0, traj.ic.theta0]),
-                      t_bound=direction * c.max_arclength, rtol=c.rel_tol, atol=c.abs_tol)
+                      t_bound=direction * c.max_arclength, rtol=c.rel_tol, atol=c.rel_tol / 100)
         ts, pieces = [0.0], []
         while solver.status == "running" and direction * solver.t < direction * end:
             solver.max_step = max(0.8 * solver.y[0], 4.0 * AXIS_EPSILON)
