@@ -45,6 +45,14 @@ spheres, the Ovaloid and the Vesicle.  The PinchedSpheroid is the boundary
 between the Vesicle and the ImmersedSpheroid, and every Nodoid, Antinodoid
 and ImmersedSpheroid crosses itself (levelset.winding and _axis_report).
 
+Lemma U (b > 0 after canonicalize): for a > 0 no level is an Unduloid, so
+every embedded periodic surface but the Cylinder has a < 0.  Proof:
+f_H' = a f_H/x + b and |f_H| <= 1 on [x_lo, x_hi].  f_H(x_lo) = 1 would give
+f_H'(x_lo) = a/x_lo + b > 0, f_H > 1 just above x_lo; so f_H(x_lo) = -1, and
+an Unduloid has f_H(x_hi) = -1 too.  f_H >= -1 next to both ends needs
+f_H'(x_lo) = b - a/x_lo >= 0 and f_H'(x_hi) = b - a/x_hi <= 0: x_hi <= a/b
+<= x_lo, the rest point x0 = a/b, the Cylinder, decided before the level set.
+
 Where floats cannot resolve the level set - a turning radius outside the
 float range, rounding of f_H beyond rel_tol on both end anchors (see
 levelset.split), or a failed quadrature - classify_surface raises

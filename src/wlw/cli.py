@@ -1,7 +1,15 @@
 """Command-line surface: integrate, classify, phase, mesh, sweep, check.
 
-Exit codes: 0 success, 1 internal failure, 2 invalid input, 3 inconclusive
-classification.  Errors, bad flags included, are machine-readable JSON on stdout.
+Each command returns one JSON document and its exit code, and main prints
+the document on stdout in output.write_json's form.  Exit codes: 0 success,
+1 internal failure or a failed check, 2 invalid input, bad flags included,
+3 inconclusive classification.  A WlwError prints error_document's
+{"error": <type>, "message": <text>}, with an Inconclusive's "diagnostics";
+a sweep cell that raises writes the same document (plus the traceback of
+an error that is not a WlwError).  -o is a directory: integrate, phase and
+mesh write their files there (default .), sweep its reports and summary.csv,
+and classify and check their document, as report.json and check.json, only
+when -o is given.
 
 phase --separatrix takes its search bracket from the saddle's level, from
 a/b to its outer turning radius, so it needs no bracket from the user.
@@ -128,9 +136,11 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameter(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, orbit: bool = True) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, orbit: bool = True,
+                      document: Optional[str] = None) -> None:
     """-a, -b and -o; commands that take one orbit also get the initial
-    conditions and --rel-tol."""
+    conditions and --rel-tol.  A command that names its document file has
+    no default -o: main writes the document there only when -o is given."""
     p.add_argument("-a", type=float, required=True, help="coefficient a (dimensionless)")
     p.add_argument("-b", type=float, required=True, help="coefficient b (1/length)")
     if orbit:
@@ -141,47 +151,39 @@ def _add_common_flags(p: argparse.ArgumentParser, orbit: bool = True) -> None:
                        help="relative tolerance of a run's steps (atol is a hundredth of it), "
                             "and the accuracy asked of the first integral's level set: eps "
                             "times the terms f_H sums must stay within it (default %(default)g)")
-    p.add_argument("-o", "--out", type=Path, default=Path("."), help="output directory")
+    p.add_argument("-o", "--out", type=Path, default=None if document else Path("."),
+                   help=f"write the document to OUT/{document}" if document else "output directory")
+    p.set_defaults(document=document)
 
 
-def cmd_integrate(args) -> int:
+def cmd_integrate(args) -> tuple[dict, int]:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     traj = integrate(params, ic, IntegrationControls(args.rel_tol, args.max_arclength))
     crossings = find_self_intersections(traj)
     args.out.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out / "trajectory.csv"
-    events_path = args.out / "events.json"
-    output.write_trajectory_csv(traj, csv_path)
-    output.write_events_json(traj, events_path, crossings)
-    files = [str(csv_path), str(events_path)]
+    files = [args.out / "trajectory.csv", args.out / "events.json"]
+    output.write_trajectory_csv(traj, files[0])
+    output.write_events_json(traj, files[1], crossings)
     if args.svg:
-        svg_path = args.out / "profile.svg"
-        output.write_profile_svg(traj, svg_path)
-        files.append(str(svg_path))
-    print(json.dumps({
+        files.append(args.out / "profile.svg")
+        output.write_profile_svg(traj, files[-1])
+    return {
         "termination": traj.termination.value,
         "termination_backward": traj.termination_backward.value,
         "samples": len(traj.s),
         "events": len(traj.events) + len(crossings),
-        "files": files,
-    }, indent=2))
-    return EXIT_OK
+        "files": [str(f) for f in files],
+    }, EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    params = Params(args.a, args.b)
-    ic = InitialConditions(args.x0, args.theta0)
-    report = classify_surface(params, ic, args.rel_tol)
-    doc = output.report_to_dict(report)
-    print(json.dumps(doc, indent=2))
-    if args.out != Path("."):
-        args.out.mkdir(parents=True, exist_ok=True)
-        output.write_report_json(report, args.out / "report.json")
-    return EXIT_OK
+def cmd_classify(args) -> tuple[dict, int]:
+    report = classify_surface(Params(args.a, args.b), InitialConditions(args.x0, args.theta0),
+                              args.rel_tol)
+    return output.report_to_dict(report), EXIT_OK
 
 
-def cmd_phase(args) -> int:
+def cmd_phase(args) -> tuple[dict, int]:
     params = Params(args.a, args.b)
     # |a/b| is the interior rest point and the cylinder radius, and sets the
     # default box: refuse it where it rounds to 0 or inf, before it is used.
@@ -217,14 +219,11 @@ def cmd_phase(args) -> int:
     }
     if separatrix is not None:
         doc["separatrix"] = {"theta0": separatrix[0], "x_bar": separatrix[1]}
-    with open(json_path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps({"files": [str(svg_path), str(json_path)], **doc}, indent=2))
-    return EXIT_OK
+    output.write_json(doc, json_path)
+    return {"files": [str(svg_path), str(json_path)], **doc}, EXIT_OK
 
 
-def cmd_mesh(args) -> int:
+def cmd_mesh(args) -> tuple[dict, int]:
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     report = classify_surface(params, ic, args.rel_tol)
@@ -245,28 +244,32 @@ def cmd_mesh(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     obj_path = args.out / "surface.obj"
     output.write_obj_mesh(traj, obj_path, spec, window)
-    print(json.dumps({
+    return {
         "class": report.surface.tag.value,
         "files": [str(obj_path)],
         "n_profile": spec.n_profile,
         "n_revolve": spec.n_revolve,
         "periods": args.periods if period is not None else None,
-    }, indent=2))
-    return EXIT_OK
+    }, EXIT_OK
+
+
+def error_document(exc: Exception) -> dict:
+    """The document of a command, or of a sweep cell, that raised exc."""
+    doc = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, Inconclusive):
+        doc["diagnostics"] = exc.diagnostics
+    return doc
 
 
 def _sweep_cell(a, b, x0, t0):
     try:
         report = classify_surface(Params(a, b), InitialConditions(x0, t0))
-        return output.report_to_dict(report), str(report.surface.tag.value)
-    except Inconclusive as exc:
-        return {"error": "Inconclusive", "message": str(exc),
-                "diagnostics": exc.diagnostics}, "Inconclusive"
-    except WlwError as exc:
-        return {"error": type(exc).__name__, "message": str(exc)}, f"Error:{type(exc).__name__}"
+        return output.report_to_dict(report), report.surface.tag.value
     except Exception as exc:  # a defect on one cell must not abort the grid
-        return ({"error": type(exc).__name__, "message": str(exc),
-                 "traceback": traceback.format_exc()}, f"Error:{type(exc).__name__}")
+        doc = error_document(exc)
+        if not isinstance(exc, WlwError):
+            doc["traceback"] = traceback.format_exc()
+        return doc, "Inconclusive" if isinstance(exc, Inconclusive) else f"Error:{doc['error']}"
 
 
 # A grid with fewer cells than this is classified in the calling process.
@@ -314,10 +317,7 @@ def _classify_grid(spec: SweepSpec) -> tuple[Path, Counter]:
         results = map(_sweep_cell, *columns)
     try:
         for (idx, (a, b, x0, t0)), (doc, label) in zip(cells, results):
-            name = "report_a{}_b{}_x{}_t{}.json".format(*idx)
-            with open(spec.output_dir / name, "w", newline="\n") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+            output.write_json(doc, spec.output_dir / "report_a{}_b{}_x{}_t{}.json".format(*idx))
             rows.append(",".join([output.fnum(a), output.fnum(b), output.fnum(x0),
                                   output.fnum(t0), label]))
             labels[label] += 1
@@ -325,8 +325,7 @@ def _classify_grid(spec: SweepSpec) -> tuple[Path, Counter]:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     summary = spec.output_dir / "summary.csv"
-    with open(summary, "w", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    summary.write_text("\n".join(rows) + "\n", newline="\n")
     return summary, labels
 
 
@@ -336,13 +335,13 @@ def run_sweep(spec: SweepSpec) -> Path:
     A grid of MIN_POOLED_CELLS or more is classified in a pool of forked
     worker processes, one per CPU (see _sweep_workers).  This process writes
     every file in grid order, so the files do not depend on the worker count
-    and the summary rows follow grid order.  A cell that raises is
-    labelled Error:<Type>, its report holds the message (and the traceback of
-    an error that is not a WlwError).  Returns the summary path."""
+    and the summary rows follow grid order.  A cell that raises is labelled
+    Inconclusive or Error:<Type>, and its report is its error document.
+    Returns the summary path."""
     return _classify_grid(spec)[0]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[dict, int]:
     spec = SweepSpec(
         a_values=parse_range(args.a),
         b_values=parse_range(args.b),
@@ -351,9 +350,8 @@ def cmd_sweep(args) -> int:
         output_dir=args.out,
     )
     summary, labels = _classify_grid(spec)
-    print(json.dumps({"cells": sum(labels.values()), "summary": str(summary),
-                      "labels": dict(sorted(labels.items()))}, indent=2))
-    return EXIT_OK
+    return {"cells": sum(labels.values()), "summary": str(summary),
+            "labels": dict(sorted(labels.items()))}, EXIT_OK
 
 
 def default_controls(params: Params, ic: InitialConditions,
@@ -367,19 +365,12 @@ def default_controls(params: Params, ic: InitialConditions,
     return IntegrationControls(rel_tol=rel_tol, max_arclength=span)
 
 
-def _failed_entry(exc: WlwError) -> dict:
-    """A check entry that could not be computed: it fails, with the reason."""
-    return {"pass": False, "error": type(exc).__name__, "message": str(exc)}
-
-
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     """Tests of one run: first_integral, horizontal_symmetry, periodicity.
 
     An entry whose computation raises NotVertical (horizontal_symmetry) or
-    VerificationFailed (periodicity) is reported as failed, with the error's
-    type and message, and every other entry is still computed.  No entry
-    tests the Euler-Lagrange equation: it is an identity in (x, theta), so it
-    cannot detect a fault in the run; the test suite checks it."""
+    VerificationFailed (periodicity) is reported as failed, with its error
+    document, and every other entry is still computed."""
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     traj = integrate(params, ic, default_controls(params, ic, args.rel_tol))
@@ -396,7 +387,7 @@ def cmd_check(args) -> int:
             worst = max(check_horizontal_symmetry(traj, e.s) for e in tangents)
             checks["horizontal_symmetry"] = {"max_residual": worst, "pass": bool(worst < 1e-6)}
         except NotVertical as exc:
-            checks["horizontal_symmetry"] = _failed_entry(exc)
+            checks["horizontal_symmetry"] = {"pass": False, **error_document(exc)}
 
     try:
         T, z_shift = detect_period(traj)
@@ -404,11 +395,10 @@ def cmd_check(args) -> int:
     except NoFullTurn:
         pass
     except VerificationFailed as exc:
-        checks["periodicity"] = _failed_entry(exc)
+        checks["periodicity"] = {"pass": False, **error_document(exc)}
 
     ok = all(c.get("pass", True) for c in checks.values())
-    print(json.dumps({"pass": ok, "checks": checks}, indent=2))
-    return EXIT_OK if ok else EXIT_FAILURE
+    return {"pass": ok, "checks": checks}, EXIT_OK if ok else EXIT_FAILURE
 
 
 @functools.cache
@@ -430,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("classify", help="classify the surface for one initial condition")
-    _add_common_flags(p)
+    _add_common_flags(p, document="report.json")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("phase", help="phase portrait and critical points; with --separatrix "
@@ -461,13 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True, help="value or lo:hi:count")
     p.add_argument("--theta0-list", default="pi/2", help="comma-separated angles")
     p.add_argument("-o", "--out", type=Path, required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, document=None)
 
     p = sub.add_parser("check", help="test one run: first_integral, horizontal_symmetry and "
                                       "periodicity (the Euler-Lagrange equation holds at every "
                                       "state, on a run or not, so it is no entry), over 3.25 "
                                       "periods each way of a periodic orbit")
-    _add_common_flags(p)
+    _add_common_flags(p, document="check.json")
     p.set_defaults(func=cmd_check)
 
     return parser
@@ -476,19 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        doc, code = args.func(args)
+        if args.document and args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+            output.write_json(doc, args.out / args.document)
     except SystemExit:  # --help; a parse error raises InvalidParameter
         return EXIT_OK
-    except Inconclusive as exc:
-        print(json.dumps({"error": "Inconclusive", "message": str(exc),
-                          "diagnostics": exc.diagnostics}, indent=2))
-        return EXIT_INCONCLUSIVE
-    except InvalidParameter as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2))
-        return EXIT_INVALID
     except WlwError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2))
-        return EXIT_FAILURE
+        doc = error_document(exc)
+        code = (EXIT_INCONCLUSIVE if isinstance(exc, Inconclusive)
+                else EXIT_INVALID if isinstance(exc, InvalidParameter) else EXIT_FAILURE)
+    print(json.dumps(doc, indent=2))
+    return code
 
 
 if __name__ == "__main__":

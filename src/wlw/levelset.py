@@ -97,20 +97,24 @@ def _critical_radius(params: Params, anchor: Anchor) -> Optional[float]:
 
     f_H' = a f_H/x + b vanishes where f_H = -b x/a, that is where
     (x/x_r)^(a - 1) = 1 + m, m = -(a - 1) k, k = (a s_r + b x_r)/d and
-    d = a ((a - 1) s_r + b x_r): ln(x/x_r) = -k log1p(m)/m.  None also when
+    d = a ((a - 1) s_r + b x_r): ln(x/x_r) = -k ln(1 + m)/m.  1 + m = b x_r/d
+    exactly, and is taken so: None unless it is > 0 (not at b = 0), and
+    ln(1 + m) is its log where m < -1/2, log1p(m) elsewhere.  None also when
     that radius lies outside the float range, since f_H is then monotone
-    over every float x > 0, and at b = 0, where m = -1 rounds to spurious radii.
+    over every float x > 0.
     """
     a, b = params.a, params.b
     x_r, s_r = anchor
     d = a * ((a - 1.0) * s_r + b * x_r)
-    if d == 0.0 or b == 0.0:
-        return None     # f_H is b x/(1 - a) or s_r (x/x_r)^a, or a = 0 and f_H' = b
+    if d == 0.0:
+        return None     # f_H is b x/(1 - a) or s_r x/x_r, or a = 0 and f_H' = b
+    one_plus_m = b * x_r / d
+    if not one_plus_m > 0.0:
+        return None
     k = (a * s_r + b * x_r) / d
     m = -(a - 1.0) * k
-    if not m > -1.0:
-        return None
-    log_xc = math.log(x_r) - k * (math.log1p(m) / m if m != 0.0 else 1.0)
+    log_1pm = math.log(one_plus_m) if m < -0.5 else math.log1p(m)
+    log_xc = math.log(x_r) - k * (log_1pm / m if m != 0.0 else 1.0)
     return math.exp(log_xc) if abs(log_xc) < _LOG_FLOAT_RANGE else None
 
 

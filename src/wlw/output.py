@@ -47,6 +47,12 @@ def fnum(v: float) -> str:
     return repr(float(v))
 
 
+def write_json(doc, path) -> None:
+    """doc as cli.main prints it: indent 2, LF line ends, a trailing newline; one write."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 # write_trajectory_csv formats this many rows at a time.
 _CSV_ROWS = 1024
 
@@ -110,9 +116,7 @@ def events_to_dict(traj: Trajectory,
 
 def write_events_json(traj: Trajectory, path,
                       intersections: Optional[Sequence[IntersectionRecord]] = None) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(events_to_dict(traj, intersections), fh, indent=2)
-        fh.write("\n")
+    write_json(events_to_dict(traj, intersections), path)
 
 
 def report_to_dict(report: ClassificationReport) -> dict:
@@ -129,12 +133,6 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "params": {"a": report.params.a, "b": report.params.b},
         "initial_conditions": {"x0": report.ic.x0, "theta0": report.ic.theta0},
     }
-
-
-def write_report_json(report: ClassificationReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
 
 
 def load_report_schema() -> dict:

@@ -1011,6 +1011,36 @@ class TestCrossingLemmas:
         assert levelset.winding(level).crossings == crossings
 
 
+class TestLemmaU:
+    """Lemma U (classify's docstring): for a > 0 and b > 0 no level is an
+    Unduloid, and so, under reflect_b, none for a > 0 and b < 0."""
+
+    def test_no_unduloid_for_positive_a_and_b(self):
+        # a, b and x0 log-uniform over four decades, theta0 uniform, and
+        # states 1e-3 .. 1e-9 relative off the saddle (a/b, 3 pi/2), where
+        # the orbit turns next to the rest point of the lemma's last step.
+        rng = np.random.default_rng(14)
+        n = 600
+        a, b, x0 = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (3, n)))
+        theta0 = rng.uniform(0.0, 2 * PI, n)
+        delta = rng.choice([-1.0, 1.0], n) * 10.0 ** -rng.integers(3, 10, n)
+        inputs = [(Params(*ab), InitialConditions(x, t))
+                  for ab, x, t in zip(zip(a.tolist(), b.tolist()), x0.tolist(), theta0.tolist())]
+        inputs += [(Params(a_, b_), InitialConditions(a_ / b_ * (1.0 + d), 1.5 * PI))
+                   for a_, b_, d in zip(a.tolist(), b.tolist(), delta.tolist())]
+        tags = set()
+        for params, ic in inputs:
+            for p, i in [(params, ic), reflect_b(params, ic)]:
+                try:
+                    tag = classify_surface(p, i).surface.tag
+                except Inconclusive:
+                    continue
+                assert tag is not SurfaceTag.UNDULOID, (p, i)
+                tags.add(tag)
+        assert {SurfaceTag.ANTINODOID, SurfaceTag.OVALOID, SurfaceTag.VESICLE,
+                SurfaceTag.IMMERSED_SPHEROID} <= tags, tags
+
+
 # The benchmark's classify inputs that need no set-up bisection.
 SYMMETRY_CASES = [
     ("Plane", 2.0, 0.0, 1.0, 0.0),
@@ -1412,13 +1442,18 @@ class TestDelaunay:
         # |dz| = 2 (x_hi E(m) + x_lo K(m)), m = 1 - (x_lo/x_hi)^2, K taken as
         # ellipkm1 of 1 - m.  Its report has no period: winding gives T and
         # dz on its canonical level, and orbit_period T from the input as
-        # given, at three scales and reflected.
+        # given, at three scales and reflected.  The draws meet them to
+        # 1e-12 relative (measured: 7.7e-16).  At 1e-3 from the Cylinder
+        # the quadrature's T is off by 2.6e-12 relative, so that case is
+        # held to 1e-11.
         if case == "draws":
             inputs = [(params, ic) for params, ic, _, _ in delaunay_orbits(SurfaceTag.UNDULOID)]
             assert len(inputs) >= 4 * 50, len(inputs)
+            bound = 1e-12
         else:
             base = Params(-1.0, 1.0), InitialConditions(0.999, PI / 2)
             inputs = [rescale(lam, *base) for lam in (1e-3, 1.0, 1e3)] + [reflect_b(*base)]
+            bound = 1e-11
         for params, ic in inputs:
             r = classify_surface(params, ic)
             assert (r.surface.tag, r.period) == (SurfaceTag.UNDULOID, None)
@@ -1427,7 +1462,7 @@ class TestDelaunay:
             p = (level.x_lo / level.x_hi) ** 2
             period = 2 * PI / abs(params.b)
             rise = 2.0 * (level.x_hi * ellipe(1.0 - p) + level.x_lo * ellipkm1(p))
-            errors = (abs(T - period), abs(abs(dz) - rise),
-                      abs(orbit_period(params, ic) - period))
-            assert max(errors) <= 1e-11 * period, (params, ic, errors)
+            errors = (abs(T - period) / period, abs(abs(dz) - rise) / rise,
+                      abs(orbit_period(params, ic) - period) / period)
+            assert max(errors) <= bound, (params, ic, errors)
             assert crossings == 0

@@ -456,3 +456,36 @@ def test_a_step_that_rounds_to_one_is_inconclusive(tmp_path, argv):
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
     assert json.loads(done.stdout)["error"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("argv,name", [(NODOID, "report.json"), (CHECK, "check.json")])
+def test_classify_and_check_write_their_document_only_with_out(capsys, tmp_path, monkeypatch,
+                                                               argv, name):
+    # Without -o nothing is written, not even into the working directory;
+    # with -o, an explicit "." included, the file holds the printed bytes.
+    monkeypatch.chdir(tmp_path)
+    code, captured = run(capsys, argv)
+    assert code == EXIT_OK and not any(tmp_path.iterdir())
+    for out in (tmp_path / "out", Path(".")):
+        code, again = run(capsys, [*argv, "-o", str(out)])
+        assert code == EXIT_OK and again.out == captured.out
+        assert (out / name).read_text() == captured.out
+
+
+@pytest.mark.parametrize("a,b,x0,theta0,code", [
+    ("-2", "1", "4", "pi/2", EXIT_OK),
+    ("-5e-4", "1e-3", "1", "5.7607", EXIT_INCONCLUSIVE),
+    ("0", "1", "1", "pi/2", EXIT_INVALID),
+], ids=["Nodoid", "Inconclusive", "InvalidParameter"])
+def test_a_one_cell_sweep_writes_what_classify_prints(capsys, tmp_path, a, b, x0, theta0, code):
+    # One document per outcome: a sweep cell's report, or its error
+    # document, is the document classify prints, byte for byte.
+    got, captured = run(capsys, ["classify", f"-a={a}", "-b", b, "--x0", x0, "--theta0", theta0,
+                                 "-o", str(tmp_path / "classify")])
+    assert got == code and captured.err == ""
+    assert run(capsys, ["sweep", f"-a={a}", "-b", b, "--x0", x0, "--theta0-list", theta0,
+                        "-o", str(tmp_path / "sweep")])[0] == EXIT_OK
+    cell = (tmp_path / "sweep" / "report_a0_b0_x0_t0.json").read_text()
+    assert cell == captured.out
+    report = tmp_path / "classify" / "report.json"
+    assert report.read_text() == cell if code == EXIT_OK else not report.exists()

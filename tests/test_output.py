@@ -31,10 +31,10 @@ from wlw.output import (
     load_report_schema,
     report_to_dict,
     write_events_json,
+    write_json,
     write_obj_mesh,
     write_phase_svg,
     write_profile_svg,
-    write_report_json,
     write_trajectory_csv,
 )
 from wlw.phaseplane import PortraitSpec, critical_points, find_separatrix, phase_portrait
@@ -409,7 +409,9 @@ class TestReportJson:
     def test_written_file_parses(self, tmp_path):
         report = classify_surface(Params(-2, 1), InitialConditions(4.0, PI / 2))
         path = tmp_path / "report.json"
-        write_report_json(report, path)
+        write_json(report_to_dict(report), path)
+        # the text cli.main prints: indent 2, LF line ends, a trailing newline
+        assert path.read_bytes() == (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
         doc = json.loads(path.read_text())
         assert doc["class"] == "Nodoid"
         assert doc["theta_range"] == "unbounded"
