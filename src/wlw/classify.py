@@ -23,9 +23,9 @@ of what they round.  A state off them by more is read off its own level set.
   initial state.  An orbit whose radius turns at two finite radii x_lo > 0
   and x_hi < inf is periodic.  It is an Unduloid when sin(theta) has one
   sign at both turning radii, and otherwise winds.  The Unduloid's report
-  has no period (orbit_period gives it): its quadrature, about 200 us, would
-  move the median of perfbench's 14 classify calls, the Unduloid the 7th
-  fastest at 74 us, from about 105 to 177 us.  A winding orbit is a Nodoid
+  has no period (orbit_period gives it): its quadrature takes two to three
+  times the Unduloid's own call, the 7th fastest of perfbench's 14 classify
+  calls, so it would move their median.  A winding orbit is a Nodoid
   when its rise dz per period has the sign of sin(theta) at x_hi, and an
   Antinodoid otherwise; its period, dz and self-crossings per period come
   from quadratures (see levelset.winding).  Next to the separatrix a turning

@@ -150,9 +150,6 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
     past it.  Raises FloatingPointError where a step does not move the
     radius.
     """
-    def f(x):
-        return f_H(params, anchor, x)
-
     step = step_factor(params) if (params.a > 0.0) == outward else 2.0
 
     def stops():
@@ -172,14 +169,14 @@ def _end(params: Params, anchor: Anchor, outward: bool) -> float:
 
     start, f_start = anchor
     for stop in stops():
-        f_stop = f(stop)
+        f_stop = f_H(params, anchor, stop)
         if abs(f_stop) > 1.0:
             s_end = math.copysign(1.0, f_stop)
             if (f_start - s_end) * (f_stop - s_end) >= 0.0:
                 return start    # the end is start to rounding
             lo, hi = min(start, stop), max(start, stop)
             try:
-                return _root(lambda x: f(x) - s_end, lo, hi)
+                return _root(lambda x: f_H(params, anchor, x) - s_end, lo, hi)
             except (ValueError, RuntimeError) as e:
                 # Rounding lost the sign change, or brentq did not converge.
                 raise FloatingPointError(f"no turning radius resolved in [{lo}, {hi}]") from e
@@ -357,30 +354,37 @@ def _half_integrals(level: Level, stops, epsabs: float, with_length: bool = Fals
     else:
         mid, phi_c, first, last, knots = None, None, cut, cut, []
 
+    # The integrand runs once per node, so math's functions, 2 r and a - 1
+    # are bound once; every float is the one the expressions give inline.
+    sin, cos, sqrt, log1p, expm1 = math.sin, math.cos, math.sqrt, math.log1p, math.expm1
+    two_r, a_1 = 2.0 * r, a - 1.0
+
     def integrand(phi):
         if phi < first:
-            (x, level, gap), d = lo, 2.0 * r * math.sin(0.5 * phi) ** 2
+            x, level, gap = lo
+            d = two_r * sin(0.5 * phi) ** 2
         elif phi >= last:
-            (x, level, gap), d = hi, -2.0 * r * math.cos(0.5 * phi) ** 2
+            x, level, gap = hi
+            d = -two_r * cos(0.5 * phi) ** 2
         else:
             x, level, gap = mid
-            d = 2.0 * r * math.sin(0.5 * (phi + phi_c)) * math.sin(0.5 * (phi - phi_c))
+            d = two_r * sin(0.5 * (phi + phi_c)) * sin(0.5 * (phi - phi_c))
             if not d / x > -1.0:
                 # x_c within rounding of the axis (x_c/x_hi near eps): phi_c
                 # stands for a radius up to about twice x_c, so x_c + d can
                 # fall to or below 0.  The axis anchor serves such a radius.
-                (x, level, gap), d = lo, 2.0 * r * math.sin(0.5 * phi) ** 2
+                x, level, gap = lo
+                d = two_r * sin(0.5 * phi) ** 2
         if x == 0.0:
             rise = f_H(params, upper, d)
         else:
             # f_H(x + d) - level on the level through (x, level), without
             # cancellation
-            mu = math.log1p(d / x)
-            y = (a - 1.0) * mu
-            rise = (level * math.expm1(a * mu)
-                    + b * (x + d) * (math.expm1(y) / (a - 1.0) if y != 0.0 else mu))
+            mu = log1p(d / x)
+            y = a_1 * mu
+            rise = level * expm1(a * mu) + b * (x + d) * (expm1(y) / a_1 if y != 0.0 else mu)
         q = gap - rise * (2.0 * level + rise)    # 1 - f^2, f = level + rise
-        w = r * math.sin(phi) / math.sqrt(q) if q > 0.0 else math.nan
+        w = r * sin(phi) / sqrt(q) if q > 0.0 else math.nan
         return (w, (level + rise) * w) if with_length else (level + rise) * w
 
     values = cumulative_quad(integrand, 0.0, [*stops, *knots], epsabs=epsabs, epsrel=_QUAD_RTOL)

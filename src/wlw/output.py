@@ -368,7 +368,8 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
     The faces' references k//k are rows of _ref_table, NUL-padded to one
     width, gathered by index in the same way: the same bytes as
     f"f {a}//{a} {c}//{c} {b}//{b}".  Vertex, normal and face lines are
-    written _RINGS rings at a time, with the padding deleted.
+    written _RINGS rings at a time, with the padding deleted; a face block
+    whose references all have the same digit count has none.
     """
     lo = window[0] if window else traj.s_min
     hi = window[1] if window else traj.s_max
@@ -407,13 +408,17 @@ def write_obj_mesh(traj: Trajectory, path, spec: MeshSpec = MeshSpec(),
         j = np.arange(n_rev)
         j1 = (j + 1) % n_rev
         quad = np.stack((j, n_rev + j1, n_rev + j, j, j1, n_rev + j1), axis=1).reshape(-1, 3) + 1
+        # A block whose least reference, n_rev i + 1, has the table's full
+        # digit count d holds no padding.
         table = _ref_table(n_prof * n_rev)
+        least_unpadded = 10 ** (table.shape[1] // 2 - 2)
         lines, fields = _line_array(_RINGS * len(quad), 3, table.shape[1], b"  \n", b"f ")
         for i in range(0, n_prof - 1, _RINGS):
             shifts = n_rev * np.arange(i, min(i + _RINGS, n_prof - 1))
             refs = (quad + shifts[:, None, None]).reshape(-1, 3)
             fields[:len(refs)] = np.take(table, refs, axis=0)
-            yield lines[:len(refs)].tobytes().translate(None, b"\0")
+            block = lines[:len(refs)].tobytes()
+            yield block if n_rev * i + 1 >= least_unpadded else block.translate(None, b"\0")
 
     with open(path, "wb") as fh:
         fh.write(f"# surface of revolution: {n_prof} x {n_rev} vertices\n".encode("ascii"))

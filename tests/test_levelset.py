@@ -123,6 +123,16 @@ def test_unresolvable_radii_raise_arithmetic_errors(a, b, x0, theta0):
     assert radii(a, b, x0, theta0) == (0.0, BEYOND_THE_AXIS_END[a, b, x0, theta0])
 
 
+@pytest.mark.parametrize("a,b,x0", [(2.0, 1e300, 1e10), (-2.0, 1e300, 1e10), (0.5, -1e300, 1e9)])
+def test_an_anchor_whose_b_x_overflows_resolves_no_radius(a, b, x0):
+    # f_H at the anchor's own radius is s_r + b x_r * 0.0, nan where b x_r
+    # overflows, so brentq raises at that end of the bracket.
+    params, anchor = Params(a, b), Anchor(x0, -0.9 if b < 0.0 else 0.3)
+    assert math.isnan(f_H(params, anchor, x0))
+    with pytest.raises(FloatingPointError, match="no turning radius resolved"):
+        level(params, anchor)
+
+
 @pytest.mark.parametrize("a,b,x0,theta0", [
     # a step by a factor of 2 from x0 would overflow (x/x0)^a
     (-1100, 1, 1.0, 0.5),

@@ -1,7 +1,11 @@
 """numerics against scipy, which serves only as the tests' reference."""
 
+import functools
 import math
+import operator
 import random
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from wlw.classify import classify_surface
 from wlw.errors import QuadratureFailure
 from wlw.integrate import IntegrationControls, _near_pairs, integrate
 from wlw.model import InitialConditions, Params
+from wlw.output import report_to_dict
 from wlw.variational import closure_integral, exponent_map, functional_value, real_power
 
 PI = math.pi
@@ -75,6 +80,126 @@ class TestBrentq:
             sp_optimize.brentq(f, 0.0, 1.0, **kwargs)
         with pytest.raises(error):
             numerics.brentq(f, 0.0, 1.0, **kwargs)
+
+
+def _left_sum(terms):
+    """The builtin sum of floats up to Python 3.11: left to right from 0.
+    From 3.12 the builtin compensates its rounding, and the written-out rule
+    keeps this order."""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+def _reference_qk21(f, lo, hi):
+    """numerics._qk21 as it was written with map and zip over the node tables,
+    the reference the written-out rule must equal to the bit."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fc = f(c)
+    lows = [f(c - h * x) for x, _ in numerics._KRONROD]
+    highs = [f(c + h * x) for x, _ in numerics._KRONROD]
+    if isinstance(fc, tuple):
+        values, errors = zip(*map(_reference_kronrod, fc, zip(*lows), zip(*highs), (h,) * len(fc)))
+        return values, errors, True
+    value, error = _reference_kronrod(fc, lows, highs, h)
+    return (value,), (error,), False
+
+
+def _reference_kronrod(fc, lows, highs, h):
+    add, mul = operator.add, operator.mul
+    weights, centre = [w for _, w in numerics._KRONROD], numerics._CENTRE_WEIGHT
+    roundoff = 50.0 * sys.float_info.epsilon
+    sums = list(map(add, lows, highs))
+    resk = centre * fc + _left_sum(map(mul, weights, sums))
+    resg = _left_sum(map(mul, numerics._GAUSS, sums[1::2]))
+    reskh = 0.5 * resk
+    abs_h = abs(h)
+    resabs = abs_h * (centre * abs(fc) + _left_sum(
+        map(mul, weights, map(add, map(abs, lows), map(abs, highs)))))
+    resasc = abs_h * (centre * abs(fc - reskh) + _left_sum(
+        map(mul, weights, [abs(u - reskh) + abs(v - reskh) for u, v in zip(lows, highs)])))
+    err = abs((resk - resg) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > sys.float_info.min / roundoff:
+        err = max(roundoff * resabs, err)
+    return resk * h, err
+
+
+def _bits(value):
+    """value with every float replaced by its 8 bytes, so that -0.0 and the
+    sign and payload of a NaN count."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _rules(shape, n, seed=41):
+    """Seeded (f, lo, hi) of one integrand shape: a sign-changing scalar, a
+    pair, a scalar that is NaN beyond a point of the interval, and a kink."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        w, p, c = rng.uniform(-30.0, 30.0), rng.uniform(0.0, 2 * PI), rng.uniform(-3.0, 3.0)
+        lo = rng.uniform(-5.0, 5.0)
+        hi = lo + 10.0 ** rng.uniform(-14.0, 1.0) if rng.random() < 0.95 else lo
+        cut = rng.uniform(lo, hi)
+
+        def wave(x, w=w, p=p, c=c):
+            return math.sin(w * x + p) * math.exp(c * x)
+
+        f = {
+            "scalar": wave,
+            "pair": lambda x, g=wave, c=c: (g(x), c / (1.0 + x * x)),
+            "nan": lambda x, g=wave, cut=cut: g(x) if x < cut else math.nan,
+            "kink": lambda x, cut=cut, c=c: math.sqrt(abs(x - cut)) * c,
+        }[shape]
+        yield f, lo, hi
+
+
+class TestRule:
+    @pytest.mark.parametrize("shape", ["scalar", "pair", "nan", "kink"])
+    def test_the_written_out_rule_is_the_reference_to_the_bit(self, shape):
+        for f, lo, hi in _rules(shape, 600):
+            assert _bits(numerics._qk21(f, lo, hi)) == _bits(_reference_qk21(f, lo, hi))
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum compensates from 3.12")
+    def test_the_reference_sum_is_the_builtin_sum(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            terms = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(10)]
+            assert _left_sum(terms) == sum(terms)
+
+    def test_a_tuple_that_is_not_a_pair_is_refused(self):
+        with pytest.raises(ValueError):
+            numerics.quad(lambda x: (x, x, x), 0.0, 1.0)
+
+    def test_classify_reports_are_those_of_the_reference_rule(self, monkeypatch):
+        # ROADMAP item 2's distribution: a = U(-5, 5), b = 0 or U(-2, 2), x0
+        # log-uniform in [0.05, 20], theta0 = U(0, 2 pi).
+        rng = random.Random(11)
+        draws = []
+        for _ in range(300):
+            a, b = rng.uniform(-5.0, 5.0), rng.choice([0.0, rng.uniform(-2.0, 2.0)])
+            x0 = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+            draws.append((Params(a, b), InitialConditions(x0, rng.uniform(0.0, 2 * PI))))
+
+        def reports():
+            out = []
+            for params, ic in draws:
+                try:
+                    out.append(repr(report_to_dict(classify_surface(params, ic))))
+                except Exception as exc:    # the same error is the same outcome
+                    out.append(f"{type(exc).__name__}: {exc}")
+            return out
+
+        want = reports()
+        rules = []
+
+        def reference(f, lo, hi):
+            rules.append((lo, hi))
+            return _reference_qk21(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "_qk21", reference)
+        assert reports() == want
+        assert len(rules) > 1000
 
 
 def _half_integrand(level):
