@@ -11,13 +11,19 @@ minimum step - so results carry over from that solver to rounding.  Every
 accepted step is scanned for events, the step size is clamped near the
 rotation axis, and termination reasons are tracked per direction.
 
-The step loop is the hot path, and it keeps to four rules.  Every tableau
-sum runs left to right in the tableau's order, so each step has fixed bits
-(tests pin it against a loop over the tableau rows).  The tableau and
-controller constants are bound to locals.  An accepted step makes no builtin
-call besides math's cos, sin, sqrt and nextafter: min, max and abs are
-conditionals that give the same floats.  Any change to the loop must leave
-every sample, stage, event and termination bit for bit as it was.
+The step loop is the hot path, and it keeps to four rules.  Every sum runs
+left to right, the tableau's in its order, so each step has fixed bits
+(tests pin it against a loop over the tableau rows); so do the initial-step
+norms, since the builtin sum compensates from Python 3.12 on.  The tableau
+and controller constants are bound to locals.  An accepted step makes no
+builtin call besides math's cos, sin, sqrt and nextafter: min, max and abs
+are conditionals that give the same floats.  It appends one record, its end
+s and state and its stages 1, 3-7, which integrate converts once; a run that
+an event cuts ends on the refined cut state.  The axis and blowup tests are
+comparisons, xn <= AXIS_EPSILON < x and x < X_BLOWUP <= xn: a difference of
+floats is 0.0 only when they are equal and otherwise has the sign of their
+order, so these decide as the event functions' signs do.  Any change to the
+loop must leave every sample, stage, event and termination bit for bit.
 
 Trajectories are immutable and carry their dense interpolants packed into
 one coefficient array, so downstream probing (symmetry checks, period
@@ -274,19 +280,25 @@ class Trajectory:
 
 @dataclass
 class _DirectionRun:
-    s: list = field(default_factory=list)
-    y: list = field(default_factory=list)
-    # One row per accepted step: its end s and its stages 1, 3-7, flattened.
+    # One row per accepted step, 22 floats: its end s, the state (x, z,
+    # theta) there and its stages 1, 3-7, flattened.
     steps: list = field(default_factory=list)
     events: list = field(default_factory=list)
     termination: Termination = Termination.MAX_ARCLENGTH
+    # Set when an event ends the run: [(s, x, z, theta)] of the refined cut
+    # state, the last sample in place of the cut step's end, or [] when the
+    # cut falls on the step's start.
+    cut: Optional[list] = None
 
 
 def _initial_step(a, b, y0, f0, direction, span, rtol, atol) -> float:
     """scipy's select_initial_step (HNW II.4) for the profile ODE."""
     scale = [atol + abs(v) * rtol for v in y0]
-    d0 = math.sqrt(sum((v / sc) ** 2 for v, sc in zip(y0, scale))) / _SQRT3
-    d1 = math.sqrt(sum((v / sc) ** 2 for v, sc in zip(f0, scale))) / _SQRT3
+
+    def rms(v):     # the squares summed left to right, not by sum
+        return math.sqrt((v[0] / scale[0]) ** 2 + (v[1] / scale[1]) ** 2
+                         + (v[2] / scale[2]) ** 2) / _SQRT3
+    d0, d1 = rms(y0), rms(f0)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     x1 = y0[0] + h0 * direction * f0[0]
@@ -295,7 +307,7 @@ def _initial_step(a, b, y0, f0, direction, span, rtol, atol) -> float:
         f1 = (math.cos(t1), math.sin(t1), a * math.sin(t1) / x1 + b)
     else:
         f1 = (math.nan,) * 3
-    d2 = math.sqrt(sum(((u - v) / sc) ** 2 for u, v, sc in zip(f1, f0, scale))) / _SQRT3 / h0
+    d2 = rms((f1[0] - f0[0], f1[1] - f0[1], f1[2] - f0[2])) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -332,7 +344,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     # interpolant.  Full turns with k = 0 are re-crossings, not events.  A
     # strict sign change is the whole test: cos of a double is never 0.0,
     # and sin(0.5 * (theta - theta0)) is 0.0 only at theta = theta0, a k = 0
-    # re-crossing.  The step loop evaluates the same expressions inline.
+    # re-crossing.  The step loop tests the same signs inline.
     event_functions = (
         (EventKind.AXIS_APPROACH, 0, lambda x: x - axis_epsilon, Termination.AXIS_REACHED),
         (EventKind.BLOWUP, 0, lambda x: x - x_blowup, Termination.EVENT_BUDGET),
@@ -341,15 +353,13 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     )
 
     run = _DirectionRun()
-    s_append, y_append, steps_append = run.s.append, run.y.append, run.steps.append
+    steps_append = run.steps.append
     t, x, z, th = 0.0, ic.x0, 0.0, theta0
-    s_append(t)
-    y_append((x, z, th))
     k1x, k1z = cos(th), sin(th)
     k1t = a * k1z / x + b
     h_abs = _initial_step(a, b, (x, z, th), (k1x, k1z, k1t), direction,
                           controls.max_arclength, rtol, atol)
-    pa, pb, pv, pt = (g((x, z, th)[j]) for _, j, g, _ in event_functions)
+    pt = 0.0   # the full-turn function at the step's start; the others read the state
     seen_turns: set[int] = set()
     nsteps = 0
 
@@ -465,23 +475,17 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
             h_abs *= factor
             rejected = True
         nsteps += 1
-        step = (t_new, k1x, k1z, k1t, k3x, k3z, k3t, k4x, k4z, k4t,
+        step = (t_new, xn, zn, tn, k1x, k1z, k1t, k3x, k3z, k3t, k4x, k4z, k4t,
                 k5x, k5z, k5t, k6x, k6z, k6t, k7x, k7z, k7t)
         steps_append(step)
 
         # --- event scan on this step, in s order ---------------------
-        # The event functions at y_new, with k7x = cos(tn): an accepted step
-        # has xn > 0.
-        ca = xn - axis_epsilon
-        cb = xn - x_blowup
+        # The event functions' sign changes between the step's ends, with
+        # k1x = cos(th) and k7x = cos(tn): an accepted step has xn > 0.
         ct = sin(0.5 * (tn - theta0))
-        hit_a = ca <= 0.0 < pa
-        hit_b = pb < 0.0 <= cb
-        hit_v = pv * k7x < 0.0
-        hit_t = pt * ct < 0.0
-        if hit_a or hit_b or hit_v or hit_t:
-            crossed = (hit_a, hit_b, hit_v, hit_t)
-            at = _interpolant(t, t_new, (x, z, th), step[1:])
+        crossed = (xn <= axis_epsilon < x, x < x_blowup <= xn, k1x * k7x < 0.0, pt * ct < 0.0)
+        if True in crossed:
+            at = _interpolant(t, t_new, (x, z, th), step[4:])
             lo, hi = (t, t_new) if sign > 0.0 else (t_new, t)
             candidates = sorted(
                 ((brentq(lambda s, g=g, y=at[j]: g(y(s)), lo, hi, xtol=tol), kind, end)
@@ -503,15 +507,14 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
                 if cut_s is None and end is not None:
                     cut_s, cut_term = s_star, end
             if cut_s is not None:
-                if (cut_s - t) * direction > 0.0:
-                    s_append(cut_s)
-                    y_append(tuple(y(cut_s) for y in at))
+                # The cut step's row stays, for its interpolant; the run
+                # ends on the refined cut state.
+                run.cut = ([(cut_s, *(y(cut_s) for y in at))]
+                           if (cut_s - t) * direction > 0.0 else [])
                 run.termination = cut_term
                 return run
 
-        s_append(t_new)
-        y_append((xn, zn, tn))
-        pa, pb, pv, pt = ca, cb, k7x, ct
+        pt = ct
         t, x, z, th = t_new, xn, zn, tn
         k1x, k1z, k1t = k7x, k7z, k7t
         if sign * (t - s_bound) >= 0.0:
@@ -519,20 +522,17 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
             return run
 
 
-def _rows(records: list, width: int) -> np.ndarray:
-    """A list of float tuples of one width as an (n, width) array.
-
-    np.fromiter over the flattened floats, with the count given, takes a
-    third of the time np.array takes to find the shape of the nested list."""
-    return np.fromiter(chain.from_iterable(records), float, width * len(records)).reshape(-1, width)
-
-
-def _packed_run(run: _DirectionRun) -> _Dense:
-    """The run's step interpolants, in the order the steps were taken."""
+def _arrays(run: _DirectionRun, ic: InitialConditions) -> tuple[np.ndarray, _Dense]:
+    """The run's samples from its start on, rows of s, x, z and theta, and its
+    step interpolants, in step order.  np.fromiter with the count given takes
+    a third of the time np.array takes to find the shape of the rows."""
     n = len(run.steps)
-    steps = _rows(run.steps, 19)
-    return _pack(np.array(run.s[:n], dtype=float), steps[:, 0],
-                 _rows(run.y[:n], 3), steps[:, 1:].reshape(n, 6, 3))
+    rows = np.fromiter(chain.from_iterable(run.steps), float, 22 * n).reshape(n, 22)
+    samples = np.vstack(((0.0, ic.x0, 0.0, ic.theta0), rows[:, :4]))
+    dense = _pack(samples[:-1, 0], rows[:, 0], samples[:-1, 1:], rows[:, 4:].reshape(n, 6, 3))
+    if run.cut is not None:
+        samples = np.vstack([samples[:-1], *run.cut])
+    return samples, dense
 
 
 def _equilibrium_trajectory(params: Params, ic: InitialConditions,
@@ -574,11 +574,10 @@ def integrate(params: Params, ic: InitialConditions,
 
     fwd = _run_direction(params, ic, controls, +1)
     bwd = _run_direction(params, ic, controls, -1)
-    s_all = np.array(bwd.s[:0:-1] + fwd.s, dtype=float)
-    y_all = _rows(bwd.y[:0:-1] + fwd.y, 3)
-    dense = _Dense(*(np.concatenate([b[::-1], f])
-                     for b, f in zip(_packed_run(bwd), _packed_run(fwd))))
-    return Trajectory(params, ic, s_all, y_all[:, 0], y_all[:, 1], y_all[:, 2],
+    (fwd_samples, fwd_dense), (bwd_samples, bwd_dense) = _arrays(fwd, ic), _arrays(bwd, ic)
+    s, x, z, theta = np.concatenate((bwd_samples[:0:-1], fwd_samples)).T
+    dense = _Dense(*(np.concatenate([b[::-1], f]) for b, f in zip(bwd_dense, fwd_dense)))
+    return Trajectory(params, ic, s, x, z, theta,
                       bwd.events + fwd.events, fwd.termination, bwd.termination, dense)
 
 

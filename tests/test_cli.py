@@ -318,13 +318,20 @@ MESH = ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2"]
     pytest.param(CHECK, "--p-override", id="check---p-override"),
     pytest.param(CHECK, "--nu-override", id="check---nu-override"),
     pytest.param(PHASE, "--bracket", id="--bracket"),
+    # whole argvs, flag and value included, and no -o
+    pytest.param([*CLASSIFY, "--abs-tol", "1e-12"], "--abs-tol", id="classify-argv"),
+    pytest.param(["integrate", "-a", "-2", "-b", "1", "--x0", "0.5", "--abs-tol", "1e-12"],
+                 "--abs-tol", id="integrate-argv"),
+    pytest.param([*CHECK, "--max-arclength", "5"], "--max-arclength", id="check-argv"),
 ])
 def test_phase_rejects_integration_flags(capsys, tmp_path, command, flag):
-    code, captured = run(capsys, [*command, flag, "1e-4", "-o", str(tmp_path)])
+    argv = command if flag in command else [*command, flag, "1e-4", "-o", str(tmp_path)]
+    code, captured = run(capsys, argv)
     assert code == EXIT_INVALID
     assert captured.err == ""
+    value = argv[argv.index(flag) + 1]
     assert json.loads(captured.out) == {"error": "InvalidParameter",
-                                        "message": f"unrecognized arguments: {flag} 1e-4"}
+                                        "message": f"unrecognized arguments: {flag} {value}"}
 
 
 def test_classify_rejects_a_zero_rel_tol(capsys):
