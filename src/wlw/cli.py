@@ -80,6 +80,8 @@ def parse_angle(text: str) -> float:
         num = m.group(1)
         k = float(num) if num not in ("", "+", "-") else float(num + "1")
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise InvalidParameter(f"angle {text!r} divides by zero")
         return k * math.pi / den
     try:
         return float(text)
@@ -224,6 +226,8 @@ def cmd_phase(args) -> tuple[dict, int]:
 
 
 def cmd_mesh(args) -> tuple[dict, int]:
+    if args.periods < 1:
+        raise InvalidParameter(f"--periods must be >= 1, got {args.periods}")
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     report = classify_surface(params, ic, args.rel_tol)

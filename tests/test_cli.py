@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -278,7 +279,7 @@ def test_phase_refuses_a_ratio_or_box_outside_the_float_range(capsys, recwarn, t
                                                               flags, message):
     code, captured = run(capsys, ["phase", *flags, "-o", str(tmp_path)])
     assert code == EXIT_INVALID
-    assert json.loads(captured.out)["message"] == message
+    assert json.loads(captured.out) == {"error": "InvalidParameter", "message": message}
     assert captured.err == "" and not recwarn.list
     assert not any(tmp_path.iterdir())
 
@@ -448,21 +449,26 @@ def test_one_parser_serves_many_calls(capsys, tmp_path, monkeypatch):
                         cli.IntegrationControls()]
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "-a", "1e19", "-b", "1", "--x0", "1", "--theta0", "0"],
-    ["phase", "-a", "1e300", "-b", "1"],
-])
-def test_a_step_that_rounds_to_one_is_inconclusive(tmp_path, argv):
+@pytest.mark.parametrize("argv,code", [
+    (["classify", "-a", "1e19", "-b", "1", "--x0", "1", "--theta0", "0"], EXIT_INCONCLUSIVE),
+    (["phase", "-a", "1e300", "-b", "1"], EXIT_INCONCLUSIVE),
+    (["classify", "-a=-1e9", "-b", "1", "--x0", "1", "--theta0", "0"], EXIT_INCONCLUSIVE),
+    (["phase", "-a=-1e15", "-b", "1"], EXIT_OK),
+], ids=["huge-a-classify", "huge-a-phase", "decaying-power-classify", "decaying-power-phase"])
+def test_a_step_that_rounds_to_one_is_inconclusive(tmp_path, argv, code):
     # Above |a| ~ 2.4e18 the outward step of a turning-radius search rounds
-    # to 1.  The command runs in its own process, so that a search that
-    # never ends fails this test by its timeout instead of hanging the suite.
+    # to 1.  For a < 0 the search stepped by 2^(512/|a|), where the power
+    # decays, and did not end.  The command runs in its own process, so that
+    # a search that never ends fails this test by its timeout instead of
+    # hanging the suite.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
     done = subprocess.run([sys.executable, "-m", "wlw.cli", *argv, "-o", str(tmp_path)],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
-    assert json.loads(done.stdout)["error"] == "Inconclusive"
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert (done.returncode, done.stderr) == (code, "")
+    if code == EXIT_INCONCLUSIVE:
+        assert json.loads(done.stdout)["error"] == "Inconclusive"
 
 
 @pytest.mark.parametrize("argv,name", [(NODOID, "report.json"), (CHECK, "check.json")])
@@ -496,3 +502,137 @@ def test_a_one_cell_sweep_writes_what_classify_prints(capsys, tmp_path, a, b, x0
     assert cell == captured.out
     report = tmp_path / "classify" / "report.json"
     assert report.read_text() == cell if code == EXIT_OK else not report.exists()
+
+
+def no_run(*args):
+    raise AssertionError("the stepper ran")
+
+
+# The CLI gates: an argv, its exit code and an assertion on the document it
+# prints.  Each row runs with the stepper patched to raise: classify and phase
+# read every orbit off the first integral's level set, and a refused input is
+# refused before any run.  The ids name the gates.
+GATES = [
+    # The centre's portrait: every orbit is drawn off the level through its
+    # seed.
+    pytest.param(["phase", "-a=-2", "-b", "1"], EXIT_OK,
+                 lambda doc: "critical_points" in doc, id="phase-plots-without-integrating"),
+    # sqrt(27) lies on the level of the (3, 1) saddle, so its orbit is the
+    # CylindricalAntinodoid; a = -2 < -1 at b = 0 is the CatenoidBounded.
+    pytest.param(["classify", "-a", "3", "-b", "1", "--x0", "5.196152422706632", "--theta0", "0"],
+                 EXIT_OK, lambda doc: doc["class"] == "CylindricalAntinodoid",
+                 id="separatrix-without-integrating"),
+    pytest.param(["classify", "-a", "-2", "-b", "0", "--x0", "1", "--theta0", "pi/2"], EXIT_OK,
+                 lambda doc: doc["class"] == "CatenoidBounded", id="b-zero-without-integrating"),
+    # A closed form's gate takes a state only to rounding: the rescale of
+    # (-2, 1, 2.0002, pi/2) is not the Cylinder, 3e-9 at theta0 = 0 is not on
+    # the a < 0 sphere, and sin(pi) is 0 to rounding, so that is the Plane.
+    pytest.param(["classify", "-a=-2", "-b", "1e-9", "--x0", "2000200000", "--theta0", "pi/2"],
+                 EXIT_OK, lambda doc: doc["class"] == "Unduloid",
+                 id="closed-form-gates-rescaled-unduloid"),
+    pytest.param(["classify", "-a=-2", "-b", "1", "--x0", "3e-9", "--theta0", "0"], EXIT_OK,
+                 lambda doc: doc["class"] != "Sphere", id="closed-form-gates-off-the-sphere"),
+    pytest.param(["classify", "-a", "2", "-b", "0", "--x0", "1", "--theta0", "pi"], EXIT_OK,
+                 lambda doc: doc["class"] == "Plane", id="closed-form-gates-plane"),
+    # The first integral is anchored at the initial state, so it keeps its
+    # digits as a -> 1.
+    pytest.param(["classify", "-a", "1.0000000001", "-b", "1", "--x0", "3", "--theta0", "4"],
+                 EXIT_OK, lambda doc: doc["class"] == "Antinodoid", id="near-a-one"),
+    # sqrt(27) (1 +- 1e-8), next to the (3, 1) separatrix: beyond it the
+    # orbit winds, and inside it the orbit passes the saddle and returns to
+    # the axis.  The extreme level is a Nodoid read off its end anchors.
+    pytest.param(["classify", "-a", "3", "-b", "1", "--x0", "5.196152474668156", "--theta0", "0"],
+                 EXIT_OK, lambda doc: doc["class"] == "Antinodoid",
+                 id="neighbourhoods-antinodoid"),
+    pytest.param(["classify", "-a", "3", "-b", "1", "--x0", "5.196152370745107", "--theta0", "0"],
+                 EXIT_OK, lambda doc: doc["class"] == "ImmersedSpheroid",
+                 id="neighbourhoods-immersed-spheroid"),
+    pytest.param(["classify", "-a=-218.89030969559963", "-b", "15.444113812318664",
+                  "--x0", "10.677482104432686", "--theta0", "0.40232139186544674"], EXIT_OK,
+                 lambda doc: doc["class"] == "Nodoid", id="neighbourhoods-nodoid"),
+    # The zero of f_H of this near-1 draw and of its a = 1 neighbour lies
+    # near 6e-176, 176 decades below its bracket; that of the Vesicle lies
+    # near 1e-346, below the float range, so its crossings come from its tag.
+    pytest.param(["classify", "-a", "0.9999992731880258", "-b", "0.0014858953275460607",
+                  "--x0", "1.5447316940218563", "--theta0", "1.9556505834239677"], EXIT_OK,
+                 lambda doc: "class" in doc, id="extreme-level-sets-near-one"),
+    pytest.param(["classify", "-a", "1.0", "-b", "0.0014858953275460607",
+                  "--x0", "1.5447316940218563", "--theta0", "1.9556505834239677"], EXIT_OK,
+                 lambda doc: "class" in doc, id="extreme-level-sets-a-one"),
+    pytest.param(["classify", "-a", "0.9912770475292776", "-b", "1.353342387675414",
+                  "--x0", "0.0064519337476683985", "--theta0", "pi/2"], EXIT_OK,
+                 lambda doc: (doc["class"], doc["self_intersections"]) == ("Vesicle", 0),
+                 id="extreme-level-sets-vesicle"),
+    # pi/0 raised a bare ZeroDivisionError.
+    pytest.param(["classify", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "pi/0"],
+                 EXIT_INVALID, lambda doc: doc["error"] == "InvalidParameter"
+                 and "pi/0" in doc["message"], id="angle-over-zero-classify"),
+    pytest.param(["sweep", "-a", "3", "-b", "1", "--x0", "1", "--theta0-list", "pi/0"],
+                 EXIT_INVALID, lambda doc: doc["error"] == "InvalidParameter"
+                 and "pi/0" in doc["message"], id="angle-over-zero-sweep"),
+    # --periods 0 meshed one ring 96 times and exited 0; --periods -1 blamed
+    # max_arclength, a flag mesh does not take.
+    pytest.param([*MESH, "--periods", "0"], EXIT_INVALID,
+                 lambda doc: doc["error"] == "InvalidParameter" and "--periods" in doc["message"],
+                 id="mesh-periods-zero"),
+    pytest.param([*MESH, "--periods", "-1"], EXIT_INVALID,
+                 lambda doc: doc["error"] == "InvalidParameter" and "--periods" in doc["message"],
+                 id="mesh-periods-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,code,check", GATES)
+def test_cli_gate(capsys, tmp_path, monkeypatch, argv, code, check):
+    monkeypatch.setattr(importlib.import_module("wlw.integrate"), "_run_direction", no_run)
+    got, captured = run(capsys, [*argv, "-o", str(tmp_path)])
+    assert (got, captured.err) == (code, "")
+    assert check(json.loads(captured.out))
+
+
+def test_a_critical_radius_next_to_the_axis_prints_a_class_or_inconclusive(capsys):
+    # x_c is 6e-17 of x_hi, where the quadrature's anchors rounded below the
+    # axis and raised a bare ValueError.
+    code, captured = run(capsys, ["classify", "-a", "0.9999999308681532",
+                                  "-b", "0.10914905680954545", "--x0", "0.1914197696557015",
+                                  "--theta0", "2.2866004944678098"])
+    doc = json.loads(captured.out)
+    assert captured.err == ""
+    assert ((code, "class" in doc) == (EXIT_OK, True)
+            or (code, doc.get("error")) == (EXIT_INCONCLUSIVE, "Inconclusive"))
+
+
+def test_mesh_keeps_the_ring_symmetries_to_the_bit(capsys, tmp_path):
+    # The revolve angles' cos and sin keep the 128-gon's symmetries: in every
+    # ring of vertices and of normals, the vertex at phi = pi/2 has x = 0.0,
+    # and vertices j and 128 - j print the same x and z and opposite y.
+    n = 128
+    code, _ = run_json(capsys, [*MESH, "--n-revolve", str(n), "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    lines = (tmp_path / "surface.obj").read_text().splitlines()
+    for kind in ("v ", "vn "):
+        rings = np.array([line.split()[1:] for line in lines if line.startswith(kind)],
+                         dtype=float).reshape(-1, n, 3)
+        assert len(rings) and np.all(rings[:, n // 4, 0] == 0.0)
+        assert np.array_equal(rings[:, -np.arange(n) % n] * [1.0, -1.0, 1.0], rings)
+
+
+@pytest.mark.parametrize("n_profile", [400, 801])
+def test_mesh_face_references_past_five_digits(capsys, tmp_path, n_profile):
+    # The face lines are gathered from a table of "k//k" references.  At 400 x
+    # 128 the mesh has 51,200 vertices, and at 801 x 128 102,528, so its
+    # references reach six digits.  Each line is the one a per-face loop prints.
+    n_rev = 128
+    code, _ = run_json(capsys, [*MESH, "--periods", "2", "--n-profile", str(n_profile),
+                                "--n-revolve", str(n_rev), "-o", str(tmp_path)])
+    assert code == EXIT_OK
+    lines = (tmp_path / "surface.obj").read_bytes().splitlines(keepends=True)
+    assert (sum(line.startswith(b"v ") for line in lines)
+            == sum(line.startswith(b"vn ") for line in lines) == n_profile * n_rev)
+    loop = []
+    for i in range(n_profile - 1):
+        for j in range(n_rev):
+            a, b = i * n_rev + j + 1, (i + 1) * n_rev + j + 1
+            c, d = (i + 1) * n_rev + (j + 1) % n_rev + 1, i * n_rev + (j + 1) % n_rev + 1
+            loop.append(f"f {a}//{a} {c}//{c} {b}//{b}\n".encode())
+            loop.append(f"f {a}//{a} {d}//{d} {c}//{c}\n".encode())
+    assert [line for line in lines if line.startswith(b"f ")] == loop
