@@ -20,10 +20,10 @@ not, so the test suite checks it as an identity, and check does not.  A run
 takes --rel-tol and ends only at the axis, the blowup guard or its arclength:
 integrate's --max-arclength each way, (periods + 1/4) T each way for mesh, T
 from classify.orbit_period (it meshes [0, periods T]), and 3.25 T for check.
+Without a period, check and mesh run scaled_arclength each way, which grows
+with the surface; the Cylinder's mesh runs 4 x0.
 
-sweep classifies a grid of MIN_POOLED_CELLS or more cells in forked worker
-processes, one per CPU this process may run on, and a smaller one in this
-process; its files are the same byte for byte for any worker count.
+sweep classifies its cells in this process, in grid order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import traceback
@@ -73,6 +72,10 @@ EXIT_INCONCLUSIVE = 3
 _ANGLE_RE = re.compile(r"^\s*([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$")
 
 
+# The flag types raise ArgumentTypeError: argparse prints its message after
+# the flag's name, where it would replace a ValueError's with "invalid <type>
+# value".
+
 def parse_angle(text: str) -> float:
     """Angles as plain radians or symbolic multiples of pi: '3pi/2', 'pi', '-pi/4'."""
     m = _ANGLE_RE.match(text)
@@ -81,27 +84,32 @@ def parse_angle(text: str) -> float:
         k = float(num) if num not in ("", "+", "-") else float(num + "1")
         den = float(m.group(2)) if m.group(2) else 1.0
         if den == 0.0:
-            raise InvalidParameter(f"angle {text!r} divides by zero")
+            raise argparse.ArgumentTypeError(f"angle {text!r} divides by zero")
         return k * math.pi / den
     try:
         return float(text)
     except ValueError as exc:
-        raise InvalidParameter(f"cannot parse angle {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
+
+
+def parse_angles(text: str) -> list[float]:
+    """Comma-separated angles in parse_angle's forms; empty items are skipped."""
+    return [parse_angle(t) for t in text.split(",") if t.strip()]
 
 
 def parse_range(text: str) -> list[float]:
     """'lo:hi:n' inclusive grids, or a single value."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
-        raise InvalidParameter(f"range must be 'lo:hi:count', got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must be 'lo:hi:count', got {text!r}")
     try:
         if len(parts) == 1:
             return [float(parts[0])]
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise InvalidParameter(f"cannot parse range {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse range {text!r}") from exc
     if n < 1:
-        raise InvalidParameter(f"range count must be >= 1, got {n}")
+        raise argparse.ArgumentTypeError(f"range count must be >= 1, got {n}")
     if n == 1:
         return [lo]
     return list(np.linspace(lo, hi, n))
@@ -233,7 +241,7 @@ def cmd_mesh(args) -> tuple[dict, int]:
     report = classify_surface(params, ic, args.rel_tol)
     spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
     period = report.period or orbit_period(params, ic, args.rel_tol)  # an Unduloid report has none
-    window, span = None, IntegrationControls.max_arclength
+    window, span = None, scaled_arclength(params, ic)
     if period is not None:
         # a quarter period past the window, so that no step in it is cut short
         window, span = (0.0, args.periods * period), (args.periods + 0.25) * period
@@ -265,107 +273,52 @@ def error_document(exc: Exception) -> dict:
     return doc
 
 
-def _sweep_cell(a, b, x0, t0):
-    try:
-        report = classify_surface(Params(a, b), InitialConditions(x0, t0))
-        return output.report_to_dict(report), report.surface.tag.value
-    except Exception as exc:  # a defect on one cell must not abort the grid
-        doc = error_document(exc)
-        if not isinstance(exc, WlwError):
-            doc["traceback"] = traceback.format_exc()
-        return doc, "Inconclusive" if isinstance(exc, Inconclusive) else f"Error:{doc['error']}"
-
-
-# A grid with fewer cells than this is classified in the calling process.
-# On a 2-vCPU host, starting and stopping a 2-worker pool costs 20-40 ms,
-# against about 1 ms for the average cell, since most classes are read off
-# the level set.  Serial won on grids of 8 to 98 cells, 112 cells was about
-# even, and the pool won by 3-16 % at 126 cells and by 1.1-1.4x at 1,000.
-MIN_POOLED_CELLS = 120
-
-
-def _sweep_workers(n_cells: int) -> int:
-    """Worker processes for a grid of n_cells: one per CPU this process may
-    run on, at most one per cell, or 1 (classify in this process) when there
-    is one CPU, fork is not available, or the grid is too small to pay for
-    the pool."""
-    if n_cells < MIN_POOLED_CELLS or not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_cells)
-
-
-def _classify_grid(spec: SweepSpec) -> tuple[Path, Counter]:
-    """run_sweep, also returning how many cells got each summary label."""
+def run_sweep(spec: SweepSpec) -> Path:
+    """Classify every grid cell in this process, in grid order: a report per
+    cell and a summary CSV with a row per cell.  A cell that raises is
+    labelled Inconclusive or Error:<Type>, and its report is its error
+    document.  Returns the summary path."""
     spec.output_dir.mkdir(parents=True, exist_ok=True)
-    cells = list(spec.cells())
-    columns = list(zip(*(values for _, values in cells)))   # a, b, x0, theta0 lists
     rows = ["a,b,x0,theta0,class"]
-    labels: Counter = Counter()
-    workers = _sweep_workers(len(cells))
-    if workers > 1:
-        # fork, not spawn: a spawned worker imports numpy and wlw afresh,
-        # which takes longer than a whole 84-cell grid.  The executor forks
-        # all its workers before it starts its own thread.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        # One cell per task: cell costs on one grid range from 0.06 ms to
-        # 35 ms, and a larger chunk can leave a worker idle.
-        results = pool.map(_sweep_cell, *columns, chunksize=1)
-    else:
-        pool = None
-        results = map(_sweep_cell, *columns)
-    try:
-        for (idx, (a, b, x0, t0)), (doc, label) in zip(cells, results):
-            output.write_json(doc, spec.output_dir / "report_a{}_b{}_x{}_t{}.json".format(*idx))
-            rows.append(",".join([output.fnum(a), output.fnum(b), output.fnum(x0),
-                                  output.fnum(t0), label]))
-            labels[label] += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for idx, (a, b, x0, t0) in spec.cells():
+        try:
+            report = classify_surface(Params(a, b), InitialConditions(x0, t0))
+            doc, label = output.report_to_dict(report), report.surface.tag.value
+        except Exception as exc:  # a defect on one cell must not abort the grid
+            doc = error_document(exc)
+            if not isinstance(exc, WlwError):
+                doc["traceback"] = traceback.format_exc()
+            label = "Inconclusive" if isinstance(exc, Inconclusive) else f"Error:{doc['error']}"
+        output.write_json(doc, spec.output_dir / "report_a{}_b{}_x{}_t{}.json".format(*idx))
+        rows.append(",".join([output.fnum(a), output.fnum(b), output.fnum(x0),
+                              output.fnum(t0), label]))
     summary = spec.output_dir / "summary.csv"
     summary.write_text("\n".join(rows) + "\n", newline="\n")
-    return summary, labels
-
-
-def run_sweep(spec: SweepSpec) -> Path:
-    """Classify every grid cell; per-cell reports plus a summary CSV.
-
-    A grid of MIN_POOLED_CELLS or more is classified in a pool of forked
-    worker processes, one per CPU (see _sweep_workers).  This process writes
-    every file in grid order, so the files do not depend on the worker count
-    and the summary rows follow grid order.  A cell that raises is labelled
-    Inconclusive or Error:<Type>, and its report is its error document.
-    Returns the summary path."""
-    return _classify_grid(spec)[0]
+    return summary
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
-    spec = SweepSpec(
-        a_values=parse_range(args.a),
-        b_values=parse_range(args.b),
-        x0_values=parse_range(args.x0),
-        theta0_values=[parse_angle(t) for t in args.theta0_list.split(",") if t.strip()],
-        output_dir=args.out,
-    )
-    summary, labels = _classify_grid(spec)
+    summary = run_sweep(SweepSpec(args.a, args.b, args.x0, args.theta0_list, args.out))
+    labels = Counter(row.rsplit(",", 1)[1] for row in summary.read_text().splitlines()[1:])
     return {"cells": sum(labels.values()), "summary": str(summary),
             "labels": dict(sorted(labels.items()))}, EXIT_OK
+
+
+def scaled_arclength(params: Params, ic: InitialConditions) -> float:
+    """200 max(x0, |a/b|, 1) of arclength, the homothety size: rescale(lam)
+    maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class."""
+    scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
+    return 200.0 * scale
 
 
 def default_controls(params: Params, ic: InitialConditions,
                      rel_tol: float = REL_TOL) -> IntegrationControls:
     """check's run at rel_tol: 3.25 periods each way of a periodic orbit, within
-    200 max(x0, |a/b|, 1) of arclength, the homothety size: rescale(lam)
-    maps (a, b, x0) to (a, b/lam, lam*x0) and keeps the class."""
-    scale = max(ic.x0, abs(params.a / params.b) if params.b != 0.0 else 0.0, 1.0)
+    scaled_arclength."""
+    span = scaled_arclength(params, ic)
     period = orbit_period(params, ic, rel_tol)
-    span = 200.0 * scale if period is None else min(200.0 * scale, 3.25 * period)
+    if period is not None:
+        span = min(span, 3.25 * period)
     return IntegrationControls(rel_tol=rel_tol, max_arclength=span)
 
 
@@ -447,13 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "a quarter period more each way (default %(default)s)")
     p.set_defaults(func=cmd_mesh)
 
-    p = sub.add_parser("sweep", help="classify a parameter grid, in a worker process per CPU "
-                                      "from %d cells on and in this process below that; print "
-                                      "the cell count and a tally of labels" % MIN_POOLED_CELLS)
-    p.add_argument("-a", required=True, help="value or lo:hi:count")
-    p.add_argument("-b", required=True, help="value or lo:hi:count")
-    p.add_argument("--x0", required=True, help="value or lo:hi:count")
-    p.add_argument("--theta0-list", default="pi/2", help="comma-separated angles")
+    p = sub.add_parser("sweep", help="classify a parameter grid in grid order; print the cell "
+                                      "count and a tally of labels")
+    p.add_argument("-a", type=parse_range, required=True, help="value or lo:hi:count")
+    p.add_argument("-b", type=parse_range, required=True, help="value or lo:hi:count")
+    p.add_argument("--x0", type=parse_range, required=True, help="value or lo:hi:count")
+    p.add_argument("--theta0-list", type=parse_angles, default="pi/2",
+                   help="comma-separated angles")
     p.add_argument("-o", "--out", type=Path, required=True)
     p.set_defaults(func=cmd_sweep, document=None)
 

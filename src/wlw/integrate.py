@@ -118,7 +118,7 @@ class Termination(str, enum.Enum):
     EQUILIBRIUM_DETECTED = "EquilibriumDetected"
     STEP_FAILURE = "StepFailure"
     # The radius blowup guard: the run reached x = X_BLOWUP.
-    EVENT_BUDGET = "EventBudget"
+    BLOWUP = "Blowup"
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class IntegrationControls:
     initial state, each direction up to max_arclength, x = AXIS_EPSILON or
     x = X_BLOWUP (or MAX_STEPS); no other event ends it.  A step's error
     weight is atol + max(|y|, |y_new|) rtol, rtol = max(rel_tol, MIN_REL_TOL)
-    and atol = rtol/100, the ratio every caller set when atol was a field.
+    and atol = rtol/100.
     """
 
     rel_tol: float = REL_TOL
@@ -347,7 +347,7 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     # re-crossing.  The step loop tests the same signs inline.
     event_functions = (
         (EventKind.AXIS_APPROACH, 0, lambda x: x - axis_epsilon, Termination.AXIS_REACHED),
-        (EventKind.BLOWUP, 0, lambda x: x - x_blowup, Termination.EVENT_BUDGET),
+        (EventKind.BLOWUP, 0, lambda x: x - x_blowup, Termination.BLOWUP),
         (EventKind.VERTICAL_TANGENT, 2, cos, None),
         (EventKind.FULL_TURN, 2, lambda th: sin(0.5 * (th - theta0)), None),
     )

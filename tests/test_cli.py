@@ -50,6 +50,30 @@ def test_periodic_class_reports_whatever_the_budget(capsys):
     assert doc["class"] == "Nodoid" and "termination" not in doc
 
 
+def test_integrate_writes_the_samples_and_events_it_counts(capsys, tmp_path, monkeypatch):
+    # A Nodoid over 40 of arclength each way: 1,167 samples and 43 events,
+    # 10 of them self-crossings, each listed once at its earlier arclength.
+    runs, integrate = [], cli.integrate
+
+    def spy(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+    monkeypatch.setattr(cli, "integrate", spy)
+    code, doc = run_json(capsys, ["integrate", "-a", "-2", "-b", "1", "--x0", "4", "--theta0",
+                                  "pi/2", "--max-arclength", "40", "-o", str(tmp_path)])
+    assert code == EXIT_OK and len(runs) == 1
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    events = json.loads((tmp_path / "events.json").read_text())["events"]
+    assert (doc["samples"], doc["events"]) == (len(rows) - 1, len(events))
+    assert [e["s"] for e in events] == sorted(e["s"] for e in events)
+    crossings = [e for e in events if e["kind"] == "SelfIntersection"]
+    assert crossings
+    for e in crossings:
+        assert e["s"] < e["s_partner"]
+        x, z, _ = runs[0].eval(e["s_partner"])
+        assert (x, z) == pytest.approx((e["state"]["x"], e["state"]["z"]), rel=0, abs=1e-9 * 4)
+
+
 def test_mesh_integrates_a_periodic_profile_once(capsys, tmp_path, monkeypatch):
     # Periodic and axis-to-axis classes are read off the level set, so the
     # mesh's own run is the only one.
@@ -84,9 +108,28 @@ def test_mesh_meshes_the_periods_of_an_unduloid(capsys, tmp_path):
     assert (rings[0], rings[-1]) == pytest.approx((0.5, 0.5), rel=1e-8)
 
 
+def vesicle_vertices(capsys, out, lam):
+    code, doc = run_json(capsys, ["mesh", "-a", "3", "-b", repr(1 / lam), "--x0", str(lam),
+                                  "--theta0", "0", "-o", str(out)])
+    assert code == EXIT_OK and doc["class"] == "Vesicle"
+    lines = (out / "surface.obj").read_text().splitlines()
+    return np.array([line.split()[1:] for line in lines if line.startswith("v ")], dtype=float)
+
+
+@pytest.mark.parametrize("lam", [1, 100, 1000])
+def test_mesh_runs_a_rescaled_vesicle_to_both_poles(capsys, tmp_path, lam):
+    # rescale(lam) maps (3, 1, 1) to (3, 1/lam, lam), the same Vesicle lam
+    # times larger.  A run of 200 each way stopped short of its poles, and
+    # mesh refused it; its run now grows with the surface.
+    v = vesicle_vertices(capsys, tmp_path / "scaled", lam)
+    assert len(v) == 4608
+    one = vesicle_vertices(capsys, tmp_path / "one", 1)
+    assert np.abs(v / lam - one).max() <= 1e-7 * np.abs(one).max()
+
+
 @pytest.mark.parametrize("flags,tag,ends", [
     # The a < 0 sphere: its run leaves the sphere and ends at the budget both
-    # ways, with z reaching +-128.
+    # ways, 600 = 200 x0, with z reaching +-381.
     (["-a", "-2", "-b", "1", "--x0", "3", "--theta0", "pi/2"], "Sphere",
      ("MaxArclength", "MaxArclength")),
     # A b = 0 Ovaloid whose outer turning radius lies beyond the budget.
@@ -174,25 +217,14 @@ def test_sweep_prints_a_label_tally(capsys, tmp_path):
     assert doc["labels"] == {"Error:InvalidParameter": 2, "Nodoid": 1, "Unduloid": 1}
 
 
-def test_sweep_pools_only_a_grid_that_pays_for_it():
-    assert cli._sweep_workers(cli.MIN_POOLED_CELLS - 1) == 1
-    assert cli._sweep_workers(cli.MIN_POOLED_CELLS) == min(len(os.sched_getaffinity(0)),
-                                                          cli.MIN_POOLED_CELLS)
-
-
-def test_sweep_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+def test_sweep_writes_a_report_and_a_row_per_cell(tmp_path):
     # Several classes and an a = 0 cell, which is Error:InvalidParameter.
-    grid = ([-2.0, 0.0, 3.0], [1.0], [0.5, 4.0], [math.pi / 2, 0.0])
-    files = []
-    for workers in (1, 2):
-        monkeypatch.setattr(cli, "_sweep_workers", lambda n_cells: workers)
-        out = tmp_path / f"workers{workers}"
-        cli.run_sweep(cli.SweepSpec(*grid, output_dir=out))
-        files.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert files[0] == files[1]
-    assert len(files[0]) == 13
-    rows = [row.split(",") for row in files[0]["summary.csv"].decode().splitlines()[1:]]
-    spec = cli.SweepSpec(*grid, output_dir=tmp_path)
+    spec = cli.SweepSpec([-2.0, 0.0, 3.0], [1.0], [0.5, 4.0], [math.pi / 2, 0.0],
+                         output_dir=tmp_path)
+    cli.run_sweep(spec)
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(files) == 13
+    rows = [row.split(",") for row in files["summary.csv"].decode().splitlines()[1:]]
     assert [tuple(float(v) for v in row[:4]) for row in rows] == [
         values for _, values in spec.cells()]
     labels = {row[4] for row in rows}
@@ -209,8 +241,6 @@ def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
         return classify_surface(params, ic)
 
     monkeypatch.setattr(cli, "classify_surface", fail_on_one_cell)
-    # Two workers, so that the cell raises inside a forked worker.
-    monkeypatch.setattr(cli, "_sweep_workers", lambda n_cells: 2)
     code, doc = run_json(capsys, ["sweep", "-a=-1:-2:2", "-b", "1", "--x0", "4:0.5:2",
                                   "--theta0-list", "pi/2", "-o", str(tmp_path)])
     assert code == EXIT_OK
@@ -221,7 +251,6 @@ def test_sweep_isolates_a_cell_that_raises(capsys, tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report_a1_b0_x0_t0.json").read_text())
     assert report["error"] == "RuntimeError"
     assert report["message"].startswith("defect on one cell in process ")
-    assert report["message"] != f"defect on one cell in process {os.getpid()}"
     assert f"RuntimeError: {report['message']}" in report["traceback"]
 
 
@@ -446,7 +475,7 @@ def test_one_parser_serves_many_calls(capsys, tmp_path, monkeypatch):
     assert (doc["n_profile"], doc["n_revolve"]) == (96, 48)
     assert [c.rel_tol for c in controls] == [1e-12, cli.REL_TOL]
     assert controls == [cli.default_controls(Params(3, 1), InitialConditions(1.0, 0.0), 1e-12),
-                        cli.IntegrationControls()]
+                        cli.IntegrationControls(max_arclength=600.0)]
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -508,6 +537,10 @@ def no_run(*args):
     raise AssertionError("the stepper ran")
 
 
+def invalid(message):
+    return {"error": "InvalidParameter", "message": message}
+
+
 # The CLI gates: an argv, its exit code and an assertion on the document it
 # prints.  Each row runs with the stepper patched to raise: classify and phase
 # read every orbit off the first integral's level set, and a refused input is
@@ -563,13 +596,28 @@ GATES = [
                   "--x0", "0.0064519337476683985", "--theta0", "pi/2"], EXIT_OK,
                  lambda doc: (doc["class"], doc["self_intersections"]) == ("Vesicle", 0),
                  id="extreme-level-sets-vesicle"),
-    # pi/0 raised a bare ZeroDivisionError.
+    # pi/0 raised a bare ZeroDivisionError.  A flag's error names the flag
+    # and keeps its reason: that of --theta0 read "invalid parse_angle value",
+    # and those of sweep named no flag.
     pytest.param(["classify", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "pi/0"],
-                 EXIT_INVALID, lambda doc: doc["error"] == "InvalidParameter"
-                 and "pi/0" in doc["message"], id="angle-over-zero-classify"),
+                 EXIT_INVALID, lambda doc: doc == invalid("argument --theta0: angle 'pi/0' "
+                                                          "divides by zero"),
+                 id="angle-over-zero-classify"),
+    pytest.param(["phase", "-a", "3", "-b", "1", "--separatrix", "--theta0", "pi/0"],
+                 EXIT_INVALID, lambda doc: doc == invalid("argument --theta0: angle 'pi/0' "
+                                                          "divides by zero"),
+                 id="angle-over-zero-phase"),
     pytest.param(["sweep", "-a", "3", "-b", "1", "--x0", "1", "--theta0-list", "pi/0"],
-                 EXIT_INVALID, lambda doc: doc["error"] == "InvalidParameter"
-                 and "pi/0" in doc["message"], id="angle-over-zero-sweep"),
+                 EXIT_INVALID, lambda doc: doc == invalid("argument --theta0-list: angle 'pi/0' "
+                                                          "divides by zero"),
+                 id="angle-over-zero-sweep"),
+    pytest.param(["classify", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "abc"],
+                 EXIT_INVALID, lambda doc: doc == invalid("argument --theta0: cannot parse "
+                                                          "angle 'abc'"),
+                 id="unparsable-angle-classify"),
+    pytest.param(["sweep", "-a", "abc", "-b", "1", "--x0", "1"],
+                 EXIT_INVALID, lambda doc: doc == invalid("argument -a: cannot parse range 'abc'"),
+                 id="unparsable-range-sweep"),
     # --periods 0 meshed one ring 96 times and exited 0; --periods -1 blamed
     # max_arclength, a flag mesh does not take.
     pytest.param([*MESH, "--periods", "0"], EXIT_INVALID,

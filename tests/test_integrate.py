@@ -490,7 +490,7 @@ class TestBudgets:
         # it passes the neck first
         traj = integrate(Params(-2, 0), InitialConditions(1e8, PI / 4),
                          IntegrationControls(max_arclength=1e10))
-        assert traj.termination == traj.termination_backward == Termination.EVENT_BUDGET
+        assert traj.termination == traj.termination_backward == Termination.BLOWUP
         assert [e.kind for e in traj.events if e.s > 0.0] == [EventKind.BLOWUP]
         assert [e.kind for e in traj.events if e.s < 0.0] == [EventKind.BLOWUP,
                                                                EventKind.VERTICAL_TANGENT]
