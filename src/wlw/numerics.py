@@ -5,13 +5,13 @@ Derivatives*, 1973, ch. 4) in the form of scipy.optimize.brentq: the same
 iteration step for step, the same stopping rule and the same argument checks,
 so it returns the same roots bit for bit.
 
-quad is global adaptive Gauss-Kronrod quadrature with QUADPACK's 21-point
-rule and error estimate (Piessens et al., *QUADPACK*, 1983, routines qk21 and
-qag): it bisects the interval with the largest error estimate until the
-estimates sum to within the tolerance.  cumulative_quad does the same on a
-range cut at several stops and returns the integral up to each.  An
-integrand returns a float, or a pair of floats for two integrals that
-share their nodes and one subdivision.
+cumulative_quad is global adaptive Gauss-Kronrod quadrature with QUADPACK's
+21-point rule and error estimate (Piessens et al., *QUADPACK*, 1983, routines
+qk21 and qag) on a range cut at several stops: it bisects the interval with
+the largest error estimate until the estimates sum to within the tolerance,
+and returns the integral up to each stop.  An integrand returns a float, or
+a pair of floats for two integrals that share their nodes and one
+subdivision.
 
 The rule runs in the interpreter, 21 nodes an interval, and is written out:
 the nodes and weights are names bound once, each h x_k is computed once for
@@ -203,12 +203,6 @@ def _kronrod(h: float, fc: float, l0, l1, l2, l3, l4, l5, l6, l7, l8, l9,
         floor = _ROUNDOFF * resabs
         err = err if err > floor else floor
     return resk * h, err
-
-
-def quad(f, a: float, b: float, epsabs: float = 0.0, epsrel: float = 1e-12,
-         limit: int = 200):
-    """The integral of f over [a, b], a and b finite; see cumulative_quad."""
-    return cumulative_quad(f, a, (b,), epsabs, epsrel, limit)[0]
 
 
 def cumulative_quad(f, a: float, stops, epsabs: float = 0.0, epsrel: float = 1e-12,

@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import os
@@ -9,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wlw.integrate
 from wlw import cli, levelset
 from wlw.cli import EXIT_FAILURE, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
 from wlw.model import InitialConditions, Params
@@ -631,7 +631,7 @@ GATES = [
 
 @pytest.mark.parametrize("argv,code,check", GATES)
 def test_cli_gate(capsys, tmp_path, monkeypatch, argv, code, check):
-    monkeypatch.setattr(importlib.import_module("wlw.integrate"), "_run_direction", no_run)
+    monkeypatch.setattr(wlw.integrate, "_run_direction", no_run)
     got, captured = run(capsys, [*argv, "-o", str(tmp_path)])
     assert (got, captured.err) == (code, "")
     assert check(json.loads(captured.out))

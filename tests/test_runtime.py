@@ -1,5 +1,6 @@
-"""The package runs on numpy alone: no command imports scipy.  And the
-modules that work on levels, states and floats import no run."""
+"""The package runs on numpy alone: no command imports scipy.  The modules
+that work on levels, states and floats import no run, and the package binds
+each module by its own name."""
 
 import ast
 import subprocess
@@ -67,3 +68,16 @@ def test_run_free_modules_import_no_integrate():
     for module in ("classify.py", "levelset.py", "phaseplane.py", "variational.py", "numerics.py"):
         assert not _imports(module) & {".integrate", "wlw.integrate"}, module
     assert not {m for m in _imports("numerics.py") if m.split(".")[0] == "numpy"}
+
+
+def test_the_package_binds_its_modules():
+    # import wlw.integrate as m binds the package's attribute, which must be
+    # the module and not a function of its name.  And import wlw loads
+    # variational, which perfbench's tracer looks up in sys.modules though
+    # no workload imports it.
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import wlw; "
+              "assert 'wlw.variational' in sys.modules; "
+              "import wlw.integrate as m; assert m is sys.modules['wlw.integrate'], m")
+    proc = subprocess.run([sys.executable, "-c", script, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]

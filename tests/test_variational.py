@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wlw.errors import NearSingular, Unsupported
+from wlw import levelset
+from wlw.classify import classify_surface, orbit_period
+from wlw.cli import default_controls
+from wlw.errors import InvalidParameter, NearSingular, Unsupported
 from wlw.integrate import IntegrationControls, detect_period, integrate
 from wlw.model import InitialConditions, Params
 from wlw.variational import (
@@ -177,7 +180,7 @@ class TestEulerLagrangeIdentity:
     variational characterization is an identity in the state.  So it is
     tested here, over random states, and not by check on a run.  Draws of 50
     states with x log-uniform in [e^-3, e^3] and theta uniform; measured worst
-    residuals 2.4e-8 (power) and 2.4e-10 (exp) at numpy default_rng(0)."""
+    residuals 2.2e-8 (power) and 3.2e-11 (exp) at numpy default_rng(0)."""
 
     @staticmethod
     def _worst(params, rng, residual, n=50):
@@ -422,7 +425,9 @@ class TestClosureIntegral:
         assert abs(val) > 1e-8
 
     def test_random_positive_profiles_strictly_positive(self):
-        # property: no closed curve can exist for mu = 0 while theta' > 0
+        # property: no closed curve can exist for mu = 0 while theta' > 0.
+        # There the integrand theta' f' - f is (p - 1) theta'^p, so the
+        # integral has the sign of p - 1 and the period's rise is not 0.
         rng = np.random.default_rng(7)
         for _ in range(20):
             c0 = rng.uniform(0.5, 2.0)
@@ -438,4 +443,52 @@ class TestClosureIntegral:
                 return out
 
             val = closure_integral(tp, PowerEnergyParams(p=p, mu=0.0), period=2 * PI)
-            assert val > 1e-8
+            assert np.sign(val) == np.sign(p - 1.0) and abs(val) > 1e-8
+
+    @pytest.mark.parametrize("a,b,x0,theta0", [
+        pytest.param(-2.0, 1.0, 4.0, PI / 2, id="nodoid"),
+        pytest.param(-2.0, 1.0, 0.5, PI / 2, id="unduloid"),
+        pytest.param(3.0, 1.0, 6.0, 0.0, id="antinodoid"),
+        pytest.param(1.0, 1.0, 3.0, 0.0, id="antinodoid-exp-form"),
+        pytest.param(-2.0, -1.0, 4.0, 1.5 * PI, id="nodoid-b-negative"),
+    ])
+    def test_scale_times_closure_is_the_rise_of_a_period(self, a, b, x0, theta0):
+        # z' = d (theta' f' - f), so d times the closure integral over one
+        # period is the period's rise, read off the level set.  Measured
+        # 1.3e-13 to 1.4e-12 relative.
+        params, ic = Params(a, b), InitialConditions(x0, theta0)
+        report = classify_surface(params, ic)
+        if report.period is None:       # the Unduloid report has no period or shift
+            period = orbit_period(params, ic)
+            z_shift = levelset.winding(
+                levelset.level(params, levelset.Anchor(x0, math.sin(theta0)))).shift
+        else:
+            period, z_shift = report.period, report.z_shift
+        run = integrate(params, ic, default_controls(params, ic, 1e-12))
+        ep = exponent_map(params)
+        d = float(critical_scale(params, x0, theta0, ep))
+        assert d * closure_integral(run.theta_prime, ep, period) == pytest.approx(
+            z_shift, rel=1e-10, abs=0.0)
+
+
+def _circle_theta_prime(s):
+    """theta' of the radius-2 circle."""
+    return 0.5
+
+
+@pytest.mark.parametrize("call,want", [
+    pytest.param(lambda: functional_value(_circle_theta_prime, PowerEnergyParams(2.0, 0.0),
+                                          (1.5, 0.0)),
+                 InvalidParameter, id="energy-reversed-span"),
+    pytest.param(lambda: closure_integral(_circle_theta_prime, PowerEnergyParams(2.0, 0.0), -1.0),
+                 InvalidParameter, id="closure-negative-period"),
+    # (theta' nu - 1) exp(nu theta') over a period of 1
+    pytest.param(lambda: closure_integral(_circle_theta_prime, ExpEnergyParams(1.0), 1.0),
+                 -0.5 * math.exp(0.5), id="closure-exp-form"),
+])
+def test_integrals_refuse_reversed_spans_and_take_the_exp_form(call, want):
+    if isinstance(want, float):
+        assert call() == pytest.approx(want, rel=1e-12)
+    else:
+        with pytest.raises(want):
+            call()
