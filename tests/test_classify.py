@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 import random
@@ -14,6 +13,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import beta, ellipe, ellipeinc, ellipkinc, ellipkm1
 
+import wlw.integrate
 from wlw import classify, cli, levelset
 from wlw.classify import (
     SurfaceClass,
@@ -46,7 +46,6 @@ from wlw.model import (
 from wlw.phaseplane import MIN_RTOL, SingularityKind, critical_points, find_separatrix
 
 PI = math.pi
-INTEGRATE = importlib.import_module("wlw.integrate")
 
 # sin(theta) = -1 at this orbit's inner turning radius, about 1e-602, which
 # lies below the float range: classify cannot resolve its level set.
@@ -502,12 +501,12 @@ class TestReportMechanics:
 
 def spy_integrate(monkeypatch) -> list:
     """Record the controls of every run of the stepper, one per direction."""
-    runs, real = [], INTEGRATE._run_direction
+    runs, real = [], wlw.integrate._run_direction
 
     def spy(params, ic, controls, direction):
         runs.append(controls)
         return real(params, ic, controls, direction)
-    monkeypatch.setattr(INTEGRATE, "_run_direction", spy)
+    monkeypatch.setattr(wlw.integrate, "_run_direction", spy)
     return runs
 
 
@@ -731,7 +730,7 @@ class TestLevelSetOracles:
         # Inputs that are not read off the level set stop at their first run.
         def refuse(*args):
             raise NoRun
-        monkeypatch.setattr(INTEGRATE, "_run_direction", refuse)
+        monkeypatch.setattr(wlw.integrate, "_run_direction", refuse)
         rng = np.random.default_rng(7)
         n = 10_000
         a = rng.uniform(-4.0, 4.0, n)

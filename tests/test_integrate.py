@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import importlib
 import math
 import operator
 import random
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45, OdeSolution
 
+import wlw.integrate
 from conftest import ORBITS
 from wlw.classify import orbit_period
 from wlw.cli import default_controls
@@ -433,14 +433,13 @@ class TestEventScan:
         # On the plane theta stays exactly at theta0, so sin(0.5 (theta -
         # theta0)) is 0.0 on every step: a k = 0 re-crossing, never a sign
         # change.  Only the backward run's axis approach needs an interpolant.
-        module = importlib.import_module("wlw.integrate")
         calls = []
 
         def counting(*args):
             calls.append(args)
             return _interpolant(*args)
 
-        monkeypatch.setattr(module, "_interpolant", counting)
+        monkeypatch.setattr(wlw.integrate, "_interpolant", counting)
         params, ic = Params(2, 0), InitialConditions(1, 0)
         traj = integrate(params, ic, default_controls(params, ic))
         assert len(calls) == 1
@@ -463,7 +462,7 @@ class TestDeterminism:
 
 class TestBudgets:
     def test_max_steps(self, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("wlw.integrate"), "MAX_STEPS", 40)
+        monkeypatch.setattr(wlw.integrate, "MAX_STEPS", 40)
         traj = integrate(Params(-2, 1), InitialConditions(0.5, PI / 2))
         assert traj.termination == traj.termination_backward == Termination.MAX_STEPS
 

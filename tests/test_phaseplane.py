@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
+import wlw.integrate
 from wlw import cli, levelset
 from wlw.errors import (
     Inconclusive,
@@ -216,7 +216,7 @@ class TestSeparatrix:
         # the separatrix and the portrait both come off the first integral
         def no_run(*args):
             raise AssertionError("the stepper ran")
-        monkeypatch.setattr(importlib.import_module("wlw.integrate"), "_run_direction", no_run)
+        monkeypatch.setattr(wlw.integrate, "_run_direction", no_run)
         find_separatrix(Params(3, 1), 0.0, (4.0, 7.0))
         phase_portrait(Params(3, 1), PortraitSpec(x_max=7.5))
         code = cli.main(["phase", "-a", "3", "-b", "1", "--separatrix", "-o", str(tmp_path)])
