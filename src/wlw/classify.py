@@ -68,7 +68,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import levelset
-from .errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
+from .errors import Inconclusive, InvalidParameter, QuadratureFailure
 from .model import REL_TOL, InitialConditions, Params, canonicalize, is_equilibrium
 
 # Half-width of the pinched-spheroid band: the pole heights are declared
@@ -107,9 +107,6 @@ class SurfaceClass:
         if self.radius is not None and not (self.radius > 0.0):
             raise InvalidParameter(f"radius must be > 0, got {self.radius}")
 
-    def __str__(self):
-        return self.tag.value if self.radius is None else f"{self.tag.value}({self.radius:g})"
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -142,34 +139,6 @@ def special_solutions(params: Params) -> list[SurfaceClass]:
         out.append(SurfaceClass(SurfaceTag.SPHERE, radius=abs(1.0 - params.a) / abs(params.b)))
     out.append(SurfaceClass(SurfaceTag.CYLINDER, radius=abs(params.a / params.b)))
     return out
-
-
-def catenoid_asymptote(params: Params, ic: InitialConditions) -> Optional[float]:
-    """Height asymptote z1 of the b = 0, a < -1 catenoid-type profile through (x0, theta0).
-
-    Its first integral sin(theta) = sin(theta0) (x/x0)^a gives the neck
-    x_min = x0 |sin(theta0)|^(-1/a), where the tangent is vertical, and
-    |sin(theta)| = (x/x_min)^a.  z as a graph over the radius then
-    satisfies z'(x) = x_min^(q/2)/sqrt(x^q - x_min^q) with q = -2a, and z1
-    is its integral over [x_min, inf).  With t = (x_min/x)^q that is the
-    Beta integral z1 = x_min B(1/2 - 1/q, 1/2)/q.  For -1 <= a < 0 the
-    integral diverges and None is returned (the graph covers the whole axis).
-    Raises InvalidParameter for b != 0 or sin(theta0) = 0 (a line).
-    """
-    a = params.a
-    s0 = math.sin(ic.theta0)
-    if params.b != 0.0:
-        raise InvalidParameter(f"the catenoid asymptote requires b = 0, got b={params.b}")
-    if s0 == 0.0:
-        raise InvalidParameter("sin(theta0) = 0: the profile is a line")
-    if a >= 0.0:
-        raise WrongSignRegime(f"asymptote applies to a < 0, got a={a}")
-    if -1.0 <= a < 0.0:
-        return None
-    x_min = ic.x0 * abs(s0) ** (-1.0 / a)
-    # (a + 1)/(2a) is 1/2 - 1/q, written so that it keeps its digits near a = -1
-    return (x_min * math.sqrt(math.pi) * math.gamma((a + 1.0) / (2.0 * a))
-            / (-2.0 * a * math.gamma((2.0 * a + 1.0) / (2.0 * a))))
 
 
 def _unresolved(reason: str, level: Optional[levelset.Level] = None,
@@ -402,9 +371,8 @@ def _pure_linear_report(params: Params, ic: InitialConditions) -> Classification
     x_hi = x0 |s0|^(-1/a) and back, with its poles from levelset.axis_rises;
     for a < 0 a catenoid whose two branches leave the neck
     x0 |s0|^(-1/a) for infinity, CatenoidEntire for a >= -1 and
-    CatenoidBounded below (see catenoid_asymptote).  Where x_hi lies
-    beyond the float range the Ovaloid has no pole_z.  Raises Inconclusive
-    when its quadrature fails.
+    CatenoidBounded below.  Where x_hi lies beyond the float range the
+    Ovaloid has no pole_z.  Raises Inconclusive when its quadrature fails.
     """
     a = params.a
     s0 = math.sin(ic.theta0)

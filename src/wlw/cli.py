@@ -236,10 +236,10 @@ def cmd_phase(args) -> tuple[dict, int]:
 def cmd_mesh(args) -> tuple[dict, int]:
     if args.periods < 1:
         raise InvalidParameter(f"--periods must be >= 1, got {args.periods}")
+    spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
     params = Params(args.a, args.b)
     ic = InitialConditions(args.x0, args.theta0)
     report = classify_surface(params, ic, args.rel_tol)
-    spec = output.MeshSpec(n_profile=args.n_profile, n_revolve=args.n_revolve)
     period = report.period or orbit_period(params, ic, args.rel_tol)  # an Unduloid report has none
     window, span = None, scaled_arclength(params, ic)
     if period is not None:

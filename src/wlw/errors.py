@@ -33,10 +33,6 @@ class NoBracket(WlwError):
     """A root-finding bracket holds no sign change."""
 
 
-class WrongSignRegime(WlwError):
-    """Operation applies only to the opposite sign of the parameter a."""
-
-
 class QuadratureFailure(WlwError):
     """Adaptive quadrature failed to meet its tolerance."""
 

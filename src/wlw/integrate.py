@@ -266,10 +266,6 @@ class Trajectory:
             return out[:, 0]
         return out
 
-    def theta_prime(self, s) -> np.ndarray:
-        x, _, theta = self.eval(s)
-        return self.params.a * np.sin(theta) / x + self.params.b
-
     def resample(self, n: int, window: Optional[tuple[float, float]] = None) -> np.ndarray:
         """Uniform-in-s resampling; returns array of shape (n, 4): s, x, z, theta."""
         lo, hi = window if window is not None else (self.s_min, self.s_max)

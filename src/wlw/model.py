@@ -36,12 +36,19 @@ REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Params:
-    """Curvature-relation coefficients: kappa1 = a*kappa2 + b, a != 0."""
+    """Curvature-relation coefficients: kappa1 = a*kappa2 + b, a != 0.
+
+    Each field is stored as a Python float, so that numpy scalars (a sweep's
+    linspace grid) compute as floats do: numpy warns on an overflow, and its
+    scalar arithmetic is slower.
+    """
 
     a: float
     b: float
 
     def __post_init__(self):
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise InvalidParameter(f"coefficients must be finite, got a={self.a}, b={self.b}")
         if self.a == 0.0:
@@ -64,38 +71,19 @@ class ProfileState:
 
 @dataclass(frozen=True)
 class InitialConditions:
-    """Starting radius and tangent angle; z(0) = 0 by convention."""
+    """Starting radius and tangent angle; z(0) = 0 by convention.  Each field
+    is stored as a Python float, as in Params."""
 
     x0: float
     theta0: float
 
     def __post_init__(self):
+        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "theta0", float(self.theta0))
         if not (self.x0 > 0.0):
             raise NonPositiveRadius(f"x0 must be > 0, got {self.x0}")
         if not math.isfinite(self.theta0):
             raise InvalidParameter(f"theta0 must be finite, got {self.theta0}")
-
-
-def rhs(params: Params, state: ProfileState) -> tuple[float, float, float]:
-    """Right-hand side (x', z', theta') of the profile ODE at one state."""
-    if state.x <= 0.0:
-        raise NonPositiveRadius(f"x must be > 0, got {state.x}")
-    return (
-        math.cos(state.theta),
-        math.sin(state.theta),
-        params.a * math.sin(state.theta) / state.x + params.b,
-    )
-
-
-def principal_curvatures(params: Params, state: ProfileState) -> tuple[float, float]:
-    """Return (kappa1, kappa2) = (a*kappa2 + b, sin(theta)/x).
-
-    The linear relation holds exactly because kappa1 is built from kappa2.
-    """
-    if state.x <= 0.0:
-        raise NonPositiveRadius(f"x must be > 0, got {state.x}")
-    kappa2 = math.sin(state.theta) / state.x
-    return params.a * kappa2 + params.b, kappa2
 
 
 def reflect_b(params: Params, ic: InitialConditions) -> tuple[Params, InitialConditions]:

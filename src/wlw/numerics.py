@@ -95,7 +95,12 @@ def brentq(f, a: float, b: float, xtol: float = _XTOL, rtol: float = MIN_RTOL,
                 # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                divisor = dblk * dpre * (fblk - fpre)   # 0 by underflow: scipy bisects
+                # As in scipy's C: a divisor that underflows to 0 gives an
+                # infinite step, which bisects.  One that overflows to inf
+                # gives a step of +-0.0 where the numerator is finite, so the
+                # iterate moves by delta, and NaN where the numerator
+                # overflows too, which bisects.
+                divisor = dblk * dpre * (fblk - fpre)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / divisor if divisor else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional, Sequence
 
 import numpy as np
@@ -133,11 +132,6 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "params": {"a": report.params.a, "b": report.params.b},
         "initial_conditions": {"x0": report.ic.x0, "theta0": report.ic.theta0},
     }
-
-
-def load_report_schema() -> dict:
-    with resources.files("wlw.schemas").joinpath("report.schema.json").open("r") as fh:
-        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------

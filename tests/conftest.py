@@ -5,8 +5,17 @@ import pytest
 from wlw.cli import default_controls
 from wlw.integrate import IntegrationControls, integrate
 from wlw.model import InitialConditions, Params
+from wlw.variational import theta_derivatives
 
 PI = math.pi
+
+
+def theta_prime(traj):
+    """theta'(s) along a run: the ODE's theta' at the states traj.eval(s)."""
+    def at(s):
+        x, _, theta = traj.eval(s)
+        return theta_derivatives(traj.params, x, theta)[0]
+    return at
 
 
 def _orbit(a, b, x0, theta0, max_arclength=None):

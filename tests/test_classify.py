@@ -14,16 +14,16 @@ from scipy.optimize import brentq
 from scipy.special import beta, ellipe, ellipeinc, ellipkinc, ellipkm1
 
 import wlw.integrate
+from conftest import theta_prime
 from wlw import classify, cli, levelset
 from wlw.classify import (
     SurfaceClass,
     SurfaceTag,
-    catenoid_asymptote,
     classify_surface,
     orbit_period,
     special_solutions,
 )
-from wlw.errors import Inconclusive, InvalidParameter, QuadratureFailure, WrongSignRegime
+from wlw.errors import Inconclusive, InvalidParameter, QuadratureFailure
 from wlw.integrate import (
     EventKind,
     IntegrationControls,
@@ -396,7 +396,7 @@ class TestPureLinear:
         s = np.linspace(traj.s_min + 0.05, traj.s_max - 0.05, 801)
         x, _, theta = traj.eval(s)
         cos_t = np.cos(theta)
-        tp = traj.theta_prime(s)
+        tp = theta_prime(traj)(s)
         branch = np.abs(cos_t) > 1e-3
         zxx = tp[branch] / cos_t[branch] ** 3
         signs = np.sign(cos_t[branch])
@@ -406,21 +406,22 @@ class TestPureLinear:
                 assert np.all(np.sign(vals) == np.sign(vals[0]))
 
 
+def catenoid_asymptote(params, ic):
+    """Height asymptote z1 of the b = 0, a < -1 catenoid through (x0, theta0).
+
+    Its first integral sin(theta) = sin(theta0) (x/x0)^a gives the neck
+    x_min = x0 |sin(theta0)|^(-1/a), where the tangent is vertical, and z as
+    a graph over the radius satisfies z'(x) = x_min^(q/2)/sqrt(x^q - x_min^q)
+    with q = -2a.  Its integral over [x_min, inf), with t = (x_min/x)^q, is
+    the Beta integral z1 = x_min B(1/2 - 1/q, 1/2)/q; 1/2 - 1/q is written
+    (a + 1)/(2a), which keeps its digits near a = -1.
+    """
+    a = params.a
+    x_min = ic.x0 * abs(math.sin(ic.theta0)) ** (-1.0 / a)
+    return x_min * beta((a + 1.0) / (2.0 * a), 0.5) / (-2.0 * a)
+
+
 class TestCatenoidAsymptote:
-    def test_entire_range_returns_none(self):
-        assert catenoid_asymptote(Params(-1.0, 0.0), InitialConditions(1.0, PI / 2)) is None
-        assert catenoid_asymptote(Params(-0.3, 0.0), InitialConditions(2.0, 0.7)) is None
-
-    def test_wrong_regime(self):
-        with pytest.raises(WrongSignRegime):
-            catenoid_asymptote(Params(2.0, 0.0), InitialConditions(1.0, PI / 2))
-
-    def test_requires_b_zero_and_a_curve(self):
-        with pytest.raises(InvalidParameter):
-            catenoid_asymptote(Params(-2.0, 1.0), InitialConditions(1.0, PI / 2))
-        with pytest.raises(InvalidParameter):
-            catenoid_asymptote(Params(-2.0, 0.0), InitialConditions(1.0, 0.0))
-
     def test_quadrature_agrees_with_ode(self):
         # follow the profile far out and compare the height limit
         z1 = catenoid_asymptote(Params(-2, 0), InitialConditions(1.0, PI / 2))
@@ -432,25 +433,18 @@ class TestCatenoidAsymptote:
         assert z_far == pytest.approx(z1, abs=2e-4)
 
     def test_homothety_scaling(self):
-        # under x -> lam x the neck and the asymptote scale by lam; a state
+        # under rescale(lam) the run and the asymptote scale by lam; a state
         # off the neck gives the same neck x0 |sin(theta0)|^(-1/a)
-        a, lam = -2.0, 2.0
-        z1 = catenoid_asymptote(Params(a, 0.0), InitialConditions(1.0, PI / 2))
-        z1_scaled = catenoid_asymptote(Params(a, 0.0), InitialConditions(lam, PI / 2))
-        assert z1_scaled == pytest.approx(lam * z1, rel=1e-9)
+        base = Params(-2.0, 0.0), InitialConditions(1.0, PI / 2)
+        lam = 0.5
+        params, ic = rescale(lam, *base)
+        z1 = catenoid_asymptote(params, ic)
+        assert z1 == pytest.approx(lam * catenoid_asymptote(*base), rel=1e-12)
+        traj = integrate(params, ic, IntegrationControls(max_arclength=lam * 2e4))
+        assert traj.z[-1] == pytest.approx(z1, abs=lam * 2e-4)
         neck = InitialConditions(2.0 ** 0.25, PI / 4)   # x_min = x0 sin(theta0)^(1/2) = 1
-        assert catenoid_asymptote(Params(a, 0.0), neck) == pytest.approx(z1, rel=1e-9)
-
-    @pytest.mark.parametrize("a", [-1.0001, -1.5, -2.0, -7.3, -1000.0, -1e6])
-    def test_beta_closed_form(self, a):
-        # z1 = x_min B(1/2 - 1/q, 1/2)/q, q = -2a, with scipy's Beta at the
-        # argument (a + 1)/(2a): 1/2 - 1/q in floats loses four digits at
-        # a = -1.0001.
-        x0, theta0 = 1.7, 0.9
-        x_min = x0 * math.sin(theta0) ** (-1.0 / a)
-        want = x_min * beta((a + 1.0) / (2.0 * a), 0.5) / (-2.0 * a)
-        got = catenoid_asymptote(Params(a, 0.0), InitialConditions(x0, theta0))
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert catenoid_asymptote(base[0], neck) == pytest.approx(catenoid_asymptote(*base),
+                                                                  rel=1e-9)
 
 
 class TestReportMechanics:
@@ -461,6 +455,20 @@ class TestReportMechanics:
         assert mirrored.surface.tag == direct.surface.tag
         assert mirrored.z_shift == pytest.approx(-direct.z_shift, rel=1e-8)
         assert mirrored.period == pytest.approx(direct.period, rel=1e-10)
+
+    def test_numpy_scalar_inputs_classify_as_floats_do(self):
+        # A small-|a| draw whose brentq divisor overflows: numpy scalars warned
+        # "overflow encountered in scalar multiply", and Python floats overflow
+        # silently.  Params and InitialConditions store floats.
+        values = (-5.568290929308009e-4, -5.702625945095267, 0.1458626188448043,
+                  3.2216356881275434)
+        want = classify_surface(Params(*values[:2]), InitialConditions(*values[2:]))
+        assert want.surface.tag == SurfaceTag.NODOID
+        scalars = [np.float64(v) for v in values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = classify_surface(Params(*scalars[:2]), InitialConditions(*scalars[2:]))
+        assert got == want
 
     def test_inconclusive_on_tiny_budget(self):
         # This orbit's inner turning radius is not a float, so it stays

@@ -626,6 +626,12 @@ GATES = [
     pytest.param([*MESH, "--periods", "-1"], EXIT_INVALID,
                  lambda doc: doc["error"] == "InvalidParameter" and "--periods" in doc["message"],
                  id="mesh-periods-negative"),
+    # A bad --n-profile was refused only after the classification, which on
+    # this input ends Inconclusive (exit 3).
+    pytest.param(["mesh", "-a=-5e-4", "-b", "1e-3", "--x0", "1", "--theta0", "5.7607",
+                  "--n-profile", "3"], EXIT_INVALID,
+                 lambda doc: doc == invalid("n_profile must be at least 16"),
+                 id="mesh-n-profile-before-classify"),
 ]
 
 

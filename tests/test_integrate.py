@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import RK45, OdeSolution
 
 import wlw.integrate
-from conftest import ORBITS
+from conftest import ORBITS, theta_prime
 from wlw.classify import orbit_period
 from wlw.cli import default_controls
 from wlw.errors import (
@@ -115,7 +115,7 @@ class TestAxisTermination:
                          IntegrationControls(max_arclength=20))
         assert traj.termination == Termination.AXIS_REACHED
         tail = np.linspace(0.8 * traj.s_max, 0.98 * traj.s_max, 8)
-        tp = np.abs(traj.theta_prime(tail))
+        tp = np.abs(theta_prime(traj)(tail))
         assert np.all(np.diff(tp) < 0)
 
 

@@ -5,24 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wlw.errors import InvalidParameter, NonPositiveRadius, NonPositiveScale
+from wlw.integrate import IntegrationControls, integrate
 from wlw.levelset import Anchor, f_H
 from wlw.model import (
     InitialConditions,
     Params,
-    ProfileState,
     canonicalize,
     is_equilibrium,
-    principal_curvatures,
     reflect_b,
     rescale,
-    rhs,
 )
+from wlw.output import write_trajectory_csv
 
 PI = math.pi
-
-
-def state(x, theta, s=0.0, z=0.0):
-    return ProfileState(s, x, z, theta)
 
 
 class TestParams:
@@ -36,6 +31,13 @@ class TestParams:
         with pytest.raises(InvalidParameter):
             Params(1.0, math.inf)
 
+    def test_fields_are_python_floats(self):
+        # a sweep over a range builds its cells from numpy scalars
+        params = Params(np.float64(-2.0), np.float64(1.0))
+        ic = InitialConditions(np.float64(4.0), np.float64(PI / 2))
+        assert [type(v) for v in (params.a, params.b, ic.x0, ic.theta0)] == [float] * 4
+        assert (params, ic) == (Params(-2, 1), InitialConditions(4, PI / 2))
+
     def test_x0_positive(self):
         with pytest.raises(NonPositiveRadius):
             InitialConditions(0.0, 0.0)
@@ -43,55 +45,51 @@ class TestParams:
             InitialConditions(-1.0, 0.0)
 
 
-class TestRhs:
-    def test_sin_zero_gives_b(self):
-        dx, dz, dth = rhs(Params(3, 1), state(1.0, 0.0))
-        assert (dx, dz) == (1.0, 0.0)
-        assert dth == pytest.approx(1.0, abs=1e-15)
+def written_kappas(a, b, x0, theta0, tmp_path):
+    """(s, kappa1, kappa2) columns of the trajectory CSV that the program
+    writes for a run of arclength 1 each way from (x0, theta0)."""
+    traj = integrate(Params(a, b), InitialConditions(x0, theta0),
+                     IntegrationControls(max_arclength=1.0))
+    path = tmp_path / f"{a}_{b}_{x0}_{theta0}.csv"
+    write_trajectory_csv(traj, path)
+    cols = np.loadtxt(path, delimiter=",", skiprows=1)
+    return cols[:, 0], cols[:, 4], cols[:, 5]
 
-    def test_vertical_line_equilibrium(self):
-        # x = -a/b with vertical tangent: theta' vanishes
-        dx, dz, dth = rhs(Params(-2, 1), state(2.0, PI / 2))
-        assert dx == pytest.approx(0.0, abs=1e-15)
-        assert dz == pytest.approx(1.0)
-        assert dth == 0.0
 
-    def test_umbilic_circle(self):
-        r = 2.5
-        dx, dz, dth = rhs(Params(1, 0), state(r, PI / 2))
-        assert dz == pytest.approx(1.0)
-        assert dth == pytest.approx(1.0 / r)
-
-    def test_nonpositive_radius(self):
-        with pytest.raises(NonPositiveRadius):
-            rhs(Params(1, 0), state(0.0, 0.0))
-        with pytest.raises(NonPositiveRadius):
-            rhs(Params(1, 0), state(-1.0, 0.0))
+def kappas_at_start(a, b, x0, theta0, tmp_path):
+    s, k1, k2 = written_kappas(a, b, x0, theta0, tmp_path)
+    (row,) = np.flatnonzero(s == 0.0)
+    return k1[row], k2[row]
 
 
 class TestPrincipalCurvatures:
-    def test_sphere_umbilic(self):
+    """The program's principal curvatures are the kappa columns that
+    output.write_trajectory_csv writes: kappa2 = sin(theta)/x and kappa1
+    built from it as a*kappa2 + b."""
+
+    def test_sphere_umbilic(self, tmp_path):
         r = 2.0
-        k1, k2 = principal_curvatures(Params(1, 0), state(r, PI / 2))
+        k1, k2 = kappas_at_start(1, 0, r, PI / 2, tmp_path)
         assert k1 == pytest.approx(1.0 / r)
         assert k2 == pytest.approx(1.0 / r)
 
-    def test_cylinder_point(self):
-        k1, k2 = principal_curvatures(Params(-2, 1), state(2.0, PI / 2))
+    def test_cylinder_point(self, tmp_path):
+        k1, k2 = kappas_at_start(-2, 1, 2.0, PI / 2, tmp_path)
         assert k1 == 0.0
         assert k2 == pytest.approx(0.5)
 
-    def test_flat_direction(self):
-        k1, k2 = principal_curvatures(Params(3, 1), state(5.0, PI))
+    def test_flat_direction(self, tmp_path):
+        k1, k2 = kappas_at_start(3, 1, 5.0, PI, tmp_path)
         assert k2 == pytest.approx(0.0, abs=1e-16)
         assert k1 == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("a,b", [(3, 1), (-2, 1), (0.5, -0.7), (1, 0)])
-    def test_linear_relation_is_exact(self, a, b):
-        # kappa1 is built from kappa2, so the relation holds bitwise
+    def test_linear_relation_is_exact(self, tmp_path, a, b):
+        # kappa1 is built from kappa2, so the relation holds bitwise on every
+        # row the CSV prints
         for x, th in [(0.3, 0.2), (2.0, 1.9), (5.0, 4.4), (0.01, -2.2)]:
-            k1, k2 = principal_curvatures(Params(a, b), state(x, th))
-            assert k1 - (a * k2 + b) == 0.0
+            _, k1, k2 = written_kappas(a, b, x, th, tmp_path)
+            np.testing.assert_array_equal(k1, a * k2 + b)
 
 
 class TestReflectB:

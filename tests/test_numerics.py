@@ -13,6 +13,7 @@ from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
 from scipy.spatial import cKDTree
 
+from conftest import theta_prime
 from wlw import levelset, numerics
 from wlw.classify import classify_surface
 from wlw.errors import QuadratureFailure
@@ -59,6 +60,17 @@ class TestBrentq:
             return 1e-160 * (x ** 3 - 0.3)
         want = sp_optimize.brentq(f, 0.0, 1.0)
         assert want == 0.6694329500819554
+        assert numerics.brentq(f, 0.0, 1.0) == want
+
+    @pytest.mark.parametrize("scale,want", [
+        (1e103, 0.6694329500821271),    # a finite numerator: the step is 0, then delta
+        (1e120, 0.6694329500819554),    # the numerator overflows too: NaN, so it bisects
+    ])
+    def test_an_overflowing_interpolation_steps_as_scipy_does(self, scale, want):
+        # The inverse-quadratic step's divisor overflows to inf on the way.
+        def f(x):
+            return scale * (x ** 3 - 0.3)
+        assert sp_optimize.brentq(f, 0.0, 1.0) == want
         assert numerics.brentq(f, 0.0, 1.0) == want
 
     def test_an_end_at_a_zero_is_returned(self):
@@ -240,20 +252,21 @@ class TestQuad:
     def test_variational_integrals_agree_with_scipy(self, nodoid_traj):
         ep = exponent_map(nodoid_traj.params)
         period = classify_surface(nodoid_traj.params, nodoid_traj.ic).period
+        tp_of = theta_prime(nodoid_traj)
 
         def closure(s):
-            tp = float(nodoid_traj.theta_prime(s))
+            tp = float(tp_of(s))
             return float(real_power(tp - ep.mu, ep.p - 1.0) * ((ep.p - 1.0) * tp + ep.mu))
 
         want = sp_integrate.quad(closure, 0.0, period, epsabs=1e-10, epsrel=1e-10, limit=400)[0]
-        assert closure_integral(nodoid_traj.theta_prime, ep, period) == pytest.approx(want, rel=1e-12)
+        assert closure_integral(tp_of, ep, period) == pytest.approx(want, rel=1e-12)
 
         def energy(s):
-            return float(real_power(nodoid_traj.theta_prime(s) - ep.mu, ep.p))
+            return float(real_power(tp_of(s) - ep.mu, ep.p))
 
         span = (-0.5 * period, period)
         want = sp_integrate.quad(energy, *span, epsabs=1e-10, epsrel=1e-10, limit=400)[0]
-        assert functional_value(nodoid_traj.theta_prime, ep, span) == pytest.approx(want, rel=1e-12)
+        assert functional_value(tp_of, ep, span) == pytest.approx(want, rel=1e-12)
 
     def test_cumulative_stops_share_one_subdivision(self):
         got = numerics.cumulative_quad(lambda x: (math.cos(x), math.sin(x)), 0.0, [PI, 1.0, PI / 2])

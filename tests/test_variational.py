@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import theta_prime
 from wlw import levelset
 from wlw.classify import classify_surface, orbit_period
 from wlw.cli import default_controls
@@ -83,10 +84,7 @@ class TestThetaDerivatives:
         x, _, theta = vesicle_traj.eval(s)
         tp, tpp, tppp = theta_derivatives(vesicle_traj.params, x, theta)
         h = 1e-5
-
-        def tp_at(sv):
-            return vesicle_traj.theta_prime(sv)
-
+        tp_at = theta_prime(vesicle_traj)
         fd2 = (tp_at(s + h) - tp_at(s - h)) / (2 * h)
         fd3 = (tp_at(s + h) - 2 * tp_at(s) + tp_at(s - h)) / h**2
         np.testing.assert_allclose(tpp, fd2, atol=1e-7)
@@ -222,19 +220,19 @@ class TestFunctionalValue:
         # b = 0 with horizontal tangent: the profile is a straight line
         line = integrate(Params(2, 0), InitialConditions(1.0, 0.0),
                          IntegrationControls(max_arclength=3))
-        val = functional_value(line.theta_prime, PowerEnergyParams(p=2.0, mu=0.0),
+        val = functional_value(theta_prime(line), PowerEnergyParams(p=2.0, mu=0.0),
                                (0.0, line.s_max))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_circle_arc_power(self, circle_traj):
         # radius-2 circle: theta' = 1/2, p=2, mu=0 over span L gives L/4
         span = (0.0, 1.5)
-        val = functional_value(circle_traj.theta_prime, PowerEnergyParams(p=2.0, mu=0.0), span)
+        val = functional_value(theta_prime(circle_traj), PowerEnergyParams(p=2.0, mu=0.0), span)
         assert val == pytest.approx(1.5 / 4.0, rel=1e-9)
 
     def test_unit_circle_arc_exp(self, circle_traj):
         span = (0.0, 1.5)
-        val = functional_value(circle_traj.theta_prime, ExpEnergyParams(nu=1.0), span)
+        val = functional_value(theta_prime(circle_traj), ExpEnergyParams(nu=1.0), span)
         assert val == pytest.approx(1.5 * math.exp(0.5), rel=1e-9)
 
 
@@ -421,7 +419,7 @@ class TestClosureIntegral:
     def test_nodoid_closure_is_nonzero(self, nodoid_traj):
         ep = exponent_map(Params(-2, 1))
         period, _ = detect_period(nodoid_traj)
-        val = closure_integral(nodoid_traj.theta_prime, ep, period)
+        val = closure_integral(theta_prime(nodoid_traj), ep, period)
         assert abs(val) > 1e-8
 
     def test_random_positive_profiles_strictly_positive(self):
@@ -467,7 +465,7 @@ class TestClosureIntegral:
         run = integrate(params, ic, default_controls(params, ic, 1e-12))
         ep = exponent_map(params)
         d = float(critical_scale(params, x0, theta0, ep))
-        assert d * closure_integral(run.theta_prime, ep, period) == pytest.approx(
+        assert d * closure_integral(theta_prime(run), ep, period) == pytest.approx(
             z_shift, rel=1e-10, abs=0.0)
 
 
