@@ -12,7 +12,9 @@ and classify and check their document, as report.json and check.json, only
 when -o is given.
 
 phase --separatrix takes its search bracket from the saddle's level, from
-a/b to its outer turning radius, so it needs no bracket from the user.
+a/b to its outer turning radius, so it needs no bracket from the user.  It
+needs a > 0 and b > 0, and is refused without them before the portrait is
+drawn.
 
 check tests one run: first_integral, horizontal_symmetry and periodicity.
 The Euler-Lagrange equation holds at every state (x, theta), on a run or
@@ -62,7 +64,13 @@ from .integrate import (
     integrate,
 )
 from .model import REL_TOL, InitialConditions, Params
-from .phaseplane import PortraitSpec, critical_points, find_separatrix, phase_portrait
+from .phaseplane import (
+    PortraitSpec,
+    critical_points,
+    find_separatrix,
+    phase_portrait,
+    require_saddle,
+)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -195,6 +203,8 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 def cmd_phase(args) -> tuple[dict, int]:
     params = Params(args.a, args.b)
+    if args.separatrix:
+        require_saddle(params)      # before the portrait, which may be Inconclusive
     # |a/b| is the interior rest point and the cylinder radius, and sets the
     # default box: refuse it where it rounds to 0 or inf, before it is used.
     ratio = abs(params.a / params.b) if params.b != 0.0 else None

@@ -10,17 +10,19 @@ row of ASCII per value.  Their lines are assembled as bytes, each field in a fix
 column: CSV rows and OBJ vertex and normal lines gather rows of that table,
 and OBJ face lines gather rows of a table of the "k//k" references
 (_ref_table); the padding is deleted when a block is written.  The SVG
-writers format each path, polyline and arrow through %-templates filled with
-Python floats, never numpy scalars, whose repr differs under numpy 2.  They
-map a path's or polyline's whole columns through _Frame.map: the map is
-elementwise, and numpy's x0 + sx * col rounds each element as the scalar
-expression does, so every coordinate is the one a per-point loop would
-print.  An OBJ ring revolves the profile at angles whose cos and sin come
-from an exactly symmetric table (_unit_circle): where 4 divides the angle
-count n, libm gives the first octant and every other entry is an exact
-image under the n-gon's symmetries, so mirror vertices print the same
-digits and a ring formats n/4 + 1 distinct magnitudes (8 | n) instead of
-about n.
+writers fill %-templates with Python floats, never numpy scalars, whose repr
+differs under numpy 2: a profile's path is one template, and the phase
+plot's arrows and its polylines are one template each, one element per
+line.  The coordinates are whole columns through _Frame.map, all of a
+plot's orbit points in one call, and the arrows' lengths and tips are
+elementwise in the per-arrow order of operations, off math.hypot per
+arrow: numpy's x0 + sx * col rounds each element as the scalar expression
+does, so every coordinate is the one a per-point loop would print.  An OBJ
+ring revolves the profile at angles whose cos and sin come from an exactly
+symmetric table (_unit_circle): where 4 divides the angle count n, libm
+gives the first octant and every other entry is an exact image under the
+n-gon's symmetries, so mirror vertices print the same digits and a ring
+formats n/4 + 1 distinct magnitudes (8 | n) instead of about n.
 """
 
 from __future__ import annotations
@@ -165,10 +167,13 @@ def _f(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _coords(pair: str, u: np.ndarray, v: np.ndarray) -> str:
-    """The points (u[i], v[i]) through one template: pair, two %.6f fields
-    and a one-character separator, repeated and its last separator cut."""
-    return (pair * len(u) % tuple(np.column_stack((u, v)).ravel().tolist()))[:-1]
+def _elements(templates: list[str], *columns: np.ndarray) -> list[str]:
+    """SVG elements of one kind as one body entry: the templates, joined by
+    newlines, filled with the columns' values row by row; none without
+    templates."""
+    if not templates:
+        return []
+    return ["\n".join(templates) % tuple(np.column_stack(columns).ravel().tolist())]
 
 
 class _Frame:
@@ -210,8 +215,8 @@ def write_profile_svg(traj: Trajectory, path) -> None:
     ax_bot = fr.map(0.0, zlim[0])
     body = [f'<line class="axis" x1="{_f(ax_top[0])}" y1="{_f(ax_top[1])}" '
             f'x2="{_f(ax_bot[0])}" y2="{_f(ax_bot[1])}"/>']
-    d = "M" + _coords("%.6f %.6fL", *fr.map(x, z))
-    body.append(f'<path class="profile" d="{d}"/>')
+    body += _elements(['<path class="profile" d="M' + "L".join(["%.6f %.6f"] * len(x)) + '"/>'],
+                      *fr.map(x, z))
     for e in traj.events:
         u, v = fr.map(e.state.x, e.state.z)
         body.append(f'<circle class="{e.kind.value}" cx="{_f(u)}" cy="{_f(v)}" r="3"/>')
@@ -237,18 +242,18 @@ def write_phase_svg(portrait: PhasePortrait, points: Sequence[CriticalPoint], pa
     mags = np.hypot(grid[:, 2], grid[:, 3])
     scale = 0.35 * (tlim[1] - tlim[0]) / max(len(set(grid[:, 0])), 1)
     vmax = float(mags.max()) or 1.0
-    body = []
-    arrow = '<line class="arrow" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>'
-    for th, xx, dth, dx in grid.tolist():
-        m = math.hypot(dth, dx)
-        if m == 0.0:
-            continue
-        L = scale * (0.2 + 0.8 * m / vmax)
-        body.append(arrow % (*fr.map(th, xx), *fr.map(
-            th + L * dth / m, xx + L * dx / m * (tlim[1] - tlim[0]) / (xlim[1] - xlim[0]))))
-    for orbit in portrait.orbits:
-        pts = _coords("%.6f,%.6f ", *fr.map(orbit[:, 0], orbit[:, 1]))
-        body.append(f'<polyline class="orbit" points="{pts}"/>')
+    # Arrow lengths and ends elementwise, in the per-arrow order of operations.
+    m = np.array(list(map(math.hypot, grid[:, 2].tolist(), grid[:, 3].tolist())))
+    th, xx, dth, dx = grid[m != 0.0].T
+    m = m[m != 0.0]
+    L = scale * (0.2 + 0.8 * m / vmax)
+    tip = fr.map(th + L * dth / m, xx + L * dx / m * (tlim[1] - tlim[0]) / (xlim[1] - xlim[0]))
+    body = _elements(['<line class="arrow" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>'] * len(m),
+                     *fr.map(th, xx), *tip)
+    orbits = portrait.orbits
+    pts = np.concatenate(orbits) if orbits else np.empty((0, 2))
+    body += _elements(['<polyline class="orbit" points="' + " ".join(["%.6f,%.6f"] * len(o))
+                       + '"/>' for o in orbits], *fr.map(pts[:, 0], pts[:, 1]))
     for cp in points:
         u, v = fr.map(cp.theta, cp.x)
         body.append(f'<circle class="{cp.kind.value}" cx="{_f(u)}" cy="{_f(v)}" r="5"/>')
@@ -271,16 +276,17 @@ def write_phase_svg(portrait: PhasePortrait, points: Sequence[CriticalPoint], pa
 
 @dataclass(frozen=True)
 class MeshSpec:
-    """Sampling density of the revolved triangle mesh."""
+    """Sampling density of the revolved triangle mesh, mesh's --n-profile and
+    --n-revolve; a refusal names the flag."""
 
     n_profile: int = 96
     n_revolve: int = 48
 
     def __post_init__(self):
         if self.n_profile < 16:
-            raise InvalidParameter("n_profile must be at least 16")
+            raise InvalidParameter("--n-profile must be at least 16")
         if self.n_revolve < 8:
-            raise InvalidParameter("n_revolve must be at least 8")
+            raise InvalidParameter("--n-revolve must be at least 8")
 
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:

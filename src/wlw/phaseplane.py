@@ -34,6 +34,8 @@ from .numerics import MIN_RTOL, brentq
 # portrait box, where the orbits end, in units of x_max.
 _ORBIT_SAMPLES = 129
 BOX_TOP = 1.05
+# cos(phi) at the radius samples x = c - r cos(phi) of every branch.
+_COS_PHI = np.cos(np.linspace(0.0, math.pi, _ORBIT_SAMPLES))
 # Vector-field samples of a portrait along theta and along x.
 N_THETA = 24
 N_X = 13
@@ -109,6 +111,13 @@ def critical_points(params: Params) -> list[CriticalPoint]:
     return pts
 
 
+def require_saddle(params: Params) -> None:
+    """Raises InvalidParameter unless a > 0 and b > 0, where the saddle
+    (3 pi/2, a/b) exists."""
+    if not (params.a > 0.0 and params.b > 0.0):
+        raise InvalidParameter("the separatrix requires a > 0 and b > 0")
+
+
 def find_separatrix(params: Params, theta0: float,
                     bracket: Optional[tuple[float, float]] = None,
                     rel_width: float = MIN_RTOL) -> float:
@@ -127,9 +136,8 @@ def find_separatrix(params: Params, theta0: float,
     NoBracket when the difference keeps its sign on the searched part of
     the bracket.
     """
+    require_saddle(params)
     a, b = params.a, params.b
-    if not (a > 0.0 and b > 0.0):
-        raise InvalidParameter("the separatrix requires a > 0 and b > 0")
     saddle, sin0 = levelset.Anchor(a / b, -1.0), math.sin(theta0)
     if bracket is None:
         x_hi = levelset.level(params, saddle).x_hi
@@ -148,37 +156,57 @@ def find_separatrix(params: Params, theta0: float,
     return brentq(g, lo, hi, xtol=rtol * lo, rtol=rtol)
 
 
-def level_orbit(params: Params, seed: tuple[float, float], spec: PortraitSpec) -> list:
-    """(theta, x) polylines of the orbit of V through seed = (theta, x > 0): the
-    branches arcsin f_H and pi - arcsin f_H, + 2 pi k, of its level on
-    [x_lo, x_hi] of levelset.level.  They meet at a turning radius;
-    where neither end is one (x_lo = 0, x_hi = inf), only the seed's, by the
-    sign of cos(theta), is its orbit.  x = c - r cos(phi) is dense at the
-    turning radii, where dtheta/dx = inf.  Each run of 2 or more samples in
-    the box [0, 2 pi] x (0, BOX_TOP x_max] is a polyline.  Raises
-    Inconclusive where floats cannot resolve the level.
+def level_orbit(params: Params, seeds, spec: PortraitSpec) -> list:
+    """(theta, x) polylines of the orbits of V through seeds = [(theta, x > 0), ..],
+    seed by seed: the branches arcsin f_H and pi - arcsin f_H, + 2 pi k, of
+    each seed's level on [x_lo, x_hi] of levelset.level.  They meet at a
+    turning radius; where neither end is one (x_lo = 0, x_hi = inf), only
+    the seed's, by the sign of cos(theta), is its orbit.  x = c - r cos(phi)
+    is dense at the turning radii, where dtheta/dx = inf, with cos(phi) from
+    one table.  Each run of 2 or more samples in the box
+    [0, 2 pi] x (0, BOX_TOP x_max] is a polyline.  Raises Inconclusive where
+    floats cannot resolve a level.
+
+    The f_H values, np.clip and np.arcsin are per seed.  The 2 or 4 shifted
+    branches of every seed are then rows of one NaN-padded array, in the
+    order seed, k, branch, and the runs are cut at the edges of its in-box
+    mask in one pass: the same floats as splitting each branch at the gaps
+    of its in-box indices.
     """
-    ic = InitialConditions(float(seed[1]), float(seed[0]))
-    anchor, x_top = levelset.Anchor(ic.x0, math.sin(ic.theta0)), BOX_TOP * spec.x_max
-    try:
-        _, _, x_lo, x_hi, _, _ = levelset.level(params, anchor)
-        c, r = 0.5 * (x_lo + min(x_hi, x_top)), 0.5 * (min(x_hi, x_top) - x_lo)
-        xs = c - r * np.cos(np.linspace(0.0, math.pi, _ORBIT_SAMPLES))
-        xs = xs[(xs > 0.0) & (xs <= x_top)]
-        arcsin = np.arcsin(np.clip([levelset.f_H(params, anchor, x) for x in xs.tolist()], -1, 1))
-    except ArithmeticError as e:
-        raise Inconclusive(f"floats cannot resolve the level through {(ic.theta0, ic.x0)}",
-                           diagnostics={"reason": str(e), "theta": ic.theta0, "x": ic.x0}) from e
-    branches = [arcsin, math.pi - arcsin]
-    if x_lo == 0.0 and x_hi == math.inf:
-        branches = [branches[math.cos(ic.theta0) < 0.0]]
-    lines = []
-    for k in (0, 1):    # the branches lie in [-pi/2, 3 pi/2]
-        for theta in (branch + k * math.tau for branch in branches):
-            inside = np.flatnonzero((theta >= 0.0) & (theta <= math.tau))
-            lines += [np.column_stack([theta[run], xs[run]]) for run in
-                      np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1) if run.size > 1]
-    return lines
+    x_top = BOX_TOP * spec.x_max
+    # arcsin f_H and x of seed i in row i, NaN-padded.
+    arcsin, xs = np.full((2, len(seeds), _ORBIT_SAMPLES), np.nan)
+    keep = []
+    for i, seed in enumerate(seeds):
+        ic = InitialConditions(float(seed[1]), float(seed[0]))
+        anchor = levelset.Anchor(ic.x0, math.sin(ic.theta0))
+        try:
+            _, _, x_lo, x_hi, _, _ = levelset.level(params, anchor)
+            c, r = 0.5 * (x_lo + min(x_hi, x_top)), 0.5 * (min(x_hi, x_top) - x_lo)
+            x = c - r * _COS_PHI
+            x = x[(x > 0.0) & (x <= x_top)]
+            f = np.clip([levelset.f_H(params, anchor, v) for v in x.tolist()], -1, 1)
+            arcsin[i, :len(x)], xs[i, :len(x)] = np.arcsin(f), x
+        except ArithmeticError as e:
+            raise Inconclusive(f"floats cannot resolve the level through {(ic.theta0, ic.x0)}",
+                               diagnostics={"reason": str(e), "theta": ic.theta0, "x": ic.x0}
+                               ) from e
+        both, flip = not (x_lo == 0.0 and x_hi == math.inf), math.cos(ic.theta0) < 0.0
+        keep.append((both or not flip, both or flip) * 2)
+    # theta in rows (seed, k, branch): branch 1 is pi - arcsin, and k adds
+    # k 2 pi, 0.0 at k = 0, which turns an arcsin of -0.0 into 0.0.  The
+    # branches lie in [-pi/2, 3 pi/2], so k = 0, 1 cover the box.
+    branches = np.stack((arcsin, math.pi - arcsin), axis=1)
+    theta = np.concatenate((branches + 0.0, branches + math.tau), axis=1)
+    rows = np.array(keep, dtype=bool).reshape(-1, 4)
+    points = np.stack((theta[rows], xs[np.nonzero(rows)[0]]), axis=-1)
+    # A run starts where the padded in-box mask rises and stops where it falls.
+    inside = np.zeros((len(points), _ORBIT_SAMPLES + 2), dtype=np.int8)
+    inside[:, 1:-1] = (points[:, :, 0] >= 0.0) & (points[:, :, 0] <= math.tau)
+    edges = np.diff(inside, axis=1)
+    (row, start), (_, stop) = np.nonzero(edges == 1), np.nonzero(edges == -1)
+    return [points[i, j:k] for i, j, k in zip(row.tolist(), start.tolist(), stop.tolist())
+            if k - j > 1]
 
 
 def phase_portrait(params: Params, spec: PortraitSpec) -> PhasePortrait:
@@ -191,5 +219,4 @@ def phase_portrait(params: Params, spec: PortraitSpec) -> PhasePortrait:
     grid = np.column_stack([TH.ravel(), XX.ravel(), dth.ravel(), dx.ravel()])
     seeds = [(t0, x) for t0 in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
              for x in np.linspace(spec.x_max / 6.0, spec.x_max * 5.0 / 6.0, 3)]
-    orbits = [line for seed in seeds for line in level_orbit(params, seed, spec)]
-    return PhasePortrait(grid=grid, orbits=orbits)
+    return PhasePortrait(grid=grid, orbits=level_orbit(params, seeds, spec))

@@ -543,8 +543,10 @@ def invalid(message):
 
 # The CLI gates: an argv, its exit code and an assertion on the document it
 # prints.  Each row runs with the stepper patched to raise: classify and phase
-# read every orbit off the first integral's level set, and a refused input is
-# refused before any run.  The ids name the gates.
+# read every orbit off the first integral's level set.  A refused input is
+# refused before any run, classification or portrait: its rows run with
+# classify_surface and phase_portrait patched to raise too.  The ids name
+# the gates.
 GATES = [
     # The centre's portrait: every orbit is drawn off the level through its
     # seed.
@@ -630,14 +632,30 @@ GATES = [
     # this input ends Inconclusive (exit 3).
     pytest.param(["mesh", "-a=-5e-4", "-b", "1e-3", "--x0", "1", "--theta0", "5.7607",
                   "--n-profile", "3"], EXIT_INVALID,
-                 lambda doc: doc == invalid("n_profile must be at least 16"),
+                 lambda doc: doc == invalid("--n-profile must be at least 16"),
                  id="mesh-n-profile-before-classify"),
+    pytest.param(["mesh", "-a=-5e-4", "-b", "1e-3", "--x0", "1", "--theta0", "5.7607",
+                  "--n-revolve", "4"], EXIT_INVALID,
+                 lambda doc: doc == invalid("--n-revolve must be at least 8"),
+                 id="mesh-n-revolve-before-classify"),
+    # phase --separatrix outside a > 0, b > 0 drew the whole portrait before
+    # its refusal, and where floats could not resolve a level of the
+    # portrait it exited 3 and never refused.
+    *[pytest.param(["phase", a, b, "--separatrix"], EXIT_INVALID,
+                   lambda doc: doc == invalid("the separatrix requires a > 0 and b > 0"),
+                   id=name)
+      for a, b, name in [("-a=-2", "-b=1", "phase-separatrix-before-portrait"),
+                         ("-a=-1e300", "-b=1", "phase-separatrix-before-unresolved-level-a"),
+                         ("-a=1e300", "-b=-1", "phase-separatrix-before-unresolved-level-b")]],
 ]
 
 
 @pytest.mark.parametrize("argv,code,check", GATES)
 def test_cli_gate(capsys, tmp_path, monkeypatch, argv, code, check):
     monkeypatch.setattr(wlw.integrate, "_run_direction", no_run)
+    if code == EXIT_INVALID:
+        monkeypatch.setattr(cli, "classify_surface", no_run)
+        monkeypatch.setattr(cli, "phase_portrait", no_run)
     got, captured = run(capsys, [*argv, "-o", str(tmp_path)])
     assert (got, captured.err) == (code, "")
     assert check(json.loads(captured.out))

@@ -280,6 +280,14 @@ class TestBlockWritersMatchLoops:
         (-2.0, 1.0, False),    # centre cycles
         (2.0, 0.0, False),     # b = 0: x_max 5, no rest point with x > 0
         (150.0, 2.0, True),    # |a| >= 100: coordinates far from the unit scale
+        (-7.5, 0.0, False),    # b = 0, a < 0: line seeds at theta = 0 and pi
+        (-1.0, 0.0, False),    # b = 0, a = -1
+        (1.0, 1.0, True),      # a = 1: the improper node, with its separatrix tick
+        (-1.0, 3.0, False),    # a = -1: the improper saddle
+        (2.0, -1.0, False),    # b < 0: the saddle at theta = pi/2
+        (-0.6, -0.25, False),  # b < 0: the centre at theta = 3 pi/2
+        (-366.9, 1.2, False),  # a <= -100
+        (183.9, -1.5, False),  # a >= 100, b < 0
     ])
     def test_phase_svg(self, a, b, separatrix, tmp_path):
         params = Params(a, b)

@@ -16,6 +16,8 @@ from wlw.errors import (
 from wlw.integrate import EventKind, IntegrationControls, integrate
 from wlw.model import InitialConditions, Params, rescale
 from wlw.phaseplane import (
+    _ORBIT_SAMPLES,
+    BOX_TOP,
     N_THETA,
     N_X,
     PortraitSpec,
@@ -321,7 +323,77 @@ def _seeds(x_max):
             for x in np.linspace(x_max / 6.0, x_max * 5.0 / 6.0, 3)]
 
 
+def _level_orbit_loop(params, seed, spec):
+    """Reference: the per-seed orbit loop that level_orbit's batched pass
+    must match bit for bit.  Each seed's radii come off their own linspace
+    and cos, and each branch is split at the gaps of its in-box indices."""
+    ic = InitialConditions(float(seed[1]), float(seed[0]))
+    anchor, x_top = levelset.Anchor(ic.x0, math.sin(ic.theta0)), BOX_TOP * spec.x_max
+    try:
+        _, _, x_lo, x_hi, _, _ = levelset.level(params, anchor)
+        c, r = 0.5 * (x_lo + min(x_hi, x_top)), 0.5 * (min(x_hi, x_top) - x_lo)
+        xs = c - r * np.cos(np.linspace(0.0, math.pi, _ORBIT_SAMPLES))
+        xs = xs[(xs > 0.0) & (xs <= x_top)]
+        arcsin = np.arcsin(np.clip([levelset.f_H(params, anchor, x) for x in xs.tolist()], -1, 1))
+    except ArithmeticError as e:
+        raise Inconclusive(f"floats cannot resolve the level through {(ic.theta0, ic.x0)}",
+                           diagnostics={"reason": str(e), "theta": ic.theta0, "x": ic.x0}) from e
+    branches = [arcsin, math.pi - arcsin]
+    if x_lo == 0.0 and x_hi == math.inf:
+        branches = [branches[math.cos(ic.theta0) < 0.0]]
+    lines = []
+    for k in (0, 1):
+        for theta in (branch + k * math.tau for branch in branches):
+            inside = np.flatnonzero((theta >= 0.0) & (theta <= math.tau))
+            lines += [np.column_stack([theta[run], xs[run]]) for run in
+                      np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1) if run.size > 1]
+    return lines
+
+
+def portrait_draws(count=20, seed=47):
+    """(a, b) draws for the portrait's same-bits tests, five kinds in turn:
+    b = 0, whose seeds at theta = 0 and pi are line seeds (x_lo = 0, x_hi =
+    inf); b < 0; a = +-1; |a| >= 100; and a, b of either sign."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(count):
+        a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.5))
+        b = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0))
+        a, b = [(a, 0.0), (a, -abs(b)), (float(np.sign(a)), b),
+                (math.copysign(10.0 ** rng.uniform(2.0, 3.0), a), b), (a, b)][i % 5]
+        draws.append((a, b))
+    return draws
+
+
+def _x_max(a, b):
+    return 2.5 * abs(a / b) if b != 0.0 else 5.0
+
+
 class TestPortrait:
+    @pytest.mark.parametrize("a, b", [*portrait_draws(), (4.546781731061147, 0.0), (150.0, 0.0)])
+    def test_orbits_are_the_per_seed_loops(self, a, b):
+        # The batched pass gives the reference's polylines, in its order,
+        # bit for bit: the same shapes and the same bytes.  On (4.5468, 0)'s
+        # levels through (pi/2, x), arcsin f_H at the axis end is 4e-18, and
+        # + 2 pi rounds to 2 pi: a run of one sample, not drawn.  On (150, 0)'s
+        # levels through (3 pi/2, x), (x/x_r)^a underflows near the axis and
+        # f_H is -0.0, which the k = 0 branch draws as theta = 0.0.
+        params, spec = Params(a, b), PortraitSpec(x_max=_x_max(a, b))
+        want = [line for seed in _seeds(spec.x_max)
+                for line in _level_orbit_loop(params, seed, spec)]
+        got = phase_portrait(params, spec).orbits
+        assert [o.shape for o in got] == [o.shape for o in want]
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(got, want))
+
+    def test_the_draws_hold_line_seeds(self):
+        # At b = 0 the seeds (0, x) and (pi, x) lie on levels with both ends
+        # at the axis and at infinity, where only the seed's branch is drawn.
+        for a, b in portrait_draws()[::5]:
+            assert b == 0.0
+            end = levelset.level(Params(a, b), levelset.Anchor(1.0, 0.0))
+            assert (end.x_lo, end.x_hi) == (0.0, math.inf)
+
+
     def test_grid_in_box_and_boundary_tangency(self):
         portrait = phase_portrait(Params(2, 1), PortraitSpec(x_max=4.0))
         grid = portrait.grid
@@ -370,7 +442,7 @@ class TestPortrait:
         # compared mod 2 pi, and inside the box.
         params, spec = Params(a, 1), PortraitSpec(x_max=5.0)
         portrait = phase_portrait(params, spec)
-        per_seed = [level_orbit(params, seed, spec) for seed in _seeds(spec.x_max)]
+        per_seed = [level_orbit(params, [seed], spec) for seed in _seeds(spec.x_max)]
         drawn = [line for lines in per_seed for line in lines]
         assert len(portrait.orbits) == len(drawn)
         assert all(np.array_equal(p, q) for p, q in zip(portrait.orbits, drawn))
@@ -398,7 +470,7 @@ class TestPortrait:
         params, seed, spec = Params(-2, 1), (0.5 * PI, 2.5), PortraitSpec(x_max=5.0)
         _, _, x_lo, x_hi, _, _ = levelset.level(params, levelset.Anchor(2.5, 1.0))
         assert 0.0 < x_lo < 2.0 < x_hi == 2.5
-        lines = level_orbit(params, seed, spec)
+        lines = level_orbit(params, [seed], spec)
         assert len(lines) == 2
         for line in lines:
             assert line[0, 1] == pytest.approx(x_lo, rel=1e-12)
@@ -416,7 +488,7 @@ class TestPortrait:
         # and pi are the rays x' = x and x' = -x of V, two orbits, and only
         # the seed's is drawn, at theta = 0 and 2 pi.
         spec = PortraitSpec(x_max=5.0)
-        lines = level_orbit(Params(a, 0), (0.0, 1.0), spec)
+        lines = level_orbit(Params(a, 0), [(0.0, 1.0)], spec)
         assert sorted(np.unique(line[:, 0]).tolist() for line in lines) == [[0.0], [2.0 * PI]]
         for line in lines:
             assert 0.0 < line[0, 1] < 1e-3 and line[-1, 1] == pytest.approx(1.05 * spec.x_max)
@@ -426,7 +498,7 @@ class TestPortrait:
             raise FloatingPointError("no turning radius resolved")
         monkeypatch.setattr(levelset, "level", unresolved)
         with pytest.raises(Inconclusive) as info:
-            level_orbit(Params(2, 1), (0.0, 1.0), PortraitSpec(x_max=5.0))
+            level_orbit(Params(2, 1), [(0.0, 1.0)], PortraitSpec(x_max=5.0))
         assert info.value.diagnostics == {
             "reason": "no turning radius resolved", "theta": 0.0, "x": 1.0}
         code = cli.main(["phase", "-a", "2", "-b", "1", "-o", str(tmp_path)])
@@ -434,7 +506,7 @@ class TestPortrait:
 
     def test_seed_on_the_axis_is_rejected(self):
         with pytest.raises(NonPositiveRadius):
-            level_orbit(Params(2, 1), (0.5 * PI, 0.0), PortraitSpec(x_max=5.0))
+            level_orbit(Params(2, 1), [(0.5 * PI, 0.0)], PortraitSpec(x_max=5.0))
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParameter):

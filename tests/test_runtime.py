@@ -34,6 +34,8 @@ commands = [
     ["mesh", "-a", "-2", "-b", "1", "--x0", "4", "--theta0", "pi/2", "-o", out + "/mesh"],
     ["check", "-a", "3", "-b", "1", "--x0", "1", "--theta0", "0", "-o", out + "/check"],
     ["phase", "-a", "3", "-b", "1", "--separatrix", "-o", out + "/phase"],
+    ["phase", "-a=-2", "-b", "1", "-o", out + "/phase-centre"],
+    ["phase", "-a", "2", "-b", "0", "-o", out + "/phase-lines"],
 ]
 for cmd in commands:
     code = wlw.cli.main(cmd)
