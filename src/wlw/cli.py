@@ -100,6 +100,17 @@ def parse_angle(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
 
 
+def parse_finite(text: str) -> float:
+    """A float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def parse_angles(text: str) -> list[float]:
     """Comma-separated angles in parse_angle's forms; empty items are skipped."""
     return [parse_angle(t) for t in text.split(",") if t.strip()]
@@ -165,7 +176,7 @@ def _add_common_flags(p: argparse.ArgumentParser, orbit: bool = True,
         p.add_argument("--x0", type=float, required=True, help="initial radius, > 0")
         p.add_argument("--theta0", type=parse_angle, default=0.0,
                        help="initial tangent angle in radians; accepts pi/2, 3pi/2, ...")
-        p.add_argument("--rel-tol", type=float, default=REL_TOL,
+        p.add_argument("--rel-tol", type=parse_finite, default=REL_TOL,
                        help="relative tolerance of a run's steps (atol is a hundredth of it), "
                             "and the accuracy asked of the first integral's level set: eps "
                             "times the terms f_H sums must stay within it (default %(default)g)")
@@ -258,6 +269,9 @@ def cmd_mesh(args) -> tuple[dict, int]:
     elif report.surface.tag is SurfaceTag.CYLINDER:
         span = 4.0 * ic.x0
     traj = integrate(params, ic, IntegrationControls(rel_tol=args.rel_tol, max_arclength=span))
+    if window is not None and traj.s_max < window[1]:
+        raise InvalidParameter(f"--periods {args.periods} needs s up to {window[1]!r}; the run "
+                               f"ends {traj.termination.value} at s = {traj.s_max!r}")
     ends = (traj.termination_backward, traj.termination)
     if report.pole_z is not None and ends != (Termination.AXIS_REACHED,) * 2:
         # a run that misses a pole would mesh an open piece of the closed class

@@ -18,8 +18,10 @@ norms, since the builtin sum compensates from Python 3.12 on.  The tableau
 and controller constants are bound to locals.  An accepted step makes no
 builtin call besides math's cos, sin, sqrt and nextafter: min, max and abs
 are conditionals that give the same floats.  It appends one record, its end
-s and state and its stages 1, 3-7, which integrate converts once; a run that
-an event cuts ends on the refined cut state.  The axis and blowup tests are
+s and state and its stages 1, 3-7, and notes the steps on which an event
+function changes sign.  integrate converts the records once and refines
+those events on the packed rows that Trajectory.eval reads; a run that an
+event cuts ends on the refined cut state.  The axis and blowup tests are
 comparisons, xn <= AXIS_EPSILON < x and x < X_BLOWUP <= xn: a difference of
 floats is 0.0 only when they are equal and otherwise has the sign of their
 order, so these decide as the event functions' signs do.  Any change to the
@@ -36,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
@@ -94,7 +97,6 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
-_P_ROWS = _P.tolist()
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -129,7 +131,7 @@ class IntegrationControls:
     initial state, each direction up to max_arclength, x = AXIS_EPSILON or
     x = X_BLOWUP (or MAX_STEPS); no other event ends it.  A step's error
     weight is atol + max(|y|, |y_new|) rtol, rtol = max(rel_tol, MIN_REL_TOL)
-    and atol = rtol/100.
+    and atol = rtol/100; rel_tol is finite.
     """
 
     rel_tol: float = REL_TOL
@@ -139,6 +141,8 @@ class IntegrationControls:
         for name in ("rel_tol", "max_arclength"):
             if not (getattr(self, name) > 0.0):
                 raise InvalidParameter(f"{name} must be > 0")
+        if self.rel_tol == math.inf:    # the first step's z weight would be NaN
+            raise InvalidParameter("rel_tol must be finite")
 
 
 @dataclass(frozen=True)
@@ -183,30 +187,11 @@ def _pack(s0: np.ndarray, s1: np.ndarray, y0: np.ndarray, K: np.ndarray) -> _Den
     return _Dense(np.minimum(s0, s1), s0, h, y0, h[:, None, None] * Q)
 
 
-def _interpolant(s0: float, s1: float, y0: tuple, K: tuple) -> tuple:
-    """x(s), z(s) and theta(s) on the step s0 -> s1 from its 18 flattened stages K.
-
-    Each component's coefficients are summed once, on floats in _pack's
-    order, and evaluated as Trajectory.eval does, so each function gives the
-    same bits as the step's packed row.  An event function reads one
-    component and evaluates only that one."""
-    h = s1 - s0
-
-    def component(j):
-        y, q0, q1, q2, q3 = y0[j], 0.0, 0.0, 0.0, 0.0
-        for r, (p0, p1, p2, p3) in enumerate(_P_ROWS):
-            k = K[3 * r + j]
-            q0 += k * p0
-            q1 += k * p1
-            q2 += k * p2
-            q3 += k * p3
-        c0, c1, c2, c3 = h * q0, h * q1, h * q2, h * q3
-
-        def at(s):
-            u = (s - s0) / h
-            return y + u * (c0 + u * (c1 + u * (c2 + u * c3)))
-        return at
-    return component(0), component(1), component(2)
+def _horner(s0, h, y0, c, s):
+    """The packed interpolant y0 + u (c0 + u (c1 + u (c2 + u c3))), u = (s - s0) / h,
+    of one step on floats, or of many on arrays whose first axis of c is p."""
+    u = (s - s0) / h
+    return y0 + u * (c[0] + u * (c[1] + u * (c[2] + u * c[3])))
 
 
 class Trajectory:
@@ -259,12 +244,9 @@ class Trajectory:
         s_clip = np.clip(s_arr, lo, hi)
         d = self._dense
         i = np.clip(np.searchsorted(d.lo, s_clip, side="right") - 1, 0, len(d.lo) - 1)
-        u = ((s_clip - d.s0[i]) / d.h[i])[:, None]
-        c = d.c[i]
-        out = (d.y0[i] + u * (c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3])))).T
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return out[:, 0]
-        return out
+        out = _horner(d.s0[i, None], d.h[i, None], d.y0[i], np.moveaxis(d.c[i], -1, 0),
+                      s_clip[:, None]).T
+        return out[:, 0] if np.ndim(s) == 0 else out
 
     def resample(self, n: int, window: Optional[tuple[float, float]] = None) -> np.ndarray:
         """Uniform-in-s resampling; returns array of shape (n, 4): s, x, z, theta."""
@@ -277,14 +259,12 @@ class Trajectory:
 @dataclass
 class _DirectionRun:
     # One row per accepted step, 22 floats: its end s, the state (x, z,
-    # theta) there and its stages 1, 3-7, flattened.
+    # theta) there and its stages 1, 3-7, flattened; an axis approach or a
+    # blowup ends the run on its step's row.
     steps: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+    # (step index, crossed) of each step whose sign tests fire, for _arrays.
+    crossings: list = field(default_factory=list)
     termination: Termination = Termination.MAX_ARCLENGTH
-    # Set when an event ends the run: [(s, x, z, theta)] of the refined cut
-    # state, the last sample in place of the cut step's end, or [] when the
-    # cut falls on the step's start.
-    cut: Optional[list] = None
 
 
 def _initial_step(a, b, y0, f0, direction, span, rtol, atol) -> float:
@@ -322,7 +302,6 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     min_clamp = 4.0 * axis_epsilon
     s_bound = direction * controls.max_arclength
     towards = direction * math.inf
-    tol = EVENT_REFINE_TOL
     A21 = _A21
     A31, A32 = _A31, _A32
     A41, A42, A43 = _A41, _A42, _A43
@@ -333,30 +312,14 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     error_exponent, sqrt3 = _ERROR_EXPONENT, _SQRT3
 
-    # The event function of each kind on the one state component it reads,
-    # 0 for x and 2 for theta, and how the run ends there, if it does.  The
-    # axis counts falling through zero, the blowup rising, the others either
-    # way.  A crossing's root is refined on that component of the step's
-    # interpolant.  Full turns with k = 0 are re-crossings, not events.  A
-    # strict sign change is the whole test: cos of a double is never 0.0,
-    # and sin(0.5 * (theta - theta0)) is 0.0 only at theta = theta0, a k = 0
-    # re-crossing.  The step loop tests the same signs inline.
-    event_functions = (
-        (EventKind.AXIS_APPROACH, 0, lambda x: x - axis_epsilon, Termination.AXIS_REACHED),
-        (EventKind.BLOWUP, 0, lambda x: x - x_blowup, Termination.BLOWUP),
-        (EventKind.VERTICAL_TANGENT, 2, cos, None),
-        (EventKind.FULL_TURN, 2, lambda th: sin(0.5 * (th - theta0)), None),
-    )
-
     run = _DirectionRun()
-    steps_append = run.steps.append
+    steps_append, crossings_append = run.steps.append, run.crossings.append
     t, x, z, th = 0.0, ic.x0, 0.0, theta0
     k1x, k1z = cos(th), sin(th)
     k1t = a * k1z / x + b
     h_abs = _initial_step(a, b, (x, z, th), (k1x, k1z, k1t), direction,
                           controls.max_arclength, rtol, atol)
     pt = 0.0   # the full-turn function at the step's start; the others read the state
-    seen_turns: set[int] = set()
     nsteps = 0
 
     # Each step below does the tableau's arithmetic and no more: every sum
@@ -475,39 +438,15 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
                 k5x, k5z, k5t, k6x, k6z, k6t, k7x, k7z, k7t)
         steps_append(step)
 
-        # --- event scan on this step, in s order ---------------------
+        # --- event scan on this step --------------------------------
         # The event functions' sign changes between the step's ends, with
         # k1x = cos(th) and k7x = cos(tn): an accepted step has xn > 0.
         ct = sin(0.5 * (tn - theta0))
         crossed = (xn <= axis_epsilon < x, x < x_blowup <= xn, k1x * k7x < 0.0, pt * ct < 0.0)
         if True in crossed:
-            at = _interpolant(t, t_new, (x, z, th), step[4:])
-            lo, hi = (t, t_new) if sign > 0.0 else (t_new, t)
-            candidates = sorted(
-                ((brentq(lambda s, g=g, y=at[j]: g(y(s)), lo, hi, xtol=tol), kind, end)
-                 for (kind, j, g, end), hit in zip(event_functions, crossed) if hit),
-                key=lambda c: direction * c[0])
-            cut_s = cut_term = None
-            for s_star, kind, end in candidates:
-                # Events that coincide with a cut to within the refinement
-                # tolerance are recorded whichever of them rounded first.
-                if cut_s is not None and abs(s_star - cut_s) > tol:
-                    break
-                st = ProfileState(s_star, *(y(s_star) for y in at))
-                if kind is EventKind.FULL_TURN:
-                    k = round((st.theta - theta0) / math.tau)
-                    if k == 0 or k in seen_turns:
-                        continue
-                    seen_turns.add(k)
-                run.events.append(EventRecord(kind, s_star, st))
-                if cut_s is None and end is not None:
-                    cut_s, cut_term = s_star, end
-            if cut_s is not None:
-                # The cut step's row stays, for its interpolant; the run
-                # ends on the refined cut state.
-                run.cut = ([(cut_s, *(y(cut_s) for y in at))]
-                           if (cut_s - t) * direction > 0.0 else [])
-                run.termination = cut_term
+            crossings_append((nsteps - 1, crossed))
+            if crossed[0] or crossed[1]:
+                run.termination = Termination.AXIS_REACHED if crossed[0] else Termination.BLOWUP
                 return run
 
         pt = ct
@@ -518,17 +457,61 @@ def _run_direction(params: Params, ic: InitialConditions, controls: IntegrationC
             return run
 
 
-def _arrays(run: _DirectionRun, ic: InitialConditions) -> tuple[np.ndarray, _Dense]:
-    """The run's samples from its start on, rows of s, x, z and theta, and its
-    step interpolants, in step order.  np.fromiter with the count given takes
-    a third of the time np.array takes to find the shape of the rows."""
+def _arrays(run: _DirectionRun, ic: InitialConditions,
+            direction: int) -> tuple[np.ndarray, _Dense, list[EventRecord]]:
+    """The run's samples from its start on (rows of s, x, z, theta), its step
+    interpolants in step order, and its events.  np.fromiter with the count
+    given takes a third of the time np.array takes to find the rows' shape."""
     n = len(run.steps)
     rows = np.fromiter(chain.from_iterable(run.steps), float, 22 * n).reshape(n, 22)
     samples = np.vstack(((0.0, ic.x0, 0.0, ic.theta0), rows[:, :4]))
     dense = _pack(samples[:-1, 0], rows[:, 0], samples[:-1, 1:], rows[:, 4:].reshape(n, 6, 3))
-    if run.cut is not None:
-        samples = np.vstack([samples[:-1], *run.cut])
-    return samples, dense
+
+    # The event function of each kind, the state component it reads (x or
+    # theta), refined on that component of the step's packed row, and whether
+    # it ends the run.  The axis counts falling through zero, the blowup
+    # rising, the others either way, and the step loop tests these signs.  A
+    # strict sign change is the whole test: cos of a double is never 0.0, and
+    # sin(0.5 * (theta - theta0)) is 0.0 only at theta = theta0, a k = 0 full
+    # turn, which is a re-crossing and not an event.
+    theta0, tol = ic.theta0, EVENT_REFINE_TOL
+    event_functions = (
+        (EventKind.AXIS_APPROACH, 0, lambda x: x - AXIS_EPSILON, True),
+        (EventKind.BLOWUP, 0, lambda x: x - X_BLOWUP, True),
+        (EventKind.VERTICAL_TANGENT, 2, math.cos, False),
+        (EventKind.FULL_TURN, 2, lambda th: math.sin(0.5 * (th - theta0)), False),
+    )
+    events, seen_turns, cut_s = [], set(), None
+    for i, crossed in run.crossings:
+        t, t_new, h = float(dense.s0[i]), float(rows[i, 0]), float(dense.h[i])
+        at = [partial(_horner, t, h, y, c) for y, c in zip(dense.y0[i].tolist(),
+                                                            dense.c[i].tolist())]
+        candidates = sorted(
+            ((brentq(lambda s, g=g, y=at[j]: g(y(s)), min(t, t_new), max(t, t_new), xtol=tol),
+              kind, cuts)
+             for (kind, j, g, cuts), hit in zip(event_functions, crossed) if hit),
+            key=lambda c: direction * c[0])
+        for s_star, kind, cuts in candidates:
+            # Events that coincide with a cut to within the refinement
+            # tolerance are recorded whichever of them rounded first.
+            if cut_s is not None and abs(s_star - cut_s) > tol:
+                break
+            st = ProfileState(s_star, *(y(s_star) for y in at))
+            if kind is EventKind.FULL_TURN:
+                k = round((st.theta - theta0) / math.tau)
+                if k == 0 or k in seen_turns:
+                    continue
+                seen_turns.add(k)
+            events.append(EventRecord(kind, s_star, st))
+            if cut_s is None and cuts:
+                cut_s = s_star
+    if cut_s is not None:
+        # The cut step is the last, and its row stays, for its interpolant;
+        # the samples end on the refined cut state, or on the step's start
+        # when the cut falls there.
+        end = [(cut_s, *(y(cut_s) for y in at))] if (cut_s - t) * direction > 0.0 else []
+        samples = np.vstack([samples[:-1], *end])
+    return samples, dense, events
 
 
 def _equilibrium_trajectory(params: Params, ic: InitialConditions,
@@ -570,11 +553,12 @@ def integrate(params: Params, ic: InitialConditions,
 
     fwd = _run_direction(params, ic, controls, +1)
     bwd = _run_direction(params, ic, controls, -1)
-    (fwd_samples, fwd_dense), (bwd_samples, bwd_dense) = _arrays(fwd, ic), _arrays(bwd, ic)
+    fwd_samples, fwd_dense, fwd_events = _arrays(fwd, ic, +1)
+    bwd_samples, bwd_dense, bwd_events = _arrays(bwd, ic, -1)
     s, x, z, theta = np.concatenate((bwd_samples[:0:-1], fwd_samples)).T
     dense = _Dense(*(np.concatenate([b[::-1], f]) for b, f in zip(bwd_dense, fwd_dense)))
     return Trajectory(params, ic, s, x, z, theta,
-                      bwd.events + fwd.events, fwd.termination, bwd.termination, dense)
+                      bwd_events + fwd_events, fwd.termination, bwd.termination, dense)
 
 
 def detect_period(traj: Trajectory) -> tuple[float, float]:

@@ -647,6 +647,13 @@ GATES = [
       for a, b, name in [("-a=-2", "-b=1", "phase-separatrix-before-portrait"),
                          ("-a=-1e300", "-b=1", "phase-separatrix-before-unresolved-level-a"),
                          ("-a=1e300", "-b=-1", "phase-separatrix-before-unresolved-level-b")]],
+    # --rel-tol inf made the first step's z weight NaN, so the step retries
+    # of integrate, check and mesh never ended; classify exited 0.
+    *[pytest.param([*argv, "--rel-tol", value], EXIT_INVALID,
+                   lambda doc, value=value: doc == invalid(f"argument --rel-tol: must be "
+                                                           f"finite, got {value!r}"),
+                   id=f"rel-tol-{value}-{argv[0]}")
+      for argv in (INTEGRATE, CHECK, MESH, CLASSIFY) for value in ("inf", "nan")],
 ]
 
 
@@ -659,6 +666,16 @@ def test_cli_gate(capsys, tmp_path, monkeypatch, argv, code, check):
     got, captured = run(capsys, [*argv, "-o", str(tmp_path)])
     assert (got, captured.err) == (code, "")
     assert check(json.loads(captured.out))
+
+
+def test_mesh_refuses_periods_its_run_does_not_reach(capsys, tmp_path, monkeypatch):
+    # A run cut short of the window raised eval's "s outside integrated span".
+    monkeypatch.setattr(wlw.integrate, "MAX_STEPS", 500)
+    code, doc = run_json(capsys, [*MESH, "--periods", "50", "-o", str(tmp_path)])
+    assert (code, doc["error"]) == (EXIT_INVALID, "InvalidParameter")
+    assert doc["message"].startswith("--periods 50 needs s up to ")
+    assert "the run ends MaxSteps at s = " in doc["message"]
+    assert not (tmp_path / "surface.obj").exists()
 
 
 def test_a_critical_radius_next_to_the_axis_prints_a_class_or_inconclusive(capsys):

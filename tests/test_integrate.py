@@ -26,11 +26,9 @@ from wlw.integrate import (
     IntegrationControls,
     Termination,
     X_BLOWUP,
-    Trajectory,
     _crossing_segments,
-    _Dense,
+    _P,
     _initial_step,
-    _interpolant,
     _run_direction,
     check_horizontal_symmetry,
     detect_period,
@@ -38,6 +36,7 @@ from wlw.integrate import (
     integrate,
 )
 from wlw.model import AXIS_EPSILON, InitialConditions, Params
+from wlw.numerics import brentq
 
 PI = math.pi
 
@@ -48,6 +47,10 @@ class TestControls:
             IntegrationControls(rel_tol=0.0)
         with pytest.raises(InvalidParameter):
             IntegrationControls(max_arclength=-1.0)
+        # an infinite rel_tol makes the first step's z weight NaN
+        for rel_tol in (math.inf, math.nan):
+            with pytest.raises(InvalidParameter):
+                IntegrationControls(rel_tol=rel_tol)
 
     def test_a_run_takes_rel_tol_and_its_arclength(self):
         # atol is derived, rel_tol/100, and no event budget ends a run
@@ -265,37 +268,19 @@ class TestDenseOutput:
         for got, want in ((x, traj.x), (z, traj.z), (theta, traj.theta)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_event_interpolant_is_the_packed_row(self, nodoid_traj):
-        # Events are refined on a one-step interpolant; its values must be the
-        # bits Trajectory.eval gives on that step's packed row.
-        traj, d = nodoid_traj, nodoid_traj._dense
-        controls = ORBITS["nodoid_traj"][2]
+    @pytest.mark.parametrize("orbit", list(ORBITS))
+    def test_every_event_state_is_eval_inside_its_step(self, orbit, request):
+        # Events are refined on the packed rows that eval reads, so an event
+        # strictly inside a step has the state eval gives there, to the bit.
+        traj = request.getfixturevalue(orbit)
+        d = traj._dense
         checked = 0
-        for direction in (1, -1):
-            run = _run_direction(traj.params, traj.ic, controls, direction)
-            # A step starts where the row before it ends.
-            starts = [(0.0, (traj.ic.x0, 0.0, traj.ic.theta0))]
-            starts += [(row[0], row[1:4]) for row in run.steps]
-            for (s0, y0), (s1, *row) in zip(starts, run.steps):
-                K = row[3:]
-                lo, hi = min(s0, s1), max(s0, s1)
-                if not any(lo <= e.s <= hi for e in traj.events):
-                    continue
-                row = np.flatnonzero((d.s0 == s0) & (d.h == s1 - s0))
-                assert row.size == 1
-                # The row alone, so that eval uses it at both step ends too.
-                alone = Trajectory(traj.params, traj.ic, np.array([lo, hi]),
-                                   np.zeros(2), np.zeros(2), np.zeros(2), [],
-                                   traj.termination, traj.termination_backward,
-                                   _Dense(*(f[row] for f in d)))
-                at = _interpolant(s0, s1, y0, tuple(K))
-                for s in np.linspace(lo, hi, 5).tolist():
-                    state = tuple(y(s) for y in at)
-                    assert state == tuple(alone.eval(s))
-                    if lo < s < hi and traj.s_min <= s <= traj.s_max:
-                        assert state == tuple(traj.eval(s))
+        for e in traj.events:
+            if np.any((d.lo < e.s) & (e.s < d.lo + np.abs(d.h))):
+                assert (e.state.s, e.state.x, e.state.z, e.state.theta) == (
+                    e.s, *traj.eval(e.s).tolist())
                 checked += 1
-        assert checked >= 8
+        assert checked >= 1
 
 
 # The Dormand-Prince 5(4) tableau (HNW Table II.5.5), row i giving stage i + 2
@@ -331,6 +316,132 @@ def _tableau_step(a, b, t, y, t_new):
     k.append(f(y_new[0], y_new[2]))
     stages = tuple(v for j in (0, 2, 3, 4, 5, 6) for v in k[j])
     return stages, y_new
+
+
+def _interpolant(s0, s1, y0, K):
+    """x(s), z(s) and theta(s) on the step s0 -> s1 from y0 and its 18
+    flattened stages K, one step at a time: each component's coefficients
+    summed on floats in _pack's order and evaluated as Trajectory.eval does."""
+    h = s1 - s0
+
+    def component(j):
+        y, q0, q1, q2, q3 = y0[j], 0.0, 0.0, 0.0, 0.0
+        for r, (p0, p1, p2, p3) in enumerate(_P.tolist()):
+            k = K[3 * r + j]
+            q0 += k * p0
+            q1 += k * p1
+            q2 += k * p2
+            q3 += k * p3
+        c0, c1, c2, c3 = h * q0, h * q1, h * q2, h * q3
+
+        def at(s):
+            u = (s - s0) / h
+            return y + u * (c0 + u * (c1 + u * (c2 + u * c3)))
+        return at
+    return component(0), component(1), component(2)
+
+
+def _reference_events(params, ic, controls, direction):
+    """One direction's events (kind, s, state) and the state its run ends
+    on, or None: each step of _run_direction's record scanned for sign
+    changes as the run goes and its roots refined on _interpolant."""
+    theta0, tol = ic.theta0, EVENT_REFINE_TOL
+
+    def turn(theta):
+        return math.sin(0.5 * (theta - theta0))
+    functions = ((EventKind.AXIS_APPROACH, 0, lambda x: x - AXIS_EPSILON),
+                 (EventKind.BLOWUP, 0, lambda x: x - X_BLOWUP),
+                 (EventKind.VERTICAL_TANGENT, 2, math.cos), (EventKind.FULL_TURN, 2, turn))
+    events, seen_turns, cut = [], set(), None
+    t, y = 0.0, (ic.x0, 0.0, theta0)
+    for t_new, *row in _run_direction(params, ic, controls, direction).steps:
+        y_new = tuple(row[:3])
+        crossed = (y_new[0] <= AXIS_EPSILON < y[0], y[0] < X_BLOWUP <= y_new[0],
+                   math.cos(y[2]) * math.cos(y_new[2]) < 0.0, turn(y[2]) * turn(y_new[2]) < 0.0)
+        at = _interpolant(t, t_new, y, tuple(row[3:]))
+        roots = sorted(((brentq(lambda s, g=g, f=at[j]: g(f(s)), min(t, t_new), max(t, t_new),
+                                xtol=tol), kind)
+                        for (kind, j, g), hit in zip(functions, crossed) if hit),
+                       key=lambda root: direction * root[0])
+        for s_star, kind in roots:
+            if cut is not None and abs(s_star - cut[0]) > tol:
+                break
+            state = (s_star, *(f(s_star) for f in at))
+            if kind is EventKind.FULL_TURN:
+                k = round((state[3] - theta0) / math.tau)
+                if k == 0 or k in seen_turns:
+                    continue
+                seen_turns.add(k)
+            events.append((kind, s_star, state))
+            if cut is None and kind in (EventKind.AXIS_APPROACH, EventKind.BLOWUP):
+                cut = state
+        if cut is not None:
+            return events, cut
+        t, y = t_new, y_new
+    return events, None
+
+
+def _roadmap_draws(n, seed=48):
+    """(params, ic, controls) of n seeded draws of a, b, x0 and theta0 from the
+    ROADMAP distribution, at arclengths 20-60."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        a, b = rng.uniform(-5, 5), rng.choice([0.0, rng.uniform(-2, 2)])
+        x0 = math.exp(rng.uniform(math.log(0.05), math.log(20)))
+        draws.append((Params(a, b), InitialConditions(x0, rng.uniform(0, 2 * PI)),
+                      IntegrationControls(max_arclength=rng.uniform(20, 60))))
+    return draws
+
+
+# Runs whose cut step also holds another crossing, its direction and the
+# step's tests (axis, blowup, tangent, full turn).  The first ends backward
+# at the axis on a vertical tangent's step.  The others start just beyond
+# X_BLOWUP and blow up when they rise through it again, a period on: the
+# Nodoid's step holds its first full turn, and the Unduloid's a k = 0
+# re-crossing.  Each of these falls past the cut and is not recorded.
+CUT_STEPS = [
+    ((Params(-1.1407452343984859, 0.0024267796461070468),
+      InitialConditions(7.473504843777704e-08, 0.10085318606347525),
+      IntegrationControls(max_arclength=20)), -1, (True, False, True, False)),
+    ((Params(-2, 1e-9), InitialConditions(1.001e9, 0.3), IntegrationControls(max_arclength=1e11)),
+     1, (False, True, False, True)),
+    ((Params(-2, 1e-9), InitialConditions(1.001e9, 1.0), IntegrationControls(max_arclength=1e11)),
+     1, (False, True, False, True)),
+]
+
+
+class TestEventRefinement:
+    @pytest.mark.parametrize("params,ic,controls", [
+        *[pytest.param(*ORBITS[name], id=name) for name in ORBITS],
+        *[pytest.param(*draw, id=f"draw{i}") for i, draw in enumerate(_roadmap_draws(40))],
+        *[pytest.param(*run, id=f"cut-step{i}") for i, (run, _, _) in enumerate(CUT_STEPS)],
+        # theta crosses theta0 + 2 pi three times forward: one full turn
+        pytest.param(Params(-4.979152455009127, 0.8623963639645611),
+                     InitialConditions(0.051965985178181504, 0.7397486407192423),
+                     IntegrationControls(max_arclength=60), id="full-turn-recrossed"),
+    ])
+    def test_events_are_the_one_step_reference(self, params, ic, controls):
+        # Refined after the run on the packed rows, every event, its order
+        # and a cut run's last sample are those of the step-by-step scan.
+        traj = integrate(params, ic, controls)
+        samples = list(zip(*(v.tolist() for v in (traj.s, traj.x, traj.z, traj.theta))))
+        want = []
+        for direction, end in ((-1, 0), (1, -1)):
+            events, cut = _reference_events(params, ic, controls, direction)
+            want += events
+            if cut is not None:
+                assert samples[end] == cut
+        got = [(e.kind, e.s, (e.state.s, e.state.x, e.state.z, e.state.theta))
+               for e in traj.events]
+        assert got == sorted(want, key=lambda e: e[1])
+
+    @pytest.mark.parametrize("run,direction,crossed", CUT_STEPS,
+                             ids=[f"cut-step{i}" for i in range(len(CUT_STEPS))])
+    def test_a_cut_step_holds_a_tangent_or_a_full_turn(self, run, direction, crossed):
+        got = _run_direction(*run, direction)
+        assert got.termination is (Termination.AXIS_REACHED if crossed[0] else Termination.BLOWUP)
+        assert got.crossings[-1] == (len(got.steps) - 1, crossed)
 
 
 class TestStepRecord:
@@ -429,19 +540,23 @@ class TestCoincidentEvents:
 
 
 class TestEventScan:
-    def test_plane_builds_an_interpolant_only_for_its_axis_approach(self, monkeypatch):
+    def test_plane_refines_only_its_axis_approach_step(self, monkeypatch):
         # On the plane theta stays exactly at theta0, so sin(0.5 (theta -
         # theta0)) is 0.0 on every step: a k = 0 re-crossing, never a sign
-        # change.  Only the backward run's axis approach needs an interpolant.
+        # change.  Only the backward run's axis approach is refined.
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return _interpolant(*args)
+        def counting(f, lo, hi, **kwargs):
+            calls.append((lo, hi))
+            return brentq(f, lo, hi, **kwargs)
 
-        monkeypatch.setattr(wlw.integrate, "_interpolant", counting)
+        monkeypatch.setattr(wlw.integrate, "brentq", counting)
         params, ic = Params(2, 0), InitialConditions(1, 0)
-        traj = integrate(params, ic, default_controls(params, ic))
+        controls = default_controls(params, ic)
+        fwd, bwd = (_run_direction(params, ic, controls, d) for d in (1, -1))
+        assert (fwd.crossings, bwd.crossings) == (
+            [], [(len(bwd.steps) - 1, (True, False, False, False))])
+        traj = integrate(params, ic, controls)
         assert len(calls) == 1
         assert [e.kind for e in traj.events] == [EventKind.AXIS_APPROACH]
 
@@ -495,6 +610,14 @@ class TestBudgets:
                                                                EventKind.VERTICAL_TANGENT]
         assert traj.events[-1].state.x == pytest.approx(X_BLOWUP, rel=1e-12)
         assert (traj.x[0], traj.x[-1]) == pytest.approx((X_BLOWUP, X_BLOWUP), rel=1e-12)
+
+    def test_a_run_from_beyond_the_blowup_radius_records_no_blowup(self):
+        # The blowup test is x < X_BLOWUP <= xn, x rising through X_BLOWUP: a
+        # run that starts beyond it and stays there records no blowup.
+        traj = integrate(Params(-2, 1e-9), InitialConditions(2.5e9, 0.3))
+        assert traj.termination == traj.termination_backward == Termination.MAX_ARCLENGTH
+        assert traj.events_of(EventKind.BLOWUP) == []
+        assert traj.x.min() > X_BLOWUP
 
     def test_every_run_is_two_sided(self):
         traj = integrate(Params(-2, 1), InitialConditions(0.5, PI / 2),
